@@ -215,7 +215,7 @@ def cmd_constants(args) -> int:
             "needs p > n")
     attempt("log_sobolev",
             lambda: constants.log_sobolev_constant(Params(n, p)),
-            "needs 1 < p < n")
+            "needs n >= 4 and 2n/(n-1) <= p < n")
 
     populated = [r for r in rows[1:] if r[1] is not None]
     lines = []

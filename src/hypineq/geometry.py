@@ -7,8 +7,8 @@ geodesic radius, s a normalized ball volume.  The volume map
     vol(n, t) = n * integral_0^t sinh(u)^(n-1) du
 
 has an exact exponential-sum closed form for every n (expand the binomial
-power of sinh); a single fixed quadrature panel is used for small t where
-the exponential sum cancels.
+power of sinh).  Below t = 0.5, where the exponential sum cancels, it is
+summed instead as a power series in t with positive terms.
 """
 
 from __future__ import annotations
@@ -70,11 +70,42 @@ def _check_n(n: int):
         raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
 
 
+@lru_cache(maxsize=None)
+def _phi_series(n: int) -> Tuple[float, ...]:
+    """Coefficients b_k of phi(n, t) = t^n * sum_k b_k t^(2k), as many as
+    t < _SMALL_T needs.
+
+    The termwise Taylor expansion of the exponential sum: with m = n - 1,
+    b_k = n * sum_j (-1)^j C(m, j) (m - 2j)^(m+2k) / (2^m (n+2k)!).  The
+    alternating sum cancels exactly in integers; each b_k is rounded once.
+    """
+    m = n - 1
+    x = _SMALL_T * _SMALL_T
+    out, total, xk = [], 0.0, 1.0
+    k = 0
+    while True:
+        e = m + 2 * k
+        s = sum((-1) ** j * math.comb(m, j) * (m - 2 * j) ** e for j in range(n))
+        out.append(n * s / (2 ** m * math.factorial(e + 1)))
+        total += out[-1] * xk
+        # positive terms whose ratio falls below 1/2 past the peak, so the
+        # tail beyond this term is smaller than the term itself
+        if k and out[-1] * xk < 1e-18 * total and out[-1] * x < 0.5 * out[-2]:
+            return tuple(out)
+        xk *= x
+        k += 1
+
+
 def _phi_small(n: int, t: float) -> float:
-    # sinh^(n-1) is entire and slowly varying on [0, 0.5]; one 7-15 panel
-    # is exact to machine precision there.
-    val, _ = quadrature._gk15(lambda u: math.sinh(u) ** (n - 1), 0.0, t)
-    return n * val
+    x = t * t
+    acc, xk = 0.0, 1.0
+    for b in _phi_series(n):
+        term = b * xk
+        acc += term
+        if term < 1e-17 * acc:
+            break
+        xk *= x
+    return acc * t ** n
 
 
 def _phi_exp_sum(n: int, t: float) -> float:
@@ -143,13 +174,16 @@ def phi_inv(n: int, s: float) -> float:
     if n == 2:
         # acosh(1 + s/2) written to stay accurate for tiny s
         return math.log1p(0.5 * s + math.sqrt(s + 0.25 * s * s))
-    # seed from the exponential-growth asymptote, then safeguarded Newton
+    # t^n <= phi(t) <= n 2^(1-n) e^((n-1)t) / (n-1) puts the root between
+    # t_large and s^(1/n); Newton starts from the bound that is sharp at
+    # this end of the range
     t_large = (math.log(s * (n - 1) / n) + (n - 1) * math.log(2.0)) / (n - 1)
     hi = max(1.0, t_large + 2.0)
     while phi(n, hi) < s:
         hi += 2.0
+    x0 = s ** (1.0 / n) if t_large <= _SMALL_T else t_large
     return find_root_increasing(lambda t: phi(n, t), s, (0.0, hi),
-                                df=lambda t: phi_deriv(n, t))
+                                df=lambda t: phi_deriv(n, t), x0=x0)
 
 
 def ball_volume(n: int, rho: float) -> float:

@@ -54,9 +54,10 @@ class QuadratureConfig:
 
 DEFAULT_CONFIG = QuadratureConfig()
 
-# Gauss-Kronrod 7-15 pair on [-1, 1].  Odd-index nodes are the embedded
-# Gauss-7 points.
-_XGK = np.array([
+# Gauss-Kronrod 7-15 pair on [-1, 1] (QUADPACK's qk15).  Odd-index nodes
+# are the embedded Gauss-7 points.  Plain float tuples: the panel runs on
+# Python floats, without numpy-scalar arithmetic.
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -65,8 +66,8 @@ _XGK = np.array([
     0.405845151377397166906606412076961,
     0.207784955007898467600689403773245,
     0.000000000000000000000000000000000,
-])
-_WGK = np.array([
+)
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -75,13 +76,13 @@ _WGK = np.array([
     0.190350578064785409913256402421014,
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
-])
-_WG = np.array([
+)
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
     0.417959183673469387755102040816327,
-])
+)
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
@@ -97,6 +98,11 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float
         if j % 2 == 1:
             resg += _WG[j // 2] * fsum
     return resk * h, abs(resk - resg) * abs(h)
+
+
+class EvaluationErrorFromIntegrand(ConvergenceError):
+    def __init__(self, a, b):
+        super().__init__(f"integrand returned a non-finite value on [{a!r}, {b!r}]")
 
 
 def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
@@ -127,11 +133,6 @@ def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
         heapq.heappush(heap, (-rerr, counter + 1, pm, pb, rval, rerr, depth + 1))
         counter += 2
     return total, total_err
-
-
-class EvaluationErrorFromIntegrand(ConvergenceError):
-    def __init__(self, a, b):
-        super().__init__(f"integrand returned a non-finite value on [{a!r}, {b!r}]")
 
 
 def _integrate_semi(f, a, cfg: QuadratureConfig) -> Tuple[float, float]:
@@ -275,12 +276,16 @@ def find_root_increasing(f: Callable[[float], float], target: float,
                          bracket: Tuple[float, float],
                          df: Optional[Callable[[float], float]] = None,
                          rel_tol: float = 1e-13,
-                         max_iter: int = 200) -> float:
+                         max_iter: int = 200,
+                         x0: Optional[float] = None) -> float:
     """Solve f(t) = target for a strictly increasing f on a bracket.
 
     Newton (or secant when df is None) with a bisection safeguard: every
     iterate stays inside the current sign-change bracket, falling back to
-    the midpoint whenever the model step escapes or stalls.
+    the midpoint whenever the model step escapes or stalls.  The first
+    iterate is x0 when it lies strictly inside the bracket, else the
+    midpoint.  Raises ConvergenceError (carrying the last iterate) when
+    max_iter iterations do not reach tolerance.
     """
     lo, hi = bracket
     if not lo <= hi:
@@ -294,7 +299,7 @@ def find_root_increasing(f: Callable[[float], float], target: float,
     if flo > 0.0 or fhi < 0.0:
         raise BracketError(
             f"bracket ({lo!r}, {hi!r}) does not straddle target {target!r}")
-    t = 0.5 * (lo + hi)
+    t = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     ft_prev, t_prev = flo, lo
     f_tol = rel_tol * abs(target) if target != 0.0 else rel_tol
     for _ in range(max_iter):
@@ -318,7 +323,9 @@ def find_root_increasing(f: Callable[[float], float], target: float,
                 step_ok = True
         if not step_ok:
             t = 0.5 * (lo + hi)
-    return t
+    raise ConvergenceError(
+        f"root find for target {target!r} did not converge in {max_iter} "
+        f"iterations; bracket ({lo!r}, {hi!r})", partial=t)
 
 
 def differentiate_grid(xs: Sequence[float], ys: Sequence[float],

@@ -32,6 +32,14 @@ def test_constants_table(capsys, tmp_path):
     assert float(payload["sobolev"]) > 0.0
 
 
+def test_constants_log_sobolev_domain_note(capsys):
+    # 1 < p < n holds at n = 3, but the logarithmic inequality needs n >= 4
+    code, out, _ = run(capsys, "constants", "--n", "3", "--p", "2.5")
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("log_sobolev"))
+    assert "n/a (needs n >= 4 and 2n/(n-1) <= p < n)" in line
+
+
 def test_constants_no_applicable(capsys):
     # p = n admits neither the subcritical nor the supercritical family
     code, _, err = run(capsys, "constants", "--n", "2", "--p", "2.0")

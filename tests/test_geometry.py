@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from hypineq import geometry as G
+from hypineq import quadrature
 from hypineq.constants import boundary_exponent, unit_ball_volume
 from hypineq.errors import DomainError
 
@@ -12,6 +13,31 @@ from hypineq.errors import DomainError
 def _phi_mp(n, t, dps=40):
     with mp.workdps(dps):
         return mp.quad(lambda u: n * mp.sinh(u) ** (n - 1), [0, mp.mpf(t)])
+
+
+def _phi_exp_sum_mp(n, t, dps=200):
+    # exponential-sum closed form at a precision that absorbs its
+    # cancellation for small t
+    with mp.workdps(dps):
+        tt = mp.mpf(t)
+        acc = mp.mpf(0)
+        for k in range(n):
+            m = n - 1 - 2 * k
+            c = (-1) ** k * mp.binomial(n - 1, k)
+            acc += c * tt if m == 0 else c * mp.expm1(m * tt) / m
+        return n * mp.mpf(2) ** (1 - n) * acc
+
+
+class _Counter:
+    """Wraps a function and counts its calls."""
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.calls = 0
+
+    def __call__(self, *args, **kwargs):
+        self.calls += 1
+        return self.fn(*args, **kwargs)
 
 
 def test_volume_map_n2_closed_form():
@@ -37,6 +63,48 @@ def test_volume_map_matches_quadrature_general_n():
             assert qv == pytest.approx(ref, rel=1e-10)
 
 
+def test_small_radius_series_against_exponential_sum():
+    for n in range(2, 13):
+        for t in np.geomspace(1e-8, 0.4999, 30):
+            ref = _phi_exp_sum_mp(n, float(t))
+            got = G.phi(n, float(t))
+            assert abs(got - ref) <= 1e-14 * ref, (n, t)
+
+
+def test_volume_map_continuous_at_series_switch():
+    # above the switch the exponential sum carries its cancellation error
+    # (about 1.5e-12 relative at n = 12, t = 0.5)
+    below = math.nextafter(G._SMALL_T, 0.0)
+    for n in range(2, 13):
+        assert G.phi(n, below) == pytest.approx(G.phi(n, G._SMALL_T),
+                                                rel=1e-11), n
+        assert G._log_phi(n, below) == pytest.approx(
+            G._log_phi(n, G._SMALL_T), rel=1e-12), n
+
+
+def test_small_radius_volume_map_runs_no_panels(monkeypatch):
+    panels = _Counter(quadrature._gk15)
+    monkeypatch.setattr(quadrature, "_gk15", panels)
+    for n in range(2, 13):
+        for t in np.geomspace(1e-6, 0.49, 20):
+            G.phi(n, float(t))
+            G._log_phi(n, float(t))
+        G.phi_inv(n, 1e-3)
+    assert panels.calls == 0
+
+
+def test_inverse_volume_map_newton_start(monkeypatch):
+    # Newton starts from a proven bound on the root, so a root costs a
+    # handful of volume-map evaluations over 60 decades of s
+    phi = _Counter(G.phi)
+    monkeypatch.setattr(G, "phi", phi)
+    for n in range(3, 13):
+        phi.calls = 0
+        for k in range(-300, 301):
+            G.phi_inv(n, 10.0 ** (k / 10))
+        assert phi.calls / 601 <= 8.0, (n, phi.calls / 601)
+
+
 def test_volume_map_derivative():
     for n in (2, 3, 5):
         for t in (0.1, 1.0, 8.0):
@@ -56,8 +124,8 @@ def test_log_phi_matches_phi():
 
 
 def test_inverse_roundtrip():
-    for n in (2, 3, 5, 7):
-        for s in np.geomspace(1e-12, 1e12, 25):
+    for n in (2, 3, 5, 7, 12):
+        for s in np.geomspace(1e-30, 1e30, 61):
             t = G.phi_inv(n, float(s))
             assert G.phi(n, t) == pytest.approx(float(s), rel=1e-11), (n, s)
     assert G.phi_inv(4, 0.0) == 0.0

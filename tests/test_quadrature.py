@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypineq.errors import BracketError, DomainError
+from hypineq.errors import BracketError, ConvergenceError, DomainError
 from hypineq.quadrature import (
     QuadratureConfig,
     differentiate_grid,
@@ -116,6 +116,32 @@ def test_root_tiny_target_stays_target_relative():
 def test_root_bad_bracket():
     with pytest.raises(BracketError):
         find_root_increasing(lambda x: x, 5.0, (0.0, 1.0))
+
+
+def test_root_unconverged_raises():
+    # two iterations cannot reach 1e-13; the last iterate rides on the error
+    with pytest.raises(ConvergenceError) as info:
+        find_root_increasing(lambda x: x ** 3, 27.0, (0.0, 10.0), max_iter=2)
+    assert 0.0 < info.value.partial < 10.0
+
+
+def test_root_starting_point():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x ** 3
+
+    df = lambda x: 3.0 * x * x
+    t = find_root_increasing(f, 27.0, (0.0, 10.0), df=df, x0=3.01)
+    assert t == pytest.approx(3.0, rel=1e-12)
+    assert calls[2] == 3.01  # after the two bracket ends
+    seeded = len(calls)
+    calls.clear()
+    # a starting point outside the bracket falls back to the midpoint
+    find_root_increasing(f, 27.0, (0.0, 10.0), df=df, x0=11.0)
+    assert calls[2] == 5.0
+    assert seeded < len(calls)
 
 
 @settings(max_examples=25, deadline=None)
