@@ -4,7 +4,8 @@ sweeps.
 
 Exit codes: 0 pass, 1 contract violation (a certified negative margin
 where the theory forbids one, or a failed requested check), 2
-usage/domain error, 3 inconclusive or non-convergent.
+usage/domain error, 3 inconclusive (non-convergent, or a numeric guard
+tripped).
 
 All artifact writes are atomic (temp file + rename) and deterministic:
 identical inputs produce byte-identical output.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import sys
 import tempfile
@@ -23,9 +23,9 @@ from typing import List, Optional
 from . import constants, lemma, rearrangement, sharpness, verifier
 from .constants import Params
 from .corpus import standard_corpus
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError, EvaluationError
 from .quadrature import QuadratureConfig
-from .report import DeficitReport, fmt17, reports_to_csv, reports_to_json
+from .report import fmt17, reports_to_csv, reports_to_json
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -101,9 +101,7 @@ def build_parser():
     registry["lemma"] = sp
 
     sp = subs.add_parser("verify", help="inequality deficits over a corpus")
-    sp.add_argument("--inequality", required=True, choices=(
-        "poincare_sobolev", "key_comparison", "gagliardo_nirenberg",
-        "morrey_sobolev", "log_sobolev", "mugelli_talenti_sum", "linfty"))
+    sp.add_argument("--inequality", required=True, choices=verifier.INEQUALITIES)
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--alpha", type=float, default=None)
@@ -135,9 +133,7 @@ def build_parser():
     registry["sharpness"] = sp
 
     sp = subs.add_parser("sweep", help="deficit reports over an (n, p) grid")
-    sp.add_argument("--inequality", required=True, choices=(
-        "poincare_sobolev", "key_comparison", "gagliardo_nirenberg",
-        "morrey_sobolev", "log_sobolev", "mugelli_talenti_sum", "linfty"))
+    sp.add_argument("--inequality", required=True, choices=verifier.INEQUALITIES)
     sp.add_argument("--n-list", type=_int_list, required=True)
     sp.add_argument("--p-list", type=_float_list, required=True)
     sp.add_argument("--alpha", type=float, default=None)
@@ -152,9 +148,12 @@ def build_parser():
 def _apply_config(argv: List[str], registry) -> List[str]:
     """Inject config-file entries as flags ahead of the explicit ones, so
     that explicit flags win.  Unknown keys are rejected."""
-    if "--config" not in argv:
+    pre = argparse.ArgumentParser(prog="hypineq", add_help=False,
+                                  allow_abbrev=False)
+    pre.add_argument("--config")
+    path = pre.parse_known_args(argv)[0].config
+    if path is None:
         return argv
-    path = argv[argv.index("--config") + 1]
     command = argv[0]
     if command not in registry:
         return argv
@@ -279,30 +278,6 @@ def _load_corpus(directory: Optional[str]):
             for f in names]
 
 
-def _evaluate(inequality, v, n, p, alpha, scale, cfg) -> DeficitReport:
-    if inequality == "key_comparison":
-        if scale != 1.0:
-            raise DomainError(
-                "key_comparison is constant-free; --constant-scale not supported")
-        return rearrangement.key_comparison(v, n, p, cfg)
-    if inequality == "poincare_sobolev":
-        return verifier.poincare_sobolev(v, n, p, cfg, constant_scale=scale)
-    if inequality == "gagliardo_nirenberg":
-        if alpha is None:
-            raise DomainError("gagliardo_nirenberg needs --alpha")
-        return verifier.gagliardo_nirenberg(v, n, p, alpha, cfg,
-                                            constant_scale=scale)
-    if inequality == "morrey_sobolev":
-        return verifier.morrey_sobolev(v, n, p, cfg, constant_scale=scale)
-    if inequality == "log_sobolev":
-        return verifier.log_sobolev(v, n, p, cfg, constant_scale=scale)
-    if inequality == "mugelli_talenti_sum":
-        return verifier.mugelli_talenti_sum(v, n, p, cfg, constant_scale=scale)
-    if inequality == "linfty":
-        return verifier.linfty_inequality(v, n, p, cfg, constant_scale=scale)
-    raise DomainError(f"unknown inequality {inequality!r}")
-
-
 def _emit_reports(args, reports, stem: str) -> None:
     text = (reports_to_csv(reports) if args.format == "csv"
             else reports_to_json(reports))
@@ -312,8 +287,8 @@ def _emit_reports(args, reports, stem: str) -> None:
 def cmd_verify(args) -> int:
     corpus = _load_corpus(args.corpus)
     cfg = QuadratureConfig()
-    reports = [_evaluate(args.inequality, v, args.n, args.p, args.alpha,
-                         args.constant_scale, cfg) for v in corpus]
+    reports = [verifier.evaluate(args.inequality, v, args.n, args.p, args.alpha,
+                                 cfg, args.constant_scale) for v in corpus]
     _emit_reports(args, reports, f"verify-{args.inequality}")
     ok = all(r.passes(args.rel_tol) for r in reports)
     return EXIT_PASS if ok else EXIT_VIOLATION
@@ -326,8 +301,9 @@ def cmd_sweep(args) -> int:
     for n in args.n_list:
         for p in args.p_list:
             for v in corpus:
-                reports.append(_evaluate(args.inequality, v, n, p, args.alpha,
-                                         args.constant_scale, cfg))
+                reports.append(verifier.evaluate(args.inequality, v, n, p,
+                                                 args.alpha, cfg,
+                                                 args.constant_scale))
     _emit_reports(args, reports, f"sweep-{args.inequality}")
     ok = all(r.passes(args.rel_tol) for r in reports)
     return EXIT_PASS if ok else EXIT_VIOLATION
@@ -398,7 +374,7 @@ def main(argv: Optional[List[str]] = None) -> int:
     except (DomainError, BracketError, FileNotFoundError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
-    except ConvergenceError as exc:
+    except (ConvergenceError, EvaluationError) as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
 

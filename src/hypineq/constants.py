@@ -1,18 +1,14 @@
 """Closed-form sharp constants and the Gamma function backing them.
 
-All constants are evaluated in 64-bit floating point.  Passing
-``precise=True`` recomputes the same formula with mpmath (50 digits) and
-rounds once at the end; tests use this as an independent oracle.
+All constants are evaluated in 64-bit floating point.  The tests check
+each formula against its own mpmath evaluation at 40 digits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from types import SimpleNamespace
 from typing import Optional
-
-import mpmath as mp
 
 from .errors import DomainError
 
@@ -82,169 +78,99 @@ class Params:
         return "alpha>1" if self.alpha > 1.0 else "alpha<1"
 
 
-# Lanczos approximation, g = 7, nine coefficients.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_SQRT_2PI = math.sqrt(2.0 * math.pi)
-
-
 def gamma(x: float) -> float:
-    """Gamma function for real x > 0 (Lanczos, relative error well below
-    1e-13 on (0, 170]).  Negative non-integer arguments go through the
-    reflection formula; they are outside the advertised contract but kept
-    for completeness."""
-    if x <= 0.0:
-        if x == math.floor(x):
-            raise DomainError(f"gamma pole at {x!r}")
-        return math.pi / (math.sin(math.pi * x) * gamma(1.0 - x))
-    if x > 171.6:
-        raise DomainError(f"gamma({x!r}) overflows double precision")
-    z = x - 1.0
-    acc = _LANCZOS[0]
-    for i in range(1, len(_LANCZOS)):
-        acc += _LANCZOS[i] / (z + i)
-    t = z + _LANCZOS_G + 0.5
-    # split the power so intermediates stay below the overflow threshold
-    half_pow = t ** (0.5 * (z + 0.5))
-    return _SQRT_2PI * half_pow * math.exp(-t) * half_pow * acc
+    """Gamma function of a real argument; poles and overflow raise
+    DomainError."""
+    try:
+        return math.gamma(x)
+    except ValueError:
+        raise DomainError(f"gamma pole at {x!r}") from None
+    except OverflowError:
+        raise DomainError(f"gamma({x!r}) overflows double precision") from None
 
 
-def _env(precise: bool) -> SimpleNamespace:
-    if precise:
-        return SimpleNamespace(gamma=mp.gamma, pi=mp.pi, num=mp.mpf,
-                               sqrt=mp.sqrt, e=mp.e)
-    return SimpleNamespace(gamma=gamma, pi=math.pi, num=float,
-                           sqrt=math.sqrt, e=math.e)
-
-
-def _finish(value, precise: bool) -> float:
-    return float(value)
-
-
-def unit_ball_volume(n: int, precise: bool = False) -> float:
+def unit_ball_volume(n: int) -> float:
     """Volume of the Euclidean unit ball, pi^(n/2) / Gamma(n/2 + 1)."""
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
-    if precise:
-        with mp.workdps(50):
-            return float(mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1))
     return math.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
 
 
-def sobolev_constant(params: Params, precise: bool = False) -> float:
+def sobolev_constant(params: Params) -> float:
     """Best constant of the L^p Sobolev inequality on flat space,
     valid for 1 < p < n."""
     n, p = params.n, params.p
     if not (1.0 < p < n):
         raise DomainError(f"sobolev_constant needs 1 < p < n, got n={n}, p={p}")
-    return _sobolev_constant_raw(n, p, precise)
+    return _sobolev_constant_raw(n, p)
 
 
-def _sobolev_constant_raw(n: int, p: float, precise: bool = False) -> float:
+def _sobolev_constant_raw(n: int, p: float) -> float:
     """Formula body, additionally valid at p = 1 (isoperimetric limit)."""
-    E = _env(precise)
-    with mp.workdps(50):
-        nn, pp = E.num(n), E.num(p)
-        sigma = E.pi ** (nn / 2) / E.gamma(nn / 2 + 1)
-        ratio = E.gamma(nn) / (E.gamma(nn / pp) * E.gamma(nn + 1 - nn / pp) * sigma)
-        if p == 1.0:
-            slope = E.num(1.0)
-        else:
-            slope = (nn * (pp - 1) / (nn - pp)) ** (1 - 1 / pp)
-        return _finish(1.0 / ((1 / nn) * slope * ratio ** (1 / nn)), precise)
+    sigma = unit_ball_volume(n)
+    ratio = gamma(n) / (gamma(n / p) * gamma(n + 1 - n / p) * sigma)
+    slope = 1.0 if p == 1.0 else (n * (p - 1) / (n - p)) ** (1 - 1 / p)
+    return 1.0 / ((1 / n) * slope * ratio ** (1 / n))
 
 
-def gn_theta(params: Params, branch: Optional[str] = None) -> float:
-    """Interpolation exponent of the Gagliardo-Nirenberg family."""
+def gn_theta(params: Params) -> float:
+    """Interpolation exponent of the Gagliardo-Nirenberg family; alpha
+    selects the branch."""
     n, p, a = params.n, params.p, params.alpha
     if a is None:
         raise DomainError("gn_theta needs alpha")
-    branch = branch or params.gn_branch
-    if branch == "alpha>1":
-        if not a > 1.0:
-            raise DomainError(f"branch alpha>1 but alpha={a!r}")
+    if a > 1.0:
         return n * (a - 1.0) / (a * (n * p - (a * p + 1.0 - a) * (n - p)))
-    if branch == "alpha<1":
-        if not 0.0 < a < 1.0:
-            raise DomainError(f"branch alpha<1 but alpha={a!r}")
-        return n * (1.0 - a) / ((a * p + 1.0 - a) * (n - a * (n - p)))
-    raise DomainError(f"unknown branch {branch!r}")
+    return n * (1.0 - a) / ((a * p + 1.0 - a) * (n - a * (n - p)))
 
 
-def gn_constant(params: Params, branch: Optional[str] = None,
-                precise: bool = False) -> float:
+def gn_constant(params: Params) -> float:
     """Sharp Gagliardo-Nirenberg constant (both branches)."""
     n, p, a = params.n, params.p, params.alpha
     if a is None:
         raise DomainError("gn_constant needs alpha")
-    branch = branch or params.gn_branch
-    th = gn_theta(params, branch)
-    E = _env(precise)
-    with mp.workdps(50):
-        nn, pp, aa, tt = E.num(n), E.num(p), E.num(a), E.num(th)
-        q = aa * (pp - 1) + 1
-        delta = nn * pp - (nn - pp) * q
-        if not delta > 0:
-            raise DomainError(f"delta = np - (n-p)q must be positive, got {float(delta)!r}")
-        if branch == "alpha>1":
-            val = ((q - pp) / (pp * E.sqrt(E.pi))) ** tt \
-                * (pp * q / (nn * (q - pp))) ** (tt / pp) \
-                * (delta / (pp * q)) ** (1 / (aa * pp)) \
-                * ((E.gamma(q * (pp - 1) / (q - pp)) * E.gamma(nn / 2 + 1))
-                   / (E.gamma((pp - 1) / pp * delta / (q - pp))
-                      * E.gamma(nn * (pp - 1) / pp + 1))) ** (tt / nn)
-        else:
-            val = ((pp - q) / (pp * E.sqrt(E.pi))) ** tt \
-                * (pp * q / (nn * (pp - q))) ** (tt / pp) \
-                * (pp * q / delta) ** ((1 - tt) / (aa * pp)) \
-                * ((E.gamma((pp - 1) / pp * delta / (pp - q) + 1) * E.gamma(nn / 2 + 1))
-                   / (E.gamma(q * (pp - 1) / (pp - q) + 1)
-                      * E.gamma(nn * (pp - 1) / pp + 1))) ** (tt / nn)
-        return _finish(val, precise)
+    th = gn_theta(params)
+    q = a * (p - 1) + 1
+    delta = n * p - (n - p) * q
+    if not delta > 0:
+        raise DomainError(f"delta = np - (n-p)q must be positive, got {delta!r}")
+    if a > 1.0:
+        return ((q - p) / (p * math.sqrt(math.pi))) ** th \
+            * (p * q / (n * (q - p))) ** (th / p) \
+            * (delta / (p * q)) ** (1 / (a * p)) \
+            * ((gamma(q * (p - 1) / (q - p)) * gamma(n / 2 + 1))
+               / (gamma((p - 1) / p * delta / (q - p))
+                  * gamma(n * (p - 1) / p + 1))) ** (th / n)
+    return ((p - q) / (p * math.sqrt(math.pi))) ** th \
+        * (p * q / (n * (p - q))) ** (th / p) \
+        * (p * q / delta) ** ((1 - th) / (a * p)) \
+        * ((gamma((p - 1) / p * delta / (p - q) + 1) * gamma(n / 2 + 1))
+           / (gamma(q * (p - 1) / (p - q) + 1)
+              * gamma(n * (p - 1) / p + 1))) ** (th / n)
 
 
-def morrey_constant(params: Params, precise: bool = False) -> float:
+def morrey_constant(params: Params) -> float:
     """Sharp constant of the flat Morrey-Sobolev (sup-norm) inequality,
     p > n."""
     n, p = params.n, params.p
     if not p > n:
         raise DomainError(f"morrey_constant needs p > n, got n={n}, p={p}")
-    E = _env(precise)
-    with mp.workdps(50):
-        nn, pp = E.num(n), E.num(p)
-        sigma = E.pi ** (nn / 2) / E.gamma(nn / 2 + 1)
-        val = nn ** (-1 / pp) * sigma ** (-1 / nn) * ((pp - 1) / (pp - nn)) ** ((pp - 1) / pp)
-        return _finish(val, precise)
+    sigma = unit_ball_volume(n)
+    return n ** (-1 / p) * sigma ** (-1 / n) * ((p - 1) / (p - n)) ** ((p - 1) / p)
 
 
-def linfty_constant(params: Params, precise: bool = False) -> float:
+def linfty_constant(params: Params) -> float:
     """Constant of the hyperbolic sup-norm gradient bound, p > n."""
     n, p = params.n, params.p
     if not p > n:
         raise DomainError(f"linfty_constant needs p > n, got n={n}, p={p}")
-    E = _env(precise)
-    with mp.workdps(50):
-        nn, pp = E.num(n), E.num(p)
-        sigma = E.pi ** (nn / 2) / E.gamma(nn / 2 + 1)
-        gratio = (E.gamma((pp - nn) / (2 * (pp - 1))) * E.gamma((nn - 1) / (pp - 1))
-                  / E.gamma((pp + nn - 2) / (2 * (pp - 1))))
-        val = (2 ** (nn - 1) * nn * sigma) ** (-1 / pp) * gratio ** ((pp - 1) / pp)
-        return _finish(val, precise)
+    sigma = unit_ball_volume(n)
+    gratio = (gamma((p - n) / (2 * (p - 1))) * gamma((n - 1) / (p - 1))
+              / gamma((p + n - 2) / (2 * (p - 1))))
+    return (2.0 ** (n - 1) * n * sigma) ** (-1 / p) * gratio ** ((p - 1) / p)
 
 
-def isoperimetric_integral_closed_form(n: int, p: float,
-                                       precise: bool = False) -> float:
+def isoperimetric_integral_closed_form(n: int, p: float) -> float:
     """Closed form of the integral of the boundary-weight profile to the
     power -p/(p-1) over the measure line, p > n.
 
@@ -252,26 +178,18 @@ def isoperimetric_integral_closed_form(n: int, p: float,
     """
     if not p > n:
         raise DomainError(f"integral diverges unless p > n, got n={n}, p={p}")
-    E = _env(precise)
-    with mp.workdps(50):
-        nn, pp = E.num(n), E.num(p)
-        sigma = E.pi ** (nn / 2) / E.gamma(nn / 2 + 1)
-        val = nn * sigma * E.num(2.0) ** (-(nn - 1) / (pp - 1)) \
-            * E.gamma((pp - nn) / (2 * (pp - 1))) * E.gamma((nn - 1) / (pp - 1)) \
-            / E.gamma((pp + nn - 2) / (2 * (pp - 1)))
-        return _finish(val, precise)
+    sigma = unit_ball_volume(n)
+    return n * sigma * 2.0 ** (-(n - 1) / (p - 1)) \
+        * gamma((p - n) / (2 * (p - 1))) * gamma((n - 1) / (p - 1)) \
+        / gamma((p + n - 2) / (2 * (p - 1)))
 
 
-def log_sobolev_constant(params: Params, precise: bool = False) -> float:
+def log_sobolev_constant(params: Params) -> float:
     """Constant of the logarithmic Poincare-Sobolev inequality,
     n >= 4 and 2n/(n-1) <= p < n."""
     n, p = params.n, params.p
     if not in_poincare_range(n, p):
         raise DomainError(
             f"log_sobolev_constant needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
-    E = _env(precise)
-    with mp.workdps(50):
-        nn, pp = E.num(n), E.num(p)
-        val = (pp / nn) * ((pp - 1) / E.e) ** (pp - 1) * E.pi ** (pp / 2) \
-            * (E.gamma(nn / 2 + 1) / E.gamma(nn * (pp - 1) / pp + 1)) ** (pp / nn)
-        return _finish(val, precise)
+    return (p / n) * ((p - 1) / math.e) ** (p - 1) * math.pi ** (p / 2) \
+        * (gamma(n / 2 + 1) / gamma(n * (p - 1) / p + 1)) ** (p / n)

@@ -234,20 +234,26 @@ def radial_margin(n: int, p: float, t: float) -> float:
     return math.sinh(t) ** q - ph ** (q / n) - ((n - 1.0) / n) ** p * ph ** p
 
 
+def _precision(n: int, p: float, t: float):
+    """mpmath working-precision context that covers the exponential
+    cancellation in the margin and its slope factor at radius t."""
+    return mp.workdps(40 + int(0.5 * (p * (n - 1) + n) * t))
+
+
+def _phi_mp(n: int, tt):
+    """The exponential-sum volume map at the working mpmath precision."""
+    acc = mp.mpf(0)
+    for coeff, m in _binom_terms(n):
+        acc += coeff * tt if m == 0 else coeff * mp.expm1(m * tt) / m
+    return n * mp.mpf(2) ** (1 - n) * acc
+
+
 def _margin_precise(n: int, p: float, t: float) -> Tuple[float, float]:
     """(margin/scale, scale-exponent) via mpmath at a precision that covers
     the exponential cancellation; scale = 1 + phi^p."""
-    q = p * (n - 1)
-    dps = 40 + int(0.5 * (q + n) * t)
-    with mp.workdps(dps):
+    with _precision(n, p, t):
         tt = mp.mpf(t)
-        acc = mp.mpf(0)
-        for coeff, m in _binom_terms(n):
-            if m == 0:
-                acc += coeff * tt
-            else:
-                acc += coeff * mp.expm1(m * tt) / m
-        ph = n * mp.mpf(2) ** (1 - n) * acc
+        ph = _phi_mp(n, tt)
         # build every exponent from the same mpf image of p: a 1-ulp
         # mismatch between the first and third exponents survives the
         # cancellation as a spurious margin ~ ulp(q) * t
@@ -296,18 +302,13 @@ def margin_slope_factor(n: int, p: float, t: float,
         return 0.0
     q = p * (n - 1)
     if precise:
-        dps = 40 + int(0.5 * (q + n) * t)
-        with mp.workdps(dps):
+        with _precision(n, p, t):
             tt = mp.mpf(t)
-            acc = mp.mpf(0)
-            for coeff, m in _binom_terms(n):
-                acc += coeff * tt if m == 0 else coeff * mp.expm1(m * tt) / m
-            ph = n * mp.mpf(2) ** (1 - n) * acc
+            ph = _phi_mp(n, tt)
             pp = mp.mpf(p)
             qq = pp * (n - 1)
-            val = mp.sinh(tt) ** (qq - n) * mp.cosh(tt) - ph ** (qq / n - 1) \
-                - (mp.mpf(n - 1) / n) ** pp * ph ** (pp - 1)
-            return float(val)
+            return float(mp.sinh(tt) ** (qq - n) * mp.cosh(tt) - ph ** (qq / n - 1)
+                         - (mp.mpf(n - 1) / n) ** pp * ph ** (pp - 1))
     ph = phi(n, t)
     return math.sinh(t) ** (q - n) * math.cosh(t) - ph ** (q / n - 1.0) \
         - ((n - 1.0) / n) ** p * ph ** (p - 1.0)

@@ -28,28 +28,26 @@ __all__ = [
 
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets governing all improper integrals.
+    """Tolerances and budgets governing every adaptive integral.
 
-    tail_strategy selects how semi-infinite integrals are handled:
-    "exponential-substitution" maps [a, inf) through s = a + e^y and sums
-    unit panels in y until the tail is negligible; "hard-cutoff" simply
-    integrates [a, tail_cutoff].
+    A panel tree stops refining once its error estimate is below
+    max(abs_tol, rel_tol * |value|); max_depth bounds how often one panel
+    is bisected and max_panels how many panels one finite interval may
+    hold.  Semi-infinite integrals map [a, inf) through s = a + e^y and
+    add panels of width 2 in y outward from y = 0, on each side until two
+    consecutive panels fall below a quarter of that tolerance floor.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
     max_depth: int = 50
     max_panels: int = 4096
-    tail_strategy: str = "exponential-substitution"
-    tail_cutoff: float = 1e60
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
         if self.max_depth < 1:
             raise DomainError("max_depth must be >= 1")
-        if self.tail_strategy not in ("exponential-substitution", "hard-cutoff"):
-            raise DomainError(f"unknown tail strategy {self.tail_strategy!r}")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -135,12 +133,36 @@ def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
     return total, total_err
 
 
+def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
+           total: float = 0.0, total_err: float = 0.0) -> Tuple[float, float]:
+    """Add panels of width |step| to (total, total_err), outward from y = 0
+    in the direction of step, until two consecutive panels fall below a
+    quarter of the tolerance floor.
+
+    Rightward, a power-law tail first *rises* in y (until e^y ~ a), so a
+    panel there only counts as negligible once the sequence is decaying;
+    otherwise a small-magnitude tail would be cut off in its rising phase.
+    """
+    small = 0
+    prev = math.inf
+    y = 0.0
+    for _ in range(400):
+        v, e = _integrate_finite(g, min(y, y + step), max(y, y + step), cfg)
+        total += v
+        total_err += e
+        y += step
+        mag = abs(v)
+        floor = 0.25 * max(cfg.abs_tol, cfg.rel_tol * abs(total))
+        small = small + 1 if mag < floor and (step < 0.0 or mag <= prev) else 0
+        prev = mag
+        if small >= 2:
+            return total, total_err
+    raise ConvergenceError(message, partial=total, error_estimate=total_err)
+
+
 def _integrate_semi(f, a, cfg: QuadratureConfig) -> Tuple[float, float]:
     """Integrate f over [a, inf) through the substitution s = a + e^y
     (s = e^y when a == 0, which also absorbs integrable singularities at 0).
-
-    Unit panels in y are added outward from y = 0 until two consecutive
-    panels on a side fall below the tolerance floor.
     """
     if a == 0.0:
         def g(y):
@@ -151,48 +173,10 @@ def _integrate_semi(f, a, cfg: QuadratureConfig) -> Tuple[float, float]:
             e = math.exp(y)
             return f(a + e) * e
 
-    panel_cfg = cfg
-    total = 0.0
-    total_err = 0.0
-
-    def panel(y0, y1):
-        nonlocal total, total_err
-        v, e = _integrate_finite(g, y0, y1, panel_cfg)
-        total += v
-        total_err += e
-        return abs(v)
-
-    floor = lambda: 0.25 * max(cfg.abs_tol, cfg.rel_tol * abs(total))
-    # Right expansion: s grows like e^y, so convergent tails die out fast in y.
-    # With a > 0 a power-law tail first *rises* in y (until e^y ~ a), so a
-    # panel only counts as negligible once the panel sequence is decaying;
-    # otherwise a small-magnitude tail would be cut off in its rising phase.
-    small = 0
-    prev = math.inf
-    y = 0.0
-    for _ in range(400):
-        mag = panel(y, y + 2.0)
-        y += 2.0
-        small = small + 1 if (mag < floor() and mag <= prev) else 0
-        prev = mag
-        if small >= 2:
-            break
-    else:
-        raise ConvergenceError("semi-infinite tail did not converge (right)",
-                               partial=total, error_estimate=total_err)
-    # Left expansion toward s -> a+ (or 0+).
-    small = 0
-    y = 0.0
-    for _ in range(400):
-        mag = panel(y - 2.0, y)
-        y -= 2.0
-        small = small + 1 if mag < floor() else 0
-        if small >= 2:
-            break
-    else:
-        raise ConvergenceError("semi-infinite tail did not converge (left)",
-                               partial=total, error_estimate=total_err)
-    return total, total_err
+    total, total_err = _sweep(g, 2.0, cfg,
+                              "semi-infinite tail did not converge (right)")
+    return _sweep(g, -2.0, cfg, "semi-infinite tail did not converge (left)",
+                  total, total_err)
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
@@ -208,8 +192,6 @@ def integrate(f: Callable[[float], float], a: float, b: float,
             return 0.0, 0.0
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
     if math.isinf(b):
-        if cfg.tail_strategy == "hard-cutoff":
-            return _integrate_finite(f, a, cfg.tail_cutoff, cfg)
         return _integrate_semi(f, a, cfg)
     return _integrate_finite(f, a, b, cfg)
 
@@ -225,24 +207,7 @@ def _integrate_left_edge(f, b: float, cfg: QuadratureConfig) -> Tuple[float, flo
         s = b * math.exp(y)
         return f(s) * s
 
-    total = 0.0
-    total_err = 0.0
-    small = 0
-    prev = math.inf
-    y = 0.0
-    for _ in range(400):
-        v, e = _integrate_finite(g, y - 2.0, y, cfg)
-        total += v
-        total_err += e
-        y -= 2.0
-        mag = abs(v)
-        floor = 0.25 * max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        small = small + 1 if (mag < floor and mag <= prev) else 0
-        prev = mag
-        if small >= 2:
-            return total, total_err
-    raise ConvergenceError("left-edge substitution did not converge",
-                           partial=total, error_estimate=total_err)
+    return _sweep(g, -2.0, cfg, "left-edge substitution did not converge")
 
 
 def integrate_with_breakpoints(f: Callable[[float], float], a: float, b: float,

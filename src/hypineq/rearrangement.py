@@ -176,10 +176,6 @@ class RadialProfile:
         a = self.tail.param
         return -a * vlast * math.exp(-a * (s - last))
 
-    def with_label(self, label: str) -> "RadialProfile":
-        return RadialProfile(self.nodes, self.values, self.tail,
-                             fn=self.fn, dfn=self.dfn, step=self.step, label=label)
-
 
 def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
     """c * v, wrapping closures when present."""
@@ -253,11 +249,10 @@ def _piece_endpoints(pc: Piece) -> Tuple[float, float]:
     return va, vb
 
 
-def _piece_level_crossing(pc: Piece, t: float) -> Optional[float]:
-    """Radius where a monotone piece crosses level t, if it does."""
-    va, vb = _piece_endpoints(pc)
-    if (va - t) * (vb - t) >= 0.0:
-        return None
+def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
+    """Radius where a monotone piece with end values va, vb on either side
+    of t crosses level t; None when an unbounded piece is still above t
+    at radius 1e6."""
     b = pc.b
     if math.isinf(b):
         b = max(pc.a + 1.0, 1.0)
@@ -270,6 +265,14 @@ def _piece_level_crossing(pc: Piece, t: float) -> Optional[float]:
     return quadrature.find_root_increasing(lambda r: -float(pc.fn(r)), -t, (pc.a, b))
 
 
+def _piece_level_crossing(pc: Piece, t: float) -> Optional[float]:
+    """Radius where a monotone piece crosses level t, if it does."""
+    va, vb = _piece_endpoints(pc)
+    if (va - t) * (vb - t) >= 0.0:
+        return None
+    return _piece_root(pc, t, va, vb)
+
+
 def _piece_level_interval(pc: Piece, t: float) -> Optional[Tuple[float, float]]:
     """Radii within one monotone piece where the function exceeds t."""
     va, vb = _piece_endpoints(pc)
@@ -279,19 +282,10 @@ def _piece_level_interval(pc: Piece, t: float) -> Optional[Tuple[float, float]]:
         if math.isinf(pc.b):
             raise DomainError("superlevel set has infinite volume")
         return (pc.a, pc.b)
-    increasing = vb > va
-    b = pc.b
-    if math.isinf(b):
-        b = max(pc.a + 1.0, 1.0)
-        while float(pc.fn(b)) > t:
-            b += max(1.0, b - pc.a)
-            if b > 1e6:
-                raise DomainError("superlevel set appears unbounded")
-    if increasing:
-        c = quadrature.find_root_increasing(pc.fn, t, (pc.a, b))
-        return (c, pc.b)
-    c = quadrature.find_root_increasing(lambda r: -float(pc.fn(r)), -t, (pc.a, b))
-    return (pc.a, c)
+    c = _piece_root(pc, t, va, vb)
+    if c is None:
+        raise DomainError("superlevel set appears unbounded")
+    return (c, pc.b) if vb > va else (pc.a, c)
 
 
 def distribution_function(f: RadialFunction, t: float) -> float:

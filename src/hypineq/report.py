@@ -80,18 +80,8 @@ class DeficitReport:
         }
 
 
-def _render(obj):
-    if isinstance(obj, float):
-        return float(fmt17(obj))
-    if isinstance(obj, dict):
-        return {k: _render(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_render(v) for v in obj]
-    return obj
-
-
 def reports_to_json(reports: Sequence[DeficitReport]) -> str:
-    return json.dumps([_render(r.to_dict()) for r in reports], indent=2,
+    return json.dumps([r.to_dict() for r in reports], indent=2,
                       sort_keys=False) + "\n"
 
 _CSV_COLUMNS = ("inequality_id", "n", "p", "alpha", "label", "lhs", "rhs",

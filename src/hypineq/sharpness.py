@@ -261,17 +261,10 @@ def non_attainment_scan(inequality_id: str, n: int, p: float,
     claiming strictness.
     """
     cfg = cfg or QuadratureConfig()
-    evaluate = {
-        "poincare_sobolev": lambda v: verifier.poincare_sobolev(v, n, p, cfg),
-        "key_comparison": lambda v: rearrangement.key_comparison(v, n, p, cfg),
-        "gagliardo_nirenberg": None,
-    }.get(inequality_id)
-    if evaluate is None:
-        raise DomainError(f"no scan defined for inequality {inequality_id!r}")
     entries = []
     undecided = []
     for v in corpus:
-        rep = evaluate(v)
+        rep = verifier.evaluate(inequality_id, v, n, p, cfg=cfg)
         entries.append((v.label, rep.deficit, rep.quadrature_error))
         if not rep.deficit > 10.0 * rep.quadrature_error:
             undecided.append(v.label)

@@ -4,13 +4,14 @@ Every operation takes a profile on the measure line, evaluates both sides
 of one inequality in powered form, and returns a DeficitReport.  The
 ``constant_scale`` argument multiplies the sharp constant and exists so
 that tests (and the CLI) can deliberately break an inequality to prove
-the harness would notice.
+the harness would notice.  INEQUALITIES lists every inequality by id, and
+evaluate() runs one of them on a profile.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Callable, NamedTuple, Optional, Tuple
 
 import numpy as np
 
@@ -22,6 +23,8 @@ from .rearrangement import RadialProfile, Tail
 from .report import DeficitReport
 
 __all__ = [
+    "INEQUALITIES",
+    "evaluate",
     "poincare_deficit",
     "poincare_sobolev",
     "gagliardo_nirenberg",
@@ -322,3 +325,59 @@ def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float,
     if crit <= 0.0:
         raise DomainError("zero profile has no Rayleigh ratio")
     return grad / crit ** ((n - p) / n)
+
+
+class Inequality(NamedTuple):
+    """One row of INEQUALITIES.  The evaluator is called as
+    evaluator(v, n, p, alpha, cfg, constant_scale)."""
+
+    evaluator: Callable[..., DeficitReport]
+    needs_alpha: bool = False
+    constant_free: bool = False
+
+
+# Every inequality the CLI verifies and sweeps, by id.  The evaluators
+# look their functions up in the module globals at call time, so a
+# rebinding (a test double, a tracer) is seen by every caller.
+INEQUALITIES = {
+    "poincare_sobolev": Inequality(
+        lambda v, n, p, alpha, cfg, scale:
+        poincare_sobolev(v, n, p, cfg, constant_scale=scale)),
+    "key_comparison": Inequality(
+        lambda v, n, p, alpha, cfg, scale:
+        rearrangement.key_comparison(v, n, p, cfg),
+        constant_free=True),
+    "gagliardo_nirenberg": Inequality(
+        lambda v, n, p, alpha, cfg, scale:
+        gagliardo_nirenberg(v, n, p, alpha, cfg, constant_scale=scale),
+        needs_alpha=True),
+    "morrey_sobolev": Inequality(
+        lambda v, n, p, alpha, cfg, scale:
+        morrey_sobolev(v, n, p, cfg, constant_scale=scale)),
+    "log_sobolev": Inequality(
+        lambda v, n, p, alpha, cfg, scale:
+        log_sobolev(v, n, p, cfg, constant_scale=scale)),
+    "mugelli_talenti_sum": Inequality(
+        lambda v, n, p, alpha, cfg, scale:
+        mugelli_talenti_sum(v, n, p, cfg, constant_scale=scale)),
+    "linfty": Inequality(
+        lambda v, n, p, alpha, cfg, scale:
+        linfty_inequality(v, n, p, cfg, constant_scale=scale)),
+}
+
+
+def evaluate(inequality_id: str, v: RadialProfile, n: int, p: float,
+             alpha: Optional[float] = None,
+             cfg: Optional[QuadratureConfig] = None,
+             constant_scale: float = 1.0) -> DeficitReport:
+    """Evaluate the inequality with the given id (a key of INEQUALITIES)
+    on one profile."""
+    row = INEQUALITIES.get(inequality_id)
+    if row is None:
+        raise DomainError(f"unknown inequality {inequality_id!r}")
+    if row.constant_free and constant_scale != 1.0:
+        raise DomainError(f"{inequality_id} is constant-free; "
+                          "--constant-scale not supported")
+    if row.needs_alpha and alpha is None:
+        raise DomainError(f"{inequality_id} needs --alpha")
+    return row.evaluator(v, n, p, alpha, cfg, constant_scale)

@@ -1,9 +1,11 @@
+import importlib.util
 import json
 import os
+from pathlib import Path
 
 import pytest
 
-from hypineq import cli
+from hypineq import cli, verifier
 from hypineq.corpus import bubble_corpus, write_corpus
 from hypineq.rearrangement import write_profile
 
@@ -102,6 +104,31 @@ def test_verify_constant_scale_rejected_for_comparison(capsys):
     assert "constant-free" in err
 
 
+def test_verify_calls_evaluator_once_per_profile(capsys, monkeypatch):
+    calls = []
+    real = verifier.poincare_sobolev
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].label)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(verifier, "poincare_sobolev", counting)
+    code, _, _ = run(capsys, "verify", "--inequality", "poincare_sobolev",
+                     "--n", "4", "--p", N4P)
+    assert code == 0
+    assert len(calls) == 20  # one per built-in corpus profile
+
+
+def test_verify_evaluation_error_is_inconclusive(capsys, monkeypatch):
+    # a negative gradient deficit trips the gagliardo_nirenberg guard
+    monkeypatch.setattr(verifier, "poincare_deficit",
+                        lambda *args, **kwargs: (-1.0, 0.0))
+    code, _, err = run(capsys, "verify", "--inequality", "gagliardo_nirenberg",
+                       "--n", "4", "--p", N4P, "--alpha", "2.0")
+    assert code == 3
+    assert err.startswith("inconclusive:")
+
+
 def test_verify_missing_corpus_dir(capsys, tmp_path):
     code, _, _ = run(capsys, "verify", "--inequality", "key_comparison",
                      "--n", "4", "--p", N4P,
@@ -178,6 +205,22 @@ def test_config_supplies_defaults_and_flags_win(capsys, tmp_path):
     assert code == 0
 
 
+def test_config_equals_form_is_read(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("p = 2.0\n")
+    code, _, err = run(capsys, "lemma", "verify", "--n", "4",
+                       f"--config={cfgfile}")
+    assert code == 2
+    assert "lemma range" in err
+
+
+def test_config_without_path_is_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["lemma", "verify", "--n", "4", "--p", "3", "--config"])
+    assert exc.value.code == 2
+    assert "--config: expected one argument" in capsys.readouterr().err
+
+
 def test_config_rejects_unknown_key(capsys, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("frobnicate=1\n")
@@ -197,3 +240,36 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
     run(capsys, "constants", "--n", "4", "--p", N4P, "--out", str(tmp_path))
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
     assert leftovers == []
+
+
+# -- tracing ----------------------------------------------------------
+
+
+def _load_tracer():
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_benchmark_tracer_counts_reports(capsys):
+    # the benchmark tracer wraps package functions by name; a renamed
+    # function fails here
+    tracer_mod = _load_tracer()
+    tracer = tracer_mod.Tracer()
+    tracer.install()
+    try:
+        code = tracer.run_job(0, lambda: cli.main(
+            ["verify", "--inequality", "poincare_sobolev", "--n", "4",
+             "--p", N4P]))
+    finally:
+        tracer.uninstall()
+    capsys.readouterr()
+    assert code == 0
+    metrics = tracer_mod.layer_metrics(tracer, cli_jobs=True)
+    assert metrics["verifier.reports"][0] == 20
+    assert metrics["quadrature.panels"][0] > 0
+    assert metrics["quadrature.root.calls"][0] > 0
+    assert verifier.poincare_sobolev.__module__ == "hypineq.verifier"
+    assert not hasattr(verifier.poincare_sobolev, "__wrapped__")

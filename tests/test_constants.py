@@ -71,17 +71,6 @@ def test_sobolev_constant_oracle():
         C.sobolev_constant(Params(4, 5.0))
 
 
-def test_precise_mode_agrees_with_double():
-    for n, p in [(4, 8.0 / 3.0), (5, 2.5)]:
-        a = C.sobolev_constant(Params(n, p))
-        b = C.sobolev_constant(Params(n, p), precise=True)
-        assert a == pytest.approx(b, rel=1e-13)
-    assert C.morrey_constant(Params(2, 4.0)) == pytest.approx(
-        C.morrey_constant(Params(2, 4.0), precise=True), rel=1e-13)
-    assert C.linfty_constant(Params(3, 5.0)) == pytest.approx(
-        C.linfty_constant(Params(3, 5.0), precise=True), rel=1e-13)
-
-
 def test_gn_theta_branches():
     prm = Params(4, 2.0, alpha=2.0)
     th = C.gn_theta(prm)
@@ -105,11 +94,44 @@ def test_gn_degenerates_to_sobolev():
                                    rel=1e-9)
 
 
+def _gn_oracle(n, p, a):
+    # independent mpmath evaluation of the closed form, both branches
+    with mp.workdps(40):
+        nn, pp, aa = mp.mpf(n), mp.mpf(p), mp.mpf(a)
+        q = aa * (pp - 1) + 1
+        delta = nn * pp - (nn - pp) * q
+        g = mp.gamma
+        if a > 1.0:
+            th = nn * (aa - 1) / (aa * (nn * pp - q * (nn - pp)))
+            val = ((q - pp) / (pp * mp.sqrt(mp.pi))) ** th \
+                * (pp * q / (nn * (q - pp))) ** (th / pp) \
+                * (delta / (pp * q)) ** (1 / (aa * pp)) \
+                * ((g(q * (pp - 1) / (q - pp)) * g(nn / 2 + 1))
+                   / (g((pp - 1) / pp * delta / (q - pp))
+                      * g(nn * (pp - 1) / pp + 1))) ** (th / nn)
+        else:
+            th = nn * (1 - aa) / (q * (nn - aa * (nn - pp)))
+            val = ((pp - q) / (pp * mp.sqrt(mp.pi))) ** th \
+                * (pp * q / (nn * (pp - q))) ** (th / pp) \
+                * (pp * q / delta) ** ((1 - th) / (aa * pp)) \
+                * ((g((pp - 1) / pp * delta / (pp - q) + 1) * g(nn / 2 + 1))
+                   / (g(q * (pp - 1) / (pp - q) + 1)
+                      * g(nn * (pp - 1) / pp + 1))) ** (th / nn)
+        return float(val)
+
+
 def test_gn_alpha_below_one_branch_runs():
     prm = Params(4, 2.0, alpha=0.5)
     val = C.gn_constant(prm)
     assert val > 0.0
-    assert val == pytest.approx(C.gn_constant(prm, precise=True), rel=1e-12)
+    assert val == pytest.approx(_gn_oracle(4, 2.0, 0.5), rel=1e-13)
+
+
+def test_gn_constant_oracle():
+    for n, p, a in [(4, 2.0, 2.0), (4, 8.0 / 3.0, 1.7), (5, 2.5, 0.3),
+                    (6, 3.3, 0.8), (7, 2.2, 1.4)]:
+        assert C.gn_constant(Params(n, p, alpha=a)) == pytest.approx(
+            _gn_oracle(n, p, a), rel=1e-13), (n, p, a)
 
 
 def test_morrey_constant_oracle():
@@ -122,6 +144,21 @@ def test_morrey_constant_oracle():
             assert C.morrey_constant(Params(n, p)) == pytest.approx(ref, rel=1e-13)
     with pytest.raises(DomainError):
         C.morrey_constant(Params(4, 3.0))
+
+
+def test_linfty_constant_oracle():
+    with mp.workdps(40):
+        for n, p in [(2, 4.0), (3, 5.0), (4, 6.0), (5, 9.5)]:
+            nn, pp = mp.mpf(n), mp.mpf(p)
+            sigma = mp.pi ** (nn / 2) / mp.gamma(nn / 2 + 1)
+            gratio = (mp.gamma((pp - nn) / (2 * (pp - 1)))
+                      * mp.gamma((nn - 1) / (pp - 1))
+                      / mp.gamma((pp + nn - 2) / (2 * (pp - 1))))
+            ref = float((2 ** (nn - 1) * nn * sigma) ** (-1 / pp)
+                        * gratio ** ((pp - 1) / pp))
+            assert C.linfty_constant(Params(n, p)) == pytest.approx(ref, rel=1e-13)
+    with pytest.raises(DomainError):
+        C.linfty_constant(Params(4, 3.0))
 
 
 def test_linfty_constant_consistent_with_integral():

@@ -38,19 +38,11 @@ def test_semi_infinite_shifted_origin():
     assert val == pytest.approx(math.exp(-3.0), rel=1e-11)
 
 
-def test_hard_cutoff_strategy():
-    cfg = QuadratureConfig(tail_strategy="hard-cutoff", tail_cutoff=50.0)
-    val, _ = integrate(lambda x: math.exp(-x), 0.0, math.inf, cfg)
-    assert val == pytest.approx(1.0, rel=1e-10)
-
-
 def test_bad_interval_rejected():
     with pytest.raises(DomainError):
         integrate(lambda x: x, 2.0, 1.0)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=-1.0)
-    with pytest.raises(DomainError):
-        QuadratureConfig(tail_strategy="nope")
 
 
 def test_degenerate_interval_is_zero():
