@@ -23,7 +23,8 @@ from typing import List, Optional
 from . import constants, lemma, rearrangement, sharpness, verifier
 from .constants import Params
 from .corpus import standard_corpus
-from .errors import BracketError, ConvergenceError, DomainError, EvaluationError
+from .errors import (BracketError, ConvergenceError, DomainError, EvaluationError,
+                     OverflowDomainError)
 from .quadrature import QuadratureConfig
 from .report import fmt17, reports_to_csv, reports_to_json
 
@@ -195,6 +196,8 @@ def cmd_constants(args) -> int:
     def attempt(name, fn, needs):
         try:
             rows.append((name, fn(), None))
+        except OverflowDomainError as exc:
+            rows.append((name, None, str(exc)))
         except DomainError:
             rows.append((name, None, needs))
 

@@ -10,7 +10,7 @@ import math
 from dataclasses import dataclass
 from typing import Optional
 
-from .errors import DomainError
+from .errors import DomainError, OverflowDomainError
 
 __all__ = [
     "Params",
@@ -79,14 +79,14 @@ class Params:
 
 
 def gamma(x: float) -> float:
-    """Gamma function of a real argument; poles and overflow raise
-    DomainError."""
+    """Gamma function of a real argument; poles raise DomainError and
+    overflow raises OverflowDomainError."""
     try:
         return math.gamma(x)
     except ValueError:
         raise DomainError(f"gamma pole at {x!r}") from None
     except OverflowError:
-        raise DomainError(f"gamma({x!r}) overflows double precision") from None
+        raise OverflowDomainError(f"gamma({x!r}) overflows double precision") from None
 
 
 def unit_ball_volume(n: int) -> float:
@@ -107,10 +107,12 @@ def sobolev_constant(params: Params) -> float:
 
 def _sobolev_constant_raw(n: int, p: float) -> float:
     """Formula body, additionally valid at p = 1 (isoperimetric limit)."""
-    sigma = unit_ball_volume(n)
-    ratio = gamma(n) / (gamma(n / p) * gamma(n + 1 - n / p) * sigma)
+    # log of Gamma(n) / (Gamma(n/p) Gamma(n+1-n/p) sigma): Gamma(n) alone
+    # overflows for n >= 171
+    log_ratio = (math.lgamma(n) - math.lgamma(n / p) - math.lgamma(n + 1 - n / p)
+                 - n / 2.0 * math.log(math.pi) + math.lgamma(n / 2.0 + 1.0))
     slope = 1.0 if p == 1.0 else (n * (p - 1) / (n - p)) ** (1 - 1 / p)
-    return 1.0 / ((1 / n) * slope * ratio ** (1 / n))
+    return 1.0 / ((1 / n) * slope * math.exp(log_ratio / n))
 
 
 def gn_theta(params: Params) -> float:

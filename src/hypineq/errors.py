@@ -5,6 +5,11 @@ class DomainError(ValueError):
     """An argument lies outside the validity range of an operation."""
 
 
+class OverflowDomainError(DomainError):
+    """An argument inside the validity range gives a value that overflows
+    double precision."""
+
+
 class BracketError(ValueError):
     """A root-finding bracket does not straddle the target value."""
 

@@ -10,6 +10,7 @@ package works on the half-line.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -252,55 +253,64 @@ def _piece_endpoints(pc: Piece) -> Tuple[float, float]:
 def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
     """Radius where a monotone piece with end values va, vb on either side
     of t crosses level t; None when an unbounded piece is still above t
-    at radius 1e6."""
-    b = pc.b
+    at radius 1e6.  Newton on the piece's derivative when it has one,
+    from the regula falsi point of the bracket."""
+    a, b = pc.a, pc.b
     if math.isinf(b):
-        b = max(pc.a + 1.0, 1.0)
-        while float(pc.fn(b)) > t:
+        b = max(a + 1.0, 1.0)
+        while (vb := float(pc.fn(b))) > t:
+            a, va = b, vb
             b += max(1.0, b - pc.a)
             if b > 1e6:
                 return None
+    x0 = a + (b - a) * (va - t) / (va - vb)
     if vb > va:
-        return quadrature.find_root_increasing(pc.fn, t, (pc.a, b))
-    return quadrature.find_root_increasing(lambda r: -float(pc.fn(r)), -t, (pc.a, b))
+        return quadrature.find_root_increasing(pc.fn, t, (a, b), df=pc.dfn, x0=x0)
+    dfn = pc.dfn
+    return quadrature.find_root_increasing(
+        lambda r: -float(pc.fn(r)), -t, (a, b), x0=x0,
+        df=None if dfn is None else (lambda r: -float(dfn(r))))
 
 
-def _piece_level_crossing(pc: Piece, t: float) -> Optional[float]:
-    """Radius where a monotone piece crosses level t, if it does."""
-    va, vb = _piece_endpoints(pc)
-    if (va - t) * (vb - t) >= 0.0:
-        return None
-    return _piece_root(pc, t, va, vb)
+def _level_set(f: RadialFunction, t: float) -> Tuple[float, Optional[float]]:
+    """(mu(t), -mu'(t)) for the distribution function mu of f, in one pass
+    over the pieces.
 
-
-def _piece_level_interval(pc: Piece, t: float) -> Optional[Tuple[float, float]]:
-    """Radii within one monotone piece where the function exceeds t."""
-    va, vb = _piece_endpoints(pc)
-    if va <= t and vb <= t:
-        return None
-    if va > t and vb > t:
-        if math.isinf(pc.b):
-            raise DomainError("superlevel set has infinite volume")
-        return (pc.a, pc.b)
-    c = _piece_root(pc, t, va, vb)
-    if c is None:
-        raise DomainError("superlevel set appears unbounded")
-    return (c, pc.b) if vb > va else (pc.a, c)
+    mu(t) is the volume of {|u| > t}; by the coarea formula -mu'(t) is
+    n sigma times the sum of sinh(r)^(n-1) / |f'(r)| over the radii r > 0
+    where f crosses t (inf where f' vanishes at a crossing, 0 on a level f
+    never crosses, None when a piece has no derivative closure).
+    """
+    n = f.n
+    total = 0.0
+    area = 0.0 if all(pc.dfn is not None for pc in f.pieces) else None
+    for pc in f.pieces:
+        va, vb = _piece_endpoints(pc)
+        if va <= t and vb <= t:
+            continue
+        if va > t and vb > t:
+            if math.isinf(pc.b):
+                raise DomainError("superlevel set has infinite volume")
+            c, lo, hi = None, pc.a, pc.b
+        else:
+            c = _piece_root(pc, t, va, vb)
+            if c is None:
+                raise DomainError("superlevel set appears unbounded")
+            lo, hi = (c, pc.b) if vb > va else (pc.a, c)
+        total += geometry.phi(n, hi) - geometry.phi(n, lo)
+        # after phi, which raises before sinh(c) ** (n - 1) could overflow
+        if area is not None and c is not None and c > 0.0 and min(va, vb) < t:
+            slope = abs(float(pc.dfn(c)))
+            area += math.sinh(c) ** (n - 1) / slope if slope > 0.0 else math.inf
+    sigma = unit_ball_volume(n)
+    return sigma * total, None if area is None else n * sigma * area
 
 
 def distribution_function(f: RadialFunction, t: float) -> float:
     """Hyperbolic volume of the superlevel set {|u| > t}."""
     if not t > 0.0:
         raise DomainError(f"level must be positive, got {t!r}")
-    sigma = unit_ball_volume(f.n)
-    total = 0.0
-    for pc in f.pieces:
-        iv = _piece_level_interval(pc, t)
-        if iv is None:
-            continue
-        lo, hi = iv
-        total += geometry.phi(f.n, hi) - geometry.phi(f.n, lo)
-    return sigma * total
+    return _level_set(f, t)[0]
 
 
 def decreasing_rearrangement(f: RadialFunction,
@@ -308,10 +318,13 @@ def decreasing_rearrangement(f: RadialFunction,
                              tail: Optional[Tail] = None) -> RadialProfile:
     """Sample the decreasing rearrangement of f on the given volume grid.
 
-    v(s) = sup of the levels whose superlevel volume exceeds s, computed by
-    bisection on the (non-increasing) distribution function; robust across
-    plateaus and jumps.  The bisection inverter is attached as the
-    profile's analytic closure, so norms of the result go through adaptive
+    v(s) = sup of the levels whose superlevel volume exceeds s: the root
+    of the non-increasing distribution function mu(tau) = s.  It is found
+    by safeguarded Newton on the coarea slope -mu'(tau) (secant when a
+    piece has no derivative closure; bisection wherever the slope is 0 or
+    infinite, so plateaus and jumps stay safe), bracketed by the levels of
+    the grid nodes around s.  The solver is attached as the profile's
+    analytic closure, so norms of the result go through adaptive
     quadrature of the true rearrangement rather than grid interpolation.
 
     When no tail is given it is inferred: compact at the last node if the
@@ -326,45 +339,62 @@ def decreasing_rearrangement(f: RadialFunction,
         return RadialProfile(grid, vals, tail or Tail("compact", float(grid[-1])))
 
     eps = fmax * 1e-30
+    # _level_set at fmax, eps and (once the grid is sampled) the node levels
+    known = {tau: _level_set(f, tau) for tau in (fmax, eps)}
+    memo = [(None, None)]  # the last other level: f(t) and df(t) share it
+
+    def level(tau):
+        val = known.get(tau)
+        if val is None:
+            key, val = memo[0]
+            if key != tau:
+                val = _level_set(f, tau)
+                memo[0] = (tau, val)
+        return val
+
+    # -mu'(tau) for Newton; None (secant) when a piece has no derivative
+    slope = (lambda tau: level(tau)[1]) if known[fmax][1] is not None else None
+    top, bottom = (fmax, known[fmax][0]), (eps, known[eps][0])
+    nodes = grid.tolist()
+    ends = []  # (level, mu) at every node, once sampled; until then (eps, fmax)
 
     def v_of(s: float) -> float:
         if s < 0.0:
             raise DomainError(f"volume must be >= 0, got {s!r}")
-        if distribution_function(f, fmax) > s:
+        if top[1] > s:
             return fmax
-        if distribution_function(f, eps) <= s:
+        if bottom[1] <= s:
             return 0.0
-        # sup of the levels with superlevel volume > s: the sign change of
-        # the (non-increasing, possibly plateaued) distribution function,
-        # found by safeguarded secant/bisection
+        # for s in [s_i, s_i+1) the level lies between the node levels;
+        # those are exact only to the root tolerance, so widen outward
+        # while an end does not straddle s, ending at fmax and eps
+        i = bisect.bisect_right(nodes, s) - 1
+        hi, lo = min(i, len(ends) - 1), i + 1
+        while hi >= 0 and ends[hi][1] > s:
+            hi -= 1
+        while lo < len(ends) and ends[lo][1] < s:
+            lo += 1
+        (t_lo, m_lo), (t_hi, m_hi) = (ends[lo] if lo < len(ends) else bottom,
+                                      ends[hi] if hi >= 0 else top)
+        x0 = t_lo + (t_hi - t_lo) * (m_lo - s) / (m_lo - m_hi) if m_lo > m_hi else None
         return quadrature.find_root_increasing(
-            lambda tau: -distribution_function(f, tau), -s, (eps, fmax))
+            lambda tau: -level(tau)[0], -s, (t_lo, t_hi), df=slope, x0=x0)
 
     dv_of = None
-    if all(pc.dfn is not None for pc in f.pieces):
-        n, sig = f.n, unit_ball_volume(f.n)
-
+    if slope is not None:
         def dv_of(s: float) -> float:
-            # coarea: |v'(s)| = 1 / |mu'(v(s))|, summing the level-set
-            # boundary area over every crossing radius
+            # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat
             tau = v_of(s)
             if tau <= 0.0 or tau >= fmax:
                 return 0.0
-            total = 0.0
-            for pc in f.pieces:
-                r = _piece_level_crossing(pc, tau)
-                if r is None or r <= 0.0:
-                    continue
-                slope = abs(float(pc.dfn(r)))
-                if slope == 0.0:
-                    return 0.0  # plateau level: v jumps, derivative is a spike
-                total += math.sinh(r) ** (n - 1) / slope
-            if total == 0.0:
-                return 0.0
-            return -1.0 / (n * sig * total)
+            d = slope(tau)
+            return -1.0 / d if 0.0 < d < math.inf else 0.0
 
-    vals = np.array([v_of(float(s)) for s in grid])
-    vals = np.minimum.accumulate(vals)  # kill bisection-level jitter
+    vals = np.array([v_of(s) for s in nodes])
+    vals = np.minimum.accumulate(vals)  # kill root-tolerance jitter
+    for tau in np.maximum(vals, eps).tolist():
+        known[tau] = level(tau)
+        ends.append((tau, known[tau][0]))
     if tail is None:
         if vals[-1] == 0.0:
             tail = Tail("compact", float(grid[-1]))

@@ -136,12 +136,15 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
 def morrey_sobolev(v: RadialProfile, n: int, p: float,
                    cfg: Optional[QuadratureConfig] = None,
                    constant_scale: float = 1.0) -> DeficitReport:
-    """Sup-norm bound for p > n with the support-volume factor."""
+    """Sup-norm bound for p > n with the support-volume factor.  A profile
+    without compact support gets an "outside-range" report: its infinite
+    support volume makes the bound vacuous."""
     params = Params(n, p)
     if not p > n:
         raise DomainError(f"morrey_sobolev needs p > n, got n={n}, p={p}")
     if math.isinf(v.support_volume):
-        raise DomainError("morrey_sobolev needs a compactly supported profile")
+        return DeficitReport("morrey_sobolev", params, math.inf, v.sup_value ** p,
+                             flags=frozenset({"outside-range"}), label=v.label)
     if v.step:
         return _step_report("morrey_sobolev", params, v.label)
     cfg = cfg or QuadratureConfig()

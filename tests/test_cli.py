@@ -1,12 +1,13 @@
 import importlib.util
 import json
+import math
 import os
 from pathlib import Path
 
 import pytest
 
 from hypineq import cli, verifier
-from hypineq.corpus import bubble_corpus, write_corpus
+from hypineq.corpus import bubble_corpus, standard_corpus, write_corpus
 from hypineq.rearrangement import write_profile
 
 N4P = "2.6666666666666665"
@@ -40,6 +41,22 @@ def test_constants_log_sobolev_domain_note(capsys):
     assert code == 0
     line = next(ln for ln in out.splitlines() if ln.startswith("log_sobolev"))
     assert "n/a (needs n >= 4 and 2n/(n-1) <= p < n)" in line
+
+
+def test_constants_large_dimension(capsys):
+    # Gamma(n) alone overflows for n >= 171; the Sobolev constant does not
+    code, out, _ = run(capsys, "constants", "--n", "180", "--p", "2.0")
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("sobolev"))
+    assert math.isfinite(float(line.split()[1]))
+
+
+def test_constants_overflow_note(capsys):
+    # an overflow inside the domain is reported as such, not as a domain miss
+    code, out, _ = run(capsys, "constants", "--n", "400", "--p", "2.0")
+    assert code == 0
+    line = next(ln for ln in out.splitlines() if ln.startswith("unit_ball_volume"))
+    assert "n/a (gamma(201.0) overflows double precision)" in line
 
 
 def test_constants_no_applicable(capsys):
@@ -84,6 +101,19 @@ def test_verify_builtin_corpus(capsys):
                        "--n", "4", "--p", N4P, "--format", "csv")
     assert code == 0
     assert out.count("\n") == 21  # header + 20 profiles
+
+
+@pytest.mark.parametrize("n,p", [("2", "4"), ("3", "5")])
+def test_verify_morrey_flags_tailed_profiles(capsys, n, p):
+    code, out, _ = run(capsys, "verify", "--inequality", "morrey_sobolev",
+                       "--n", n, "--p", p, "--format", "csv")
+    assert code == 0
+    flags = {row.split(",")[4]: row.split(",")[-1]
+             for row in out.splitlines()[1:]}
+    tailed = {v.label for v in standard_corpus() if v.tail.kind != "compact"}
+    assert len(flags) == 20 and len(tailed) == 8
+    assert {k for k, f in flags.items() if f == "outside-range"} == tailed
+    assert all(f == "" for k, f in flags.items() if k not in tailed)
 
 
 def test_verify_scaled_constant_fails_on_bubbles(capsys, tmp_path):

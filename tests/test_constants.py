@@ -71,6 +71,21 @@ def test_sobolev_constant_oracle():
         C.sobolev_constant(Params(4, 5.0))
 
 
+def test_sobolev_constant_large_n_oracle():
+    # the Gamma ratio runs in log space: no overflow at n >= 171
+    with mp.workdps(40):
+        for n in (2, 3, 4, 10, 50, 170, 171, 180, 300):
+            for p in (1.5, 1.0 + 0.6 * (n - 1)):
+                nn, pp = mp.mpf(n), mp.mpf(p)
+                sigma = mp.pi ** (nn / 2) / mp.gamma(nn / 2 + 1)
+                ratio = mp.gamma(nn) / (mp.gamma(nn / pp)
+                                        * mp.gamma(nn + 1 - nn / pp) * sigma)
+                slope = (nn * (pp - 1) / (nn - pp)) ** (1 - 1 / pp)
+                ref = float(nn / (slope * ratio ** (1 / nn)))
+                got = C.sobolev_constant(Params(n, p))
+                assert got == pytest.approx(ref, rel=1e-13), (n, p)
+
+
 def test_gn_theta_branches():
     prm = Params(4, 2.0, alpha=2.0)
     th = C.gn_theta(prm)

@@ -1,13 +1,16 @@
+import dataclasses
 import math
+import random
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypineq import geometry
+from hypineq import geometry, rearrangement
 from hypineq.constants import unit_ball_volume
 from hypineq.corpus import tent_profile
 from hypineq.errors import DomainError
+from hypineq.quadrature import find_root_increasing
 from hypineq.rearrangement import (
     Piece,
     RadialFunction,
@@ -37,6 +40,17 @@ def _bump_function(n=3):
     fall = Piece(1.0, math.inf, lambda r: math.exp(-2.0 * (r - 1.0)),
                  lambda r: -2.0 * math.exp(-2.0 * (r - 1.0)))
     return RadialFunction(n, (rise, fall))
+
+
+def _shell_function(n=3):
+    """Radial function rising from 0.2 at the centre to a flat maximum 1
+    at radius 0.8, then falling off like a Gaussian in the radius."""
+    r1 = 0.8
+    return RadialFunction(n, (
+        Piece(0.0, r1, lambda r: 0.2 + 0.8 * (r / r1) * (2.0 - r / r1),
+              lambda r: 1.6 * (1.0 - r / r1) / r1),
+        Piece(r1, math.inf, lambda r: math.exp(-3.0 * (r - r1) ** 2),
+              lambda r: -6.0 * (r - r1) * math.exp(-3.0 * (r - r1) ** 2))))
 
 
 def _rearranged(f, num=80):
@@ -163,6 +177,90 @@ def test_polya_szego():
     # the drop is genuine here (the rising inner slope of the shell
     # disappears under symmetrization) but bounded
     assert sym > 0.1 * direct
+
+
+def _reference_level(f, s):
+    """v(s) by a plain root find over the full level range, without the
+    grid bracket or the coarea slope."""
+    fmax = f.sup_value
+    return find_root_increasing(lambda tau: -distribution_function(f, tau), -s,
+                                (fmax * 1e-30, fmax))
+
+
+def test_closure_matches_reference_solve():
+    for f in (_bump_function(3), _shell_function(3)):
+        v = _rearranged(f)
+        nodes = [float(s) for s in v.nodes[1:]]
+        mids = [0.5 * (a + b) for a, b in zip(nodes, nodes[1:])]
+        near = [s * (1.0 + d) for s in nodes for d in (-4e-16, 4e-16)]
+        beyond = [nodes[-1] * k for k in (1.5, 3.0)]
+        # flat top: neighbouring node levels that agree to 1e-10
+        flat = [0.5 * (a + b) for a, b, la, lb in zip(nodes, nodes[1:], v.values[1:],
+                                                     v.values[2:])
+                if la - lb <= 1e-10 * la]
+        if f.pieces[0].fn(0.0) > 0.0:
+            assert flat  # the shell has a flat top
+        for s in nodes + mids + near + beyond + flat:
+            assert v(s) == pytest.approx(_reference_level(f, s), rel=1e-12), s
+
+
+def test_closure_is_pure():
+    # the value at s does not depend on which values were asked for before
+    v = _rearranged(_bump_function(3))
+    ss = [float(s) for s in np.geomspace(1e-9, 3.0 * v.nodes[-1], 40)]
+    forward = [(v(s), v.derivative(s)) for s in ss]
+    order = random.Random(7).sample(range(len(ss)), len(ss))
+    shuffled = {i: (v(ss[i]), v.derivative(ss[i])) for i in order}
+    assert all(forward[i] == shuffled[i] for i in range(len(ss)))
+
+
+def test_plateau_rearrangement():
+    # f constant on an annulus leaves a flat stretch at the top of v
+    plateau = RadialFunction(4, (
+        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
+        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
+        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
+              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
+    v = _rearranged(plateau, num=12)
+    assert math.isfinite(lp_norm(v, 2.5))
+    assert math.isfinite(grad_norm_hyperbolic(v, 4, 2.5)[0])
+    # two plateaus: f crosses no level between them, so mu' = 0 there and
+    # Newton falls back to bisection; v jumps from 1 to 0.5 at V1
+    steps = RadialFunction(3, (
+        Piece(0.0, 0.6, lambda r: 1.0, lambda r: 0.0),
+        Piece(0.6, 1.2, lambda r: 0.5, lambda r: 0.0),
+        Piece(1.2, math.inf, lambda r: 0.5 * math.exp(-2.0 * (r - 1.2)),
+              lambda r: -math.exp(-2.0 * (r - 1.2)))))
+    assert rearrangement._level_set(steps, 0.7) == (
+        distribution_function(steps, 0.7), 0.0)
+    w = _rearranged(steps, num=12)
+    sigma = unit_ball_volume(3)
+    v1, v2 = sigma * geometry.phi(3, 0.6), sigma * geometry.phi(3, 1.2)
+    for s in (0.5 * v1, 0.99 * v1):
+        assert w(s) == pytest.approx(1.0, rel=1e-12)
+    for s in (1.01 * v1, 0.5 * (v1 + v2), 0.99 * v2):
+        assert w(s) == pytest.approx(0.5, rel=1e-12)
+
+
+def test_closure_level_set_passes(monkeypatch):
+    # level-set passes per closure call over one lp_norm (the plain
+    # secant over the full level range took about 22)
+    v = _rearranged(_bump_function(3))
+    passes, calls = [0], [0]
+    level_set = rearrangement._level_set
+
+    def counted_level_set(f, t):
+        passes[0] += 1
+        return level_set(f, t)
+
+    def counted_v(s):
+        calls[0] += 1
+        return v.fn(s)
+
+    monkeypatch.setattr(rearrangement, "_level_set", counted_level_set)
+    lp_norm(dataclasses.replace(v, fn=counted_v), 2.0)
+    assert calls[0] > 100
+    assert passes[0] <= 8 * calls[0]
 
 
 def test_rearrangement_tail_inference_compact():

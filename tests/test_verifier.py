@@ -57,10 +57,16 @@ def test_gn_both_branches_pass():
     assert lo.passes(1e-9)
 
 
-def test_morrey_needs_compact_support():
+def test_morrey_flags_unbounded_support():
+    # an infinite support volume makes the bound vacuous: the report is
+    # flagged, holds, and the range checks still raise
     v = standard_corpus()[10]  # an exponential profile
+    rep = V.morrey_sobolev(v, 2, 4.0)
+    assert rep.flags == frozenset({"outside-range"})
+    assert math.isinf(rep.lhs) and rep.rhs == v.sup_value ** 4.0
+    assert rep.passes(1e-9)
     with pytest.raises(DomainError):
-        V.morrey_sobolev(v, 2, 4.0)
+        V.morrey_sobolev(v, 4, 2.0)
 
 
 def test_morrey_passes_on_compact():
