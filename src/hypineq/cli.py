@@ -191,13 +191,14 @@ def _apply_config(argv: List[str], registry) -> List[str]:
 
 def cmd_constants(args) -> int:
     n, p, alpha = args.n, args.p, args.alpha
-    rows = []
+    rows, overflowed = [], []
 
     def attempt(name, fn, needs):
         try:
             rows.append((name, fn(), None))
         except OverflowDomainError as exc:
             rows.append((name, None, str(exc)))
+            overflowed.append(name)
         except DomainError:
             rows.append((name, None, needs))
 
@@ -229,7 +230,12 @@ def cmd_constants(args) -> int:
     table = "\n".join(lines) + "\n"
     sys.stdout.write(table)
     if not populated:
-        sys.stderr.write("no constant admits these parameters\n")
+        # unit_ball_volume is no constant of an inequality
+        if set(overflowed) - {"unit_ball_volume"}:
+            sys.stderr.write("every constant that admits these parameters "
+                             "overflows double precision\n")
+        else:
+            sys.stderr.write("no constant admits these parameters\n")
         return EXIT_USAGE
     if args.out:
         if args.format == "csv":

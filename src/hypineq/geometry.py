@@ -149,18 +149,24 @@ def phi_deriv(n: int, t: float) -> float:
     return n * math.sinh(t) ** (n - 1)
 
 
-def _log_phi(n: int, t: float) -> float:
-    """log(phi(n, t)), stable for arbitrarily large t."""
+def _log_phi_excess(n: int, t: float) -> float:
+    """lambda(t) = log(phi(n, t)) - (n-1) t, finite for any t > 0: above
+    _SMALL_T the exponential sum is summed with its leading growth
+    e^((n-1)t) factored out."""
     if t < _SMALL_T:
-        return math.log(_phi_small(n, t))
-    # factor out the leading exponential e^((n-1)t)/(n-1)
+        return math.log(_phi_small(n, t)) - (n - 1) * t
     acc = 0.0
     for coeff, m in _binom_terms(n):
         if m == 0:
             acc += coeff * t * math.exp(-(n - 1) * t)
         else:
             acc += coeff * (math.exp((m - (n - 1)) * t) - math.exp(-(n - 1) * t)) / m
-    return (math.log(n * 2.0 ** (1 - n)) + (n - 1) * t + math.log(acc))
+    return math.log(n * 2.0 ** (1 - n)) + math.log(acc)
+
+
+def _log_phi(n: int, t: float) -> float:
+    """log(phi(n, t)), stable for arbitrarily large t."""
+    return _log_phi_excess(n, t) + (n - 1) * t
 
 
 def phi_inv(n: int, s: float) -> float:
@@ -236,8 +242,10 @@ def radial_margin(n: int, p: float, t: float) -> float:
 
 def _precision(n: int, p: float, t: float):
     """mpmath working-precision context that covers the exponential
-    cancellation in the margin and its slope factor at radius t."""
-    return mp.workdps(40 + int(0.5 * (p * (n - 1) + n) * t))
+    cancellation in the margin and its slope factor at radius t, and below
+    t = 1 the t^n cancellation of the exponential sum in _phi_mp."""
+    small = n * math.log10(1.0 / t) if t < 1.0 else 0.0
+    return mp.workdps(40 + int(0.5 * (p * (n - 1) + n) * t + small))
 
 
 def _phi_mp(n: int, tt):
@@ -266,12 +274,11 @@ def _margin_precise(n: int, p: float, t: float) -> Tuple[float, float]:
 
 def radial_margin_scaled(n: int, p: float, t: float,
                          precise: bool = False) -> float:
-    """radial_margin divided by the scale 1 + phi(n,t)^p, computed without
-    overflow for any t.
-
-    The double-precision path is accurate to ~1e-15 absolute in the scaled
-    value; pass precise=True (mpmath) when the sign of an exponentially
-    small margin matters.
+    """radial_margin divided by the scale 1 + phi(n,t)^p, accurate for
+    any t: every term is divided by e^(p(n-1)t) analytically, and the
+    double-precision path is accurate to ~1e-14 absolute.  Pass
+    precise=True (mpmath) when the sign of an exponentially small margin
+    matters.
     """
     _check_n(n)
     if t < 0.0:
@@ -281,37 +288,43 @@ def radial_margin_scaled(n: int, p: float, t: float,
     if precise:
         return _margin_precise(n, p, t)[0]
     q = p * (n - 1)
-    log_m = p * (1 - n) * math.log(2.0) + q * t
-    log_ph = _log_phi(n, t)
-    a_over_m = math.exp(q * math.log1p(-math.exp(-2.0 * t)))
-    b_over_m = math.exp((q / n) * log_ph - log_m)
-    c_over_m = math.exp(p * math.log((n - 1.0) / n) + p * log_ph - log_m)
-    scale_over_m = math.exp(-log_m) + math.exp(p * log_ph - log_m)
-    return (a_over_m - b_over_m - c_over_m) / scale_over_m
+    lam = _log_phi_excess(n, t)
+    # sinh^q, phi^(q/n), ((n-1)/n)^p phi^p and the scale, over e^(qt)
+    a = math.exp(q * math.log(-0.5 * math.expm1(-2.0 * t)))
+    b = math.exp((q / n) * (lam - t))
+    c = math.exp(p * (math.log((n - 1.0) / n) + lam))
+    return (a - b - c) / (math.exp(-q * t) + math.exp(p * lam))
 
 
 def margin_slope_factor(n: int, p: float, t: float,
                         precise: bool = False) -> float:
-    """Inner factor of the derivative of radial_margin (the derivative is
-    p(n-1) sinh(t)^(n-1) times this), defined for n >= 3."""
+    """Inner factor sinh^(q-n) cosh - phi^(q/n-1) - ((n-1)/n)^p phi^(p-1)
+    of the derivative of radial_margin (q = p(n-1); the derivative is
+    p(n-1) sinh(t)^(n-1) times it), divided by its first term, which keeps
+    its sign and keeps it finite for any t; defined for n >= 3."""
     if n < 3:
         raise DomainError("slope factor is defined for n >= 3 only")
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if t == 0.0:
         return 0.0
-    q = p * (n - 1)
     if precise:
         with _precision(n, p, t):
             tt = mp.mpf(t)
             ph = _phi_mp(n, tt)
             pp = mp.mpf(p)
             qq = pp * (n - 1)
-            return float(mp.sinh(tt) ** (qq - n) * mp.cosh(tt) - ph ** (qq / n - 1)
-                         - (mp.mpf(n - 1) / n) ** pp * ph ** (pp - 1))
-    ph = phi(n, t)
-    return math.sinh(t) ** (q - n) * math.cosh(t) - ph ** (q / n - 1.0) \
-        - ((n - 1.0) / n) ** p * ph ** (p - 1.0)
+            lead = mp.sinh(tt) ** (qq - n) * mp.cosh(tt)
+            return float(1 - (ph ** (qq / n - 1)
+                              + (mp.mpf(n - 1) / n) ** pp * ph ** (pp - 1)) / lead)
+    q = p * (n - 1)
+    lam = _log_phi_excess(n, t)
+    # log of the first term less its growth (q-n+1) t; the other two
+    # terms carry growth (q-n+1) t - (q/n) t and (q-n+1) t
+    lead = (q - n) * math.log(-0.5 * math.expm1(-2.0 * t)) \
+        + math.log(0.5 + 0.5 * math.exp(-2.0 * t))
+    return -math.expm1((q / n - 1.0) * lam - (q / n) * t - lead) \
+        - math.exp(p * math.log((n - 1.0) / n) + (p - 1.0) * lam - lead)
 
 
 def radial_margin_asymptotic(n: int, p: float, t: float) -> float:

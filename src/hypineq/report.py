@@ -80,9 +80,17 @@ class DeficitReport:
         }
 
 
+def _strict(x):
+    """x with non-finite floats as their CSV tokens "inf", "-inf", "nan"."""
+    if isinstance(x, dict):
+        return {k: _strict(v) for k, v in x.items()}
+    return fmt17(x) if isinstance(x, float) and not math.isfinite(x) else x
+
+
 def reports_to_json(reports: Sequence[DeficitReport]) -> str:
-    return json.dumps([r.to_dict() for r in reports], indent=2,
-                      sort_keys=False) + "\n"
+    return json.dumps([_strict(r.to_dict()) for r in reports], indent=2,
+                      allow_nan=False) + "\n"
+
 
 _CSV_COLUMNS = ("inequality_id", "n", "p", "alpha", "label", "lhs", "rhs",
                 "deficit", "relative_margin", "quadrature_error", "flags")

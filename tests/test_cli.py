@@ -66,6 +66,17 @@ def test_constants_no_applicable(capsys):
     assert "no constant" in err
 
 
+def test_constants_all_applicable_overflow(capsys):
+    # morrey and linfty admit (400, 500) but overflow; that is no domain miss
+    code, out, err = run(capsys, "constants", "--n", "400", "--p", "500")
+    assert code == 2
+    for name in ("morrey", "linfty"):
+        line = next(ln for ln in out.splitlines() if ln.startswith(name))
+        assert "overflows double precision" in line
+    assert "no constant admits" not in err
+    assert "overflows double precision" in err
+
+
 # -- lemma ----------------------------------------------------------
 
 
@@ -77,6 +88,18 @@ def test_lemma_verify_writes_artifacts(capsys, tmp_path):
     assert csv.startswith("t,F,margin")
     payload = json.loads((tmp_path / "lemma-verify-n4-p3.json").read_text())
     assert payload["passed"] is True
+
+
+@pytest.mark.parametrize("n,p,t_max", [("4", "3", "300"), ("6", "2.5", "200"),
+                                       ("4", "3", "1e9")])
+def test_lemma_verify_large_radii(capsys, n, p, t_max):
+    # (n-1) t_max is far past the ~700 where phi leaves double range
+    code, out, _ = run(capsys, "lemma", "verify", "--n", n, "--p", p,
+                       "--t-max", t_max)
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] is True
+    assert payload["slope_positive"] is True
 
 
 def test_lemma_verify_out_of_range(capsys):
@@ -114,6 +137,21 @@ def test_verify_morrey_flags_tailed_profiles(capsys, n, p):
     assert len(flags) == 20 and len(tailed) == 8
     assert {k for k, f in flags.items() if f == "outside-range"} == tailed
     assert all(f == "" for k, f in flags.items() if k not in tailed)
+
+
+def test_verify_json_is_strict(capsys):
+    # the outside-range rows carry an infinite lhs and NaN ratios
+    def reject(token):
+        raise ValueError(f"non-standard JSON constant {token}")
+
+    code, out, _ = run(capsys, "verify", "--inequality", "morrey_sobolev",
+                       "--n", "2", "--p", "4", "--format", "json")
+    assert code == 0
+    rows = json.loads(out, parse_constant=reject)
+    flagged = [r for r in rows if "outside-range" in r["flags"]]
+    assert len(flagged) == 8
+    assert all(r["lhs"] == "inf" for r in flagged)
+    assert all(isinstance(r["rhs"], float) for r in rows)
 
 
 def test_verify_scaled_constant_fails_on_bubbles(capsys, tmp_path):

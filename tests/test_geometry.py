@@ -3,6 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hypineq import geometry as G
 from hypineq import quadrature
@@ -165,6 +166,18 @@ def test_scaled_margin_precise_path_agrees():
         assert fast == pytest.approx(slow, rel=1e-9, abs=1e-14)
 
 
+def test_scaled_margin_oracle():
+    # at any radius past the series switch the scaled double path agrees
+    # with mpmath to ~1e-14 absolute (it was 2.9e-13 at n = 12, t = 39)
+    for n in range(2, 13):
+        for p in (boundary_exponent(n) - 0.3, boundary_exponent(n),
+                  boundary_exponent(n) + 0.7):
+            for t in (0.5, 1.7, 6.0, 21.0, 40.0):
+                fast = G.radial_margin_scaled(n, p, t)
+                slow = G.radial_margin_scaled(n, p, t, precise=True)
+                assert abs(fast - slow) <= 1e-13, (n, p, t, fast, slow)
+
+
 def test_margin_nonnegative_at_boundary():
     for n in (3, 4, 5, 6):
         p = boundary_exponent(n)
@@ -200,6 +213,59 @@ def test_slope_factor_positive_above_boundary():
         p = boundary_exponent(n) + 0.3
         for t in (0.2, 1.0, 5.0, 15.0):
             assert G.margin_slope_factor(n, p, t) > 0.0
+
+
+def _kernels_mp(n, p, t, dps):
+    """(scaled margin, slope factor over sinh^(q-n) cosh) straight from
+    their definitions, at dps digits plus the n log10(1/t) the
+    exponential sum loses below t = 1."""
+    with mp.workdps(dps + int(n * max(0.0, -math.log10(t)))):
+        tt, pp = mp.mpf(t), mp.mpf(p)
+        qq = pp * (n - 1)
+        ph = _phi_exp_sum_mp(n, t, mp.mp.dps)
+        c = (mp.mpf(n - 1) / n) ** pp
+        margin = (mp.sinh(tt) ** qq - ph ** (qq / n) - c * ph ** pp) / (1 + ph ** pp)
+        lead = mp.sinh(tt) ** (qq - n) * mp.cosh(tt)
+        slope = 1 - (ph ** (qq / n - 1) + c * ph ** (pp - 1)) / lead
+        return margin, slope
+
+
+def test_slope_factor_oracle():
+    # the scaled slope factor stays of order one and accurate to the
+    # largest radius (n-1) t = 900, far past phi's double range
+    for n in range(3, 13):
+        for p in (boundary_exponent(n), boundary_exponent(n) + 0.7):
+            for t in np.geomspace(1e-4, 900.0 / (n - 1), 7):
+                ref = float(_kernels_mp(n, p, float(t), 60)[1])
+                got = G.margin_slope_factor(n, p, float(t))
+                assert abs(got - ref) <= 1e-11, (n, p, t, got, ref)
+
+
+@pytest.mark.parametrize("n", [10, 12])
+def test_precise_kernels_at_small_radius(n):
+    # the exponential sum in the mpmath path cancels like t^n here
+    for p in (boundary_exponent(n), boundary_exponent(n) + 0.5):
+        for t in (1e-4, 1e-3):
+            margin, slope = _kernels_mp(n, p, t, 200)
+            for got, ref in ((G.radial_margin_scaled(n, p, t, precise=True), margin),
+                             (G.margin_slope_factor(n, p, t, precise=True), slope)):
+                assert ref > 0.0 and got > 0.0, (n, p, t, got)
+                assert abs(got / float(ref) - 1.0) <= 1e-10, (n, p, t, got)
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(3, 12), x=st.floats(690.0, 710.0),
+       dp=st.floats(-1e-9, 1e-9))
+def test_kernels_continuous_where_phi_overflows(n, x, dp):
+    # (n-1) t = 700 is where phi leaves double range; the scaled kernels
+    # do not notice it
+    p = boundary_exponent(n) + dp
+    t = x / (n - 1)
+    for kernel in (G.radial_margin_scaled, G.margin_slope_factor):
+        here = kernel(n, p, t)
+        assert math.isfinite(here)
+        for step in (1e-6, -1e-6):
+            assert abs(kernel(n, p, t * (1.0 + step)) - here) <= 1e-9
 
 
 def test_ball_volume_scaling():

@@ -83,3 +83,15 @@ def test_violation_table_reports_location():
     assert payload["passed"] is True
     assert payload["violation_margin"] < 0.0
     assert payload["onset_estimate"] > 0.0
+
+
+def test_edge_job_runs_no_mpmath(monkeypatch):
+    # the benchmark's edge job: (n-1) t_max = 690, just inside phi's range,
+    # where the unscaled slope factor used to overflow into mpmath
+    calls = []
+    phi_mp = geometry._phi_mp
+    monkeypatch.setattr(geometry, "_phi_mp",
+                        lambda *a: calls.append(a) or phi_mp(*a))
+    table = verify_lemma(3, 3.0 + 1.15, t_max=345.0)
+    assert table.passed and table.slope_positive is True
+    assert calls == []
