@@ -61,64 +61,3 @@ from .verifier import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "Params",
-    "boundary_exponent",
-    "gn_constant",
-    "gn_theta",
-    "in_comparison_range",
-    "in_poincare_range",
-    "linfty_constant",
-    "log_sobolev_constant",
-    "morrey_constant",
-    "sobolev_constant",
-    "unit_ball_volume",
-    "standard_corpus",
-    "write_corpus",
-    "BracketError",
-    "ConvergenceError",
-    "DomainError",
-    "EvaluationError",
-    "phi",
-    "phi_inv",
-    "radial_margin",
-    "radial_margin_scaled",
-    "MarginTable",
-    "find_violation",
-    "verify_lemma",
-    "QuadratureConfig",
-    "integrate",
-    "Piece",
-    "RadialFunction",
-    "RadialProfile",
-    "Tail",
-    "decreasing_rearrangement",
-    "distribution_function",
-    "grad_norm_euclidean",
-    "grad_norm_hyperbolic",
-    "key_comparison",
-    "lp_integral",
-    "lp_norm",
-    "read_profile",
-    "write_profile",
-    "DeficitReport",
-    "reports_to_csv",
-    "reports_to_json",
-    "SharpnessResult",
-    "lambda_sweep",
-    "minimize_ratio",
-    "non_attainment_scan",
-    "truncated_bubble",
-    "untruncated_bubble",
-    "euclidean_rayleigh_ratio",
-    "extremal_linfty_profile",
-    "gagliardo_nirenberg",
-    "linfty_inequality",
-    "log_sobolev",
-    "morrey_sobolev",
-    "mugelli_talenti_sum",
-    "poincare_deficit",
-    "poincare_sobolev",
-    "__version__",
-]

@@ -4,8 +4,9 @@ sweeps.
 
 Exit codes: 0 pass, 1 contract violation (a certified negative margin
 where the theory forbids one, or a failed requested check), 2
-usage/domain error, 3 inconclusive (non-convergent, or a numeric guard
-tripped).
+usage/domain error (including an unreadable or unwritable path), 3
+inconclusive (non-convergent, or a numeric guard tripped), 4 internal
+error (any other exception; a bug, reported on one line).
 
 All artifact writes are atomic (temp file + rename) and deterministic:
 identical inputs produce byte-identical output.
@@ -32,6 +33,7 @@ EXIT_PASS = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_INCONCLUSIVE = 3
+EXIT_INTERNAL = 4
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -118,7 +120,6 @@ def build_parser():
                     choices=("poincare_sobolev", "key_comparison"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--family", default="truncated-bubble")
     sp.add_argument("--lambdas", type=_float_list,
                     default=[1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5])
     sp.add_argument("--truncation", type=float, default=1.0)
@@ -336,8 +337,8 @@ def cmd_sharpness(args) -> int:
 
     if args.optimize:
         res = sharpness.minimize_ratio(
-            args.inequality, n, p, family=args.family,
-            T0=args.truncation, max_iter=args.max_iter, cfg=cfg)
+            args.inequality, n, p, T0=args.truncation, max_iter=args.max_iter,
+            cfg=cfg)
         if args.out:
             _write_atomic(os.path.join(args.out, "sharpness-trace.csv"),
                           res.trace_csv())
@@ -380,12 +381,16 @@ def main(argv: Optional[List[str]] = None) -> int:
         argv = _apply_config(argv, registry)
         args = parser.parse_args(argv)
         return _DISPATCH[args.command](args)
-    except (DomainError, BracketError, FileNotFoundError) as exc:
+    except (DomainError, BracketError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_USAGE
     except (ConvergenceError, EvaluationError) as exc:
         sys.stderr.write(f"inconclusive: {exc}\n")
         return EXIT_INCONCLUSIVE
+    except Exception as exc:
+        message = " ".join(str(exc).split())
+        sys.stderr.write(f"internal error: {type(exc).__name__}: {message}\n")
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

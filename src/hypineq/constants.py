@@ -59,8 +59,8 @@ class Params:
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 2):
             raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
-        if not self.p > 1.0:
-            raise DomainError(f"exponent p must exceed 1, got {self.p!r}")
+        if not 1.0 < self.p < math.inf:
+            raise DomainError(f"exponent p must be finite and exceed 1, got {self.p!r}")
         if self.alpha is not None:
             if not self.p < self.n:
                 raise DomainError("alpha only applies when p < n")

@@ -13,8 +13,7 @@ import math
 import os
 from typing import List
 
-import numpy as np
-
+from .quadrature import geomspace, linspace
 from .rearrangement import RadialProfile, Tail, write_profile
 
 __all__ = ["tent_profile", "bump_profile", "standard_corpus",
@@ -31,8 +30,8 @@ def tent_profile(height: float, support: float, num: int = 33) -> RadialProfile:
     def dfn(s):
         return -A / b if 0.0 < s < b else 0.0
 
-    grid = np.linspace(0.0, b, num)
-    vals = np.array([fn(s) for s in grid])
+    grid = linspace(0.0, b, num)
+    vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
                          label=f"tent-A{A:g}-b{b:g}")
 
@@ -53,8 +52,8 @@ def bump_profile(height: float, support: float, num: int = 41) -> RadialProfile:
         z = s / b
         return -4.0 * A * (1.0 - z * z) * z / b
 
-    grid = np.linspace(0.0, b, num)
-    vals = np.array([fn(s) for s in grid])
+    grid = linspace(0.0, b, num)
+    vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
                          label=f"bump-A{A:g}-b{b:g}")
 
@@ -68,8 +67,8 @@ def _quadratic_profile(height: float, support: float) -> RadialProfile:
     def dfn(s):
         return -2.0 * A * (1.0 - s / b) / b if 0.0 < s < b else 0.0
 
-    grid = np.linspace(0.0, b, 33)
-    vals = np.array([fn(s) for s in grid])
+    grid = linspace(0.0, b, 33)
+    vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
                          label=f"quad-A{A:g}-b{b:g}")
 
@@ -83,8 +82,8 @@ def _exponential_profile(height: float, rate: float) -> RadialProfile:
     def dfn(s):
         return -a * A * math.exp(-a * s)
 
-    grid = np.insert(np.geomspace(1e-3 / a, 30.0 / a, 40), 0, 0.0)
-    vals = np.array([fn(s) for s in grid])
+    grid = [0.0] + geomspace(1e-3 / a, 30.0 / a, 40)
+    vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("exponential", a), fn=fn, dfn=dfn,
                          label=f"exp-A{A:g}-a{a:g}")
 
@@ -100,8 +99,8 @@ def _sech_profile(height: float, rate: float) -> RadialProfile:
         e = math.exp(-a * s)
         return -2.0 * A * a * e * (1.0 - e * e) / (1.0 + e * e) ** 2
 
-    grid = np.insert(np.geomspace(1e-3 / a, 30.0 / a, 40), 0, 0.0)
-    vals = np.array([fn(s) for s in grid])
+    grid = [0.0] + geomspace(1e-3 / a, 30.0 / a, 40)
+    vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("exponential", a), fn=fn, dfn=dfn,
                          label=f"sech-A{A:g}-a{a:g}")
 
@@ -115,8 +114,8 @@ def _power_profile(decay: float) -> RadialProfile:
     def dfn(s):
         return -k * (1.0 + s) ** (-k - 1.0)
 
-    grid = np.insert(np.geomspace(1e-3, 1e4, 40), 0, 0.0)
-    vals = np.array([fn(s) for s in grid])
+    grid = [0.0] + geomspace(1e-3, 1e4, 40)
+    vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("power", k), fn=fn, dfn=dfn,
                          label=f"power-k{k:g}")
 
@@ -173,8 +172,8 @@ def bubble_corpus(n: int = 4, p: float = 8.0 / 3.0,
     for lam in lambdas:
         base = truncated_bubble(n, p, lam, truncation)
         lo = min(unit_ball_volume(n) * lam ** n * 1e-4, truncation * 1e-5)
-        grid = np.insert(np.geomspace(lo, truncation, num), 0, 0.0)
-        vals = np.array([base.fn(float(s)) for s in grid])
+        grid = [0.0] + geomspace(lo, truncation, num)
+        vals = [base.fn(s) for s in grid]
         out.append(RadialProfile(grid, vals, Tail("compact", truncation),
                                  fn=base.fn, dfn=base.dfn, label=base.label))
     return out

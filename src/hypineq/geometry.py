@@ -7,8 +7,9 @@ geodesic radius, s a normalized ball volume.  The volume map
     vol(n, t) = n * integral_0^t sinh(u)^(n-1) du
 
 has an exact exponential-sum closed form for every n (expand the binomial
-power of sinh).  Below t = 0.5, where the exponential sum cancels, it is
-summed instead as a power series in t with positive terms.
+power of sinh).  At small radius, where the exponential sum cancels, it is
+summed instead as a power series in t with positive terms: below t = 0.5
+up to n = 6, and further out for larger n (_series_top).
 """
 
 from __future__ import annotations
@@ -16,8 +17,6 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 from typing import Optional, Tuple
-
-import mpmath as mp
 
 from .constants import boundary_exponent, unit_ball_volume
 from .errors import DomainError
@@ -71,16 +70,25 @@ def _check_n(n: int):
 
 
 @lru_cache(maxsize=None)
+def _series_top(n: int) -> float:
+    """Radius below which phi(n, .) is summed as its series.  The
+    exponential sum loses about coth(t)^(n-1) ulps to cancellation; the
+    switch stays at _SMALL_T up to n = 6 (a loss below 50 ulps) and above
+    moves out to where the loss is 20 ulps."""
+    return _SMALL_T if n <= 6 else math.atanh(20.0 ** (-1.0 / (n - 1)))
+
+
+@lru_cache(maxsize=None)
 def _phi_series(n: int) -> Tuple[float, ...]:
     """Coefficients b_k of phi(n, t) = t^n * sum_k b_k t^(2k), as many as
-    t < _SMALL_T needs.
+    t < _series_top(n) needs.
 
     The termwise Taylor expansion of the exponential sum: with m = n - 1,
     b_k = n * sum_j (-1)^j C(m, j) (m - 2j)^(m+2k) / (2^m (n+2k)!).  The
     alternating sum cancels exactly in integers; each b_k is rounded once.
     """
     m = n - 1
-    x = _SMALL_T * _SMALL_T
+    x = _series_top(n) ** 2
     out, total, xk = [], 0.0, 1.0
     k = 0
     while True:
@@ -126,7 +134,7 @@ def phi(n: int, t: float) -> float:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if t == 0.0:
         return 0.0
-    if t < _SMALL_T:
+    if t < _SMALL_T or n > 6 and t < _series_top(n):
         return _phi_small(n, t)
     if (n - 1) * t > 700.0:
         raise DomainError(f"phi({n}, {t!r}) overflows double precision")
@@ -151,9 +159,9 @@ def phi_deriv(n: int, t: float) -> float:
 
 def _log_phi_excess(n: int, t: float) -> float:
     """lambda(t) = log(phi(n, t)) - (n-1) t, finite for any t > 0: above
-    _SMALL_T the exponential sum is summed with its leading growth
+    the series the exponential sum is summed with its leading growth
     e^((n-1)t) factored out."""
-    if t < _SMALL_T:
+    if t < _SMALL_T or n > 6 and t < _series_top(n):
         return math.log(_phi_small(n, t)) - (n - 1) * t
     acc = 0.0
     for coeff, m in _binom_terms(n):
@@ -244,12 +252,14 @@ def _precision(n: int, p: float, t: float):
     """mpmath working-precision context that covers the exponential
     cancellation in the margin and its slope factor at radius t, and below
     t = 1 the t^n cancellation of the exponential sum in _phi_mp."""
+    import mpmath as mp
     small = n * math.log10(1.0 / t) if t < 1.0 else 0.0
     return mp.workdps(40 + int(0.5 * (p * (n - 1) + n) * t + small))
 
 
 def _phi_mp(n: int, tt):
     """The exponential-sum volume map at the working mpmath precision."""
+    import mpmath as mp
     acc = mp.mpf(0)
     for coeff, m in _binom_terms(n):
         acc += coeff * tt if m == 0 else coeff * mp.expm1(m * tt) / m
@@ -259,6 +269,7 @@ def _phi_mp(n: int, tt):
 def _margin_precise(n: int, p: float, t: float) -> Tuple[float, float]:
     """(margin/scale, scale-exponent) via mpmath at a precision that covers
     the exponential cancellation; scale = 1 + phi^p."""
+    import mpmath as mp
     with _precision(n, p, t):
         tt = mp.mpf(t)
         ph = _phi_mp(n, tt)
@@ -293,7 +304,10 @@ def radial_margin_scaled(n: int, p: float, t: float,
     a = math.exp(q * math.log(-0.5 * math.expm1(-2.0 * t)))
     b = math.exp((q / n) * (lam - t))
     c = math.exp(p * (math.log((n - 1.0) / n) + lam))
-    return (a - b - c) / (math.exp(-q * t) + math.exp(p * lam))
+    scale = math.exp(-q * t) + math.exp(p * lam)
+    if scale == 0.0:
+        raise DomainError(f"radial_margin_scaled({n}, {p!r}, {t!r}) underflows")
+    return (a - b - c) / scale
 
 
 def margin_slope_factor(n: int, p: float, t: float,
@@ -309,6 +323,7 @@ def margin_slope_factor(n: int, p: float, t: float,
     if t == 0.0:
         return 0.0
     if precise:
+        import mpmath as mp
         with _precision(n, p, t):
             tt = mp.mpf(t)
             ph = _phi_mp(n, tt)

@@ -19,11 +19,10 @@ import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
-import numpy as np
-
 from . import geometry
 from .constants import boundary_exponent
 from .errors import DomainError
+from .quadrature import geomspace
 from .report import fmt17
 
 __all__ = ["MarginTable", "verify_lemma", "find_violation"]
@@ -96,6 +95,13 @@ def _raw_margin(n: int, p: float, t: float) -> float:
         return math.inf
 
 
+def _check_args(p: float, t_max: float):
+    if not math.isfinite(p):
+        raise DomainError(f"p must be finite, got {p!r}")
+    if not 0.0 < t_max < math.inf:
+        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
+
+
 def _log_scale(n: int, p: float, t: float) -> float:
     """log(1 + volume^p), overflow-safe."""
     x = p * geometry._log_phi(n, t)
@@ -113,17 +119,16 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
     radius runs in double precision; mpmath only re-certifies a slope
     factor that comes out below -1e-9.
     """
+    _check_args(p, t_max)
     bdry = boundary_exponent(n)
     if p < bdry * (1.0 - 1e-12):
         raise DomainError(
             f"lemma range needs p >= {bdry:g} for n={n}, got p={p!r}")
-    if not t_max > 0.0:
-        raise DomainError(f"t_max must be positive, got {t_max!r}")
-    ts = [0.0] + [float(t) for t in np.geomspace(1e-4, t_max, num)]
+    ts = [0.0] + geomspace(1e-4, t_max, num)
     margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
     fvals = [_raw_margin(n, p, t) for t in ts]
 
-    min_i = int(np.argmin(margins))
+    min_i = min(range(len(ts)), key=margins.__getitem__)
     min_margin = margins[min_i]
     passed = min_margin >= -tol
 
@@ -168,18 +173,17 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240,
     asymptotic onset estimate are probed directly.  An empty search is
     reported as inconclusive, not as a failure of the reversed estimate.
     """
+    _check_args(p, t_max)
     bdry = boundary_exponent(n)
     if p >= bdry:
         raise DomainError(
             f"violation search needs p < {bdry:g} for n={n}, got p={p!r}")
-    if not t_max > 0.0:
-        raise DomainError(f"t_max must be positive, got {t_max!r}")
 
     onset = None
     if n >= 3:
         onset = geometry.violation_onset(n, p)
 
-    ts = [float(t) for t in np.geomspace(0.5, t_max, num)]
+    ts = geomspace(0.5, t_max, num)
     margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
     fvals = [_raw_margin(n, p, t) for t in ts]
 
@@ -207,7 +211,7 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240,
                 violation = (t, m)
                 break
 
-    min_i = int(np.argmin(margins))
+    min_i = min(range(len(ts)), key=margins.__getitem__)
     return MarginTable(
         n=n, p=p, mode="find-violation", ts=tuple(ts),
         f_values=tuple(fvals), margins=tuple(margins),

@@ -1,6 +1,7 @@
 """Numerical kernels: adaptive Gauss-Kronrod quadrature on finite and
 semi-infinite intervals, safeguarded root finding for monotone functions,
-and finite-difference differentiation of grid samples.
+finite-difference differentiation of grid samples, and the grids and
+trapezoid rule the profiles are sampled and integrated on.
 
 Everything here is pure; integrand closures supplied by callers must be
 safe to call repeatedly.
@@ -11,9 +12,7 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import BracketError, ConvergenceError, DomainError
 
@@ -53,8 +52,7 @@ class QuadratureConfig:
 DEFAULT_CONFIG = QuadratureConfig()
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (QUADPACK's qk15).  Odd-index nodes
-# are the embedded Gauss-7 points.  Plain float tuples: the panel runs on
-# Python floats, without numpy-scalar arithmetic.
+# are the embedded Gauss-7 points.
 _XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
@@ -293,38 +291,52 @@ def find_root_increasing(f: Callable[[float], float], target: float,
         f"iterations; bracket ({lo!r}, {hi!r})", partial=t)
 
 
-def differentiate_grid(xs: Sequence[float], ys: Sequence[float],
-                       clamp_nonpositive: bool = False):
-    """Second-order finite differences on a strictly increasing grid.
+def differentiate_grid(xs: Sequence[float], ys: Sequence[float]
+                       ) -> Tuple[List[float], float]:
+    """Second-order finite differences of samples of a non-increasing
+    function on a strictly increasing grid.
 
     Central (three-point, non-uniform) formulas in the interior, one-sided
-    second-order at the ends.  With clamp_nonpositive, positive derivative
-    values are clamped to zero (for samples of a non-increasing function)
-    and the clamped l1 mass is returned alongside.
-
-    Returns derivative array, or (derivative, clamped_mass) when clamping.
+    second-order at the ends.  Positive values are clamped to zero, and
+    their l1 mass is returned alongside: (derivative, clamped_mass).
     """
-    xs = np.asarray(xs, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    if xs.ndim != 1 or xs.shape != ys.shape or xs.size < 3:
+    if len(xs) != len(ys) or len(xs) < 3:
         raise DomainError("need matching 1-d grids with at least 3 nodes")
-    if np.any(np.diff(xs) <= 0):
+    if any(b <= a for a, b in zip(xs, xs[1:])):
         raise DomainError("grid must be strictly increasing")
-    d = np.empty_like(ys)
-    h1 = xs[1:-1] - xs[:-2]
-    h2 = xs[2:] - xs[1:-1]
-    d[1:-1] = (-h2 / (h1 * (h1 + h2)) * ys[:-2]
-               + (h2 - h1) / (h1 * h2) * ys[1:-1]
-               + h1 / (h2 * (h1 + h2)) * ys[2:])
+    d = [0.0] * len(xs)
+    for i in range(1, len(xs) - 1):
+        h1 = xs[i] - xs[i - 1]
+        h2 = xs[i + 1] - xs[i]
+        d[i] = (-h2 / (h1 * (h1 + h2)) * ys[i - 1]
+                + (h2 - h1) / (h1 * h2) * ys[i]
+                + h1 / (h2 * (h1 + h2)) * ys[i + 1])
     # one-sided second order at both ends
     for i, (i0, i1, i2) in ((0, (0, 1, 2)), (len(xs) - 1, (-1, -2, -3))):
         a1 = xs[i1] - xs[i0]
         a2 = xs[i2] - xs[i0]
         d[i] = (ys[i1] * a2 * a2 - ys[i2] * a1 * a1
                 - ys[i0] * (a2 * a2 - a1 * a1)) / (a1 * a2 * (a2 - a1))
-    if not clamp_nonpositive:
-        return d
-    mask = d > 0.0
-    clamped = float(np.sum(d[mask]))
-    d[mask] = 0.0
-    return d, clamped
+    clamped = sum((x for x in d if x > 0.0), 0.0)
+    return [min(x, 0.0) for x in d], clamped
+
+
+def linspace(start: float, stop: float, num: int) -> List[float]:
+    """num evenly spaced points from start to stop, both included."""
+    step = (stop - start) / (num - 1)
+    return [i * step + start for i in range(num - 1)] + [float(stop)]
+
+
+def geomspace(start: float, stop: float, num: int) -> List[float]:
+    """num points from start to stop (both positive, both included),
+    evenly spaced in log10."""
+    lo = math.log10(start)
+    step = (math.log10(stop) - lo) / (num - 1)
+    return [float(start)] + [10.0 ** (i * step + lo)
+                             for i in range(1, num - 1)] + [float(stop)]
+
+
+def trapezoid(ys: Sequence[float], xs: Sequence[float]) -> float:
+    """Trapezoid rule for samples ys on the grid xs."""
+    return sum((x1 - x0) * (y1 + y0) / 2.0
+               for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))

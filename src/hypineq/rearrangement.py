@@ -11,12 +11,13 @@ package works on the half-line.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
-from dataclasses import dataclass, field
+import os
+import statistics
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Optional, Sequence, Tuple
-
-import numpy as np
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import geometry, quadrature
 from .constants import Params, boundary_exponent, in_comparison_range, unit_ball_volume
@@ -72,8 +73,10 @@ class Tail:
 class RadialProfile:
     """Non-increasing profile on the measure line.
 
-    Grid samples are the source of truth for grid-only profiles
-    (piecewise-linear between nodes, tail formula after the last node).
+    nodes and values accept any sequences of numbers and are stored as
+    tuples of floats.  Grid samples are the source of truth for grid-only
+    profiles (piecewise-linear between nodes, tail formula after the last
+    node).
     When an analytic closure fn (and optionally its derivative dfn) is
     attached, the closure is authoritative everywhere and the grid is a
     consistency witness.  step=True switches to right-continuous step
@@ -81,8 +84,8 @@ class RadialProfile:
     W^{1,p}, so their gradient norms are +inf.
     """
 
-    nodes: np.ndarray
-    values: np.ndarray
+    nodes: Tuple[float, ...]
+    values: Tuple[float, ...]
     tail: Tail
     fn: Optional[Callable[[float], float]] = None
     dfn: Optional[Callable[[float], float]] = None
@@ -90,20 +93,20 @@ class RadialProfile:
     label: str = ""
 
     def __post_init__(self):
-        nodes = np.asarray(self.nodes, dtype=float)
-        values = np.asarray(self.values, dtype=float)
+        nodes = tuple(map(float, self.nodes))
+        values = tuple(map(float, self.values))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
-        if nodes.ndim != 1 or nodes.shape != values.shape or nodes.size < 2:
+        if len(nodes) != len(values) or len(nodes) < 2:
             raise DomainError("profile needs matching 1-d grids with >= 2 nodes")
         if nodes[0] != 0.0:
             raise DomainError("profile grid must start at s = 0")
-        if np.any(np.diff(nodes) <= 0.0):
+        if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise DomainError("profile grid must be strictly increasing")
-        if np.any(values < 0.0):
+        if min(values) < 0.0:
             raise DomainError("profile values must be non-negative")
-        vmax = float(values[0]) if values[0] > 0 else 1.0
-        if np.any(np.diff(values) > 1e-12 * vmax):
+        vmax = values[0] if values[0] > 0 else 1.0
+        if any(b - a > 1e-12 * vmax for a, b in zip(values, values[1:])):
             raise DomainError("profile values must be non-increasing")
         if self.tail.kind == "compact":
             if self.tail.param < nodes[-1] * (1 - 1e-12):
@@ -114,8 +117,8 @@ class RadialProfile:
         if self.step and self.tail.kind != "compact":
             raise DomainError("step profiles must carry a compact tail")
         if self.fn is not None:
-            got = float(self.fn(float(nodes[-1])))
-            want = float(values[-1])
+            got = float(self.fn(nodes[-1]))
+            want = values[-1]
             if abs(got - want) > 1e-9 * max(abs(want), vmax * 1e-9, 1e-300):
                 raise DomainError(
                     f"closure disagrees with last grid value: {got!r} vs {want!r}")
@@ -128,22 +131,21 @@ class RadialProfile:
 
     @property
     def sup_value(self) -> float:
-        return float(self.fn(0.0)) if self.fn is not None else float(self.values[0])
+        return float(self.fn(0.0)) if self.fn is not None else self.values[0]
 
     def __call__(self, s: float) -> float:
         if s < 0.0:
             raise DomainError(f"volume must be >= 0, got {s!r}")
         if self.fn is not None:
             return float(self.fn(s))
-        last = float(self.nodes[-1])
+        last = self.nodes[-1]
         if self.step:
             if s >= self.tail.param:
                 return 0.0
-            i = int(np.searchsorted(self.nodes, s, side="right")) - 1
-            return float(self.values[min(max(i, 0), len(self.values) - 1)])
+            return self.values[bisect.bisect_right(self.nodes, s) - 1]
         if s <= last:
-            return float(np.interp(s, self.nodes, self.values))
-        vlast = float(self.values[-1])
+            return _interp(s, self.nodes, self.values)
+        vlast = self.values[-1]
         if self.tail.kind == "compact":
             return 0.0
         if self.tail.kind == "power":
@@ -151,12 +153,10 @@ class RadialProfile:
         return vlast * math.exp(-self.tail.param * (s - last))
 
     @cached_property
-    def _grid_derivative(self) -> Tuple[np.ndarray, float]:
+    def _grid_derivative(self) -> Tuple[List[float], float]:
         if self.step:
             raise DomainError("step profiles have no pointwise derivative")
-        d, clamped = quadrature.differentiate_grid(
-            self.nodes, self.values, clamp_nonpositive=True)
-        return d, clamped
+        return quadrature.differentiate_grid(self.nodes, self.values)
 
     def derivative(self, s: float) -> float:
         """v'(s); analytic closure when present, grid differences otherwise."""
@@ -164,11 +164,10 @@ class RadialProfile:
             return float(self.dfn(s))
         if self.step:
             raise DomainError("step profiles have no pointwise derivative")
-        last = float(self.nodes[-1])
+        last = self.nodes[-1]
         if s <= last:
-            d, _ = self._grid_derivative
-            return float(np.interp(s, self.nodes, d))
-        vlast = float(self.values[-1])
+            return _interp(s, self.nodes, self._grid_derivative[0])
+        vlast = self.values[-1]
         if self.tail.kind == "compact":
             return 0.0
         if self.tail.kind == "power":
@@ -178,13 +177,24 @@ class RadialProfile:
         return -a * vlast * math.exp(-a * (s - last))
 
 
+def _interp(s: float, xs: Sequence[float], ys: Sequence[float]) -> float:
+    """Piecewise-linear interpolation of the samples ys on the grid xs at
+    xs[0] <= s <= xs[-1], as slope * (s - x0) + y0 on the enclosing
+    segment [x0, x1]."""
+    i = bisect.bisect_right(xs, s) - 1
+    if i == len(xs) - 1 or xs[i] == s:
+        return ys[i]
+    slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
+    return slope * (s - xs[i]) + ys[i]
+
+
 def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
     """c * v, wrapping closures when present."""
     if c < 0.0:
         raise DomainError("profiles are non-negative; scale factor must be >= 0")
     fn = (lambda s, f=v.fn: c * f(s)) if v.fn is not None else None
     dfn = (lambda s, f=v.dfn: c * f(s)) if v.dfn is not None else None
-    return RadialProfile(v.nodes, c * v.values, v.tail, fn=fn, dfn=dfn,
+    return RadialProfile(v.nodes, [c * x for x in v.values], v.tail, fn=fn, dfn=dfn,
                          step=v.step, label=v.label)
 
 
@@ -332,11 +342,10 @@ def decreasing_rearrangement(f: RadialFunction,
     baseline (used only for convergence prechecks; the closure is
     authoritative for values).
     """
-    grid = np.asarray(grid, dtype=float)
+    grid = [float(s) for s in grid]
     fmax = f.sup_value
     if fmax == 0.0:
-        vals = np.zeros_like(grid)
-        return RadialProfile(grid, vals, tail or Tail("compact", float(grid[-1])))
+        return RadialProfile(grid, [0.0] * len(grid), tail or Tail("compact", grid[-1]))
 
     eps = fmax * 1e-30
     # _level_set at fmax, eps and (once the grid is sampled) the node levels
@@ -355,7 +364,6 @@ def decreasing_rearrangement(f: RadialFunction,
     # -mu'(tau) for Newton; None (secant) when a piece has no derivative
     slope = (lambda tau: level(tau)[1]) if known[fmax][1] is not None else None
     top, bottom = (fmax, known[fmax][0]), (eps, known[eps][0])
-    nodes = grid.tolist()
     ends = []  # (level, mu) at every node, once sampled; until then (eps, fmax)
 
     def v_of(s: float) -> float:
@@ -368,7 +376,7 @@ def decreasing_rearrangement(f: RadialFunction,
         # for s in [s_i, s_i+1) the level lies between the node levels;
         # those are exact only to the root tolerance, so widen outward
         # while an end does not straddle s, ending at fmax and eps
-        i = bisect.bisect_right(nodes, s) - 1
+        i = bisect.bisect_right(grid, s) - 1
         hi, lo = min(i, len(ends) - 1), i + 1
         while hi >= 0 and ends[hi][1] > s:
             hi -= 1
@@ -390,17 +398,18 @@ def decreasing_rearrangement(f: RadialFunction,
             d = slope(tau)
             return -1.0 / d if 0.0 < d < math.inf else 0.0
 
-    vals = np.array([v_of(s) for s in nodes])
-    vals = np.minimum.accumulate(vals)  # kill root-tolerance jitter
-    for tau in np.maximum(vals, eps).tolist():
+    # running minimum: kill root-tolerance jitter
+    vals = list(itertools.accumulate((v_of(s) for s in grid), min))
+    for val in vals:
+        tau = max(val, eps)
         known[tau] = level(tau)
         ends.append((tau, known[tau][0]))
     if tail is None:
         if vals[-1] == 0.0:
-            tail = Tail("compact", float(grid[-1]))
+            tail = Tail("compact", grid[-1])
         else:
             # log-log slope over the last decade of the grid
-            j = int(np.searchsorted(grid, grid[-1] / 10.0))
+            j = bisect.bisect_left(grid, grid[-1] / 10.0)
             j = min(max(j, 1), len(grid) - 2)
             if vals[j] <= vals[-1] or grid[j] <= 0.0:
                 raise DomainError("cannot infer a tail; pass one explicitly")
@@ -484,8 +493,9 @@ def lp_integral(v: RadialProfile, q: float,
         raise DomainError(f"need q >= 1, got {q!r}")
     cfg = cfg or QuadratureConfig()
     if v.step:
-        widths = np.diff(np.append(v.nodes, v.tail.param))
-        return float(np.sum(v.values ** q * widths)), 0.0
+        ends = v.nodes[1:] + (v.tail.param,)
+        return sum(val ** q * (b - a)
+                   for val, a, b in zip(v.values, v.nodes, ends)), 0.0
     if v.tail.kind == "power":
         _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
     if v.fn is not None:
@@ -494,20 +504,18 @@ def lp_integral(v: RadialProfile, q: float,
             lambda s: v(s) ** q, 0.0, top, v.nodes, cfg)
     # piecewise-linear segments integrate in closed form
     total = 0.0
-    a = v.values[:-1]
-    b = v.values[1:]
-    h = np.diff(v.nodes)
-    for ai, bi, hi in zip(a, b, h):
+    for ai, bi, x0, x1 in zip(v.values, v.values[1:], v.nodes, v.nodes[1:]):
+        hi = x1 - x0
         if ai == bi:
             total += hi * ai ** q
         else:
             total += hi * (ai ** (q + 1) - bi ** (q + 1)) / ((ai - bi) * (q + 1))
-    vlast, slast = float(v.values[-1]), float(v.nodes[-1])
+    vlast, slast = v.values[-1], v.nodes[-1]
     if v.tail.kind == "power":
         total += vlast ** q * slast / (q * v.tail.param - 1.0)
     elif v.tail.kind == "exponential":
         total += vlast ** q / (q * v.tail.param)
-    return float(total), 0.0
+    return total, 0.0
 
 
 def lp_norm(v: RadialProfile, q: float,
@@ -531,9 +539,8 @@ def _grid_weighted_gradient(v: RadialProfile, p: float,
         raise DomainError("grid-only gradient norms need a compact tail "
                           "(attach a derivative closure otherwise)")
     d, clamped = v._grid_derivative
-    w = np.array([abs(di) ** p * weight(float(si))
-                  for di, si in zip(d, v.nodes)])
-    val = float(np.trapezoid(w, v.nodes))
+    w = [abs(di) ** p * weight(si) for di, si in zip(d, v.nodes)]
+    val = quadrature.trapezoid(w, v.nodes)
     # crude error: trapezoid is second order; report the clamped mass and
     # a grid-refinement proxy
     err = abs(val) * 1e-4 + clamped
@@ -657,7 +664,9 @@ def hardy_term_bound(v: RadialProfile, p: float,
     p^-p times the integral of v^p, all over the window (default: the full
     support).  Contract: lhs >= rhs up to quadrature tolerance.  The
     substituted function w(s) = v(s) s^(1/p) is constant exactly when
-    v = c s^(-1/p), in which case both sides coincide on any window.
+    v = c s^(-1/p), in which case both sides coincide on any window.  A
+    grid-only profile enters through its piecewise-linear values and its
+    grid-difference derivative.
     """
     if not p >= 2.0:
         raise DomainError(f"the bound needs p >= 2, got {p!r}")
@@ -671,32 +680,18 @@ def hardy_term_bound(v: RadialProfile, p: float,
     if math.isinf(hi) and v.tail.kind == "power":
         _tail_divergence_check(v, p * v.tail.param, "weighted gradient integral")
 
-    if v.dfn is not None or v.fn is not None:
-        def f_lhs(s):
-            return abs(v.derivative(s)) ** p * s ** p
+    def f_lhs(s):
+        return abs(v.derivative(s)) ** p * s ** p
 
-        def f_w(s):
-            return abs(v(s) / p + s * v.derivative(s)) ** p
+    def f_w(s):
+        return abs(v(s) / p + s * v.derivative(s)) ** p
 
-        def f_v(s):
-            return v(s) ** p
+    def f_v(s):
+        return v(s) ** p
 
-        lhs, _ = quadrature.integrate_with_breakpoints(f_lhs, lo, hi, v.nodes, cfg)
-        wterm, _ = quadrature.integrate_with_breakpoints(f_w, lo, hi, v.nodes, cfg)
-        vterm, _ = quadrature.integrate_with_breakpoints(f_v, lo, hi, v.nodes, cfg)
-        return lhs, wterm + p ** (-p) * vterm
-    if math.isinf(hi):
-        hi = float(v.nodes[-1])
-    d, _ = v._grid_derivative
-    mask = (v.nodes >= lo) & (v.nodes <= hi)
-    xs = v.nodes[mask]
-    if xs.size < 3:
-        raise DomainError("window contains too few grid nodes")
-    dd = d[mask]
-    vv = v.values[mask]
-    lhs = float(np.trapezoid(np.abs(dd) ** p * xs ** p, xs))
-    wterm = float(np.trapezoid(np.abs(vv / p + xs * dd) ** p, xs))
-    vterm = float(np.trapezoid(vv ** p, xs))
+    lhs, _ = quadrature.integrate_with_breakpoints(f_lhs, lo, hi, v.nodes, cfg)
+    wterm, _ = quadrature.integrate_with_breakpoints(f_w, lo, hi, v.nodes, cfg)
+    vterm, _ = quadrature.integrate_with_breakpoints(f_v, lo, hi, v.nodes, cfg)
     return lhs, wterm + p ** (-p) * vterm
 
 
@@ -704,13 +699,12 @@ def _equality_distance(v: RadialProfile, p: float) -> float:
     """Root-mean-square distance of w(s) = v(s) s^(1/p) from its mean over
     the interior of the grid; zero exactly on the rigidity profile
     c s^(-1/p)."""
-    s_lo = float(v.nodes[1])
-    s_hi = float(v.nodes[-1])
+    s_lo = v.nodes[1]
+    s_hi = v.nodes[-1]
     if v.tail.kind == "compact" and not v.step:
         s_hi = 0.5 * (s_lo + s_hi)  # w ends at 0; measure the inner half
-    xs = np.geomspace(max(s_lo, 1e-12), s_hi, 128)
-    w = np.array([v(float(s)) * float(s) ** (1.0 / p) for s in xs])
-    return float(np.sqrt(np.mean((w - np.mean(w)) ** 2)))
+    xs = quadrature.geomspace(max(s_lo, 1e-12), s_hi, 128)
+    return statistics.pstdev(v(s) * s ** (1.0 / p) for s in xs)
 
 
 def key_comparison(v: RadialProfile, n: int, p: float,
@@ -746,9 +740,9 @@ def key_comparison(v: RadialProfile, n: int, p: float,
 
 def write_profile(path: str, v: RadialProfile):
     """Serialize a profile's grid samples (closures do not survive)."""
-    lines = [f"tail={v.tail.kind}:{fmt17(float(v.tail.param))}"]
+    lines = [f"tail={v.tail.kind}:{fmt17(v.tail.param)}"]
     for s, val in zip(v.nodes, v.values):
-        lines.append(f"{fmt17(float(s))} {fmt17(float(val))}")
+        lines.append(f"{fmt17(s)} {fmt17(val)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
@@ -791,7 +785,6 @@ def read_profile(path: str, step: bool = False) -> RadialProfile:
             values.append(val)
     if tail is None or len(nodes) < 2:
         raise DomainError(f"{path}: incomplete profile")
-    import os
     label = os.path.splitext(os.path.basename(path))[0]
-    return RadialProfile(np.array(nodes), np.array(values), tail,
+    return RadialProfile(nodes, values, tail,
                          step=step, label=label)

@@ -9,15 +9,13 @@ concentrates, while never dipping below it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
-
-import numpy as np
 
 from . import constants, rearrangement, verifier
 from .constants import Params, unit_ball_volume
 from .errors import DomainError
-from .quadrature import QuadratureConfig
+from .quadrature import QuadratureConfig, geomspace
 from .rearrangement import RadialProfile, Tail
 from .report import fmt17
 
@@ -59,6 +57,9 @@ def untruncated_bubble(n: int, p: float, lam: float,
         raise DomainError(f"scale must be positive, got {lam!r}")
     sigma = unit_ball_volume(n)
     scale = sigma * lam ** n
+    if not scale * 1e-4 > 0.0:
+        raise DomainError(f"bubble scale sigma*lambda^n underflows double "
+                          f"precision at lambda={lam!r}")
     e = p / ((p - 1.0) * n)
     ex = (n - p) / p
 
@@ -73,8 +74,8 @@ def untruncated_bubble(n: int, p: float, lam: float,
 
     # keep the grid increasing when the scale dwarfs the requested span
     s_max = max(s_max, scale * 10.0)
-    grid = np.insert(np.geomspace(scale * 1e-4, s_max, 40), 0, 0.0)
-    vals = np.array([fn(float(s)) for s in grid])
+    grid = [0.0] + geomspace(scale * 1e-4, s_max, 40)
+    vals = [fn(s) for s in grid]
     # decay exponent of v in s: e*ex
     return RadialProfile(grid, vals, Tail("power", e * ex), fn=fn, dfn=dfn,
                          label=f"bubble-l{lam:g}")
@@ -100,8 +101,8 @@ def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
         return base.dfn(s) * _cutoff(s / T) + base.fn(s) * _dcutoff(s / T) / T
 
     lo = min(unit_ball_volume(n) * lam ** n * 1e-4, T * 1e-5)
-    grid = np.insert(np.geomspace(lo, T, 48), 0, 0.0)
-    vals = np.array([fn(float(s)) for s in grid])
+    grid = [0.0] + geomspace(lo, T, 48)
+    vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", T), fn=fn, dfn=dfn,
                          label=f"truncated-bubble-l{lam:g}-T{T:g}")
 
@@ -158,67 +159,70 @@ def ratio_function(inequality_id: str, n: int, p: float,
     raise DomainError(f"no ratio defined for inequality {inequality_id!r}")
 
 
-def _nelder_mead(f: Callable[[np.ndarray], float], x0: np.ndarray,
+def _toward(a: Tuple[float, ...], b: Tuple[float, ...], k: float) -> Tuple[float, ...]:
+    """The point a + k (b - a)."""
+    return tuple(x + k * (y - x) for x, y in zip(a, b))
+
+
+def _nelder_mead(f: Callable[[Tuple[float, ...]], float], x0: Sequence[float],
                  step: float, max_iter: int, f_tol: float
-                 ) -> Tuple[np.ndarray, float, List[Tuple[np.ndarray, float]], bool]:
+                 ) -> Tuple[Tuple[float, ...], float,
+                            List[Tuple[Tuple[float, ...], float]], bool]:
     """Deterministic Nelder-Mead with standard coefficients.  Returns
     (best x, best f, evaluation log, converged)."""
     dim = len(x0)
-    pts = [np.array(x0, dtype=float)]
+    pts = [tuple(x0)]
     for i in range(dim):
-        x = np.array(x0, dtype=float)
+        x = list(x0)
         x[i] += step
-        pts.append(x)
-    log: List[Tuple[np.ndarray, float]] = []
+        pts.append(tuple(x))
+    log: List[Tuple[Tuple[float, ...], float]] = []
 
     def ev(x):
         val = f(x)
-        log.append((x.copy(), val))
+        log.append((x, val))
         return val
 
     vals = [ev(x) for x in pts]
     converged = False
     for _ in range(max_iter):
-        order = np.argsort(vals, kind="stable")
+        order = sorted(range(dim + 1), key=vals.__getitem__)
         pts = [pts[i] for i in order]
         vals = [vals[i] for i in order]
         if abs(vals[-1] - vals[0]) <= f_tol * max(abs(vals[0]), 1e-30):
             converged = True
             break
-        centroid = np.mean(pts[:-1], axis=0)
-        xr = centroid + (centroid - pts[-1])
+        centroid = tuple(sum(xs) / dim for xs in zip(*pts[:-1]))
+        xr = _toward(centroid, pts[-1], -1.0)
         fr = ev(xr)
         if vals[0] <= fr < vals[-2]:
             pts[-1], vals[-1] = xr, fr
         elif fr < vals[0]:
-            xe = centroid + 2.0 * (centroid - pts[-1])
+            xe = _toward(centroid, pts[-1], -2.0)
             fe = ev(xe)
             if fe < fr:
                 pts[-1], vals[-1] = xe, fe
             else:
                 pts[-1], vals[-1] = xr, fr
         else:
-            xc = centroid + 0.5 * (pts[-1] - centroid)
+            xc = _toward(centroid, pts[-1], 0.5)
             fc = ev(xc)
             if fc < vals[-1]:
                 pts[-1], vals[-1] = xc, fc
             else:
                 for i in range(1, dim + 1):
-                    pts[i] = pts[0] + 0.5 * (pts[i] - pts[0])
+                    pts[i] = _toward(pts[0], pts[i], 0.5)
                     vals[i] = ev(pts[i])
-    order = np.argsort(vals, kind="stable")
-    return pts[order[0]], vals[order[0]], log, converged
+    best = min(range(dim + 1), key=vals.__getitem__)
+    return pts[best], vals[best], log, converged
 
 
 def minimize_ratio(inequality_id: str, n: int, p: float,
-                   family: str = "truncated-bubble",
                    lam0: float = 0.1, T0: float = 1.0,
                    max_iter: int = 60,
                    cfg: Optional[QuadratureConfig] = None) -> SharpnessResult:
-    """Minimize the deficit ratio over the family, in log(scale) and
-    log(truncation) coordinates.  Fully deterministic."""
-    if family != "truncated-bubble":
-        raise DomainError(f"unknown family {family!r}")
+    """Minimize the deficit ratio over truncated bubbles, in log(scale)
+    and log(truncation) coordinates.  Fully deterministic."""
     ratio, target = ratio_function(inequality_id, n, p, cfg)
 
     # clamp the simplex to the window where double-precision evaluation
@@ -233,7 +237,7 @@ def minimize_ratio(inequality_id: str, n: int, p: float,
         T = math.exp(min(max(x[1], t_box[0]), t_box[1]))
         return ratio(truncated_bubble(n, p, lam, T))
 
-    x0 = np.array([math.log(lam0), math.log(T0)])
+    x0 = (math.log(lam0), math.log(T0))
     best_x, best_f, log, converged = _nelder_mead(f, x0, 0.5, max_iter, 1e-8)
     trace = tuple(
         (i, math.exp(min(max(x[0], lam_box[0]), lam_box[1])),

@@ -13,12 +13,11 @@ from __future__ import annotations
 import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
-import numpy as np
-
 from . import constants, geometry, rearrangement
 from .constants import Params, in_poincare_range, unit_ball_volume
 from .errors import DomainError, EvaluationError
-from .quadrature import QuadratureConfig, integrate_with_breakpoints
+from .quadrature import (QuadratureConfig, geomspace, integrate_with_breakpoints,
+                         trapezoid)
 from .rearrangement import RadialProfile, Tail
 from .report import DeficitReport
 
@@ -209,9 +208,7 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
         ent, e_e = integrate_with_breakpoints(entropy, 0.0, v.support_volume,
                                               v.nodes, cfg)
     else:
-        xs = v.nodes
-        ys = np.array([entropy(float(s)) for s in xs])
-        ent = float(np.trapezoid(ys, xs))
+        ent = trapezoid([entropy(s) for s in v.nodes], v.nodes)
         e_e = abs(ent) * 1e-4
     rhs = ent / mass - math.log(mass)
     err = e_e / mass + (n / p) * (e_d / D + e_m / mass)
@@ -298,7 +295,7 @@ def extremal_linfty_profile(n: int, p: float,
     cfg = cfg or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
     sigma = unit_ball_volume(n)
     if grid is None:
-        grid = np.insert(np.geomspace(1e-4, 1e5, 46), 0, 0.0)
+        grid = [0.0] + geomspace(1e-4, 1e5, 46)
 
     def fn(s):
         return geometry.isoperimetric_tail_integral(n, p, s, cfg)[0]
@@ -308,8 +305,8 @@ def extremal_linfty_profile(n: int, p: float,
             return -math.inf if n >= 2 else 0.0
         return -geometry.isoperimetric_profile(n, s) ** (-p / (p - 1.0))
 
-    vals = np.array([fn(float(s)) for s in grid])
-    return RadialProfile(np.asarray(grid, dtype=float), vals,
+    vals = [fn(float(s)) for s in grid]
+    return RadialProfile(grid, vals,
                          Tail("power", 1.0 / (p - 1.0)), fn=fn, dfn=dfn,
                          label=f"extremal-linfty-n{n}-p{p:g}")
 

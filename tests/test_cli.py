@@ -2,6 +2,8 @@ import importlib.util
 import json
 import math
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -308,6 +310,52 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
     run(capsys, "constants", "--n", "4", "--p", N4P, "--out", str(tmp_path))
     leftovers = [f for f in os.listdir(tmp_path) if f.startswith(".tmp-")]
     assert leftovers == []
+
+
+# -- failure contract -------------------------------------------------
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("lemma", "verify", "--n", "4", "--p", "3", "--t-max", "inf"), "t_max"),
+    (("lemma", "violate", "--n", "4", "--p", "2.5", "--t-max", "inf"), "t_max"),
+    (("lemma", "verify", "--n", "4", "--p", "1e308"), "underflows"),
+    (("lemma", "verify", "--n", "4", "--p", "nan"), "p must be finite"),
+    (("sharpness", "--n", "4", "--p", "2.6666", "--lambdas", "1e-300"),
+     "underflows"),
+])
+def test_domain_edges_exit_2(capsys, argv, message):
+    # each used to crash (exit 1) or, for violate, pass on a NaN grid
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error:") and message in err
+
+
+def test_unwritable_out_path_exits_2(capsys, tmp_path):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    code, _, err = run(capsys, "verify", "--inequality", "key_comparison",
+                       "--n", "4", "--p", "3", "--out", str(blocker / "sub"))
+    assert code == 2
+    assert err.startswith("error:")
+
+
+def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
+    def broken(*args, **kwargs):
+        raise ZeroDivisionError("float division\nby zero")
+
+    monkeypatch.setattr(cli.lemma, "verify_lemma", broken)
+    code, _, err = run(capsys, "lemma", "verify", "--n", "4", "--p", "3")
+    assert code == 4
+    assert err == "internal error: ZeroDivisionError: float division by zero\n"
+
+
+def test_cli_import_loads_neither_numpy_nor_mpmath():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypineq.cli; "
+            "print(sorted(m for m in ('numpy', 'mpmath') if m in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", code, src], capture_output=True,
+                         text=True, check=True, timeout=60).stdout
+    assert out.strip() == "[]"
 
 
 # -- tracing ----------------------------------------------------------

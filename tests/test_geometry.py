@@ -16,9 +16,11 @@ def _phi_mp(n, t, dps=40):
         return mp.quad(lambda u: n * mp.sinh(u) ** (n - 1), [0, mp.mpf(t)])
 
 
-def _phi_exp_sum_mp(n, t, dps=200):
+def _phi_exp_sum_mp(n, t, dps=None):
     # exponential-sum closed form at a precision that absorbs its
-    # cancellation for small t
+    # cancellation, about n digits per decade of t below 1
+    if dps is None:
+        dps = 40 + int(n * max(0.0, -math.log10(t)))
     with mp.workdps(dps):
         tt = mp.mpf(t)
         acc = mp.mpf(0)
@@ -65,22 +67,29 @@ def test_volume_map_matches_quadrature_general_n():
 
 
 def test_small_radius_series_against_exponential_sum():
-    for n in range(2, 13):
-        for t in np.geomspace(1e-8, 0.4999, 30):
+    # both sides of the series switch, which moves out with n above n = 6
+    for n in range(2, 21):
+        for t in np.geomspace(1e-8, 3.0, 40):
             ref = _phi_exp_sum_mp(n, float(t))
             got = G.phi(n, float(t))
-            assert abs(got - ref) <= 1e-14 * ref, (n, t)
+            bound = 1e-14 if t < 0.5 else 5e-14
+            assert abs(got - ref) <= bound * ref, (n, t)
 
 
 def test_volume_map_continuous_at_series_switch():
-    # above the switch the exponential sum carries its cancellation error
-    # (about 1.5e-12 relative at n = 12, t = 0.5)
-    below = math.nextafter(G._SMALL_T, 0.0)
-    for n in range(2, 13):
-        assert G.phi(n, below) == pytest.approx(G.phi(n, G._SMALL_T),
-                                                rel=1e-11), n
+    for n in range(2, 21):
+        top = G._series_top(n)
+        below = math.nextafter(top, 0.0)
+        assert G.phi(n, below) == pytest.approx(G.phi(n, top), rel=1e-13), n
         assert G._log_phi(n, below) == pytest.approx(
-            G._log_phi(n, G._SMALL_T), rel=1e-12), n
+            G._log_phi(n, top), rel=1e-13), n
+
+
+def test_series_switch_fixed_up_to_n6():
+    # the switch moves only where the exponential sum cancels too much
+    assert all(G._series_top(n) == G._SMALL_T for n in range(2, 7))
+    tops = [G._series_top(n) for n in range(6, 21)]
+    assert tops == sorted(tops) and tops[-1] < 1.5
 
 
 def test_small_radius_volume_map_runs_no_panels(monkeypatch):

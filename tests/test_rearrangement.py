@@ -284,6 +284,21 @@ def test_hardy_window_bound_holds():
     assert lhs >= rhs * (1.0 - 1e-9)
 
 
+def test_hardy_bound_holds_on_read_back_tent(tmp_path):
+    # a file drops the closures; the grid-only profile is linear between
+    # nodes, so both sides match the closure profile's
+    v = tent_profile(1.5, 2.0)
+    path = str(tmp_path / "tent.txt")
+    write_profile(path, v)
+    w = read_profile(path)
+    assert w.fn is None and w.dfn is None
+    lhs, rhs = hardy_term_bound(w, 3.0)
+    assert lhs >= rhs * (1.0 - 1e-9)
+    ref_lhs, ref_rhs = hardy_term_bound(v, 3.0)
+    assert lhs == pytest.approx(ref_lhs, rel=1e-9)
+    assert rhs == pytest.approx(ref_rhs, rel=1e-9)
+
+
 def test_hardy_equality_on_power_profile():
     # v = s^(-1/p) on the window makes the substituted function constant
     p = 2.5

@@ -81,8 +81,6 @@ def test_minimizer_respects_lower_bound():
                           max_iter=25)
     assert res.trace == res2.trace
     assert res.trace_csv().startswith("iteration,lambda,T,ratio,gap")
-    with pytest.raises(DomainError):
-        minimize_ratio("poincare_sobolev", N, P, family="nope")
 
 
 def test_non_attainment_scan_strict_on_corpus():
