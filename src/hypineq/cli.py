@@ -26,7 +26,6 @@ from .constants import Params
 from .corpus import standard_corpus
 from .errors import (BracketError, ConvergenceError, DomainError, EvaluationError,
                      OverflowDomainError)
-from .quadrature import QuadratureConfig
 from .report import fmt17, reports_to_csv, reports_to_json
 
 EXIT_PASS = 0
@@ -296,9 +295,9 @@ def _emit_reports(args, reports, stem: str) -> None:
 
 def cmd_verify(args) -> int:
     corpus = _load_corpus(args.corpus)
-    cfg = QuadratureConfig()
     reports = [verifier.evaluate(args.inequality, v, args.n, args.p, args.alpha,
-                                 cfg, args.constant_scale) for v in corpus]
+                                 constant_scale=args.constant_scale)
+               for v in corpus]
     _emit_reports(args, reports, f"verify-{args.inequality}")
     ok = all(r.passes(args.rel_tol) for r in reports)
     return EXIT_PASS if ok else EXIT_VIOLATION
@@ -306,14 +305,13 @@ def cmd_verify(args) -> int:
 
 def cmd_sweep(args) -> int:
     corpus = _load_corpus(args.corpus)
-    cfg = QuadratureConfig()
     reports = []
     for n in args.n_list:
         for p in args.p_list:
             for v in corpus:
-                reports.append(verifier.evaluate(args.inequality, v, n, p,
-                                                 args.alpha, cfg,
-                                                 args.constant_scale))
+                reports.append(verifier.evaluate(
+                    args.inequality, v, n, p, args.alpha,
+                    constant_scale=args.constant_scale))
     _emit_reports(args, reports, f"sweep-{args.inequality}")
     ok = all(r.passes(args.rel_tol) for r in reports)
     return EXIT_PASS if ok else EXIT_VIOLATION
@@ -324,8 +322,7 @@ def cmd_sweep(args) -> int:
 
 def cmd_sharpness(args) -> int:
     n, p = args.n, args.p
-    cfg = QuadratureConfig()
-    ratio, target = sharpness.ratio_function(args.inequality, n, p, cfg)
+    ratio, target = sharpness.ratio_function(args.inequality, n, p)
 
     if args.no_optimize:
         if args.single_lambda is None:
@@ -337,8 +334,7 @@ def cmd_sharpness(args) -> int:
 
     if args.optimize:
         res = sharpness.minimize_ratio(
-            args.inequality, n, p, T0=args.truncation, max_iter=args.max_iter,
-            cfg=cfg)
+            args.inequality, n, p, T0=args.truncation, max_iter=args.max_iter)
         if args.out:
             _write_atomic(os.path.join(args.out, "sharpness-trace.csv"),
                           res.trace_csv())
@@ -351,7 +347,7 @@ def cmd_sharpness(args) -> int:
         return EXIT_PASS
 
     pairs = sharpness.lambda_sweep(args.inequality, n, p, args.lambdas,
-                                   T=args.truncation, cfg=cfg)
+                                   T=args.truncation)
     lines = ["lambda,T,ratio,gap"]
     for lam, r in pairs:
         lines.append(",".join([fmt17(lam), fmt17(args.truncation),

@@ -25,28 +25,29 @@ __all__ = [
 ]
 
 
+# Budgets of one finite-interval panel tree: how often one panel may be
+# bisected, and how many panels the tree may hold.
+_MAX_DEPTH = 50
+_MAX_PANELS = 4096
+
+
 @dataclass(frozen=True)
 class QuadratureConfig:
-    """Tolerances and budgets governing every adaptive integral.
+    """Tolerances governing every adaptive integral.
 
     A panel tree stops refining once its error estimate is below
-    max(abs_tol, rel_tol * |value|); max_depth bounds how often one panel
-    is bisected and max_panels how many panels one finite interval may
-    hold.  Semi-infinite integrals map [a, inf) through s = a + e^y and
-    add panels of width 2 in y outward from y = 0, on each side until two
-    consecutive panels fall below a quarter of that tolerance floor.
+    max(abs_tol, rel_tol * |value|).  Semi-infinite integrals map
+    [a, inf) through s = a + e^y and add panels of width 2 in y outward
+    from y = 0, on each side until two consecutive panels fall below a
+    quarter of that tolerance floor.
     """
 
     rel_tol: float = 1e-10
     abs_tol: float = 1e-12
-    max_depth: int = 50
-    max_panels: int = 4096
 
     def __post_init__(self):
         if self.rel_tol <= 0 or self.abs_tol <= 0:
             raise DomainError("tolerances must be positive")
-        if self.max_depth < 1:
-            raise DomainError("max_depth must be >= 1")
 
 
 DEFAULT_CONFIG = QuadratureConfig()
@@ -109,14 +110,14 @@ def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
     total, total_err = val, err
     counter = 1
     while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
-        if len(heap) >= cfg.max_panels:
+        if len(heap) >= _MAX_PANELS:
             raise ConvergenceError(
                 f"quadrature panel budget exhausted on [{a!r}, {b!r}]",
                 partial=total, error_estimate=total_err)
         neg_err, _, pa, pb, pval, perr, depth = heapq.heappop(heap)
-        if depth >= cfg.max_depth:
+        if depth >= _MAX_DEPTH:
             raise ConvergenceError(
-                f"quadrature hit max depth {cfg.max_depth} near [{pa!r}, {pb!r}]",
+                f"quadrature hit max depth {_MAX_DEPTH} near [{pa!r}, {pb!r}]",
                 partial=total, error_estimate=total_err)
         pm = 0.5 * (pa + pb)
         lval, lerr = _gk15(f, pa, pm)

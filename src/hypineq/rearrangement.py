@@ -51,10 +51,9 @@ _TAIL_KINDS = ("compact", "power", "exponential")
 class Tail:
     """Behavior of a profile beyond its last grid node.
 
-    compact: support ends at param (param >= last node; for non-step
-    profiles the last value must already be zero and param equal the last
-    node).  power: v ~ v_last * (s/s_last)^(-param).  exponential:
-    v ~ v_last * exp(-param*(s - s_last)).
+    compact: support ends at param (param >= last node; the last value
+    must already be zero).  power: v ~ v_last * (s/s_last)^(-param).
+    exponential: v ~ v_last * exp(-param*(s - s_last)).
     """
 
     kind: str
@@ -77,11 +76,9 @@ class RadialProfile:
     tuples of floats.  Grid samples are the source of truth for grid-only
     profiles (piecewise-linear between nodes, tail formula after the last
     node).
-    When an analytic closure fn (and optionally its derivative dfn) is
-    attached, the closure is authoritative everywhere and the grid is a
-    consistency witness.  step=True switches to right-continuous step
-    semantics (heights on [s_i, s_{i+1})); step profiles are BV, not
-    W^{1,p}, so their gradient norms are +inf.
+    When an analytic closure fn is attached, together with its derivative
+    dfn (both or neither), the closure is authoritative everywhere and
+    the grid is a consistency witness.
     """
 
     nodes: Tuple[float, ...]
@@ -89,7 +86,6 @@ class RadialProfile:
     tail: Tail
     fn: Optional[Callable[[float], float]] = None
     dfn: Optional[Callable[[float], float]] = None
-    step: bool = False
     label: str = ""
 
     def __post_init__(self):
@@ -111,11 +107,11 @@ class RadialProfile:
         if self.tail.kind == "compact":
             if self.tail.param < nodes[-1] * (1 - 1e-12):
                 raise DomainError("compact support ends before the last node")
-            if not self.step and values[-1] > 1e-9 * vmax:
+            if values[-1] > 1e-9 * vmax:
                 raise DomainError(
-                    "compact non-step profile must reach zero at its last node")
-        if self.step and self.tail.kind != "compact":
-            raise DomainError("step profiles must carry a compact tail")
+                    "compact profile must reach zero at its last node")
+        if (self.fn is None) != (self.dfn is None):
+            raise DomainError("a closure fn needs its derivative dfn, and dfn needs fn")
         if self.fn is not None:
             got = float(self.fn(nodes[-1]))
             want = values[-1]
@@ -139,10 +135,6 @@ class RadialProfile:
         if self.fn is not None:
             return float(self.fn(s))
         last = self.nodes[-1]
-        if self.step:
-            if s >= self.tail.param:
-                return 0.0
-            return self.values[bisect.bisect_right(self.nodes, s) - 1]
         if s <= last:
             return _interp(s, self.nodes, self.values)
         vlast = self.values[-1]
@@ -154,16 +146,12 @@ class RadialProfile:
 
     @cached_property
     def _grid_derivative(self) -> Tuple[List[float], float]:
-        if self.step:
-            raise DomainError("step profiles have no pointwise derivative")
         return quadrature.differentiate_grid(self.nodes, self.values)
 
     def derivative(self, s: float) -> float:
         """v'(s); analytic closure when present, grid differences otherwise."""
         if self.dfn is not None:
             return float(self.dfn(s))
-        if self.step:
-            raise DomainError("step profiles have no pointwise derivative")
         last = self.nodes[-1]
         if s <= last:
             return _interp(s, self.nodes, self._grid_derivative[0])
@@ -195,7 +183,7 @@ def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
     fn = (lambda s, f=v.fn: c * f(s)) if v.fn is not None else None
     dfn = (lambda s, f=v.dfn: c * f(s)) if v.dfn is not None else None
     return RadialProfile(v.nodes, [c * x for x in v.values], v.tail, fn=fn, dfn=dfn,
-                         step=v.step, label=v.label)
+                         label=v.label)
 
 
 # ---------------------------------------------------------------------
@@ -204,13 +192,13 @@ def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
 
 @dataclass(frozen=True)
 class Piece:
-    """One monotone piece of a radial function: f on [a, b) (b may be inf,
-    in which case f must decay to 0)."""
+    """One monotone piece of a radial function: fn on [a, b) and its
+    derivative dfn (b may be inf, in which case fn must decay to 0)."""
 
     a: float
     b: float
     fn: Callable[[float], float]
-    dfn: Optional[Callable[[float], float]] = None
+    dfn: Callable[[float], float]
 
 
 @dataclass(frozen=True)
@@ -263,8 +251,8 @@ def _piece_endpoints(pc: Piece) -> Tuple[float, float]:
 def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
     """Radius where a monotone piece with end values va, vb on either side
     of t crosses level t; None when an unbounded piece is still above t
-    at radius 1e6.  Newton on the piece's derivative when it has one,
-    from the regula falsi point of the bracket."""
+    at radius 1e6.  Newton on the piece's derivative, from the regula
+    falsi point of the bracket."""
     a, b = pc.a, pc.b
     if math.isinf(b):
         b = max(a + 1.0, 1.0)
@@ -276,24 +264,23 @@ def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
     x0 = a + (b - a) * (va - t) / (va - vb)
     if vb > va:
         return quadrature.find_root_increasing(pc.fn, t, (a, b), df=pc.dfn, x0=x0)
-    dfn = pc.dfn
     return quadrature.find_root_increasing(
         lambda r: -float(pc.fn(r)), -t, (a, b), x0=x0,
-        df=None if dfn is None else (lambda r: -float(dfn(r))))
+        df=lambda r: -float(pc.dfn(r)))
 
 
-def _level_set(f: RadialFunction, t: float) -> Tuple[float, Optional[float]]:
+def _level_set(f: RadialFunction, t: float) -> Tuple[float, float]:
     """(mu(t), -mu'(t)) for the distribution function mu of f, in one pass
     over the pieces.
 
     mu(t) is the volume of {|u| > t}; by the coarea formula -mu'(t) is
     n sigma times the sum of sinh(r)^(n-1) / |f'(r)| over the radii r > 0
     where f crosses t (inf where f' vanishes at a crossing, 0 on a level f
-    never crosses, None when a piece has no derivative closure).
+    never crosses).
     """
     n = f.n
     total = 0.0
-    area = 0.0 if all(pc.dfn is not None for pc in f.pieces) else None
+    area = 0.0
     for pc in f.pieces:
         va, vb = _piece_endpoints(pc)
         if va <= t and vb <= t:
@@ -309,11 +296,11 @@ def _level_set(f: RadialFunction, t: float) -> Tuple[float, Optional[float]]:
             lo, hi = (c, pc.b) if vb > va else (pc.a, c)
         total += geometry.phi(n, hi) - geometry.phi(n, lo)
         # after phi, which raises before sinh(c) ** (n - 1) could overflow
-        if area is not None and c is not None and c > 0.0 and min(va, vb) < t:
+        if c is not None and c > 0.0 and min(va, vb) < t:
             slope = abs(float(pc.dfn(c)))
             area += math.sinh(c) ** (n - 1) / slope if slope > 0.0 else math.inf
     sigma = unit_ball_volume(n)
-    return sigma * total, None if area is None else n * sigma * area
+    return sigma * total, n * sigma * area
 
 
 def distribution_function(f: RadialFunction, t: float) -> float:
@@ -330,12 +317,12 @@ def decreasing_rearrangement(f: RadialFunction,
 
     v(s) = sup of the levels whose superlevel volume exceeds s: the root
     of the non-increasing distribution function mu(tau) = s.  It is found
-    by safeguarded Newton on the coarea slope -mu'(tau) (secant when a
-    piece has no derivative closure; bisection wherever the slope is 0 or
-    infinite, so plateaus and jumps stay safe), bracketed by the levels of
-    the grid nodes around s.  The solver is attached as the profile's
-    analytic closure, so norms of the result go through adaptive
-    quadrature of the true rearrangement rather than grid interpolation.
+    by safeguarded Newton on the coarea slope -mu'(tau) (bisection
+    wherever the slope is 0 or infinite, so plateaus and jumps stay safe),
+    bracketed by the levels of the grid nodes around s.  The solver and
+    its coarea derivative are attached as the profile's analytic closure,
+    so norms of the result go through adaptive quadrature of the true
+    rearrangement rather than grid interpolation.
 
     When no tail is given it is inferred: compact at the last node if the
     samples hit zero, otherwise a power law fitted on a wide log-log
@@ -361,8 +348,9 @@ def decreasing_rearrangement(f: RadialFunction,
                 memo[0] = (tau, val)
         return val
 
-    # -mu'(tau) for Newton; None (secant) when a piece has no derivative
-    slope = (lambda tau: level(tau)[1]) if known[fmax][1] is not None else None
+    def slope(tau: float) -> float:
+        return level(tau)[1]  # -mu'(tau), for Newton
+
     top, bottom = (fmax, known[fmax][0]), (eps, known[eps][0])
     ends = []  # (level, mu) at every node, once sampled; until then (eps, fmax)
 
@@ -388,15 +376,13 @@ def decreasing_rearrangement(f: RadialFunction,
         return quadrature.find_root_increasing(
             lambda tau: -level(tau)[0], -s, (t_lo, t_hi), df=slope, x0=x0)
 
-    dv_of = None
-    if slope is not None:
-        def dv_of(s: float) -> float:
-            # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat
-            tau = v_of(s)
-            if tau <= 0.0 or tau >= fmax:
-                return 0.0
-            d = slope(tau)
-            return -1.0 / d if 0.0 < d < math.inf else 0.0
+    def dv_of(s: float) -> float:
+        # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat
+        tau = v_of(s)
+        if tau <= 0.0 or tau >= fmax:
+            return 0.0
+        d = slope(tau)
+        return -1.0 / d if 0.0 < d < math.inf else 0.0
 
     # running minimum: kill root-tolerance jitter
     vals = list(itertools.accumulate((v_of(s) for s in grid), min))
@@ -427,7 +413,6 @@ def lq_norm_direct(f: RadialFunction, q: float,
     (independent of the rearrangement path)."""
     if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q!r}")
-    cfg = cfg or QuadratureConfig()
     n = f.n
     sigma = unit_ball_volume(n)
     total = 0.0
@@ -456,14 +441,11 @@ def _radial_weighted(fn, r: float, power: float, n: int) -> float:
 def grad_norm_direct(f: RadialFunction, p: float,
                      cfg: Optional[QuadratureConfig] = None) -> float:
     """p-th power of the hyperbolic gradient norm of a radial function,
-    by direct radial quadrature (needs derivative closures on all pieces)."""
-    cfg = cfg or QuadratureConfig()
+    by direct radial quadrature."""
     n = f.n
     sigma = unit_ball_volume(n)
     total = 0.0
     for pc in f.pieces:
-        if pc.dfn is None:
-            raise DomainError("grad_norm_direct needs derivative closures")
         def g(r, pc=pc):
             return _radial_weighted(pc.dfn, r, p, n)
         v, _e = quadrature.integrate(g, pc.a, pc.b, cfg)
@@ -491,11 +473,6 @@ def lp_integral(v: RadialProfile, q: float,
     """(integral of v^q over the measure line, error estimate)."""
     if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q!r}")
-    cfg = cfg or QuadratureConfig()
-    if v.step:
-        ends = v.nodes[1:] + (v.tail.param,)
-        return sum(val ** q * (b - a)
-                   for val, a, b in zip(v.values, v.nodes, ends)), 0.0
     if v.tail.kind == "power":
         _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
     if v.fn is not None:
@@ -524,11 +501,6 @@ def lp_norm(v: RadialProfile, q: float,
     return val ** (1.0 / q)
 
 
-def _require_derivative(v: RadialProfile, what: str):
-    if v.step:
-        raise DomainError(f"{what} of a step profile is distributional (BV)")
-
-
 def _grid_weighted_gradient(v: RadialProfile, p: float,
                             weight: Callable[[float], float]) -> Tuple[float, float]:
     """Trapezoid of |v'|^p * weight over the grid of a sampled profile.
@@ -552,9 +524,6 @@ def grad_norm_euclidean(v: RadialProfile, n: int, p: float,
     """p-th power of the Euclidean gradient norm of the flat
     symmetrization, with its quadrature error estimate."""
     _check_np(n, p)
-    if v.step:
-        return math.inf, 0.0
-    cfg = cfg or QuadratureConfig()
     sigma = unit_ball_volume(n)
     pref = (n * sigma) ** p
     if v.tail.kind == "power":
@@ -586,9 +555,6 @@ def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float,
     explicit power of sinh and no inverse volume map is needed.
     """
     _check_np(n, p)
-    if v.step:
-        return math.inf, 0.0
-    cfg = cfg or QuadratureConfig()
     sigma = unit_ball_volume(n)
     pref = (n * sigma) ** p
     if v.tail.kind == "power":
@@ -630,9 +596,6 @@ def kernel_correction(v: RadialProfile, n: int, p: float,
     computed directly against the weight gap (not as a difference of the
     two norms); closes the decomposition identity."""
     _check_np(n, p)
-    if v.step:
-        return math.inf, 0.0
-    cfg = cfg or QuadratureConfig()
     sigma = unit_ball_volume(n)
     pref = (n * sigma) ** p
     if v.tail.kind == "power":
@@ -670,8 +633,6 @@ def hardy_term_bound(v: RadialProfile, p: float,
     """
     if not p >= 2.0:
         raise DomainError(f"the bound needs p >= 2, got {p!r}")
-    _require_derivative(v, "hardy_term_bound")
-    cfg = cfg or QuadratureConfig()
     if window is None:
         window = (0.0, v.support_volume)
     lo, hi = window
@@ -701,7 +662,7 @@ def _equality_distance(v: RadialProfile, p: float) -> float:
     c s^(-1/p)."""
     s_lo = v.nodes[1]
     s_hi = v.nodes[-1]
-    if v.tail.kind == "compact" and not v.step:
+    if v.tail.kind == "compact":
         s_hi = 0.5 * (s_lo + s_hi)  # w ends at 0; measure the inner half
     xs = quadrature.geomspace(max(s_lo, 1e-12), s_hi, 128)
     return statistics.pstdev(v(s) * s ** (1.0 / p) for s in xs)
@@ -715,10 +676,6 @@ def key_comparison(v: RadialProfile, n: int, p: float,
         raise DomainError(
             f"comparison holds for p >= {boundary_exponent(n):g} at n={n}; got p={p}")
     params = Params(n, p)
-    cfg = cfg or QuadratureConfig()
-    if v.step:
-        return DeficitReport("key_comparison", params, math.inf, math.inf,
-                             flags=frozenset({"step-profile"}), label=v.label)
     hyp, e1 = grad_norm_hyperbolic(v, n, p, cfg)
     euc, e2 = grad_norm_euclidean(v, n, p, cfg)
     mass, e3 = lp_integral(v, p, cfg)
@@ -747,7 +704,7 @@ def write_profile(path: str, v: RadialProfile):
         fh.write("\n".join(lines) + "\n")
 
 
-def read_profile(path: str, step: bool = False) -> RadialProfile:
+def read_profile(path: str) -> RadialProfile:
     """Parse a corpus profile file; malformed content is rejected with the
     file and line number."""
     nodes, values = [], []
@@ -786,5 +743,4 @@ def read_profile(path: str, step: bool = False) -> RadialProfile:
     if tail is None or len(nodes) < 2:
         raise DomainError(f"{path}: incomplete profile")
     label = os.path.splitext(os.path.basename(path))[0]
-    return RadialProfile(nodes, values, tail,
-                         step=step, label=label)
+    return RadialProfile(nodes, values, tail, label=label)

@@ -33,8 +33,8 @@ class DeficitReport:
 
     lhs and rhs are the powered forms; extras carries the unpowered views
     and any inequality-specific diagnostics (normalization factors,
-    equality distances).  flags is drawn from {"divergent",
-    "outside-range", "step-profile"}.
+    equality distances).  flags is empty, or {"outside-range"} when the
+    inequality does not apply to the profile.
     """
 
     inequality_id: str

@@ -135,7 +135,6 @@ def ratio_function(inequality_id: str, n: int, p: float,
     profiles is the target: deficit over critical mass power for the
     improved Sobolev inequality, lhs over rhs for the core comparison.
     """
-    cfg = cfg or QuadratureConfig()
     if inequality_id == "poincare_sobolev":
         pstar = n * p / (n - p)
         target = constants.sobolev_constant(Params(n, p)) ** p
@@ -264,7 +263,6 @@ def non_attainment_scan(inequality_id: str, n: int, p: float,
     its quadrature error marks the profile as undecided rather than
     claiming strictness.
     """
-    cfg = cfg or QuadratureConfig()
     entries = []
     undecided = []
     for v in corpus:

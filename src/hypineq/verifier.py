@@ -42,17 +42,11 @@ def poincare_deficit(v: RadialProfile, n: int, p: float,
     """Hyperbolic gradient integral minus the sharp zeroth-order term
     ((n-1)/p)^p times the L^p mass (or a caller-supplied coefficient).
     Returns (value, error_estimate)."""
-    cfg = cfg or QuadratureConfig()
     if zeroth_coeff is None:
         zeroth_coeff = ((n - 1.0) / p) ** p
     grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p, cfg)
     mass, e2 = rearrangement.lp_integral(v, p, cfg)
     return grad - zeroth_coeff * mass, e1 + zeroth_coeff * e2
-
-
-def _step_report(inequality_id: str, params: Params, label: str) -> DeficitReport:
-    return DeficitReport(inequality_id, params, math.inf, math.inf,
-                         flags=frozenset({"step-profile"}), label=label)
 
 
 def poincare_sobolev(v: RadialProfile, n: int, p: float,
@@ -64,9 +58,6 @@ def poincare_sobolev(v: RadialProfile, n: int, p: float,
         raise DomainError(
             f"poincare_sobolev needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
     params = Params(n, p)
-    if v.step:
-        return _step_report("poincare_sobolev", params, v.label)
-    cfg = cfg or QuadratureConfig()
     pstar = n * p / (n - p)
     lhs, e1 = poincare_deficit(v, n, p, cfg)
     crit_mass, e2 = rearrangement.lp_integral(v, pstar, cfg)
@@ -95,9 +86,6 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
     if not in_poincare_range(n, p):
         raise DomainError(
             f"gagliardo_nirenberg needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
-    if v.step:
-        return _step_report("gagliardo_nirenberg", params, v.label)
-    cfg = cfg or QuadratureConfig()
     theta = constants.gn_theta(params)
     gn = constant_scale * constants.gn_constant(params)
     q = alpha * (p - 1.0) + 1.0
@@ -144,9 +132,6 @@ def morrey_sobolev(v: RadialProfile, n: int, p: float,
     if math.isinf(v.support_volume):
         return DeficitReport("morrey_sobolev", params, math.inf, v.sup_value ** p,
                              flags=frozenset({"outside-range"}), label=v.label)
-    if v.step:
-        return _step_report("morrey_sobolev", params, v.label)
-    cfg = cfg or QuadratureConfig()
     b = constant_scale * constants.morrey_constant(params)
     D, e1 = poincare_deficit(v, n, p, cfg)
     lhs = b ** p * v.support_volume ** ((p - n) / n) * D
@@ -182,9 +167,6 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
             f"log_sobolev needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
     if variant not in ("p", "n"):
         raise DomainError(f"unknown variant {variant!r}")
-    if v.step:
-        return _step_report("log_sobolev", params, v.label)
-    cfg = cfg or QuadratureConfig()
     coeff = ((n - 1.0) / p) ** p if variant == "p" else ((n - 1.0) / n) ** p
     mass, e_m = rearrangement.lp_integral(v, p, cfg)
     if mass <= 0.0:
@@ -236,9 +218,6 @@ def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
         raise DomainError("the p = 1 endpoint is restricted to profiles "
                           "with derivative closures (smooth representatives)")
     params = Params(n, max(p, 1.0 + 1e-12)) if p == 1.0 else Params(n, p)
-    if v.step:
-        return _step_report("mugelli_talenti_sum", params, v.label)
-    cfg = cfg or QuadratureConfig()
     pstar = n * p / (n - p)
     grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p, cfg)
     mass, e2 = rearrangement.lp_integral(v, p, cfg)
@@ -266,9 +245,6 @@ def linfty_inequality(v: RadialProfile, n: int, p: float,
     params = Params(n, p)
     if not p > n:
         raise DomainError(f"linfty_inequality needs p > n, got n={n}, p={p}")
-    if v.step:
-        return _step_report("linfty_inequality", params, v.label)
-    cfg = cfg or QuadratureConfig()
     C = constant_scale * constants.linfty_constant(params)
     grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p, cfg)
     lhs = C ** p * grad
@@ -318,7 +294,6 @@ def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float,
     flat Sobolev constant on the extremal bubble family."""
     if not 1.0 < p < n:
         raise DomainError(f"need 1 < p < n, got n={n}, p={p}")
-    cfg = cfg or QuadratureConfig()
     pstar = n * p / (n - p)
     grad, _ = rearrangement.grad_norm_euclidean(v, n, p, cfg)
     crit, _ = rearrangement.lp_integral(v, pstar, cfg)

@@ -73,7 +73,14 @@ def test_profile_validation():
         Tail("weird", 1.0)
     with pytest.raises(DomainError):
         RadialProfile([0.0, 1.0], [1.0, 0.0], Tail("compact", 1.0),
-                      fn=lambda s: 0.7)  # closure disagrees at last node
+                      fn=lambda s: 0.7,
+                      dfn=lambda s: 0.0)  # closure disagrees at last node
+    with pytest.raises(DomainError):
+        RadialProfile([0.0, 1.0], [1.0, 0.0], Tail("compact", 1.0),
+                      fn=lambda s: 1.0 - s)  # closure without its derivative
+    with pytest.raises(DomainError):
+        RadialProfile([0.0, 1.0], [1.0, 0.0], Tail("compact", 1.0),
+                      dfn=lambda s: -1.0)  # derivative without its closure
 
 
 def test_tent_lp_integral_exact():
@@ -119,14 +126,6 @@ def test_scale_profile_norms():
     assert b == pytest.approx(9.0 * a, rel=1e-12)
     with pytest.raises(DomainError):
         scale_profile(v, -1.0)
-
-
-def test_step_profile_gradients_are_infinite():
-    v = RadialProfile([0.0, 1.0], [1.0, 1.0], Tail("compact", 2.0), step=True)
-    val, _ = grad_norm_euclidean(v, 3, 2.0)
-    assert math.isinf(val)
-    rep = key_comparison(v, 4, 3.0)
-    assert "step-profile" in rep.flags
 
 
 # -- rearrangement --------------------------------------------------
@@ -268,7 +267,7 @@ def test_rearrangement_tail_inference_compact():
     tent = RadialFunction(3, (Piece(0.0, supp,
                                     lambda r: max(0.0, 1.0 - r / supp),
                                     lambda r: -1.0 / supp),
-                              Piece(supp, math.inf, lambda r: 0.0)))
+                              Piece(supp, math.inf, lambda r: 0.0, lambda r: 0.0)))
     vol = unit_ball_volume(3) * geometry.phi(3, supp)
     grid = np.linspace(0.0, vol, 40)
     v = decreasing_rearrangement(tent, grid)

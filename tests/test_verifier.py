@@ -136,10 +136,3 @@ def test_euclidean_rayleigh_equals_sharp_constant_on_bubble():
             v = untruncated_bubble(n, p, lam)
             assert V.euclidean_rayleigh_ratio(v, n, p) == pytest.approx(
                 target, rel=1e-8), (n, p, lam)
-
-
-def test_step_profile_reports_flagged():
-    v = RadialProfile([0.0, 1.0], [1.0, 1.0], Tail("compact", 2.0), step=True)
-    rep = V.poincare_sobolev(v, 4, 8.0 / 3.0)
-    assert "step-profile" in rep.flags
-    assert math.isinf(rep.lhs)
