@@ -287,32 +287,16 @@ def _load_corpus(directory: Optional[str]):
             for f in names]
 
 
-def _emit_reports(args, reports, stem: str) -> None:
+def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
+    """Evaluate the inequality on every corpus profile at every (n, p),
+    emit the reports, and exit 1 if any of them fails."""
+    corpus = _load_corpus(args.corpus)
+    reports = [verifier.evaluate(args.inequality, v, n, p, args.alpha,
+                                 constant_scale=args.constant_scale)
+               for n in ns for p in ps for v in corpus]
     text = (reports_to_csv(reports) if args.format == "csv"
             else reports_to_json(reports))
-    _emit(args, text, f"{stem}.{args.format}")
-
-
-def cmd_verify(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    reports = [verifier.evaluate(args.inequality, v, args.n, args.p, args.alpha,
-                                 constant_scale=args.constant_scale)
-               for v in corpus]
-    _emit_reports(args, reports, f"verify-{args.inequality}")
-    ok = all(r.passes(args.rel_tol) for r in reports)
-    return EXIT_PASS if ok else EXIT_VIOLATION
-
-
-def cmd_sweep(args) -> int:
-    corpus = _load_corpus(args.corpus)
-    reports = []
-    for n in args.n_list:
-        for p in args.p_list:
-            for v in corpus:
-                reports.append(verifier.evaluate(
-                    args.inequality, v, n, p, args.alpha,
-                    constant_scale=args.constant_scale))
-    _emit_reports(args, reports, f"sweep-{args.inequality}")
+    _emit(args, text, f"{command}-{args.inequality}.{args.format}")
     ok = all(r.passes(args.rel_tol) for r in reports)
     return EXIT_PASS if ok else EXIT_VIOLATION
 
@@ -364,8 +348,8 @@ def cmd_sharpness(args) -> int:
 _DISPATCH = {
     "constants": cmd_constants,
     "lemma": cmd_lemma,
-    "verify": cmd_verify,
-    "sweep": cmd_sweep,
+    "verify": lambda args: _verify_over(args, [args.n], [args.p], "verify"),
+    "sweep": lambda args: _verify_over(args, args.n_list, args.p_list, "sweep"),
     "sharpness": cmd_sharpness,
 }
 

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Optional, Tuple
+from typing import Tuple
 
 from .constants import boundary_exponent, unit_ball_volume
 from .errors import DomainError
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 _SMALL_T = 0.5
+# tolerances of the quadrature cross-check of phi and of the tail integral
+_PHI_QUADRATURE_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
+_TAIL_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
 
 
 @lru_cache(maxsize=None)
@@ -141,15 +144,14 @@ def phi(n: int, t: float) -> float:
     return _phi_exp_sum(n, t)
 
 
-def phi_quadrature(n: int, t: float,
-                   cfg: Optional[QuadratureConfig] = None) -> float:
+def phi_quadrature(n: int, t: float) -> float:
     """Pure adaptive-quadrature evaluation of the volume map; cross-check
     for the closed-form path."""
     _check_n(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
-    cfg = cfg or QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
-    val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t, cfg)
+    val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t,
+                                  _PHI_QUADRATURE_CFG)
     return n * val
 
 
@@ -186,15 +188,24 @@ def phi_inv(n: int, s: float) -> float:
     if s == 0.0:
         return 0.0
     if n == 2:
-        # acosh(1 + s/2) written to stay accurate for tiny s
+        # acosh(1 + s/2) written to stay accurate for tiny s; past 1e150,
+        # where s * s overflows, it is log(s) + 2/s to double precision
+        if s > 1e150:
+            return math.log(s)
         return math.log1p(0.5 * s + math.sqrt(s + 0.25 * s * s))
     # t^n <= phi(t) <= n 2^(1-n) e^((n-1)t) / (n-1) puts the root between
     # t_large and s^(1/n); Newton starts from the bound that is sharp at
-    # this end of the range
+    # this end of the range.  The bracket stops at phi's overflow edge.
     t_large = (math.log(s * (n - 1) / n) + (n - 1) * math.log(2.0)) / (n - 1)
-    hi = max(1.0, t_large + 2.0)
+    edge = 700.0 / (n - 1)
+    if (n - 1) * edge > 700.0:
+        edge = math.nextafter(edge, 0.0)
+    hi = min(max(1.0, t_large + 2.0), edge)
     while phi(n, hi) < s:
-        hi += 2.0
+        if hi == edge:
+            raise DomainError(f"phi_inv({n}, {s!r}): phi overflows double "
+                              "precision before it reaches s")
+        hi = min(hi + 2.0, edge)
     x0 = s ** (1.0 / n) if t_large <= _SMALL_T else t_large
     return find_root_increasing(lambda t: phi(n, t), s, (0.0, hi),
                                 df=lambda t: phi_deriv(n, t), x0=x0)
@@ -214,7 +225,8 @@ def sinh_phi_inv(n: int, s: float) -> float:
     if s < 0.0:
         raise DomainError(f"volume must be >= 0, got {s!r}")
     if n == 2:
-        return math.sqrt(s * (1.0 + 0.25 * s))
+        # sqrt(s + s^2/4), which is s/2 + 1 - O(1/s): s/2 past 1e150
+        return 0.5 * s if s > 1e150 else math.sqrt(s * (1.0 + 0.25 * s))
     return math.sinh(phi_inv(n, s))
 
 
@@ -400,9 +412,7 @@ def isoperimetric_profile(n: int, s: float) -> float:
     return sinh_phi_inv(n, s / unit_ball_volume(n)) ** (n - 1)
 
 
-def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0,
-                                cfg: Optional[QuadratureConfig] = None
-                                ) -> Tuple[float, float]:
+def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0) -> Tuple[float, float]:
     """Integral over [r, infinity) of isoperimetric_profile(n, .)^(-p/(p-1)).
 
     Requires p > n for convergence.  Computed in geodesic-radius
@@ -414,7 +424,6 @@ def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0,
         raise DomainError(f"tail integral diverges unless p > n, got n={n}, p={p}")
     if r < 0.0:
         raise DomainError(f"need r >= 0, got {r!r}")
-    cfg = cfg or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-14)
     sigma = unit_ball_volume(n)
     a = (n - 1.0) / (p - 1.0)  # in (0, 1)
     tau = phi_inv(n, r / sigma)
@@ -431,12 +440,12 @@ def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0,
         def sub(u):
             return math.sinh(u ** m) ** (-a) * m * u ** (m - 1)
 
-        v, e = quadrature.integrate(sub, u_lo, 1.0, cfg)
+        v, e = quadrature.integrate(sub, u_lo, 1.0, _TAIL_CFG)
         total += v
         err += e
-        v, e = quadrature.integrate(integrand, 1.0, t_end, cfg)
+        v, e = quadrature.integrate(integrand, 1.0, t_end, _TAIL_CFG)
     else:
-        v, e = quadrature.integrate(integrand, tau, t_end, cfg)
+        v, e = quadrature.integrate(integrand, tau, t_end, _TAIL_CFG)
     total += v
     err += e
     # remainder beyond t_end, bounded by the pure-exponential tail

@@ -162,8 +162,7 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
         monotone=monotone, slope_positive=slope_positive)
 
 
-def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240,
-                   tol: float = 1e-9) -> MarginTable:
+def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> MarginTable:
     """Locate a radius with a certified negative margin below the phase
     boundary.
 
@@ -215,6 +214,6 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240,
     return MarginTable(
         n=n, p=p, mode="find-violation", ts=tuple(ts),
         f_values=tuple(fvals), margins=tuple(margins),
-        min_margin=margins[min_i], min_margin_t=ts[min_i], tolerance=tol,
+        min_margin=margins[min_i], min_margin_t=ts[min_i], tolerance=1e-9,
         passed=violation is not None, violation=violation,
         onset_estimate=onset, inconclusive=violation is None)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from .errors import BracketError, ConvergenceError, DomainError
+from .errors import BracketError, ConvergenceError, DomainError, EvaluationError
 
 __all__ = [
     "QuadratureConfig",
@@ -29,6 +29,8 @@ __all__ = [
 # bisected, and how many panels the tree may hold.
 _MAX_DEPTH = 50
 _MAX_PANELS = 4096
+# relative tolerance of find_root_increasing, on the residual and the bracket
+_ROOT_REL_TOL = 1e-13
 
 
 @dataclass(frozen=True)
@@ -83,7 +85,8 @@ _WG = (
 
 
 def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel.  Returns (K15 value, |K15 - G7|)."""
+    """One Gauss-Kronrod 7-15 panel.  Returns (K15 value, |K15 - G7|);
+    raises EvaluationError when the value is not finite."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     resk = _WGK[7] * f(c)
@@ -94,18 +97,15 @@ def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float
         resk += _WGK[j] * fsum
         if j % 2 == 1:
             resg += _WG[j // 2] * fsum
-    return resk * h, abs(resk - resg) * abs(h)
-
-
-class EvaluationErrorFromIntegrand(ConvergenceError):
-    def __init__(self, a, b):
-        super().__init__(f"integrand returned a non-finite value on [{a!r}, {b!r}]")
+    val = resk * h
+    if not math.isfinite(val):
+        raise EvaluationError(
+            f"integrand returned a non-finite value on [{a!r}, {b!r}]")
+    return val, abs(resk - resg) * abs(h)
 
 
 def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
     val, err = _gk15(f, a, b)
-    if not math.isfinite(val):
-        raise EvaluationErrorFromIntegrand(a, b)
     heap = [(-err, 0, a, b, val, err, 0)]
     total, total_err = val, err
     counter = 1
@@ -122,8 +122,6 @@ def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
         pm = 0.5 * (pa + pb)
         lval, lerr = _gk15(f, pa, pm)
         rval, rerr = _gk15(f, pm, pb)
-        if not (math.isfinite(lval) and math.isfinite(rval)):
-            raise EvaluationErrorFromIntegrand(pa, pb)
         total += (lval + rval) - pval
         total_err += (lerr + rerr) - perr
         heapq.heappush(heap, (-lerr, counter, pa, pm, lval, lerr, depth + 1))
@@ -183,7 +181,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     """Adaptive integral of f over [a, b]; b may be math.inf.
 
     Returns (value, error_estimate).  Raises ConvergenceError (carrying the
-    partial value) when the subdivision budget runs out.
+    partial value) when the subdivision budget runs out, and
+    EvaluationError when f returns a non-finite value.
     """
     cfg = cfg or DEFAULT_CONFIG
     if math.isinf(a) or a >= b and not math.isinf(b):
@@ -239,7 +238,6 @@ def integrate_with_breakpoints(f: Callable[[float], float], a: float, b: float,
 def find_root_increasing(f: Callable[[float], float], target: float,
                          bracket: Tuple[float, float],
                          df: Optional[Callable[[float], float]] = None,
-                         rel_tol: float = 1e-13,
                          max_iter: int = 200,
                          x0: Optional[float] = None) -> float:
     """Solve f(t) = target for a strictly increasing f on a bracket.
@@ -265,10 +263,10 @@ def find_root_increasing(f: Callable[[float], float], target: float,
             f"bracket ({lo!r}, {hi!r}) does not straddle target {target!r}")
     t = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
     ft_prev, t_prev = flo, lo
-    f_tol = rel_tol * abs(target) if target != 0.0 else rel_tol
+    f_tol = _ROOT_REL_TOL * abs(target) if target != 0.0 else _ROOT_REL_TOL
     for _ in range(max_iter):
         ft = f(t) - target
-        if abs(ft) <= f_tol or hi - lo <= rel_tol * max(abs(t), 1e-300):
+        if abs(ft) <= f_tol or hi - lo <= _ROOT_REL_TOL * max(abs(t), 1e-300):
             return t
         if ft > 0.0:
             hi = t

@@ -22,7 +22,6 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import geometry, quadrature
 from .constants import Params, boundary_exponent, in_comparison_range, unit_ball_volume
 from .errors import DomainError
-from .quadrature import QuadratureConfig
 from .report import DeficitReport, fmt17
 
 __all__ = [
@@ -311,8 +310,7 @@ def distribution_function(f: RadialFunction, t: float) -> float:
 
 
 def decreasing_rearrangement(f: RadialFunction,
-                             grid: Sequence[float],
-                             tail: Optional[Tail] = None) -> RadialProfile:
+                             grid: Sequence[float]) -> RadialProfile:
     """Sample the decreasing rearrangement of f on the given volume grid.
 
     v(s) = sup of the levels whose superlevel volume exceeds s: the root
@@ -324,15 +322,15 @@ def decreasing_rearrangement(f: RadialFunction,
     so norms of the result go through adaptive quadrature of the true
     rearrangement rather than grid interpolation.
 
-    When no tail is given it is inferred: compact at the last node if the
-    samples hit zero, otherwise a power law fitted on a wide log-log
-    baseline (used only for convergence prechecks; the closure is
-    authoritative for values).
+    The tail is inferred: compact at the last node if the samples hit
+    zero, otherwise a power law fitted on a wide log-log baseline (used
+    only for convergence prechecks; the closure is authoritative for
+    values).
     """
     grid = [float(s) for s in grid]
     fmax = f.sup_value
     if fmax == 0.0:
-        return RadialProfile(grid, [0.0] * len(grid), tail or Tail("compact", grid[-1]))
+        return RadialProfile(grid, [0.0] * len(grid), Tail("compact", grid[-1]))
 
     eps = fmax * 1e-30
     # _level_set at fmax, eps and (once the grid is sampled) the node levels
@@ -390,25 +388,20 @@ def decreasing_rearrangement(f: RadialFunction,
         tau = max(val, eps)
         known[tau] = level(tau)
         ends.append((tau, known[tau][0]))
-    if tail is None:
-        if vals[-1] == 0.0:
-            tail = Tail("compact", grid[-1])
-        else:
-            # log-log slope over the last decade of the grid
-            j = bisect.bisect_left(grid, grid[-1] / 10.0)
-            j = min(max(j, 1), len(grid) - 2)
-            if vals[j] <= vals[-1] or grid[j] <= 0.0:
-                raise DomainError("cannot infer a tail; pass one explicitly")
-            beta = math.log(vals[j] / vals[-1]) / math.log(grid[-1] / grid[j])
-            tail = Tail("power", beta)
-    if tail.kind == "compact" and vals[-1] != 0.0:
-        raise DomainError("compact tail requested but the profile has not "
-                          "reached zero at the last node")
+    if vals[-1] == 0.0:
+        tail = Tail("compact", grid[-1])
+    else:
+        # log-log slope over the last decade of the grid
+        j = bisect.bisect_left(grid, grid[-1] / 10.0)
+        j = min(max(j, 1), len(grid) - 2)
+        if vals[j] <= vals[-1] or grid[j] <= 0.0:
+            raise DomainError("cannot infer a tail from the grid")
+        beta = math.log(vals[j] / vals[-1]) / math.log(grid[-1] / grid[j])
+        tail = Tail("power", beta)
     return RadialProfile(grid, vals, tail, fn=v_of, dfn=dv_of)
 
 
-def lq_norm_direct(f: RadialFunction, q: float,
-                   cfg: Optional[QuadratureConfig] = None) -> float:
+def lq_norm_direct(f: RadialFunction, q: float) -> float:
     """L^q norm of f on hyperbolic space by direct radial quadrature
     (independent of the rearrangement path)."""
     if not q >= 1.0:
@@ -419,7 +412,7 @@ def lq_norm_direct(f: RadialFunction, q: float,
     for pc in f.pieces:
         def g(r, pc=pc):
             return _radial_weighted(pc.fn, r, q, n)
-        v, _e = quadrature.integrate(g, pc.a, pc.b, cfg)
+        v, _e = quadrature.integrate(g, pc.a, pc.b)
         total += v
     return (n * sigma * total) ** (1.0 / q)
 
@@ -438,8 +431,7 @@ def _radial_weighted(fn, r: float, power: float, n: int) -> float:
     return math.exp(ls)
 
 
-def grad_norm_direct(f: RadialFunction, p: float,
-                     cfg: Optional[QuadratureConfig] = None) -> float:
+def grad_norm_direct(f: RadialFunction, p: float) -> float:
     """p-th power of the hyperbolic gradient norm of a radial function,
     by direct radial quadrature."""
     n = f.n
@@ -448,7 +440,7 @@ def grad_norm_direct(f: RadialFunction, p: float,
     for pc in f.pieces:
         def g(r, pc=pc):
             return _radial_weighted(pc.dfn, r, p, n)
-        v, _e = quadrature.integrate(g, pc.a, pc.b, cfg)
+        v, _e = quadrature.integrate(g, pc.a, pc.b)
         total += v
     return n * sigma * total
 
@@ -468,8 +460,7 @@ def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str):
             f"decays like s^-{decay_needed:g}")
 
 
-def lp_integral(v: RadialProfile, q: float,
-                cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
     """(integral of v^q over the measure line, error estimate)."""
     if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q!r}")
@@ -478,7 +469,7 @@ def lp_integral(v: RadialProfile, q: float,
     if v.fn is not None:
         top = v.support_volume
         return quadrature.integrate_with_breakpoints(
-            lambda s: v(s) ** q, 0.0, top, v.nodes, cfg)
+            lambda s: v(s) ** q, 0.0, top, v.nodes)
     # piecewise-linear segments integrate in closed form
     total = 0.0
     for ai, bi, x0, x1 in zip(v.values, v.values[1:], v.nodes, v.nodes[1:]):
@@ -495,9 +486,8 @@ def lp_integral(v: RadialProfile, q: float,
     return total, 0.0
 
 
-def lp_norm(v: RadialProfile, q: float,
-            cfg: Optional[QuadratureConfig] = None) -> float:
-    val, _ = lp_integral(v, q, cfg)
+def lp_norm(v: RadialProfile, q: float) -> float:
+    val, _ = lp_integral(v, q)
     return val ** (1.0 / q)
 
 
@@ -519,8 +509,7 @@ def _grid_weighted_gradient(v: RadialProfile, p: float,
     return val, err
 
 
-def grad_norm_euclidean(v: RadialProfile, n: int, p: float,
-                        cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+def grad_norm_euclidean(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
     """p-th power of the Euclidean gradient norm of the flat
     symmetrization, with its quadrature error estimate."""
     _check_np(n, p)
@@ -539,27 +528,27 @@ def grad_norm_euclidean(v: RadialProfile, n: int, p: float,
                 * sigma * n * x ** (n - 1)
 
         breaks = [(s / sigma) ** (1.0 / n) for s in v.nodes if s > 0.0]
-        val, err = quadrature.integrate_with_breakpoints(g, 0.0, x_top, breaks, cfg)
+        val, err = quadrature.integrate_with_breakpoints(g, 0.0, x_top, breaks)
         return pref * val, pref * err
     val, err = _grid_weighted_gradient(
         v, p, lambda s: (s / sigma) ** (p * (n - 1) / n))
     return pref * val, pref * err
 
 
-def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float,
-                         cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
     """p-th power of the hyperbolic gradient norm of the hyperbolic
     symmetrization, with its quadrature error estimate.
 
     Evaluated in geodesic-radius coordinates, where the weight is an
-    explicit power of sinh and no inverse volume map is needed.
+    explicit power of sinh.  The inverse volume map is still needed, for
+    the upper limit and to carry the profile's nodes over as breakpoints.
     """
     _check_np(n, p)
     sigma = unit_ball_volume(n)
     pref = (n * sigma) ** p
     if v.tail.kind == "power":
-        # hyperbolic weight grows like s^p, so the integrand decays like
-        # s^(-p*exponent - p + p) shifted by the derivative's extra power
+        # |v'|^p decays like s^(-p*exponent - p) and the hyperbolic
+        # weight grows like s^p, so the integrand decays like s^(-p*exponent)
         _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral")
     if v.dfn is not None:
         top = v.support_volume
@@ -582,7 +571,7 @@ def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float,
             return math.exp(ls)
 
         breaks = [geometry.phi_inv(n, s / sigma) for s in v.nodes if s > 0.0]
-        val, err = quadrature.integrate_with_breakpoints(g, 0.0, t_top, breaks, cfg)
+        val, err = quadrature.integrate_with_breakpoints(g, 0.0, t_top, breaks)
         scale = n * sigma
         return pref * scale * val, pref * scale * err
     val, err = _grid_weighted_gradient(
@@ -590,8 +579,7 @@ def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float,
     return pref * val, pref * err
 
 
-def kernel_correction(v: RadialProfile, n: int, p: float,
-                      cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+def kernel_correction(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
     """The excess of the hyperbolic over the Euclidean gradient integral,
     computed directly against the weight gap (not as a difference of the
     two norms); closes the decomposition identity."""
@@ -604,7 +592,7 @@ def kernel_correction(v: RadialProfile, n: int, p: float,
         def g(s):
             return abs(v.derivative(s)) ** p * geometry.kernel_gap(n, p, s / sigma)
         val, err = quadrature.integrate_with_breakpoints(
-            g, 0.0, v.support_volume, v.nodes, cfg)
+            g, 0.0, v.support_volume, v.nodes)
         return pref * val, pref * err
     val, err = _grid_weighted_gradient(
         v, p, lambda s: geometry.kernel_gap(n, p, s / sigma))
@@ -619,8 +607,7 @@ def _check_np(n: int, p: float):
 
 
 def hardy_term_bound(v: RadialProfile, p: float,
-                     window: Optional[Tuple[float, float]] = None,
-                     cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+                     window: Optional[Tuple[float, float]] = None) -> Tuple[float, float]:
     """Both sides of the weighted integration-by-parts bound.
 
     lhs = integral of |v'|^p s^p; rhs = integral of |v/p + s v'|^p plus
@@ -650,9 +637,9 @@ def hardy_term_bound(v: RadialProfile, p: float,
     def f_v(s):
         return v(s) ** p
 
-    lhs, _ = quadrature.integrate_with_breakpoints(f_lhs, lo, hi, v.nodes, cfg)
-    wterm, _ = quadrature.integrate_with_breakpoints(f_w, lo, hi, v.nodes, cfg)
-    vterm, _ = quadrature.integrate_with_breakpoints(f_v, lo, hi, v.nodes, cfg)
+    lhs, _ = quadrature.integrate_with_breakpoints(f_lhs, lo, hi, v.nodes)
+    wterm, _ = quadrature.integrate_with_breakpoints(f_w, lo, hi, v.nodes)
+    vterm, _ = quadrature.integrate_with_breakpoints(f_v, lo, hi, v.nodes)
     return lhs, wterm + p ** (-p) * vterm
 
 
@@ -668,17 +655,16 @@ def _equality_distance(v: RadialProfile, p: float) -> float:
     return statistics.pstdev(v(s) * s ** (1.0 / p) for s in xs)
 
 
-def key_comparison(v: RadialProfile, n: int, p: float,
-                   cfg: Optional[QuadratureConfig] = None) -> DeficitReport:
+def key_comparison(v: RadialProfile, n: int, p: float) -> DeficitReport:
     """Core comparison: hyperbolic gradient integral minus the sharp
     zeroth-order term dominates the Euclidean gradient integral."""
     if not in_comparison_range(n, p):
         raise DomainError(
             f"comparison holds for p >= {boundary_exponent(n):g} at n={n}; got p={p}")
     params = Params(n, p)
-    hyp, e1 = grad_norm_hyperbolic(v, n, p, cfg)
-    euc, e2 = grad_norm_euclidean(v, n, p, cfg)
-    mass, e3 = lp_integral(v, p, cfg)
+    hyp, e1 = grad_norm_hyperbolic(v, n, p)
+    euc, e2 = grad_norm_euclidean(v, n, p)
+    mass, e3 = lp_integral(v, p)
     lhs = hyp - ((n - 1.0) / p) ** p * mass
     extras = {
         "grad_hyperbolic": hyp,

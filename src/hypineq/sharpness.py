@@ -10,12 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 from . import constants, rearrangement, verifier
 from .constants import Params, unit_ball_volume
 from .errors import DomainError
-from .quadrature import QuadratureConfig, geomspace
+from .quadrature import geomspace
 from .rearrangement import RadialProfile, Tail
 from .report import fmt17
 
@@ -126,8 +126,7 @@ class SharpnessResult:
         return "\n".join(lines) + "\n"
 
 
-def ratio_function(inequality_id: str, n: int, p: float,
-                   cfg: Optional[QuadratureConfig] = None
+def ratio_function(inequality_id: str, n: int, p: float
                    ) -> Tuple[Callable[[RadialProfile], float], float]:
     """(ratio evaluator, target constant) for an inequality.
 
@@ -140,8 +139,8 @@ def ratio_function(inequality_id: str, n: int, p: float,
         target = constants.sobolev_constant(Params(n, p)) ** p
 
         def ratio(v: RadialProfile) -> float:
-            D, _ = verifier.poincare_deficit(v, n, p, cfg)
-            crit, _ = rearrangement.lp_integral(v, pstar, cfg)
+            D, _ = verifier.poincare_deficit(v, n, p)
+            crit, _ = rearrangement.lp_integral(v, pstar)
             if crit <= 0.0:
                 raise DomainError("zero profile has no ratio")
             return D / crit ** ((n - p) / n)
@@ -149,7 +148,7 @@ def ratio_function(inequality_id: str, n: int, p: float,
         return ratio, target
     if inequality_id == "key_comparison":
         def ratio(v: RadialProfile) -> float:
-            rep = rearrangement.key_comparison(v, n, p, cfg)
+            rep = rearrangement.key_comparison(v, n, p)
             if rep.rhs <= 0.0:
                 raise DomainError("zero profile has no ratio")
             return rep.lhs / rep.rhs
@@ -218,11 +217,10 @@ def _nelder_mead(f: Callable[[Tuple[float, ...]], float], x0: Sequence[float],
 
 def minimize_ratio(inequality_id: str, n: int, p: float,
                    lam0: float = 0.1, T0: float = 1.0,
-                   max_iter: int = 60,
-                   cfg: Optional[QuadratureConfig] = None) -> SharpnessResult:
+                   max_iter: int = 60) -> SharpnessResult:
     """Minimize the deficit ratio over truncated bubbles, in log(scale)
     and log(truncation) coordinates.  Fully deterministic."""
-    ratio, target = ratio_function(inequality_id, n, p, cfg)
+    ratio, target = ratio_function(inequality_id, n, p)
 
     # clamp the simplex to the window where double-precision evaluation
     # of the ratio is trustworthy; outside it an unconstrained search
@@ -246,17 +244,15 @@ def minimize_ratio(inequality_id: str, n: int, p: float,
 
 
 def lambda_sweep(inequality_id: str, n: int, p: float,
-                 lambdas: Sequence[float], T: float = 1.0,
-                 cfg: Optional[QuadratureConfig] = None) -> List[Tuple[float, float]]:
+                 lambdas: Sequence[float], T: float = 1.0) -> List[Tuple[float, float]]:
     """Ratio along a fixed-truncation concentration path; the trend toward
     the target as the scale shrinks is the sharpness evidence."""
-    ratio, _ = ratio_function(inequality_id, n, p, cfg)
+    ratio, _ = ratio_function(inequality_id, n, p)
     return [(lam, ratio(truncated_bubble(n, p, lam, T))) for lam in lambdas]
 
 
 def non_attainment_scan(inequality_id: str, n: int, p: float,
-                        corpus: Sequence[RadialProfile],
-                        cfg: Optional[QuadratureConfig] = None) -> dict:
+                        corpus: Sequence[RadialProfile]) -> dict:
     """Strict positivity of the deficit on every nonzero corpus profile.
 
     Returns a summary with the minimum margin; a margin below ten times
@@ -266,7 +262,7 @@ def non_attainment_scan(inequality_id: str, n: int, p: float,
     entries = []
     undecided = []
     for v in corpus:
-        rep = verifier.evaluate(inequality_id, v, n, p, cfg=cfg)
+        rep = verifier.evaluate(inequality_id, v, n, p)
         entries.append((v.label, rep.deficit, rep.quadrature_error))
         if not rep.deficit > 10.0 * rep.quadrature_error:
             undecided.append(v.label)

@@ -14,10 +14,9 @@ import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import constants, geometry, rearrangement
-from .constants import Params, in_poincare_range, unit_ball_volume
+from .constants import Params, in_poincare_range
 from .errors import DomainError, EvaluationError
-from .quadrature import (QuadratureConfig, geomspace, integrate_with_breakpoints,
-                         trapezoid)
+from .quadrature import geomspace, integrate_with_breakpoints, trapezoid
 from .rearrangement import RadialProfile, Tail
 from .report import DeficitReport
 
@@ -37,20 +36,18 @@ __all__ = [
 
 
 def poincare_deficit(v: RadialProfile, n: int, p: float,
-                     cfg: Optional[QuadratureConfig] = None,
                      zeroth_coeff: Optional[float] = None) -> Tuple[float, float]:
     """Hyperbolic gradient integral minus the sharp zeroth-order term
     ((n-1)/p)^p times the L^p mass (or a caller-supplied coefficient).
     Returns (value, error_estimate)."""
     if zeroth_coeff is None:
         zeroth_coeff = ((n - 1.0) / p) ** p
-    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p, cfg)
-    mass, e2 = rearrangement.lp_integral(v, p, cfg)
+    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p)
+    mass, e2 = rearrangement.lp_integral(v, p)
     return grad - zeroth_coeff * mass, e1 + zeroth_coeff * e2
 
 
 def poincare_sobolev(v: RadialProfile, n: int, p: float,
-                     cfg: Optional[QuadratureConfig] = None,
                      constant_scale: float = 1.0) -> DeficitReport:
     """Improved Sobolev inequality: the gradient deficit dominates the
     sharp flat-Sobolev term of the critical norm."""
@@ -59,8 +56,8 @@ def poincare_sobolev(v: RadialProfile, n: int, p: float,
             f"poincare_sobolev needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
     params = Params(n, p)
     pstar = n * p / (n - p)
-    lhs, e1 = poincare_deficit(v, n, p, cfg)
-    crit_mass, e2 = rearrangement.lp_integral(v, pstar, cfg)
+    lhs, e1 = poincare_deficit(v, n, p)
+    crit_mass, e2 = rearrangement.lp_integral(v, pstar)
     S = constant_scale * constants.sobolev_constant(params)
     rhs = S ** p * crit_mass ** ((n - p) / n)
     rhs_err = 0.0
@@ -78,7 +75,6 @@ def poincare_sobolev(v: RadialProfile, n: int, p: float,
 
 
 def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
-                        cfg: Optional[QuadratureConfig] = None,
                         constant_scale: float = 1.0) -> DeficitReport:
     """Interpolated family: the deficit raised to theta/p times a
     secondary norm dominates the target norm.  Branch chosen by alpha."""
@@ -89,12 +85,12 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
     theta = constants.gn_theta(params)
     gn = constant_scale * constants.gn_constant(params)
     q = alpha * (p - 1.0) + 1.0
-    D, e1 = poincare_deficit(v, n, p, cfg)
+    D, e1 = poincare_deficit(v, n, p)
     if D < 0.0:
         raise EvaluationError(
             f"gradient deficit came out negative ({D!r}); profile inadmissible")
-    mass_ap, e2 = rearrangement.lp_integral(v, alpha * p, cfg)
-    mass_q, e3 = rearrangement.lp_integral(v, q, cfg)
+    mass_ap, e2 = rearrangement.lp_integral(v, alpha * p)
+    mass_q, e3 = rearrangement.lp_integral(v, q)
     if alpha > 1.0:
         target = mass_ap ** (1.0 / (alpha * p))
         secondary = mass_q ** (1.0 / q)
@@ -121,7 +117,6 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
 
 
 def morrey_sobolev(v: RadialProfile, n: int, p: float,
-                   cfg: Optional[QuadratureConfig] = None,
                    constant_scale: float = 1.0) -> DeficitReport:
     """Sup-norm bound for p > n with the support-volume factor.  A profile
     without compact support gets an "outside-range" report: its infinite
@@ -133,7 +128,7 @@ def morrey_sobolev(v: RadialProfile, n: int, p: float,
         return DeficitReport("morrey_sobolev", params, math.inf, v.sup_value ** p,
                              flags=frozenset({"outside-range"}), label=v.label)
     b = constant_scale * constants.morrey_constant(params)
-    D, e1 = poincare_deficit(v, n, p, cfg)
+    D, e1 = poincare_deficit(v, n, p)
     lhs = b ** p * v.support_volume ** ((p - n) / n) * D
     rhs = v.sup_value ** p
     extras = {
@@ -149,7 +144,6 @@ def morrey_sobolev(v: RadialProfile, n: int, p: float,
 
 
 def log_sobolev(v: RadialProfile, n: int, p: float,
-                cfg: Optional[QuadratureConfig] = None,
                 variant: str = "p",
                 constant_scale: float = 1.0) -> DeficitReport:
     """Logarithmic inequality under unit L^p mass (the profile is
@@ -168,10 +162,10 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
     if variant not in ("p", "n"):
         raise DomainError(f"unknown variant {variant!r}")
     coeff = ((n - 1.0) / p) ** p if variant == "p" else ((n - 1.0) / n) ** p
-    mass, e_m = rearrangement.lp_integral(v, p, cfg)
+    mass, e_m = rearrangement.lp_integral(v, p)
     if mass <= 0.0:
         raise DomainError("log_sobolev needs a nonzero profile")
-    D, e_d = poincare_deficit(v, n, p, cfg, zeroth_coeff=coeff)
+    D, e_d = poincare_deficit(v, n, p, zeroth_coeff=coeff)
     L = constant_scale * constants.log_sobolev_constant(params)
     if D <= 0.0:
         raise EvaluationError(
@@ -187,8 +181,7 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
         return val ** p * p * math.log(val)
 
     if v.fn is not None:
-        ent, e_e = integrate_with_breakpoints(entropy, 0.0, v.support_volume,
-                                              v.nodes, cfg)
+        ent, e_e = integrate_with_breakpoints(entropy, 0.0, v.support_volume, v.nodes)
     else:
         ent = trapezoid([entropy(s) for s in v.nodes], v.nodes)
         e_e = abs(ent) * 1e-4
@@ -204,7 +197,6 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
 
 
 def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
-                        cfg: Optional[QuadratureConfig] = None,
                         constant_scale: float = 1.0) -> DeficitReport:
     """Additive two-term bound: the powered zeroth-order and flat-Sobolev
     terms together stay below the n/p power of the gradient integral.
@@ -219,9 +211,9 @@ def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
                           "with derivative closures (smooth representatives)")
     params = Params(n, max(p, 1.0 + 1e-12)) if p == 1.0 else Params(n, p)
     pstar = n * p / (n - p)
-    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p, cfg)
-    mass, e2 = rearrangement.lp_integral(v, p, cfg)
-    crit, e3 = rearrangement.lp_integral(v, pstar, cfg)
+    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p)
+    mass, e2 = rearrangement.lp_integral(v, p)
+    crit, e3 = rearrangement.lp_integral(v, pstar)
     S = constant_scale * constants._sobolev_constant_raw(n, p)
     lhs = ((n - 1.0) / p) ** n * mass ** (n / p) + S ** n * crit ** ((n - p) / p)
     rhs = grad ** (n / p)
@@ -239,14 +231,13 @@ def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
 
 
 def linfty_inequality(v: RadialProfile, n: int, p: float,
-                      cfg: Optional[QuadratureConfig] = None,
                       constant_scale: float = 1.0) -> DeficitReport:
     """Sup-norm gradient bound for p > n, powered form."""
     params = Params(n, p)
     if not p > n:
         raise DomainError(f"linfty_inequality needs p > n, got n={n}, p={p}")
     C = constant_scale * constants.linfty_constant(params)
-    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p, cfg)
+    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p)
     lhs = C ** p * grad
     rhs = v.sup_value ** p
     extras = {
@@ -260,21 +251,16 @@ def linfty_inequality(v: RadialProfile, n: int, p: float,
                          extras=extras)
 
 
-def extremal_linfty_profile(n: int, p: float,
-                            grid=None,
-                            cfg: Optional[QuadratureConfig] = None) -> RadialProfile:
+def extremal_linfty_profile(n: int, p: float) -> RadialProfile:
     """The profile achieving equality in the sup-norm bound: the tail
     integral of the boundary-area weight to the power -p/(p-1), with its
     analytic derivative closure."""
     if not p > n:
         raise DomainError(f"extremal profile needs p > n, got n={n}, p={p}")
-    cfg = cfg or QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
-    sigma = unit_ball_volume(n)
-    if grid is None:
-        grid = [0.0] + geomspace(1e-4, 1e5, 46)
+    grid = [0.0] + geomspace(1e-4, 1e5, 46)
 
     def fn(s):
-        return geometry.isoperimetric_tail_integral(n, p, s, cfg)[0]
+        return geometry.isoperimetric_tail_integral(n, p, s)[0]
 
     def dfn(s):
         if s <= 0.0:
@@ -287,16 +273,15 @@ def extremal_linfty_profile(n: int, p: float,
                          label=f"extremal-linfty-n{n}-p{p:g}")
 
 
-def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float,
-                             cfg: Optional[QuadratureConfig] = None) -> float:
+def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float) -> float:
     """Flat-space Rayleigh quotient: Euclidean gradient integral over the
     p-th power of the critical norm.  Equals the p-th power of the sharp
     flat Sobolev constant on the extremal bubble family."""
     if not 1.0 < p < n:
         raise DomainError(f"need 1 < p < n, got n={n}, p={p}")
     pstar = n * p / (n - p)
-    grad, _ = rearrangement.grad_norm_euclidean(v, n, p, cfg)
-    crit, _ = rearrangement.lp_integral(v, pstar, cfg)
+    grad, _ = rearrangement.grad_norm_euclidean(v, n, p)
+    crit, _ = rearrangement.lp_integral(v, pstar)
     if crit <= 0.0:
         raise DomainError("zero profile has no Rayleigh ratio")
     return grad / crit ** ((n - p) / n)
@@ -304,7 +289,7 @@ def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float,
 
 class Inequality(NamedTuple):
     """One row of INEQUALITIES.  The evaluator is called as
-    evaluator(v, n, p, alpha, cfg, constant_scale)."""
+    evaluator(v, n, p, alpha, constant_scale)."""
 
     evaluator: Callable[..., DeficitReport]
     needs_alpha: bool = False
@@ -316,34 +301,33 @@ class Inequality(NamedTuple):
 # rebinding (a test double, a tracer) is seen by every caller.
 INEQUALITIES = {
     "poincare_sobolev": Inequality(
-        lambda v, n, p, alpha, cfg, scale:
-        poincare_sobolev(v, n, p, cfg, constant_scale=scale)),
+        lambda v, n, p, alpha, scale:
+        poincare_sobolev(v, n, p, constant_scale=scale)),
     "key_comparison": Inequality(
-        lambda v, n, p, alpha, cfg, scale:
-        rearrangement.key_comparison(v, n, p, cfg),
+        lambda v, n, p, alpha, scale:
+        rearrangement.key_comparison(v, n, p),
         constant_free=True),
     "gagliardo_nirenberg": Inequality(
-        lambda v, n, p, alpha, cfg, scale:
-        gagliardo_nirenberg(v, n, p, alpha, cfg, constant_scale=scale),
+        lambda v, n, p, alpha, scale:
+        gagliardo_nirenberg(v, n, p, alpha, constant_scale=scale),
         needs_alpha=True),
     "morrey_sobolev": Inequality(
-        lambda v, n, p, alpha, cfg, scale:
-        morrey_sobolev(v, n, p, cfg, constant_scale=scale)),
+        lambda v, n, p, alpha, scale:
+        morrey_sobolev(v, n, p, constant_scale=scale)),
     "log_sobolev": Inequality(
-        lambda v, n, p, alpha, cfg, scale:
-        log_sobolev(v, n, p, cfg, constant_scale=scale)),
+        lambda v, n, p, alpha, scale:
+        log_sobolev(v, n, p, constant_scale=scale)),
     "mugelli_talenti_sum": Inequality(
-        lambda v, n, p, alpha, cfg, scale:
-        mugelli_talenti_sum(v, n, p, cfg, constant_scale=scale)),
+        lambda v, n, p, alpha, scale:
+        mugelli_talenti_sum(v, n, p, constant_scale=scale)),
     "linfty": Inequality(
-        lambda v, n, p, alpha, cfg, scale:
-        linfty_inequality(v, n, p, cfg, constant_scale=scale)),
+        lambda v, n, p, alpha, scale:
+        linfty_inequality(v, n, p, constant_scale=scale)),
 }
 
 
 def evaluate(inequality_id: str, v: RadialProfile, n: int, p: float,
              alpha: Optional[float] = None,
-             cfg: Optional[QuadratureConfig] = None,
              constant_scale: float = 1.0) -> DeficitReport:
     """Evaluate the inequality with the given id (a key of INEQUALITIES)
     on one profile."""
@@ -355,4 +339,4 @@ def evaluate(inequality_id: str, v: RadialProfile, n: int, p: float,
                           "--constant-scale not supported")
     if row.needs_alpha and alpha is None:
         raise DomainError(f"{inequality_id} needs --alpha")
-    return row.evaluator(v, n, p, alpha, cfg, constant_scale)
+    return row.evaluator(v, n, p, alpha, constant_scale)

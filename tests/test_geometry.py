@@ -3,7 +3,7 @@ import math
 import mpmath as mp
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from hypineq import geometry as G
 from hypineq import quadrature
@@ -287,6 +287,23 @@ def test_sinh_phi_inv_roundtrip():
         for s in (0.5, 3.0, 50.0):
             t = G.phi_inv(n, s)
             assert G.sinh_phi_inv(n, s) == pytest.approx(math.sinh(t), rel=1e-11)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(2, 20), e=st.floats(-300.0, 300.0))
+@example(n=2, e=200.0)
+@example(n=5, e=300.0)
+def test_phi_inv_round_trip_or_domain_error(n, e):
+    # either phi_inv inverts phi, or s lies past phi's overflow edge
+    # (n - 1) t = 700 and phi_inv says so
+    s = 10.0 ** e
+    try:
+        t = G.phi_inv(n, s)
+    except DomainError:
+        assert G.phi(n, 700.0 / (n - 1) * (1.0 - 1e-15)) < s
+        return
+    assert G.phi(n, t) == pytest.approx(s, rel=1e-12)
+    assert G.sinh_phi_inv(n, s) == pytest.approx(math.sinh(t), rel=1e-12)
 
 
 def test_isoperimetric_tail_integral_oracle():

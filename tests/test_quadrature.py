@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypineq.errors import BracketError, ConvergenceError, DomainError
+from hypineq.errors import BracketError, ConvergenceError, DomainError, EvaluationError
 from hypineq.quadrature import (
     QuadratureConfig,
     differentiate_grid,
@@ -43,6 +43,15 @@ def test_bad_interval_rejected():
         integrate(lambda x: x, 2.0, 1.0)
     with pytest.raises(DomainError):
         QuadratureConfig(rel_tol=-1.0)
+
+
+def test_non_finite_integrand_is_evaluation_error():
+    # a NaN on the first panel, and one that only a refined panel samples
+    # (the first panel's nodes all lie above 4e-3)
+    for f in (lambda x: math.nan,
+              lambda x: math.nan if x < 1e-3 else math.sqrt(x)):
+        with pytest.raises(EvaluationError, match="non-finite"):
+            integrate(f, 0.0, 1.0)
 
 
 def test_degenerate_interval_is_zero():
