@@ -70,11 +70,14 @@ def _int_list(text: str) -> List[int]:
         raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
+def _add_common(sub: argparse.ArgumentParser, fmt: bool = True,
+                rel_tol: bool = False) -> None:
     sub.add_argument("--out", default=None, help="artifact directory "
                      "(default: print to stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--rel-tol", type=float, default=1e-8)
+    if fmt:
+        sub.add_argument("--format", choices=("json", "csv"), default="json")
+    if rel_tol:
+        sub.add_argument("--rel-tol", type=float, default=1e-8)
     sub.add_argument("--config", default=None,
                      help="flat key=value file; flags override it")
 
@@ -111,7 +114,7 @@ def build_parser():
                     help="directory of profile files (default: built-in corpus)")
     sp.add_argument("--constant-scale", type=float, default=1.0,
                     help="test hook: multiply the sharp constant")
-    _add_common(sp)
+    _add_common(sp, rel_tol=True)
     registry["verify"] = sp
 
     sp = subs.add_parser("sharpness", help="concentration trend / optimizer run")
@@ -130,7 +133,7 @@ def build_parser():
     sp.add_argument("--no-optimize", action="store_true",
                     help="evaluate the ratio at a single --lambda and exit")
     sp.add_argument("--lambda", dest="single_lambda", type=float, default=None)
-    _add_common(sp)
+    _add_common(sp, fmt=False)
     registry["sharpness"] = sp
 
     sp = subs.add_parser("sweep", help="deficit reports over an (n, p) grid")
@@ -140,7 +143,7 @@ def build_parser():
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--corpus", default=None)
     sp.add_argument("--constant-scale", type=float, default=1.0)
-    _add_common(sp)
+    _add_common(sp, rel_tol=True)
     registry["sweep"] = sp
 
     return parser, registry
@@ -255,11 +258,13 @@ def cmd_constants(args) -> int:
 
 def cmd_lemma(args) -> int:
     n, p = args.n, args.p
+    # an unset --t-max leaves each mode's default radius range to lemma.py
+    given = {} if args.t_max is None else {"t_max": args.t_max}
     if args.mode == "verify":
-        table = lemma.verify_lemma(n, p, t_max=args.t_max or 25.0)
+        table = lemma.verify_lemma(n, p, **given)
         code = EXIT_PASS if table.passed else EXIT_VIOLATION
     else:
-        table = lemma.find_violation(n, p, t_max=args.t_max or 150.0)
+        table = lemma.find_violation(n, p, **given)
         if table.inconclusive:
             code = EXIT_INCONCLUSIVE
         else:

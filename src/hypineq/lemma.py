@@ -34,7 +34,8 @@ class MarginTable:
 
     margins holds the scaled margin at each radius; f_values the raw
     margin (inf where it overflows a double).  violation, when present,
-    is a (t, scaled margin) pair with a certified negative sign.
+    is a (t, scaled margin) pair with a certified negative sign, and
+    tolerance how far below zero a margin may dip and still pass.
     """
 
     n: int
@@ -45,8 +46,8 @@ class MarginTable:
     margins: Tuple[float, ...]
     min_margin: float
     min_margin_t: float
-    tolerance: float
     passed: bool
+    tolerance: Optional[float] = None
     violation: Optional[Tuple[float, float]] = None
     onset_estimate: Optional[float] = None
     inconclusive: bool = False
@@ -68,10 +69,11 @@ class MarginTable:
             "t_max": self.ts[-1] if self.ts else 0.0,
             "min_margin": self.min_margin,
             "min_margin_t": self.min_margin_t,
-            "tolerance": self.tolerance,
             "passed": self.passed,
             "inconclusive": self.inconclusive,
         }
+        if self.tolerance is not None:
+            out["tolerance"] = self.tolerance
         if self.violation is not None:
             out["violation_t"] = self.violation[0]
             out["violation_margin"] = self.violation[1]
@@ -214,6 +216,6 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
     return MarginTable(
         n=n, p=p, mode="find-violation", ts=tuple(ts),
         f_values=tuple(fvals), margins=tuple(margins),
-        min_margin=margins[min_i], min_margin_t=ts[min_i], tolerance=1e-9,
+        min_margin=margins[min_i], min_margin_t=ts[min_i],
         passed=violation is not None, violation=violation,
         onset_estimate=onset, inconclusive=violation is None)

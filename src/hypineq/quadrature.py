@@ -1,7 +1,6 @@
 """Numerical kernels: adaptive Gauss-Kronrod quadrature on finite and
 semi-infinite intervals, safeguarded root finding for monotone functions,
-finite-difference differentiation of grid samples, and the grids and
-trapezoid rule the profiles are sampled and integrated on.
+and the grids profiles are sampled on.
 
 Everything here is pure; integrand closures supplied by callers must be
 safe to call repeatedly.
@@ -21,7 +20,6 @@ __all__ = [
     "integrate",
     "integrate_with_breakpoints",
     "find_root_increasing",
-    "differentiate_grid",
 ]
 
 
@@ -290,36 +288,6 @@ def find_root_increasing(f: Callable[[float], float], target: float,
         f"iterations; bracket ({lo!r}, {hi!r})", partial=t)
 
 
-def differentiate_grid(xs: Sequence[float], ys: Sequence[float]
-                       ) -> Tuple[List[float], float]:
-    """Second-order finite differences of samples of a non-increasing
-    function on a strictly increasing grid.
-
-    Central (three-point, non-uniform) formulas in the interior, one-sided
-    second-order at the ends.  Positive values are clamped to zero, and
-    their l1 mass is returned alongside: (derivative, clamped_mass).
-    """
-    if len(xs) != len(ys) or len(xs) < 3:
-        raise DomainError("need matching 1-d grids with at least 3 nodes")
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise DomainError("grid must be strictly increasing")
-    d = [0.0] * len(xs)
-    for i in range(1, len(xs) - 1):
-        h1 = xs[i] - xs[i - 1]
-        h2 = xs[i + 1] - xs[i]
-        d[i] = (-h2 / (h1 * (h1 + h2)) * ys[i - 1]
-                + (h2 - h1) / (h1 * h2) * ys[i]
-                + h1 / (h2 * (h1 + h2)) * ys[i + 1])
-    # one-sided second order at both ends
-    for i, (i0, i1, i2) in ((0, (0, 1, 2)), (len(xs) - 1, (-1, -2, -3))):
-        a1 = xs[i1] - xs[i0]
-        a2 = xs[i2] - xs[i0]
-        d[i] = (ys[i1] * a2 * a2 - ys[i2] * a1 * a1
-                - ys[i0] * (a2 * a2 - a1 * a1)) / (a1 * a2 * (a2 - a1))
-    clamped = sum((x for x in d if x > 0.0), 0.0)
-    return [min(x, 0.0) for x in d], clamped
-
-
 def linspace(start: float, stop: float, num: int) -> List[float]:
     """num evenly spaced points from start to stop, both included."""
     step = (stop - start) / (num - 1)
@@ -333,9 +301,3 @@ def geomspace(start: float, stop: float, num: int) -> List[float]:
     step = (math.log10(stop) - lo) / (num - 1)
     return [float(start)] + [10.0 ** (i * step + lo)
                              for i in range(1, num - 1)] + [float(stop)]
-
-
-def trapezoid(ys: Sequence[float], xs: Sequence[float]) -> float:
-    """Trapezoid rule for samples ys on the grid xs."""
-    return sum((x1 - x0) * (y1 + y0) / 2.0
-               for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]))

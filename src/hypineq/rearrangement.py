@@ -16,8 +16,7 @@ import math
 import os
 import statistics
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, Optional, Sequence, Tuple
 
 from . import geometry, quadrature
 from .constants import Params, boundary_exponent, in_comparison_range, unit_ball_volume
@@ -72,9 +71,9 @@ class RadialProfile:
     """Non-increasing profile on the measure line.
 
     nodes and values accept any sequences of numbers and are stored as
-    tuples of floats.  Grid samples are the source of truth for grid-only
-    profiles (piecewise-linear between nodes, tail formula after the last
-    node).
+    tuples of floats.  A grid-only profile is one function: linear
+    between nodes, the tail formula after the last node, and its
+    derivative is the exact derivative of that function.
     When an analytic closure fn is attached, together with its derivative
     dfn (both or neither), the closure is authoritative everywhere and
     the grid is a consistency witness.
@@ -143,18 +142,18 @@ class RadialProfile:
             return vlast * (s / last) ** (-self.tail.param)
         return vlast * math.exp(-self.tail.param * (s - last))
 
-    @cached_property
-    def _grid_derivative(self) -> Tuple[List[float], float]:
-        return quadrature.differentiate_grid(self.nodes, self.values)
-
     def derivative(self, s: float) -> float:
-        """v'(s); analytic closure when present, grid differences otherwise."""
+        """v'(s); the closure's when present, else the exact derivative of
+        v: the slope of the segment [nodes[i], nodes[i+1]) holding s (the
+        last segment at the last node), then the tail formula's."""
         if self.dfn is not None:
             return float(self.dfn(s))
-        last = self.nodes[-1]
+        nodes, values = self.nodes, self.values
+        last = nodes[-1]
         if s <= last:
-            return _interp(s, self.nodes, self._grid_derivative[0])
-        vlast = self.values[-1]
+            i = min(bisect.bisect_right(nodes, s), len(nodes) - 1)
+            return (values[i] - values[i - 1]) / (nodes[i] - nodes[i - 1])
+        vlast = values[-1]
         if self.tail.kind == "compact":
             return 0.0
         if self.tail.kind == "power":
@@ -493,20 +492,22 @@ def lp_norm(v: RadialProfile, q: float) -> float:
 
 def _grid_weighted_gradient(v: RadialProfile, p: float,
                             weight: Callable[[float], float]) -> Tuple[float, float]:
-    """Trapezoid of |v'|^p * weight over the grid of a sampled profile.
-
-    Only compact tails are supported on grid-only profiles; the clamped
-    derivative mass feeds the error estimate."""
+    """Integral of |v'|^p * weight for a grid-only profile: |slope|^p times
+    the trapezoid of the weight on each segment, one weight call per node,
+    plus the adaptive integral of the tail.  The error is a 1e-4 relative
+    grid-refinement proxy plus the tail integral's estimate."""
+    nodes, values = v.nodes, v.values
+    w = [weight(s) for s in nodes]
+    val = sum(abs((b - a) / (x1 - x0)) ** p * (x1 - x0) * (w0 + w1) / 2.0
+              for a, b, x0, x1, w0, w1
+              in zip(values, values[1:], nodes, nodes[1:], w, w[1:]))
+    tail_err = 0.0
     if v.tail.kind != "compact":
-        raise DomainError("grid-only gradient norms need a compact tail "
-                          "(attach a derivative closure otherwise)")
-    d, clamped = v._grid_derivative
-    w = [abs(di) ** p * weight(si) for di, si in zip(d, v.nodes)]
-    val = quadrature.trapezoid(w, v.nodes)
-    # crude error: trapezoid is second order; report the clamped mass and
-    # a grid-refinement proxy
-    err = abs(val) * 1e-4 + clamped
-    return val, err
+        tail, tail_err = quadrature.integrate(
+            lambda s: abs(v.derivative(s)) ** p * weight(s),
+            nodes[-1], v.support_volume)
+        val += tail
+    return val, abs(val) * 1e-4 + tail_err
 
 
 def grad_norm_euclidean(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
@@ -615,8 +616,9 @@ def hardy_term_bound(v: RadialProfile, p: float,
     support).  Contract: lhs >= rhs up to quadrature tolerance.  The
     substituted function w(s) = v(s) s^(1/p) is constant exactly when
     v = c s^(-1/p), in which case both sides coincide on any window.  A
-    grid-only profile enters through its piecewise-linear values and its
-    grid-difference derivative.
+    grid-only profile enters through its piecewise-linear values and
+    their segment slopes, so at p = 2 both sides agree over the full
+    support up to quadrature error, as they do for a closure.
     """
     if not p >= 2.0:
         raise DomainError(f"the bound needs p >= 2, got {p!r}")

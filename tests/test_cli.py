@@ -167,6 +167,36 @@ def test_verify_scaled_constant_fails_on_bubbles(capsys, tmp_path):
     assert code == 1
 
 
+def test_verify_file_bubbles_fail_three_percent_inflation(capsys, tmp_path):
+    # read back from files, the bubbles must still notice a 3% inflation
+    for v in bubble_corpus():
+        write_profile(str(tmp_path / f"{v.label}.txt"), v)
+    code, _, _ = run(capsys, "verify", "--inequality", "poincare_sobolev",
+                     "--n", "4", "--p", N4P, "--corpus", str(tmp_path),
+                     "--constant-scale", "1.03")
+    assert code == 1
+
+
+@pytest.mark.parametrize("inequality,n,p,extra", [
+    ("key_comparison", "4", "3.0", ()),
+    ("poincare_sobolev", "4", "3.0", ()),
+    ("mugelli_talenti_sum", "4", "3.0", ()),
+    ("log_sobolev", "4", "3.0", ()),
+    ("gagliardo_nirenberg", "4", "3.0", ("--alpha", "1.5")),
+    ("morrey_sobolev", "4", "5.0", ()),
+    ("linfty", "4", "5.0", ()),
+])
+def test_verify_reads_back_written_corpus(capsys, tmp_path, inequality, n, p, extra):
+    # files drop the closures, so the exponential, sech and power
+    # profiles come back grid-only with non-compact tails
+    write_corpus(str(tmp_path))
+    code, out, err = run(capsys, "verify", "--inequality", inequality,
+                         "--n", n, "--p", p, "--corpus", str(tmp_path),
+                         "--format", "csv", *extra)
+    assert code == 0, err
+    assert out.count("\n") == 21
+
+
 def test_verify_constant_scale_rejected_for_comparison(capsys):
     code, _, err = run(capsys, "verify", "--inequality", "key_comparison",
                        "--n", "4", "--p", N4P, "--constant-scale", "1.1")
@@ -262,6 +292,20 @@ def test_sharpness_optimizer(capsys, tmp_path):
 # -- config files ---------------------------------------------------
 
 
+@pytest.mark.parametrize("argv", [
+    ("sharpness", "--n", "4", "--p", N4P, "--format", "json"),
+    ("constants", "--n", "4", "--p", N4P, "--rel-tol", "1e-3"),
+    ("lemma", "verify", "--n", "4", "--p", "3", "--rel-tol", "1e-3"),
+    ("sharpness", "--n", "4", "--p", N4P, "--rel-tol", "1e-3"),
+])
+def test_flags_a_command_ignores_are_rejected(capsys, argv):
+    # sharpness writes CSV only; only verify and sweep judge a tolerance
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
+
+
 def test_config_supplies_defaults_and_flags_win(capsys, tmp_path):
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("# comment\np = 2.0\n")
@@ -322,9 +366,12 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
     (("lemma", "verify", "--n", "4", "--p", "nan"), "p must be finite"),
     (("sharpness", "--n", "4", "--p", "2.6666", "--lambdas", "1e-300"),
      "underflows"),
+    (("lemma", "verify", "--n", "4", "--p", "3", "--t-max", "0"), "t_max"),
+    (("lemma", "violate", "--n", "4", "--p", "2.5", "--t-max", "0"), "t_max"),
 ])
 def test_domain_edges_exit_2(capsys, argv, message):
-    # each used to crash (exit 1) or, for violate, pass on a NaN grid
+    # each used to crash (exit 1), pass on a NaN grid (violate) or, for
+    # --t-max 0, run on the default radius range
     code, _, err = run(capsys, *argv)
     assert code == 2
     assert err.startswith("error:") and message in err

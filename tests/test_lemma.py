@@ -83,6 +83,8 @@ def test_violation_table_reports_location():
     assert payload["passed"] is True
     assert payload["violation_margin"] < 0.0
     assert payload["onset_estimate"] > 0.0
+    # the search applies no tolerance, so it reports none
+    assert "tolerance" not in payload
 
 
 def test_edge_job_runs_no_mpmath(monkeypatch):

@@ -1,13 +1,11 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hypineq.errors import BracketError, ConvergenceError, DomainError, EvaluationError
 from hypineq.quadrature import (
     QuadratureConfig,
-    differentiate_grid,
     find_root_increasing,
     integrate,
     integrate_with_breakpoints,
@@ -153,27 +151,3 @@ def test_root_roundtrip_random_monotone(shift, slope):
     target = 1.3
     t = find_root_increasing(f, target, (shift - 50.0, shift + 50.0))
     assert f(t) == pytest.approx(target, abs=1e-9)
-
-
-def test_differentiate_quadratic_exact():
-    # second-order differences are exact on a quadratic, here decreasing
-    xs = np.array([0.0, 0.3, 1.0, 1.4, 2.0])
-    ys = 4.0 - xs * xs
-    d, clamped = differentiate_grid(xs, ys)
-    assert np.allclose(d, -2.0 * xs, rtol=1e-12, atol=1e-12)
-    assert clamped == 0.0
-
-
-def test_differentiate_clamp():
-    xs = np.linspace(0.0, 1.0, 11)
-    ys = np.sin(6.0 * xs)  # not monotone
-    d, clamped = differentiate_grid(xs, ys)
-    assert np.all(np.array(d) <= 0.0)
-    assert clamped > 0.0
-
-
-def test_differentiate_rejects_bad_grid():
-    with pytest.raises(DomainError):
-        differentiate_grid([0.0, 0.0, 1.0], [1.0, 2.0, 3.0])
-    with pytest.raises(DomainError):
-        differentiate_grid([0.0, 1.0], [1.0, 2.0])

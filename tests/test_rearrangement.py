@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from hypineq import geometry, rearrangement
 from hypineq.constants import unit_ball_volume
-from hypineq.corpus import tent_profile
+from hypineq.corpus import tent_profile, write_corpus
 from hypineq.errors import DomainError
 from hypineq.quadrature import find_root_increasing
 from hypineq.rearrangement import (
@@ -296,6 +296,25 @@ def test_hardy_bound_holds_on_read_back_tent(tmp_path):
     ref_lhs, ref_rhs = hardy_term_bound(v, 3.0)
     assert lhs == pytest.approx(ref_lhs, rel=1e-9)
     assert rhs == pytest.approx(ref_rhs, rel=1e-9)
+
+
+def test_hardy_identity_at_p2_on_read_back_corpus(tmp_path):
+    # at p = 2 the bound is an identity; a grid-only profile must keep it,
+    # which needs v' to be the derivative of the piecewise-linear v(s)
+    compact = [w for w in map(read_profile, write_corpus(str(tmp_path)))
+               if w.tail.kind == "compact"]
+    assert len(compact) == 12
+    for w in compact:
+        lhs, rhs = hardy_term_bound(w, 2.0)
+        assert rhs == pytest.approx(lhs, rel=1e-12), w.label
+
+
+def test_grid_derivative_is_segment_slope():
+    v = RadialProfile([0.0, 1.0, 3.0, 4.0], [5.0, 3.0, 2.0, 0.0],
+                      Tail("compact", 4.0))
+    assert [v.derivative(s) for s in (0.0, 0.5, 1.0, 2.0, 3.0, 4.0)] == \
+        [-2.0, -2.0, -0.5, -0.5, -2.0, -2.0]
+    assert v.derivative(5.0) == 0.0
 
 
 def test_hardy_equality_on_power_profile():
