@@ -122,17 +122,19 @@ def build_parser():
                     choices=("poincare_sobolev", "key_comparison"))
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    sp.add_argument("--lambdas", type=_float_list,
-                    default=[1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5])
+    # the defaults of the flags of one mode are in _SHARPNESS_FLAGS
+    sp.add_argument("--lambdas", type=_float_list, default=argparse.SUPPRESS)
     sp.add_argument("--truncation", type=float, default=1.0)
-    sp.add_argument("--gap-max", type=float, default=0.05,
+    sp.add_argument("--gap-max", type=float, default=argparse.SUPPRESS,
                     help="maximum final gap, as a fraction of the target")
-    sp.add_argument("--optimize", action="store_true",
-                    help="run the derivative-free minimizer instead of a sweep")
-    sp.add_argument("--max-iter", type=int, default=60)
-    sp.add_argument("--no-optimize", action="store_true",
-                    help="evaluate the ratio at a single --lambda and exit")
-    sp.add_argument("--lambda", dest="single_lambda", type=float, default=None)
+    mode = sp.add_mutually_exclusive_group()
+    mode.add_argument("--optimize", action="store_true",
+                      help="run the derivative-free minimizer instead of a sweep")
+    mode.add_argument("--no-optimize", action="store_true",
+                      help="evaluate the ratio at a single --lambda and exit")
+    sp.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
+    sp.add_argument("--lambda", dest="single_lambda", type=float,
+                    default=argparse.SUPPRESS)
     _add_common(sp, fmt=False)
     registry["sharpness"] = sp
 
@@ -308,6 +310,25 @@ def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
 
 # -- sharpness ------------------------------------------------------
 
+# sharpness flags that only some modes use: dest, flag, default, the modes
+_SHARPNESS_FLAGS = (
+    ("single_lambda", "--lambda", None, ("--no-optimize",)),
+    ("max_iter", "--max-iter", 60, ("--optimize",)),
+    ("lambdas", "--lambdas", (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5), ("sweep",)),
+    ("gap_max", "--gap-max", 0.05, ("--optimize", "sweep")),
+    ("out", "--out", None, ("--optimize", "sweep")),
+)
+
+
+def _check_sharpness_flags(args, sub: argparse.ArgumentParser) -> None:
+    """Reject a flag the sharpness mode would ignore; default the others."""
+    mode = ("--optimize" if args.optimize else
+            "--no-optimize" if args.no_optimize else "sweep")
+    for dest, flag, default, modes in _SHARPNESS_FLAGS:
+        if getattr(args, dest, None) is not None and mode not in modes:
+            sub.error(f"unrecognized arguments: {flag} (not used in {mode} mode)")
+        vars(args).setdefault(dest, default)
+
 
 def cmd_sharpness(args) -> int:
     n, p = args.n, args.p
@@ -365,6 +386,8 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _apply_config(argv, registry)
         args = parser.parse_args(argv)
+        if args.command == "sharpness":
+            _check_sharpness_flags(args, registry["sharpness"])
         return _DISPATCH[args.command](args)
     except (DomainError, BracketError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -2,6 +2,10 @@
 semi-infinite intervals, safeguarded root finding for monotone functions,
 and the grids profiles are sampled on.
 
+Quadrature is vector-valued (Shampine 2008, "Vectorized adaptive
+quadrature in MATLAB"): one panel tree serves every component of an
+integrand; a scalar integral is the one-component case.
+
 Everything here is pure; integrand closures supplied by callers must be
 safe to call repeatedly.
 """
@@ -19,6 +23,7 @@ __all__ = [
     "QuadratureConfig",
     "integrate",
     "integrate_with_breakpoints",
+    "integrate_vector",
     "find_root_increasing",
 ]
 
@@ -35,11 +40,11 @@ _ROOT_REL_TOL = 1e-13
 class QuadratureConfig:
     """Tolerances governing every adaptive integral.
 
-    A panel tree stops refining once its error estimate is below
-    max(abs_tol, rel_tol * |value|).  Semi-infinite integrals map
-    [a, inf) through s = a + e^y and add panels of width 2 in y outward
-    from y = 0, on each side until two consecutive panels fall below a
-    quarter of that tolerance floor.
+    A panel tree stops refining once the error estimate of every
+    component is below max(abs_tol, rel_tol * |its value|).  Semi-infinite
+    integrals map [a, inf) through s = a + e^y and add panels of width 2
+    in y outward from y = 0, on each side until two consecutive panels
+    fall below a quarter of that tolerance floor in every component.
     """
 
     rel_tol: float = 1e-10
@@ -82,37 +87,53 @@ _WG = (
 )
 
 
-def _gk15(f: Callable[[float], float], a: float, b: float) -> Tuple[float, float]:
-    """One Gauss-Kronrod 7-15 panel.  Returns (K15 value, |K15 - G7|);
-    raises EvaluationError when the value is not finite."""
+def _gk15(f: Callable[[float], Sequence[float]], a: float, b: float
+          ) -> Tuple[List[float], List[float]]:
+    """One Gauss-Kronrod 7-15 panel of a vector integrand.  Returns the
+    K15 values and the |K15 - G7| errors, one per component; raises
+    EvaluationError when a value is not finite."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    resk = _WGK[7] * f(c)
-    resg = _WG[3] * f(c)
-    for j in range(7):
-        x = h * _XGK[j]
-        fsum = f(c - x) + f(c + x)
-        resk += _WGK[j] * fsum
-        if j % 2 == 1:
-            resg += _WG[j // 2] * fsum
-    val = resk * h
-    if not math.isfinite(val):
-        raise EvaluationError(
-            f"integrand returned a non-finite value on [{a!r}, {b!r}]")
-    return val, abs(resk - resg) * abs(h)
+    ys = [f(c)]
+    for x in _XGK[:7]:
+        ys += (f(c - h * x), f(c + h * x))
+    k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
+    g0, g1, g2, g3 = _WG
+    vals, errs = [], []
+    for y, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 in zip(*ys):
+        f1, f3, f5 = l1 + r1, l3 + r3, l5 + r5
+        resk = (k7 * y + k0 * (l0 + r0) + k1 * f1 + k2 * (l2 + r2) + k3 * f3
+                + k4 * (l4 + r4) + k5 * f5 + k6 * (l6 + r6))
+        resg = g3 * y + g0 * f1 + g1 * f3 + g2 * f5
+        val = resk * h
+        if not math.isfinite(val):
+            raise EvaluationError(
+                f"integrand returned a non-finite value on [{a!r}, {b!r}]")
+        vals.append(val)
+        errs.append(abs(resk - resg) * abs(h))
+    return vals, errs
 
 
-def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
+def _integrate_finite(f, a, b, cfg: QuadratureConfig):
     val, err = _gk15(f, a, b)
-    heap = [(-err, 0, a, b, val, err, 0)]
-    total, total_err = val, err
+    # a panel's priority: its worst error relative to the component's floor
+    # at the first panel, in units of the first floor (one component: err)
+    floors = [max(cfg.abs_tol, cfg.rel_tol * abs(x)) for x in val]
+    weights = [floors[0] / fl for fl in floors]
+
+    def worst(errs):
+        return max(e * w for e, w in zip(errs, weights))
+
+    heap = [(-worst(err), 0, a, b, val, err, 0)]
+    total, total_err = list(val), list(err)
     counter = 1
-    while total_err > max(cfg.abs_tol, cfg.rel_tol * abs(total)):
+    while any(e > max(cfg.abs_tol, cfg.rel_tol * abs(t))
+              for t, e in zip(total, total_err)):
         if len(heap) >= _MAX_PANELS:
             raise ConvergenceError(
                 f"quadrature panel budget exhausted on [{a!r}, {b!r}]",
                 partial=total, error_estimate=total_err)
-        neg_err, _, pa, pb, pval, perr, depth = heapq.heappop(heap)
+        _, _, pa, pb, pval, perr, depth = heapq.heappop(heap)
         if depth >= _MAX_DEPTH:
             raise ConvergenceError(
                 f"quadrature hit max depth {_MAX_DEPTH} near [{pa!r}, {pb!r}]",
@@ -120,53 +141,61 @@ def _integrate_finite(f, a, b, cfg: QuadratureConfig) -> Tuple[float, float]:
         pm = 0.5 * (pa + pb)
         lval, lerr = _gk15(f, pa, pm)
         rval, rerr = _gk15(f, pm, pb)
-        total += (lval + rval) - pval
-        total_err += (lerr + rerr) - perr
-        heapq.heappush(heap, (-lerr, counter, pa, pm, lval, lerr, depth + 1))
-        heapq.heappush(heap, (-rerr, counter + 1, pm, pb, rval, rerr, depth + 1))
+        total = [t + ((x + y) - z) for t, x, y, z in zip(total, lval, rval, pval)]
+        total_err = [t + ((x + y) - z) for t, x, y, z in zip(total_err, lerr, rerr, perr)]
+        heapq.heappush(heap, (-worst(lerr), counter, pa, pm, lval, lerr, depth + 1))
+        heapq.heappush(heap, (-worst(rerr), counter + 1, pm, pb, rval, rerr, depth + 1))
         counter += 2
     return total, total_err
 
 
+def _add(total, total_err, val, err):
+    """(total + val, total_err + err) componentwise; total None is zero."""
+    zero = [0.0] * len(val)
+    return ([t + x for t, x in zip(total or zero, val)],
+            [t + x for t, x in zip(total_err or zero, err)])
+
+
 def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
-           total: float = 0.0, total_err: float = 0.0) -> Tuple[float, float]:
+           total=None, total_err=None):
     """Add panels of width |step| to (total, total_err), outward from y = 0
     in the direction of step, until two consecutive panels fall below a
-    quarter of the tolerance floor.
+    quarter of the tolerance floor in every component.
 
     Rightward, a power-law tail first *rises* in y (until e^y ~ a), so a
     panel there only counts as negligible once the sequence is decaying;
     otherwise a small-magnitude tail would be cut off in its rising phase.
     """
     small = 0
-    prev = math.inf
+    prev = None
     y = 0.0
     for _ in range(400):
         v, e = _integrate_finite(g, min(y, y + step), max(y, y + step), cfg)
-        total += v
-        total_err += e
+        total, total_err = _add(total, total_err, v, e)
         y += step
-        mag = abs(v)
-        floor = 0.25 * max(cfg.abs_tol, cfg.rel_tol * abs(total))
-        small = small + 1 if mag < floor and (step < 0.0 or mag <= prev) else 0
-        prev = mag
+        mags = [abs(x) for x in v]
+        small = small + 1 if all(
+            mag < 0.25 * max(cfg.abs_tol, cfg.rel_tol * abs(t))
+            and (step < 0.0 or mag <= last)
+            for mag, t, last in zip(mags, total, prev or [math.inf] * len(v))) else 0
+        prev = mags
         if small >= 2:
             return total, total_err
     raise ConvergenceError(message, partial=total, error_estimate=total_err)
 
 
-def _integrate_semi(f, a, cfg: QuadratureConfig) -> Tuple[float, float]:
+def _integrate_semi(f, a, cfg: QuadratureConfig):
     """Integrate f over [a, inf) through the substitution s = a + e^y
     (s = e^y when a == 0, which also absorbs integrable singularities at 0).
     """
     if a == 0.0:
         def g(y):
             s = math.exp(y)
-            return f(s) * s
+            return [x * s for x in f(s)]
     else:
         def g(y):
             e = math.exp(y)
-            return f(a + e) * e
+            return [x * e for x in f(a + e)]
 
     total, total_err = _sweep(g, 2.0, cfg,
                               "semi-infinite tail did not converge (right)")
@@ -174,25 +203,7 @@ def _integrate_semi(f, a, cfg: QuadratureConfig) -> Tuple[float, float]:
                   total, total_err)
 
 
-def integrate(f: Callable[[float], float], a: float, b: float,
-              cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
-    """Adaptive integral of f over [a, b]; b may be math.inf.
-
-    Returns (value, error_estimate).  Raises ConvergenceError (carrying the
-    partial value) when the subdivision budget runs out, and
-    EvaluationError when f returns a non-finite value.
-    """
-    cfg = cfg or DEFAULT_CONFIG
-    if math.isinf(a) or a >= b and not math.isinf(b):
-        if a == b:
-            return 0.0, 0.0
-        raise DomainError(f"bad interval [{a!r}, {b!r}]")
-    if math.isinf(b):
-        return _integrate_semi(f, a, cfg)
-    return _integrate_finite(f, a, b, cfg)
-
-
-def _integrate_left_edge(f, b: float, cfg: QuadratureConfig) -> Tuple[float, float]:
+def _integrate_left_edge(f, b: float, cfg: QuadratureConfig):
     """Integrate f over (0, b] through s = b e^y, y in (-inf, 0].
 
     Same exponential substitution as the semi-infinite path, used here to
@@ -201,23 +212,27 @@ def _integrate_left_edge(f, b: float, cfg: QuadratureConfig) -> Tuple[float, flo
     """
     def g(y):
         s = b * math.exp(y)
-        return f(s) * s
+        return [x * s for x in f(s)]
 
     return _sweep(g, -2.0, cfg, "left-edge substitution did not converge")
 
 
-def integrate_with_breakpoints(f: Callable[[float], float], a: float, b: float,
-                               points: Sequence[float],
-                               cfg: Optional[QuadratureConfig] = None
-                               ) -> Tuple[float, float]:
-    """Adaptive integral of f over [a, b] forced to respect interior
-    breakpoints (e.g. the grid of a sharply concentrated profile, which a
-    global subdivision could step right over).  b may be math.inf; the
-    piece beyond the last breakpoint is then handled as a tail.
+def integrate_vector(f: Callable[[float], Sequence[float]], a: float, b: float,
+                     points: Sequence[float] = (),
+                     cfg: Optional[QuadratureConfig] = None
+                     ) -> Tuple[List[float], List[float]]:
+    """(values, errors) of the integral over [a, b] (b may be math.inf) of
+    a vector integrand f, one panel tree for all components.  Interior
+    breakpoints (e.g. the grid of a concentrated profile, which a global
+    subdivision could step over) split [a, b].  Raises DomainError on an
+    empty interval, ConvergenceError (carrying the partial values) when a
+    budget runs out, and EvaluationError on a non-finite value.
     """
     cfg = cfg or DEFAULT_CONFIG
+    if math.isinf(a) or not a < b:
+        raise DomainError(f"bad interval [{a!r}, {b!r}]")
     pts = sorted({float(x) for x in points if a < x < b})
-    total, total_err = 0.0, 0.0
+    total = total_err = None
     lo = a
     for x in pts:
         if lo == 0.0:
@@ -226,11 +241,30 @@ def integrate_with_breakpoints(f: Callable[[float], float], a: float, b: float,
             v, e = _integrate_left_edge(f, x, cfg)
         else:
             v, e = _integrate_finite(f, lo, x, cfg)
-        total += v
-        total_err += e
+        total, total_err = _add(total, total_err, v, e)
         lo = x
-    v, e = integrate(f, lo, b, cfg)
-    return total + v, total_err + e
+    v, e = (_integrate_semi(f, lo, cfg) if math.isinf(b)
+            else _integrate_finite(f, lo, b, cfg))
+    return _add(total, total_err, v, e)
+
+
+def integrate_with_breakpoints(f: Callable[[float], float], a: float, b: float,
+                               points: Sequence[float],
+                               cfg: Optional[QuadratureConfig] = None
+                               ) -> Tuple[float, float]:
+    """integrate_vector of a scalar integrand: (value, error estimate),
+    and (0.0, 0.0) on an empty interval."""
+    if a == b:
+        return 0.0, 0.0
+    (val,), (err,) = integrate_vector(lambda x: (f(x),), a, b, points, cfg)
+    return val, err
+
+
+def integrate(f: Callable[[float], float], a: float, b: float,
+              cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+    """Adaptive integral of f over [a, b], b possibly math.inf:
+    integrate_with_breakpoints without breakpoints."""
+    return integrate_with_breakpoints(f, a, b, (), cfg)
 
 
 def find_root_increasing(f: Callable[[float], float], target: float,

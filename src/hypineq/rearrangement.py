@@ -4,19 +4,21 @@ norm integrals derived from it.
 A radial function of geodesic radius is rearranged into a non-increasing
 profile v of superlevel-set volume s.  The hyperbolic and Euclidean
 symmetrizations are never materialized: every norm of either one is an
-integral of v (or v') against an explicit weight in s, so the whole
-package works on the half-line.
+integral of v (or v') against an explicit weight, in s or, for
+radial_integrals (every integral one evaluation needs, in one pass), in
+geodesic radius t through s = sigma phi(t), ds = n sigma sinh(t)^(n-1) dt.
 """
 
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import os
 import statistics
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import geometry, quadrature
 from .constants import Params, boundary_exponent, in_comparison_range, unit_ball_volume
@@ -34,6 +36,7 @@ __all__ = [
     "lp_norm",
     "grad_norm_euclidean",
     "grad_norm_hyperbolic",
+    "radial_integrals",
     "kernel_correction",
     "hardy_term_bound",
     "key_comparison",
@@ -459,12 +462,16 @@ def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str):
             f"decays like s^-{decay_needed:g}")
 
 
-def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
-    """(integral of v^q over the measure line, error estimate)."""
+def _check_mass(v: RadialProfile, q: float):
     if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q!r}")
     if v.tail.kind == "power":
         _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
+
+
+def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
+    """(integral of v^q over the measure line, error estimate), in s."""
+    _check_mass(v, q)
     if v.fn is not None:
         top = v.support_volume
         return quadrature.integrate_with_breakpoints(
@@ -514,11 +521,9 @@ def grad_norm_euclidean(v: RadialProfile, n: int, p: float) -> Tuple[float, floa
     """p-th power of the Euclidean gradient norm of the flat
     symmetrization, with its quadrature error estimate."""
     _check_np(n, p)
+    _check_euclidean(v, n, p)
     sigma = unit_ball_volume(n)
     pref = (n * sigma) ** p
-    if v.tail.kind == "power":
-        _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
-                               "Euclidean gradient integral")
     if v.dfn is not None:
         top = v.support_volume
         x_top = math.inf if math.isinf(top) else (top / sigma) ** (1.0 / n)
@@ -536,48 +541,110 @@ def grad_norm_euclidean(v: RadialProfile, n: int, p: float) -> Tuple[float, floa
     return pref * val, pref * err
 
 
+def _check_euclidean(v: RadialProfile, n: int, p: float):
+    if v.tail.kind == "power":
+        _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
+                               "Euclidean gradient integral")
+
+
 def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
     """p-th power of the hyperbolic gradient norm of the hyperbolic
-    symmetrization, with its quadrature error estimate.
+    symmetrization, with its quadrature error estimate: radial_integrals
+    with no further component."""
+    return radial_integrals(v, n, p)[0]
 
-    Evaluated in geodesic-radius coordinates, where the weight is an
-    explicit power of sinh.  The inverse volume map is still needed, for
-    the upper limit and to carry the profile's nodes over as breakpoints.
+
+@functools.lru_cache(maxsize=128)
+def _node_radii(n: int, nodes: Tuple[float, ...]) -> Tuple[float, ...]:
+    """phi_inv(n, s / sigma) of the nodes s > 0 of a grid, cached by value;
+    128 grids of 49 nodes (the largest closure grids built) take 0.4 MiB."""
+    sigma = unit_ball_volume(n)
+    return tuple(geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0)
+
+
+def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (),
+                     euclidean: bool = False, entropy: bool = False
+                     ) -> List[Tuple[float, float]]:
+    """(value, error) of, in order: the p-th power of the hyperbolic
+    gradient norm; the mass integral of v^q ds for each q in qs; the p-th
+    power of the Euclidean gradient norm if euclidean; the entropy
+    integral of v^p p log v ds if entropy.  A grid-only profile takes the
+    grid paths in s.  A closure takes one vector panel tree in geodesic
+    radius t over the radii of its grid nodes, where one phi, v', log sinh
+    (and v) per node serve every integrand.  Each is built in log space
+    with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w) or
+    exp(p(n-1)/n log phi + w), exp(q log v + w), p log v exp(p log v + w).
     """
     _check_np(n, p)
-    sigma = unit_ball_volume(n)
-    pref = (n * sigma) ** p
     if v.tail.kind == "power":
         # |v'|^p decays like s^(-p*exponent - p) and the hyperbolic
         # weight grows like s^p, so the integrand decays like s^(-p*exponent)
         _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral")
-    if v.dfn is not None:
-        top = v.support_volume
-        t_top = math.inf if math.isinf(top) else geometry.phi_inv(n, top / sigma)
+    for q in qs:
+        _check_mass(v, q)
+    if euclidean:
+        _check_euclidean(v, n, p)
+    sigma = unit_ball_volume(n)
+    scale = n * sigma
+    pref = scale ** p
+    if v.dfn is None:
+        val, err = _grid_weighted_gradient(
+            v, p, lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)))
+        out = [(pref * val, pref * err)] + [lp_integral(v, q) for q in qs]
+        if euclidean:
+            out.append(grad_norm_euclidean(v, n, p))
+        if entropy:
+            def f(s):
+                val = v(s)
+                return val ** p * p * math.log(val) if val > 0.0 else 0.0
 
-        def g(t):
-            if t <= 0.0:
-                return 0.0
-            if (n - 1) * t > 690.0:
-                # any profile passing the convergence precheck has an
-                # integrand far below double noise out here
-                return 0.0
-            s = sigma * geometry.phi(n, t)
-            dv = abs(v.derivative(s))
-            if dv == 0.0:
-                return 0.0
-            ls = p * math.log(dv) + (p * (n - 1) + n - 1) * geometry.log_sinh(t)
-            if ls > 700.0:
+            ent, err = quadrature.integrate_with_breakpoints(
+                f, 0.0, v.support_volume, v.nodes)
+            out.append((ent, err + abs(ent) * 1e-4))  # the gradients' grid proxy
+        return out
+    radii = _node_radii(n, v.nodes)
+    top = v.support_volume
+    t_top = (math.inf if math.isinf(top) else radii[-1] if top == v.nodes[-1]
+             else geometry.phi_inv(n, top / sigma))
+    c_hyp, c_euc = p * (n - 1) + n - 1, p * (n - 1) / n
+    need_v = bool(qs) or entropy
+    zeros = [0.0] * (1 + len(qs) + euclidean + entropy)
+    log, exp, phi, log_sinh = math.log, math.exp, geometry.phi, geometry.log_sinh
+    fn, dfn = v.fn, v.dfn
+
+    def g(t):
+        if t <= 0.0 or (n - 1) * t > 690.0:
+            # any profile passing the convergence prechecks has an
+            # integrand far below double noise out here
+            return zeros
+        ph = phi(n, t)
+        s = sigma * ph
+        dv = abs(float(dfn(s)))
+        val = float(fn(s)) if need_v else 0.0
+        if dv == 0.0 and not val > 0.0:
+            return zeros
+        ls = log_sinh(t)
+        w = (n - 1) * ls
+        out = [0.0]
+        if dv > 0.0:
+            lg = p * log(dv)
+            lh = lg + c_hyp * ls
+            if lh > 700.0:
                 raise DomainError("gradient integrand overflows; looks divergent")
-            return math.exp(ls)
+            out[0] = exp(lh)
+        lv = log(val) if val > 0.0 else None
+        out += [0.0 if lv is None else exp(q * lv + w) for q in qs]
+        if euclidean:
+            out.append(exp(lg + c_euc * log(ph) + w) if dv > 0.0 and ph > 0.0
+                       else 0.0)
+        if entropy:
+            out.append(0.0 if lv is None else exp(p * lv + w) * p * lv)
+        return out
 
-        breaks = [geometry.phi_inv(n, s / sigma) for s in v.nodes if s > 0.0]
-        val, err = quadrature.integrate_with_breakpoints(g, 0.0, t_top, breaks)
-        scale = n * sigma
-        return pref * scale * val, pref * scale * err
-    val, err = _grid_weighted_gradient(
-        v, p, lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)))
-    return pref * val, pref * err
+    vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
+    scales = ([pref * scale] + [scale] * len(qs) + [pref * scale] * euclidean
+              + [scale] * entropy)
+    return [(c * x, c * e) for c, x, e in zip(scales, vals, errs)]
 
 
 def kernel_correction(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
@@ -630,18 +697,11 @@ def hardy_term_bound(v: RadialProfile, p: float,
     if math.isinf(hi) and v.tail.kind == "power":
         _tail_divergence_check(v, p * v.tail.param, "weighted gradient integral")
 
-    def f_lhs(s):
-        return abs(v.derivative(s)) ** p * s ** p
+    def f(s):
+        val, dv = v(s), v.derivative(s)
+        return abs(dv) ** p * s ** p, abs(val / p + s * dv) ** p, val ** p
 
-    def f_w(s):
-        return abs(v(s) / p + s * v.derivative(s)) ** p
-
-    def f_v(s):
-        return v(s) ** p
-
-    lhs, _ = quadrature.integrate_with_breakpoints(f_lhs, lo, hi, v.nodes)
-    wterm, _ = quadrature.integrate_with_breakpoints(f_w, lo, hi, v.nodes)
-    vterm, _ = quadrature.integrate_with_breakpoints(f_v, lo, hi, v.nodes)
+    (lhs, wterm, vterm), _ = quadrature.integrate_vector(f, lo, hi, v.nodes)
     return lhs, wterm + p ** (-p) * vterm
 
 
@@ -664,9 +724,8 @@ def key_comparison(v: RadialProfile, n: int, p: float) -> DeficitReport:
         raise DomainError(
             f"comparison holds for p >= {boundary_exponent(n):g} at n={n}; got p={p}")
     params = Params(n, p)
-    hyp, e1 = grad_norm_hyperbolic(v, n, p)
-    euc, e2 = grad_norm_euclidean(v, n, p)
-    mass, e3 = lp_integral(v, p)
+    (hyp, e1), (mass, e3), (euc, e2) = radial_integrals(v, n, p, qs=(p,),
+                                                        euclidean=True)
     lhs = hyp - ((n - 1.0) / p) ** p * mass
     extras = {
         "grad_hyperbolic": hyp,

@@ -139,8 +139,9 @@ def ratio_function(inequality_id: str, n: int, p: float
         target = constants.sobolev_constant(Params(n, p)) ** p
 
         def ratio(v: RadialProfile) -> float:
-            D, _ = verifier.poincare_deficit(v, n, p)
-            crit, _ = rearrangement.lp_integral(v, pstar)
+            (grad, _), (mass, _), (crit, _) = rearrangement.radial_integrals(
+                v, n, p, qs=(p, pstar))
+            D = grad - ((n - 1.0) / p) ** p * mass
             if crit <= 0.0:
                 raise DomainError("zero profile has no ratio")
             return D / crit ** ((n - p) / n)

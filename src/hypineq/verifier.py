@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 from . import constants, geometry, rearrangement
 from .constants import Params, in_poincare_range
 from .errors import DomainError, EvaluationError
-from .quadrature import geomspace, integrate_with_breakpoints
+from .quadrature import geomspace
 from .rearrangement import RadialProfile, Tail
 from .report import DeficitReport
 
@@ -35,6 +35,13 @@ __all__ = [
 ]
 
 
+def _deficit(grad: Tuple[float, float], mass: Tuple[float, float],
+             coeff: float) -> Tuple[float, float]:
+    """(grad - coeff * mass, its error) from the (value, error) pairs of
+    the hyperbolic gradient integral and the L^p mass."""
+    return grad[0] - coeff * mass[0], grad[1] + coeff * mass[1]
+
+
 def poincare_deficit(v: RadialProfile, n: int, p: float,
                      zeroth_coeff: Optional[float] = None) -> Tuple[float, float]:
     """Hyperbolic gradient integral minus the sharp zeroth-order term
@@ -42,9 +49,8 @@ def poincare_deficit(v: RadialProfile, n: int, p: float,
     Returns (value, error_estimate)."""
     if zeroth_coeff is None:
         zeroth_coeff = ((n - 1.0) / p) ** p
-    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p)
-    mass, e2 = rearrangement.lp_integral(v, p)
-    return grad - zeroth_coeff * mass, e1 + zeroth_coeff * e2
+    return _deficit(*rearrangement.radial_integrals(v, n, p, qs=(p,)),
+                    zeroth_coeff)
 
 
 def poincare_sobolev(v: RadialProfile, n: int, p: float,
@@ -56,8 +62,9 @@ def poincare_sobolev(v: RadialProfile, n: int, p: float,
             f"poincare_sobolev needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
     params = Params(n, p)
     pstar = n * p / (n - p)
-    lhs, e1 = poincare_deficit(v, n, p)
-    crit_mass, e2 = rearrangement.lp_integral(v, pstar)
+    grad, mass, (crit_mass, e2) = rearrangement.radial_integrals(
+        v, n, p, qs=(p, pstar))
+    lhs, e1 = _deficit(grad, mass, ((n - 1.0) / p) ** p)
     S = constant_scale * constants.sobolev_constant(params)
     rhs = S ** p * crit_mass ** ((n - p) / n)
     rhs_err = 0.0
@@ -85,24 +92,28 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
     theta = constants.gn_theta(params)
     gn = constant_scale * constants.gn_constant(params)
     q = alpha * (p - 1.0) + 1.0
-    D, e1 = poincare_deficit(v, n, p)
+    grad, mass, ap, lq = rearrangement.radial_integrals(
+        v, n, p, qs=(p, alpha * p, q))
+    D, e1 = _deficit(grad, mass, ((n - 1.0) / p) ** p)
     if D < 0.0:
         raise EvaluationError(
             f"gradient deficit came out negative ({D!r}); profile inadmissible")
-    mass_ap, e2 = rearrangement.lp_integral(v, alpha * p)
-    mass_q, e3 = rearrangement.lp_integral(v, q)
-    if alpha > 1.0:
-        target = mass_ap ** (1.0 / (alpha * p))
-        secondary = mass_q ** (1.0 / q)
-    else:
-        target = mass_q ** (1.0 / q)
-        secondary = mass_ap ** (1.0 / (alpha * p))
+    # (exponent, mass, error) of the target norm and of the secondary one
+    (q_t, m_t, e_t), (q_s, m_s, e_s) = (((alpha * p, *ap), (q, *lq)) if alpha > 1.0
+                                        else ((q, *lq), (alpha * p, *ap)))
+    target = m_t ** (1.0 / q_t)
+    secondary = m_s ** (1.0 / q_s)
     # powered form: p-th power of the displayed inequality
     lhs = gn ** p * D ** theta * secondary ** ((1.0 - theta) * p)
     rhs = target ** p
+    # each factor's relative error times its power in the side it enters
     err = 0.0
     if D > 0.0:
         err += lhs * theta * e1 / D
+    if m_s > 0.0:
+        err += lhs * (1.0 - theta) * p / q_s * e_s / m_s
+    if m_t > 0.0:
+        err += rhs * p / q_t * e_t / m_t
     extras = {
         "poincare_deficit": D,
         "theta": theta,
@@ -112,7 +123,7 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
         "rhs_root": target,
     }
     return DeficitReport("gagliardo_nirenberg", params, lhs, rhs,
-                         quadrature_error=err + e2 + e3, label=v.label,
+                         quadrature_error=err, label=v.label,
                          extras=extras)
 
 
@@ -162,10 +173,11 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
     if variant not in ("p", "n"):
         raise DomainError(f"unknown variant {variant!r}")
     coeff = ((n - 1.0) / p) ** p if variant == "p" else ((n - 1.0) / n) ** p
-    mass, e_m = rearrangement.lp_integral(v, p)
+    grad, (mass, e_m), (ent, e_e) = rearrangement.radial_integrals(
+        v, n, p, qs=(p,), entropy=True)
     if mass <= 0.0:
         raise DomainError("log_sobolev needs a nonzero profile")
-    D, e_d = poincare_deficit(v, n, p, zeroth_coeff=coeff)
+    D, e_d = _deficit(grad, (mass, e_m), coeff)
     L = constant_scale * constants.log_sobolev_constant(params)
     if D <= 0.0:
         raise EvaluationError(
@@ -173,18 +185,10 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
     # renormalize algebraically: dividing v by mass^(1/p) divides both the
     # deficit and the entropy integrand's mass by `mass`
     lhs = (n / p) * math.log(L * D / mass)
-
-    def entropy(s):
-        val = v(s)
-        if val <= 0.0:
-            return 0.0
-        return val ** p * p * math.log(val)
-
-    ent, e_e = integrate_with_breakpoints(entropy, 0.0, v.support_volume, v.nodes)
-    if v.fn is None:
-        e_e += abs(ent) * 1e-4  # grid-refinement proxy, as for the gradients
     rhs = ent / mass - math.log(mass)
-    err = e_e / mass + (n / p) * (e_d / D + e_m / mass)
+    # both sides' errors, each term's relative error times its weight
+    err = (e_e / mass + abs(ent) * e_m / mass ** 2 + e_m / mass
+           + (n / p) * (e_d / D + e_m / mass))
     extras = {
         "deficit_term": D,
         "normalization_mass": mass,
@@ -209,9 +213,8 @@ def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
                           "with derivative closures (smooth representatives)")
     params = Params(n, max(p, 1.0 + 1e-12)) if p == 1.0 else Params(n, p)
     pstar = n * p / (n - p)
-    grad, e1 = rearrangement.grad_norm_hyperbolic(v, n, p)
-    mass, e2 = rearrangement.lp_integral(v, p)
-    crit, e3 = rearrangement.lp_integral(v, pstar)
+    (grad, e1), (mass, e2), (crit, e3) = rearrangement.radial_integrals(
+        v, n, p, qs=(p, pstar))
     S = constant_scale * constants._sobolev_constant_raw(n, p)
     lhs = ((n - 1.0) / p) ** n * mass ** (n / p) + S ** n * crit ** ((n - p) / p)
     rhs = grad ** (n / p)

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypineq import cli, verifier
+from hypineq import cli, rearrangement, verifier
 from hypineq.corpus import bubble_corpus, standard_corpus, write_corpus
 from hypineq.rearrangement import write_profile
 
@@ -220,13 +220,24 @@ def test_verify_calls_evaluator_once_per_profile(capsys, monkeypatch):
 
 
 def test_verify_evaluation_error_is_inconclusive(capsys, monkeypatch):
-    # a negative gradient deficit trips the gagliardo_nirenberg guard
-    monkeypatch.setattr(verifier, "poincare_deficit",
-                        lambda *args, **kwargs: (-1.0, 0.0))
+    # a negative gradient deficit trips the gagliardo_nirenberg guard: a
+    # zero gradient integral against unit masses
+    monkeypatch.setattr(rearrangement, "radial_integrals",
+                        lambda v, n, p, qs=(), **kwargs:
+                        [(0.0, 0.0)] + [(1.0, 0.0)] * len(qs))
     code, _, err = run(capsys, "verify", "--inequality", "gagliardo_nirenberg",
                        "--n", "4", "--p", N4P, "--alpha", "2.0")
     assert code == 3
     assert err.startswith("inconclusive:")
+
+
+def test_key_comparison_power_tail_at_n6(capsys):
+    # the Euclidean weight phi^(p(n-1)/n) of power-k2 overflows unless the
+    # one-pass integrand is built in log space
+    code, out, err = run(capsys, "verify", "--inequality", "key_comparison",
+                         "--n", "6", "--p", "4.2")
+    assert code == 0, err
+    assert len(json.loads(out)) == 20
 
 
 def test_verify_missing_corpus_dir(capsys, tmp_path):
@@ -281,6 +292,14 @@ def test_sharpness_single_evaluation(capsys):
     assert code == 2
 
 
+def test_sharpness_modes_are_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sharpness", "--n", "4", "--p", N4P, "--optimize",
+                  "--no-optimize", "--lambda", "0.1"])
+    assert exc.value.code == 2
+    assert "not allowed with argument --optimize" in capsys.readouterr().err
+
+
 def test_sharpness_optimizer(capsys, tmp_path):
     code, _, _ = run(capsys, "sharpness", "--n", "4", "--p", N4P,
                      "--optimize", "--max-iter", "30", "--out", str(tmp_path))
@@ -297,6 +316,16 @@ def test_sharpness_optimizer(capsys, tmp_path):
     ("constants", "--n", "4", "--p", N4P, "--rel-tol", "1e-3"),
     ("lemma", "verify", "--n", "4", "--p", "3", "--rel-tol", "1e-3"),
     ("sharpness", "--n", "4", "--p", N4P, "--rel-tol", "1e-3"),
+    # each sharpness mode takes only the flags it uses
+    ("sharpness", "--n", "4", "--p", "2.7", "--lambdas", "1,0.1", "--lambda", "0.5"),
+    ("sharpness", "--n", "4", "--p", N4P, "--max-iter", "5"),
+    ("sharpness", "--n", "4", "--p", N4P, "--optimize", "--lambdas", "1,0.1"),
+    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
+     "--max-iter", "5"),
+    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
+     "--lambdas", "1,0.1"),
+    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
+     "--gap-max", "0.1"),
 ])
 def test_flags_a_command_ignores_are_rejected(capsys, argv):
     # sharpness writes CSV only; only verify and sweep judge a tolerance

@@ -1,3 +1,4 @@
+import heapq
 import math
 
 import pytest
@@ -8,6 +9,7 @@ from hypineq.quadrature import (
     QuadratureConfig,
     find_root_increasing,
     integrate,
+    integrate_vector,
     integrate_with_breakpoints,
 )
 
@@ -94,6 +96,103 @@ def test_breakpoints_with_infinite_tail():
     val, _ = integrate_with_breakpoints(lambda x: math.exp(-x), 0.0, math.inf,
                                         [0.5, 2.0])
     assert val == pytest.approx(1.0, rel=1e-10)
+
+
+def _spike(x):
+    z = (x - 1e-9) / 1e-10
+    return math.exp(-z * z)
+
+
+# The scalar panel rule, tree and sweeps that the vector ones replaced,
+# kept as the reference they must repeat bit for bit on one component.
+_XGK = (0.991455371120812639206854697526329, 0.949107912342758524526189684047851,
+        0.864864423359769072789712788640926, 0.741531185599394439863864773280788,
+        0.586087235467691130294144838258730, 0.405845151377397166906606412076961,
+        0.207784955007898467600689403773245)
+_WGK = (0.022935322010529224963732008058970, 0.063092092629978553290700663189204,
+        0.104790010322250183839876322541518, 0.140653259715525918745189590510238,
+        0.169004726639267902826583426598550, 0.190350578064785409913256402421014,
+        0.204432940075298892414161999234649, 0.209482141084727828012999174891714)
+_WG = (0.129484966168869693270611432679082, 0.279705391489276667901467771423780,
+       0.381830050505118944950369775488975, 0.417959183673469387755102040816327)
+
+
+def _scalar_gk15(f, a, b):
+    c, h = 0.5 * (a + b), 0.5 * (b - a)
+    resk, resg = _WGK[7] * f(c), _WG[3] * f(c)
+    for j in range(7):
+        fsum = f(c - h * _XGK[j]) + f(c + h * _XGK[j])
+        resk += _WGK[j] * fsum
+        if j % 2 == 1:
+            resg += _WG[j // 2] * fsum
+    return resk * h, abs(resk - resg) * abs(h)
+
+
+def _scalar_finite(f, a, b, rel=1e-10, abs_tol=1e-12):
+    val, err = _scalar_gk15(f, a, b)
+    heap, total, total_err, counter = [(-err, 0, a, b, val, err)], val, err, 1
+    while total_err > max(abs_tol, rel * abs(total)):
+        _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        pm = 0.5 * (pa + pb)
+        (lval, lerr), (rval, rerr) = _scalar_gk15(f, pa, pm), _scalar_gk15(f, pm, pb)
+        total += (lval + rval) - pval
+        total_err += (lerr + rerr) - perr
+        heapq.heappush(heap, (-lerr, counter, pa, pm, lval, lerr))
+        heapq.heappush(heap, (-rerr, counter + 1, pm, pb, rval, rerr))
+        counter += 2
+    return total, total_err
+
+
+def _scalar_sweep(g, step, total=0.0, total_err=0.0):
+    small, prev, y = 0, math.inf, 0.0
+    while small < 2:
+        v, e = _scalar_finite(g, min(y, y + step), max(y, y + step))
+        total, total_err, y = total + v, total_err + e, y + step
+        floor = 0.25 * max(1e-12, 1e-10 * abs(total))
+        small = small + 1 if abs(v) < floor and (step < 0.0 or abs(v) <= prev) else 0
+        prev = abs(v)
+    return total, total_err
+
+
+def _scalar_with_breakpoints(f, a, b, points):
+    total, total_err, lo = 0.0, 0.0, a
+    for x in sorted(x for x in points if a < x < b):
+        if lo == 0.0:
+            v, e = _scalar_sweep(lambda y, x=x: f(x * math.exp(y)) * (x * math.exp(y)),
+                                 -2.0)
+        else:
+            v, e = _scalar_finite(f, lo, x)
+        total, total_err, lo = total + v, total_err + e, x
+    if math.isinf(b):
+        g = lambda y: f(lo + math.exp(y)) * math.exp(y)
+        v, e = _scalar_sweep(g, -2.0, *_scalar_sweep(g, 2.0))
+    else:
+        v, e = _scalar_finite(f, lo, b)
+    return total + v, total_err + e
+
+
+@pytest.mark.parametrize("f,a,b,points", [
+    (_spike, 0.0, 1.0, [1e-9 + k * 1e-10 for k in range(-8, 9)]),
+    (lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, [0.5]),
+    (lambda x: math.exp(-x), 0.0, math.inf, [0.5, 2.0]),
+])
+def test_one_component_is_the_scalar_tree(f, a, b, points):
+    # a spike, a 1/sqrt(x) edge and an exponential tail
+    got = integrate_with_breakpoints(f, a, b, points)
+    assert got == _scalar_with_breakpoints(f, a, b, points)
+
+
+def test_vector_components_match_separate_integrals():
+    # components with different scales share one tree; each meets its own
+    # tolerance, so each is at least as accurate as its scalar integral
+    fs = (lambda x: math.exp(-x), lambda x: 1e-20 * x * x * math.exp(-x),
+          lambda x: 1.0 / math.sqrt(x))
+    vals, errs = integrate_vector(lambda x: [f(x) for f in fs], 0.0, 1.0, [0.5])
+    for f, val, err in zip(fs, vals, errs):
+        ref, _ = integrate_with_breakpoints(
+            f, 0.0, 1.0, [0.5], QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300))
+        assert abs(val - ref) <= max(err, 1e-10 * abs(ref))
+        assert err <= max(1e-12, 1e-10 * abs(val))
 
 
 def test_root_cubic():

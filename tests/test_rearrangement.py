@@ -8,9 +8,10 @@ from hypothesis import given, settings, strategies as st
 
 from hypineq import geometry, rearrangement
 from hypineq.constants import unit_ball_volume
-from hypineq.corpus import tent_profile, write_corpus
+from hypineq.corpus import standard_corpus, tent_profile, write_corpus
 from hypineq.errors import DomainError
-from hypineq.quadrature import find_root_increasing
+from hypineq.quadrature import (QuadratureConfig, find_root_increasing,
+                                integrate_with_breakpoints)
 from hypineq.rearrangement import (
     Piece,
     RadialFunction,
@@ -27,6 +28,7 @@ from hypineq.rearrangement import (
     lp_integral,
     lp_norm,
     lq_norm_direct,
+    radial_integrals,
     read_profile,
     scale_profile,
     write_profile,
@@ -335,6 +337,86 @@ def test_hardy_equality_on_power_profile():
 
 
 # -- comparison -----------------------------------------------------
+
+
+# -- the one-pass integrals in geodesic radius ------------------------
+
+# rel_tol 1e-13 as tight as double allows; abs_tol 1e-300 would not
+# converge where a closure loses digits near s = 0 (the sech derivative,
+# log v of the quadratic spike), so the floor is 1e-15 (every integral
+# below is above 1e-6)
+_TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
+
+
+def _s_space(v, n, p, qs):
+    """The components of radial_integrals, each integrated on its own in
+    the volume s at the tight tolerance."""
+    sigma = unit_ball_volume(n)
+    pref = (n * sigma) ** p
+
+    def integral(f):
+        return integrate_with_breakpoints(f, 0.0, v.support_volume, v.nodes,
+                                          _TIGHT)[0]
+
+    def gradient(log_weight):
+        def f(s):
+            dv = abs(v.derivative(s))
+            if dv == 0.0 or s == 0.0:
+                return 0.0
+            return math.exp(p * math.log(dv) + log_weight(s))
+        return pref * integral(f)
+
+    def entropy(s):
+        val = v(s)
+        return val ** p * p * math.log(val) if val > 0.0 else 0.0
+
+    return ([gradient(lambda s: p * (n - 1) * math.log(
+                geometry.sinh_phi_inv(n, s / sigma)))]
+            + [integral(lambda s, q=q: v(s) ** q) for q in qs]
+            + [gradient(lambda s: p * (n - 1) / n * math.log(s / sigma)),
+               integral(entropy)])
+
+
+@pytest.mark.parametrize("n,p", [(4, 3.0), (6, 4.2)])
+def test_radial_pass_matches_s_space_integrals(n, p):
+    corpus = {v.label: v for v in standard_corpus()}
+    qs = (p, n * p / (n - p))
+    for label in ("tent-A0.5-b1", "tent-A5-b0.5", "bump-A0.7-b0.8", "quad-A1-b6",
+                  "exp-A0.5-a4", "sech-A1-a1", "power-k2",
+                  "truncated-bubble-l0.3-T2", "truncated-bubble-l0.05-T1"):
+        v = corpus[label]
+        got = radial_integrals(v, n, p, qs=qs, euclidean=True, entropy=True)
+        for (val, _), ref in zip(got, _s_space(v, n, p, qs)):
+            assert val == pytest.approx(ref, rel=1e-8), label
+
+
+def test_radial_pass_reuses_breakpoints_of_a_grid(monkeypatch):
+    calls = []
+    real = geometry.phi_inv
+
+    def counted(n, s):
+        calls.append(s)
+        return real(n, s)
+
+    monkeypatch.setattr(geometry, "phi_inv", counted)
+    grad_norm_hyperbolic(tent_profile(1.0, 1.0), 4, 3.0)
+    assert len(calls) == 32  # every node but s = 0; the last is the top
+    calls.clear()
+    # another profile object on the same grid, with other values
+    radial_integrals(tent_profile(2.5, 1.0), 4, 3.0, qs=(3.0,), euclidean=True)
+    assert calls == []
+    radial_integrals(tent_profile(2.5, 1.0), 5, 3.0)
+    assert len(calls) == 32  # a new dimension is a new key
+
+
+def test_radial_pass_matches_standalone_norms_on_grid_profile(tmp_path):
+    # a grid-only profile takes the standalone paths unchanged
+    path = str(tmp_path / "tent.txt")
+    write_profile(path, tent_profile(1.0, 2.0))
+    v = read_profile(path)
+    got = radial_integrals(v, 4, 3.0, qs=(2.0,), euclidean=True)
+    assert got == [grad_norm_hyperbolic(v, 4, 3.0), lp_integral(v, 2.0),
+                   grad_norm_euclidean(v, 4, 3.0)]
 
 
 def test_key_comparison_positive_on_tent():

@@ -2,7 +2,7 @@ import math
 
 import pytest
 
-from hypineq import constants, verifier as V
+from hypineq import constants, rearrangement, verifier as V
 from hypineq.constants import Params
 from hypineq.corpus import bump_profile, standard_corpus, tent_profile
 from hypineq.errors import DomainError
@@ -178,3 +178,40 @@ def test_evaluators_are_homogeneous(corpus_by_label, label):
             assert math.isclose(getattr(rep_c, side), want, rel_tol=1e-9), \
                 (ineq, side)
 
+
+
+@pytest.mark.parametrize("alpha", [1.5, 0.6])
+def test_gagliardo_nirenberg_bar_propagates_mass_errors(alpha):
+    # the target norm enters rhs as mass^(p/q) and the secondary one enters
+    # lhs as mass^((1 - theta) p / q), so their errors enter as relative
+    # errors times those powers, not as raw mass errors
+    v, n, p = bump_profile(1.0, 4.0), 4, 3.0
+    q = alpha * (p - 1.0) + 1.0
+    grad, mass, ap, lq = rearrangement.radial_integrals(
+        v, n, p, qs=(p, alpha * p, q))
+    coeff = ((n - 1.0) / p) ** p
+    D, e_d = grad[0] - coeff * mass[0], grad[1] + coeff * mass[1]
+    # alpha > 1: the target is the L^(alpha p) norm, else the L^q norm
+    (q_t, (m_t, e_t)), (q_s, (m_s, e_s)) = (
+        ((alpha * p, ap), (q, lq)) if alpha > 1.0 else ((q, lq), (alpha * p, ap)))
+    rep = V.gagliardo_nirenberg(v, n, p, alpha)
+    assert rep.extras["target_norm"] == pytest.approx(m_t ** (1.0 / q_t), rel=1e-14)
+    theta = rep.extras["theta"]
+    want = (rep.lhs * theta * e_d / D
+            + rep.lhs * (1.0 - theta) * p / q_s * e_s / m_s
+            + rep.rhs * p / q_t * e_t / m_t)
+    assert rep.quadrature_error == pytest.approx(want, rel=1e-12)
+
+
+def test_log_sobolev_bar_covers_both_sides():
+    # lhs = (n/p) log(L D / mass); rhs = ent / mass - log(mass): the mass
+    # error enters both sides, and the rhs through ent / mass^2 too
+    v, n, p = bump_profile(1.0, 4.0), 5, 3.1
+    grad, (mass, e_m), (ent, e_e) = rearrangement.radial_integrals(
+        v, n, p, qs=(p,), entropy=True)
+    coeff = ((n - 1.0) / p) ** p
+    D, e_d = grad[0] - coeff * mass, grad[1] + coeff * e_m
+    want = (n / p) * (e_d / D + e_m / mass) \
+        + e_e / mass + abs(ent) * e_m / mass ** 2 + e_m / mass
+    rep = V.log_sobolev(v, n, p)
+    assert rep.quadrature_error == pytest.approx(want, rel=1e-12)
