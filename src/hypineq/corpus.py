@@ -97,7 +97,8 @@ def _sech_profile(height: float, rate: float) -> RadialProfile:
 
     def dfn(s):
         e = math.exp(-a * s)
-        return -2.0 * A * a * e * (1.0 - e * e) / (1.0 + e * e) ** 2
+        # 1 - e^2 as -expm1(-2as), which keeps its digits as s -> 0
+        return 2.0 * A * a * e * math.expm1(-2.0 * a * s) / (1.0 + e * e) ** 2
 
     grid = [0.0] + geomspace(1e-3 / a, 30.0 / a, 40)
     vals = [fn(s) for s in grid]

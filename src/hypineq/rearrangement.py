@@ -4,9 +4,10 @@ norm integrals derived from it.
 A radial function of geodesic radius is rearranged into a non-increasing
 profile v of superlevel-set volume s.  The hyperbolic and Euclidean
 symmetrizations are never materialized: every norm of either one is an
-integral of v (or v') against an explicit weight, in s or, for
-radial_integrals (every integral one evaluation needs, in one pass), in
-geodesic radius t through s = sigma phi(t), ds = n sigma sinh(t)^(n-1) dt.
+integral of v (or v') against an explicit weight.  radial_integrals takes
+every integral one evaluation needs in one pass: of a closure in geodesic
+radius t through s = sigma phi(t), ds = n sigma sinh(t)^(n-1) dt, of a
+grid-only profile in s.  Only hardy_term_bound integrates a closure in s.
 """
 
 from __future__ import annotations
@@ -470,12 +471,13 @@ def _check_mass(v: RadialProfile, q: float):
 
 
 def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
-    """(integral of v^q over the measure line, error estimate), in s."""
+    """(integral of v^q over the measure line, error estimate).  A closure
+    takes the pass in geodesic radius of radial_integrals at n = 2: the
+    integral has no dimension, phi_inv is closed-form there, and s ~ e^t
+    turns any power tail of v into geometric decay in t."""
     _check_mass(v, q)
     if v.fn is not None:
-        top = v.support_volume
-        return quadrature.integrate_with_breakpoints(
-            lambda s: v(s) ** q, 0.0, top, v.nodes)
+        return radial_integrals(v, 2, q, qs=(q,), grads=())[0]
     # piecewise-linear segments integrate in closed form
     total = 0.0
     for ai, bi, x0, x1 in zip(v.values, v.values[1:], v.nodes, v.nodes[1:]):
@@ -520,31 +522,7 @@ def _grid_weighted_gradient(v: RadialProfile, p: float,
 def grad_norm_euclidean(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
     """p-th power of the Euclidean gradient norm of the flat
     symmetrization, with its quadrature error estimate."""
-    _check_np(n, p)
-    _check_euclidean(v, n, p)
-    sigma = unit_ball_volume(n)
-    pref = (n * sigma) ** p
-    if v.dfn is not None:
-        top = v.support_volume
-        x_top = math.inf if math.isinf(top) else (top / sigma) ** (1.0 / n)
-
-        def g(x):
-            s = sigma * x ** n
-            return abs(v.derivative(s)) ** p * x ** (p * (n - 1)) \
-                * sigma * n * x ** (n - 1)
-
-        breaks = [(s / sigma) ** (1.0 / n) for s in v.nodes if s > 0.0]
-        val, err = quadrature.integrate_with_breakpoints(g, 0.0, x_top, breaks)
-        return pref * val, pref * err
-    val, err = _grid_weighted_gradient(
-        v, p, lambda s: (s / sigma) ** (p * (n - 1) / n))
-    return pref * val, pref * err
-
-
-def _check_euclidean(v: RadialProfile, n: int, p: float):
-    if v.tail.kind == "power":
-        _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
-                               "Euclidean gradient integral")
+    return radial_integrals(v, n, p, grads=("euclidean",))[0]
 
 
 def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
@@ -562,37 +540,53 @@ def _node_radii(n: int, nodes: Tuple[float, ...]) -> Tuple[float, ...]:
     return tuple(geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0)
 
 
+_GRADIENTS = ("hyperbolic", "euclidean", "kernel")
+
+
 def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (),
-                     euclidean: bool = False, entropy: bool = False
+                     grads: Sequence[str] = ("hyperbolic",), entropy: bool = False
                      ) -> List[Tuple[float, float]]:
-    """(value, error) of, in order: the p-th power of the hyperbolic
-    gradient norm; the mass integral of v^q ds for each q in qs; the p-th
-    power of the Euclidean gradient norm if euclidean; the entropy
-    integral of v^p p log v ds if entropy.  A grid-only profile takes the
-    grid paths in s.  A closure takes one vector panel tree in geodesic
-    radius t over the radii of its grid nodes, where one phi, v', log sinh
-    (and v) per node serve every integrand.  Each is built in log space
-    with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w) or
-    exp(p(n-1)/n log phi + w), exp(q log v + w), p log v exp(p log v + w).
+    """(value, error) of, in order: the p-th power of each gradient norm
+    named in grads, a subsequence of ("hyperbolic", "euclidean", "kernel")
+    (the kernel is the excess of the first over the second, integrated
+    against the weight gap); the mass integral of v^q ds for each q in
+    qs; the entropy integral of v^p p log v ds if entropy.  A grid-only
+    profile takes the grid paths in s.  A closure takes one vector panel
+    tree in geodesic radius t over the radii of its grid nodes, where one
+    phi, v', log sinh (and v) per node serve every integrand.  Each is
+    built in log space with w = (n-1) log sinh t: |v'|^p times
+    exp(p(n-1) log sinh t + w), exp(p(n-1)/n log phi + w) or their
+    difference, exp(q log v + w), p log v exp(p log v + w).
     """
     _check_np(n, p)
-    if v.tail.kind == "power":
+    want_h, want_e, want_k = (c in grads for c in _GRADIENTS)
+    if list(grads) != [c for c in _GRADIENTS if c in grads]:
+        raise DomainError(
+            f"grads must be a subsequence of {_GRADIENTS!r}, got {grads!r}")
+    need_h = want_h or want_k  # the kernel is the hyperbolic weight times a gap
+    if need_h and v.tail.kind == "power":
         # |v'|^p decays like s^(-p*exponent - p) and the hyperbolic
         # weight grows like s^p, so the integrand decays like s^(-p*exponent)
         _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral")
     for q in qs:
         _check_mass(v, q)
-    if euclidean:
-        _check_euclidean(v, n, p)
+    if want_e and v.tail.kind == "power":
+        _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
+                               "Euclidean gradient integral")
     sigma = unit_ball_volume(n)
     scale = n * sigma
     pref = scale ** p
     if v.dfn is None:
-        val, err = _grid_weighted_gradient(
-            v, p, lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)))
-        out = [(pref * val, pref * err)] + [lp_integral(v, q) for q in qs]
-        if euclidean:
-            out.append(grad_norm_euclidean(v, n, p))
+        weights = {
+            "hyperbolic": lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)),
+            "euclidean": lambda s: (s / sigma) ** (p * (n - 1) / n),
+            "kernel": lambda s: geometry.kernel_gap(n, p, s / sigma),
+        }
+        out = []
+        for c in grads:
+            val, err = _grid_weighted_gradient(v, p, weights[c])
+            out.append((pref * val, pref * err))
+        out += [lp_integral(v, q) for q in qs]
         if entropy:
             def f(s):
                 val = v(s)
@@ -606,10 +600,11 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     top = v.support_volume
     t_top = (math.inf if math.isinf(top) else radii[-1] if top == v.nodes[-1]
              else geometry.phi_inv(n, top / sigma))
-    c_hyp, c_euc = p * (n - 1) + n - 1, p * (n - 1) / n
+    c_hyp, c_euc, c_gap = p * (n - 1) + n - 1, p * (n - 1) / n, p * (n - 1)
     need_v = bool(qs) or entropy
-    zeros = [0.0] * (1 + len(qs) + euclidean + entropy)
-    log, exp, phi, log_sinh = math.log, math.exp, geometry.phi, geometry.log_sinh
+    zeros = [0.0] * (len(grads) + len(qs) + entropy)
+    log, exp, expm1 = math.log, math.exp, math.expm1
+    phi, log_sinh = geometry.phi, geometry.log_sinh
     fn, dfn = v.fn, v.dfn
 
     def g(t):
@@ -619,31 +614,44 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             return zeros
         ph = phi(n, t)
         s = sigma * ph
-        dv = abs(float(dfn(s)))
+        dv = abs(float(dfn(s))) if grads else 0.0
         val = float(fn(s)) if need_v else 0.0
         if dv == 0.0 and not val > 0.0:
             return zeros
         ls = log_sinh(t)
         w = (n - 1) * ls
-        out = [0.0]
+        hyp = euc = ker = 0.0
         if dv > 0.0:
             lg = p * log(dv)
-            lh = lg + c_hyp * ls
-            if lh > 700.0:
-                raise DomainError("gradient integrand overflows; looks divergent")
-            out[0] = exp(lh)
+            if need_h:
+                lh = lg + c_hyp * ls
+                if lh > 700.0:
+                    raise DomainError("gradient integrand overflows; looks divergent")
+                hyp = exp(lh)
+            if want_e or want_k:
+                lph = c_euc * log(ph) if ph > 0.0 else -math.inf
+                if want_e:
+                    le = lg + lph + w
+                    if le > 700.0:
+                        raise DomainError("gradient integrand overflows; looks divergent")
+                    euc = exp(le)
+                if want_k:
+                    # the weight gap is the hyperbolic weight sinh^(p(n-1))
+                    # times 1 - phi^(p(n-1)/n) / sinh^(p(n-1)), in (0, 1]
+                    ker = -hyp * expm1(lph - c_gap * ls)
+        out = [hyp] if want_h else []
+        if want_e:
+            out.append(euc)
+        if want_k:
+            out.append(ker)
         lv = log(val) if val > 0.0 else None
         out += [0.0 if lv is None else exp(q * lv + w) for q in qs]
-        if euclidean:
-            out.append(exp(lg + c_euc * log(ph) + w) if dv > 0.0 and ph > 0.0
-                       else 0.0)
         if entropy:
             out.append(0.0 if lv is None else exp(p * lv + w) * p * lv)
         return out
 
     vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
-    scales = ([pref * scale] + [scale] * len(qs) + [pref * scale] * euclidean
-              + [scale] * entropy)
+    scales = [pref * scale] * len(grads) + [scale] * (len(qs) + entropy)
     return [(c * x, c * e) for c, x, e in zip(scales, vals, errs)]
 
 
@@ -651,20 +659,7 @@ def kernel_correction(v: RadialProfile, n: int, p: float) -> Tuple[float, float]
     """The excess of the hyperbolic over the Euclidean gradient integral,
     computed directly against the weight gap (not as a difference of the
     two norms); closes the decomposition identity."""
-    _check_np(n, p)
-    sigma = unit_ball_volume(n)
-    pref = (n * sigma) ** p
-    if v.tail.kind == "power":
-        _tail_divergence_check(v, p * v.tail.param, "kernel correction integral")
-    if v.dfn is not None:
-        def g(s):
-            return abs(v.derivative(s)) ** p * geometry.kernel_gap(n, p, s / sigma)
-        val, err = quadrature.integrate_with_breakpoints(
-            g, 0.0, v.support_volume, v.nodes)
-        return pref * val, pref * err
-    val, err = _grid_weighted_gradient(
-        v, p, lambda s: geometry.kernel_gap(n, p, s / sigma))
-    return pref * val, pref * err
+    return radial_integrals(v, n, p, grads=("kernel",))[0]
 
 
 def _check_np(n: int, p: float):
@@ -724,8 +719,8 @@ def key_comparison(v: RadialProfile, n: int, p: float) -> DeficitReport:
         raise DomainError(
             f"comparison holds for p >= {boundary_exponent(n):g} at n={n}; got p={p}")
     params = Params(n, p)
-    (hyp, e1), (mass, e3), (euc, e2) = radial_integrals(v, n, p, qs=(p,),
-                                                        euclidean=True)
+    (hyp, e1), (euc, e2), (mass, e3) = radial_integrals(
+        v, n, p, qs=(p,), grads=("hyperbolic", "euclidean"))
     lhs = hyp - ((n - 1.0) / p) ** p * mass
     extras = {
         "grad_hyperbolic": hyp,

@@ -281,8 +281,8 @@ def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float) -> float:
     if not 1.0 < p < n:
         raise DomainError(f"need 1 < p < n, got n={n}, p={p}")
     pstar = n * p / (n - p)
-    grad, _ = rearrangement.grad_norm_euclidean(v, n, p)
-    crit, _ = rearrangement.lp_integral(v, pstar)
+    (grad, _), (crit, _) = rearrangement.radial_integrals(
+        v, n, p, qs=(pstar,), grads=("euclidean",))
     if crit <= 0.0:
         raise DomainError("zero profile has no Rayleigh ratio")
     return grad / crit ** ((n - p) / n)

@@ -112,7 +112,7 @@ def test_criterion_07_equality_certification():
         ex = verifier.extremal_linfty_profile(n, p)
         rep = verifier.linfty_inequality(ex, n, p)
         ok = ok and abs(rep.relative_margin) <= 1e-6
-    for n, p in [(4, 8.0 / 3.0), (5, 2.5), (3, 2.0)]:
+    for n, p in [(4, 8.0 / 3.0), (5, 2.5), (3, 2.0), (4, 3.5), (5, 4.0), (6, 5.0)]:
         target = constants.sobolev_constant(Params(n, p)) ** p
         ratio = verifier.euclidean_rayleigh_ratio(
             sharpness.untruncated_bubble(n, p, 1.0), n, p)

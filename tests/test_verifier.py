@@ -136,6 +136,13 @@ def test_euclidean_rayleigh_equals_sharp_constant_on_bubble():
             v = untruncated_bubble(n, p, lam)
             assert V.euclidean_rayleigh_ratio(v, n, p) == pytest.approx(
                 target, rel=1e-8), (n, p, lam)
+    # far above the phase boundary the Euclidean integrand decays in s
+    # like a power barely past 1/s, in geodesic radius geometrically
+    for n, p in [(4, 3.5), (5, 4.0), (6, 5.0)]:
+        target = constants.sobolev_constant(Params(n, p)) ** p
+        v = untruncated_bubble(n, p, 1.0)
+        assert V.euclidean_rayleigh_ratio(v, n, p) == pytest.approx(
+            target, rel=1e-7), (n, p)
 
 
 # (n, p, alpha, degree d) per inequality: both sides of the report are
