@@ -119,7 +119,8 @@ def build_parser():
 
     sp = subs.add_parser("sharpness", help="concentration trend / optimizer run")
     sp.add_argument("--inequality", default="poincare_sobolev",
-                    choices=("poincare_sobolev", "key_comparison"))
+                    choices=[key for key, row in verifier.INEQUALITIES.items()
+                             if row.ratio is not None])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     # the defaults of the flags of one mode are in _SHARPNESS_FLAGS
@@ -330,6 +331,19 @@ def _check_sharpness_flags(args, sub: argparse.ArgumentParser) -> None:
         vars(args).setdefault(dest, default)
 
 
+def _sharpness_verdict(gaps: List[float], target: float, settled: bool,
+                       gap_max: float) -> int:
+    """Exit code of a sharpness run from its gaps (ratio - target): 1 if a
+    gap undercuts the target by more than 1e-6 of it, 3 if the run has
+    not settled (a broken trend, or no convergence) or the last gap
+    exceeds gap_max of the target, 0 otherwise."""
+    if min(gaps) < -1e-6 * target:
+        return EXIT_VIOLATION
+    if not settled or gaps[-1] > gap_max * target:
+        return EXIT_INCONCLUSIVE
+    return EXIT_PASS
+
+
 def cmd_sharpness(args) -> int:
     n, p = args.n, args.p
     ratio, target = sharpness.ratio_function(args.inequality, n, p)
@@ -345,16 +359,8 @@ def cmd_sharpness(args) -> int:
     if args.optimize:
         res = sharpness.minimize_ratio(
             args.inequality, n, p, T0=args.truncation, max_iter=args.max_iter)
-        if args.out:
-            _write_atomic(os.path.join(args.out, "sharpness-trace.csv"),
-                          res.trace_csv())
-        else:
-            sys.stdout.write(res.trace_csv())
-        if res.gap < -1e-6 * res.target_constant:
-            return EXIT_VIOLATION
-        if not res.converged or res.gap > args.gap_max * res.target_constant:
-            return EXIT_INCONCLUSIVE
-        return EXIT_PASS
+        _emit(args, res.trace_csv(), "sharpness-trace.csv")
+        return _sharpness_verdict([res.gap], target, res.converged, args.gap_max)
 
     pairs = sharpness.lambda_sweep(args.inequality, n, p, args.lambdas,
                                    T=args.truncation)
@@ -364,11 +370,9 @@ def cmd_sharpness(args) -> int:
                                fmt17(r), fmt17(r - target)]))
     _emit(args, "\n".join(lines) + "\n", "sharpness-sweep.csv")
     ratios = [r for _, r in pairs]
-    if any(r < target - 1e-6 * target for r in ratios):
-        return EXIT_VIOLATION
     monotone = all(b < a for a, b in zip(ratios, ratios[1:]))
-    final_ok = ratios[-1] - target <= args.gap_max * target
-    return EXIT_PASS if monotone and final_ok else EXIT_INCONCLUSIVE
+    return _sharpness_verdict([r - target for r in ratios], target, monotone,
+                              args.gap_max)
 
 
 _DISPATCH = {

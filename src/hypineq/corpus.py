@@ -156,9 +156,9 @@ def standard_corpus() -> List[RadialProfile]:
 
 
 def bubble_corpus(n: int = 4, p: float = 8.0 / 3.0,
-                  lambdas=(1e-4, 1e-5), truncation: float = 1.0,
-                  num: int = 200) -> List[RadialProfile]:
-    """Concentrated truncated bubbles resampled on a dense grid.
+                  lambdas=(1e-4, 1e-5)) -> List[RadialProfile]:
+    """Concentrated truncated bubbles (support [0, 1]) resampled on a
+    dense grid.
 
     Dense sampling keeps the piecewise-linear reading of a serialized
     copy close to the analytic profile, so these survive a round trip
@@ -167,15 +167,13 @@ def bubble_corpus(n: int = 4, p: float = 8.0 / 3.0,
     sharp constant must flip the deficit sign.
     """
     from .sharpness import truncated_bubble
-    from .constants import unit_ball_volume
 
     out = []
     for lam in lambdas:
-        base = truncated_bubble(n, p, lam, truncation)
-        lo = min(unit_ball_volume(n) * lam ** n * 1e-4, truncation * 1e-5)
-        grid = [0.0] + geomspace(lo, truncation, num)
-        vals = [base.fn(s) for s in grid]
-        out.append(RadialProfile(grid, vals, Tail("compact", truncation),
+        base = truncated_bubble(n, p, lam, 1.0)
+        # the bubble's own geometric grid with 200 nodes instead of 48
+        grid = [0.0] + geomspace(base.nodes[1], base.support_volume, 200)
+        out.append(RadialProfile(grid, [base.fn(s) for s in grid], base.tail,
                                  fn=base.fn, dfn=base.dfn, label=base.label))
     return out
 

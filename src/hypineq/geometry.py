@@ -278,9 +278,9 @@ def _phi_mp(n: int, tt):
     return n * mp.mpf(2) ** (1 - n) * acc
 
 
-def _margin_precise(n: int, p: float, t: float) -> Tuple[float, float]:
-    """(margin/scale, scale-exponent) via mpmath at a precision that covers
-    the exponential cancellation; scale = 1 + phi^p."""
+def _margin_precise(n: int, p: float, t: float) -> float:
+    """margin/scale via mpmath at a precision that covers the exponential
+    cancellation; scale = 1 + phi^p."""
     import mpmath as mp
     with _precision(n, p, t):
         tt = mp.mpf(t)
@@ -291,8 +291,7 @@ def _margin_precise(n: int, p: float, t: float) -> Tuple[float, float]:
         pp = mp.mpf(p)
         F = mp.sinh(tt) ** (pp * (n - 1)) - ph ** (pp * (n - 1) / n) \
             - (mp.mpf(n - 1) / n) ** pp * ph ** pp
-        scale = 1 + ph ** p
-        return float(F / scale), float(mp.log(scale))
+        return float(F / (1 + ph ** p))
 
 
 def radial_margin_scaled(n: int, p: float, t: float,
@@ -309,7 +308,7 @@ def radial_margin_scaled(n: int, p: float, t: float,
     if t == 0.0:
         return 0.0
     if precise:
-        return _margin_precise(n, p, t)[0]
+        return _margin_precise(n, p, t)
     q = p * (n - 1)
     lam = _log_phi_excess(n, t)
     # sinh^q, phi^(q/n), ((n-1)/n)^p phi^p and the scale, over e^(qt)

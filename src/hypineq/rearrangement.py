@@ -377,20 +377,23 @@ def decreasing_rearrangement(f: RadialFunction,
         return quadrature.find_root_increasing(
             lambda tau: -level(tau)[0], -s, (t_lo, t_hi), df=slope, x0=x0)
 
-    def dv_of(s: float) -> float:
-        # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat
-        tau = v_of(s)
-        if tau <= 0.0 or tau >= fmax:
-            return 0.0
-        d = slope(tau)
-        return -1.0 / d if 0.0 < d < math.inf else 0.0
-
     # running minimum: kill root-tolerance jitter
     vals = list(itertools.accumulate((v_of(s) for s in grid), min))
     for val in vals:
         tau = max(val, eps)
         known[tau] = level(tau)
         ends.append((tau, known[tau][0]))
+    # an integrand asks for v'(s) and then v(s) at the same s: one solve
+    solve = functools.lru_cache(maxsize=1)(v_of)
+
+    def dv_of(s: float) -> float:
+        # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat
+        tau = solve(s)
+        if tau <= 0.0 or tau >= fmax:
+            return 0.0
+        d = slope(tau)
+        return -1.0 / d if 0.0 < d < math.inf else 0.0
+
     if vals[-1] == 0.0:
         tail = Tail("compact", grid[-1])
     else:
@@ -401,7 +404,7 @@ def decreasing_rearrangement(f: RadialFunction,
             raise DomainError("cannot infer a tail from the grid")
         beta = math.log(vals[j] / vals[-1]) / math.log(grid[-1] / grid[j])
         tail = Tail("power", beta)
-    return RadialProfile(grid, vals, tail, fn=v_of, dfn=dv_of)
+    return RadialProfile(grid, vals, tail, fn=solve, dfn=dv_of)
 
 
 def lq_norm_direct(f: RadialFunction, q: float) -> float:

@@ -12,8 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
-from . import constants, rearrangement, verifier
-from .constants import Params, unit_ball_volume
+from . import verifier
+from .constants import unit_ball_volume
 from .errors import DomainError
 from .quadrature import geomspace
 from .rearrangement import RadialProfile, Tail
@@ -128,34 +128,23 @@ class SharpnessResult:
 
 def ratio_function(inequality_id: str, n: int, p: float
                    ) -> Tuple[Callable[[RadialProfile], float], float]:
-    """(ratio evaluator, target constant) for an inequality.
+    """(ratio evaluator, target constant) for an inequality: the ratio and
+    target columns of its row in verifier.INEQUALITIES.
 
     The ratio is the constant-free quotient whose infimum over admissible
-    profiles is the target: deficit over critical mass power for the
-    improved Sobolev inequality, lhs over rhs for the core comparison.
+    profiles is the target; it is read off the row's report.
     """
-    if inequality_id == "poincare_sobolev":
-        pstar = n * p / (n - p)
-        target = constants.sobolev_constant(Params(n, p)) ** p
+    row = verifier.INEQUALITIES.get(inequality_id)
+    if row is None or row.ratio is None:
+        raise DomainError(f"no ratio defined for inequality {inequality_id!r}")
 
-        def ratio(v: RadialProfile) -> float:
-            (grad, _), (mass, _), (crit, _) = rearrangement.radial_integrals(
-                v, n, p, qs=(p, pstar))
-            D = grad - ((n - 1.0) / p) ** p * mass
-            if crit <= 0.0:
-                raise DomainError("zero profile has no ratio")
-            return D / crit ** ((n - p) / n)
+    def ratio(v: RadialProfile) -> float:
+        try:
+            return row.ratio(verifier.evaluate(inequality_id, v, n, p))
+        except ZeroDivisionError:
+            raise DomainError("zero profile has no ratio") from None
 
-        return ratio, target
-    if inequality_id == "key_comparison":
-        def ratio(v: RadialProfile) -> float:
-            rep = rearrangement.key_comparison(v, n, p)
-            if rep.rhs <= 0.0:
-                raise DomainError("zero profile has no ratio")
-            return rep.lhs / rep.rhs
-
-        return ratio, 1.0
-    raise DomainError(f"no ratio defined for inequality {inequality_id!r}")
+    return ratio, row.target(n, p)
 
 
 def _toward(a: Tuple[float, ...], b: Tuple[float, ...], k: float) -> Tuple[float, ...]:

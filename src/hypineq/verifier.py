@@ -5,7 +5,8 @@ of one inequality in powered form, and returns a DeficitReport.  The
 ``constant_scale`` argument multiplies the sharp constant and exists so
 that tests (and the CLI) can deliberately break an inequality to prove
 the harness would notice.  INEQUALITIES lists every inequality by id, and
-evaluate() runs one of them on a profile.
+evaluate() runs one of them on a profile.  The rows the sharpness runs
+minimize also carry a ratio of the report and that ratio's infimum.
 """
 
 from __future__ import annotations
@@ -42,15 +43,11 @@ def _deficit(grad: Tuple[float, float], mass: Tuple[float, float],
     return grad[0] - coeff * mass[0], grad[1] + coeff * mass[1]
 
 
-def poincare_deficit(v: RadialProfile, n: int, p: float,
-                     zeroth_coeff: Optional[float] = None) -> Tuple[float, float]:
+def poincare_deficit(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
     """Hyperbolic gradient integral minus the sharp zeroth-order term
-    ((n-1)/p)^p times the L^p mass (or a caller-supplied coefficient).
-    Returns (value, error_estimate)."""
-    if zeroth_coeff is None:
-        zeroth_coeff = ((n - 1.0) / p) ** p
+    ((n-1)/p)^p times the L^p mass.  Returns (value, error_estimate)."""
     return _deficit(*rearrangement.radial_integrals(v, n, p, qs=(p,)),
-                    zeroth_coeff)
+                    ((n - 1.0) / p) ** p)
 
 
 def poincare_sobolev(v: RadialProfile, n: int, p: float,
@@ -290,11 +287,14 @@ def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float) -> float:
 
 class Inequality(NamedTuple):
     """One row of INEQUALITIES.  The evaluator is called as
-    evaluator(v, n, p, alpha, constant_scale)."""
+    evaluator(v, n, p, alpha, constant_scale).  A sharpness row also maps
+    its report to a constant-free ratio whose infimum is target(n, p)."""
 
     evaluator: Callable[..., DeficitReport]
     needs_alpha: bool = False
     constant_free: bool = False
+    ratio: Optional[Callable[[DeficitReport], float]] = None
+    target: Optional[Callable[[int, float], float]] = None
 
 
 # Every inequality the CLI verifies and sweeps, by id.  The evaluators
@@ -303,11 +303,17 @@ class Inequality(NamedTuple):
 INEQUALITIES = {
     "poincare_sobolev": Inequality(
         lambda v, n, p, alpha, scale:
-        poincare_sobolev(v, n, p, constant_scale=scale)),
+        poincare_sobolev(v, n, p, constant_scale=scale),
+        # the deficit over the flat-Sobolev power of the critical mass
+        ratio=lambda rep: (rep.extras["poincare_deficit"] / rep.extras["critical_mass"]
+                           ** ((rep.params.n - rep.params.p) / rep.params.n)),
+        target=lambda n, p: constants.sobolev_constant(Params(n, p)) ** p),
     "key_comparison": Inequality(
         lambda v, n, p, alpha, scale:
         rearrangement.key_comparison(v, n, p),
-        constant_free=True),
+        constant_free=True,
+        ratio=lambda rep: rep.lhs / rep.rhs,
+        target=lambda n, p: 1.0),
     "gagliardo_nirenberg": Inequality(
         lambda v, n, p, alpha, scale:
         gagliardo_nirenberg(v, n, p, alpha, constant_scale=scale),

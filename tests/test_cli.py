@@ -308,6 +308,45 @@ def test_sharpness_optimizer(capsys, tmp_path):
     assert trace.startswith("iteration,lambda,T,ratio,gap")
 
 
+def test_sharpness_inequality_choices_are_the_ratio_rows(capsys):
+    parser, registry = cli.build_parser()
+    action = next(a for a in registry["sharpness"]._actions
+                  if "--inequality" in a.option_strings)
+    assert set(action.choices) == {
+        key for key, row in verifier.INEQUALITIES.items() if row.ratio is not None}
+    assert action.default in action.choices
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["sharpness", "--inequality", "linfty", "--n", "4", "--p", "5"])
+    assert exc.value.code == 2
+    assert "invalid choice" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ("--n", "3", "--p", "2.5", "--no-optimize", "--lambda", "0.1"),
+    ("--n", "5", "--p", "2.2"),
+])
+def test_sharpness_outside_the_poincare_range_exits_2(capsys, argv):
+    # the improved Sobolev inequality does not apply there, so an undercut
+    # of its target would not be a violation
+    code, out, err = run(capsys, "sharpness", *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: poincare_sobolev needs")
+
+
+@pytest.mark.parametrize("gaps,settled,code", [
+    ([0.5, 0.2, 0.01], True, 0),
+    ([0.5, 0.2, -1e-9], True, 0),       # within 1e-6 of the target
+    ([0.5, -2e-6, 0.01], True, 1),      # any undercut, not only the last
+    ([-0.5], False, 1),                 # an undercut outranks no convergence
+    ([0.5, 0.2, 0.01], False, 3),       # broken trend or no convergence
+    ([0.5, 0.2, 0.06], True, 3),        # last gap above gap_max * target
+    ([0.05], True, 0),                  # exactly gap_max * target
+])
+def test_sharpness_verdict(gaps, settled, code):
+    assert cli._sharpness_verdict(gaps, 1.0, settled, 0.05) == code
+
+
 # -- config files ---------------------------------------------------
 
 

@@ -9,7 +9,10 @@ from hypineq.corpus import (
     tent_profile,
     write_corpus,
 )
+from hypineq.constants import unit_ball_volume
+from hypineq.quadrature import geomspace
 from hypineq.rearrangement import key_comparison, lp_integral, read_profile
+from hypineq.sharpness import truncated_bubble
 
 
 def test_standard_corpus_shape():
@@ -61,6 +64,28 @@ def test_bubble_corpus_concentration():
     a, _ = lp_integral(pair[0], 8.0)
     b, _ = lp_integral(pair[1], 8.0)
     assert b < a
+
+
+@pytest.mark.parametrize("n,p,lambdas", [
+    (4, 8.0 / 3.0, (1e-4, 1e-5)),
+    (5, 2.6, (1e-3, 3e-5)),
+    (6, 2.45, (0.2,)),
+])
+def test_bubble_corpus_resamples_each_bubble(n, p, lambdas):
+    # the resampling formula bubble_corpus used to spell out: 200 nodes
+    # from the bubble's own first grid node to its support end at 1
+    got = (bubble_corpus() if lambdas == (1e-4, 1e-5)
+           else bubble_corpus(n, p, lambdas))
+    assert len(got) == len(lambdas)
+    for lam, v in zip(lambdas, got):
+        base = truncated_bubble(n, p, lam, 1.0)
+        lo = min(unit_ball_volume(n) * lam ** n * 1e-4, 1e-5)
+        grid = [0.0] + geomspace(lo, 1.0, 200)
+        assert v.nodes == tuple(grid)
+        assert v.values == tuple(base.fn(s) for s in grid)
+        assert v.label == base.label
+        assert v.tail == base.tail
+        assert v.dfn(0.5) == base.dfn(0.5)
 
 
 def test_write_corpus_roundtrip(tmp_path):

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypineq import geometry, rearrangement
+from hypineq import geometry, quadrature, rearrangement
 from hypineq.constants import unit_ball_volume
 from hypineq.corpus import standard_corpus, tent_profile, write_corpus
 from hypineq.errors import DomainError
@@ -265,6 +265,28 @@ def test_closure_level_set_passes(monkeypatch):
     lp_norm(dataclasses.replace(v, fn=counted_v), 2.0)
     assert calls[0] > 100
     assert passes[0] <= 8 * calls[0]
+
+
+def test_rearranged_closure_solves_each_node_once(monkeypatch):
+    # an integrand takes v'(s) and v(s) at the same s; with one solve per
+    # node, gradient and mass together cost about what the costlier of
+    # the two costs alone (twice that when v' solved v(s) again)
+    v = _rearranged(_bump_function(3), num=11)
+    finds = [0]
+
+    def counted(*args, **kwargs):
+        finds[0] += 1
+        return find_root_increasing(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "find_root_increasing", counted)
+    counts = []
+    for kwargs in (dict(qs=(2.5,)), dict(), dict(qs=(2.5,), grads=())):
+        finds[0] = 0
+        radial_integrals(v, 3, 2.5, **kwargs)
+        counts.append(finds[0])
+    both, grad, mass = counts
+    assert min(grad, mass) > 1000
+    assert both <= 1.1 * max(grad, mass)
 
 
 def test_rearrangement_tail_inference_compact():

@@ -2,11 +2,11 @@ import math
 
 import pytest
 
-from hypineq import constants
+from hypineq import constants, verifier
 from hypineq.constants import Params
 from hypineq.corpus import standard_corpus
 from hypineq.errors import DomainError
-from hypineq.rearrangement import lp_integral
+from hypineq.rearrangement import RadialProfile, Tail, lp_integral, radial_integrals
 from hypineq.sharpness import (
     lambda_sweep,
     minimize_ratio,
@@ -46,6 +46,54 @@ def test_ratio_above_target_on_family():
 def test_ratio_function_unknown_id():
     with pytest.raises(DomainError):
         ratio_function("nope", N, P)
+
+
+def test_only_ratio_rows_have_a_ratio():
+    rows = {key for key, row in verifier.INEQUALITIES.items()
+            if row.ratio is not None}
+    assert rows == {"poincare_sobolev", "key_comparison"}
+    for key, row in verifier.INEQUALITIES.items():
+        assert (row.target is None) == (row.ratio is None), key
+    with pytest.raises(DomainError, match="no ratio"):
+        ratio_function("linfty", 4, 5.0)
+
+
+@pytest.mark.parametrize("n,p", [(N, P), (5, 3.5), (6, 4.2)])
+def test_poincare_ratio_is_deficit_over_critical_mass(n, p):
+    # the quotient the sharpness runs minimized before it was read off the
+    # verifier's report, computed here from the raw integrals
+    ratio, target = ratio_function("poincare_sobolev", n, p)
+    assert target == constants.sobolev_constant(Params(n, p)) ** p
+    for lam, T in [(1.0, 1.0), (0.1, 0.5), (1e-3, 3.0)]:
+        v = truncated_bubble(n, p, lam, T)
+        (grad, _), (mass, _), (crit, _) = radial_integrals(
+            v, n, p, qs=(p, n * p / (n - p)))
+        want = (grad - ((n - 1.0) / p) ** p * mass) / crit ** ((n - p) / n)
+        assert ratio(v) == want
+
+
+def test_key_comparison_ratio_is_lhs_over_rhs():
+    ratio, target = ratio_function("key_comparison", N, 3.0)
+    assert target == 1.0
+    v = truncated_bubble(N, 3.0, 0.1, 1.0)
+    rep = verifier.evaluate("key_comparison", v, N, 3.0)
+    assert ratio(v) == rep.lhs / rep.rhs
+
+
+@pytest.mark.parametrize("inequality_id", ["poincare_sobolev", "key_comparison"])
+def test_zero_profile_has_no_ratio(inequality_id):
+    ratio, _ = ratio_function(inequality_id, N, 3.0)
+    zero = RadialProfile([0.0, 0.5, 1.0], [0.0, 0.0, 0.0], Tail("compact", 1.0),
+                         fn=lambda s: 0.0, dfn=lambda s: 0.0)
+    with pytest.raises(DomainError, match="zero profile has no ratio"):
+        ratio(zero)
+
+
+@pytest.mark.parametrize("n,p", [(3, 2.5), (5, 2.2)])
+def test_poincare_ratio_outside_the_poincare_range_is_rejected(n, p):
+    ratio, _ = ratio_function("poincare_sobolev", n, p)
+    with pytest.raises(DomainError, match="poincare_sobolev needs"):
+        ratio(truncated_bubble(n, p, 0.1, 1.0))
 
 
 def test_lambda_sweep_trends_to_target():
