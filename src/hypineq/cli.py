@@ -88,14 +88,12 @@ def build_parser():
         description="Sharp constant-dominated inequalities on hyperbolic "
                     "space: verification and sharpness tooling.")
     subs = parser.add_subparsers(dest="command", required=True)
-    registry = {}
 
     sp = subs.add_parser("constants", help="print every applicable constant")
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--alpha", type=float, default=None)
     _add_common(sp)
-    registry["constants"] = sp
 
     sp = subs.add_parser("lemma", help="certify or refute the kernel comparison")
     sp.add_argument("mode", choices=("verify", "violate"))
@@ -103,7 +101,6 @@ def build_parser():
     sp.add_argument("--p", type=float, required=True)
     sp.add_argument("--t-max", type=float, default=None)
     _add_common(sp)
-    registry["lemma"] = sp
 
     sp = subs.add_parser("verify", help="inequality deficits over a corpus")
     sp.add_argument("--inequality", required=True, choices=verifier.INEQUALITIES)
@@ -115,7 +112,6 @@ def build_parser():
     sp.add_argument("--constant-scale", type=float, default=1.0,
                     help="test hook: multiply the sharp constant")
     _add_common(sp, rel_tol=True)
-    registry["verify"] = sp
 
     sp = subs.add_parser("sharpness", help="concentration trend / optimizer run")
     sp.add_argument("--inequality", default="poincare_sobolev",
@@ -137,7 +133,6 @@ def build_parser():
     sp.add_argument("--lambda", dest="single_lambda", type=float,
                     default=argparse.SUPPRESS)
     _add_common(sp, fmt=False)
-    registry["sharpness"] = sp
 
     sp = subs.add_parser("sweep", help="deficit reports over an (n, p) grid")
     sp.add_argument("--inequality", required=True, choices=verifier.INEQUALITIES)
@@ -147,12 +142,11 @@ def build_parser():
     sp.add_argument("--corpus", default=None)
     sp.add_argument("--constant-scale", type=float, default=1.0)
     _add_common(sp, rel_tol=True)
-    registry["sweep"] = sp
 
-    return parser, registry
+    return parser, subs.choices
 
 
-def _apply_config(argv: List[str], registry) -> List[str]:
+def _apply_config(argv: List[str], subparsers) -> List[str]:
     """Inject config-file entries as flags ahead of the explicit ones, so
     that explicit flags win.  Unknown keys are rejected."""
     pre = argparse.ArgumentParser(prog="hypineq", add_help=False,
@@ -162,10 +156,10 @@ def _apply_config(argv: List[str], registry) -> List[str]:
     if path is None:
         return argv
     command = argv[0]
-    if command not in registry:
+    if command not in subparsers:
         return argv
     known = {}
-    for action in registry[command]._actions:
+    for action in subparsers[command]._actions:
         for opt in action.option_strings:
             if opt.startswith("--"):
                 known[opt[2:]] = action
@@ -385,13 +379,13 @@ _DISPATCH = {
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    parser, registry = build_parser()
+    parser, subparsers = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        argv = _apply_config(argv, registry)
+        argv = _apply_config(argv, subparsers)
         args = parser.parse_args(argv)
         if args.command == "sharpness":
-            _check_sharpness_flags(args, registry["sharpness"])
+            _check_sharpness_flags(args, subparsers["sharpness"])
         return _DISPATCH[args.command](args)
     except (DomainError, BracketError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -71,12 +71,6 @@ class Params:
             if self.alpha == 1.0:
                 raise DomainError("alpha = 1 is excluded")
 
-    @property
-    def gn_branch(self) -> str:
-        if self.alpha is None:
-            raise DomainError("no alpha set")
-        return "alpha>1" if self.alpha > 1.0 else "alpha<1"
-
 
 def gamma(x: float) -> float:
     """Gamma function of a real argument; poles raise DomainError and

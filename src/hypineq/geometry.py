@@ -29,7 +29,6 @@ __all__ = [
     "phi_quadrature",
     "phi_deriv",
     "phi_inv",
-    "ball_volume",
     "sinh_phi_inv",
     "kernel_gap",
     "radial_margin",
@@ -151,7 +150,7 @@ def phi_quadrature(n: int, t: float) -> float:
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t,
-                                  _PHI_QUADRATURE_CFG)
+                                  cfg=_PHI_QUADRATURE_CFG)
     return n * val
 
 
@@ -209,13 +208,6 @@ def phi_inv(n: int, s: float) -> float:
     x0 = s ** (1.0 / n) if t_large <= _SMALL_T else t_large
     return find_root_increasing(lambda t: phi(n, t), s, (0.0, hi),
                                 df=lambda t: phi_deriv(n, t), x0=x0)
-
-
-def ball_volume(n: int, rho: float) -> float:
-    """Hyperbolic volume of the geodesic ball of radius rho."""
-    if rho < 0.0:
-        raise DomainError(f"radius must be >= 0, got {rho!r}")
-    return unit_ball_volume(n) * phi(n, rho)
 
 
 def sinh_phi_inv(n: int, s: float) -> float:
@@ -439,12 +431,12 @@ def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0) -> Tuple[float
         def sub(u):
             return math.sinh(u ** m) ** (-a) * m * u ** (m - 1)
 
-        v, e = quadrature.integrate(sub, u_lo, 1.0, _TAIL_CFG)
+        v, e = quadrature.integrate(sub, u_lo, 1.0, cfg=_TAIL_CFG)
         total += v
         err += e
-        v, e = quadrature.integrate(integrand, 1.0, t_end, _TAIL_CFG)
+        v, e = quadrature.integrate(integrand, 1.0, t_end, cfg=_TAIL_CFG)
     else:
-        v, e = quadrature.integrate(integrand, tau, t_end, _TAIL_CFG)
+        v, e = quadrature.integrate(integrand, tau, t_end, cfg=_TAIL_CFG)
     total += v
     err += e
     # remainder beyond t_end, bounded by the pure-exponential tail

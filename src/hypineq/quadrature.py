@@ -22,7 +22,6 @@ from .errors import BracketError, ConvergenceError, DomainError, EvaluationError
 __all__ = [
     "QuadratureConfig",
     "integrate",
-    "integrate_with_breakpoints",
     "integrate_vector",
     "find_root_increasing",
 ]
@@ -186,16 +185,10 @@ def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
 
 def _integrate_semi(f, a, cfg: QuadratureConfig):
     """Integrate f over [a, inf) through the substitution s = a + e^y
-    (s = e^y when a == 0, which also absorbs integrable singularities at 0).
-    """
-    if a == 0.0:
-        def g(y):
-            s = math.exp(y)
-            return [x * s for x in f(s)]
-    else:
-        def g(y):
-            e = math.exp(y)
-            return [x * e for x in f(a + e)]
+    (which at a == 0 also absorbs integrable singularities at 0)."""
+    def g(y):
+        e = math.exp(y)
+        return [x * e for x in f(a + e)]
 
     total, total_err = _sweep(g, 2.0, cfg,
                               "semi-infinite tail did not converge (right)")
@@ -248,23 +241,15 @@ def integrate_vector(f: Callable[[float], Sequence[float]], a: float, b: float,
     return _add(total, total_err, v, e)
 
 
-def integrate_with_breakpoints(f: Callable[[float], float], a: float, b: float,
-                               points: Sequence[float],
-                               cfg: Optional[QuadratureConfig] = None
-                               ) -> Tuple[float, float]:
-    """integrate_vector of a scalar integrand: (value, error estimate),
-    and (0.0, 0.0) on an empty interval."""
+def integrate(f: Callable[[float], float], a: float, b: float,
+              points: Sequence[float] = (),
+              cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+    """integrate_vector of a scalar integrand over [a, b] (b may be
+    math.inf): (value, error estimate), and (0.0, 0.0) when a == b."""
     if a == b:
         return 0.0, 0.0
     (val,), (err,) = integrate_vector(lambda x: (f(x),), a, b, points, cfg)
     return val, err
-
-
-def integrate(f: Callable[[float], float], a: float, b: float,
-              cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
-    """Adaptive integral of f over [a, b], b possibly math.inf:
-    integrate_with_breakpoints without breakpoints."""
-    return integrate_with_breakpoints(f, a, b, (), cfg)
 
 
 def find_root_increasing(f: Callable[[float], float], target: float,

@@ -18,7 +18,8 @@ import itertools
 import math
 import os
 import statistics
-from dataclasses import dataclass
+import sys
+from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import geometry, quadrature
@@ -136,10 +137,16 @@ class RadialProfile:
             raise DomainError(f"volume must be >= 0, got {s!r}")
         if self.fn is not None:
             return float(self.fn(s))
-        last = self.nodes[-1]
+        nodes, values = self.nodes, self.values
+        last = nodes[-1]
         if s <= last:
-            return _interp(s, self.nodes, self.values)
-        vlast = self.values[-1]
+            # linear on the segment [nodes[i], nodes[i+1]] holding s
+            i = bisect.bisect_right(nodes, s) - 1
+            if i == len(nodes) - 1 or nodes[i] == s:
+                return values[i]
+            slope = (values[i + 1] - values[i]) / (nodes[i + 1] - nodes[i])
+            return slope * (s - nodes[i]) + values[i]
+        vlast = values[-1]
         if self.tail.kind == "compact":
             return 0.0
         if self.tail.kind == "power":
@@ -165,17 +172,6 @@ class RadialProfile:
             return -b * vlast / last * (s / last) ** (-b - 1.0)
         a = self.tail.param
         return -a * vlast * math.exp(-a * (s - last))
-
-
-def _interp(s: float, xs: Sequence[float], ys: Sequence[float]) -> float:
-    """Piecewise-linear interpolation of the samples ys on the grid xs at
-    xs[0] <= s <= xs[-1], as slope * (s - x0) + y0 on the enclosing
-    segment [x0, x1]."""
-    i = bisect.bisect_right(xs, s) - 1
-    if i == len(xs) - 1 or xs[i] == s:
-        return ys[i]
-    slope = (ys[i + 1] - ys[i]) / (xs[i + 1] - xs[i])
-    return slope * (s - xs[i]) + ys[i]
 
 
 def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
@@ -205,10 +201,12 @@ class Piece:
 
 @dataclass(frozen=True)
 class RadialFunction:
-    """|u| as a piecewise-monotone function of geodesic radius."""
+    """|u| as a piecewise-monotone function of geodesic radius; ends holds
+    each piece's end values (fn(a), fn(b)), with 0 at an infinite b."""
 
     n: int
     pieces: Tuple[Piece, ...]
+    ends: Tuple[Tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not (isinstance(self.n, int) and self.n >= 2):
@@ -226,28 +224,13 @@ class RadialFunction:
         for pc in self.pieces[:-1]:
             if math.isinf(pc.b):
                 raise DomainError("only the last piece may be unbounded")
-
-    def __call__(self, rho: float) -> float:
-        if rho < 0.0:
-            raise DomainError(f"radius must be >= 0, got {rho!r}")
-        for pc in self.pieces:
-            if rho < pc.b:
-                return float(pc.fn(rho))
-        return float(self.pieces[-1].fn(rho))
+        object.__setattr__(self, "ends", tuple(
+            (float(pc.fn(pc.a)), 0.0 if math.isinf(pc.b) else float(pc.fn(pc.b)))
+            for pc in self.pieces))
 
     @property
     def sup_value(self) -> float:
-        out = 0.0
-        for pc in self.pieces:
-            va, vb = _piece_endpoints(pc)
-            out = max(out, va, vb)
-        return out
-
-
-def _piece_endpoints(pc: Piece) -> Tuple[float, float]:
-    va = float(pc.fn(pc.a))
-    vb = 0.0 if math.isinf(pc.b) else float(pc.fn(pc.b))
-    return va, vb
+        return max(0.0, *itertools.chain.from_iterable(self.ends))
 
 
 def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
@@ -283,8 +266,7 @@ def _level_set(f: RadialFunction, t: float) -> Tuple[float, float]:
     n = f.n
     total = 0.0
     area = 0.0
-    for pc in f.pieces:
-        va, vb = _piece_endpoints(pc)
+    for pc, (va, vb) in zip(f.pieces, f.ends):
         if va <= t and vb <= t:
             continue
         if va > t and vb > t:
@@ -349,9 +331,6 @@ def decreasing_rearrangement(f: RadialFunction,
                 memo[0] = (tau, val)
         return val
 
-    def slope(tau: float) -> float:
-        return level(tau)[1]  # -mu'(tau), for Newton
-
     top, bottom = (fmax, known[fmax][0]), (eps, known[eps][0])
     ends = []  # (level, mu) at every node, once sampled; until then (eps, fmax)
 
@@ -374,8 +353,9 @@ def decreasing_rearrangement(f: RadialFunction,
         (t_lo, m_lo), (t_hi, m_hi) = (ends[lo] if lo < len(ends) else bottom,
                                       ends[hi] if hi >= 0 else top)
         x0 = t_lo + (t_hi - t_lo) * (m_lo - s) / (m_lo - m_hi) if m_lo > m_hi else None
-        return quadrature.find_root_increasing(
-            lambda tau: -level(tau)[0], -s, (t_lo, t_hi), df=slope, x0=x0)
+        return quadrature.find_root_increasing(  # Newton on -mu'(tau)
+            lambda tau: -level(tau)[0], -s, (t_lo, t_hi), df=lambda tau: level(tau)[1],
+            x0=x0)
 
     # running minimum: kill root-tolerance jitter
     vals = list(itertools.accumulate((v_of(s) for s in grid), min))
@@ -387,11 +367,15 @@ def decreasing_rearrangement(f: RadialFunction,
     solve = functools.lru_cache(maxsize=1)(v_of)
 
     def dv_of(s: float) -> float:
-        # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat
+        # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat.  v
+        # is flat where mu jumps across s: there mu of the solved level misses
+        # s by more than its slope explains over the root tolerance
         tau = solve(s)
         if tau <= 0.0 or tau >= fmax:
             return 0.0
-        d = slope(tau)
+        mu, d = level(tau)
+        if abs(mu - s) > 100.0 * quadrature._ROOT_REL_TOL * (s + d * tau):
+            return 0.0
         return -1.0 / d if 0.0 < d < math.inf else 0.0
 
     if vals[-1] == 0.0:
@@ -595,8 +579,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
                 val = v(s)
                 return val ** p * p * math.log(val) if val > 0.0 else 0.0
 
-            ent, err = quadrature.integrate_with_breakpoints(
-                f, 0.0, v.support_volume, v.nodes)
+            ent, err = quadrature.integrate(f, 0.0, v.support_volume, v.nodes)
             out.append((ent, err + abs(ent) * 1e-4))  # the gradients' grid proxy
         return out
     radii = _node_radii(n, v.nodes)
@@ -607,6 +590,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     need_v = bool(qs) or entropy
     zeros = [0.0] * (len(grads) + len(qs) + entropy)
     log, exp, expm1 = math.log, math.exp, math.expm1
+    tiny = sys.float_info.min
     phi, log_sinh = geometry.phi, geometry.log_sinh
     fn, dfn = v.fn, v.dfn
 
@@ -617,6 +601,10 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             return zeros
         ph = phi(n, t)
         s = sigma * ph
+        if s < tiny:
+            # the same below the smallest normal volume, where v' of a
+            # concentrated profile overflows
+            return zeros
         dv = abs(float(dfn(s))) if grads else 0.0
         val = float(fn(s)) if need_v else 0.0
         if dv == 0.0 and not val > 0.0:

@@ -9,6 +9,7 @@ concentrates, while never dipping below it.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from typing import Callable, List, Sequence, Tuple
 
@@ -57,7 +58,7 @@ def untruncated_bubble(n: int, p: float, lam: float,
         raise DomainError(f"scale must be positive, got {lam!r}")
     sigma = unit_ball_volume(n)
     scale = sigma * lam ** n
-    if not scale * 1e-4 > 0.0:
+    if not scale * 1e-4 >= sys.float_info.min:
         raise DomainError(f"bubble scale sigma*lambda^n underflows double "
                           f"precision at lambda={lam!r}")
     e = p / ((p - 1.0) * n)

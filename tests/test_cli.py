@@ -37,6 +37,27 @@ def test_constants_table(capsys, tmp_path):
     assert float(payload["sobolev"]) > 0.0
 
 
+def test_constants_csv_artifact_with_alpha(capsys, tmp_path):
+    code, _, _ = run(capsys, "constants", "--n", "4", "--p", N4P, "--alpha", "1.5",
+                     "--format", "csv", "--out", str(tmp_path))
+    assert code == 0
+    rows = (tmp_path / "constants.csv").read_text().splitlines()
+    assert rows[0] == "constant,value,note"
+    cells = {row.split(",")[0]: row.split(",", 2)[1:] for row in rows[1:]}
+    assert float(cells["gagliardo_nirenberg"][0]) > 0.0
+    assert cells["morrey"] == ["", "needs p > n"]
+    assert not (tmp_path / "constants.json").exists()
+
+
+def test_constants_json_artifact_above_the_dimension(capsys, tmp_path):
+    code, _, _ = run(capsys, "constants", "--n", "4", "--p", "6",
+                     "--out", str(tmp_path))
+    assert code == 0
+    payload = json.loads((tmp_path / "constants.json").read_text())
+    assert payload["sobolev"] is None and payload["gagliardo_nirenberg"] is None
+    assert float(payload["morrey"]) > 0.0 and float(payload["linfty"]) > 0.0
+
+
 def test_constants_log_sobolev_domain_note(capsys):
     # 1 < p < n holds at n = 3, but the logarithmic inequality needs n >= 4
     code, out, _ = run(capsys, "constants", "--n", "3", "--p", "2.5")
@@ -247,6 +268,14 @@ def test_verify_missing_corpus_dir(capsys, tmp_path):
     assert code == 2
 
 
+def test_verify_corpus_without_profile_files(capsys, tmp_path):
+    (tmp_path / "notes.md").write_text("no profiles here\n")
+    code, _, err = run(capsys, "verify", "--inequality", "key_comparison",
+                       "--n", "4", "--p", "3.0", "--corpus", str(tmp_path))
+    assert code == 2
+    assert "no profile files" in err
+
+
 # -- sweep ----------------------------------------------------------
 
 
@@ -306,6 +335,17 @@ def test_sharpness_optimizer(capsys, tmp_path):
     assert code == 0
     trace = (tmp_path / "sharpness-trace.csv").read_text()
     assert trace.startswith("iteration,lambda,T,ratio,gap")
+
+
+@pytest.mark.parametrize("lam,code", [("1e-76", 0), ("1e-77", 2)])
+def test_sharpness_at_the_smallest_normal_scale(capsys, lam, code):
+    got, out, err = run(capsys, "sharpness", "--n", "4", "--p", N4P,
+                        "--no-optimize", "--lambda", lam)
+    assert got == code
+    if code == 0:
+        assert math.isfinite(float(out))
+    else:
+        assert "underflows" in err
 
 
 def test_sharpness_inequality_choices_are_the_ratio_rows(capsys):
@@ -410,6 +450,34 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
                        "--config", str(cfgfile))
     assert code == 2
     assert "unknown key" in err
+
+
+def test_config_switch_runs_the_optimizer(capsys, tmp_path, monkeypatch):
+    calls = []
+
+    def fake_minimize(inequality, n, p, T0, max_iter):
+        calls.append((inequality, n, max_iter))
+        target = cli.sharpness.ratio_function(inequality, n, p)[1]
+        return cli.sharpness.SharpnessResult(
+            1.01 * target, target, ((0, 0.1, T0, 1.01 * target, 0.01 * target),), True)
+
+    monkeypatch.setattr(cli.sharpness, "minimize_ratio", fake_minimize)
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("optimize = true\nmax-iter = 7\n")
+    code, out, _ = run(capsys, "sharpness", "--n", "4", "--p", N4P,
+                       "--config", str(cfgfile))
+    assert code == 0
+    assert calls == [("poincare_sobolev", 4, 7)]
+    assert out.startswith("iteration,lambda,T,ratio,gap")
+
+
+def test_config_rejects_a_bad_switch_value(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("optimize=maybe\n")
+    code, _, err = run(capsys, "sharpness", "--n", "4", "--p", N4P,
+                       "--config", str(cfgfile))
+    assert code == 2
+    assert "bad flag value 'maybe'" in err
 
 
 def test_config_missing_file(capsys, tmp_path):

@@ -19,8 +19,6 @@ def test_params_validation():
         Params(4, 2.0, alpha=2.1)  # above n/(n-p) = 2
     with pytest.raises(DomainError):
         Params(4, 5.0, alpha=1.5)  # alpha needs p < n
-    assert Params(4, 2.0, alpha=2.0).gn_branch == "alpha>1"
-    assert Params(4, 2.0, alpha=0.5).gn_branch == "alpha<1"
 
 
 def test_boundary_exponent():

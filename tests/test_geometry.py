@@ -205,6 +205,18 @@ def test_asymptotic_form_matches_margin():
         assert ratio == pytest.approx(1.0, rel=5e-3), (n, p, ratio)
 
 
+def test_asymptotic_form_matches_margin_at_n3():
+    # n = 3 has its own leading term, with a 1/t in the bracket
+    for p, t in [(2.5, 40.0), (2.78, 100.0)]:
+        exact = G.radial_margin_scaled(3, p, t, precise=True)
+        asym = G.radial_margin_asymptotic(3, p, t)
+        ratio = asym / (exact * math.exp(p * G._log_phi(3, t)))
+        assert ratio == pytest.approx(1.0, rel=1e-5), (p, ratio)
+    t0 = G.violation_onset(3, 2.78)
+    assert G.radial_margin_asymptotic(3, 2.78, 0.99 * t0) > 0.0
+    assert G.radial_margin_asymptotic(3, 2.78, 1.01 * t0) < 0.0
+
+
 def test_violation_onset_brackets_sign_change():
     for n, p in [(4, 2.5), (5, 2.4), (6, 2.3)]:
         t0 = G.violation_onset(n, p)
@@ -275,11 +287,6 @@ def test_kernels_continuous_where_phi_overflows(n, x, dp):
         assert math.isfinite(here)
         for step in (1e-6, -1e-6):
             assert abs(kernel(n, p, t * (1.0 + step)) - here) <= 1e-9
-
-
-def test_ball_volume_scaling():
-    sigma = unit_ball_volume(3)
-    assert G.ball_volume(3, 2.0) == pytest.approx(sigma * G.phi(3, 2.0), rel=1e-13)
 
 
 def test_sinh_phi_inv_roundtrip():

@@ -10,7 +10,6 @@ from hypineq.quadrature import (
     find_root_increasing,
     integrate,
     integrate_vector,
-    integrate_with_breakpoints,
 )
 
 
@@ -69,7 +68,7 @@ def test_breakpoints_capture_narrow_spike():
 
     exact = math.sqrt(math.pi) * width  # erf window is fully inside
     points = [center + k * width for k in range(-8, 9)]
-    val, err = integrate_with_breakpoints(spike, 0.0, 1.0, points)
+    val, err = integrate(spike, 0.0, 1.0, points)
     assert val == pytest.approx(exact, rel=1e-8)
 
 
@@ -82,19 +81,17 @@ def test_slow_power_tail_from_large_left_endpoint():
 
 def test_breakpoints_left_edge_singularity():
     # first segment [0, 0.5] carries an integrable x^-1/2 singularity
-    val, _ = integrate_with_breakpoints(lambda x: 1.0 / math.sqrt(x),
-                                        0.0, 1.0, [0.5])
+    val, _ = integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, [0.5])
     assert val == pytest.approx(2.0, rel=1e-9)
 
 
 def test_breakpoints_outside_interval_ignored():
-    val, _ = integrate_with_breakpoints(lambda x: x, 0.0, 1.0, [-3.0, 7.0])
+    val, _ = integrate(lambda x: x, 0.0, 1.0, [-3.0, 7.0])
     assert val == pytest.approx(0.5, rel=1e-13)
 
 
 def test_breakpoints_with_infinite_tail():
-    val, _ = integrate_with_breakpoints(lambda x: math.exp(-x), 0.0, math.inf,
-                                        [0.5, 2.0])
+    val, _ = integrate(lambda x: math.exp(-x), 0.0, math.inf, [0.5, 2.0])
     assert val == pytest.approx(1.0, rel=1e-10)
 
 
@@ -178,7 +175,7 @@ def _scalar_with_breakpoints(f, a, b, points):
 ])
 def test_one_component_is_the_scalar_tree(f, a, b, points):
     # a spike, a 1/sqrt(x) edge and an exponential tail
-    got = integrate_with_breakpoints(f, a, b, points)
+    got = integrate(f, a, b, points)
     assert got == _scalar_with_breakpoints(f, a, b, points)
 
 
@@ -189,7 +186,7 @@ def test_vector_components_match_separate_integrals():
           lambda x: 1.0 / math.sqrt(x))
     vals, errs = integrate_vector(lambda x: [f(x) for f in fs], 0.0, 1.0, [0.5])
     for f, val, err in zip(fs, vals, errs):
-        ref, _ = integrate_with_breakpoints(
+        ref, _ = integrate(
             f, 0.0, 1.0, [0.5], QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300))
         assert abs(val - ref) <= max(err, 1e-10 * abs(ref))
         assert err <= max(1e-12, 1e-10 * abs(val))

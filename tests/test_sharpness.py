@@ -8,6 +8,7 @@ from hypineq.corpus import standard_corpus
 from hypineq.errors import DomainError
 from hypineq.rearrangement import RadialProfile, Tail, lp_integral, radial_integrals
 from hypineq.sharpness import (
+    _nelder_mead,
     lambda_sweep,
     minimize_ratio,
     non_attainment_scan,
@@ -147,3 +148,31 @@ def test_bubble_critical_mass_scales_with_measure():
     a, _ = lp_integral(untruncated_bubble(N, P, 1.0, s_max=1e8), pstar)
     b, _ = lp_integral(untruncated_bubble(N, P, 0.1, s_max=1e8), pstar)
     assert a == pytest.approx(b * 10.0 ** N, rel=1e-6)
+
+
+def test_nelder_mead_shrinks_toward_the_best_vertex():
+    # reflection (1.5, 0.5) and contraction (1.125, 1.25) both miss, so
+    # the simplex shrinks halfway toward the best vertex (1, 1)
+    table = {(1.0, 1.0): 0.0, (1.5, 1.0): 1.0, (1.0, 1.5): 2.0}
+    _, best, log, converged = _nelder_mead(lambda x: table.get(x, 10.0),
+                                           (1.0, 1.0), 0.5, 1, 1e-8)
+    assert [x for x, _ in log[-2:]] == [(1.25, 1.0), (1.0, 1.25)]
+    assert best == 0.0
+    assert not converged
+
+
+def test_non_attainment_scan_leaves_a_zero_profile_undecided():
+    zero = RadialProfile([0.0, 1.0, 2.0], [0.0, 0.0, 0.0], Tail("compact", 2.0),
+                         label="zero")
+    out = non_attainment_scan("key_comparison", N, 3.0, [zero])
+    assert out["undecided"] == ["zero"]
+    assert not out["strictly_positive"]
+
+
+def test_bubble_scale_near_the_smallest_normal_double():
+    # at lambda = 1e-76 the grid starts just above the smallest normal
+    # volume and the ratio is still found; at 1e-77 it would start below
+    ratio, target = ratio_function("poincare_sobolev", N, P)
+    assert target < ratio(truncated_bubble(N, P, 1e-76, 1.0)) < 1.01 * target
+    with pytest.raises(DomainError, match="underflows"):
+        truncated_bubble(N, P, 1e-77, 1.0)
