@@ -5,9 +5,12 @@ A radial function of geodesic radius is rearranged into a non-increasing
 profile v of superlevel-set volume s.  The hyperbolic and Euclidean
 symmetrizations are never materialized: every norm of either one is an
 integral of v (or v') against an explicit weight.  radial_integrals takes
-every integral one evaluation needs in one pass: of a closure in geodesic
-radius t through s = sigma phi(t), ds = n sigma sinh(t)^(n-1) dt, of a
-grid-only profile in s.  Only hardy_term_bound integrates a closure in s.
+every integral one evaluation needs in one pass: of a rearrangement over
+the level tau through the layer-cake and coarea formulas, s = mu(tau) and
+|v'(s)| = 1 / |mu'(tau)| (Lieb-Loss, Analysis, Thm 1.13; Talenti 1976),
+of any other closure in geodesic radius t through s = sigma phi(t),
+ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile in s.  Only
+hardy_term_bound integrates a closure in s.
 """
 
 from __future__ import annotations
@@ -81,7 +84,9 @@ class RadialProfile:
     derivative is the exact derivative of that function.
     When an analytic closure fn is attached, together with its derivative
     dfn (both or neither), the closure is authoritative everywhere and
-    the grid is a consistency witness.
+    the grid is a consistency witness.  A rearrangement also keeps the
+    radial function it rearranges as its source, and its norms are
+    integrated over the level (radial_integrals).
     """
 
     nodes: Tuple[float, ...]
@@ -90,6 +95,7 @@ class RadialProfile:
     fn: Optional[Callable[[float], float]] = None
     dfn: Optional[Callable[[float], float]] = None
     label: str = ""
+    source: Optional[RadialFunction] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(map(float, self.nodes))
@@ -175,13 +181,18 @@ class RadialProfile:
 
 
 def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
-    """c * v, wrapping closures when present."""
+    """c * v, wrapping closures and the pieces of a source when present."""
     if c < 0.0:
         raise DomainError("profiles are non-negative; scale factor must be >= 0")
     fn = (lambda s, f=v.fn: c * f(s)) if v.fn is not None else None
     dfn = (lambda s, f=v.dfn: c * f(s)) if v.dfn is not None else None
+    source = v.source
+    if source is not None:
+        source = RadialFunction(source.n, tuple(
+            Piece(pc.a, pc.b, lambda r, g=pc.fn: c * g(r), lambda r, g=pc.dfn: c * g(r))
+            for pc in source.pieces))
     return RadialProfile(v.nodes, [c * x for x in v.values], v.tail, fn=fn, dfn=dfn,
-                         label=v.label)
+                         label=v.label, source=source)
 
 
 # ---------------------------------------------------------------------
@@ -303,9 +314,9 @@ def decreasing_rearrangement(f: RadialFunction,
     by safeguarded Newton on the coarea slope -mu'(tau) (bisection
     wherever the slope is 0 or infinite, so plateaus and jumps stay safe),
     bracketed by the levels of the grid nodes around s.  The solver and
-    its coarea derivative are attached as the profile's analytic closure,
-    so norms of the result go through adaptive quadrature of the true
-    rearrangement rather than grid interpolation.
+    its coarea derivative are attached as the profile's analytic closure
+    for pointwise values, and f as its source: norms of the result are
+    integrals over the level (radial_integrals), which need no solve.
 
     The tail is inferred: compact at the last node if the samples hit
     zero, otherwise a power law fitted on a wide log-log baseline (used
@@ -388,7 +399,7 @@ def decreasing_rearrangement(f: RadialFunction,
             raise DomainError("cannot infer a tail from the grid")
         beta = math.log(vals[j] / vals[-1]) / math.log(grid[-1] / grid[j])
         tail = Tail("power", beta)
-    return RadialProfile(grid, vals, tail, fn=solve, dfn=dv_of)
+    return RadialProfile(grid, vals, tail, fn=solve, dfn=dv_of, source=f)
 
 
 def lq_norm_direct(f: RadialFunction, q: float) -> float:
@@ -538,7 +549,8 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     (the kernel is the excess of the first over the second, integrated
     against the weight gap); the mass integral of v^q ds for each q in
     qs; the entropy integral of v^p p log v ds if entropy.  A grid-only
-    profile takes the grid paths in s.  A closure takes one vector panel
+    profile takes the grid paths in s, a rearrangement _level_integrals.
+    Any other closure takes one vector panel
     tree in geodesic radius t over the radii of its grid nodes, where one
     phi, v', log sinh (and v) per node serve every integrand.  Each is
     built in log space with w = (n-1) log sinh t: |v'|^p times
@@ -560,6 +572,8 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     if want_e and v.tail.kind == "power":
         _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
                                "Euclidean gradient integral")
+    if v.source is not None:
+        return _level_integrals(v, n, p, qs, grads, entropy)
     sigma = unit_ball_volume(n)
     scale = n * sigma
     pref = scale ** p
@@ -644,6 +658,62 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
     scales = [pref * scale] * len(grads) + [scale] * (len(qs) + entropy)
     return [(c * x, c * e) for c, x, e in zip(scales, vals, errs)]
+
+
+def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
+                     grads: Sequence[str], entropy: bool) -> List[Tuple[float, float]]:
+    """radial_integrals of a rearrangement of f = v.source, over the level
+    tau in (0, fmax).  One _level_set per node gives mu(tau) and |mu'(tau)|
+    in f's own dimension; the weights are those of dimension n.  With
+    x = mu / sigma, the gradients are (n sigma)^p |mu'|^(1-p) times
+    sinh(phi_inv(x))^(p(n-1)), x^(p(n-1)/n) or their difference; each mass
+    is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
+    mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
+    weight.  Breakpoints are the piece end values of f and the node values
+    of v up to fmax / 2: the lowest puts [0, it] on the left-edge
+    substitution, which absorbs the singularity of mu at 0, and the others
+    grade it; the upper node values of a grid geometric in s crowd toward
+    fmax, where each would cost a panel and buy no accuracy.
+    """
+    f = v.source
+    fmax = f.sup_value
+    zeros = [0.0] * (len(grads) + len(qs) + entropy)
+    if fmax == 0.0:
+        return [(0.0, 0.0)] * len(zeros)
+    need_h = "hyperbolic" in grads or "kernel" in grads
+    sigma = unit_ball_volume(n)
+    lpref = p * math.log(n * sigma)
+    c_hyp, c_euc = p * (n - 1), p * (n - 1) / n
+    log, exp = math.log, math.exp
+
+    def g(tau):
+        mu, d = _level_set(f, tau)
+        if not mu > 0.0:
+            return zeros
+        out = []
+        if grads:
+            comps = dict.fromkeys(grads, 0.0)
+            if 0.0 < d < math.inf:
+                x = mu / sigma
+                lg = lpref + (1.0 - p) * log(d)
+                le = lg + c_euc * log(x)
+                # the Euclidean weight is the smaller one: le <= lh
+                lh = lg + c_hyp * geometry.log_sinh(geometry.phi_inv(n, x)) if need_h else le
+                if lh > 700.0:
+                    raise DomainError("gradient integrand overflows; looks divergent")
+                comps.update(hyperbolic=exp(lh), euclidean=exp(le),
+                             kernel=-exp(lh) * math.expm1(le - lh))
+            out = [comps[c] for c in grads]
+        lt = log(tau)
+        out += [q * exp((q - 1.0) * lt) * mu for q in qs]
+        if entropy:
+            out.append(p * exp((p - 1.0) * lt) * (p * lt + 1.0) * mu)
+        return out
+
+    breaks = [*itertools.chain.from_iterable(f.ends),
+              *(x for x in v.values if x <= 0.5 * fmax)]
+    vals, errs = quadrature.integrate_vector(g, 0.0, fmax, breaks)
+    return list(zip(vals, errs))
 
 
 def kernel_correction(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:

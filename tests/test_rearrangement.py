@@ -4,6 +4,7 @@ import math
 import os
 import random
 
+import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -274,8 +275,9 @@ def test_plateau_gradient_vanishes_on_the_flat_stretch():
 
 def test_closure_level_set_passes(monkeypatch):
     # level-set passes per closure call over one lp_norm (the plain
-    # secant over the full level range took about 22)
-    v = _rearranged(_bump_function(3))
+    # secant over the full level range took about 22); without its source
+    # the rearrangement takes the closure path
+    v = dataclasses.replace(_rearranged(_bump_function(3)), source=None)
     passes, calls = [0], [0]
     level_set = rearrangement._level_set
 
@@ -296,8 +298,9 @@ def test_closure_level_set_passes(monkeypatch):
 def test_rearranged_closure_solves_each_node_once(monkeypatch):
     # an integrand takes v'(s) and v(s) at the same s; with one solve per
     # node, gradient and mass together cost about what the costlier of
-    # the two costs alone (twice that when v' solved v(s) again)
-    v = _rearranged(_bump_function(3), num=11)
+    # the two costs alone (twice that when v' solved v(s) again); without
+    # its source the rearrangement takes the closure path
+    v = dataclasses.replace(_rearranged(_bump_function(3), num=11), source=None)
     finds = [0]
 
     def counted(*args, **kwargs):
@@ -313,6 +316,114 @@ def test_rearranged_closure_solves_each_node_once(monkeypatch):
     both, grad, mass = counts
     assert min(grad, mass) > 1000
     assert both <= 1.1 * max(grad, mass)
+
+
+def test_level_pass_level_set_calls(monkeypatch):
+    # one _level_set per quadrature node in the level (the closure path
+    # made 7,088 for the same norm)
+    v = _rearranged(_bump_function(3))
+    passes = [0]
+    level_set = rearrangement._level_set
+
+    def counted_level_set(f, t):
+        passes[0] += 1
+        return level_set(f, t)
+
+    monkeypatch.setattr(rearrangement, "_level_set", counted_level_set)
+    lp_norm(v, 2.0)
+    assert 0 < passes[0] <= 1000
+
+
+@pytest.mark.parametrize("n,p", [(3, 3.0), (4, 8.0 / 3.0), (2, 2.0)])
+@pytest.mark.parametrize("make", [_bump_function, _shell_function])
+def test_level_pass_matches_closure_pass(make, n, p):
+    # every component in the level against the closure pass in geodesic
+    # radius, which the same profile without its source takes
+    v = _rearranged(make(3))
+    kwargs = dict(qs=(p, 2.5), grads=("hyperbolic", "euclidean", "kernel"), entropy=True)
+    level = radial_integrals(v, n, p, **kwargs)
+    closure = radial_integrals(dataclasses.replace(v, source=None), n, p, **kwargs)
+    for (got, _), (want, _) in zip(level, closure):
+        assert got == pytest.approx(want, rel=1e-9)
+    (hyp, _), (euc, _), (ker, _) = level[:3]
+    assert hyp == pytest.approx(euc + ker, rel=1e-12)
+
+
+def test_level_pass_gradient_of_a_compact_shell():
+    # the crossing radii of this shell are closed-form, so mpmath's
+    # tanh-sinh rule gives the gradient integral in the level independently;
+    # the closure path missed it by 9e-10, outside its 6e-11 bar
+    n, p, a, A, r1, w = 2, 2.3, 0.2, 1.0, 0.75, 0.7
+    shell = RadialFunction(n, (
+        Piece(0.0, r1, lambda r: a + (A - a) * (r / r1) ** 2,
+              lambda r: 2.0 * (A - a) * r / r1 ** 2),
+        Piece(r1, r1 + w, lambda r: A * (1.0 - ((r - r1) / w) ** 2) ** 2,
+              lambda r: -4.0 * A * (1.0 - ((r - r1) / w) ** 2) * (r - r1) / w ** 2),
+        Piece(r1 + w, math.inf, lambda r: 0.0, lambda r: 0.0)))
+    top = distribution_function(shell, 1e-6)
+    v = decreasing_rearrangement(shell, np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0))
+
+    def integrand(tau):
+        # mu = pi phi(r_out) - pi phi(r_in), phi(t) = 2 (cosh t - 1) at n = 2
+        x = mp.sqrt(1 - mp.sqrt(tau / A))
+        mu, dmu = 2 * (mp.cosh(r1 + w * x) - 1), -w * mp.sinh(r1 + w * x) / (
+            2 * x * mp.sqrt(tau * A))
+        if tau > a:
+            r_in = r1 * mp.sqrt((tau - a) / (A - a))
+            mu -= 2 * (mp.cosh(r_in) - 1)
+            dmu -= mp.sinh(r_in) * r1 / mp.sqrt((tau - a) * (A - a))
+        # (n sigma)^p |mu'|^(1-p) sinh(phi_inv(mu))^p, sinh phi_inv(x) = sqrt(x + x^2/4)
+        return (2 * mp.pi) ** p * abs(mp.pi * dmu) ** (1 - p) * (mu + mu * mu / 4) ** (p / 2)
+
+    with mp.workdps(30):
+        ref = float(mp.quad(integrand, [0, a, A]))
+    assert grad_norm_hyperbolic(v, n, p)[0] == pytest.approx(ref, rel=1e-12)
+
+
+def test_plateau_equimeasurability():
+    # a plateau is a jump of mu, whose flat stretch the level pass weighs
+    # exactly; the closure path missed the direct norm by 4.5e-9 here
+    a, c, r1, r2, k = (0.2970386123427028, 0.9732210656019374, 0.49485780602200446,
+                       0.9479412589143916, 5.336761884668362)
+    plateau = RadialFunction(5, (
+        Piece(0.0, r1, lambda r: a + (c - a) * r / r1, lambda r: (c - a) / r1),
+        Piece(r1, r2, lambda r: c, lambda r: 0.0),
+        Piece(r2, math.inf, lambda r: c * math.exp(-k * (r - r2)),
+              lambda r: -k * c * math.exp(-k * (r - r2)))))
+    top = distribution_function(plateau, 1e-6 * plateau.sup_value)
+    v = decreasing_rearrangement(plateau, np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0))
+    q = 2.5079721955068357
+    direct = lq_norm_direct(plateau, q)
+    assert abs(lp_norm(v, q) - direct) <= 1e-12 * direct
+
+
+@pytest.mark.parametrize("n,q", [(3, 1.1), (4, 1.55)])
+def test_near_critical_mass_keeps_its_tail(n, q):
+    # mu grows like tau^(-(n-1)/2) at level 0, so q just above (n-1)/2 puts
+    # much of the mass at tiny levels; the closure path cut them off
+    f = _bump_function(n)
+    direct = lq_norm_direct(f, q)
+    assert lp_norm(_rearranged(f), q) == pytest.approx(direct, rel=1e-9)
+
+
+def test_barely_convergent_mass_raises():
+    # the level sweep reaches phi's overflow edge before the tail is small
+    with pytest.raises(DomainError):
+        lp_integral(_rearranged(_bump_function(5)), 2.05)
+
+
+def test_scale_profile_keeps_a_rearrangement_on_the_level_path():
+    v = _rearranged(_bump_function(3))
+    w = scale_profile(v, 3.0)
+    assert w.source is not None
+    q, p = 2.5, 3.0
+    assert lp_integral(w, q)[0] == pytest.approx(3.0 ** q * lp_integral(v, q)[0], rel=1e-12)
+    assert grad_norm_hyperbolic(w, 3, p)[0] == pytest.approx(
+        3.0 ** p * grad_norm_hyperbolic(v, 3, p)[0], rel=1e-12)
+    zero = scale_profile(v, 0.0)
+    assert lp_norm(zero, q) == 0.0
+    assert grad_norm_hyperbolic(zero, 3, p)[0] == 0.0
+    assert grad_norm_euclidean(zero, 3, p)[0] == 0.0
 
 
 def test_rearrangement_tail_inference_compact():
