@@ -29,6 +29,12 @@ __all__ = [
 ]
 
 
+def check_dimension(n: int):
+    """Raise DomainError unless n is an integer >= 2."""
+    if not (isinstance(n, int) and n >= 2):
+        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+
+
 def boundary_exponent(n: int) -> float:
     """Smallest exponent for which the pointwise weight-gap bound holds:
     2 for n = 2, 2n/(n-1) for n >= 3."""
@@ -57,8 +63,7 @@ class Params:
     alpha: Optional[float] = None
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
+        check_dimension(self.n)
         if not 1.0 < self.p < math.inf:
             raise DomainError(f"exponent p must be finite and exceed 1, got {self.p!r}")
         if self.alpha is not None:

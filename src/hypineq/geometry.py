@@ -18,7 +18,7 @@ import math
 from functools import lru_cache
 from typing import Tuple
 
-from .constants import boundary_exponent, unit_ball_volume
+from .constants import boundary_exponent, check_dimension, unit_ball_volume
 from .errors import DomainError
 from . import quadrature
 from .quadrature import QuadratureConfig, find_root_increasing
@@ -64,11 +64,6 @@ def log_sinh(t: float) -> float:
     if t > 20.0:
         return t + math.log1p(-math.exp(-2.0 * t)) - math.log(2.0)
     return math.log(math.sinh(t))
-
-
-def _check_n(n: int):
-    if not (isinstance(n, int) and n >= 2):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
 
 
 @lru_cache(maxsize=None)
@@ -131,7 +126,7 @@ def _phi_exp_sum(n: int, t: float) -> float:
 def phi(n: int, t: float) -> float:
     """Normalized volume of the geodesic ball of radius t (units of the
     Euclidean unit-ball volume)."""
-    _check_n(n)
+    check_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if t == 0.0:
@@ -146,7 +141,7 @@ def phi(n: int, t: float) -> float:
 def phi_quadrature(n: int, t: float) -> float:
     """Pure adaptive-quadrature evaluation of the volume map; cross-check
     for the closed-form path."""
-    _check_n(n)
+    check_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t,
@@ -181,7 +176,7 @@ def _log_phi(n: int, t: float) -> float:
 def phi_inv(n: int, s: float) -> float:
     """Inverse of the volume map: the geodesic radius enclosing normalized
     volume s."""
-    _check_n(n)
+    check_dimension(n)
     if s < 0.0:
         raise DomainError(f"volume must be >= 0, got {s!r}")
     if s == 0.0:
@@ -213,7 +208,7 @@ def phi_inv(n: int, s: float) -> float:
 def sinh_phi_inv(n: int, s: float) -> float:
     """sinh of the inverse volume map; the n = 2 case collapses to a
     closed form."""
-    _check_n(n)
+    check_dimension(n)
     if s < 0.0:
         raise DomainError(f"volume must be >= 0, got {s!r}")
     if n == 2:
@@ -240,7 +235,7 @@ def radial_margin(n: int, p: float, t: float) -> float:
     Overflows double precision once p(n-1)t is large; use
     radial_margin_scaled for large radii.
     """
-    _check_n(n)
+    check_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if t == 0.0:
@@ -294,7 +289,7 @@ def radial_margin_scaled(n: int, p: float, t: float,
     precise=True (mpmath) when the sign of an exponentially small margin
     matters.
     """
-    _check_n(n)
+    check_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if t == 0.0:

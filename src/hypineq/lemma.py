@@ -32,8 +32,9 @@ __all__ = ["MarginTable", "verify_lemma", "find_violation"]
 class MarginTable:
     """Margin evaluations on a radius grid, plus the verdict.
 
-    margins holds the scaled margin at each radius; f_values the raw
-    margin (inf where it overflows a double).  violation, when present,
+    margins holds the scaled margin m at each radius; f_values the raw
+    margin read off it as m (1 + volume^p), which has m's sign, is 0
+    where m is 0 and +-inf past double range.  violation, when present,
     is a (t, scaled margin) pair with a certified negative sign, and
     tolerance how far below zero a margin may dip and still pass.
     """
@@ -89,14 +90,6 @@ class MarginTable:
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
 
-def _raw_margin(n: int, p: float, t: float) -> float:
-    """Raw margin for the table, +inf once it exceeds double range."""
-    try:
-        return geometry.radial_margin(n, p, t)
-    except (OverflowError, DomainError):
-        return math.inf
-
-
 def _check_args(p: float, t_max: float):
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
@@ -128,23 +121,17 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
             f"lemma range needs p >= {bdry:g} for n={n}, got p={p!r}")
     ts = [0.0] + geomspace(1e-4, t_max, num)
     margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
-    fvals = [_raw_margin(n, p, t) for t in ts]
+    logf = [math.log(abs(m)) + _log_scale(n, p, t) if m else -math.inf
+            for t, m in zip(ts, margins)]
 
     min_i = min(range(len(ts)), key=margins.__getitem__)
     min_margin = margins[min_i]
     passed = min_margin >= -tol
 
-    # monotonicity of the raw margin, compared on the log scale so that
-    # radii past double overflow still participate
-    logf = []
-    for t, m in zip(ts, margins):
-        # skip radii where the scaled margin is below rounding noise
-        # (identically-zero cases are all noise)
-        if t == 0.0 or m <= 1e-13:
-            logf.append(None)
-        else:
-            logf.append(math.log(m) + _log_scale(n, p, t))
-    seen = [x for x in logf if x is not None]
+    # monotonicity of the raw margin on the log scale, so that radii past
+    # double overflow still take part; margins below rounding noise are
+    # skipped (identically-zero cases are all noise)
+    seen = [lf for m, lf in zip(margins, logf) if m > 1e-13]
     monotone = all(b >= a - 1e-9 for a, b in zip(seen, seen[1:]))
 
     slope_positive = None
@@ -157,7 +144,9 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
                 break
 
     return MarginTable(
-        n=n, p=p, mode="verify", ts=tuple(ts), f_values=tuple(fvals),
+        n=n, p=p, mode="verify", ts=tuple(ts),
+        f_values=tuple(math.copysign(math.exp(lf) if lf < 709.78 else math.inf, m)
+                       for m, lf in zip(margins, logf)),
         margins=tuple(margins), min_margin=min_margin,
         min_margin_t=ts[min_i], tolerance=tol,
         passed=passed and monotone and slope_positive is not False,
@@ -168,11 +157,13 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
     """Locate a radius with a certified negative margin below the phase
     boundary.
 
-    Scans a geometric grid; any candidate whose double-precision scaled
-    margin is negative but tiny is re-certified with the high-precision
-    path.  When the grid scan comes up empty, radii just past the
-    asymptotic onset estimate are probed directly.  An empty search is
-    reported as inconclusive, not as a failure of the reversed estimate.
+    Scans a geometric grid; a radius counts only when its double-precision
+    scaled margin is below -1e-13, and one above -1e-12 is re-certified
+    with the high-precision path.  When the grid scan comes up empty,
+    radii just past the asymptotic onset estimate are probed directly, so
+    a sign that rounding alone decides never picks the reported radius.
+    An empty search is reported as inconclusive, not as a failure of the
+    reversed estimate.
     """
     _check_args(p, t_max)
     bdry = boundary_exponent(n)
@@ -180,29 +171,22 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
         raise DomainError(
             f"violation search needs p < {bdry:g} for n={n}, got p={p!r}")
 
-    onset = None
-    if n >= 3:
-        onset = geometry.violation_onset(n, p)
-
+    onset = geometry.violation_onset(n, p) if n >= 3 else None
     ts = geomspace(0.5, t_max, num)
     margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
-    fvals = [_raw_margin(n, p, t) for t in ts]
+    logf = [math.log(abs(m)) + _log_scale(n, p, t) if m else -math.inf
+            for t, m in zip(ts, margins)]
 
-    def certified_negative(t: float, m: float) -> Optional[float]:
-        if not m < 0.0:
-            return None
-        if m > -1e-12:
-            m = geometry.radial_margin_scaled(n, p, t, precise=True)
-            if not m < 0.0:
-                return None
-        return m
-
+    # the double margin is good to 1e-13 absolute: closer to zero its sign
+    # is rounding, and the onset probes decide
     violation = None
     for t, m in zip(ts, margins):
-        mc = certified_negative(t, m)
-        if mc is not None:
-            violation = (t, mc)
-            break
+        if m < -1e-13:
+            if m > -1e-12:
+                m = geometry.radial_margin_scaled(n, p, t, precise=True)
+            if m < 0.0:
+                violation = (t, m)
+                break
 
     if violation is None and onset is not None:
         for factor in (1.05, 1.2, 1.5, 2.0):
@@ -215,7 +199,9 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
     min_i = min(range(len(ts)), key=margins.__getitem__)
     return MarginTable(
         n=n, p=p, mode="find-violation", ts=tuple(ts),
-        f_values=tuple(fvals), margins=tuple(margins),
+        f_values=tuple(math.copysign(math.exp(lf) if lf < 709.78 else math.inf, m)
+                       for m, lf in zip(margins, logf)),
+        margins=tuple(margins),
         min_margin=margins[min_i], min_margin_t=ts[min_i],
         passed=violation is not None, violation=violation,
         onset_estimate=onset, inconclusive=violation is None)

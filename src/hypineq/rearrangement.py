@@ -26,7 +26,8 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import geometry, quadrature
-from .constants import Params, boundary_exponent, in_comparison_range, unit_ball_volume
+from .constants import (Params, boundary_exponent, check_dimension,
+                        in_comparison_range, unit_ball_volume)
 from .errors import DomainError
 from .report import DeficitReport, fmt17
 
@@ -220,8 +221,7 @@ class RadialFunction:
     ends: Tuple[Tuple[float, float], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        if not (isinstance(self.n, int) and self.n >= 2):
-            raise DomainError(f"dimension must be an integer >= 2, got {self.n!r}")
+        check_dimension(self.n)
         object.__setattr__(self, "pieces", tuple(self.pieces))
         if not self.pieces:
             raise DomainError("need at least one piece")
@@ -483,7 +483,12 @@ def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
         if ai == bi:
             total += hi * ai ** q
         else:
-            total += hi * (ai ** (q + 1) - bi ** (q + 1)) / ((ai - bi) * (q + 1))
+            # (a^(q+1) - b^(q+1)) / (a - b) = c^q (1 - (1 - x)^(q+1)) / x, with
+            # c = max(a, b) and x = |a - b| / c, does not cancel as b -> a
+            c = max(ai, bi)
+            x = abs(ai - bi) / c
+            g = -math.expm1((q + 1) * math.log1p(-x)) if x < 1.0 else 1.0
+            total += hi * c ** q * g / (x * (q + 1))
     vlast, slast = v.values[-1], v.nodes[-1]
     if v.tail.kind == "power":
         total += vlast ** q * slast / (q * v.tail.param - 1.0)
@@ -724,8 +729,7 @@ def kernel_correction(v: RadialProfile, n: int, p: float) -> Tuple[float, float]
 
 
 def _check_np(n: int, p: float):
-    if not (isinstance(n, int) and n >= 2):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+    check_dimension(n)
     if not p >= 1.0:
         raise DomainError(f"need p >= 1, got {p!r}")
 

@@ -15,7 +15,7 @@ import math
 from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import constants, geometry, rearrangement
-from .constants import Params, in_poincare_range
+from .constants import Params, check_dimension, in_poincare_range
 from .errors import DomainError, EvaluationError
 from .quadrature import geomspace
 from .rearrangement import RadialProfile, Tail
@@ -201,8 +201,7 @@ def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
     terms together stay below the n/p power of the gradient integral.
     Valid for all n >= 2 and 1 <= p < n; the p = 1 end requires a smooth
     profile (derivative closure)."""
-    if not (isinstance(n, int) and n >= 2):
-        raise DomainError(f"dimension must be an integer >= 2, got {n!r}")
+    check_dimension(n)
     if not 1.0 <= p < n:
         raise DomainError(f"mugelli_talenti_sum needs 1 <= p < n, got n={n}, p={p}")
     if p == 1.0 and v.dfn is None:

@@ -3,8 +3,9 @@ import math
 import mpmath as mp
 import pytest
 
-from hypineq import constants as C
+from hypineq import constants as C, geometry, rearrangement, verifier
 from hypineq.constants import Params
+from hypineq.corpus import tent_profile
 from hypineq.errors import DomainError
 
 
@@ -195,3 +196,15 @@ def test_log_sobolev_constant_range_and_oracle():
                        / mp.gamma(nn * (pp - 1) / pp + 1)) ** (pp / nn))
     assert C.log_sobolev_constant(Params(4, 8.0 / 3.0)) == pytest.approx(
         ref, rel=1e-13)
+
+
+@pytest.mark.parametrize("n", [1, 3.0])
+def test_every_entry_point_rejects_a_bad_dimension(n):
+    v = tent_profile(1.0, 1.0)
+    calls = (lambda: Params(n, 3.0), lambda: geometry.phi(n, 1.0),
+             lambda: rearrangement.RadialFunction(n, ()),
+             lambda: rearrangement.radial_integrals(v, n, 3.0),
+             lambda: verifier.mugelli_talenti_sum(v, n, 1.5))
+    for call in calls:
+        with pytest.raises(DomainError, match=r"dimension must be an integer >= 2, got"):
+            call()

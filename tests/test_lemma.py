@@ -97,3 +97,85 @@ def test_edge_job_runs_no_mpmath(monkeypatch):
     table = verify_lemma(3, 3.0 + 1.15, t_max=345.0)
     assert table.passed and table.slope_positive is True
     assert calls == []
+
+
+def _tables():
+    yield find_violation(3, 2.78)
+    yield verify_lemma(4, 3.0, t_max=40.0)
+
+
+def test_f_column_has_the_margin_sign():
+    # at n = 3, p = 2.78 the margin reads 0.0 over t in (21, 34), where the
+    # double raw margin used to print +-1e36 to +-1e59 of cancellation
+    for table in _tables():
+        assert len(table.f_values) == len(table.margins) == len(table.ts)
+        for t, f, m in zip(table.ts, table.f_values, table.margins):
+            assert (f > 0.0) == (m > 0.0) and (f < 0.0) == (m < 0.0), (t, f, m)
+            if m == 0.0:
+                assert f == 0.0
+    assert 0.0 in find_violation(3, 2.78).margins
+
+
+def test_f_column_matches_the_raw_margin():
+    checked = 0
+    for table in _tables():
+        n, p = table.n, table.p
+        for t, f, m in zip(table.ts, table.f_values, table.margins):
+            if abs(m) > 1e-6 and p * (n - 1) * t < 700.0:
+                assert f == pytest.approx(geometry.radial_margin(n, p, t), rel=1e-9)
+                checked += 1
+    assert checked > 50
+
+
+def test_f_column_is_infinite_past_double_range():
+    # at n = 4, p = 40 the margin is still 5e-12 at t = 10, where
+    # F = m (1 + volume^p) is about e^1170; at t = 6.67 F is 1.17e308
+    n, p = 4, 40.0
+    table = verify_lemma(n, p, t_max=10.0)
+    past = 0
+    for t, f, m in zip(table.ts, table.f_values, table.margins):
+        if p * (n - 1) * t > 840.0:
+            assert m > 1e-12 and f == math.inf, (t, f, m)
+            past += 1
+        elif p * (n - 1) * t < 700.0:
+            assert math.isfinite(f)
+    assert past > 0
+
+
+def test_each_table_evaluates_one_margin_per_radius(monkeypatch):
+    calls = []
+    scaled = geometry.radial_margin_scaled
+
+    def counted(n, p, t, precise=False):
+        if not precise:
+            calls.append(t)
+        return scaled(n, p, t, precise=precise)
+
+    def raw(*args):
+        raise AssertionError("a table evaluated the raw margin")
+
+    monkeypatch.setattr(geometry, "radial_margin_scaled", counted)
+    monkeypatch.setattr(geometry, "radial_margin", raw)
+    for table in _tables():
+        assert calls == list(table.ts)
+        calls.clear()
+
+
+def test_grid_violations_clear_the_kernel_error():
+    # a grid radius is reported only where the double margin is below the
+    # 1e-13 error test_scaled_margin_oracle pins; closer to zero the onset
+    # probes decide.  At (3, 2.75, 36) the scan used to stop at t = 21.05,
+    # where the double margin is -5.1e-17
+    on_grid = 0
+    for n, p, t_max in ((3, 2.75, 36.0), (3, 2.7, 34.0), (3, 2.78, 150.0),
+                        (3, 2.5, 150.0), (4, 2.5, 150.0), (5, 2.3, 150.0),
+                        (6, 2.2, 150.0)):
+        table = find_violation(n, p, t_max=t_max)
+        t, m = table.violation
+        assert m < 0.0
+        if t in table.ts:
+            assert table.margins[table.ts.index(t)] < -1e-13, (n, p, t)
+            on_grid += 1
+        else:
+            assert t in [table.onset_estimate * c for c in (1.05, 1.2, 1.5, 2.0)]
+    assert on_grid >= 3

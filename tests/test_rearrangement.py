@@ -737,3 +737,17 @@ def test_profile_file_skips_comments_and_blank_lines(tmp_path):
     path.write_text("# written by hand\ntail=compact:1\n\n0 1\n# midway\n1 0\n")
     v = read_profile(str(path))
     assert (v.nodes, v.values, v.label) == ((0.0, 1.0), (1.0, 0.0), "commented")
+
+
+@pytest.mark.parametrize("width", [1e-12, 1e-9])
+def test_lp_integral_of_a_nearly_flat_grid_segment(width):
+    # a^(q+1) - b^(q+1) over a - b cancels when a and b are close
+    q, b = 2.5, 1.0 - width
+    v = RadialProfile([0.0, 1.0, 2.0], [1.0, b, 0.0], Tail("compact", 2.0))
+    got, err = lp_integral(v, q)
+    with mp.workdps(50):
+        a_, b_, q_ = mp.mpf(1), mp.mpf(b), mp.mpf(q)
+        want = (a_ ** (q_ + 1) - b_ ** (q_ + 1)) / ((a_ - b_) * (q_ + 1)) \
+            + b_ ** q_ / (q_ + 1)
+        assert abs(got - want) <= 1e-14 * want
+    assert err == 0.0
