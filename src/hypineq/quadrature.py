@@ -2,9 +2,16 @@
 semi-infinite intervals, safeguarded root finding for monotone functions,
 and the grids profiles are sampled on.
 
-Quadrature is vector-valued (Shampine 2008, "Vectorized adaptive
-quadrature in MATLAB"): one panel tree serves every component of an
-integrand; a scalar integral is the one-component case.
+Quadrature is vector-valued and panel-at-a-time (Shampine 2008,
+"Vectorized adaptive quadrature in MATLAB"): one panel tree serves every
+component of an integrand; a scalar integral is the one-component case.
+The integrand of integrate_vector is called once per GK15 panel with the
+panel's 15 nodes, its centre first and then the pairs c - h x, c + h x
+from the outermost Kronrod node inwards, and returns one vector per node
+in that order, so a caller may keep what depends only on the nodes of a
+panel that recurs.  The left-edge and semi-infinite substitutions map a
+panel's node list before the call.  integrate takes a pointwise scalar
+integrand.
 
 Everything here is pure; integrand closures supplied by callers must be
 safe to call repeatedly.
@@ -86,16 +93,20 @@ _WG = (
 )
 
 
-def _gk15(f: Callable[[float], Sequence[float]], a: float, b: float
+PanelIntegrand = Callable[[List[float]], Sequence[Sequence[float]]]
+
+
+def _gk15(f: PanelIntegrand, a: float, b: float
           ) -> Tuple[List[float], List[float]]:
-    """One Gauss-Kronrod 7-15 panel of a vector integrand.  Returns the
-    K15 values and the |K15 - G7| errors, one per component; raises
+    """One Gauss-Kronrod 7-15 panel of a vector panel integrand.  Returns
+    the K15 values and the |K15 - G7| errors, one per component; raises
     EvaluationError when a value is not finite."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    ys = [f(c)]
+    xs = [c]
     for x in _XGK[:7]:
-        ys += (f(c - h * x), f(c + h * x))
+        xs += (c - h * x, c + h * x)
+    ys = f(xs)
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
     g0, g1, g2, g3 = _WG
     vals, errs = [], []
@@ -186,9 +197,9 @@ def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
 def _integrate_semi(f, a, cfg: QuadratureConfig):
     """Integrate f over [a, inf) through the substitution s = a + e^y
     (which at a == 0 also absorbs integrable singularities at 0)."""
-    def g(y):
-        e = math.exp(y)
-        return [x * e for x in f(a + e)]
+    def g(ys):
+        es = [math.exp(y) for y in ys]
+        return [[x * e for x in row] for row, e in zip(f([a + e for e in es]), es)]
 
     total, total_err = _sweep(g, 2.0, cfg,
                               "semi-infinite tail did not converge (right)")
@@ -203,19 +214,20 @@ def _integrate_left_edge(f, b: float, cfg: QuadratureConfig):
     absorb integrable power singularities at the left endpoint 0 that a
     plain dyadic subdivision cannot resolve.
     """
-    def g(y):
-        s = b * math.exp(y)
-        return [x * s for x in f(s)]
+    def g(ys):
+        ss = [b * math.exp(y) for y in ys]
+        return [[x * s for x in row] for row, s in zip(f(ss), ss)]
 
     return _sweep(g, -2.0, cfg, "left-edge substitution did not converge")
 
 
-def integrate_vector(f: Callable[[float], Sequence[float]], a: float, b: float,
+def integrate_vector(f: PanelIntegrand, a: float, b: float,
                      points: Sequence[float] = (),
                      cfg: Optional[QuadratureConfig] = None
                      ) -> Tuple[List[float], List[float]]:
     """(values, errors) of the integral over [a, b] (b may be math.inf) of
-    a vector integrand f, one panel tree for all components.  Interior
+    a vector integrand, one panel tree for all components.  f maps the 15
+    nodes of a panel to their 15 vectors (see the module docstring).  Interior
     breakpoints (e.g. the grid of a concentrated profile, which a global
     subdivision could step over) split [a, b].  Raises DomainError on an
     empty interval, ConvergenceError (carrying the partial values) when a
@@ -248,7 +260,8 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     math.inf): (value, error estimate), and (0.0, 0.0) when a == b."""
     if a == b:
         return 0.0, 0.0
-    (val,), (err,) = integrate_vector(lambda x: (f(x),), a, b, points, cfg)
+    (val,), (err,) = integrate_vector(lambda xs: [(f(x),) for x in xs],
+                                      a, b, points, cfg)
     return val, err
 
 
@@ -256,21 +269,24 @@ def find_root_increasing(f: Callable[[float], float], target: float,
                          bracket: Tuple[float, float],
                          df: Optional[Callable[[float], float]] = None,
                          max_iter: int = 200,
-                         x0: Optional[float] = None) -> float:
+                         x0: Optional[float] = None,
+                         ends: Optional[Tuple[float, float]] = None) -> float:
     """Solve f(t) = target for a strictly increasing f on a bracket.
 
     Newton (or secant when df is None) with a bisection safeguard: every
     iterate stays inside the current sign-change bracket, falling back to
     the midpoint whenever the model step escapes or stalls.  The first
     iterate is x0 when it lies strictly inside the bracket, else the
-    midpoint.  Raises ConvergenceError (carrying the last iterate) when
-    max_iter iterations do not reach tolerance.
+    midpoint.  ends, when given, holds f at the two bracket ends, which
+    are then not evaluated.  Raises ConvergenceError (carrying the last
+    iterate) when max_iter iterations do not reach tolerance.
     """
     lo, hi = bracket
     if not lo <= hi:
         raise BracketError(f"empty bracket ({lo!r}, {hi!r})")
-    flo = f(lo) - target
-    fhi = f(hi) - target
+    flo, fhi = ends if ends is not None else (f(lo), f(hi))
+    flo -= target
+    fhi -= target
     if flo == 0.0:
         return lo
     if fhi == 0.0:

@@ -22,6 +22,7 @@ import math
 import os
 import statistics
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -248,7 +249,7 @@ def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
     """Radius where a monotone piece with end values va, vb on either side
     of t crosses level t; None when an unbounded piece is still above t
     at radius 1e6.  Newton on the piece's derivative, from the regula
-    falsi point of the bracket."""
+    falsi point of the bracket, whose end values are known."""
     a, b = pc.a, pc.b
     if math.isinf(b):
         b = max(a + 1.0, 1.0)
@@ -259,10 +260,11 @@ def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
                 return None
     x0 = a + (b - a) * (va - t) / (va - vb)
     if vb > va:
-        return quadrature.find_root_increasing(pc.fn, t, (a, b), df=pc.dfn, x0=x0)
+        return quadrature.find_root_increasing(pc.fn, t, (a, b), df=pc.dfn, x0=x0,
+                                               ends=(va, vb))
     return quadrature.find_root_increasing(
         lambda r: -float(pc.fn(r)), -t, (a, b), x0=x0,
-        df=lambda r: -float(pc.dfn(r)))
+        df=lambda r: -float(pc.dfn(r)), ends=(-va, -vb))
 
 
 def _level_set(f: RadialFunction, t: float) -> Tuple[float, float]:
@@ -535,12 +537,64 @@ def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float) -> Tuple[float, flo
     return radial_integrals(v, n, p)[0]
 
 
+# panels one grid's node geometry keeps at most: a compact end beyond the
+# last node adds the first panel of its own last segment to the table
+_GRID_PANELS = 128
+
+
+class _GridGeometry:
+    """The node geometry of one (n, grid): the radii phi_inv(n, s / sigma)
+    of the grid nodes s > 0, and a table of phi(n, t) and log_sinh(t) at
+    the 15 nodes t of each recurring panel of the pass in geodesic radius,
+    keyed by the panel's centre.  A node where the closure integrand is
+    zero whatever the profile (t <= 0 or (n-1) t > 690) holds phi 0, and
+    a node of phi 0 holds log_sinh 0."""
+
+    __slots__ = ("n", "radii", "panels")
+
+    def __init__(self, n: int, nodes: Tuple[float, ...]):
+        sigma = unit_ball_volume(n)
+        self.n = n
+        self.radii = tuple(geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0)
+        self.panels = {}
+
+    def panel(self, ts: Sequence[float]) -> Tuple[Sequence[float], Sequence[float]]:
+        """phi and log_sinh at the 15 nodes ts of a panel: read from the
+        table for a recurring panel, else computed (and kept, the first
+        time a recurring panel is seen).  A table entry holds ts[1] last,
+        which tells a panel from another one on the same centre."""
+        geo = self.panels.get(ts[0])
+        if geo is not None and geo[30] == ts[1]:
+            return geo[:15], geo[15:30]
+        n = self.n
+        phis = [geometry.phi(n, t) if 0.0 < t and (n - 1) * t <= 690.0 else 0.0
+                for t in ts]
+        log_sinhs = [geometry.log_sinh(t) if ph > 0.0 else 0.0
+                     for t, ph in zip(ts, phis)]
+        if len(self.panels) < _GRID_PANELS and self._recurs(ts[0]):
+            self.panels[ts[0]] = array("d", [*phis, *log_sinhs, ts[1]])
+        return phis, log_sinhs
+
+    def _recurs(self, c: float) -> bool:
+        """Whether to keep the panel centred on c: the first panel of a
+        segment between radii, centred on its midpoint, which every pass
+        evaluates, or a panel outside the radii, of the left-edge or
+        semi-infinite sweep, whose trees the profiles of a grid mostly
+        share.  A panel bisected from a segment follows the profile and
+        is not kept."""
+        radii = self.radii
+        i = bisect.bisect_left(radii, c)
+        return not 0 < i < len(radii) or c == 0.5 * (radii[i - 1] + radii[i])
+
+
 @functools.lru_cache(maxsize=128)
-def _node_radii(n: int, nodes: Tuple[float, ...]) -> Tuple[float, ...]:
-    """phi_inv(n, s / sigma) of the nodes s > 0 of a grid, cached by value;
-    128 grids of 49 nodes (the largest closure grids built) take 0.4 MiB."""
-    sigma = unit_ball_volume(n)
-    return tuple(geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0)
+def _node_radii(n: int, nodes: Tuple[float, ...]) -> _GridGeometry:
+    """The node geometry of a grid, cached by value.  Its panel table fills
+    as passes run: over the corpus benchmark a 49-node grid (the largest
+    closure grids built) holds 50-61 panels, 22-26 KiB.  A table keeps at
+    most _GRID_PANELS panels of about 0.4 KiB, so 128 grids take at most
+    about 6.5 MiB."""
+    return _GridGeometry(n, nodes)
 
 
 _GRADIENTS = ("hyperbolic", "euclidean", "kernel")
@@ -601,7 +655,8 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             ent, err = quadrature.integrate(f, 0.0, v.support_volume, v.nodes)
             out.append((ent, err + abs(ent) * 1e-4))  # the gradients' grid proxy
         return out
-    radii = _node_radii(n, v.nodes)
+    grid = _node_radii(n, v.nodes)
+    radii = grid.radii
     top = v.support_volume
     t_top = (math.inf if math.isinf(top) else radii[-1] if top == v.nodes[-1]
              else geometry.phi_inv(n, top / sigma))
@@ -610,25 +665,20 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     zeros = [0.0] * (len(grads) + len(qs) + entropy)
     log, exp, expm1 = math.log, math.exp, math.expm1
     tiny = sys.float_info.min
-    phi, log_sinh = geometry.phi, geometry.log_sinh
     fn, dfn = v.fn, v.dfn
 
-    def g(t):
-        if t <= 0.0 or (n - 1) * t > 690.0:
-            # any profile passing the convergence prechecks has an
-            # integrand far below double noise out here
-            return zeros
-        ph = phi(n, t)
+    def node(ph, ls):
         s = sigma * ph
         if s < tiny:
-            # the same below the smallest normal volume, where v' of a
+            # beyond (n-1) t = 690 (phi 0 in the node geometry) any profile
+            # passing the convergence prechecks has an integrand far below
+            # double noise; below the smallest normal volume v' of a
             # concentrated profile overflows
             return zeros
         dv = abs(float(dfn(s))) if grads else 0.0
         val = float(fn(s)) if need_v else 0.0
         if dv == 0.0 and not val > 0.0:
             return zeros
-        ls = log_sinh(t)
         w = (n - 1) * ls
         hyp = euc = ker = 0.0
         if dv > 0.0:
@@ -659,6 +709,9 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
         if entropy:
             out.append(0.0 if lv is None else exp(p * lv + w) * p * lv)
         return out
+
+    def g(ts):
+        return list(map(node, *grid.panel(ts)))
 
     vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
     scales = [pref * scale] * len(grads) + [scale] * (len(qs) + entropy)
@@ -717,7 +770,8 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
 
     breaks = [*itertools.chain.from_iterable(f.ends),
               *(x for x in v.values if x <= 0.5 * fmax)]
-    vals, errs = quadrature.integrate_vector(g, 0.0, fmax, breaks)
+    vals, errs = quadrature.integrate_vector(lambda taus: list(map(g, taus)),
+                                             0.0, fmax, breaks)
     return list(zip(vals, errs))
 
 
@@ -735,12 +789,15 @@ def _check_np(n: int, p: float):
 
 
 def hardy_term_bound(v: RadialProfile, p: float,
-                     window: Optional[Tuple[float, float]] = None) -> Tuple[float, float]:
-    """Both sides of the weighted integration-by-parts bound.
+                     window: Optional[Tuple[float, float]] = None
+                     ) -> Tuple[float, float, float]:
+    """Both sides of the weighted integration-by-parts bound, and the
+    quadrature error estimate of their difference.
 
     lhs = integral of |v'|^p s^p; rhs = integral of |v/p + s v'|^p plus
     p^-p times the integral of v^p, all over the window (default: the full
-    support).  Contract: lhs >= rhs up to quadrature tolerance.  The
+    support); the error is the sum of the three integrals' estimates, the
+    last times p^-p.  Contract: lhs >= rhs up to quadrature tolerance.  The
     substituted function w(s) = v(s) s^(1/p) is constant exactly when
     v = c s^(-1/p), in which case both sides coincide on any window.  A
     grid-only profile enters through its piecewise-linear values and
@@ -761,8 +818,9 @@ def hardy_term_bound(v: RadialProfile, p: float,
         val, dv = v(s), v.derivative(s)
         return abs(dv) ** p * s ** p, abs(val / p + s * dv) ** p, val ** p
 
-    (lhs, wterm, vterm), _ = quadrature.integrate_vector(f, lo, hi, v.nodes)
-    return lhs, wterm + p ** (-p) * vterm
+    (lhs, wterm, vterm), (e_lhs, e_w, e_v) = quadrature.integrate_vector(
+        lambda ss: list(map(f, ss)), lo, hi, v.nodes)
+    return lhs, wterm + p ** (-p) * vterm, e_lhs + e_w + p ** (-p) * e_v
 
 
 def _equality_distance(v: RadialProfile, p: float) -> float:

@@ -4,6 +4,7 @@ import math
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from hypineq import quadrature
 from hypineq.errors import BracketError, ConvergenceError, DomainError, EvaluationError
 from hypineq.quadrature import (
     QuadratureConfig,
@@ -184,12 +185,49 @@ def test_vector_components_match_separate_integrals():
     # tolerance, so each is at least as accurate as its scalar integral
     fs = (lambda x: math.exp(-x), lambda x: 1e-20 * x * x * math.exp(-x),
           lambda x: 1.0 / math.sqrt(x))
-    vals, errs = integrate_vector(lambda x: [f(x) for f in fs], 0.0, 1.0, [0.5])
+    vals, errs = integrate_vector(lambda xs: [[f(x) for f in fs] for x in xs],
+                                  0.0, 1.0, [0.5])
     for f, val, err in zip(fs, vals, errs):
         ref, _ = integrate(
             f, 0.0, 1.0, [0.5], QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300))
         assert abs(val - ref) <= max(err, 1e-10 * abs(ref))
         assert err <= max(1e-12, 1e-10 * abs(val))
+
+
+@pytest.mark.parametrize("a,b,points", [(1.0, 3.0, [2.0]), (0.0, math.inf, [0.5])])
+def test_integrand_takes_one_panel_per_call(monkeypatch, a, b, points):
+    # the 15 nodes of a panel in one call, centre first, then the pairs
+    # c -+ h x from the outermost node inwards; a substituted panel maps them
+    panels, calls = [], []
+    gk15 = quadrature._gk15
+
+    def counted(f, lo, hi):
+        panels.append((lo, hi))
+        return gk15(f, lo, hi)
+
+    def f(xs):
+        calls.append(list(xs))
+        # a kink at x = 1 makes the tree bisect
+        return [(math.exp(-x), math.sqrt(abs(x - 1.0)) * math.exp(-x)) for x in xs]
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    vals, _ = integrate_vector(f, a, b, points)
+    assert len(calls) == len(panels) > 2
+    assert all(len(xs) == 15 for xs in calls)
+    mapped = 0
+    for (lo, hi), xs in zip(panels, calls):
+        c = 0.5 * (lo + hi)
+        if math.isinf(b) or lo == 0.0:
+            mapped += 1
+            continue
+        assert xs[0] == c
+        assert [xs[2 * k + 1] for k in range(7)] == [c - 0.5 * (hi - lo) * x
+                                                     for x in quadrature._XGK[:7]]
+        assert [xs[2 * k + 2] for k in range(7)] == [c + 0.5 * (hi - lo) * x
+                                                     for x in quadrature._XGK[:7]]
+    assert (mapped == len(panels)) == math.isinf(b)
+    if math.isinf(b):
+        assert vals[0] == pytest.approx(1.0, rel=1e-10)
 
 
 def test_root_cubic():
@@ -237,6 +275,24 @@ def test_root_starting_point():
     find_root_increasing(f, 27.0, (0.0, 10.0), df=df, x0=11.0)
     assert calls[2] == 5.0
     assert seeded < len(calls)
+
+
+def test_root_known_ends_are_not_evaluated():
+    calls = []
+
+    def f(x):
+        calls.append(x)
+        return x ** 3
+
+    ref = find_root_increasing(f, 27.0, (0.0, 10.0), x0=3.01)
+    assert calls[:2] == [0.0, 10.0]
+    n_ref = len(calls)
+    calls.clear()
+    t = find_root_increasing(f, 27.0, (0.0, 10.0), x0=3.01, ends=(0.0, 1000.0))
+    assert t == ref
+    assert calls[0] == 3.01 and len(calls) == n_ref - 2
+    with pytest.raises(BracketError):
+        find_root_increasing(f, 27.0, (0.0, 10.0), ends=(0.0, 8.0))
 
 
 @settings(max_examples=25, deadline=None)
