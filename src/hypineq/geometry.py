@@ -168,6 +168,20 @@ def _log_phi_excess(n: int, t: float) -> float:
     return math.log(n * 2.0 ** (1 - n)) + math.log(acc)
 
 
+def _phi_excess_eps(n: int, t: float) -> float:
+    """epsilon in (n-1) phi(n, t) e^(-(n-1)t) 2^(n-1) / n = 1 + epsilon: the
+    factored exponential sum of _log_phi_excess without its leading 1,
+    summed from the non-leading binomial terms, so nothing cancels."""
+    decay = math.exp(-(n - 1) * t)
+    acc = -decay
+    for coeff, m in _binom_terms(n)[1:]:
+        if m == 0:
+            acc += (n - 1) * coeff * t * decay
+        else:
+            acc += (n - 1) * coeff * (math.exp((m - (n - 1)) * t) - decay) / m
+    return acc
+
+
 def _log_phi(n: int, t: float) -> float:
     """log(phi(n, t)), stable for arbitrarily large t."""
     return _log_phi_excess(n, t) + (n - 1) * t
@@ -285,9 +299,11 @@ def radial_margin_scaled(n: int, p: float, t: float,
                          precise: bool = False) -> float:
     """radial_margin divided by the scale 1 + phi(n,t)^p, accurate for
     any t: every term is divided by e^(p(n-1)t) analytically, and the
-    double-precision path is accurate to ~1e-14 absolute.  Pass
-    precise=True (mpmath) when the sign of an exponentially small margin
-    matters.
+    double-precision path is accurate to ~1e-14 absolute.  From t = 3 the
+    first and third terms, which share the limit 2^-(p(n-1)), are
+    subtracted with it taken out, so a margin far below that limit keeps
+    its sign and its relative accuracy.  Pass precise=True (mpmath) when
+    the sign of an exponentially small margin matters.
     """
     check_dimension(n)
     if t < 0.0:
@@ -297,14 +313,25 @@ def radial_margin_scaled(n: int, p: float, t: float,
     if precise:
         return _margin_precise(n, p, t)
     q = p * (n - 1)
-    lam = _log_phi_excess(n, t)
-    # sinh^q, phi^(q/n), ((n-1)/n)^p phi^p and the scale, over e^(qt)
-    a = math.exp(q * math.log(-0.5 * math.expm1(-2.0 * t)))
+    factored = t >= 3.0
+    if factored:
+        eps = _phi_excess_eps(n, t)
+        lam = math.log(n * 2.0 ** (1 - n) / (n - 1)) + math.log1p(eps)
+    else:
+        lam = _log_phi_excess(n, t)
+    # phi^(q/n) and the scale, over e^(qt)
     b = math.exp((q / n) * (lam - t))
-    c = math.exp(p * (math.log((n - 1.0) / n) + lam))
     scale = math.exp(-q * t) + math.exp(p * lam)
     if scale == 0.0:
         raise DomainError(f"radial_margin_scaled({n}, {p!r}, {t!r}) underflows")
+    if factored:
+        # sinh^q and ((n-1)/n)^p phi^p over e^(qt) are 2^-q e^x and 2^-q e^y,
+        # which meet as t grows: subtract them with their limit taken out
+        x = q * math.log1p(-math.exp(-2.0 * t))
+        y = p * math.log1p(eps)
+        return (2.0 ** -q * (math.expm1(x) - math.expm1(y)) - b) / scale
+    a = math.exp(q * math.log(-0.5 * math.expm1(-2.0 * t)))
+    c = math.exp(p * (math.log((n - 1.0) / n) + lam))
     return (a - b - c) / scale
 
 

@@ -9,7 +9,11 @@ The integrand of integrate_vector is called once per GK15 panel with the
 panel's 15 nodes, its centre first and then the pairs c - h x, c + h x
 from the outermost Kronrod node inwards, and returns one vector per node
 in that order, so a caller may keep what depends only on the nodes of a
-panel that recurs.  The left-edge and semi-infinite substitutions map a
+panel that recurs.  One substitution, s = a + b e^y, serves both ends
+that bisection cannot reach: the first segment (0, x] when it starts at
+0 (a = 0, b = x, swept leftward from y = 0), where it absorbs an
+integrable singularity of a profile closure, and an infinite tail
+[a, inf) (b = 1, swept right and then left from y = 0).  It maps a
 panel's node list before the call.  integrate takes a pointwise scalar
 integrand.
 
@@ -194,31 +198,14 @@ def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
     raise ConvergenceError(message, partial=total, error_estimate=total_err)
 
 
-def _integrate_semi(f, a, cfg: QuadratureConfig):
-    """Integrate f over [a, inf) through the substitution s = a + e^y
-    (which at a == 0 also absorbs integrable singularities at 0)."""
+def _substituted(f: PanelIntegrand, a: float, b: float) -> PanelIntegrand:
+    """The panel integrand of f(s) ds under s = a + b e^y, ds = b e^y dy
+    (a = 0 skips the shift)."""
     def g(ys):
-        es = [math.exp(y) for y in ys]
-        return [[x * e for x in row] for row, e in zip(f([a + e for e in es]), es)]
-
-    total, total_err = _sweep(g, 2.0, cfg,
-                              "semi-infinite tail did not converge (right)")
-    return _sweep(g, -2.0, cfg, "semi-infinite tail did not converge (left)",
-                  total, total_err)
-
-
-def _integrate_left_edge(f, b: float, cfg: QuadratureConfig):
-    """Integrate f over (0, b] through s = b e^y, y in (-inf, 0].
-
-    Same exponential substitution as the semi-infinite path, used here to
-    absorb integrable power singularities at the left endpoint 0 that a
-    plain dyadic subdivision cannot resolve.
-    """
-    def g(ys):
-        ss = [b * math.exp(y) for y in ys]
-        return [[x * s for x in row] for row, s in zip(f(ss), ss)]
-
-    return _sweep(g, -2.0, cfg, "left-edge substitution did not converge")
+        es = [b * math.exp(y) for y in ys]
+        return [[x * e for x in row]
+                for row, e in zip(f([a + e for e in es] if a else es), es)]
+    return g
 
 
 def integrate_vector(f: PanelIntegrand, a: float, b: float,
@@ -241,15 +228,19 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
     lo = a
     for x in pts:
         if lo == 0.0:
-            # a profile closure may be singular (but integrable) at the
-            # origin; the substitution handles that where bisection cannot
-            v, e = _integrate_left_edge(f, x, cfg)
+            # a profile closure may be singular (but integrable) at the origin
+            v, e = _sweep(_substituted(f, 0.0, x), -2.0, cfg,
+                          "left-edge substitution did not converge")
         else:
             v, e = _integrate_finite(f, lo, x, cfg)
         total, total_err = _add(total, total_err, v, e)
         lo = x
-    v, e = (_integrate_semi(f, lo, cfg) if math.isinf(b)
-            else _integrate_finite(f, lo, b, cfg))
+    if math.isinf(b):
+        g = _substituted(f, lo, 1.0)
+        v, e = _sweep(g, -2.0, cfg, "semi-infinite tail did not converge (left)",
+                      *_sweep(g, 2.0, cfg, "semi-infinite tail did not converge (right)"))
+    else:
+        v, e = _integrate_finite(f, lo, b, cfg)
     return _add(total, total_err, v, e)
 
 

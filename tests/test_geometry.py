@@ -187,6 +187,17 @@ def test_scaled_margin_oracle():
                 assert abs(fast - slow) <= 1e-13, (n, p, t, fast, slow)
 
 
+def test_scaled_margin_keeps_its_size_at_large_radius():
+    # sinh^q and ((n-1)/n)^p phi^p over e^(qt) both tend to 2^-q; subtracted
+    # as doubles they left a residue of -3.7e-16 at n = 4, p = 3 for every
+    # t >= 20, where mpmath gives +3.2e-17 at t = 20 and +1.4e-34 at t = 40
+    for n, p in [(4, 3.0), (5, 2.5), (3, boundary_exponent(3))]:
+        for t in (20.0, 40.0, 100.0, 300.0):
+            fast = G.radial_margin_scaled(n, p, t)
+            slow = G.radial_margin_scaled(n, p, t, precise=True)
+            assert abs(fast - slow) <= 1e-12 * slow, (n, p, t, fast, slow)
+
+
 def test_margin_nonnegative_at_boundary():
     for n in (3, 4, 5, 6):
         p = boundary_exponent(n)

@@ -105,15 +105,22 @@ def _tables():
 
 
 def test_f_column_has_the_margin_sign():
-    # at n = 3, p = 2.78 the margin reads 0.0 over t in (21, 34), where the
-    # double raw margin used to print +-1e36 to +-1e59 of cancellation
+    # at n = 3, p = 2.78 the double raw margin printed +-1e36 to +-1e59 of
+    # cancellation over t in (21, 34); the scaled margin then read 0.0 at
+    # 83 radii there, and with its large-radius terms factored it keeps the
+    # mpmath sign at each.  A zero margin, at t = 0, prints F = 0.
     for table in _tables():
         assert len(table.f_values) == len(table.margins) == len(table.ts)
         for t, f, m in zip(table.ts, table.f_values, table.margins):
             assert (f > 0.0) == (m > 0.0) and (f < 0.0) == (m < 0.0), (t, f, m)
             if m == 0.0:
                 assert f == 0.0
-    assert 0.0 in find_violation(3, 2.78).margins
+    table = find_violation(3, 2.78)
+    band = [(t, m) for t, m in zip(table.ts, table.margins) if 21.0 < t < 34.0]
+    assert len(band) == 20
+    for t, m in band:
+        assert m * geometry.radial_margin_scaled(3, 2.78, t, precise=True) > 0.0, t
+    assert 0.0 in verify_lemma(4, 3.0, t_max=40.0).margins
 
 
 def test_f_column_matches_the_raw_margin():

@@ -498,9 +498,25 @@ def test_hardy_identity_at_p2_on_read_back_corpus(tmp_path):
     for w in compact:
         lhs, rhs, err = hardy_term_bound(w, 2.0)
         assert rhs == pytest.approx(lhs, rel=1e-12), w.label
-        # the bar is a panel's K15 - G7 gap, below the rounding of an
-        # identity on smooth segments, but no looser than the tolerance
+        # the bar, K15 - G7 gaps plus 4096 eps of the sums, is no looser
+        # than the tolerance
         assert err <= 1e-11 * lhs, w.label
+
+
+def test_hardy_error_covers_the_p2_identity(tmp_path):
+    # at p = 2 lhs = rhs exactly; the error must cover what the computed
+    # sides miss it by (1.3e-15 on the read-back truncated-bubble-l0.05-T1,
+    # against K15 - G7 gaps of 5.7e-18)
+    files = map(read_profile, write_corpus(str(tmp_path)))
+    compact = [v for v in (*files, *standard_corpus()) if v.tail.kind == "compact"]
+    assert len(compact) == 24
+    for v in compact:
+        lhs, rhs, err = hardy_term_bound(v, 2.0)
+        assert abs(lhs - rhs) <= err, v.label
+    # and stays far below a real gap: 6.4e-3 at p = 3 on a tent
+    tent = next(v for v in compact if v.label == "tent-A0.5-b1")
+    lhs, rhs, err = hardy_term_bound(tent, 3.0)
+    assert lhs - rhs > 1e6 * err
 
 
 def test_grid_derivative_is_segment_slope():
@@ -757,7 +773,7 @@ def test_radial_pass_matches_standalone_norms_on_grid_profile(tmp_path):
                    kernel_correction(v, 4, 3.0), lp_integral(v, 2.0)]
 
 
-@pytest.mark.xfail(strict=True, reason="ROADMAP item 5: a grid-only gradient "
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a grid-only gradient "
                    "reports 1e-4 relative, and misses the one pass over its own "
                    "piecewise-linear function by 5 to 414 times that")
 def test_grid_only_gradient_bar_covers_its_own_function(tmp_path):
