@@ -15,6 +15,7 @@ identical inputs produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -82,7 +83,10 @@ def _add_common(sub: argparse.ArgumentParser, fmt: bool = True,
                      help="flat key=value file; flags override it")
 
 
+@functools.lru_cache(maxsize=1)
 def build_parser():
+    """The parser and its subparsers by command, built once per process:
+    parsing leaves them as they were, so every request shares them."""
     parser = argparse.ArgumentParser(
         prog="hypineq",
         description="Sharp constant-dominated inequalities on hyperbolic "
@@ -146,13 +150,19 @@ def build_parser():
     return parser, subs.choices
 
 
-def _apply_config(argv: List[str], subparsers) -> List[str]:
-    """Inject config-file entries as flags ahead of the explicit ones, so
-    that explicit flags win.  Unknown keys are rejected."""
+@functools.lru_cache(maxsize=1)
+def _config_parser() -> argparse.ArgumentParser:
+    """The pre-parser that finds --config ahead of the full parse."""
     pre = argparse.ArgumentParser(prog="hypineq", add_help=False,
                                   allow_abbrev=False)
     pre.add_argument("--config")
-    path = pre.parse_known_args(argv)[0].config
+    return pre
+
+
+def _apply_config(argv: List[str], subparsers) -> List[str]:
+    """Inject config-file entries as flags ahead of the explicit ones, so
+    that explicit flags win.  Unknown keys are rejected."""
+    path = _config_parser().parse_known_args(argv)[0].config
     if path is None:
         return argv
     command = argv[0]

@@ -9,9 +9,10 @@ an analytic closure, so norm integrals are limited only by quadrature.
 
 from __future__ import annotations
 
+import functools
 import math
 import os
-from typing import List
+from typing import List, Tuple
 
 from .quadrature import geomspace, linspace
 from .rearrangement import RadialProfile, Tail, write_profile
@@ -122,15 +123,21 @@ def _power_profile(decay: float) -> RadialProfile:
 
 
 def standard_corpus() -> List[RadialProfile]:
-    """Twenty admissible profiles with analytic closures.
+    """Twenty admissible profiles with analytic closures, in a new list
+    on every call; the profiles themselves are frozen and built once.
 
     Composition: four tents, four smooth bumps, two quadratic spikes,
     four exponentials, two sech shapes, two concentrating truncated
     bubbles, two power tails.
     """
+    return list(_standard_profiles())
+
+
+@functools.lru_cache(maxsize=1)
+def _standard_profiles() -> Tuple[RadialProfile, ...]:
     from .sharpness import truncated_bubble
 
-    out = [
+    return (
         tent_profile(0.5, 1.0),
         tent_profile(1.0, 1.0),
         tent_profile(2.0, 3.0),
@@ -151,8 +158,7 @@ def standard_corpus() -> List[RadialProfile]:
         truncated_bubble(4, 8.0 / 3.0, 0.05, 1.0),
         _power_profile(2.0),
         _power_profile(3.0),
-    ]
-    return out
+    )
 
 
 def bubble_corpus(n: int = 4, p: float = 8.0 / 3.0,

@@ -209,14 +209,18 @@ def phi_inv(n: int, s: float) -> float:
     if (n - 1) * edge > 700.0:
         edge = math.nextafter(edge, 0.0)
     hi = min(max(1.0, t_large + 2.0), edge)
-    while phi(n, hi) < s:
+    phi_hi = phi(n, hi)
+    while phi_hi < s:
         if hi == edge:
             raise DomainError(f"phi_inv({n}, {s!r}): phi overflows double "
                               "precision before it reaches s")
         hi = min(hi + 2.0, edge)
+        phi_hi = phi(n, hi)
     x0 = s ** (1.0 / n) if t_large <= _SMALL_T else t_large
+    # phi(n, 0) = 0: the root find evaluates neither end of the bracket
     return find_root_increasing(lambda t: phi(n, t), s, (0.0, hi),
-                                df=lambda t: phi_deriv(n, t), x0=x0)
+                                df=lambda t: phi_deriv(n, t), x0=x0,
+                                ends=(0.0, phi_hi))
 
 
 def sinh_phi_inv(n: int, s: float) -> float:

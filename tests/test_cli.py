@@ -532,6 +532,79 @@ def test_unexpected_exception_is_internal_error(capsys, monkeypatch):
     assert err == "internal error: ZeroDivisionError: float division by zero\n"
 
 
+# -- repeated requests in one process ---------------------------------
+
+
+def _count_parsers(monkeypatch):
+    """Count every argparse.ArgumentParser built from here on."""
+    built = []
+    init = cli.argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(cli.argparse.ArgumentParser, "__init__", counted)
+    return built
+
+
+def _clear_cli_caches():
+    cli.build_parser.cache_clear()
+    cli._config_parser.cache_clear()
+
+
+def test_second_request_builds_no_parser(capsys, monkeypatch, tmp_path):
+    lemma_argv = ("lemma", "verify", "--n", "4", "--p", "3.0")
+    run(capsys, *lemma_argv)
+    built = _count_parsers(monkeypatch)
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t-max = 2\n")
+    assert run(capsys, *lemma_argv, "--config", str(cfg))[0] == 0
+    assert run(capsys, "constants", "--n", "4", "--p", N4P)[0] == 0
+    assert built == []
+
+
+def test_cleared_parser_cache_builds_again(capsys, monkeypatch):
+    run(capsys, "constants", "--n", "4", "--p", N4P)
+    built = _count_parsers(monkeypatch)
+    cli.build_parser.cache_clear()
+    run(capsys, "constants", "--n", "4", "--p", N4P)
+    # the parser and one subparser per command
+    assert built.count("hypineq") == 1 and len(built) == 1 + 5
+
+
+def _outputs(capsys, out_dir, requests):
+    """Exit code, stdout and stderr of each request, and every artifact
+    written under out_dir, by name."""
+    results = [run(capsys, *argv, "--out", str(out_dir / str(i)))
+               for i, argv in enumerate(requests)]
+    artifacts = {str(path.relative_to(out_dir)): path.read_bytes()
+                 for path in sorted(out_dir.rglob("*")) if path.is_file()}
+    return results, artifacts
+
+
+@pytest.mark.parametrize("bad_argv", [
+    ("lemma", "verify", "--n", "four", "--p", "3.0"),
+    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
+     "--max-iter", "5"),
+    ("verify", "--inequality", "no_such_inequality", "--n", "4", "--p", "3.0"),
+])
+def test_request_after_usage_error_matches_a_cold_one(capsys, tmp_path, bad_argv):
+    requests = [("lemma", "verify", "--n", "4", "--p", "3.0"),
+                ("constants", "--n", "4", "--p", N4P, "--format", "csv"),
+                ("lemma", "violate", "--n", "4", "--p", "2.5")]
+    _clear_cli_caches()
+    cold = _outputs(capsys, tmp_path / "cold", requests)
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(bad_argv))
+    assert exc.value.code == 2
+    capsys.readouterr()
+    warm = _outputs(capsys, tmp_path / "warm", requests)
+    assert [code for code, _, _ in cold[0]] == [0, 0, 0]
+    assert len(cold[1]) == 5
+    assert warm == cold
+
+
 def test_cli_import_loads_neither_numpy_nor_mpmath():
     src = str(Path(__file__).resolve().parents[1] / "src")
     code = ("import sys; sys.path.insert(0, sys.argv[1]); import hypineq.cli; "

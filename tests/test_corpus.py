@@ -25,6 +25,17 @@ def test_standard_corpus_shape():
         assert v(0.0) > 0.0
 
 
+def test_standard_corpus_list_is_the_callers_own():
+    corpus = standard_corpus()
+    labels = [v.label for v in corpus]
+    corpus.reverse()
+    corpus.append(tent_profile(9.0, 9.0))
+    del corpus[0]
+    again = standard_corpus()
+    assert [v.label for v in again] == labels
+    assert again is not standard_corpus()
+
+
 def test_corpus_profiles_have_closures():
     for v in standard_corpus():
         assert v.fn is not None and v.dfn is not None

@@ -115,6 +115,17 @@ def test_inverse_volume_map_newton_start(monkeypatch):
         assert phi.calls / 601 <= 8.0, (n, phi.calls / 601)
 
 
+def test_inverse_volume_map_reuses_its_bracket_values(monkeypatch):
+    # the root find takes phi at both bracket ends from the bracket search
+    # (phi(n, 0) = 0 and the last phi(n, hi)); recomputing them took 4,665
+    phi = _Counter(G.phi)
+    monkeypatch.setattr(G, "phi", phi)
+    for n in range(3, 7):
+        for k in range(-80, 80):
+            G.phi_inv(n, 10.0 ** (k / 10))
+    assert phi.calls == 3385
+
+
 def test_volume_map_derivative():
     for n in (2, 3, 5):
         for t in (0.1, 1.0, 8.0):
