@@ -27,7 +27,7 @@ from .constants import Params
 from .corpus import standard_corpus
 from .errors import (BracketError, ConvergenceError, DomainError, EvaluationError,
                      OverflowDomainError)
-from .report import fmt17, reports_to_csv, reports_to_json
+from .report import csv_table, fmt17, reports_to_csv, reports_to_json
 
 EXIT_PASS = 0
 EXIT_VIOLATION = 1
@@ -57,18 +57,15 @@ def _emit(args, text: str, filename: str) -> None:
         sys.stdout.write(text)
 
 
-def _float_list(text: str) -> List[float]:
-    try:
-        return [float(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad number list {text!r}")
-
-
-def _int_list(text: str) -> List[int]:
-    try:
-        return [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"bad integer list {text!r}")
+def _list_of(kind: type, what: str):
+    """argparse type of a comma-separated list of kind, named what in
+    its error message."""
+    def parse(text: str) -> list:
+        try:
+            return [kind(x) for x in text.split(",") if x.strip()]
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"bad {what} list {text!r}")
+    return parse
 
 
 def _add_common(sub: argparse.ArgumentParser, fmt: bool = True,
@@ -124,7 +121,8 @@ def build_parser():
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
     # the defaults of the flags of one mode are in _SHARPNESS_FLAGS
-    sp.add_argument("--lambdas", type=_float_list, default=argparse.SUPPRESS)
+    sp.add_argument("--lambdas", type=_list_of(float, "number"),
+                    default=argparse.SUPPRESS)
     sp.add_argument("--truncation", type=float, default=1.0)
     sp.add_argument("--gap-max", type=float, default=argparse.SUPPRESS,
                     help="maximum final gap, as a fraction of the target")
@@ -140,8 +138,8 @@ def build_parser():
 
     sp = subs.add_parser("sweep", help="deficit reports over an (n, p) grid")
     sp.add_argument("--inequality", required=True, choices=verifier.INEQUALITIES)
-    sp.add_argument("--n-list", type=_int_list, required=True)
-    sp.add_argument("--p-list", type=_float_list, required=True)
+    sp.add_argument("--n-list", type=_list_of(int, "integer"), required=True)
+    sp.add_argument("--p-list", type=_list_of(float, "number"), required=True)
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--corpus", default=None)
     sp.add_argument("--constant-scale", type=float, default=1.0)
@@ -249,10 +247,8 @@ def cmd_constants(args) -> int:
         return EXIT_USAGE
     if args.out:
         if args.format == "csv":
-            body = "constant,value,note\n" + "".join(
-                f"{name},{'' if v is None else fmt17(v)},{'' if note is None else note}\n"
-                for name, v, note in rows)
-            _write_atomic(os.path.join(args.out, "constants.csv"), body)
+            _write_atomic(os.path.join(args.out, "constants.csv"),
+                          csv_table(("constant", "value", "note"), rows))
         else:
             payload = {name: (None if v is None else fmt17(v)) for name, v, _ in rows}
             _write_atomic(os.path.join(args.out, "constants.json"),
@@ -272,10 +268,7 @@ def cmd_lemma(args) -> int:
         code = EXIT_PASS if table.passed else EXIT_VIOLATION
     else:
         table = lemma.find_violation(n, p, **given)
-        if table.inconclusive:
-            code = EXIT_INCONCLUSIVE
-        else:
-            code = EXIT_PASS
+        code = EXIT_INCONCLUSIVE if table.inconclusive else EXIT_PASS
     stem = f"lemma-{args.mode}-n{n}-p{p:g}"
     if args.out:
         _write_atomic(os.path.join(args.out, stem + ".csv"), table.to_csv())
@@ -368,11 +361,9 @@ def cmd_sharpness(args) -> int:
 
     pairs = sharpness.lambda_sweep(args.inequality, n, p, args.lambdas,
                                    T=args.truncation)
-    lines = ["lambda,T,ratio,gap"]
-    for lam, r in pairs:
-        lines.append(",".join([fmt17(lam), fmt17(args.truncation),
-                               fmt17(r), fmt17(r - target)]))
-    _emit(args, "\n".join(lines) + "\n", "sharpness-sweep.csv")
+    _emit(args, csv_table(("lambda", "T", "ratio", "gap"),
+                          [(lam, args.truncation, r, r - target) for lam, r in pairs]),
+          "sharpness-sweep.csv")
     ratios = [r for _, r in pairs]
     monotone = all(b < a for a, b in zip(ratios, ratios[1:]))
     return _sharpness_verdict([r - target for r in ratios], target, monotone,

@@ -21,20 +21,26 @@ __all__ = ["tent_profile", "bump_profile", "standard_corpus",
            "bubble_corpus", "write_corpus"]
 
 
-def tent_profile(height: float, support: float, num: int = 33) -> RadialProfile:
-    """Piecewise-linear spike: height at 0, hitting zero at s = support."""
+def _spike(name: str, height: float, support: float, k: int,
+           num: int = 33) -> RadialProfile:
+    """A (1 - s/b)^k on [0, b), zero beyond: height A at 0, support b."""
     A, b = float(height), float(support)
 
     def fn(s):
-        return A * (1.0 - s / b) if s < b else 0.0
+        return A * (1.0 - s / b) ** k if s < b else 0.0
 
     def dfn(s):
-        return -A / b if 0.0 < s < b else 0.0
+        return -k * A * (1.0 - s / b) ** (k - 1) / b if 0.0 < s < b else 0.0
 
     grid = linspace(0.0, b, num)
     vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
-                         label=f"tent-A{A:g}-b{b:g}")
+                         label=f"{name}-A{A:g}-b{b:g}")
+
+
+def tent_profile(height: float, support: float, num: int = 33) -> RadialProfile:
+    """Piecewise-linear spike: height at 0, hitting zero at s = support."""
+    return _spike("tent", height, support, 1, num)
 
 
 def bump_profile(height: float, support: float, num: int = 41) -> RadialProfile:
@@ -57,21 +63,6 @@ def bump_profile(height: float, support: float, num: int = 41) -> RadialProfile:
     vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
                          label=f"bump-A{A:g}-b{b:g}")
-
-
-def _quadratic_profile(height: float, support: float) -> RadialProfile:
-    A, b = float(height), float(support)
-
-    def fn(s):
-        return A * (1.0 - s / b) ** 2 if s < b else 0.0
-
-    def dfn(s):
-        return -2.0 * A * (1.0 - s / b) / b if 0.0 < s < b else 0.0
-
-    grid = linspace(0.0, b, 33)
-    vals = [fn(s) for s in grid]
-    return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
-                         label=f"quad-A{A:g}-b{b:g}")
 
 
 def _exponential_profile(height: float, rate: float) -> RadialProfile:
@@ -146,8 +137,8 @@ def _standard_profiles() -> Tuple[RadialProfile, ...]:
         bump_profile(1.0, 4.0),
         bump_profile(3.0, 2.0),
         bump_profile(0.7, 0.8),
-        _quadratic_profile(2.0, 1.5),
-        _quadratic_profile(1.0, 6.0),
+        _spike("quad", 2.0, 1.5, 2),
+        _spike("quad", 1.0, 6.0, 2),
         _exponential_profile(1.0, 0.5),
         _exponential_profile(2.0, 1.0),
         _exponential_profile(1.0, 2.0),

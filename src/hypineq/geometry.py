@@ -113,13 +113,14 @@ def _phi_small(n: int, t: float) -> float:
     return acc * t ** n
 
 
-def _phi_exp_sum(n: int, t: float) -> float:
+def _phi_exp_sum(n: int, t, expm1=math.expm1):
+    """The exponential-sum volume map; in mpmath given mp.expm1 and an mpf t."""
     acc = 0.0
     for coeff, m in _binom_terms(n):
         if m == 0:
             acc += coeff * t
         else:
-            acc += coeff * math.expm1(m * t) / m
+            acc += coeff * expm1(m * t) / m
     return n * 2.0 ** (1 - n) * acc
 
 
@@ -208,14 +209,13 @@ def phi_inv(n: int, s: float) -> float:
     edge = 700.0 / (n - 1)
     if (n - 1) * edge > 700.0:
         edge = math.nextafter(edge, 0.0)
+    # sinh u >= e^u (1 - e^-2) / 2 on u >= 1 gives phi(t_large + 2) >= s,
+    # and phi(1) >= 1 covers s < 1; so only the edge can fall short of s
     hi = min(max(1.0, t_large + 2.0), edge)
     phi_hi = phi(n, hi)
-    while phi_hi < s:
-        if hi == edge:
-            raise DomainError(f"phi_inv({n}, {s!r}): phi overflows double "
-                              "precision before it reaches s")
-        hi = min(hi + 2.0, edge)
-        phi_hi = phi(n, hi)
+    if phi_hi < s:
+        raise DomainError(f"phi_inv({n}, {s!r}): phi overflows double "
+                          "precision before it reaches s")
     x0 = s ** (1.0 / n) if t_large <= _SMALL_T else t_large
     # phi(n, 0) = 0: the root find evaluates neither end of the bracket
     return find_root_increasing(lambda t: phi(n, t), s, (0.0, hi),
@@ -268,19 +268,10 @@ def radial_margin(n: int, p: float, t: float) -> float:
 def _precision(n: int, p: float, t: float):
     """mpmath working-precision context that covers the exponential
     cancellation in the margin and its slope factor at radius t, and below
-    t = 1 the t^n cancellation of the exponential sum in _phi_mp."""
+    t = 1 the t^n cancellation of the exponential sum."""
     import mpmath as mp
     small = n * math.log10(1.0 / t) if t < 1.0 else 0.0
     return mp.workdps(40 + int(0.5 * (p * (n - 1) + n) * t + small))
-
-
-def _phi_mp(n: int, tt):
-    """The exponential-sum volume map at the working mpmath precision."""
-    import mpmath as mp
-    acc = mp.mpf(0)
-    for coeff, m in _binom_terms(n):
-        acc += coeff * tt if m == 0 else coeff * mp.expm1(m * tt) / m
-    return n * mp.mpf(2) ** (1 - n) * acc
 
 
 def _margin_precise(n: int, p: float, t: float) -> float:
@@ -289,7 +280,7 @@ def _margin_precise(n: int, p: float, t: float) -> float:
     import mpmath as mp
     with _precision(n, p, t):
         tt = mp.mpf(t)
-        ph = _phi_mp(n, tt)
+        ph = _phi_exp_sum(n, tt, mp.expm1)
         # build every exponent from the same mpf image of p: a 1-ulp
         # mismatch between the first and third exponents survives the
         # cancellation as a spurious margin ~ ulp(q) * t
@@ -355,7 +346,7 @@ def margin_slope_factor(n: int, p: float, t: float,
         import mpmath as mp
         with _precision(n, p, t):
             tt = mp.mpf(t)
-            ph = _phi_mp(n, tt)
+            ph = _phi_exp_sum(n, tt, mp.expm1)
             pp = mp.mpf(p)
             qq = pp * (n - 1)
             lead = mp.sinh(tt) ** (qq - n) * mp.cosh(tt)

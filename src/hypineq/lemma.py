@@ -23,7 +23,7 @@ from . import geometry
 from .constants import boundary_exponent
 from .errors import DomainError
 from .quadrature import geomspace
-from .report import fmt17
+from .report import csv_table
 
 __all__ = ["MarginTable", "verify_lemma", "find_violation"]
 
@@ -56,10 +56,8 @@ class MarginTable:
     slope_positive: Optional[bool] = None
 
     def to_csv(self) -> str:
-        lines = ["t,F,margin"]
-        for t, f, m in zip(self.ts, self.f_values, self.margins):
-            lines.append(",".join([fmt17(t), fmt17(f), fmt17(m)]))
-        return "\n".join(lines) + "\n"
+        return csv_table(("t", "F", "margin"),
+                         zip(self.ts, self.f_values, self.margins))
 
     def summary(self) -> dict:
         out = {
@@ -103,6 +101,17 @@ def _log_scale(n: int, p: float, t: float) -> float:
     return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
 
 
+def _columns(n: int, p: float, ts):
+    """The scaled margin m at each radius, log|F| of the raw margin
+    F = m (1 + volume^p) (-inf at m = 0), and F, +-inf past double range."""
+    margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
+    logf = [math.log(abs(m)) + _log_scale(n, p, t) if m else -math.inf
+            for t, m in zip(ts, margins)]
+    f_values = tuple(math.copysign(math.exp(lf) if lf < 709.78 else math.inf, m)
+                     for m, lf in zip(margins, logf))
+    return margins, logf, f_values
+
+
 def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
                  tol: float = 1e-9) -> MarginTable:
     """Certify the margin is non-negative on a geometric radius grid.
@@ -120,9 +129,7 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
         raise DomainError(
             f"lemma range needs p >= {bdry:g} for n={n}, got p={p!r}")
     ts = [0.0] + geomspace(1e-4, t_max, num)
-    margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
-    logf = [math.log(abs(m)) + _log_scale(n, p, t) if m else -math.inf
-            for t, m in zip(ts, margins)]
+    margins, logf, f_values = _columns(n, p, ts)
 
     min_i = min(range(len(ts)), key=margins.__getitem__)
     min_margin = margins[min_i]
@@ -134,19 +141,13 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
     seen = [lf for m, lf in zip(margins, logf) if m > 1e-13]
     monotone = all(b >= a - 1e-9 for a, b in zip(seen, seen[1:]))
 
-    slope_positive = None
-    if n >= 3:
-        slope_positive = True
-        for t in ts[1:]:
-            if not geometry.margin_slope_factor(n, p, t) >= -1e-9 \
-                    and geometry.margin_slope_factor(n, p, t, precise=True) < 0.0:
-                slope_positive = False
-                break
+    slope_positive = None if n < 3 else all(
+        geometry.margin_slope_factor(n, p, t) >= -1e-9
+        or not geometry.margin_slope_factor(n, p, t, precise=True) < 0.0
+        for t in ts[1:])
 
     return MarginTable(
-        n=n, p=p, mode="verify", ts=tuple(ts),
-        f_values=tuple(math.copysign(math.exp(lf) if lf < 709.78 else math.inf, m)
-                       for m, lf in zip(margins, logf)),
+        n=n, p=p, mode="verify", ts=tuple(ts), f_values=f_values,
         margins=tuple(margins), min_margin=min_margin,
         min_margin_t=ts[min_i], tolerance=tol,
         passed=passed and monotone and slope_positive is not False,
@@ -173,9 +174,7 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
 
     onset = geometry.violation_onset(n, p) if n >= 3 else None
     ts = geomspace(0.5, t_max, num)
-    margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
-    logf = [math.log(abs(m)) + _log_scale(n, p, t) if m else -math.inf
-            for t, m in zip(ts, margins)]
+    margins, _, f_values = _columns(n, p, ts)
 
     # the double margin is good to 1e-13 absolute: closer to zero its sign
     # is rounding, and the onset probes decide
@@ -198,9 +197,7 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
 
     min_i = min(range(len(ts)), key=margins.__getitem__)
     return MarginTable(
-        n=n, p=p, mode="find-violation", ts=tuple(ts),
-        f_values=tuple(math.copysign(math.exp(lf) if lf < 709.78 else math.inf, m)
-                       for m, lf in zip(margins, logf)),
+        n=n, p=p, mode="find-violation", ts=tuple(ts), f_values=f_values,
         margins=tuple(margins),
         min_margin=margins[min_i], min_margin_t=ts[min_i],
         passed=violation is not None, violation=violation,

@@ -179,11 +179,15 @@ def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
     Rightward, a power-law tail first *rises* in y (until e^y ~ a), so a
     panel there only counts as negligible once the sequence is decaying;
     otherwise a small-magnitude tail would be cut off in its rising phase.
+    Raises ConvergenceError, carrying the partial sums, after 400 panels or
+    before a rightward panel whose nodes e^y would overflow.
     """
     small = 0
     prev = None
     y = 0.0
     for _ in range(400):
+        if y + step > 709.78:  # past here e^y overflows
+            break
         v, e = _integrate_finite(g, min(y, y + step), max(y, y + step), cfg)
         total, total_err = _add(total, total_err, v, e)
         y += step

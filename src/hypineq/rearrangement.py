@@ -333,14 +333,13 @@ def decreasing_rearrangement(f: RadialFunction,
     eps = fmax * 1e-30
     # the last level: a root find's f(t) and df(t), and v'(s) after v(s), share it
     level = functools.lru_cache(maxsize=1)(lambda tau: _level_set(f, tau))
-    top, bottom = (fmax, level(fmax)[0]), (eps, level(eps)[0])
+    # no piece exceeds fmax, so mu(fmax) = 0
+    top, bottom = (fmax, 0.0), (eps, level(eps)[0])
     ends = []  # (level, mu) at every node, once sampled; until then (eps, fmax)
 
     def v_of(s: float) -> float:
         if s < 0.0:
             raise DomainError(f"volume must be >= 0, got {s!r}")
-        if top[1] > s:
-            return fmax
         if bottom[1] <= s:
             return 0.0
         # for s in [s_i, s_i+1) the level lies between the node levels;
@@ -399,8 +398,6 @@ def _direct(f: RadialFunction, power: float, grad: bool) -> float:
     total = 0.0
     for pc in f.pieces:
         def h(r, g=pc.dfn if grad else pc.fn):
-            if r <= 0.0:
-                return 0.0
             gr = abs(float(g(r)))
             if gr == 0.0:
                 return 0.0

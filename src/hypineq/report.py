@@ -11,11 +11,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Dict, Sequence
+from typing import Dict, Iterable, Sequence
 
 from .constants import Params
 
-__all__ = ["DeficitReport", "fmt17", "reports_to_json", "reports_to_csv"]
+__all__ = ["DeficitReport", "fmt17", "csv_table", "reports_to_json", "reports_to_csv"]
 
 _EPS = 1e-300
 
@@ -25,6 +25,13 @@ def fmt17(x) -> str:
     if isinstance(x, float):
         return format(x, ".17g")
     return str(x)
+
+
+def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
+    """CSV text of a header and rows: every field in fmt17, None as an
+    empty field.  Fields are not quoted, so none may hold a comma."""
+    return "".join(",".join("" if x is None else fmt17(x) for x in row) + "\n"
+                   for row in (header, *rows))
 
 
 @dataclass(frozen=True)
@@ -97,19 +104,5 @@ _CSV_COLUMNS = ("inequality_id", "n", "p", "alpha", "label", "lhs", "rhs",
 
 
 def reports_to_csv(reports: Sequence[DeficitReport]) -> str:
-    lines = [",".join(_CSV_COLUMNS)]
-    for r in reports:
-        d = r.to_dict()
-        row = []
-        for col in _CSV_COLUMNS:
-            val = d[col]
-            if col == "flags":
-                row.append(";".join(val))
-            elif val is None:
-                row.append("")
-            elif isinstance(val, float):
-                row.append(fmt17(val))
-            else:
-                row.append(str(val))
-        lines.append(",".join(row))
-    return "\n".join(lines) + "\n"
+    dicts = [dict(r.to_dict(), flags=";".join(sorted(r.flags))) for r in reports]
+    return csv_table(_CSV_COLUMNS, [[d[col] for col in _CSV_COLUMNS] for d in dicts])

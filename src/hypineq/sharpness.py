@@ -18,7 +18,7 @@ from .constants import unit_ball_volume
 from .errors import DomainError
 from .quadrature import geomspace
 from .rearrangement import RadialProfile, Tail
-from .report import fmt17
+from .report import csv_table
 
 __all__ = [
     "SharpnessResult",
@@ -120,11 +120,7 @@ class SharpnessResult:
         return self.best_ratio - self.target_constant
 
     def trace_csv(self) -> str:
-        lines = ["iteration,lambda,T,ratio,gap"]
-        for it, lam, T, ratio, gap in self.trace:
-            lines.append(",".join([str(it), fmt17(lam), fmt17(T),
-                                   fmt17(ratio), fmt17(gap)]))
-        return "\n".join(lines) + "\n"
+        return csv_table(("iteration", "lambda", "T", "ratio", "gap"), self.trace)
 
 
 def ratio_function(inequality_id: str, n: int, p: float
@@ -220,17 +216,17 @@ def minimize_ratio(inequality_id: str, n: int, p: float,
     lam_box = (math.log(1e-10), math.log(10.0))
     t_box = (math.log(1e-4), math.log(1e6))
 
+    def clamped(x):
+        return (math.exp(min(max(x[0], lam_box[0]), lam_box[1])),
+                math.exp(min(max(x[1], t_box[0]), t_box[1])))
+
     def f(x):
-        lam = math.exp(min(max(x[0], lam_box[0]), lam_box[1]))
-        T = math.exp(min(max(x[1], t_box[0]), t_box[1]))
-        return ratio(truncated_bubble(n, p, lam, T))
+        return ratio(truncated_bubble(n, p, *clamped(x)))
 
     x0 = (math.log(lam0), math.log(T0))
     best_x, best_f, log, converged = _nelder_mead(f, x0, 0.5, max_iter, 1e-8)
-    trace = tuple(
-        (i, math.exp(min(max(x[0], lam_box[0]), lam_box[1])),
-         math.exp(min(max(x[1], t_box[0]), t_box[1])), val, val - target)
-        for i, (x, val) in enumerate(log))
+    trace = tuple((i, *clamped(x), val, val - target)
+                  for i, (x, val) in enumerate(log))
     return SharpnessResult(best_f, target, trace, converged)
 
 

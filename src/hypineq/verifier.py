@@ -43,6 +43,17 @@ def _deficit(grad: Tuple[float, float], mass: Tuple[float, float],
     return grad[0] - coeff * mass[0], grad[1] + coeff * mass[1]
 
 
+def _relative_error(*terms: Tuple[float, float, float]) -> float:
+    """Sum of weight * error / value over (weight, error, value) terms with
+    value > 0: each factor's relative error times its weight in its side.
+    A plain loop, since sum() compensates from Python 3.12."""
+    err = 0.0
+    for weight, e, value in terms:
+        if value > 0.0:
+            err += weight * e / value
+    return err
+
+
 def poincare_deficit(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
     """Hyperbolic gradient integral minus the sharp zeroth-order term
     ((n-1)/p)^p times the L^p mass.  Returns (value, error_estimate)."""
@@ -64,9 +75,7 @@ def poincare_sobolev(v: RadialProfile, n: int, p: float,
     lhs, e1 = _deficit(grad, mass, ((n - 1.0) / p) ** p)
     S = constant_scale * constants.sobolev_constant(params)
     rhs = S ** p * crit_mass ** ((n - p) / n)
-    rhs_err = 0.0
-    if crit_mass > 0.0:
-        rhs_err = rhs * ((n - p) / n) * e2 / crit_mass
+    err = e1 + _relative_error((rhs * ((n - p) / n), e2, crit_mass))
     extras = {
         "poincare_deficit": lhs,
         "critical_mass": crit_mass,
@@ -74,7 +83,7 @@ def poincare_sobolev(v: RadialProfile, n: int, p: float,
         "rhs_root": rhs ** (1.0 / p),
     }
     return DeficitReport("poincare_sobolev", params, lhs, rhs,
-                         quadrature_error=e1 + rhs_err, label=v.label,
+                         quadrature_error=err, label=v.label,
                          extras=extras)
 
 
@@ -103,14 +112,9 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
     # powered form: p-th power of the displayed inequality
     lhs = gn ** p * D ** theta * secondary ** ((1.0 - theta) * p)
     rhs = target ** p
-    # each factor's relative error times its power in the side it enters
-    err = 0.0
-    if D > 0.0:
-        err += lhs * theta * e1 / D
-    if m_s > 0.0:
-        err += lhs * (1.0 - theta) * p / q_s * e_s / m_s
-    if m_t > 0.0:
-        err += rhs * p / q_t * e_t / m_t
+    err = _relative_error((lhs * theta, e1, D),
+                          (lhs * (1.0 - theta) * p / q_s, e_s, m_s),
+                          (rhs * p / q_t, e_t, m_t))
     extras = {
         "poincare_deficit": D,
         "theta": theta,
@@ -212,15 +216,12 @@ def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
     (grad, e1), (mass, e2), (crit, e3) = rearrangement.radial_integrals(
         v, n, p, qs=(p, pstar))
     S = constant_scale * constants._sobolev_constant_raw(n, p)
-    lhs = ((n - 1.0) / p) ** n * mass ** (n / p) + S ** n * crit ** ((n - p) / p)
+    zeroth = ((n - 1.0) / p) ** n * mass ** (n / p)
+    sobolev = S ** n * crit ** ((n - p) / p)
+    lhs = zeroth + sobolev
     rhs = grad ** (n / p)
-    err = 0.0
-    if grad > 0.0:
-        err += rhs * (n / p) * e1 / grad
-    if mass > 0.0:
-        err += ((n - 1.0) / p) ** n * mass ** (n / p) * (n / p) * e2 / mass
-    if crit > 0.0:
-        err += S ** n * crit ** ((n - p) / p) * ((n - p) / p) * e3 / crit
+    err = _relative_error((rhs * (n / p), e1, grad), (zeroth * (n / p), e2, mass),
+                          (sobolev * ((n - p) / p), e3, crit))
     extras = {"lp_mass": mass, "critical_mass": crit, "grad_hyperbolic": grad}
     # orientation: here the sum is the smaller side, so deficit = rhs - lhs
     return DeficitReport("mugelli_talenti_sum", params, rhs, lhs,
@@ -261,7 +262,7 @@ def extremal_linfty_profile(n: int, p: float) -> RadialProfile:
 
     def dfn(s):
         if s <= 0.0:
-            return -math.inf if n >= 2 else 0.0
+            return -math.inf
         return -geometry.isoperimetric_profile(n, s) ** (-p / (p - 1.0))
 
     vals = [fn(float(s)) for s in grid]

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from hypineq import cli, rearrangement, verifier
+from hypineq import cli, geometry, rearrangement, verifier
 from hypineq.corpus import bubble_corpus, standard_corpus, write_corpus
 from hypineq.rearrangement import write_profile
 
@@ -137,6 +137,31 @@ def test_lemma_violate(capsys):
     assert json.loads(out)["violation_margin"] < 0.0
     code, _, _ = run(capsys, "lemma", "violate", "--n", "4", "--p", "3.5")
     assert code == 2
+
+
+@pytest.mark.parametrize("precise_factor, code", [(-1e-8, 1), (0.0, 0)])
+def test_lemma_verify_slope_check(capsys, monkeypatch, precise_factor, code):
+    # a double slope factor below -1e-9 fails the table only when the
+    # mpmath re-certification is negative too
+    def factor(n, p, t, precise=False):
+        return precise_factor if precise else -1e-8
+
+    monkeypatch.setattr(geometry, "margin_slope_factor", factor)
+    got, out, _ = run(capsys, "lemma", "verify", "--n", "4", "--p", "3.0")
+    assert got == code
+    payload = json.loads(out)
+    assert payload["slope_positive"] is (code == 0)
+    assert payload["passed"] is (code == 0)
+
+
+def test_lemma_violate_inconclusive_exits_3(capsys, monkeypatch):
+    # no radius of the grid or of the onset probes has a negative margin
+    monkeypatch.setattr(geometry, "radial_margin_scaled",
+                        lambda n, p, t, precise=False: 1e-3)
+    code, out, _ = run(capsys, "lemma", "violate", "--n", "3", "--p", "2.78")
+    assert code == 3
+    payload = json.loads(out)
+    assert payload["inconclusive"] is True and payload["passed"] is False
 
 
 # -- verify ---------------------------------------------------------

@@ -126,6 +126,25 @@ def test_inverse_volume_map_reuses_its_bracket_values(monkeypatch):
     assert phi.calls == 3385
 
 
+def test_inverse_volume_map_first_bracket_reaches_s():
+    # phi_inv's first bracket end t_large + 2 (at least 1, at most phi's
+    # overflow edge) already has phi >= s for every s phi can reach;
+    # past phi(edge) phi_inv raises
+    rng = np.random.default_rng(11)
+    for n in range(3, 9):
+        edge = 700.0 / (n - 1)
+        if (n - 1) * edge > 700.0:
+            edge = math.nextafter(edge, 0.0)
+        top = G.phi(n, edge)
+        for s in np.exp(rng.uniform(math.log(1e-30), math.log(top), 500)):
+            s = float(s)
+            t_large = (math.log(s * (n - 1) / n) + (n - 1) * math.log(2.0)) / (n - 1)
+            assert G.phi(n, min(max(1.0, t_large + 2.0), edge)) >= s, (n, s)
+        assert G.phi(n, G.phi_inv(n, top)) == pytest.approx(top, rel=1e-12)
+        with pytest.raises(DomainError, match="overflows"):
+            G.phi_inv(n, top * (1.0 + 1e-12))
+
+
 def test_volume_map_derivative():
     for n in (2, 3, 5):
         for t in (0.1, 1.0, 8.0):

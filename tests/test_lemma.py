@@ -87,13 +87,30 @@ def test_violation_table_reports_location():
     assert "tolerance" not in payload
 
 
+@pytest.mark.parametrize("precise_margin", [-1e-20, 1e-20])
+def test_violation_near_zero_is_recertified(monkeypatch, precise_margin):
+    # a double margin in (-1e-12, -1e-13) is below the rounding floor but
+    # not clear of it: it counts only when the mpmath margin is negative
+    def margin(n, p, t, precise=False):
+        return precise_margin if precise else -5e-13
+
+    monkeypatch.setattr(geometry, "radial_margin_scaled", margin)
+    table = find_violation(3, 2.78, t_max=60.0, num=20)
+    if precise_margin < 0.0:
+        assert table.violation == (table.ts[0], precise_margin)
+        assert table.passed and not table.inconclusive
+    else:
+        assert table.violation is None
+        assert table.inconclusive and not table.passed
+
+
 def test_edge_job_runs_no_mpmath(monkeypatch):
     # the benchmark's edge job: (n-1) t_max = 690, just inside phi's range,
     # where the unscaled slope factor used to overflow into mpmath
     calls = []
-    phi_mp = geometry._phi_mp
-    monkeypatch.setattr(geometry, "_phi_mp",
-                        lambda *a: calls.append(a) or phi_mp(*a))
+    precision = geometry._precision
+    monkeypatch.setattr(geometry, "_precision",
+                        lambda *a: calls.append(a) or precision(*a))
     table = verify_lemma(3, 3.0 + 1.15, t_max=345.0)
     assert table.passed and table.slope_positive is True
     assert calls == []

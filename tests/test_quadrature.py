@@ -58,6 +58,24 @@ def test_degenerate_interval_is_zero():
     assert integrate(lambda x: x, 1.0, 1.0) == (0.0, 0.0)
 
 
+@pytest.mark.parametrize("f, b, message", [
+    # 1/x is not integrable at 0: the panel at 0 is halved 50 times
+    (lambda x: 1.0 / x, 1.0, r"hit max depth 50 near \[0\.0, "),
+    # 1e6 / pi periods need more panels than the budget of 4,096
+    (lambda x: math.sin(1e6 * x) ** 2, 1.0,
+     r"panel budget exhausted on \[0\.0, 1\.0\]"),
+    # the x^-1.02 tail is still above tolerance where e^y leaves double
+    # range (y = 709.78): the sweep stops there rather than overflow
+    (lambda x: (1.0 + x) ** -1.02, math.inf,
+     r"semi-infinite tail did not converge \(right\)"),
+], ids=["depth", "panels", "tail-overflow"])
+def test_budget_exits_carry_partial_sums(f, b, message):
+    with pytest.raises(ConvergenceError, match=message) as info:
+        integrate(f, 0.0, b)
+    (partial,), (error,) = info.value.partial, info.value.error_estimate
+    assert 0.0 < partial < math.inf and 0.0 < error < math.inf
+
+
 def test_breakpoints_capture_narrow_spike():
     # a bump of width 1e-10 near 1e-9 inside [0, 1]: global adaptive
     # subdivision has no reason to sample there, forcing the node does

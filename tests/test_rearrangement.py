@@ -260,6 +260,18 @@ def test_plateau_rearrangement():
         assert w(s) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_level_set_is_empty_at_the_maximum():
+    # no piece exceeds sup_value, so mu(sup_value) = 0, which
+    # decreasing_rearrangement takes as its top end without a solve
+    plateau = RadialFunction(4, (
+        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
+        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
+        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
+              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
+    for f in (_bump_function(3), _shell_function(6), plateau):
+        assert rearrangement._level_set(f, f.sup_value) == (0.0, 0.0)
+
+
 def test_plateau_gradient_vanishes_on_the_flat_stretch():
     # the plateau at the top of f is a jump of mu, which v crosses with
     # v' = 0; the reference is the gradient integral in s with v' set to
