@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import math
 import os
 import sys
 import tempfile
@@ -58,14 +59,23 @@ def _emit(args, text: str, filename: str) -> None:
 
 
 def _list_of(kind: type, what: str):
-    """argparse type of a comma-separated list of kind, named what in
-    its error message."""
+    """argparse type of a non-empty comma-separated list of kind, named
+    what in its error message."""
     def parse(text: str) -> list:
         try:
-            return [kind(x) for x in text.split(",") if x.strip()]
+            items = [kind(x) for x in text.split(",") if x.strip()]
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad {what} list {text!r}")
+        if not items:
+            raise argparse.ArgumentTypeError(f"empty {what} list {text!r}")
+        return items
     return parse
+
+
+def _check_tolerance(flag: str, x: float) -> None:
+    """Reject a tolerance flag that is not finite or is below 0."""
+    if not 0.0 <= x < math.inf:
+        raise DomainError(f"{flag} must be finite and >= 0, got {x!r}")
 
 
 def _add_common(sub: argparse.ArgumentParser, fmt: bool = True,
@@ -295,6 +305,7 @@ def _load_corpus(directory: Optional[str]):
 def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
     """Evaluate the inequality on every corpus profile at every (n, p),
     emit the reports, and exit 1 if any of them fails."""
+    _check_tolerance("--rel-tol", args.rel_tol)
     corpus = _load_corpus(args.corpus)
     reports = [verifier.evaluate(args.inequality, v, n, p, args.alpha,
                                  constant_scale=args.constant_scale)
@@ -343,6 +354,7 @@ def _sharpness_verdict(gaps: List[float], target: float, settled: bool,
 
 def cmd_sharpness(args) -> int:
     n, p = args.n, args.p
+    _check_tolerance("--gap-max", args.gap_max)
     ratio, target = sharpness.ratio_function(args.inequality, n, p)
 
     if args.no_optimize:

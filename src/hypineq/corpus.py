@@ -21,8 +21,7 @@ __all__ = ["tent_profile", "bump_profile", "standard_corpus",
            "bubble_corpus", "write_corpus"]
 
 
-def _spike(name: str, height: float, support: float, k: int,
-           num: int = 33) -> RadialProfile:
+def _spike(name: str, height: float, support: float, k: int) -> RadialProfile:
     """A (1 - s/b)^k on [0, b), zero beyond: height A at 0, support b."""
     A, b = float(height), float(support)
 
@@ -32,18 +31,18 @@ def _spike(name: str, height: float, support: float, k: int,
     def dfn(s):
         return -k * A * (1.0 - s / b) ** (k - 1) / b if 0.0 < s < b else 0.0
 
-    grid = linspace(0.0, b, num)
+    grid = linspace(0.0, b, 33)
     vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
                          label=f"{name}-A{A:g}-b{b:g}")
 
 
-def tent_profile(height: float, support: float, num: int = 33) -> RadialProfile:
+def tent_profile(height: float, support: float) -> RadialProfile:
     """Piecewise-linear spike: height at 0, hitting zero at s = support."""
-    return _spike("tent", height, support, 1, num)
+    return _spike("tent", height, support, 1)
 
 
-def bump_profile(height: float, support: float, num: int = 41) -> RadialProfile:
+def bump_profile(height: float, support: float) -> RadialProfile:
     """C^1 compact bump A*(1 - (s/b)^2)^2."""
     A, b = float(height), float(support)
 
@@ -59,7 +58,7 @@ def bump_profile(height: float, support: float, num: int = 41) -> RadialProfile:
         z = s / b
         return -4.0 * A * (1.0 - z * z) * z / b
 
-    grid = linspace(0.0, b, num)
+    grid = linspace(0.0, b, 41)
     vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
                          label=f"bump-A{A:g}-b{b:g}")

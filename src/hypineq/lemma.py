@@ -88,11 +88,12 @@ class MarginTable:
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
 
-def _check_args(p: float, t_max: float):
+def _check_args(p: float, t_max: float, t_first: float):
+    """t_first is the grid's first positive radius."""
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
-    if not 0.0 < t_max < math.inf:
-        raise DomainError(f"t_max must be positive and finite, got {t_max!r}")
+    if not t_first < t_max < math.inf:
+        raise DomainError(f"t_max must be finite and above {t_first:g}, got {t_max!r}")
 
 
 def _log_scale(n: int, p: float, t: float) -> float:
@@ -123,7 +124,7 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
     radius runs in double precision; mpmath only re-certifies a slope
     factor that comes out below -1e-9.
     """
-    _check_args(p, t_max)
+    _check_args(p, t_max, 1e-4)
     bdry = boundary_exponent(n)
     if p < bdry * (1.0 - 1e-12):
         raise DomainError(
@@ -166,7 +167,7 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
     An empty search is reported as inconclusive, not as a failure of the
     reversed estimate.
     """
-    _check_args(p, t_max)
+    _check_args(p, t_max, 0.5)
     bdry = boundary_exponent(n)
     if p >= bdry:
         raise DomainError(

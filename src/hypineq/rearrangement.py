@@ -520,10 +520,14 @@ _GRID_PANELS = 128
 class _GridGeometry:
     """The node geometry of one (n, grid): the radii phi_inv(n, s / sigma)
     of the grid nodes s > 0, and a table of phi(n, t) and log_sinh(t) at
-    the 15 nodes t of each recurring panel of the pass in geodesic radius,
-    keyed by the panel's centre.  A node where the closure integrand is
-    zero whatever the profile (t <= 0 or (n-1) t > 690) holds phi 0, and
-    a node of phi 0 holds log_sinh 0."""
+    the 15 nodes t of each panel of the pass in geodesic radius, keyed by
+    the panel's centre.  Every panel a pass computes is kept, until the
+    table holds _GRID_PANELS: the first panels of the segments and the
+    sweeps come back with every profile on the grid, and the bisected
+    panels with the next pass of the profile and of others of its shape.
+    A node where the closure integrand is zero whatever the profile
+    (t <= 0 or (n-1) t > 690) holds phi 0, and a node of phi 0 holds
+    log_sinh 0."""
 
     __slots__ = ("n", "radii", "panels")
 
@@ -535,9 +539,9 @@ class _GridGeometry:
 
     def panel(self, ts: Sequence[float]) -> Tuple[Sequence[float], Sequence[float]]:
         """phi and log_sinh at the 15 nodes ts of a panel: read from the
-        table for a recurring panel, else computed (and kept, the first
-        time a recurring panel is seen).  A table entry holds ts[1] last,
-        which tells a panel from another one on the same centre."""
+        table, else computed and kept while the table has room.  A table
+        entry holds ts[1] last, which tells a panel from another one on
+        the same centre."""
         geo = self.panels.get(ts[0])
         if geo is not None and geo[30] == ts[1]:
             return geo[:15], geo[15:30]
@@ -546,29 +550,17 @@ class _GridGeometry:
                 for t in ts]
         log_sinhs = [geometry.log_sinh(t) if ph > 0.0 else 0.0
                      for t, ph in zip(ts, phis)]
-        if len(self.panels) < _GRID_PANELS and self._recurs(ts[0]):
+        if len(self.panels) < _GRID_PANELS:
             self.panels[ts[0]] = array("d", [*phis, *log_sinhs, ts[1]])
         return phis, log_sinhs
-
-    def _recurs(self, c: float) -> bool:
-        """Whether to keep the panel centred on c: the first panel of a
-        segment between radii, centred on its midpoint, which every pass
-        evaluates, or a panel outside the radii, of the left-edge or
-        semi-infinite sweep, whose trees the profiles of a grid mostly
-        share.  A panel bisected from a segment follows the profile and
-        is not kept."""
-        radii = self.radii
-        i = bisect.bisect_left(radii, c)
-        return not 0 < i < len(radii) or c == 0.5 * (radii[i - 1] + radii[i])
 
 
 @functools.lru_cache(maxsize=128)
 def _node_radii(n: int, nodes: Tuple[float, ...]) -> _GridGeometry:
     """The node geometry of a grid, cached by value.  Its panel table fills
-    as passes run: over the corpus benchmark a 49-node grid (the largest
-    closure grids built) holds 50-61 panels, 22-26 KiB.  A table keeps at
-    most _GRID_PANELS panels of about 0.4 KiB, so 128 grids take at most
-    about 6.5 MiB."""
+    as passes run: over the corpus benchmark the fullest grid holds 103
+    panels, about 41 KiB.  A table keeps at most _GRID_PANELS panels of
+    about 0.4 KiB, so 128 grids take at most about 6.5 MiB."""
     return _GridGeometry(n, nodes)
 
 

@@ -15,7 +15,7 @@ from typing import Callable, List, Sequence, Tuple
 
 from . import verifier
 from .constants import unit_ball_volume
-from .errors import DomainError
+from .errors import DomainError, OverflowDomainError
 from .quadrature import geomspace
 from .rearrangement import RadialProfile, Tail
 from .report import csv_table
@@ -57,7 +57,13 @@ def untruncated_bubble(n: int, p: float, lam: float,
     if not lam > 0.0:
         raise DomainError(f"scale must be positive, got {lam!r}")
     sigma = unit_ball_volume(n)
-    scale = sigma * lam ** n
+    try:
+        scale = sigma * lam ** n
+    except OverflowError:
+        scale = math.inf
+    if not scale * 10.0 <= sys.float_info.max:  # the grid's top
+        raise OverflowDomainError(f"bubble scale sigma*lambda^n overflows double "
+                                  f"precision at lambda={lam!r}")
     if not scale * 1e-4 >= sys.float_info.min:
         raise DomainError(f"bubble scale sigma*lambda^n underflows double "
                           f"precision at lambda={lam!r}")

@@ -16,7 +16,7 @@ from typing import Callable, NamedTuple, Optional, Tuple
 
 from . import constants, geometry, rearrangement
 from .constants import Params, check_dimension, in_poincare_range
-from .errors import DomainError, EvaluationError
+from .errors import DomainError, EvaluationError, OverflowDomainError
 from .quadrature import geomspace
 from .rearrangement import RadialProfile, Tail
 from .report import DeficitReport
@@ -337,13 +337,29 @@ def evaluate(inequality_id: str, v: RadialProfile, n: int, p: float,
              alpha: Optional[float] = None,
              constant_scale: float = 1.0) -> DeficitReport:
     """Evaluate the inequality with the given id (a key of INEQUALITIES)
-    on one profile."""
+    on one profile.  An OverflowError on the way, or a report whose lhs,
+    rhs or error is not finite and that is not flagged outside-range,
+    raises OverflowDomainError."""
     row = INEQUALITIES.get(inequality_id)
     if row is None:
         raise DomainError(f"unknown inequality {inequality_id!r}")
+    if not 0.0 < constant_scale < math.inf:
+        raise DomainError(
+            f"--constant-scale must be finite and > 0, got {constant_scale!r}")
     if row.constant_free and constant_scale != 1.0:
         raise DomainError(f"{inequality_id} is constant-free; "
                           "--constant-scale not supported")
     if row.needs_alpha and alpha is None:
         raise DomainError(f"{inequality_id} needs --alpha")
-    return row.evaluator(v, n, p, alpha, constant_scale)
+    try:
+        report = row.evaluator(v, n, p, alpha, constant_scale)
+    except OverflowError:
+        finite = False
+    else:
+        finite = "outside-range" in report.flags or all(
+            map(math.isfinite, (report.lhs, report.rhs, report.quadrature_error)))
+    if not finite:
+        raise OverflowDomainError(
+            f"{inequality_id} of {v.label or 'a profile'} at n={n}, p={p!r}: "
+            "a powered term overflows double precision")
+    return report

@@ -529,13 +529,56 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
      "underflows"),
     (("lemma", "verify", "--n", "4", "--p", "3", "--t-max", "0"), "t_max"),
     (("lemma", "violate", "--n", "4", "--p", "2.5", "--t-max", "0"), "t_max"),
+    # a t_max below the first grid radius used to give a reversed grid
+    (("lemma", "verify", "--n", "4", "--p", "3", "--t-max", "1e-300"), "above 0.0001"),
+    (("lemma", "violate", "--n", "3", "--p", "2.78", "--t-max", "1e-300"), "above 0.5"),
+    # powered terms past double range: inf reports (a false exit 1) or
+    # an OverflowError (exit 4)
+    (("verify", "--inequality", "key_comparison", "--n", "4", "--p", "235"),
+     "overflows double precision"),
+    (("verify", "--inequality", "key_comparison", "--n", "4", "--p", "240"),
+     "overflows double precision"),
+    (("verify", "--inequality", "linfty", "--n", "3", "--p", "300"),
+     "overflows double precision"),
+    (("verify", "--inequality", "morrey_sobolev", "--n", "3", "--p", "278"),
+     "overflows double precision"),
+    (("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3",
+      "--corpus", "{tmp}"), "key_comparison of big"),
+    (("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "1e300"),
+     "bubble scale sigma*lambda^n overflows"),
+    # flag values that crashed (exit 4) or faked a verdict (exit 0 or 1)
+    (("verify", "--inequality", "poincare_sobolev", "--n", "4", "--p", "3",
+      "--constant-scale", "-1"), "--constant-scale must be finite and > 0"),
+    (("verify", "--inequality", "poincare_sobolev", "--n", "4", "--p", "3",
+      "--constant-scale", "nan"), "--constant-scale must be finite and > 0"),
+    (("verify", "--inequality", "poincare_sobolev", "--n", "4", "--p", "3",
+      "--constant-scale", "inf"), "--constant-scale must be finite and > 0"),
+    (("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3",
+      "--rel-tol", "nan"), "--rel-tol must be finite and >= 0"),
+    (("sharpness", "--n", "4", "--p", N4P, "--gap-max", "nan"),
+     "--gap-max must be finite and >= 0"),
 ])
-def test_domain_edges_exit_2(capsys, argv, message):
-    # each used to crash (exit 1), pass on a NaN grid (violate) or, for
-    # --t-max 0, run on the default radius range
-    code, _, err = run(capsys, *argv)
+def test_domain_edges_exit_2(capsys, tmp_path, argv, message):
+    # each used to crash (exit 1 or 4), pass on a NaN grid (violate) or,
+    # for --t-max 0, run on the default radius range; {tmp} is a corpus
+    # directory whose one profile overflows the gradient integral
+    (tmp_path / "big.txt").write_text("tail=compact:1\n0 1e300\n1 0\n")
+    code, _, err = run(capsys, *(a.replace("{tmp}", str(tmp_path)) for a in argv))
     assert code == 2
     assert err.startswith("error:") and message in err
+    assert err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ("sharpness", "--n", "4", "--p", N4P, "--lambdas", ","),
+    ("sweep", "--inequality", "key_comparison", "--n-list", ",", "--p-list", "3"),
+])
+def test_empty_lists_are_usage_errors(capsys, argv):
+    # an empty --lambdas crashed (exit 4); an empty sweep passed with no report
+    with pytest.raises(SystemExit) as exc:
+        cli.main(list(argv))
+    assert exc.value.code == 2
+    assert "empty" in capsys.readouterr().err
 
 
 def test_unwritable_out_path_exits_2(capsys, tmp_path):
