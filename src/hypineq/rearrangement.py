@@ -86,9 +86,13 @@ class RadialProfile:
     derivative is the exact derivative of that function.
     When an analytic closure fn is attached, together with its derivative
     dfn (both or neither), the closure is authoritative everywhere and
-    the grid is a consistency witness.  A rearrangement also keeps the
-    radial function it rearranges as its source, and its norms are
-    integrated over the level (radial_integrals).
+    the grid is a consistency witness.  A closure profile keeps, per
+    dimension n, the logs of |v'| and v that its passes in geodesic
+    radius took at each panel's nodes (radial_integrals), so a later pass
+    at that n calls neither closure; the table is not compared, hashed or
+    copied by dataclasses.replace, and dies with the profile.  A
+    rearrangement also keeps the radial function it rearranges as its
+    source, and its norms are integrated over the level (radial_integrals).
     """
 
     nodes: Tuple[float, ...]
@@ -98,6 +102,7 @@ class RadialProfile:
     dfn: Optional[Callable[[float], float]] = None
     label: str = ""
     source: Optional[RadialFunction] = field(default=None, compare=False, repr=False)
+    _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(map(float, self.nodes))
@@ -560,7 +565,11 @@ def _node_radii(n: int, nodes: Tuple[float, ...]) -> _GridGeometry:
     """The node geometry of a grid, cached by value.  Its panel table fills
     as passes run: over the corpus benchmark the fullest grid holds 103
     panels, about 41 KiB.  A table keeps at most _GRID_PANELS panels of
-    about 0.4 KiB, so 128 grids take at most about 6.5 MiB."""
+    about 0.4 KiB, so 128 grids take at most about 6.5 MiB.  The closure
+    logs of a profile (RadialProfile) take the same panel keys and about
+    0.3 KiB a panel, at most _GRID_PANELS per n; they live as long as the
+    profile, and over three corpus benchmark rounds the 20 built-in
+    profiles keep 5,158 panels at 100 (profile, n) pairs, about 1.5 MiB."""
     return _GridGeometry(n, nodes)
 
 
@@ -578,10 +587,14 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     profile takes the grid paths in s, a rearrangement _level_integrals.
     Any other closure takes one vector panel
     tree in geodesic radius t over the radii of its grid nodes, where one
-    phi, v', log sinh (and v) per node serve every integrand.  Each is
-    built in log space with w = (n-1) log sinh t: |v'|^p times
+    phi, log sinh, log |v'| (and log v) per node serve every integrand.
+    Each is built in log space with w = (n-1) log sinh t: |v'|^p times
     exp(p(n-1) log sinh t + w), exp(p(n-1)/n log phi + w) or their
-    difference, exp(q log v + w), p log v exp(p log v + w).
+    difference, exp(q log v + w), p log v exp(p log v + w).  The node
+    geometry comes from the grid's table (_node_radii), and log |v'| and
+    log v, which do not depend on p, from the profile's own table: a pass
+    calls dfn only for gradients and fn only for masses or the entropy,
+    and only at panels no earlier pass of the profile at this n took.
     """
     check_dimension(n)
     if not p >= 1.0:
@@ -632,33 +645,61 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     c_hyp, c_euc, c_gap = p * (n - 1) + n - 1, p * (n - 1) / n, p * (n - 1)
     need_v = bool(qs) or entropy
     zeros = [0.0] * (len(grads) + len(qs) + entropy)
-    log, exp, expm1 = math.log, math.exp, math.expm1
-    tiny = sys.float_info.min
+    v_zeros = [0.0] * (len(qs) + entropy)
+    log, exp, expm1, isnan = math.log, math.exp, math.expm1, math.isnan
+    tiny, ninf = sys.float_info.min, -math.inf
     fn, dfn = v.fn, v.dfn
+    table = v._logs.setdefault(n, {})
+    unknown, absent = [math.nan] * 31, [ninf] * 15
 
-    def node(ph, ls):
-        s = sigma * ph
-        if s < tiny:
-            # beyond (n-1) t = 690 (phi 0 in the node geometry) any profile
-            # passing the convergence prechecks has an integrand far below
-            # double noise; below the smallest normal volume v' of a
-            # concentrated profile overflows
-            return zeros
-        dv = abs(float(dfn(s))) if grads else 0.0
-        val = float(fn(s)) if need_v else 0.0
-        if dv == 0.0 and not val > 0.0:
+    def closure_logs(ts, phs):
+        """log |v'| and log v at the panel's 15 nodes (all -inf where the
+        pass needs no gradient, or no mass or entropy): read from the
+        profile's table, keyed as in _GridGeometry.panel, else computed and
+        kept while the table has room.  A half no pass has needed holds
+        nan, and only a missing half's closure is called.  A log is -inf
+        where v' = 0 (or nan), v <= 0, or s is below the smallest normal
+        volume, where no closure is called (beyond (n-1) t = 690, phi 0 in
+        the node geometry, any profile passing the convergence prechecks
+        has an integrand far below double noise; below it v' of a
+        concentrated profile overflows)."""
+        kept = table.get(ts[0])
+        if kept is None or kept[30] != ts[1]:
+            kept = unknown
+        ldvs, lvs = kept[:15], kept[15:30]
+        get_dv, get_v = bool(grads) and isnan(ldvs[0]), need_v and isnan(lvs[0])
+        if get_dv or get_v:
+            # v' and then v at each node: a rearrangement's closure shares
+            # one solve between them
+            new_dvs, new_vs = [], []
+            for ph in phs:
+                s = sigma * ph
+                dv = abs(float(dfn(s))) if get_dv and s >= tiny else 0.0
+                val = float(fn(s)) if get_v and s >= tiny else 0.0
+                new_dvs.append(log(dv) if dv > 0.0 else ninf)
+                new_vs.append(log(val) if val > 0.0 else ninf)
+            if get_dv:
+                ldvs = new_dvs
+            if get_v:
+                lvs = new_vs
+            if len(table) < _GRID_PANELS:
+                table[ts[0]] = array("d", [*ldvs, *lvs, ts[1]])
+        return ldvs if grads else absent, lvs if need_v else absent
+
+    def node(ph, ls, ldv, lv):
+        if ldv == ninf and lv == ninf:
             return zeros
         w = (n - 1) * ls
         hyp = euc = ker = 0.0
-        if dv > 0.0:
-            lg = p * log(dv)
+        if ldv > ninf:
+            lg = p * ldv
             if need_h:
                 lh = lg + c_hyp * ls
                 if lh > 700.0:
                     raise DomainError("gradient integrand overflows; looks divergent")
                 hyp = exp(lh)
             if want_e or want_k:
-                lph = c_euc * log(ph) if ph > 0.0 else -math.inf
+                lph = c_euc * log(ph) if ph > 0.0 else ninf
                 if want_e:
                     le = lg + lph + w
                     if le > 700.0:
@@ -673,14 +714,18 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             out.append(euc)
         if want_k:
             out.append(ker)
-        lv = log(val) if val > 0.0 else None
-        out += [0.0 if lv is None else exp(q * lv + w) for q in qs]
-        if entropy:
-            out.append(0.0 if lv is None else exp(p * lv + w) * p * lv)
+        if lv > ninf:
+            for q in qs:
+                out.append(exp(q * lv + w))
+            if entropy:
+                out.append(exp(p * lv + w) * p * lv)
+        else:
+            out += v_zeros
         return out
 
     def g(ts):
-        return list(map(node, *grid.panel(ts)))
+        phs, lss = grid.panel(ts)
+        return list(map(node, phs, lss, *closure_logs(ts, phs)))
 
     vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
     scales = [pref * scale] * len(grads) + [scale] * (len(qs) + entropy)

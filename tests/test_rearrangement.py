@@ -3,13 +3,14 @@ import functools
 import math
 import os
 import random
+import weakref
 
 import mpmath as mp
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypineq import geometry, quadrature, rearrangement
+from hypineq import geometry, quadrature, rearrangement, verifier
 from hypineq.constants import unit_ball_volume
 from hypineq.corpus import bubble_corpus, standard_corpus, tent_profile, write_corpus
 from hypineq.errors import ConvergenceError, DomainError
@@ -35,7 +36,7 @@ from hypineq.rearrangement import (
     scale_profile,
     write_profile,
 )
-from hypineq.sharpness import untruncated_bubble
+from hypineq.sharpness import truncated_bubble, untruncated_bubble
 
 
 def _bump_function(n=3):
@@ -335,8 +336,10 @@ def test_rearranged_closure_solves_each_node_once(monkeypatch):
     monkeypatch.setattr(quadrature, "find_root_increasing", counted)
     counts = []
     for kwargs in (dict(qs=(2.5,)), dict(), dict(qs=(2.5,), grads=())):
+        # a fresh copy each time: a pass over v itself would read the
+        # closure logs the previous pass kept and solve nothing
         finds[0] = 0
-        radial_integrals(v, 3, 2.5, **kwargs)
+        radial_integrals(dataclasses.replace(v), 3, 2.5, **kwargs)
         counts.append(finds[0])
     both, grad, mass = counts
     assert min(grad, mass) > 1000
@@ -778,6 +781,97 @@ def test_node_geometry_table_is_bounded(monkeypatch):
         grad_norm_hyperbolic(w, 4, 3.0)
         sizes.append(len(rearrangement._node_radii(4, v.nodes).panels))
     assert sizes[1] == sizes[0] + 1 and sizes[-1] == 40
+
+
+def _counted(v):
+    """A copy of v whose closures count their calls, and the counts."""
+    calls = {"fn": 0, "dfn": 0}
+
+    def counted(name, f):
+        def h(s):
+            calls[name] += 1
+            return f(s)
+        return h
+
+    w = dataclasses.replace(v, fn=counted("fn", v.fn), dfn=counted("dfn", v.dfn))
+    calls.update(fn=0, dfn=0)  # the check of fn at the last grid node
+    return w, calls
+
+
+def _every(v, p):
+    return radial_integrals(v, 4, p, qs=(p,), grads=_COMPONENTS, entropy=True)
+
+
+def _added(kept, table):
+    """Panels of table that kept, an earlier copy of it, did not hold."""
+    return sum(c not in kept or a[30] != kept[c][30] for c, a in table.items())
+
+
+def test_warm_pass_calls_no_closure_and_changes_no_bit():
+    # a pass keeps log |v'| and log v at its panels' nodes on the profile,
+    # whatever p: a pass at another p calls the closures only at the
+    # panels its tree adds (2 x 15 calls each; the truncated bubbles refine
+    # a few panels at p = 3.3 that p = 3 did not), and a repeat calls none
+    profiles = [v for v in standard_corpus() if v.fn is not None]
+    for v in profiles + [truncated_bubble(4, 3.0, 0.2, 1.5)]:
+        w, calls = _counted(v)
+        _every(w, 3.0)
+        table = w._logs[4]
+        kept = dict(table)
+        calls.update(fn=0, dfn=0)
+        warm = _every(w, 3.3)
+        added = _added(kept, table)
+        assert calls == {"fn": 15 * added, "dfn": 15 * added}, v.label
+        assert warm == _every(dataclasses.replace(v), 3.3), v.label
+        calls.update(fn=0, dfn=0)
+        assert _every(w, 3.3) == warm
+        assert calls == {"fn": 0, "dfn": 0}, v.label
+
+
+def test_pass_calls_only_the_closure_it_needs():
+    key_pass = dict(qs=(3.0,), grads=("hyperbolic", "euclidean"))
+    cold = radial_integrals(dataclasses.replace(_CORPUS["bump-A1-b1"]), 4, 3.0, **key_pass)
+    v, calls = _counted(_CORPUS["bump-A1-b1"])
+    lp_integral(v, 3.0)
+    assert calls["fn"] > 0 and calls["dfn"] == 0
+    calls.update(fn=0, dfn=0)
+    grad_norm_hyperbolic(v, 4, 3.0)
+    assert calls["fn"] == 0 and calls["dfn"] > 0
+    # the key comparison's pass takes v at every node of its panels, and
+    # v' only at the panels the gradient pass did not take
+    table = v._logs[4]
+    kept = dict(table)
+    calls.update(fn=0, dfn=0)
+    assert radial_integrals(v, 4, 3.0, **key_pass) == cold
+    assert calls == {"fn": 15 * sum(not math.isnan(a[15]) for a in table.values()),
+                     "dfn": 15 * _added(kept, table)}
+    calls.update(fn=0, dfn=0)
+    assert radial_integrals(v, 4, 3.0, **key_pass) == cold
+    assert calls == {"fn": 0, "dfn": 0}
+    # the sup-norm extremal's fn overflows at nodes a gradient pass takes
+    cold = grad_norm_hyperbolic(verifier.extremal_linfty_profile(2, 4.0), 2, 4.0)
+    ex, calls = _counted(verifier.extremal_linfty_profile(2, 4.0))
+    assert grad_norm_hyperbolic(ex, 2, 4.0) == cold
+    assert calls["fn"] == 0
+    assert abs(verifier.linfty_inequality(ex, 2, 4.0).relative_margin) < 1e-8
+    with pytest.raises(OverflowError):
+        lp_integral(ex, 4.0)
+
+
+def test_closure_logs_live_and_die_with_their_profile():
+    v = truncated_bubble(4, 3.0, 0.2, 1.5)
+    dead = weakref.ref(v)
+    verifier.evaluate("key_comparison", v, 4, 3.0)
+    assert v._logs[4]
+    del v
+    assert dead() is None
+    v = _CORPUS["bump-A1-b1"]
+    before = hash(v)
+    grad_norm_hyperbolic(v, 4, 3.0)
+    assert v._logs[4]
+    assert not dataclasses.replace(v)._logs and not scale_profile(v, 2.0)._logs
+    assert v == dataclasses.replace(v) and hash(v) == before
+    assert "_logs" not in repr(v)
 
 
 def test_radial_pass_matches_standalone_norms_on_grid_profile(tmp_path):
