@@ -10,7 +10,8 @@ the level tau through the layer-cake and coarea formulas, s = mu(tau) and
 |v'(s)| = 1 / |mu'(tau)| (Lieb-Loss, Analysis, Thm 1.13; Talenti 1976),
 of any other closure in geodesic radius t through s = sigma phi(t),
 ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile in s.  Only
-hardy_term_bound integrates a closure in s.
+hardy_term_bound integrates a closure in s.  A closure profile keeps, per
+n, what the pass in t computes at each panel's nodes (RadialProfile).
 """
 
 from __future__ import annotations
@@ -70,6 +71,8 @@ class Tail:
     def __post_init__(self):
         if self.kind not in _TAIL_KINDS:
             raise DomainError(f"unknown tail kind {self.kind!r}")
+        if not math.isfinite(self.param):
+            raise DomainError(f"tail parameter must be finite, got {self.param!r}")
         if self.kind != "compact" and not self.param > 0.0:
             raise DomainError(f"tail {self.kind} needs a positive parameter")
         if self.kind == "compact" and self.param < 0.0:
@@ -87,9 +90,10 @@ class RadialProfile:
     When an analytic closure fn is attached, together with its derivative
     dfn (both or neither), the closure is authoritative everywhere and
     the grid is a consistency witness.  A closure profile keeps, per
-    dimension n, the logs of |v'| and v that its passes in geodesic
-    radius took at each panel's nodes (radial_integrals), so a later pass
-    at that n calls neither closure; the table is not compared, hashed or
+    dimension n, a table of phi, log sinh, log |v'| and log v at the 15
+    nodes of each panel its passes in geodesic radius took
+    (radial_integrals): 61 doubles, about 0.55 KiB, a panel, at most
+    _GRID_PANELS panels per n.  The table is not compared, hashed or
     copied by dataclasses.replace, and dies with the profile.  A
     rearrangement also keeps the radial function it rearranges as its
     source, and its norms are integrated over the level (radial_integrals).
@@ -102,7 +106,7 @@ class RadialProfile:
     dfn: Optional[Callable[[float], float]] = None
     label: str = ""
     source: Optional[RadialFunction] = field(default=None, compare=False, repr=False)
-    _logs: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _panels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(map(float, self.nodes))
@@ -111,6 +115,8 @@ class RadialProfile:
         object.__setattr__(self, "values", values)
         if len(nodes) != len(values) or len(nodes) < 2:
             raise DomainError("profile needs matching 1-d grids with >= 2 nodes")
+        if not all(map(math.isfinite, nodes + values)):
+            raise DomainError("profile nodes and values must be finite")
         if nodes[0] != 0.0:
             raise DomainError("profile grid must start at s = 0")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
@@ -517,60 +523,16 @@ def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float) -> Tuple[float, flo
     return radial_integrals(v, n, p)[0]
 
 
-# panels one grid's node geometry keeps at most: a compact end beyond the
-# last node adds the first panel of its own last segment to the table
+# panels one closure profile's table keeps at most, per n (RadialProfile)
 _GRID_PANELS = 128
 
 
-class _GridGeometry:
-    """The node geometry of one (n, grid): the radii phi_inv(n, s / sigma)
-    of the grid nodes s > 0, and a table of phi(n, t) and log_sinh(t) at
-    the 15 nodes t of each panel of the pass in geodesic radius, keyed by
-    the panel's centre.  Every panel a pass computes is kept, until the
-    table holds _GRID_PANELS: the first panels of the segments and the
-    sweeps come back with every profile on the grid, and the bisected
-    panels with the next pass of the profile and of others of its shape.
-    A node where the closure integrand is zero whatever the profile
-    (t <= 0 or (n-1) t > 690) holds phi 0, and a node of phi 0 holds
-    log_sinh 0."""
-
-    __slots__ = ("n", "radii", "panels")
-
-    def __init__(self, n: int, nodes: Tuple[float, ...]):
-        sigma = unit_ball_volume(n)
-        self.n = n
-        self.radii = tuple(geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0)
-        self.panels = {}
-
-    def panel(self, ts: Sequence[float]) -> Tuple[Sequence[float], Sequence[float]]:
-        """phi and log_sinh at the 15 nodes ts of a panel: read from the
-        table, else computed and kept while the table has room.  A table
-        entry holds ts[1] last, which tells a panel from another one on
-        the same centre."""
-        geo = self.panels.get(ts[0])
-        if geo is not None and geo[30] == ts[1]:
-            return geo[:15], geo[15:30]
-        n = self.n
-        phis = [geometry.phi(n, t) if 0.0 < t and (n - 1) * t <= 690.0 else 0.0
-                for t in ts]
-        log_sinhs = [geometry.log_sinh(t) if ph > 0.0 else 0.0
-                     for t, ph in zip(ts, phis)]
-        if len(self.panels) < _GRID_PANELS:
-            self.panels[ts[0]] = array("d", [*phis, *log_sinhs, ts[1]])
-        return phis, log_sinhs
-
-
 @functools.lru_cache(maxsize=128)
-def _node_radii(n: int, nodes: Tuple[float, ...]) -> _GridGeometry:
-    """The node geometry of a grid, cached by value.  Its panel table fills
-    as passes run: over the corpus benchmark the fullest grid holds 103
-    panels, about 41 KiB.  A table keeps at most _GRID_PANELS panels of
-    about 0.4 KiB, so 128 grids take at most about 6.5 MiB.  The closure
-    logs of a profile (RadialProfile) take the same panel keys and about
-    0.3 KiB a panel, at most _GRID_PANELS per n; they live as long as the
-    profile, and over three corpus benchmark rounds the 20 built-in
-    profiles keep 5,158 panels at 100 (profile, n) pairs, about 1.5 MiB."""
-    return _GridGeometry(n, nodes)
+def _node_radii(n: int, nodes: Tuple[float, ...]) -> Tuple[float, ...]:
+    """The radii phi_inv(n, s / sigma) of the grid nodes s > 0, the
+    breakpoints of the pass in geodesic radius, cached by value."""
+    sigma = unit_ball_volume(n)
+    return tuple(geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0)
 
 
 _GRADIENTS = ("hyperbolic", "euclidean", "kernel")
@@ -586,15 +548,16 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     qs; the entropy integral of v^p p log v ds if entropy.  A grid-only
     profile takes the grid paths in s, a rearrangement _level_integrals.
     Any other closure takes one vector panel
-    tree in geodesic radius t over the radii of its grid nodes, where one
-    phi, log sinh, log |v'| (and log v) per node serve every integrand.
-    Each is built in log space with w = (n-1) log sinh t: |v'|^p times
-    exp(p(n-1) log sinh t + w), exp(p(n-1)/n log phi + w) or their
-    difference, exp(q log v + w), p log v exp(p log v + w).  The node
-    geometry comes from the grid's table (_node_radii), and log |v'| and
-    log v, which do not depend on p, from the profile's own table: a pass
-    calls dfn only for gradients and fn only for masses or the entropy,
-    and only at panels no earlier pass of the profile at this n took.
+    tree in geodesic radius t over the radii of its grid nodes
+    (_node_radii), where one phi, log sinh, log |v'| (and log v) per node
+    serve every integrand.  Each is built in log space with
+    w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w),
+    exp(p(n-1)/n log phi + w) or their difference, exp(q log v + w),
+    p log v exp(p log v + w).  All four, which do not depend on p, come
+    from the profile's table at n: a pass computes phi and log sinh only
+    at panels no earlier pass of the profile at this n took, and calls
+    dfn only for gradients and fn only for masses or the entropy, only
+    where the table lacks them.
     """
     check_dimension(n)
     if not p >= 1.0:
@@ -637,8 +600,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             ent, err = quadrature.integrate(f, 0.0, v.support_volume, v.nodes)
             out.append((ent, err + abs(ent) * 1e-4))  # the gradients' grid proxy
         return out
-    grid = _node_radii(n, v.nodes)
-    radii = grid.radii
+    radii = _node_radii(n, v.nodes)
     top = v.support_volume
     t_top = (math.inf if math.isinf(top) else radii[-1] if top == v.nodes[-1]
              else geometry.phi_inv(n, top / sigma))
@@ -649,24 +611,30 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     log, exp, expm1, isnan = math.log, math.exp, math.expm1, math.isnan
     tiny, ninf = sys.float_info.min, -math.inf
     fn, dfn = v.fn, v.dfn
-    table = v._logs.setdefault(n, {})
-    unknown, absent = [math.nan] * 31, [ninf] * 15
+    table = v._panels.setdefault(n, {})
+    unknown, absent = [math.nan] * 15, [ninf] * 15
 
-    def closure_logs(ts, phs):
-        """log |v'| and log v at the panel's 15 nodes (all -inf where the
-        pass needs no gradient, or no mass or entropy): read from the
-        profile's table, keyed as in _GridGeometry.panel, else computed and
-        kept while the table has room.  A half no pass has needed holds
-        nan, and only a missing half's closure is called.  A log is -inf
-        where v' = 0 (or nan), v <= 0, or s is below the smallest normal
-        volume, where no closure is called (beyond (n-1) t = 690, phi 0 in
-        the node geometry, any profile passing the convergence prechecks
-        has an integrand far below double noise; below it v' of a
-        concentrated profile overflows)."""
+    def panel(ts):
+        """phi, log sinh, log |v'| and log v at the panel's 15 nodes ts
+        (a log all -inf where the pass needs no gradient, or no mass or
+        entropy): read from the table entry at the panel's centre whose
+        last value is ts[1], else computed and kept while the table has
+        room.  A log half no pass has needed holds nan, and only a missing
+        half's closure is called.  phi is 0 where t <= 0 or (n-1) t > 690,
+        where the integrand is zero whatever the profile (beyond 690, for
+        any profile passing the convergence prechecks, far below double
+        noise), and log sinh is 0 where phi is; a log is -inf where v' = 0
+        (or nan), v <= 0, or s is below the smallest normal volume, where
+        no closure is called (v' of a concentrated profile overflows)."""
         kept = table.get(ts[0])
-        if kept is None or kept[30] != ts[1]:
-            kept = unknown
-        ldvs, lvs = kept[:15], kept[15:30]
+        fresh = kept is None or kept[-1] != ts[1]
+        if fresh:
+            phs = [geometry.phi(n, t) if 0.0 < t and (n - 1) * t <= 690.0 else 0.0
+                   for t in ts]
+            lss = [geometry.log_sinh(t) if ph > 0.0 else 0.0 for t, ph in zip(ts, phs)]
+            ldvs = lvs = unknown
+        else:
+            phs, lss, ldvs, lvs = kept[:15], kept[15:30], kept[30:45], kept[45:60]
         get_dv, get_v = bool(grads) and isnan(ldvs[0]), need_v and isnan(lvs[0])
         if get_dv or get_v:
             # v' and then v at each node: a rearrangement's closure shares
@@ -682,9 +650,9 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
                 ldvs = new_dvs
             if get_v:
                 lvs = new_vs
-            if len(table) < _GRID_PANELS:
-                table[ts[0]] = array("d", [*ldvs, *lvs, ts[1]])
-        return ldvs if grads else absent, lvs if need_v else absent
+        if (fresh or get_dv or get_v) and len(table) < _GRID_PANELS:
+            table[ts[0]] = array("d", [*phs, *lss, *ldvs, *lvs, ts[1]])
+        return phs, lss, ldvs if grads else absent, lvs if need_v else absent
 
     def node(ph, ls, ldv, lv):
         if ldv == ninf and lv == ninf:
@@ -724,8 +692,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
         return out
 
     def g(ts):
-        phs, lss = grid.panel(ts)
-        return list(map(node, phs, lss, *closure_logs(ts, phs)))
+        return list(map(node, *panel(ts)))
 
     vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
     scales = [pref * scale] * len(grads) + [scale] * (len(qs) + entropy)
@@ -887,7 +854,7 @@ def write_profile(path: str, v: RadialProfile):
 
 def read_profile(path: str) -> RadialProfile:
     """Parse a corpus profile file; malformed content is rejected with the
-    file and line number."""
+    file, and with the line number where one line is at fault."""
     nodes, values = [], []
     tail = None
     with open(path) as fh:
@@ -924,4 +891,7 @@ def read_profile(path: str) -> RadialProfile:
     if tail is None or len(nodes) < 2:
         raise DomainError(f"{path}: incomplete profile")
     label = os.path.splitext(os.path.basename(path))[0]
-    return RadialProfile(nodes, values, tail, label=label)
+    try:
+        return RadialProfile(nodes, values, tail, label=label)
+    except DomainError as exc:
+        raise DomainError(f"{path}: {exc}") from exc

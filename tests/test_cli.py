@@ -301,6 +301,19 @@ def test_verify_corpus_without_profile_files(capsys, tmp_path):
     assert "no profile files" in err
 
 
+@pytest.mark.parametrize("text", [
+    "tail=compact:1.0\n0 1\n0.5 nan\n1 0\n", "tail=compact:1.0\n0 inf\n0.5 0.5\n1 0\n",
+    "tail=compact:1.0\n0 1\nnan 0.5\n1 0\n", "tail=compact:1.0\n0 1\n0.5 0.5\n1 -inf\n",
+    "tail=compact:nan\n0 1\n1 0\n", "tail=compact:inf\n0 1\n1 0\n",
+    "tail=power:inf\n0 1\n1 0.5\n"])
+def test_verify_corpus_with_non_finite_entry(capsys, tmp_path, text):
+    (tmp_path / "odd.txt").write_text(text)
+    code, _, err = run(capsys, "verify", "--inequality", "key_comparison",
+                       "--n", "4", "--p", "3.0", "--corpus", str(tmp_path))
+    assert code == 2, err
+    assert "odd.txt" in err and "finite" in err
+
+
 # -- sweep ----------------------------------------------------------
 
 

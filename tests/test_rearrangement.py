@@ -89,6 +89,19 @@ def test_profile_validation():
                       dfn=lambda s: -1.0)  # derivative without its closure
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_profile_rejects_non_finite_input(bad):
+    # a nan compares false to everything, so each ordering check passes it
+    for nodes, values in [([0.0, bad, 2.0], [1.0, 0.5, 0.0]),
+                          ([0.0, 1.0, 2.0], [1.0, bad, 0.0]),
+                          ([0.0, 1.0, 2.0], [bad, 0.5, 0.0])]:
+        with pytest.raises(DomainError, match="finite"):
+            RadialProfile(nodes, values, Tail("compact", 2.0))
+    for kind in ("compact", "power", "exponential"):
+        with pytest.raises(DomainError, match="finite"):
+            Tail(kind, bad)
+
+
 def test_tent_lp_integral_exact():
     A, b, p = 2.0, 3.0, 2.5
     v = tent_profile(A, b)
@@ -728,9 +741,8 @@ def test_node_geometry_table_changes_no_bit():
     # from the table the first pass filled
     for n in range(2, 7):
         for v in _CORPUS.values():
-            rearrangement._node_radii.cache_clear()
             cold = _all_components(v, n)
-            assert rearrangement._node_radii(n, v.nodes).panels
+            assert v._panels[n]
             assert _all_components(v, n) == cold, (v.label, n)
 
 
@@ -739,7 +751,7 @@ def test_second_pass_computes_no_stored_panel(monkeypatch):
     # bisected panels too, so a second pass computes no phi at all
     v = _CORPUS["truncated-bubble-l0.3-T2"]
     first = _all_components(v, 4)
-    assert len(rearrangement._node_radii(4, v.nodes).panels) > len(v.nodes)
+    assert len(v._panels[4]) > len(v.nodes)
     calls = []
     phi = geometry.phi
 
@@ -750,37 +762,34 @@ def test_second_pass_computes_no_stored_panel(monkeypatch):
     monkeypatch.setattr(geometry, "phi", counted)
     assert _all_components(v, 4) == first
     assert calls == []
-    # c v on the same grid: under the absolute floor, c = 0.5 refines a
-    # subtree of the panels of v, and c = 2 may refine panels v's tree
-    # lacks, which the table keeps for the next pass of 2 v
-    _all_components(scale_profile(v, 0.5), 4)
-    assert calls == []
-    _all_components(scale_profile(v, 2.0), 4)
+    # 2 v is another profile, with a table of its own: its first pass
+    # computes phi, and its second none
+    w = scale_profile(v, 2.0)
+    _all_components(w, 4)
+    assert calls
     calls.clear()
-    _all_components(scale_profile(v, 2.0), 4)
+    _all_components(w, 4)
     assert calls == []
 
 
 def test_node_geometry_keeps_the_first_panel_of_each_segment():
     v = _CORPUS["bump-A1-b1"]
     _all_components(v, 4)
-    grid = rearrangement._node_radii(4, v.nodes)
-    radii = grid.radii
-    assert all(0.5 * (a + b) in grid.panels for a, b in zip(radii, radii[1:]))
-    assert len(grid.panels) <= rearrangement._GRID_PANELS
+    radii, table = rearrangement._node_radii(4, v.nodes), v._panels[4]
+    assert all(0.5 * (a + b) in table for a, b in zip(radii, radii[1:]))
+    assert len(table) <= rearrangement._GRID_PANELS
 
 
 def test_node_geometry_table_is_bounded(monkeypatch):
-    # each compact end beyond the last node keeps one more panel, up to
-    # the bound
+    # each (profile, n) keeps at most _GRID_PANELS panels (the pass takes
+    # 65); a panel beyond the bound is computed again on every pass
+    v = _CORPUS["truncated-bubble-l0.3-T2"]
+    full = _all_components(dataclasses.replace(v), 4)
     monkeypatch.setattr(rearrangement, "_GRID_PANELS", 40)
-    v = tent_profile(1.0, 1.0)
-    sizes = []
-    for k in range(12):
-        w = dataclasses.replace(v, tail=Tail("compact", v.nodes[-1] * (1.0 + 0.01 * k)))
-        grad_norm_hyperbolic(w, 4, 3.0)
-        sizes.append(len(rearrangement._node_radii(4, v.nodes).panels))
-    assert sizes[1] == sizes[0] + 1 and sizes[-1] == 40
+    assert _all_components(v, 4) == full
+    assert _all_components(v, 4) == full
+    _all_components(v, 5)
+    assert len(v._panels[4]) == len(v._panels[5]) == 40
 
 
 def _counted(v):
@@ -804,7 +813,7 @@ def _every(v, p):
 
 def _added(kept, table):
     """Panels of table that kept, an earlier copy of it, did not hold."""
-    return sum(c not in kept or a[30] != kept[c][30] for c, a in table.items())
+    return sum(c not in kept or a[-1] != kept[c][-1] for c, a in table.items())
 
 
 def test_warm_pass_calls_no_closure_and_changes_no_bit():
@@ -816,7 +825,7 @@ def test_warm_pass_calls_no_closure_and_changes_no_bit():
     for v in profiles + [truncated_bubble(4, 3.0, 0.2, 1.5)]:
         w, calls = _counted(v)
         _every(w, 3.0)
-        table = w._logs[4]
+        table = w._panels[4]
         kept = dict(table)
         calls.update(fn=0, dfn=0)
         warm = _every(w, 3.3)
@@ -839,11 +848,11 @@ def test_pass_calls_only_the_closure_it_needs():
     assert calls["fn"] == 0 and calls["dfn"] > 0
     # the key comparison's pass takes v at every node of its panels, and
     # v' only at the panels the gradient pass did not take
-    table = v._logs[4]
+    table = v._panels[4]
     kept = dict(table)
     calls.update(fn=0, dfn=0)
     assert radial_integrals(v, 4, 3.0, **key_pass) == cold
-    assert calls == {"fn": 15 * sum(not math.isnan(a[15]) for a in table.values()),
+    assert calls == {"fn": 15 * sum(not math.isnan(a[45]) for a in table.values()),
                      "dfn": 15 * _added(kept, table)}
     calls.update(fn=0, dfn=0)
     assert radial_integrals(v, 4, 3.0, **key_pass) == cold
@@ -862,16 +871,16 @@ def test_closure_logs_live_and_die_with_their_profile():
     v = truncated_bubble(4, 3.0, 0.2, 1.5)
     dead = weakref.ref(v)
     verifier.evaluate("key_comparison", v, 4, 3.0)
-    assert v._logs[4]
+    assert v._panels[4]
     del v
     assert dead() is None
     v = _CORPUS["bump-A1-b1"]
     before = hash(v)
     grad_norm_hyperbolic(v, 4, 3.0)
-    assert v._logs[4]
-    assert not dataclasses.replace(v)._logs and not scale_profile(v, 2.0)._logs
+    assert v._panels[4]
+    assert not dataclasses.replace(v)._panels and not scale_profile(v, 2.0)._panels
     assert v == dataclasses.replace(v) and hash(v) == before
-    assert "_logs" not in repr(v)
+    assert "_panels" not in repr(v)
 
 
 def test_radial_pass_matches_standalone_norms_on_grid_profile(tmp_path):
@@ -960,6 +969,17 @@ def test_profile_parse_error_names_line(tmp_path):
     with pytest.raises(DomainError) as e:
         read_profile(str(path))
     assert ":3" in str(e.value)
+
+
+@pytest.mark.parametrize("body", ["0.5 1\n1 0\n", "0 1\n1 0.5\n", "0 1\n0.5 nan\n1 0\n"])
+def test_profile_error_names_file(tmp_path, body):
+    # a profile the constructor rejects (grid not starting at 0, compact
+    # end above 0, a nan value) is named by its file
+    path = tmp_path / "bad.txt"
+    path.write_text("tail=compact:1\n" + body)
+    with pytest.raises(DomainError) as e:
+        read_profile(str(path))
+    assert str(e.value).startswith(f"{path}: ")
 
 
 def test_profile_file_skips_comments_and_blank_lines(tmp_path):
