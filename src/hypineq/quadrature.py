@@ -7,15 +7,16 @@ Quadrature is vector-valued and panel-at-a-time (Shampine 2008,
 component of an integrand; a scalar integral is the one-component case.
 The integrand of integrate_vector is called once per GK15 panel with the
 panel's 15 nodes, its centre first and then the pairs c - h x, c + h x
-from the outermost Kronrod node inwards, and returns one vector per node
-in that order, so a caller may keep what depends only on the nodes of a
-panel that recurs.  One substitution, s = a + b e^y, serves both ends
-that bisection cannot reach: the first segment (0, x] when it starts at
-0 (a = 0, b = x, swept leftward from y = 0), where it absorbs an
-integrable singularity of a profile closure, and an infinite tail
+from the outermost Kronrod node inwards, and returns one sequence of 15
+values per component, in that node order, so a caller may build each
+component in one pass over the panel and keep what depends only on the
+nodes of a panel that recurs.  One substitution, s = a + b e^y, serves
+both ends that bisection cannot reach: the first segment (0, x] when it
+starts at 0 (a = 0, b = x, swept leftward from y = 0), where it absorbs
+an integrable singularity of a profile closure, and an infinite tail
 [a, inf) (b = 1, swept right and then left from y = 0).  It maps a
-panel's node list before the call.  integrate takes a pointwise scalar
-integrand.
+panel's node list before the call and scales each component's values.
+integrate takes a pointwise scalar integrand.
 
 Everything here is pure; integrand closures supplied by callers must be
 safe to call repeatedly.
@@ -97,6 +98,7 @@ _WG = (
 )
 
 
+# the 15 nodes of a panel -> one sequence of 15 values per component
 PanelIntegrand = Callable[[List[float]], Sequence[Sequence[float]]]
 
 
@@ -107,14 +109,13 @@ def _gk15(f: PanelIntegrand, a: float, b: float
     EvaluationError when a value is not finite."""
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
-    xs = [c]
-    for x in _XGK[:7]:
-        xs += (c - h * x, c + h * x)
-    ys = f(xs)
+    x0, x1, x2, x3, x4, x5, x6 = [h * x for x in _XGK[:7]]
     k0, k1, k2, k3, k4, k5, k6, k7 = _WGK
     g0, g1, g2, g3 = _WG
     vals, errs = [], []
-    for y, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 in zip(*ys):
+    for y, l0, r0, l1, r1, l2, r2, l3, r3, l4, r4, l5, r5, l6, r6 in f(
+            [c, c - x0, c + x0, c - x1, c + x1, c - x2, c + x2, c - x3, c + x3,
+             c - x4, c + x4, c - x5, c + x5, c - x6, c + x6]):
         f1, f3, f5 = l1 + r1, l3 + r3, l5 + r5
         resk = (k7 * y + k0 * (l0 + r0) + k1 * f1 + k2 * (l2 + r2) + k3 * f3
                 + k4 * (l4 + r4) + k5 * f5 + k6 * (l6 + r6))
@@ -130,6 +131,8 @@ def _gk15(f: PanelIntegrand, a: float, b: float
 
 def _integrate_finite(f, a, b, cfg: QuadratureConfig):
     val, err = _gk15(f, a, b)
+    if not any(e > max(cfg.abs_tol, cfg.rel_tol * abs(x)) for x, e in zip(val, err)):
+        return val, err
     # a panel's priority: its worst error relative to the component's floor
     # at the first panel, in units of the first floor (one component: err)
     floors = [max(cfg.abs_tol, cfg.rel_tol * abs(x)) for x in val]
@@ -207,8 +210,8 @@ def _substituted(f: PanelIntegrand, a: float, b: float) -> PanelIntegrand:
     (a = 0 skips the shift)."""
     def g(ys):
         es = [b * math.exp(y) for y in ys]
-        return [[x * e for x in row]
-                for row, e in zip(f([a + e for e in es] if a else es), es)]
+        return [[x * e for x, e in zip(row, es)]
+                for row in f([a + e for e in es] if a else es)]
     return g
 
 
@@ -218,11 +221,12 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
                      ) -> Tuple[List[float], List[float]]:
     """(values, errors) of the integral over [a, b] (b may be math.inf) of
     a vector integrand, one panel tree for all components.  f maps the 15
-    nodes of a panel to their 15 vectors (see the module docstring).  Interior
-    breakpoints (e.g. the grid of a concentrated profile, which a global
-    subdivision could step over) split [a, b].  Raises DomainError on an
-    empty interval, ConvergenceError (carrying the partial values) when a
-    budget runs out, and EvaluationError on a non-finite value.
+    nodes of a panel to one sequence of 15 values per component (see the
+    module docstring).  Interior breakpoints (e.g. the grid of a
+    concentrated profile, which a global subdivision could step over)
+    split [a, b].  Raises DomainError on an empty interval,
+    ConvergenceError (carrying the partial values) when a budget runs out,
+    and EvaluationError on a non-finite value.
     """
     cfg = cfg or DEFAULT_CONFIG
     if math.isinf(a) or not a < b:
@@ -255,7 +259,7 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     math.inf): (value, error estimate), and (0.0, 0.0) when a == b."""
     if a == b:
         return 0.0, 0.0
-    (val,), (err,) = integrate_vector(lambda xs: [(f(x),) for x in xs],
+    (val,), (err,) = integrate_vector(lambda xs: [[f(x) for x in xs]],
                                       a, b, points, cfg)
     return val, err
 

@@ -547,11 +547,11 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     against the weight gap); the mass integral of v^q ds for each q in
     qs; the entropy integral of v^p p log v ds if entropy.  A grid-only
     profile takes the grid paths in s, a rearrangement _level_integrals.
-    Any other closure takes one vector panel
-    tree in geodesic radius t over the radii of its grid nodes
-    (_node_radii), where one phi, log sinh, log |v'| (and log v) per node
-    serve every integrand.  Each is built in log space with
-    w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w),
+    Any other closure takes one vector panel tree in geodesic radius t
+    over the radii of its grid nodes (_node_radii), where one phi, log
+    sinh, log |v'| (and log v) per node serve every integrand.  Each
+    integrand is one list over a panel's 15 nodes, built in log space
+    with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w),
     exp(p(n-1)/n log phi + w) or their difference, exp(q log v + w),
     p log v exp(p log v + w).  All four, which do not depend on p, come
     from the profile's table at n: a pass computes phi and log sinh only
@@ -606,8 +606,6 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
              else geometry.phi_inv(n, top / sigma))
     c_hyp, c_euc, c_gap = p * (n - 1) + n - 1, p * (n - 1) / n, p * (n - 1)
     need_v = bool(qs) or entropy
-    zeros = [0.0] * (len(grads) + len(qs) + entropy)
-    v_zeros = [0.0] * (len(qs) + entropy)
     log, exp, expm1, isnan = math.log, math.exp, math.expm1, math.isnan
     tiny, ninf = sys.float_info.min, -math.inf
     fn, dfn = v.fn, v.dfn
@@ -618,14 +616,15 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
         """phi, log sinh, log |v'| and log v at the panel's 15 nodes ts
         (a log all -inf where the pass needs no gradient, or no mass or
         entropy): read from the table entry at the panel's centre whose
-        last value is ts[1], else computed and kept while the table has
-        room.  A log half no pass has needed holds nan, and only a missing
-        half's closure is called.  phi is 0 where t <= 0 or (n-1) t > 690,
-        where the integrand is zero whatever the profile (beyond 690, for
-        any profile passing the convergence prechecks, far below double
-        noise), and log sinh is 0 where phi is; a log is -inf where v' = 0
-        (or nan), v <= 0, or s is below the smallest normal volume, where
-        no closure is called (v' of a concentrated profile overflows)."""
+        last value is ts[1], else computed and kept; only a new entry
+        needs room in the table.  A log half no pass has needed holds nan,
+        and only a missing half's closure is called.  phi is 0 where t <= 0
+        or (n-1) t > 690, where the integrand is zero whatever the profile
+        (beyond 690, for any profile passing the convergence prechecks, far
+        below double noise), and log sinh is 0 where phi is; a log is -inf
+        where v' = 0 (or nan), v <= 0, or s is below the smallest normal
+        volume, where no closure is called (v' of a concentrated profile
+        overflows)."""
         kept = table.get(ts[0])
         fresh = kept is None or kept[-1] != ts[1]
         if fresh:
@@ -634,7 +633,8 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             lss = [geometry.log_sinh(t) if ph > 0.0 else 0.0 for t, ph in zip(ts, phs)]
             ldvs = lvs = unknown
         else:
-            phs, lss, ldvs, lvs = kept[:15], kept[15:30], kept[30:45], kept[45:60]
+            row = kept.tolist()
+            phs, lss, ldvs, lvs = row[:15], row[15:30], row[30:45], row[45:60]
         get_dv, get_v = bool(grads) and isnan(ldvs[0]), need_v and isnan(lvs[0])
         if get_dv or get_v:
             # v' and then v at each node: a rearrangement's closure shares
@@ -650,49 +650,44 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
                 ldvs = new_dvs
             if get_v:
                 lvs = new_vs
-        if (fresh or get_dv or get_v) and len(table) < _GRID_PANELS:
+        if (fresh or get_dv or get_v) and (
+                kept is not None or len(table) < _GRID_PANELS):
             table[ts[0]] = array("d", [*phs, *lss, *ldvs, *lvs, ts[1]])
         return phs, lss, ldvs if grads else absent, lvs if need_v else absent
 
-    def node(ph, ls, ldv, lv):
-        if ldv == ninf and lv == ninf:
-            return zeros
-        w = (n - 1) * ls
-        hyp = euc = ker = 0.0
-        if ldv > ninf:
-            lg = p * ldv
-            if need_h:
-                lh = lg + c_hyp * ls
-                if lh > 700.0:
-                    raise DomainError("gradient integrand overflows; looks divergent")
-                hyp = exp(lh)
-            if want_e or want_k:
-                lph = c_euc * log(ph) if ph > 0.0 else ninf
-                if want_e:
-                    le = lg + lph + w
-                    if le > 700.0:
-                        raise DomainError("gradient integrand overflows; looks divergent")
-                    euc = exp(le)
-                if want_k:
-                    # the weight gap is the hyperbolic weight sinh^(p(n-1))
-                    # times 1 - phi^(p(n-1)/n) / sinh^(p(n-1)), in (0, 1]
-                    ker = -hyp * expm1(lph - c_gap * ls)
-        out = [hyp] if want_h else []
-        if want_e:
-            out.append(euc)
-        if want_k:
-            out.append(ker)
-        if lv > ninf:
-            for q in qs:
-                out.append(exp(q * lv + w))
-            if entropy:
-                out.append(exp(p * lv + w) * p * lv)
-        else:
-            out += v_zeros
-        return out
+    def overflows(logs):
+        if max(logs) > 700.0:
+            raise DomainError("gradient integrand overflows; looks divergent")
+        return logs
 
     def g(ts):
-        return list(map(node, *panel(ts)))
+        # one list of 15 values per component; exp(-inf) is 0.0, but the
+        # kernel and the entropy, whose -0.0 or nan would change a bit,
+        # take an explicit 0.0 where their log is -inf
+        phs, lss, ldvs, lvs = panel(ts)
+        ws = [(n - 1) * ls for ls in lss]
+        out = []
+        if need_h:
+            hyps = [exp(lh) for lh in overflows(
+                [p * ldv + c_hyp * ls for ldv, ls in zip(ldvs, lss)])]
+            if want_h:
+                out.append(hyps)
+        if want_e or want_k:
+            lphs = [c_euc * log(ph) if ph > 0.0 else ninf for ph in phs]
+        if want_e:
+            out.append([exp(le) for le in overflows(
+                [p * ldv + lph + w for ldv, lph, w in zip(ldvs, lphs, ws)])])
+        if want_k:
+            # the weight gap is the hyperbolic weight sinh^(p(n-1)) times
+            # 1 - phi^(p(n-1)/n) / sinh^(p(n-1)), in (0, 1]
+            out.append([-hyp * expm1(lph - c_gap * ls) if ldv > ninf else 0.0
+                        for hyp, lph, ls, ldv in zip(hyps, lphs, lss, ldvs)])
+        for q in qs:
+            out.append([exp(q * lv + w) for lv, w in zip(lvs, ws)])
+        if entropy:
+            out.append([exp(p * lv + w) * p * lv if lv > ninf else 0.0
+                        for lv, w in zip(lvs, ws)])
+        return out
 
     vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
     scales = [pref * scale] * len(grads) + [scale] * (len(qs) + entropy)
@@ -751,7 +746,7 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
 
     breaks = [*itertools.chain.from_iterable(f.ends),
               *(x for x in v.values if x <= 0.5 * fmax)]
-    vals, errs = quadrature.integrate_vector(lambda taus: list(map(g, taus)),
+    vals, errs = quadrature.integrate_vector(lambda taus: zip(*map(g, taus)),
                                              0.0, fmax, breaks)
     return list(zip(vals, errs))
 
@@ -795,7 +790,7 @@ def hardy_term_bound(v: RadialProfile, p: float,
         return abs(dv) ** p * s ** p, abs(val / p + s * dv) ** p, val ** p
 
     (lhs, wterm, vterm), (e_lhs, e_w, e_v) = quadrature.integrate_vector(
-        lambda ss: list(map(f, ss)), lo, hi, v.nodes)
+        lambda ss: zip(*map(f, ss)), lo, hi, v.nodes)
     # the totals miss their exact values by more than the K15 - G7 gaps: by
     # rounding (up to 25 eps times the sum on the smooth corpus files) and,
     # where a first segment is far below abs_tol, by the part of the

@@ -203,7 +203,7 @@ def test_vector_components_match_separate_integrals():
     # tolerance, so each is at least as accurate as its scalar integral
     fs = (lambda x: math.exp(-x), lambda x: 1e-20 * x * x * math.exp(-x),
           lambda x: 1.0 / math.sqrt(x))
-    vals, errs = integrate_vector(lambda xs: [[f(x) for f in fs] for x in xs],
+    vals, errs = integrate_vector(lambda xs: [[f(x) for x in xs] for f in fs],
                                   0.0, 1.0, [0.5])
     for f, val, err in zip(fs, vals, errs):
         ref, _ = integrate(
@@ -226,7 +226,8 @@ def test_integrand_takes_one_panel_per_call(monkeypatch, a, b, points):
     def f(xs):
         calls.append(list(xs))
         # a kink at x = 1 makes the tree bisect
-        return [(math.exp(-x), math.sqrt(abs(x - 1.0)) * math.exp(-x)) for x in xs]
+        return ([math.exp(-x) for x in xs],
+                [math.sqrt(abs(x - 1.0)) * math.exp(-x) for x in xs])
 
     monkeypatch.setattr(quadrature, "_gk15", counted)
     vals, _ = integrate_vector(f, a, b, points)

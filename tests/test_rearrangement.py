@@ -867,6 +867,24 @@ def test_pass_calls_only_the_closure_it_needs():
         lp_integral(ex, 4.0)
 
 
+def test_full_table_keeps_a_log_half_filled_into_a_kept_panel(monkeypatch):
+    # only a new panel needs room in a full table: a mass pass after a
+    # gradient pass fills log v into the kept panels once, and later mass
+    # passes call fn only at the panels the table has no room for
+    monkeypatch.setattr(rearrangement, "_GRID_PANELS", 10)
+    v, calls = _counted(_CORPUS["bump-A1-b1"])
+    grad_norm_hyperbolic(v, 4, 3.0)
+    assert len(v._panels[4]) == 10
+    counts, results = [], []
+    for _ in range(3):
+        calls.update(fn=0, dfn=0)
+        results.append(radial_integrals(v, 4, 3.0, qs=(3.0,), grads=()))
+        counts.append(calls["fn"])
+    assert counts[1] == counts[2] == counts[0] - 15 * 10
+    assert results[0] == results[1] == results[2]
+    assert calls["dfn"] == 0 and len(v._panels[4]) == 10
+
+
 def test_closure_logs_live_and_die_with_their_profile():
     v = truncated_bubble(4, 3.0, 0.2, 1.5)
     dead = weakref.ref(v)
@@ -940,6 +958,39 @@ def test_key_comparison_positive_on_tent():
 def test_key_comparison_rejects_out_of_range():
     with pytest.raises(DomainError):
         key_comparison(tent_profile(1.0, 1.0), 3, 2.0)
+
+
+def test_equality_distance_vanishes_on_the_rigidity_profile():
+    # w(s) = v(s) s^(1/p) is the constant c on c s^(-1/p), here capped
+    # below the first positive node so that v(0) is finite
+    p, c, s1 = 3.0, 2.5, 1e-6
+
+    def fn(s):
+        return c * max(s, s1) ** (-1.0 / p)
+
+    def dfn(s):
+        return 0.0 if s < s1 else (-c / p) * s ** (-1.0 / p - 1.0)
+
+    grid = np.insert(np.geomspace(s1, 100.0, 40), 0, 0.0)
+    v = RadialProfile(grid, [fn(float(s)) for s in grid],
+                      Tail("power", 1.0 / p), fn=fn, dfn=dfn)
+    assert rearrangement._equality_distance(v, p) <= 1e-12 * c
+
+
+def test_equality_distance_is_positive_on_a_tent():
+    v = tent_profile(2.0, 1.0)
+    d = rearrangement._equality_distance(v, 3.0)
+    assert d > 0.05 * v.sup_value
+    assert key_comparison(v, 4, 3.0).extras["equality_distance"] == d
+
+
+@pytest.mark.parametrize("label", ["tent-A0.5-b1", "bump-A1-b1", "exp-A0.5-a4"])
+def test_equality_distance_scales_with_the_profile(label):
+    v = _CORPUS[label]
+    d = rearrangement._equality_distance(v, 3.0)
+    assert d > 0.0
+    assert rearrangement._equality_distance(scale_profile(v, 3.0), 3.0) == \
+        pytest.approx(3.0 * d, rel=1e-12)
 
 
 @settings(max_examples=10, deadline=None)
