@@ -286,6 +286,9 @@ def cmd_lemma(args) -> int:
     else:
         sys.stdout.write(table.to_csv() if args.format == "csv"
                          else table.to_json())
+    if code == EXIT_INCONCLUSIVE:
+        sys.stderr.write(f"inconclusive: no radius searched (grid up to "
+                         f"t = {table.ts[-1]:g}) has a certified negative margin\n")
     return code
 
 
@@ -339,17 +342,22 @@ def _check_sharpness_flags(args, sub: argparse.ArgumentParser) -> None:
         vars(args).setdefault(dest, default)
 
 
-def _sharpness_verdict(gaps: List[float], target: float, settled: bool,
-                       gap_max: float) -> int:
+def _sharpness_verdict(gaps: List[float], target: float,
+                       unsettled: Optional[str], gap_max: float) -> int:
     """Exit code of a sharpness run from its gaps (ratio - target): 1 if a
     gap undercuts the target by more than 1e-6 of it, 3 if the run has
-    not settled (a broken trend, or no convergence) or the last gap
-    exceeds gap_max of the target, 0 otherwise."""
+    not settled (unsettled names why: a broken trend, or no convergence)
+    or the last gap exceeds gap_max of the target, 0 otherwise.  An exit 3
+    writes its reason to stderr."""
     if min(gaps) < -1e-6 * target:
         return EXIT_VIOLATION
-    if not settled or gaps[-1] > gap_max * target:
-        return EXIT_INCONCLUSIVE
-    return EXIT_PASS
+    if unsettled is None and gaps[-1] > gap_max * target:
+        unsettled = (f"the last gap {gaps[-1]:.6g} exceeds --gap-max {gap_max:g} "
+                     f"times the target {target:.6g}")
+    if unsettled is None:
+        return EXIT_PASS
+    sys.stderr.write(f"inconclusive: {unsettled}\n")
+    return EXIT_INCONCLUSIVE
 
 
 def cmd_sharpness(args) -> int:
@@ -369,7 +377,10 @@ def cmd_sharpness(args) -> int:
         res = sharpness.minimize_ratio(
             args.inequality, n, p, T0=args.truncation, max_iter=args.max_iter)
         _emit(args, res.trace_csv(), "sharpness-trace.csv")
-        return _sharpness_verdict([res.gap], target, res.converged, args.gap_max)
+        return _sharpness_verdict(
+            [res.gap], target, None if res.converged else
+            f"the minimizer did not converge in {args.max_iter} iterations",
+            args.gap_max)
 
     pairs = sharpness.lambda_sweep(args.inequality, n, p, args.lambdas,
                                    T=args.truncation)
@@ -378,8 +389,9 @@ def cmd_sharpness(args) -> int:
           "sharpness-sweep.csv")
     ratios = [r for _, r in pairs]
     monotone = all(b < a for a, b in zip(ratios, ratios[1:]))
-    return _sharpness_verdict([r - target for r in ratios], target, monotone,
-                              args.gap_max)
+    return _sharpness_verdict(
+        [r - target for r in ratios], target, None if monotone else
+        "the ratio does not fall at every step of --lambdas", args.gap_max)
 
 
 _DISPATCH = {

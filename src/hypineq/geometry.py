@@ -30,7 +30,6 @@ __all__ = [
     "phi_deriv",
     "phi_inv",
     "sinh_phi_inv",
-    "kernel_gap",
     "radial_margin",
     "radial_margin_scaled",
     "margin_slope_factor",
@@ -235,20 +234,10 @@ def sinh_phi_inv(n: int, s: float) -> float:
     return math.sinh(phi_inv(n, s))
 
 
-def kernel_gap(n: int, p: float, s: float) -> float:
-    """Gap between the hyperbolic and Euclidean gradient weights at
-    normalized volume s."""
-    if s < 0.0:
-        raise DomainError(f"volume must be >= 0, got {s!r}")
-    if s == 0.0:
-        return 0.0
-    q = p * (n - 1)
-    return sinh_phi_inv(n, s) ** q - s ** (q / n)
-
-
 def radial_margin(n: int, p: float, t: float) -> float:
-    """Margin of the weight-gap lower bound at geodesic radius t:
-    kernel_gap evaluated along the volume map minus the comparison term.
+    """Margin of the weight-gap lower bound at geodesic radius t: the gap
+    sinh^q - phi^(q/n) of the gradient weights (q = p(n-1)) minus the
+    comparison term.
 
     Overflows double precision once p(n-1)t is large; use
     radial_margin_scaled for large radii.
@@ -446,7 +435,10 @@ def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0) -> Tuple[float
         u_lo = tau ** (1.0 / m) if tau > 0.0 else 0.0
 
         def sub(u):
-            return math.sinh(u ** m) ** (-a) * m * u ** (m - 1)
+            # sinh(x)^(-a) m u^(m-1), x = u^m, also where x underflows to 0
+            x = u ** m
+            return (m * u ** (m * (1.0 - a) - 1.0)
+                    * (math.sinh(x) / x if x else 1.0) ** (-a))
 
         v, e = quadrature.integrate(sub, u_lo, 1.0, cfg=_TAIL_CFG)
         total += v

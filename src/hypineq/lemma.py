@@ -27,6 +27,10 @@ from .report import csv_table
 
 __all__ = ["MarginTable", "verify_lemma", "find_violation"]
 
+# radii on the grids of verify_lemma and find_violation; how far below zero
+# a verify_lemma margin may dip and still pass
+_VERIFY_POINTS, _VIOLATION_POINTS, _TOLERANCE = 200, 240, 1e-9
+
 
 @dataclass(frozen=True)
 class MarginTable:
@@ -113,8 +117,7 @@ def _columns(n: int, p: float, ts):
     return margins, logf, f_values
 
 
-def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
-                 tol: float = 1e-9) -> MarginTable:
+def verify_lemma(n: int, p: float, t_max: float = 25.0) -> MarginTable:
     """Certify the margin is non-negative on a geometric radius grid.
 
     Requires (n=2, p>=2) or (n>=3, p>=2n/(n-1)); any t_max works.  Besides
@@ -129,12 +132,12 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
     if p < bdry * (1.0 - 1e-12):
         raise DomainError(
             f"lemma range needs p >= {bdry:g} for n={n}, got p={p!r}")
-    ts = [0.0] + geomspace(1e-4, t_max, num)
+    ts = [0.0] + geomspace(1e-4, t_max, _VERIFY_POINTS)
     margins, logf, f_values = _columns(n, p, ts)
 
     min_i = min(range(len(ts)), key=margins.__getitem__)
     min_margin = margins[min_i]
-    passed = min_margin >= -tol
+    passed = min_margin >= -_TOLERANCE
 
     # monotonicity of the raw margin on the log scale, so that radii past
     # double overflow still take part; margins below rounding noise are
@@ -150,12 +153,12 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0, num: int = 200,
     return MarginTable(
         n=n, p=p, mode="verify", ts=tuple(ts), f_values=f_values,
         margins=tuple(margins), min_margin=min_margin,
-        min_margin_t=ts[min_i], tolerance=tol,
+        min_margin_t=ts[min_i], tolerance=_TOLERANCE,
         passed=passed and monotone and slope_positive is not False,
         monotone=monotone, slope_positive=slope_positive)
 
 
-def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> MarginTable:
+def find_violation(n: int, p: float, t_max: float = 150.0) -> MarginTable:
     """Locate a radius with a certified negative margin below the phase
     boundary.
 
@@ -174,7 +177,7 @@ def find_violation(n: int, p: float, t_max: float = 150.0, num: int = 240) -> Ma
             f"violation search needs p < {bdry:g} for n={n}, got p={p!r}")
 
     onset = geometry.violation_onset(n, p) if n >= 3 else None
-    ts = geomspace(0.5, t_max, num)
+    ts = geomspace(0.5, t_max, _VIOLATION_POINTS)
     margins, _, f_values = _columns(n, p, ts)
 
     # the double margin is good to 1e-13 absolute: closer to zero its sign

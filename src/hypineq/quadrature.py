@@ -1,6 +1,6 @@
 """Numerical kernels: adaptive Gauss-Kronrod quadrature on finite and
-semi-infinite intervals, safeguarded root finding for monotone functions,
-and the grids profiles are sampled on.
+semi-infinite intervals, root finding for monotone functions by Newton on
+a given derivative, and the grids profiles are sampled on.
 
 Quadrature is vector-valued and panel-at-a-time (Shampine 2008,
 "Vectorized adaptive quadrature in MATLAB"): one panel tree serves every
@@ -266,15 +266,15 @@ def integrate(f: Callable[[float], float], a: float, b: float,
 
 def find_root_increasing(f: Callable[[float], float], target: float,
                          bracket: Tuple[float, float],
-                         df: Optional[Callable[[float], float]] = None,
+                         df: Callable[[float], float],
                          max_iter: int = 200,
                          x0: Optional[float] = None,
                          ends: Optional[Tuple[float, float]] = None) -> float:
     """Solve f(t) = target for a strictly increasing f on a bracket.
 
-    Newton (or secant when df is None) with a bisection safeguard: every
+    Newton on a given derivative df, with a bisection safeguard: every
     iterate stays inside the current sign-change bracket, falling back to
-    the midpoint whenever the model step escapes or stalls.  The first
+    the midpoint whenever the Newton step escapes or stalls.  The first
     iterate is x0 when it lies strictly inside the bracket, else the
     midpoint.  ends, when given, holds f at the two bracket ends, which
     are then not evaluated.  Raises ConvergenceError (carrying the last
@@ -294,7 +294,6 @@ def find_root_increasing(f: Callable[[float], float], target: float,
         raise BracketError(
             f"bracket ({lo!r}, {hi!r}) does not straddle target {target!r}")
     t = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-    ft_prev, t_prev = flo, lo
     f_tol = _ROOT_REL_TOL * abs(target) if target != 0.0 else _ROOT_REL_TOL
     for _ in range(max_iter):
         ft = f(t) - target
@@ -304,19 +303,9 @@ def find_root_increasing(f: Callable[[float], float], target: float,
             hi = t
         else:
             lo = t
-        if df is not None:
-            d = df(t)
-        else:
-            d = (ft - ft_prev) / (t - t_prev) if t != t_prev else 0.0
-        ft_prev, t_prev = ft, t
-        step_ok = False
-        if d > 0.0 and math.isfinite(d):
-            cand = t - ft / d
-            if lo < cand < hi:
-                t = cand
-                step_ok = True
-        if not step_ok:
-            t = 0.5 * (lo + hi)
+        d = df(t)
+        cand = t - ft / d if d > 0.0 and math.isfinite(d) else lo
+        t = cand if lo < cand < hi else 0.5 * (lo + hi)
     raise ConvergenceError(
         f"root find for target {target!r} did not converge in {max_iter} "
         f"iterations; bracket ({lo!r}, {hi!r})", partial=t)

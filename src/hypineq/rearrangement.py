@@ -585,8 +585,8 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
         weights = {
             "hyperbolic": lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)),
             "euclidean": lambda s: (s / sigma) ** (p * (n - 1) / n),
-            "kernel": lambda s: geometry.kernel_gap(n, p, s / sigma),
         }
+        weights["kernel"] = lambda s: weights["hyperbolic"](s) - weights["euclidean"](s)
         out = []
         for c in grads:
             val, err = _grid_weighted_gradient(v, p, weights[c])

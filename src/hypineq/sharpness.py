@@ -48,10 +48,9 @@ def _dcutoff(x: float) -> float:
     return -(6.0 * y - 6.0 * y * y) * 2.0
 
 
-def untruncated_bubble(n: int, p: float, lam: float,
-                       s_max: float = 1e6) -> RadialProfile:
-    """Profile of the flat-Sobolev extremal, transplanted to the measure
-    line; power tail, admissible for critical-norm quantities only."""
+def _bubble(n: int, p: float, lam: float):
+    """(v, v', scale sigma lam^n, decay exponent of v in s) of the
+    flat-Sobolev extremal on the measure line."""
     if not (1.0 < p < n):
         raise DomainError(f"bubble needs 1 < p < n, got n={n}, p={p}")
     if not lam > 0.0:
@@ -61,7 +60,7 @@ def untruncated_bubble(n: int, p: float, lam: float,
         scale = sigma * lam ** n
     except OverflowError:
         scale = math.inf
-    if not scale * 10.0 <= sys.float_info.max:  # the grid's top
+    if not scale * 10.0 <= sys.float_info.max:  # untruncated_bubble's grid top
         raise OverflowDomainError(f"bubble scale sigma*lambda^n overflows double "
                                   f"precision at lambda={lam!r}")
     if not scale * 1e-4 >= sys.float_info.min:
@@ -79,13 +78,17 @@ def untruncated_bubble(n: int, p: float, lam: float,
         z = (s / scale) ** e
         return -ex * (1.0 + z) ** (-ex - 1.0) * e * z / s
 
-    # keep the grid increasing when the scale dwarfs the requested span
-    s_max = max(s_max, scale * 10.0)
-    grid = [0.0] + geomspace(scale * 1e-4, s_max, 40)
-    vals = [fn(s) for s in grid]
-    # decay exponent of v in s: e*ex
-    return RadialProfile(grid, vals, Tail("power", e * ex), fn=fn, dfn=dfn,
-                         label=f"bubble-l{lam:g}")
+    return fn, dfn, scale, e * ex
+
+
+def untruncated_bubble(n: int, p: float, lam: float) -> RadialProfile:
+    """Profile of the flat-Sobolev extremal, transplanted to the measure
+    line; power tail, admissible for critical-norm quantities only."""
+    fn, dfn, scale, decay = _bubble(n, p, lam)
+    # the top stays above the scale, so the grid increases for any lambda
+    grid = [0.0] + geomspace(scale * 1e-4, max(1e6, scale * 10.0), 40)
+    return RadialProfile(grid, [fn(s) for s in grid], Tail("power", decay),
+                         fn=fn, dfn=dfn, label=f"bubble-l{lam:g}")
 
 
 def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
@@ -95,19 +98,19 @@ def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
         raise DomainError(f"bubble needs 1 < p < n, got n={n}, p={p}")
     if not (lam > 0.0 and T > 0.0):
         raise DomainError("scale and truncation must be positive")
-    base = untruncated_bubble(n, p, lam, s_max=max(T, 1.0))
+    base_fn, base_dfn, scale, _ = _bubble(n, p, lam)
 
     def fn(s):
         if s >= T:
             return 0.0
-        return base.fn(s) * _cutoff(s / T)
+        return base_fn(s) * _cutoff(s / T)
 
     def dfn(s):
         if s >= T:
             return 0.0
-        return base.dfn(s) * _cutoff(s / T) + base.fn(s) * _dcutoff(s / T) / T
+        return base_dfn(s) * _cutoff(s / T) + base_fn(s) * _dcutoff(s / T) / T
 
-    lo = min(unit_ball_volume(n) * lam ** n * 1e-4, T * 1e-5)
+    lo = min(scale * 1e-4, T * 1e-5)
     grid = [0.0] + geomspace(lo, T, 48)
     vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", T), fn=fn, dfn=dfn,
@@ -208,11 +211,11 @@ def _nelder_mead(f: Callable[[Tuple[float, ...]], float], x0: Sequence[float],
     return pts[best], vals[best], log, converged
 
 
-def minimize_ratio(inequality_id: str, n: int, p: float,
-                   lam0: float = 0.1, T0: float = 1.0,
+def minimize_ratio(inequality_id: str, n: int, p: float, T0: float = 1.0,
                    max_iter: int = 60) -> SharpnessResult:
     """Minimize the deficit ratio over truncated bubbles, in log(scale)
-    and log(truncation) coordinates.  Fully deterministic."""
+    and log(truncation) coordinates, from scale 0.1 and truncation T0.
+    Fully deterministic."""
     ratio, target = ratio_function(inequality_id, n, p)
 
     # clamp the simplex to the window where double-precision evaluation
@@ -229,7 +232,7 @@ def minimize_ratio(inequality_id: str, n: int, p: float,
     def f(x):
         return ratio(truncated_bubble(n, p, *clamped(x)))
 
-    x0 = (math.log(lam0), math.log(T0))
+    x0 = (math.log(0.1), math.log(T0))
     best_x, best_f, log, converged = _nelder_mead(f, x0, 0.5, max_iter, 1e-8)
     trace = tuple((i, *clamped(x), val, val - target)
                   for i, (x, val) in enumerate(log))

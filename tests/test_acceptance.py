@@ -43,7 +43,7 @@ def test_criterion_02_kernel_margin_grid():
     for n in range(2, 9):
         bdry = boundary_exponent(n)
         for p in (bdry, bdry + 0.2, bdry + 1.0):
-            table = lemma.verify_lemma(n, p, t_max=25.0, num=150, tol=1e-9)
+            table = lemma.verify_lemma(n, p, t_max=25.0)
             ok = ok and table.min_margin >= -1e-9
     # the margin vanishes identically at the corner point
     for t in np.linspace(0.0, 25.0, 60):
@@ -57,7 +57,7 @@ def test_criterion_03_phase_boundary():
         bdry = boundary_exponent(n)
         found = lemma.find_violation(n, bdry - 0.1)
         ok = ok and found.passed and found.violation[1] < 0.0
-        certified = lemma.verify_lemma(n, bdry, t_max=25.0, num=150)
+        certified = lemma.verify_lemma(n, bdry, t_max=25.0)
         ok = ok and certified.passed
     extra = lemma.find_violation(3, 2.0)
     ok = ok and extra.passed and extra.violation[1] < 0.0

@@ -158,10 +158,12 @@ def test_lemma_violate_inconclusive_exits_3(capsys, monkeypatch):
     # no radius of the grid or of the onset probes has a negative margin
     monkeypatch.setattr(geometry, "radial_margin_scaled",
                         lambda n, p, t, precise=False: 1e-3)
-    code, out, _ = run(capsys, "lemma", "violate", "--n", "3", "--p", "2.78")
+    code, out, err = run(capsys, "lemma", "violate", "--n", "3", "--p", "2.78")
     assert code == 3
     payload = json.loads(out)
     assert payload["inconclusive"] is True and payload["passed"] is False
+    assert err == ("inconclusive: no radius searched (grid up to t = 150) "
+                   "has a certified negative margin\n")
 
 
 # -- verify ---------------------------------------------------------
@@ -314,6 +316,41 @@ def test_verify_corpus_with_non_finite_entry(capsys, tmp_path, text):
     assert "odd.txt" in err and "finite" in err
 
 
+_ODD_CORPUS = ("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3.0",
+               "--corpus", "{dir}")
+
+
+@pytest.mark.parametrize("argv,text,expected", [
+    (_ODD_CORPUS, "0 1\n1 0\n", "error: {path}:1: expected 'tail=<kind>:<param>' header"),
+    (_ODD_CORPUS, "tail=compact\n0 1\n1 0\n", "error: {path}:1: malformed tail header"),
+    (_ODD_CORPUS, "tail=compact:1\n0 1 0.5\n1 0\n", "error: {path}:2: expected 's value'"),
+    (_ODD_CORPUS, "tail=compact:1\n0 1\n0.5 0.5\n0.5 0\n",
+     "error: {path}:4: grid not strictly increasing"),
+    (_ODD_CORPUS, "tail=compact:1\n0 1\n0.5 0.5\n1 0.7\n",
+     "error: {path}:4: values not non-increasing"),
+    (_ODD_CORPUS, "# a header and no nodes\ntail=compact:1\n",
+     "error: {path}: incomplete profile"),
+    (("lemma", "verify", "--n", "4", "--p", "3", "--config", "{path}"), "t-max 5\n",
+     "error: {path}:1: expected key=value"),
+    (("sharpness", "--n", "4", "--p", N4P, "--lambdas", "1,x"), None,
+     "hypineq sharpness: error: argument --lambdas: bad number list '1,x'"),
+])
+def test_outside_input_is_rejected_where_it_is_at_fault(capsys, tmp_path, argv, text,
+                                                        expected):
+    path = tmp_path / "odd.txt"
+    if text is not None:
+        path.write_text(text)
+    fill = lambda a: a.replace("{dir}", str(tmp_path)).replace("{path}", str(path))
+    try:
+        code = cli.main([fill(a) for a in argv])
+    except SystemExit as exc:  # argparse's usage error
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert err.splitlines()[-1] == fill(expected)
+    assert err.startswith("usage:" if text is None else "error:")
+
+
 # -- sweep ----------------------------------------------------------
 
 
@@ -344,9 +381,24 @@ def test_sharpness_sweep_passes(capsys, tmp_path):
 
 
 def test_sharpness_unreachable_gap_is_inconclusive(capsys):
-    code, _, _ = run(capsys, "sharpness", "--n", "4", "--p", N4P,
-                     "--lambdas", "1.0,0.1,0.01", "--gap-max", "1e-9")
+    code, _, err = run(capsys, "sharpness", "--n", "4", "--p", N4P,
+                       "--lambdas", "1.0,0.1,0.01", "--gap-max", "1e-9")
     assert code == 3
+    assert err.startswith("inconclusive: the last gap ") and err.count("\n") == 1
+    assert "exceeds --gap-max 1e-09 times the target 4.97" in err
+
+
+@pytest.mark.parametrize("argv,reason", [
+    (("--optimize", "--max-iter", "3"), "the minimizer did not converge in 3 iterations"),
+    (("--lambdas", "0.01,0.1", "--gap-max", "100"),
+     "the ratio does not fall at every step of --lambdas"),
+])
+def test_unsettled_sharpness_names_its_reason(capsys, argv, reason):
+    # stdout still carries the trace or sweep CSV
+    code, out, err = run(capsys, "sharpness", "--n", "4", "--p", N4P, *argv)
+    assert code == 3
+    assert out.startswith(("iteration,", "lambda,"))
+    assert err == f"inconclusive: {reason}\n"
 
 
 def test_sharpness_single_evaluation(capsys):
@@ -421,8 +473,13 @@ def test_sharpness_outside_the_poincare_range_exits_2(capsys, argv):
     ([0.5, 0.2, 0.06], True, 3),        # last gap above gap_max * target
     ([0.05], True, 0),                  # exactly gap_max * target
 ])
-def test_sharpness_verdict(gaps, settled, code):
-    assert cli._sharpness_verdict(gaps, 1.0, settled, 0.05) == code
+def test_sharpness_verdict(capsys, gaps, settled, code):
+    unsettled = None if settled else "a broken trend"
+    assert cli._sharpness_verdict(gaps, 1.0, unsettled, 0.05) == code
+    # an exit 3, and only an exit 3, says why on stderr
+    err = capsys.readouterr().err
+    assert (err == "") == (code != 3)
+    assert code != 3 or err.startswith(f"inconclusive: {unsettled or 'the last gap'}")
 
 
 # -- config files ---------------------------------------------------

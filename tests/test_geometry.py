@@ -7,7 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypineq import geometry as G
 from hypineq import quadrature
-from hypineq.constants import boundary_exponent, unit_ball_volume
+from hypineq.constants import (boundary_exponent, isoperimetric_integral_closed_form,
+                               unit_ball_volume)
 from hypineq.errors import DomainError
 
 
@@ -179,7 +180,8 @@ def test_log_sinh():
 
 
 def test_kernel_gap_nonnegative_and_growing():
-    vals = [G.kernel_gap(4, 8.0 / 3.0, s) for s in (0.1, 1.0, 10.0, 100.0)]
+    q = 8.0 / 3.0 * 3
+    vals = [G.sinh_phi_inv(4, s) ** q - s ** (q / 4) for s in (0.1, 1.0, 10.0, 100.0)]
     assert all(v >= 0.0 for v in vals)
     assert vals == sorted(vals)
 
@@ -363,6 +365,13 @@ def test_isoperimetric_tail_integral_oracle():
         sigma = unit_ball_volume(n)
         val, err = G.isoperimetric_tail_integral(n, p)
         assert val == pytest.approx(n * sigma * ref, rel=1e-9), (n, p)
+    # just above p = n the substitution's u^m underflows near u = 0, where
+    # the integrand used to raise ZeroDivisionError
+    for n, p in [(3, 3.05), (3, 3.01), (3, 3.001), (4, 4.1)]:
+        val, err = G.isoperimetric_tail_integral(n, p)
+        closed = isoperimetric_integral_closed_form(n, p)
+        assert val == pytest.approx(closed, rel=1e-12), (n, p)
+        assert abs(val - closed) <= err, (n, p)
 
 
 def test_isoperimetric_tail_integral_shifted():

@@ -11,20 +11,20 @@ from hypineq.lemma import find_violation, verify_lemma
 
 def test_verify_at_phase_boundary():
     for n in (2, 3, 4, 5, 6):
-        table = verify_lemma(n, boundary_exponent(n), t_max=25.0, num=120)
+        table = verify_lemma(n, boundary_exponent(n), t_max=25.0)
         assert table.passed, (n, table.min_margin, table.min_margin_t)
         assert table.min_margin >= -1e-9
         assert table.monotone
 
 
 def test_verify_above_boundary():
-    table = verify_lemma(4, 3.1, t_max=20.0, num=100)
+    table = verify_lemma(4, 3.1, t_max=20.0)
     assert table.passed
     assert table.slope_positive is True
 
 
 def test_verify_n2_has_no_slope_check():
-    table = verify_lemma(2, 2.5, t_max=10.0, num=60)
+    table = verify_lemma(2, 2.5, t_max=10.0)
     assert table.passed
     assert table.slope_positive is None
 
@@ -65,7 +65,7 @@ def test_violation_rejects_in_range_p():
 
 
 def test_table_serialization():
-    table = verify_lemma(4, 3.0, t_max=5.0, num=20)
+    table = verify_lemma(4, 3.0, t_max=5.0)
     csv = table.to_csv()
     lines = csv.strip().split("\n")
     assert lines[0] == "t,F,margin"
@@ -78,7 +78,7 @@ def test_table_serialization():
 
 
 def test_violation_table_reports_location():
-    table = find_violation(5, 2.3, t_max=60.0, num=80)
+    table = find_violation(5, 2.3, t_max=60.0)
     payload = json.loads(table.to_json())
     assert payload["passed"] is True
     assert payload["violation_margin"] < 0.0
@@ -95,7 +95,7 @@ def test_violation_near_zero_is_recertified(monkeypatch, precise_margin):
         return precise_margin if precise else -5e-13
 
     monkeypatch.setattr(geometry, "radial_margin_scaled", margin)
-    table = find_violation(3, 2.78, t_max=60.0, num=20)
+    table = find_violation(3, 2.78, t_max=60.0)
     if precise_margin < 0.0:
         assert table.violation == (table.ts[0], precise_margin)
         assert table.passed and not table.inconclusive

@@ -249,31 +249,39 @@ def test_integrand_takes_one_panel_per_call(monkeypatch, a, b, points):
         assert vals[0] == pytest.approx(1.0, rel=1e-10)
 
 
+def _cube(x):
+    return x ** 3
+
+
+def _dcube(x):
+    return 3.0 * x * x
+
+
 def test_root_cubic():
-    t = find_root_increasing(lambda x: x ** 3, 27.0, (0.0, 10.0))
+    t = find_root_increasing(_cube, 27.0, (0.0, 10.0), _dcube)
     assert t == pytest.approx(3.0, rel=1e-12)
 
 
 def test_root_zero_target():
-    t = find_root_increasing(lambda x: x ** 3, 0.0, (-1.0, 1.0))
+    t = find_root_increasing(_cube, 0.0, (-1.0, 1.0), _dcube)
     assert abs(t) < 1e-10
 
 
 def test_root_tiny_target_stays_target_relative():
     # the stopping rule must scale with the target, not with max(target, 1)
-    t = find_root_increasing(lambda x: x ** 3, 1e-24, (0.0, 1.0))
+    t = find_root_increasing(_cube, 1e-24, (0.0, 1.0), _dcube)
     assert t == pytest.approx(1e-8, rel=1e-9)
 
 
 def test_root_bad_bracket():
     with pytest.raises(BracketError):
-        find_root_increasing(lambda x: x, 5.0, (0.0, 1.0))
+        find_root_increasing(lambda x: x, 5.0, (0.0, 1.0), lambda x: 1.0)
 
 
 def test_root_unconverged_raises():
     # two iterations cannot reach 1e-13; the last iterate rides on the error
     with pytest.raises(ConvergenceError) as info:
-        find_root_increasing(lambda x: x ** 3, 27.0, (0.0, 10.0), max_iter=2)
+        find_root_increasing(_cube, 27.0, (0.0, 10.0), _dcube, max_iter=2)
     assert 0.0 < info.value.partial < 10.0
 
 
@@ -284,14 +292,13 @@ def test_root_starting_point():
         calls.append(x)
         return x ** 3
 
-    df = lambda x: 3.0 * x * x
-    t = find_root_increasing(f, 27.0, (0.0, 10.0), df=df, x0=3.01)
+    t = find_root_increasing(f, 27.0, (0.0, 10.0), _dcube, x0=3.01)
     assert t == pytest.approx(3.0, rel=1e-12)
     assert calls[2] == 3.01  # after the two bracket ends
     seeded = len(calls)
     calls.clear()
     # a starting point outside the bracket falls back to the midpoint
-    find_root_increasing(f, 27.0, (0.0, 10.0), df=df, x0=11.0)
+    find_root_increasing(f, 27.0, (0.0, 10.0), _dcube, x0=11.0)
     assert calls[2] == 5.0
     assert seeded < len(calls)
 
@@ -303,15 +310,16 @@ def test_root_known_ends_are_not_evaluated():
         calls.append(x)
         return x ** 3
 
-    ref = find_root_increasing(f, 27.0, (0.0, 10.0), x0=3.01)
+    ref = find_root_increasing(f, 27.0, (0.0, 10.0), _dcube, x0=3.01)
     assert calls[:2] == [0.0, 10.0]
     n_ref = len(calls)
     calls.clear()
-    t = find_root_increasing(f, 27.0, (0.0, 10.0), x0=3.01, ends=(0.0, 1000.0))
+    t = find_root_increasing(f, 27.0, (0.0, 10.0), _dcube, x0=3.01,
+                             ends=(0.0, 1000.0))
     assert t == ref
     assert calls[0] == 3.01 and len(calls) == n_ref - 2
     with pytest.raises(BracketError):
-        find_root_increasing(f, 27.0, (0.0, 10.0), ends=(0.0, 8.0))
+        find_root_increasing(f, 27.0, (0.0, 10.0), _dcube, ends=(0.0, 8.0))
 
 
 @settings(max_examples=25, deadline=None)
@@ -319,6 +327,7 @@ def test_root_known_ends_are_not_evaluated():
        st.floats(min_value=0.1, max_value=3.0))
 def test_root_roundtrip_random_monotone(shift, slope):
     f = lambda x: slope * (x - shift) + 0.05 * (x - shift) ** 3
+    df = lambda x: slope + 0.15 * (x - shift) ** 2
     target = 1.3
-    t = find_root_increasing(f, target, (shift - 50.0, shift + 50.0))
+    t = find_root_increasing(f, target, (shift - 50.0, shift + 50.0), df)
     assert f(t) == pytest.approx(target, abs=1e-9)

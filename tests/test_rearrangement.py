@@ -199,11 +199,16 @@ def test_polya_szego():
 
 
 def _reference_level(f, s):
-    """v(s) by a plain root find over the full level range, without the
-    grid bracket or the coarea slope."""
-    fmax = f.sup_value
-    return find_root_increasing(lambda tau: -distribution_function(f, tau), -s,
-                                (fmax * 1e-30, fmax))
+    """v(s) by bisection in log tau over the full level range, without the
+    grid bracket, the coarea slope or a Newton step."""
+    lo, hi = math.log(f.sup_value * 1e-30), math.log(f.sup_value)
+    for _ in range(60):  # halves the width 69 to below the rounding of log tau
+        mid = 0.5 * (lo + hi)
+        if distribution_function(f, math.exp(mid)) > s:
+            lo = mid
+        else:
+            hi = mid
+    return math.exp(0.5 * (lo + hi))
 
 
 def test_closure_matches_reference_solve():
@@ -618,7 +623,9 @@ def _s_space(v, n, p, qs):
         return pref * integral(f)
 
     def kernel(s):
-        return abs(v.derivative(s)) ** p * geometry.kernel_gap(n, p, s / sigma)
+        q = p * (n - 1)
+        return abs(v.derivative(s)) ** p * (
+            geometry.sinh_phi_inv(n, s / sigma) ** q - (s / sigma) ** (q / n))
 
     def entropy(s):
         val = v(s)

@@ -120,14 +120,12 @@ def test_key_comparison_sweep():
 
 
 def test_minimizer_respects_lower_bound():
-    res = minimize_ratio("poincare_sobolev", N, P, lam0=0.05, T0=1.0,
-                         max_iter=25)
+    res = minimize_ratio("poincare_sobolev", N, P, T0=1.0, max_iter=25)
     assert res.best_ratio > res.target_constant * (1.0 - 1e-9)
     assert res.gap < 0.05 * res.target_constant
     assert res.converged
     # deterministic: identical call, identical trace
-    res2 = minimize_ratio("poincare_sobolev", N, P, lam0=0.05, T0=1.0,
-                          max_iter=25)
+    res2 = minimize_ratio("poincare_sobolev", N, P, T0=1.0, max_iter=25)
     assert res.trace == res2.trace
     assert res.trace_csv().startswith("iteration,lambda,T,ratio,gap")
 
@@ -145,8 +143,8 @@ def test_bubble_critical_mass_scales_with_measure():
     # in the measure variable a dilation multiplies the critical integral
     # by lambda^n
     pstar = N * P / (N - P)
-    a, _ = lp_integral(untruncated_bubble(N, P, 1.0, s_max=1e8), pstar)
-    b, _ = lp_integral(untruncated_bubble(N, P, 0.1, s_max=1e8), pstar)
+    a, _ = lp_integral(untruncated_bubble(N, P, 1.0), pstar)
+    b, _ = lp_integral(untruncated_bubble(N, P, 0.1), pstar)
     assert a == pytest.approx(b * 10.0 ** N, rel=1e-6)
 
 
