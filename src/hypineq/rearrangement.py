@@ -12,6 +12,11 @@ of any other closure in geodesic radius t through s = sigma phi(t),
 ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile in s.  Only
 hardy_term_bound integrates a closure in s.  A closure profile keeps, per
 n, what the pass in t computes at each panel's nodes (RadialProfile).
+
+The pass over the level solves the 15 levels of a panel together, each
+piece's crossings in level order, each bracketed and started from the
+radius its neighbour found: a continuation in the level (Allgower and
+Georg, Numerical Continuation Methods, 1990).
 """
 
 from __future__ import annotations
@@ -256,59 +261,119 @@ class RadialFunction:
         return max(0.0, *itertools.chain.from_iterable(self.ends))
 
 
-def _piece_root(pc: Piece, t: float, va: float, vb: float) -> Optional[float]:
-    """Radius where a monotone piece with end values va, vb on either side
-    of t crosses level t; None when an unbounded piece is still above t
-    at radius 1e6.  Newton on the piece's derivative, from the regula
-    falsi point of the bracket, whose end values are known."""
-    a, b = pc.a, pc.b
-    if math.isinf(b):
+def _piece_roots(pc: Piece, va: float, vb: float,
+                 levels: Sequence[float]) -> List[float]:
+    """Radii where a monotone piece with end values va, vb crosses each
+    level, for levels in [min(va, vb), max(va, vb)) ordered so that their
+    radii increase; short from the first level an unbounded piece is
+    still above at radius 1e6.
+
+    One Newton solve on the piece's derivative per level, in a bracket
+    whose end values are known, so no radius is evaluated twice.  The
+    first level takes the piece's bracket [a, b] from its regula falsi
+    point.  An unbounded piece marches b out from max(a + 1, 1), doubling
+    its distance from a, to the first radius below the level; past its
+    first radius the bracket lies in the tail, and the start is the
+    regula falsi point in log level, exact on an exponential tail.  Each
+    later level marches on from there, is bracketed below by the radius
+    just found unless that radius is past the level (levels closer than
+    the root tolerance), and starts from the secant through the last two
+    (level, radius) pairs, the first being (va, a); in log level on an
+    unbounded piece.
+    """
+    up, unbounded = vb > va, math.isinf(pc.b)
+    fn, dfn = pc.fn, pc.dfn
+    last = 0.0
+
+    def g(r):  # the increasing side of the piece: fn rising, else -fn
+        nonlocal last
+        last = float(fn(r)) if up else -float(fn(r))
+        return last
+
+    dg = dfn if up else (lambda r: -float(dfn(r)))
+    a, ga = pc.a, va if up else -va  # the bracket's lower end and g there
+    if unbounded:
         b = max(a + 1.0, 1.0)
-        while (vb := float(pc.fn(b))) > t:
-            a, va = b, vb
+        gb = -float(fn(b))
+    else:
+        b, gb = pc.b, vb if up else -vb
+    y0 = r0 = None
+    y1, r1 = math.log(va) if unbounded else va, a
+    roots = []
+    for t in levels:
+        target = t if up else -t
+        while -gb > t:  # the march, on an unbounded piece
+            a, ga = b, gb
             b += max(1.0, b - pc.a)
             if b > 1e6:
-                return None
-    x0 = a + (b - a) * (va - t) / (va - vb)
-    if vb > va:
-        return quadrature.find_root_increasing(pc.fn, t, (a, b), df=pc.dfn, x0=x0,
-                                               ends=(va, vb))
-    return quadrature.find_root_increasing(
-        lambda r: -float(pc.fn(r)), -t, (a, b), x0=x0,
-        df=lambda r: -float(pc.dfn(r)), ends=(-va, -vb))
+                return roots
+            gb = -float(fn(b))
+        lo, glo = a, ga
+        if roots and r1 > a and gc <= target:
+            lo, glo = r1, gc
+        y = math.log(t) if unbounded else t
+        start = math.nan
+        if y0 is not None and y1 != y0:
+            start = r1 + (r1 - r0) * (y - y1) / (y1 - y0)
+        if not lo < start < b and glo < target < gb:
+            start = (lo + (b - lo) * math.log(-glo / t) / math.log(glo / gb)
+                     if a > pc.a and gb < 0.0 else
+                     lo + (b - lo) * (glo - target) / (glo - gb))
+        c = quadrature.find_root_increasing(g, target, (lo, b), df=dg, x0=start,
+                                            ends=(glo, gb))
+        gc = glo if c == lo else gb if c == b else last
+        roots.append(c)
+        y0, r0, y1, r1 = y1, r1, y, c
+    return roots
 
 
-def _level_set(f: RadialFunction, t: float) -> Tuple[float, float]:
-    """(mu(t), -mu'(t)) for the distribution function mu of f, in one pass
-    over the pieces.
+def _level_sets(f: RadialFunction, taus: Sequence[float]) -> List[Tuple[float, float]]:
+    """(mu(t), -mu'(t)) at each level t of taus, for the distribution
+    function mu of f: the 15 levels of a panel of the level pass, or one.
 
     mu(t) is the volume of {|u| > t}; by the coarea formula -mu'(t) is
     n sigma times the sum of sinh(r)^(n-1) / |f'(r)| over the radii r > 0
     where f crosses t (inf where f' vanishes at a crossing, 0 on a level f
-    never crosses).
+    never crosses).  A piece adds one phi(b) - phi(a) to each level below
+    it, and solves the levels it crosses in level order (_piece_roots)
+    with one phi at its fixed end; each level sums the pieces in order.
     """
     n = f.n
-    total = 0.0
-    area = 0.0
+    order = sorted(range(len(taus)), key=taus.__getitem__)
+    levels = [taus[i] for i in order]
+    totals, areas = [0.0] * len(taus), [0.0] * len(taus)
     for pc, (va, vb) in zip(f.pieces, f.ends):
-        if va <= t and vb <= t:
-            continue
-        if va > t and vb > t:
+        up = vb > va
+        low, high = (va, vb) if up else (vb, va)
+        i = bisect.bisect_left(levels, low)
+        j = bisect.bisect_left(levels, high, i)
+        if i:
             if math.isinf(pc.b):
                 raise DomainError("superlevel set has infinite volume")
-            c, lo, hi = None, pc.a, pc.b
-        else:
-            c = _piece_root(pc, t, va, vb)
-            if c is None:
-                raise DomainError("superlevel set appears unbounded")
-            lo, hi = (c, pc.b) if vb > va else (pc.a, c)
-        total += geometry.phi(n, hi) - geometry.phi(n, lo)
-        # after phi, which raises before sinh(c) ** (n - 1) could overflow
-        if c is not None and c > 0.0 and min(va, vb) < t:
-            slope = abs(float(pc.dfn(c)))
-            area += math.sinh(c) ** (n - 1) / slope if slope > 0.0 else math.inf
+            whole = geometry.phi(n, pc.b) - geometry.phi(n, pc.a)
+            for k in order[:i]:
+                totals[k] += whole
+        if i == j:
+            continue
+        ks = order[i:j] if up else order[i:j][::-1]
+        roots = _piece_roots(pc, va, vb, [taus[k] for k in ks])
+        if len(roots) < len(ks):
+            raise DomainError("superlevel set appears unbounded")
+        fixed = geometry.phi(n, pc.b if up else pc.a)
+        for k, c in zip(ks, roots):
+            totals[k] += fixed - geometry.phi(n, c) if up else geometry.phi(n, c) - fixed
+            # after phi, which raises before sinh(c) ** (n - 1) could overflow
+            if c > 0.0 and low < taus[k]:
+                slope = abs(float(pc.dfn(c)))
+                areas[k] += math.sinh(c) ** (n - 1) / slope if slope > 0.0 else math.inf
     sigma = unit_ball_volume(n)
-    return sigma * total, n * sigma * area
+    return [(sigma * total, n * sigma * area) for total, area in zip(totals, areas)]
+
+
+def _level_set(f: RadialFunction, t: float) -> Tuple[float, float]:
+    """(mu(t), -mu'(t)) at one level t: the one-level case of the
+    level-ordered panel solve _level_sets."""
+    return _level_sets(f, (t,))[0]
 
 
 def distribution_function(f: RadialFunction, t: float) -> float:
@@ -697,8 +762,9 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
 def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
                      grads: Sequence[str], entropy: bool) -> List[Tuple[float, float]]:
     """radial_integrals of a rearrangement of f = v.source, over the level
-    tau in (0, fmax).  One _level_set per node gives mu(tau) and |mu'(tau)|
-    in f's own dimension; the weights are those of dimension n.  With
+    tau in (0, fmax).  One _level_sets per panel gives mu(tau) and
+    |mu'(tau)| at its 15 nodes in f's own dimension, solving each piece's
+    crossings in level order; the weights are those of dimension n.  With
     x = mu / sigma, the gradients are (n sigma)^p |mu'|^(1-p) times
     sinh(phi_inv(x))^(p(n-1)), x^(p(n-1)/n) or their difference; each mass
     is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
@@ -720,8 +786,8 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     c_hyp, c_euc = p * (n - 1), p * (n - 1) / n
     log, exp = math.log, math.exp
 
-    def g(tau):
-        mu, d = _level_set(f, tau)
+    def g(tau, level):
+        mu, d = level
         if not mu > 0.0:
             return zeros
         out = []
@@ -746,8 +812,8 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
 
     breaks = [*itertools.chain.from_iterable(f.ends),
               *(x for x in v.values if x <= 0.5 * fmax)]
-    vals, errs = quadrature.integrate_vector(lambda taus: zip(*map(g, taus)),
-                                             0.0, fmax, breaks)
+    vals, errs = quadrature.integrate_vector(
+        lambda taus: zip(*map(g, taus, _level_sets(f, taus))), 0.0, fmax, breaks)
     return list(zip(vals, errs))
 
 

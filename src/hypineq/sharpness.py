@@ -69,13 +69,21 @@ def _bubble(n: int, p: float, lam: float):
     e = p / ((p - 1.0) * n)
     ex = (n - p) / p
 
+    # where z = (s / scale)^e overflows, 1 + z is z in double precision
+    # and the values are taken from log z
     def fn(s):
-        return (1.0 + (s / scale) ** e) ** (-ex)
+        try:
+            return (1.0 + (s / scale) ** e) ** (-ex)
+        except OverflowError:
+            return math.exp(-ex * e * math.log(s / scale))
 
     def dfn(s):
         if s <= 0.0:
             return 0.0
-        z = (s / scale) ** e
+        try:
+            z = (s / scale) ** e
+        except OverflowError:
+            return -ex * e * fn(s) / s
         return -ex * (1.0 + z) ** (-ex - 1.0) * e * z / s
 
     return fn, dfn, scale, e * ex

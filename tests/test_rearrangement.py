@@ -389,20 +389,95 @@ def test_level_set_evaluates_no_piece_end_twice():
     assert total <= 210
 
 
-def test_level_pass_level_set_calls(monkeypatch):
-    # one _level_set per quadrature node in the level (the closure path
-    # made 7,088 for the same norm)
-    v = _rearranged(_bump_function(3))
-    passes = [0]
-    level_set = rearrangement._level_set
+def _panel_levels(lo, hi):
+    """The 15 nodes of a GK15 panel on [lo, hi], in quadrature's order."""
+    c, h = 0.5 * (lo + hi), 0.5 * (hi - lo)
+    return [c] + [c + s * h * x for x in quadrature._XGK[:7] for s in (-1.0, 1.0)]
 
-    def counted_level_set(f, t):
-        passes[0] += 1
-        return level_set(f, t)
 
-    monkeypatch.setattr(rearrangement, "_level_set", counted_level_set)
+def test_panel_level_sets_match_lone_levels():
+    # a panel's levels are solved in level order, each bracketed by its
+    # neighbour's radius; every (mu, -mu') matches the level solved alone
+    plateau = RadialFunction(4, (
+        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
+        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
+        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
+              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
+    rise_decay = RadialFunction(4, (
+        Piece(0.0, 0.9, lambda r: 1.1 * r / 0.9, lambda r: 1.1 / 0.9),
+        Piece(0.9, math.inf, lambda r: 1.1 * math.exp(-4.6 * (r - 0.9)),
+              lambda r: -4.6 * 1.1 * math.exp(-4.6 * (r - 0.9)))))
+    panels = []
+    for n in (3, 4, 5):
+        # an interior panel, and one of the left-edge sweep near level 1e-77
+        f = _bump_function(n)
+        panels += [(f, _panel_levels(0.05, 0.95)),
+                   (f, [math.exp(y) for y in _panel_levels(-178.0, -176.0)])]
+    for f in (_shell_function(3), plateau, rise_decay):
+        top = f.sup_value
+        panels += [(f, [top * x for x in _panel_levels(0.0, 1.0)]),
+                   (f, [top * math.exp(y) for y in _panel_levels(-20.0, -18.0)])]
+        # the piece end values as levels, and two levels closer together
+        # than the root tolerance
+        taus = [top * x for x in _panel_levels(0.0, 1.0)]
+        ends = sorted({x for pair in f.ends for x in pair if x > 0.0})
+        taus[:len(ends)] = ends
+        taus[-1] = taus[-2] * (1.0 + 2e-14)
+        panels.append((f, taus))
+    # a level between the first level the shell's rising piece crosses
+    # and the piece's value at the radius found for it, which is then past
+    # the level (the other levels lie below the piece)
+    shell = _shell_function(3)
+    pc, (va, vb) = shell.pieces[0], shell.ends[0]
+    for t in (k / 1000.0 for k in range(201, 1000)):
+        (c,) = rearrangement._piece_roots(pc, va, vb, [t])
+        past = t + 0.5 * (pc.fn(c) - t)
+        if t < past < pc.fn(c):
+            panels.append((shell, _panel_levels(0.01, 0.19)[:13] + [past, t]))
+            break
+    assert len(panels) == 16
+    for f, taus in panels:
+        assert len(taus) == 15
+        for t, got in zip(taus, rearrangement._level_sets(f, taus)):
+            want = rearrangement._level_set(f, t)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0), (f.n, t)
+
+
+def test_level_pass_piece_evaluations():
+    # a ratchet on the evaluations of f's pieces over one norm in the level
+    # (10,221 when each level was solved alone, 2,002 in level order)
+    calls = [0]
+
+    def counted(g):
+        def h(r):
+            calls[0] += 1
+            return g(r)
+        return h
+
+    bump = _bump_function(3)
+    v = _rearranged(RadialFunction(3, [Piece(pc.a, pc.b, counted(pc.fn), pc.dfn)
+                                       for pc in bump.pieces]))
+    calls[0] = 0
     lp_norm(v, 2.0)
-    assert 0 < passes[0] <= 1000
+    assert 0 < calls[0] <= 2050
+
+
+def test_level_pass_level_set_calls(monkeypatch):
+    # one level per quadrature node in the level, the 15 of a panel in one
+    # _level_sets call (the closure path made 7,088 _level_set calls for
+    # the same norm)
+    v = _rearranged(_bump_function(3))
+    sizes = []
+    level_sets = rearrangement._level_sets
+
+    def counted_level_sets(f, taus):
+        sizes.append(len(taus))
+        return level_sets(f, taus)
+
+    monkeypatch.setattr(rearrangement, "_level_sets", counted_level_sets)
+    lp_norm(v, 2.0)
+    assert set(sizes) == {15}
+    assert 0 < sum(sizes) <= 1000
 
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (4, 8.0 / 3.0), (2, 2.0)])

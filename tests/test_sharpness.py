@@ -1,5 +1,6 @@
 import math
 
+import mpmath as mp
 import pytest
 
 from hypineq import constants, verifier
@@ -174,3 +175,20 @@ def test_bubble_scale_near_the_smallest_normal_double():
     assert target < ratio(truncated_bubble(N, P, 1e-76, 1.0)) < 1.01 * target
     with pytest.raises(DomainError, match="underflows"):
         truncated_bubble(N, P, 1e-77, 1.0)
+
+
+@pytest.mark.parametrize("n,p,lam", [(2, 1.96, 1.78e-150), (5, 1.1, 1e-60)])
+def test_untruncated_bubble_where_its_power_overflows(n, p, lam):
+    # (s / scale)^e overflows at the grid top s = 1e6, where the bubble is
+    # about 4.4e-7 at (2, 1.96) and below the smallest double at (5, 1.1);
+    # there 1 + z is z, and v and v' come from log z
+    v = untruncated_bubble(n, p, lam)
+    scale = constants.unit_ball_volume(n) * lam ** n
+    e, ex = p / ((p - 1.0) * n), (n - p) / p
+    with mp.workdps(30):
+        for s in (v.nodes[-1], 0.5 * v.nodes[-1]):
+            z = (mp.mpf(s) / scale) ** e
+            assert v(s) == pytest.approx(float((1 + z) ** -ex), rel=1e-12, abs=0.0)
+            assert v.derivative(s) == pytest.approx(
+                float(-ex * (1 + z) ** (-ex - 1) * e * z / s), rel=1e-12, abs=0.0)
+    assert all(map(math.isfinite, v.values))
