@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from functools import lru_cache
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from .constants import boundary_exponent, check_dimension, unit_ball_volume
 from .errors import DomainError
@@ -29,6 +29,7 @@ __all__ = [
     "phi_quadrature",
     "phi_deriv",
     "phi_inv",
+    "phi_inv_ordered",
     "sinh_phi_inv",
     "radial_margin",
     "radial_margin_scaled",
@@ -220,6 +221,43 @@ def phi_inv(n: int, s: float) -> float:
     return find_root_increasing(lambda t: phi(n, t), s, (0.0, hi),
                                 df=lambda t: phi_deriv(n, t), x0=x0,
                                 ends=(0.0, phi_hi))
+
+
+# Newton from a neighbour's radius takes about log(x_above / x) steps before
+# it converges, phi_inv about five phi in all; past this ratio x takes phi_inv
+_ORDERED_RATIO = 20.0
+
+
+def phi_inv_ordered(n: int, xs: Sequence[float]) -> List[float]:
+    """[phi_inv(n, x) for x in xs], solved from the largest volume down.
+
+    The largest takes phi_inv.  Each other volume x takes Newton from the
+    radius t_above of the volume x_above solved just before it, on the
+    bracket (0, t_above) whose end values 0 and x_above are known, so no
+    phi is evaluated at either end.  phi is convex, so Newton from the
+    right never leaves the bracket.  A volume equal to x_above takes
+    t_above, and one more than _ORDERED_RATIO below it takes phi_inv;
+    n = 2 is closed-form.
+    """
+    if n == 2:
+        return [phi_inv(n, x) for x in xs]
+    out = [0.0] * len(xs)
+    t_above = x_above = None
+    for i in sorted(range(len(xs)), key=xs.__getitem__, reverse=True):
+        x = xs[i]
+        if x_above is None or x * _ORDERED_RATIO < x_above:
+            t = phi_inv(n, x)
+        elif x == x_above:
+            t = t_above
+        else:
+            x0 = t_above - (x_above - x) / phi_deriv(n, t_above)
+            # a step below half an ulp of t_above leaves t_above the root
+            t = find_root_increasing(lambda u: phi(n, u), x, (0.0, t_above),
+                                     df=lambda u: phi_deriv(n, u), x0=x0,
+                                     ends=(0.0, x_above)) if x0 < t_above else t_above
+        out[i] = t
+        t_above, x_above = t, x
+    return out
 
 
 def sinh_phi_inv(n: int, s: float) -> float:

@@ -16,7 +16,11 @@ n, what the pass in t computes at each panel's nodes (RadialProfile).
 The pass over the level solves the 15 levels of a panel together, each
 piece's crossings in level order, each bracketed and started from the
 radius its neighbour found: a continuation in the level (Allgower and
-Georg, Numerical Continuation Methods, 1990).
+Georg, Numerical Continuation Methods, 1990).  The same holds for the two
+other solves on this path: the grid's node solves run in lockstep, each
+round's levels in one level-ordered solve, and a panel's hyperbolic
+weights invert phi from its largest volume down, each radius by Newton
+from the one above it (geometry.phi_inv_ordered).
 """
 
 from __future__ import annotations
@@ -383,6 +387,46 @@ def distribution_function(f: RadialFunction, t: float) -> float:
     return _level_set(f, t)[0]
 
 
+def _node_levels(f: RadialFunction, grid: Sequence[float], bottom: Tuple[float, float],
+                 top: Tuple[float, float]) -> List[Tuple[float, float]]:
+    """(v(s), mu(v(s))) at each volume s of grid, bottom = (eps, mu(eps))
+    for an s at or past mu(eps) and top = (fmax, 0) for s = 0.
+
+    Each node is the root of mu(tau) = s by find_root_increasing's
+    safeguarded Newton on the coarea slope -mu'(tau), on the whole bracket
+    (eps, fmax) from its regula falsi point; the nodes run in lockstep,
+    every round solving the levels of all unconverged nodes in one
+    level-ordered _level_sets call.  Raises ConvergenceError, carrying the
+    last iterate of the first node left, when the iterations run out.
+    """
+    (eps, m_eps), (fmax, _) = bottom, top
+    out = [bottom] * len(grid)
+    solves = {}  # node -> [iterate, bracket lo, bracket hi, residual tolerance]
+    for k, s in enumerate(grid):
+        if s < m_eps:
+            t, f_tol = quadrature._newton_start(
+                -s, eps, fmax, -m_eps, -0.0, eps + (fmax - eps) * (m_eps - s) / m_eps)
+            if f_tol is None:
+                out[k] = top
+            else:
+                solves[k] = [t, eps, fmax, f_tol]
+    for _ in range(quadrature._ROOT_MAX_ITER):
+        if not solves:
+            break
+        for k, (mu, d) in zip(list(solves), _level_sets(f, [x[0] for x in solves.values()])):
+            t, lo, hi, f_tol = solves[k]
+            step = quadrature._newton_step(t, grid[k] - mu, lo, hi, f_tol, lambda _: d)
+            if step is None:
+                out[k] = t, mu
+                del solves[k]
+            else:
+                solves[k][:3] = step
+    if solves:
+        k, (t, lo, hi, _) = next(iter(solves.items()))
+        raise quadrature._unconverged(-grid[k], quadrature._ROOT_MAX_ITER, lo, hi, t)
+    return out
+
+
 def decreasing_rearrangement(f: RadialFunction,
                              grid: Sequence[float]) -> RadialProfile:
     """Sample the decreasing rearrangement of f on the given volume grid.
@@ -390,11 +434,13 @@ def decreasing_rearrangement(f: RadialFunction,
     v(s) = sup of the levels whose superlevel volume exceeds s: the root
     of the non-increasing distribution function mu(tau) = s.  It is found
     by safeguarded Newton on the coarea slope -mu'(tau) (bisection
-    wherever the slope is 0 or infinite, so plateaus and jumps stay safe),
-    bracketed by the levels of the grid nodes around s.  The solver and
-    its coarea derivative are attached as the profile's analytic closure
-    for pointwise values, and f as its source: norms of the result are
-    integrals over the level (radial_integrals), which need no solve.
+    wherever the slope is 0 or infinite, so plateaus and jumps stay safe).
+    The grid's nodes are solved in lockstep on the whole level range
+    (_node_levels), and the (level, mu) each ends with brackets every later
+    solve: the solver, bracketed by the levels of the grid nodes around s,
+    and its coarea derivative are attached as the profile's analytic
+    closure for pointwise values, and f as its source: norms of the result
+    are integrals over the level (radial_integrals), which need no solve.
 
     The tail is inferred: compact at the last node if the samples hit
     zero, otherwise a power law fitted on a wide log-log baseline (used
@@ -411,7 +457,9 @@ def decreasing_rearrangement(f: RadialFunction,
     level = functools.lru_cache(maxsize=1)(lambda tau: _level_set(f, tau))
     # no piece exceeds fmax, so mu(fmax) = 0
     top, bottom = (fmax, 0.0), (eps, level(eps)[0])
-    ends = []  # (level, mu) at every node, once sampled; until then (eps, fmax)
+    # (level, mu) at every node; the running minimum kills root-tolerance jitter
+    ends = list(itertools.accumulate(_node_levels(f, grid, bottom, top), min))
+    vals = [0.0 if tau == eps else tau for tau, _ in ends]
 
     def v_of(s: float) -> float:
         if s < 0.0:
@@ -422,7 +470,7 @@ def decreasing_rearrangement(f: RadialFunction,
         # those are exact only to the root tolerance, so widen outward
         # while an end does not straddle s, ending at fmax and eps
         i = bisect.bisect_right(grid, s) - 1
-        hi, lo = min(i, len(ends) - 1), i + 1
+        hi, lo = i, i + 1
         while hi >= 0 and ends[hi][1] > s:
             hi -= 1
         while lo < len(ends) and ends[lo][1] < s:
@@ -434,9 +482,6 @@ def decreasing_rearrangement(f: RadialFunction,
             lambda tau: -level(tau)[0], -s, (t_lo, t_hi), df=lambda tau: level(tau)[1],
             x0=x0, ends=(-m_lo, -m_hi))
 
-    # running minimum: kill root-tolerance jitter
-    vals = list(itertools.accumulate((v_of(s) for s in grid), min))
-    ends += [(tau, level(tau)[0]) for tau in (max(val, eps) for val in vals)]
     # an integrand asks for v'(s) and then v(s) at the same s: one solve
     solve = functools.lru_cache(maxsize=1)(v_of)
 
@@ -766,7 +811,8 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     |mu'(tau)| at its 15 nodes in f's own dimension, solving each piece's
     crossings in level order; the weights are those of dimension n.  With
     x = mu / sigma, the gradients are (n sigma)^p |mu'|^(1-p) times
-    sinh(phi_inv(x))^(p(n-1)), x^(p(n-1)/n) or their difference; each mass
+    sinh(phi_inv(x))^(p(n-1)), x^(p(n-1)/n) or their difference, a panel's
+    radii phi_inv(x) inverted together (geometry.phi_inv_ordered); each mass
     is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
     mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
     weight.  Breakpoints are the piece end values of f and the node values
@@ -786,7 +832,7 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     c_hyp, c_euc = p * (n - 1), p * (n - 1) / n
     log, exp = math.log, math.exp
 
-    def g(tau, level):
+    def g(tau, level, t):
         mu, d = level
         if not mu > 0.0:
             return zeros
@@ -794,11 +840,10 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
         if grads:
             comps = dict.fromkeys(grads, 0.0)
             if 0.0 < d < math.inf:
-                x = mu / sigma
                 lg = lpref + (1.0 - p) * log(d)
-                le = lg + c_euc * log(x)
+                le = lg + c_euc * log(mu / sigma)
                 # the Euclidean weight is the smaller one: le <= lh
-                lh = lg + c_hyp * geometry.log_sinh(geometry.phi_inv(n, x)) if need_h else le
+                lh = lg + c_hyp * geometry.log_sinh(t) if need_h else le
                 if lh > 700.0:
                     raise DomainError("gradient integrand overflows; looks divergent")
                 comps.update(hyperbolic=exp(lh), euclidean=exp(le),
@@ -810,10 +855,17 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
             out.append(p * exp((p - 1.0) * lt) * (p * lt + 1.0) * mu)
         return out
 
+    def panel(taus):
+        levels = _level_sets(f, taus)
+        # the radius phi_inv(mu / sigma) wherever a hyperbolic weight needs one
+        radii = geometry.phi_inv_ordered(n, [
+            mu / sigma if mu > 0.0 and 0.0 < d < math.inf else 0.0
+            for mu, d in levels]) if need_h else itertools.repeat(None)
+        return zip(*map(g, taus, levels, radii))
+
     breaks = [*itertools.chain.from_iterable(f.ends),
               *(x for x in v.values if x <= 0.5 * fmax)]
-    vals, errs = quadrature.integrate_vector(
-        lambda taus: zip(*map(g, taus, _level_sets(f, taus))), 0.0, fmax, breaks)
+    vals, errs = quadrature.integrate_vector(panel, 0.0, fmax, breaks)
     return list(zip(vals, errs))
 
 

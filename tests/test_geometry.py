@@ -146,6 +146,37 @@ def test_inverse_volume_map_first_bracket_reaches_s():
             G.phi_inv(n, top * (1.0 + 1e-12))
 
 
+def test_ordered_phi_inv_matches_phi_inv():
+    # shuffled clusters of volumes, each within e^1.8 below its centre like
+    # the volumes of one panel of the level pass, centres from 1e-300 to
+    # phi's overflow edge, each centre twice and once an ulp below.  Both
+    # solves stop on find_root_increasing's test, which leaves each up to
+    # 3e-14 relative off the exact radius (mpmath; phi_inv at the edge
+    # stops on its bracket 2.8e-14 off), so they may differ by twice that
+    rng = np.random.default_rng(5)
+    worst = 0.0
+    for n in range(2, 7):
+        edge = 700.0 / (n - 1)
+        if (n - 1) * edge > 700.0:
+            edge = math.nextafter(edge, 0.0)
+        top = G.phi(n, edge)
+        # 600 decades apart: Newton from the larger volume's radius would
+        # take about ln(1e600) = 1,400 steps, so the smaller takes phi_inv
+        assert G.phi_inv_ordered(n, [1e-300, top]) == [G.phi_inv(n, 1e-300),
+                                                       G.phi_inv(n, top)]
+        xs = [0.0]
+        for c in np.geomspace(1e-300, top, 40):
+            c = float(c)
+            xs += [c, c, math.nextafter(c, 0.0)]
+            xs += [float(x) for x in c * np.exp(rng.uniform(-1.8, 0.0, 12))]
+        rng.shuffle(xs)
+        for x, t in zip(xs, G.phi_inv_ordered(n, xs)):
+            want = G.phi_inv(n, x)
+            assert abs(t - want) <= quadrature._ROOT_REL_TOL * want, (n, x, t, want)
+            worst = max(worst, abs(t - want) / want if x else t)
+    print(f"worst miss {worst:.2e} relative")
+
+
 def test_volume_map_derivative():
     for n in (2, 3, 5):
         for t in (0.1, 1.0, 8.0):

@@ -1,5 +1,6 @@
 import dataclasses
 import functools
+import itertools
 import math
 import os
 import random
@@ -57,6 +58,42 @@ def _shell_function(n=3):
               lambda r: 1.6 * (1.0 - r / r1) / r1),
         Piece(r1, math.inf, lambda r: math.exp(-3.0 * (r - r1) ** 2),
               lambda r: -6.0 * (r - r1) * math.exp(-3.0 * (r - r1) ** 2))))
+
+
+def _plateau_function(n=4):
+    """Radial function rising linearly from 0.3, flat at 1 on the annulus
+    0.5 < r < 1, then decaying exponentially."""
+    return RadialFunction(n, (
+        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
+        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
+        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
+              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
+
+
+def _rise_decay_function(n=4):
+    """Radial function rising linearly to 1.1 at radius 0.9, then decaying
+    exponentially."""
+    return RadialFunction(n, (
+        Piece(0.0, 0.9, lambda r: 1.1 * r / 0.9, lambda r: 1.1 / 0.9),
+        Piece(0.9, math.inf, lambda r: 1.1 * math.exp(-4.6 * (r - 0.9)),
+              lambda r: -4.6 * 1.1 * math.exp(-4.6 * (r - 0.9)))))
+
+
+# (a, A, r1, w) of _compact_shell_function
+_COMPACT_SHELL = (0.2, 1.0, 0.75, 0.7)
+
+
+def _compact_shell_function(n=2):
+    """Radial function rising from a at the centre to A at radius r1, then
+    falling as A (1 - x^2)^2, x = (r - r1) / w, to 0 at r1 + w, where it
+    ends flat; its crossing radii are closed-form."""
+    a, A, r1, w = _COMPACT_SHELL
+    return RadialFunction(n, (
+        Piece(0.0, r1, lambda r: a + (A - a) * (r / r1) ** 2,
+              lambda r: 2.0 * (A - a) * r / r1 ** 2),
+        Piece(r1, r1 + w, lambda r: A * (1.0 - ((r - r1) / w) ** 2) ** 2,
+              lambda r: -4.0 * A * (1.0 - ((r - r1) / w) ** 2) * (r - r1) / w ** 2),
+        Piece(r1 + w, math.inf, lambda r: 0.0, lambda r: 0.0)))
 
 
 def _rearranged(f, num=80):
@@ -241,6 +278,121 @@ def test_shell_rearrangement_at_n6():
             assert v(s) == pytest.approx(_reference_level(f, s), rel=1e-12), (num, s)
 
 
+def _lone_node(f, s, max_iter=200):
+    """v(s) solved alone, as each grid node was before the nodes ran in
+    lockstep: find_root_increasing on mu(tau) = s over (eps, fmax) from
+    the regula falsi point, one _level_set per iteration."""
+    fmax = f.sup_value
+    eps = fmax * 1e-30
+    m_eps = rearrangement._level_set(f, eps)[0]
+    if m_eps <= s:
+        return 0.0
+    return find_root_increasing(
+        lambda tau: -rearrangement._level_set(f, tau)[0], -s, (eps, fmax),
+        df=lambda tau: rearrangement._level_set(f, tau)[1], max_iter=max_iter,
+        x0=eps + (fmax - eps) * (m_eps - s) / m_eps, ends=(-m_eps, -0.0))
+
+
+def _compact_shell_level(n, s):
+    """(v(s), c) for _compact_shell_function(n): the level whose closed-form
+    crossing radii enclose volume s, bisected to the last bit, and the
+    radius c where it crosses the falling piece."""
+    a, A, r1, w = _COMPACT_SHELL
+    sigma = unit_ball_volume(n)
+
+    def outer(tau):
+        return r1 + w * math.sqrt(1.0 - math.sqrt(tau / A))
+
+    def mu(tau):
+        inner = geometry.phi(n, r1 * math.sqrt((tau - a) / (A - a))) if tau > a else 0.0
+        return sigma * (geometry.phi(n, outer(tau)) - inner)
+
+    lo, hi = 0.0, A
+    while lo < 0.5 * (lo + hi) < hi:
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if mu(mid) > s else (lo, mid)
+    return lo, outer(lo)
+
+
+def test_batched_nodes_match_lone_solves():
+    # the grid's nodes run in lockstep, each round's levels in one
+    # _level_sets call, and each node matches its lone solve.  Where the
+    # compact shell's falling piece ends flat, a crossing radius c is only
+    # good to the root tolerance, which moves the level by
+    # _ROOT_REL_TOL c |f'(c)| / f(c) relative (up to 8e-10 at the bottom
+    # node); there batch and lone solve differ by up to 2.4e-10, and the
+    # node is checked against the closed-form radii within that bound
+    a, A, r1, w = _COMPACT_SHELL
+    worst_lone = worst_flat = 0.0
+    cases = [(make(n), False) for n in (3, 4, 5) for make in (
+        _bump_function, _rise_decay_function, _plateau_function, _shell_function)]
+    cases += [(_compact_shell_function(n), True) for n in (2, 3, 4, 5)]
+    flat_nodes = 0
+    for f, compact in cases:
+        v = _rearranged(f, num=40)
+        lone = itertools.accumulate((_lone_node(f, s) for s in v.nodes), min)
+        for s, got, want in zip(v.nodes, v.values, lone):
+            bound = 0.0
+            if compact:
+                exact, c = _compact_shell_level(f.n, s)
+                x = (c - r1) / w
+                bound = quadrature._ROOT_REL_TOL * c * 4.0 * x / (w * (1.0 - x * x))
+            if bound > 1e-12:
+                flat_nodes += 1
+                assert abs(got - exact) <= bound * exact, (f.n, s, got, exact)
+                worst_flat = max(worst_flat, abs(got - exact) / (bound * exact))
+            else:
+                miss = abs(got - want) / want if want else got
+                assert miss <= 1e-12, (f.n, s, got, want)
+                worst_lone = max(worst_lone, miss)
+    assert flat_nodes == 6, flat_nodes
+    print(f"worst miss of a lone solve {worst_lone:.2e} relative; of a flat-end "
+          f"node, {worst_flat:.2f} of its bound")
+
+
+def test_node_solve_piece_evaluations():
+    # a ratchet on the evaluations of f's pieces over the grid's node
+    # solves, 14,528 in lockstep (34,100 when each node was solved alone,
+    # then once more for its level set)
+    calls = [0]
+
+    def counted(g):
+        def h(r):
+            calls[0] += 1
+            return g(r)
+        return h
+
+    total = 0
+    for f in (_bump_function(3), _shell_function(3)):
+        top = distribution_function(f, 1e-6)
+        grid = np.insert(np.geomspace(top * 1e-10, top, 80), 0, 0.0)
+        g = RadialFunction(3, [Piece(pc.a, pc.b, counted(pc.fn), pc.dfn) for pc in f.pieces])
+        calls[0] = 0
+        decreasing_rearrangement(g, grid)
+        total += calls[0]
+    assert 0 < total <= 14528
+
+
+def test_node_that_runs_out_of_iterations_raises(monkeypatch):
+    # the first node left unconverged when the iterations run out raises
+    # with its last iterate, the partial its lone solve reaches in as many
+    f = _bump_function(3)
+    top = distribution_function(f, 1e-6)
+    grid = np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)
+    lone = []
+    for s in grid:
+        try:
+            _lone_node(f, s, max_iter=3)
+        except ConvergenceError as exc:
+            lone.append((s, exc.partial))
+    s, partial = float(lone[0][0]), lone[0][1]
+    monkeypatch.setattr(quadrature, "_ROOT_MAX_ITER", 3)
+    with pytest.raises(ConvergenceError, match="did not converge in 3 iterations") as batch:
+        decreasing_rearrangement(f, grid)
+    assert str(batch.value).startswith(f"root find for target {-s!r} ")
+    assert batch.value.partial == pytest.approx(partial, rel=1e-12)
+
+
 def test_closure_is_pure():
     # the value at s does not depend on which values were asked for before
     v = _rearranged(_bump_function(3))
@@ -253,11 +405,7 @@ def test_closure_is_pure():
 
 def test_plateau_rearrangement():
     # f constant on an annulus leaves a flat stretch at the top of v
-    plateau = RadialFunction(4, (
-        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
-        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
-        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
-              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
+    plateau = _plateau_function(4)
     v = _rearranged(plateau, num=12)
     assert math.isfinite(lp_norm(v, 2.5))
     assert math.isfinite(grad_norm_hyperbolic(v, 4, 2.5)[0])
@@ -282,11 +430,7 @@ def test_plateau_rearrangement():
 def test_level_set_is_empty_at_the_maximum():
     # no piece exceeds sup_value, so mu(sup_value) = 0, which
     # decreasing_rearrangement takes as its top end without a solve
-    plateau = RadialFunction(4, (
-        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
-        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
-        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
-              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
+    plateau = _plateau_function(4)
     for f in (_bump_function(3), _shell_function(6), plateau):
         assert rearrangement._level_set(f, f.sup_value) == (0.0, 0.0)
 
@@ -296,11 +440,7 @@ def test_plateau_gradient_vanishes_on_the_flat_stretch():
     # v' = 0; the reference is the gradient integral in s with v' set to
     # 0 on that stretch [0, sigma (phi(1) - phi(0.5))]
     n, p = 4, 2.5
-    f = RadialFunction(n, (
-        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
-        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
-        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
-              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
+    f = _plateau_function(n)
     v = _rearranged(f, num=12)
     sigma = unit_ball_volume(n)
     flat = sigma * (geometry.phi(n, 1.0) - geometry.phi(n, 0.5))
@@ -398,15 +538,8 @@ def _panel_levels(lo, hi):
 def test_panel_level_sets_match_lone_levels():
     # a panel's levels are solved in level order, each bracketed by its
     # neighbour's radius; every (mu, -mu') matches the level solved alone
-    plateau = RadialFunction(4, (
-        Piece(0.0, 0.5, lambda r: 0.3 + 1.4 * r, lambda r: 1.4),
-        Piece(0.5, 1.0, lambda r: 1.0, lambda r: 0.0),
-        Piece(1.0, math.inf, lambda r: math.exp(-4.0 * (r - 1.0)),
-              lambda r: -4.0 * math.exp(-4.0 * (r - 1.0)))))
-    rise_decay = RadialFunction(4, (
-        Piece(0.0, 0.9, lambda r: 1.1 * r / 0.9, lambda r: 1.1 / 0.9),
-        Piece(0.9, math.inf, lambda r: 1.1 * math.exp(-4.6 * (r - 0.9)),
-              lambda r: -4.6 * 1.1 * math.exp(-4.6 * (r - 0.9)))))
+    plateau = _plateau_function(4)
+    rise_decay = _rise_decay_function(4)
     panels = []
     for n in (3, 4, 5):
         # an interior panel, and one of the left-edge sweep near level 1e-77
@@ -499,13 +632,8 @@ def test_level_pass_gradient_of_a_compact_shell():
     # the crossing radii of this shell are closed-form, so mpmath's
     # tanh-sinh rule gives the gradient integral in the level independently;
     # the closure path missed it by 9e-10, outside its 6e-11 bar
-    n, p, a, A, r1, w = 2, 2.3, 0.2, 1.0, 0.75, 0.7
-    shell = RadialFunction(n, (
-        Piece(0.0, r1, lambda r: a + (A - a) * (r / r1) ** 2,
-              lambda r: 2.0 * (A - a) * r / r1 ** 2),
-        Piece(r1, r1 + w, lambda r: A * (1.0 - ((r - r1) / w) ** 2) ** 2,
-              lambda r: -4.0 * A * (1.0 - ((r - r1) / w) ** 2) * (r - r1) / w ** 2),
-        Piece(r1 + w, math.inf, lambda r: 0.0, lambda r: 0.0)))
+    n, p, a, A, r1, w = 2, 2.3, *_COMPACT_SHELL
+    shell = _compact_shell_function(n)
     top = distribution_function(shell, 1e-6)
     v = decreasing_rearrangement(shell, np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0))
 
