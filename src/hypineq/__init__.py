@@ -44,7 +44,6 @@ from .sharpness import (
     SharpnessResult,
     lambda_sweep,
     minimize_ratio,
-    non_attainment_scan,
     truncated_bubble,
     untruncated_bubble,
 )

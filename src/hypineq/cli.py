@@ -72,12 +72,6 @@ def _list_of(kind: type, what: str):
     return parse
 
 
-def _check_tolerance(flag: str, x: float) -> None:
-    """Reject a tolerance flag that is not finite or is below 0."""
-    if not 0.0 <= x < math.inf:
-        raise DomainError(f"{flag} must be finite and >= 0, got {x!r}")
-
-
 def _add_common(sub: argparse.ArgumentParser, fmt: bool = True,
                 rel_tol: bool = False) -> None:
     sub.add_argument("--out", default=None, help="artifact directory "
@@ -134,11 +128,9 @@ def build_parser():
     sp.add_argument("--lambdas", type=_list_of(float, "number"),
                     default=argparse.SUPPRESS)
     sp.add_argument("--truncation", type=float, default=1.0)
-    sp.add_argument("--gap-max", type=float, default=argparse.SUPPRESS,
-                    help="maximum final gap, as a fraction of the target")
     mode = sp.add_mutually_exclusive_group()
     mode.add_argument("--optimize", action="store_true",
-                      help="run the derivative-free minimizer instead of a sweep")
+                      help="descend in lambda from 0.1 instead of a sweep")
     mode.add_argument("--no-optimize", action="store_true",
                       help="evaluate the ratio at a single --lambda and exit")
     sp.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
@@ -308,7 +300,8 @@ def _load_corpus(directory: Optional[str]):
 def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
     """Evaluate the inequality on every corpus profile at every (n, p),
     emit the reports, and exit 1 if any of them fails."""
-    _check_tolerance("--rel-tol", args.rel_tol)
+    if not 0.0 <= args.rel_tol < math.inf:
+        raise DomainError(f"--rel-tol must be finite and >= 0, got {args.rel_tol!r}")
     corpus = _load_corpus(args.corpus)
     reports = [verifier.evaluate(args.inequality, v, n, p, args.alpha,
                                  constant_scale=args.constant_scale)
@@ -327,7 +320,6 @@ _SHARPNESS_FLAGS = (
     ("single_lambda", "--lambda", None, ("--no-optimize",)),
     ("max_iter", "--max-iter", 60, ("--optimize",)),
     ("lambdas", "--lambdas", (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5), ("sweep",)),
-    ("gap_max", "--gap-max", 0.05, ("--optimize", "sweep")),
     ("out", "--out", None, ("--optimize", "sweep")),
 )
 
@@ -342,56 +334,67 @@ def _check_sharpness_flags(args, sub: argparse.ArgumentParser) -> None:
         vars(args).setdefault(dest, default)
 
 
-def _sharpness_verdict(gaps: List[float], target: float,
-                       unsettled: Optional[str], gap_max: float) -> int:
-    """Exit code of a sharpness run from its gaps (ratio - target): 1 if a
-    gap undercuts the target by more than 1e-6 of it, 3 if the run has
-    not settled (unsettled names why: a broken trend, or no convergence)
-    or the last gap exceeds gap_max of the target, 0 otherwise.  An exit 3
-    writes its reason to stderr."""
-    if min(gaps) < -1e-6 * target:
+# the widest bar on a sharpness limit that settles a run, as a fraction
+# of the target
+BAR_MAX = 0.05
+
+
+def _sharpness_verdict(points, target: float, rate: Optional[float],
+                       unsettled: Optional[str] = None) -> int:
+    """Exit code of a sharpness run from its (lambda, ratio, bar) points
+    and their extrapolated limit L, the extrapolant with the smallest bar:
+    1 if a ratio undercuts the target by more than its own bar, or if L
+    misses the target by more than L's bar; 3 if the run has not settled
+    (unsettled names why: a broken trend), has no limit, or L's bar is
+    wider than BAR_MAX of the target; 0 otherwise.  An exit 3 writes its
+    reason to stderr."""
+    if any(target - r > bar for _, r, bar in points):
         return EXIT_VIOLATION
-    if unsettled is None and gaps[-1] > gap_max * target:
-        unsettled = (f"the last gap {gaps[-1]:.6g} exceeds --gap-max {gap_max:g} "
-                     f"times the target {target:.6g}")
+    limit = min(sharpness.extrapolate(points, rate), key=lambda e: e[1],
+                default=None)
     if unsettled is None:
-        return EXIT_PASS
+        if limit is None:
+            unsettled = f"{len(points)} ratio(s) give no extrapolated limit with a bar"
+        elif abs(limit[0] - target) > limit[1]:
+            return EXIT_VIOLATION
+        elif limit[1] > BAR_MAX * target:
+            unsettled = (f"the limit {limit[0]:.6g} has a bar {limit[1]:.6g}, "
+                         f"wider than {BAR_MAX:g} times the target {target:.6g}")
+        else:
+            return EXIT_PASS
     sys.stderr.write(f"inconclusive: {unsettled}\n")
     return EXIT_INCONCLUSIVE
 
 
 def cmd_sharpness(args) -> int:
     n, p = args.n, args.p
-    _check_tolerance("--gap-max", args.gap_max)
     ratio, target = sharpness.ratio_function(args.inequality, n, p)
 
     if args.no_optimize:
         if args.single_lambda is None:
             raise DomainError("--no-optimize needs --lambda")
-        value = ratio(sharpness.truncated_bubble(
+        value, _ = ratio(sharpness.truncated_bubble(
             n, p, args.single_lambda, args.truncation))
         sys.stdout.write(fmt17(value) + "\n")
         return EXIT_PASS
 
+    rate = verifier.INEQUALITIES[args.inequality].rate(n, p)
     if args.optimize:
         res = sharpness.minimize_ratio(
             args.inequality, n, p, T0=args.truncation, max_iter=args.max_iter)
         _emit(args, res.trace_csv(), "sharpness-trace.csv")
-        return _sharpness_verdict(
-            [res.gap], target, None if res.converged else
-            f"the minimizer did not converge in {args.max_iter} iterations",
-            args.gap_max)
+        return _sharpness_verdict(res.points, target, rate)
 
-    pairs = sharpness.lambda_sweep(args.inequality, n, p, args.lambdas,
-                                   T=args.truncation)
+    points = sharpness.lambda_sweep(args.inequality, n, p, args.lambdas,
+                                    T=args.truncation)
     _emit(args, csv_table(("lambda", "T", "ratio", "gap"),
-                          [(lam, args.truncation, r, r - target) for lam, r in pairs]),
+                          [(lam, args.truncation, r, r - target)
+                           for lam, r, _ in points]),
           "sharpness-sweep.csv")
-    ratios = [r for _, r in pairs]
+    ratios = [r for _, r, _ in points]
     monotone = all(b < a for a, b in zip(ratios, ratios[1:]))
-    return _sharpness_verdict(
-        [r - target for r in ratios], target, None if monotone else
-        "the ratio does not fall at every step of --lambdas", args.gap_max)
+    return _sharpness_verdict(points, target, rate, None if monotone else
+                              "the ratio does not fall at every step of --lambdas")
 
 
 _DISPATCH = {

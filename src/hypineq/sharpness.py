@@ -1,9 +1,12 @@
-"""Sharpness certification: derivative-free minimization of deficit
-ratios over concentrating test families.
+"""Sharpness certification: the limit of a deficit ratio along a
+concentrating test family.
 
 The sharp constants are infima that are not attained, so the evidence is
-a trend: the ratio decreases toward the constant as the family
-concentrates, while never dipping below it.
+the ratio's limit as the bubble family concentrates (lambda -> 0).  The
+gap to the constant falls like a power of lambda, so Richardson
+extrapolation turns a run's ratios into that limit, with an error bar
+from the change between successive extrapolants and the ratios' own
+quadrature bars.
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass
-from typing import Callable, List, Sequence, Tuple
+from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import verifier
 from .constants import unit_ball_volume
@@ -27,7 +30,7 @@ __all__ = [
     "ratio_function",
     "minimize_ratio",
     "lambda_sweep",
-    "non_attainment_scan",
+    "extrapolate",
 ]
 
 
@@ -127,157 +130,100 @@ def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
 
 @dataclass(frozen=True)
 class SharpnessResult:
-    best_ratio: float
+    """A descent's (lambda, ratio, bar) points at truncation T, in order."""
+
     target_constant: float
-    trace: Tuple[Tuple[int, float, float, float, float], ...]
-    converged: bool
+    truncation: float
+    points: Tuple[Tuple[float, float, float], ...]
 
     @property
-    def gap(self) -> float:
-        return self.best_ratio - self.target_constant
+    def trace(self) -> Tuple[Tuple[int, float, float, float, float], ...]:
+        return tuple((i, lam, self.truncation, r, r - self.target_constant)
+                     for i, (lam, r, _) in enumerate(self.points))
 
     def trace_csv(self) -> str:
         return csv_table(("iteration", "lambda", "T", "ratio", "gap"), self.trace)
 
 
 def ratio_function(inequality_id: str, n: int, p: float
-                   ) -> Tuple[Callable[[RadialProfile], float], float]:
+                   ) -> Tuple[Callable[[RadialProfile], Tuple[float, float]], float]:
     """(ratio evaluator, target constant) for an inequality: the ratio and
     target columns of its row in verifier.INEQUALITIES.
 
     The ratio is the constant-free quotient whose infimum over admissible
-    profiles is the target; it is read off the row's report.
+    profiles is the target.  The evaluator returns (ratio, bar), both read
+    off the row's report: the bar is target * quadrature_error / rhs.
     """
     row = verifier.INEQUALITIES.get(inequality_id)
     if row is None or row.ratio is None:
         raise DomainError(f"no ratio defined for inequality {inequality_id!r}")
+    target = row.target(n, p)
 
-    def ratio(v: RadialProfile) -> float:
+    def ratio(v: RadialProfile) -> Tuple[float, float]:
         try:
-            return row.ratio(verifier.evaluate(inequality_id, v, n, p))
+            rep = verifier.evaluate(inequality_id, v, n, p)
+            return row.ratio(rep), target * rep.quadrature_error / rep.rhs
         except ZeroDivisionError:
             raise DomainError("zero profile has no ratio") from None
 
-    return ratio, row.target(n, p)
+    return ratio, target
 
 
-def _toward(a: Tuple[float, ...], b: Tuple[float, ...], k: float) -> Tuple[float, ...]:
-    """The point a + k (b - a)."""
-    return tuple(x + k * (y - x) for x, y in zip(a, b))
+def extrapolate(points: Sequence[Tuple[float, float, float]],
+                rate: Optional[float]) -> List[Tuple[float, float]]:
+    """Richardson extrapolants (L_k, bar_k) of a run's (lambda, ratio, bar)
+    points, in order.
 
-
-def _nelder_mead(f: Callable[[Tuple[float, ...]], float], x0: Sequence[float],
-                 step: float, max_iter: int, f_tol: float
-                 ) -> Tuple[Tuple[float, ...], float,
-                            List[Tuple[Tuple[float, ...], float]], bool]:
-    """Deterministic Nelder-Mead with standard coefficients.  Returns
-    (best x, best f, evaluation log, converged)."""
-    dim = len(x0)
-    pts = [tuple(x0)]
-    for i in range(dim):
-        x = list(x0)
-        x[i] += step
-        pts.append(tuple(x))
-    log: List[Tuple[Tuple[float, ...], float]] = []
-
-    def ev(x):
-        val = f(x)
-        log.append((x, val))
-        return val
-
-    vals = [ev(x) for x in pts]
-    converged = False
-    for _ in range(max_iter):
-        order = sorted(range(dim + 1), key=vals.__getitem__)
-        pts = [pts[i] for i in order]
-        vals = [vals[i] for i in order]
-        if abs(vals[-1] - vals[0]) <= f_tol * max(abs(vals[0]), 1e-30):
-            converged = True
-            break
-        centroid = tuple(sum(xs) / dim for xs in zip(*pts[:-1]))
-        xr = _toward(centroid, pts[-1], -1.0)
-        fr = ev(xr)
-        if vals[0] <= fr < vals[-2]:
-            pts[-1], vals[-1] = xr, fr
-        elif fr < vals[0]:
-            xe = _toward(centroid, pts[-1], -2.0)
-            fe = ev(xe)
-            if fe < fr:
-                pts[-1], vals[-1] = xe, fe
-            else:
-                pts[-1], vals[-1] = xr, fr
-        else:
-            xc = _toward(centroid, pts[-1], 0.5)
-            fc = ev(xc)
-            if fc < vals[-1]:
-                pts[-1], vals[-1] = xc, fc
-            else:
-                for i in range(1, dim + 1):
-                    pts[i] = _toward(pts[0], pts[i], 0.5)
-                    vals[i] = ev(pts[i])
-    best = min(range(dim + 1), key=vals.__getitem__)
-    return pts[best], vals[best], log, converged
+    Where the gap to the limit falls like lambda^rate, two successive
+    ratios give L_k = r_k - (r_{k-1} - r_k) / ((lambda_{k-1} / lambda_k)^rate
+    - 1).  With no rate, each step estimates it from its last three ratios
+    (Aitken).  The bar is |L_k - L_{k-1}| plus the bars of r_{k-1} and r_k.
+    A step with no positive rate, or whose extrapolant is undefined (an
+    equal scale), has no extrapolant, and the next step has no bar.
+    """
+    out: List[Tuple[float, float]] = []
+    last = math.nan
+    for k in range(1, len(points)):
+        (lam0, r0, bar0), (lam1, r1, bar1) = points[k - 1], points[k]
+        try:
+            kappa = rate if rate is not None else (
+                math.log((points[k - 2][1] - r0) / (r0 - r1)) / math.log(lam0 / lam1)
+                if k >= 2 else math.nan)
+            L = r1 - (r0 - r1) / ((lam0 / lam1) ** kappa - 1.0) if kappa > 0.0 else math.nan
+        except (ValueError, ZeroDivisionError, OverflowError):
+            L = math.nan
+        if math.isfinite(L) and math.isfinite(last):
+            out.append((L, abs(L - last) + bar0 + bar1))
+        last = L
+    return out
 
 
 def minimize_ratio(inequality_id: str, n: int, p: float, T0: float = 1.0,
                    max_iter: int = 60) -> SharpnessResult:
-    """Minimize the deficit ratio over truncated bubbles, in log(scale)
-    and log(truncation) coordinates, from scale 0.1 and truncation T0.
-    Fully deterministic."""
-    ratio, target = ratio_function(inequality_id, n, p)
+    """Descend in scale alone at truncation T0: the ratio at lambda =
+    0.1 * 10^-k for k = 0, ..., max_iter, stopping once the newest
+    extrapolant's bar is no narrower than the one before.  Fully
+    deterministic.
 
-    # clamp the simplex to the window where double-precision evaluation
-    # of the ratio is trustworthy; outside it an unconstrained search
-    # drifts to absurd scales and the roundoff floor fakes an undercut
-    # of the sharp constant
-    lam_box = (math.log(1e-10), math.log(10.0))
-    t_box = (math.log(1e-4), math.log(1e6))
-
-    def clamped(x):
-        return (math.exp(min(max(x[0], lam_box[0]), lam_box[1])),
-                math.exp(min(max(x[1], t_box[0]), t_box[1])))
-
-    def f(x):
-        return ratio(truncated_bubble(n, p, *clamped(x)))
-
-    x0 = (math.log(0.1), math.log(T0))
-    best_x, best_f, log, converged = _nelder_mead(f, x0, 0.5, max_iter, 1e-8)
-    trace = tuple((i, *clamped(x), val, val - target)
-                  for i, (x, val) in enumerate(log))
-    return SharpnessResult(best_f, target, trace, converged)
-
-
-def lambda_sweep(inequality_id: str, n: int, p: float,
-                 lambdas: Sequence[float], T: float = 1.0) -> List[Tuple[float, float]]:
-    """Ratio along a fixed-truncation concentration path; the trend toward
-    the target as the scale shrinks is the sharpness evidence."""
-    ratio, _ = ratio_function(inequality_id, n, p)
-    return [(lam, ratio(truncated_bubble(n, p, lam, T))) for lam in lambdas]
-
-
-def non_attainment_scan(inequality_id: str, n: int, p: float,
-                        corpus: Sequence[RadialProfile]) -> dict:
-    """Strict positivity of the deficit on every nonzero corpus profile.
-
-    Returns a summary with the minimum margin; a margin below ten times
-    its quadrature error marks the profile as undecided rather than
-    claiming strictness.
+    The scale stops at 1e-10: below it, roundoff in the ratio can fake an
+    undercut of the sharp constant.
     """
-    entries = []
-    undecided = []
-    for v in corpus:
-        rep = verifier.evaluate(inequality_id, v, n, p)
-        entries.append((v.label, rep.deficit, rep.quadrature_error))
-        if not rep.deficit > 10.0 * rep.quadrature_error:
-            undecided.append(v.label)
-    min_label, min_deficit, _ = min(entries, key=lambda e: e[1])
-    return {
-        "inequality_id": inequality_id,
-        "n": n,
-        "p": p,
-        "profiles": len(entries),
-        "min_margin": min_deficit,
-        "min_margin_label": min_label,
-        "strictly_positive": not undecided,
-        "undecided": undecided,
-    }
+    ratio, target = ratio_function(inequality_id, n, p)
+    rate = verifier.INEQUALITIES[inequality_id].rate(n, p)
+    points: List[Tuple[float, float, float]] = []
+    for k in range(min(max_iter, 9) + 1):
+        lam = 10.0 ** -(k + 1)
+        points.append((lam, *ratio(truncated_bubble(n, p, lam, T0))))
+        bars = [bar for _, bar in extrapolate(points, rate)]
+        if len(bars) >= 2 and bars[-1] >= bars[-2]:
+            break
+    return SharpnessResult(target, T0, tuple(points))
+
+
+def lambda_sweep(inequality_id: str, n: int, p: float, lambdas: Sequence[float],
+                 T: float = 1.0) -> List[Tuple[float, float, float]]:
+    """(lambda, ratio, bar) along a fixed-truncation concentration path;
+    the trend toward the target as the scale shrinks is the sharpness
+    evidence."""
+    ratio, _ = ratio_function(inequality_id, n, p)
+    return [(lam, *ratio(truncated_bubble(n, p, lam, T))) for lam in lambdas]

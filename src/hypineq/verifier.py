@@ -288,13 +288,16 @@ def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float) -> float:
 class Inequality(NamedTuple):
     """One row of INEQUALITIES.  The evaluator is called as
     evaluator(v, n, p, alpha, constant_scale).  A sharpness row also maps
-    its report to a constant-free ratio whose infimum is target(n, p)."""
+    its report to a constant-free ratio whose infimum is target(n, p);
+    rate(n, p) is the power of lambda at which the ratio's gap to the
+    target falls along the bubble family, or None where it is not known."""
 
     evaluator: Callable[..., DeficitReport]
     needs_alpha: bool = False
     constant_free: bool = False
     ratio: Optional[Callable[[DeficitReport], float]] = None
     target: Optional[Callable[[int, float], float]] = None
+    rate: Callable[[int, float], Optional[float]] = lambda n, p: None
 
 
 # Every inequality the CLI verifies and sweeps, by id.  The evaluators
@@ -307,7 +310,8 @@ INEQUALITIES = {
         # the deficit over the flat-Sobolev power of the critical mass
         ratio=lambda rep: (rep.extras["poincare_deficit"] / rep.extras["critical_mass"]
                            ** ((rep.params.n - rep.params.p) / rep.params.n)),
-        target=lambda n, p: constants.sobolev_constant(Params(n, p)) ** p),
+        target=lambda n, p: constants.sobolev_constant(Params(n, p)) ** p,
+        rate=lambda n, p: (n - p) / (p - 1.0)),
     "key_comparison": Inequality(
         lambda v, n, p, alpha, scale:
         rearrangement.key_comparison(v, n, p),

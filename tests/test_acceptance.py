@@ -125,7 +125,7 @@ def test_criterion_08_concentration_sharpness():
     target = constants.sobolev_constant(Params(n, p)) ** p
     pairs = sharpness.lambda_sweep("poincare_sobolev", n, p,
                                    [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5])
-    ratios = [r for _, r in pairs]
+    ratios = [r for _, r, _ in pairs]
     # monotone decrease over the stated grid, never undercutting
     ok = all(b < a for a, b in zip(ratios[:4], ratios[1:4]))
     ok = ok and all(r >= target - 1e-6 * target for r in ratios)

@@ -380,18 +380,19 @@ def test_sharpness_sweep_passes(capsys, tmp_path):
     assert gaps == sorted(gaps, reverse=True)
 
 
-def test_sharpness_unreachable_gap_is_inconclusive(capsys):
-    code, _, err = run(capsys, "sharpness", "--n", "4", "--p", N4P,
-                       "--lambdas", "1.0,0.1,0.01", "--gap-max", "1e-9")
+def test_sharpness_wide_limit_bar_is_inconclusive(capsys):
+    # three decades from lambda = 1 leave the extrapolated limit a bar
+    # about 2.5 times the target
+    code, _, err = run(capsys, "sharpness", "--n", "5", "--p", "2.5",
+                       "--lambdas", "1.0,0.1,0.01")
     assert code == 3
-    assert err.startswith("inconclusive: the last gap ") and err.count("\n") == 1
-    assert "exceeds --gap-max 1e-09 times the target 4.97" in err
+    assert err.startswith("inconclusive: the limit ") and err.count("\n") == 1
+    assert "wider than 0.05 times the target 12.34" in err
 
 
 @pytest.mark.parametrize("argv,reason", [
-    (("--optimize", "--max-iter", "3"), "the minimizer did not converge in 3 iterations"),
-    (("--lambdas", "0.01,0.1", "--gap-max", "100"),
-     "the ratio does not fall at every step of --lambdas"),
+    (("--optimize", "--max-iter", "1"), "2 ratio(s) give no extrapolated limit with a bar"),
+    (("--lambdas", "0.01,0.1"), "the ratio does not fall at every step of --lambdas"),
 ])
 def test_unsettled_sharpness_names_its_reason(capsys, argv, reason):
     # stdout still carries the trace or sweep CSV
@@ -465,21 +466,79 @@ def test_sharpness_outside_the_poincare_range_exits_2(capsys, argv):
 
 
 @pytest.mark.parametrize("gaps,settled,code", [
-    ([0.5, 0.2, 0.01], True, 0),
-    ([0.5, 0.2, -1e-9], True, 0),       # within 1e-6 of the target
-    ([0.5, -2e-6, 0.01], True, 1),      # any undercut, not only the last
-    ([-0.5], False, 1),                 # an undercut outranks no convergence
-    ([0.5, 0.2, 0.01], False, 3),       # broken trend or no convergence
-    ([0.5, 0.2, 0.06], True, 3),        # last gap above gap_max * target
-    ([0.05], True, 0),                  # exactly gap_max * target
+    # (gap, bar) of each ratio at lambda = 4^-k, target 1 and rate 0.5,
+    # so each extrapolant is 2 r_k - r_{k-1}
+    ([(0.5, 0.01), (0.25, 0.01), (0.125, 0.01)], True, 0),
+    # a ratio below the target within its own bar; the limit is the
+    # extrapolant with the smallest bar
+    ([(0.5, 0.01), (0.25, 0.01), (0.125, 0.01), (-0.005, 0.01)], True, 0),
+    ([(0.5, 0.01), (-0.02, 0.01), (0.125, 0.01)], True, 1),  # any undercut
+    ([(-0.5, 0.01)], False, 1),         # an undercut outranks a broken trend
+    ([(0.5, 0.01), (0.25, 0.01), (0.125, 0.01)], False, 3),  # broken trend
+    ([(0.5, 0.03), (0.25, 0.03), (0.125, 0.03)], True, 3),   # bar above 0.05
+    ([(0.5, 0.025), (0.25, 0.025), (0.125, 0.025)], True, 0),  # exactly 0.05
+    ([(0.5, 0.01), (0.3, 0.01), (0.2, 0.01)], True, 1),   # limit 1.1 +- 0.02
+    ([(0.5, 0.01), (0.25, 0.01)], True, 3),               # no limit with a bar
 ])
 def test_sharpness_verdict(capsys, gaps, settled, code):
     unsettled = None if settled else "a broken trend"
-    assert cli._sharpness_verdict(gaps, 1.0, unsettled, 0.05) == code
+    points = [(4.0 ** -k, 1.0 + gap, bar) for k, (gap, bar) in enumerate(gaps)]
+    assert cli._sharpness_verdict(points, 1.0, 0.5, unsettled) == code
     # an exit 3, and only an exit 3, says why on stderr
     err = capsys.readouterr().err
     assert (err == "") == (code != 3)
-    assert code != 3 or err.startswith(f"inconclusive: {unsettled or 'the last gap'}")
+    assert code != 3 or (err.startswith("inconclusive: ") and err.count("\n") == 1
+                         and (unsettled or "limit") in err)
+
+
+def _default_sweep(n, p, inequality="poincare_sobolev"):
+    """(points, target, rate) of the default sharpness sweep at (n, p)."""
+    lambdas = dict((d, default) for d, _, default, _ in cli._SHARPNESS_FLAGS)["lambdas"]
+    points = cli.sharpness.lambda_sweep(inequality, n, p, lambdas)
+    target = cli.sharpness.ratio_function(inequality, n, p)[1]
+    return points, target, verifier.INEQUALITIES[inequality].rate(n, p)
+
+
+@pytest.mark.parametrize("n,p", [(4, 8.0 / 3.0), (5, 3.0), (6, 3.0)])
+def test_sharpness_verdict_refutes_a_target_three_percent_low(capsys, n, p):
+    # the real ratios settle on the sharp target and refute one 3% below
+    points, target, rate = _default_sweep(n, p)
+    assert cli._sharpness_verdict(points, target, rate) == 0
+    assert cli._sharpness_verdict(points, 0.97 * target, rate) == 1
+    assert capsys.readouterr().err == ""
+
+
+def test_sharpness_optimize_settles_where_the_gap_decays_slowly(capsys, tmp_path):
+    # at (4, 3) the gap falls like lambda^0.5: still 2.15 times the target
+    # at 1e-5, so the descent goes below it before the bar settles
+    code, _, err = run(capsys, "sharpness", "--n", "4", "--p", "3.0",
+                       "--optimize", "--out", str(tmp_path))
+    assert (code, err) == (0, "")
+    trace = (tmp_path / "sharpness-trace.csv").read_text().splitlines()
+    assert min(float(row.split(",")[1]) for row in trace[1:]) < 1e-5
+
+
+def test_sharpness_optimize_at_the_old_box_corner(capsys, tmp_path):
+    # the 2-D search this descent replaced walked to lambda = 1e-10,
+    # T = 1e6 here, where roundoff faked an undercut and the run exited 1
+    code, _, _ = run(capsys, "sharpness", "--n", "6", "--p", "2.417721166988792",
+                     "--optimize", "--max-iter", "20",
+                     "--truncation", "0.7391108738320868", "--out", str(tmp_path))
+    assert code in (0, 3)
+    rows = (tmp_path / "sharpness-trace.csv").read_text().splitlines()[1:]
+    for row in rows:
+        ratio, gap = map(float, row.split(",")[3:5])
+        assert gap >= -1e-6 * (ratio - gap)
+
+
+def test_ratio_at_the_rounding_floor_is_no_undercut(capsys):
+    # key_comparison at n = 6 reaches its target to rounding: the ratio at
+    # lambda = 1e-8 is 3e-14 below 1, inside its bar of 6e-11
+    points = cli.sharpness.lambda_sweep("key_comparison", 6, 2.42,
+                                        [10.0 ** -k for k in range(1, 9)])
+    _, ratio, bar = points[-1]
+    assert -bar < ratio - 1.0 < 0.0
+    assert cli._sharpness_verdict(points, 1.0, None) == 0
 
 
 # -- config files ---------------------------------------------------
@@ -553,8 +612,9 @@ def test_config_switch_runs_the_optimizer(capsys, tmp_path, monkeypatch):
     def fake_minimize(inequality, n, p, T0, max_iter):
         calls.append((inequality, n, max_iter))
         target = cli.sharpness.ratio_function(inequality, n, p)[1]
-        return cli.sharpness.SharpnessResult(
-            1.01 * target, target, ((0, 0.1, T0, 1.01 * target, 0.01 * target),), True)
+        return cli.sharpness.SharpnessResult(target, T0, tuple(
+            (lam, (1.0 + 0.1 * lam) * target, 0.01 * target)
+            for lam in (0.1, 0.01, 0.001)))
 
     monkeypatch.setattr(cli.sharpness, "minimize_ratio", fake_minimize)
     cfgfile = tmp_path / "run.cfg"
@@ -625,8 +685,6 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
       "--constant-scale", "inf"), "--constant-scale must be finite and > 0"),
     (("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3",
       "--rel-tol", "nan"), "--rel-tol must be finite and >= 0"),
-    (("sharpness", "--n", "4", "--p", N4P, "--gap-max", "nan"),
-     "--gap-max must be finite and >= 0"),
 ])
 def test_domain_edges_exit_2(capsys, tmp_path, argv, message):
     # each used to crash (exit 1 or 4), pass on a NaN grid (violate) or,

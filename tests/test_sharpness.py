@@ -1,4 +1,5 @@
 import math
+from typing import Sequence
 
 import mpmath as mp
 import pytest
@@ -9,16 +10,43 @@ from hypineq.corpus import standard_corpus
 from hypineq.errors import DomainError
 from hypineq.rearrangement import RadialProfile, Tail, lp_integral, radial_integrals
 from hypineq.sharpness import (
-    _nelder_mead,
+    extrapolate,
     lambda_sweep,
     minimize_ratio,
-    non_attainment_scan,
     ratio_function,
     truncated_bubble,
     untruncated_bubble,
 )
 
 N, P = 4, 8.0 / 3.0
+
+
+def non_attainment_scan(inequality_id: str, n: int, p: float,
+                        corpus: Sequence[RadialProfile]) -> dict:
+    """Strict positivity of the deficit on every nonzero corpus profile.
+
+    Returns a summary with the minimum margin; a margin below ten times
+    its quadrature error marks the profile as undecided rather than
+    claiming strictness.
+    """
+    entries = []
+    undecided = []
+    for v in corpus:
+        rep = verifier.evaluate(inequality_id, v, n, p)
+        entries.append((v.label, rep.deficit, rep.quadrature_error))
+        if not rep.deficit > 10.0 * rep.quadrature_error:
+            undecided.append(v.label)
+    min_label, min_deficit, _ = min(entries, key=lambda e: e[1])
+    return {
+        "inequality_id": inequality_id,
+        "n": n,
+        "p": p,
+        "profiles": len(entries),
+        "min_margin": min_deficit,
+        "min_margin_label": min_label,
+        "strictly_positive": not undecided,
+        "undecided": undecided,
+    }
 
 
 def test_bubble_validation():
@@ -42,7 +70,7 @@ def test_truncated_bubble_is_compact_and_c1():
 def test_ratio_above_target_on_family():
     ratio, target = ratio_function("poincare_sobolev", N, P)
     for lam, T in [(1.0, 1.0), (0.1, 1.0), (0.01, 3.0)]:
-        assert ratio(truncated_bubble(N, P, lam, T)) > target
+        assert ratio(truncated_bubble(N, P, lam, T))[0] > target
 
 
 def test_ratio_function_unknown_id():
@@ -71,7 +99,7 @@ def test_poincare_ratio_is_deficit_over_critical_mass(n, p):
         (grad, _), (mass, _), (crit, _) = radial_integrals(
             v, n, p, qs=(p, n * p / (n - p)))
         want = (grad - ((n - 1.0) / p) ** p * mass) / crit ** ((n - p) / n)
-        assert ratio(v) == want
+        assert ratio(v)[0] == want
 
 
 def test_key_comparison_ratio_is_lhs_over_rhs():
@@ -79,7 +107,7 @@ def test_key_comparison_ratio_is_lhs_over_rhs():
     assert target == 1.0
     v = truncated_bubble(N, 3.0, 0.1, 1.0)
     rep = verifier.evaluate("key_comparison", v, N, 3.0)
-    assert ratio(v) == rep.lhs / rep.rhs
+    assert ratio(v)[0] == rep.lhs / rep.rhs
 
 
 @pytest.mark.parametrize("inequality_id", ["poincare_sobolev", "key_comparison"])
@@ -102,7 +130,7 @@ def test_lambda_sweep_trends_to_target():
     ratio, target = ratio_function("poincare_sobolev", N, P)
     pairs = lambda_sweep("poincare_sobolev", N, P,
                          [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5])
-    ratios = [r for _, r in pairs]
+    ratios = [r for _, r, _ in pairs]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert all(r > target * (1.0 - 1e-9) for r in ratios)
     assert ratios[-1] - target <= 0.05 * target
@@ -116,15 +144,20 @@ def test_lambda_sweep_trends_to_target():
 
 def test_key_comparison_sweep():
     pairs = lambda_sweep("key_comparison", N, P, [0.3, 0.1, 0.03])
-    for _, r in pairs:
+    for _, r, _ in pairs:
         assert r > 1.0
 
 
 def test_minimizer_respects_lower_bound():
     res = minimize_ratio("poincare_sobolev", N, P, T0=1.0, max_iter=25)
-    assert res.best_ratio > res.target_constant * (1.0 - 1e-9)
-    assert res.gap < 0.05 * res.target_constant
-    assert res.converged
+    best_ratio = min(r for _, r, _ in res.points)
+    assert best_ratio > res.target_constant * (1.0 - 1e-9)
+    assert best_ratio - res.target_constant < 0.05 * res.target_constant
+    # a descent in scale alone, a decade a step from 0.1, at the given T
+    lambdas = [lam for _, lam, _, _, _ in res.trace]
+    assert lambdas == [10.0 ** -(k + 1) for k in range(len(lambdas))]
+    assert 3 <= len(lambdas) <= 10
+    assert {T for _, _, T, _, _ in res.trace} == {1.0}
     # deterministic: identical call, identical trace
     res2 = minimize_ratio("poincare_sobolev", N, P, T0=1.0, max_iter=25)
     assert res.trace == res2.trace
@@ -149,15 +182,30 @@ def test_bubble_critical_mass_scales_with_measure():
     assert a == pytest.approx(b * 10.0 ** N, rel=1e-6)
 
 
-def test_nelder_mead_shrinks_toward_the_best_vertex():
-    # reflection (1.5, 0.5) and contraction (1.125, 1.25) both miss, so
-    # the simplex shrinks halfway toward the best vertex (1, 1)
-    table = {(1.0, 1.0): 0.0, (1.5, 1.0): 1.0, (1.0, 1.5): 2.0}
-    _, best, log, converged = _nelder_mead(lambda x: table.get(x, 10.0),
-                                           (1.0, 1.0), 0.5, 1, 1e-8)
-    assert [x for x, _ in log[-2:]] == [(1.25, 1.0), (1.0, 1.25)]
-    assert best == 0.0
-    assert not converged
+@pytest.mark.parametrize("rate", [0.5, None])
+def test_extrapolation_recovers_a_power_law_limit(rate):
+    # gaps 2^-k at lambda = 4^-k fall like lambda^0.5: every extrapolant
+    # is the limit 1 exactly, with or without the rate given
+    points = [(4.0 ** -k, 1.0 + 2.0 ** -k, 1e-3) for k in range(5)]
+    got = extrapolate(points, rate)
+    assert got == [(1.0, 2e-3)] * (3 if rate else 2)
+
+
+def test_extrapolation_skips_steps_with_no_rate():
+    # an equal scale, or gaps that grow instead of shrinking, give no
+    # extrapolant, and the step after one has no bar
+    points = [(1.0, 3.0, 0.0), (0.5, 2.0, 0.0), (0.5, 1.5, 0.0), (0.25, 1.25, 0.0)]
+    assert extrapolate(points, 1.0) == []
+    growing = [(1.0, 1.1, 0.0), (0.1, 1.0, 0.0), (0.01, 0.5, 0.0), (1e-3, 0.4, 0.0)]
+    assert extrapolate(growing, None) == []
+
+
+def test_ratio_bar_is_read_off_the_report():
+    for inequality_id, p in [("poincare_sobolev", P), ("key_comparison", 3.0)]:
+        ratio, target = ratio_function(inequality_id, N, p)
+        v = truncated_bubble(N, p, 0.01, 1.0)
+        rep = verifier.evaluate(inequality_id, v, N, p)
+        assert ratio(v)[1] == target * rep.quadrature_error / rep.rhs > 0.0
 
 
 def test_non_attainment_scan_leaves_a_zero_profile_undecided():
@@ -172,7 +220,7 @@ def test_bubble_scale_near_the_smallest_normal_double():
     # at lambda = 1e-76 the grid starts just above the smallest normal
     # volume and the ratio is still found; at 1e-77 it would start below
     ratio, target = ratio_function("poincare_sobolev", N, P)
-    assert target < ratio(truncated_bubble(N, P, 1e-76, 1.0)) < 1.01 * target
+    assert target < ratio(truncated_bubble(N, P, 1e-76, 1.0))[0] < 1.01 * target
     with pytest.raises(DomainError, match="underflows"):
         truncated_bubble(N, P, 1e-77, 1.0)
 
