@@ -318,7 +318,7 @@ def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
 # sharpness flags that only some modes use: dest, flag, default, the modes
 _SHARPNESS_FLAGS = (
     ("single_lambda", "--lambda", None, ("--no-optimize",)),
-    ("max_iter", "--max-iter", 60, ("--optimize",)),
+    ("max_iter", "--max-iter", 9, ("--optimize",)),
     ("lambdas", "--lambdas", (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5), ("sweep",)),
     ("out", "--out", None, ("--optimize", "sweep")),
 )

@@ -9,6 +9,7 @@ an analytic closure, so norm integrals are limited only by quadrature.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import math
 import os
@@ -169,8 +170,8 @@ def bubble_corpus(n: int = 4, p: float = 8.0 / 3.0,
         base = truncated_bubble(n, p, lam, 1.0)
         # the bubble's own geometric grid with 200 nodes instead of 48
         grid = [0.0] + geomspace(base.nodes[1], base.support_volume, 200)
-        out.append(RadialProfile(grid, [base.fn(s) for s in grid], base.tail,
-                                 fn=base.fn, dfn=base.dfn, label=base.label))
+        out.append(dataclasses.replace(base, nodes=grid,
+                                       values=[base.fn(s) for s in grid]))
     return out
 
 

@@ -103,7 +103,10 @@ class RadialProfile:
     nodes of each panel its passes in geodesic radius took
     (radial_integrals): 61 doubles, about 0.55 KiB, a panel, at most
     _GRID_PANELS panels per n.  The table is not compared, hashed or
-    copied by dataclasses.replace, and dies with the profile.  A
+    copied by dataclasses.replace, and dies with the profile.  joins holds
+    the volumes inside the support where a closure is not smooth (a jump
+    in v'' or a kink in v), each a breakpoint of the pass in geodesic
+    radius; files do not keep them, and the grid paths ignore them.  A
     rearrangement also keeps the radial function it rearranges as its
     source, and its norms are integrated over the level (radial_integrals).
     """
@@ -114,6 +117,7 @@ class RadialProfile:
     fn: Optional[Callable[[float], float]] = None
     dfn: Optional[Callable[[float], float]] = None
     label: str = ""
+    joins: Tuple[float, ...] = ()
     source: Optional[RadialFunction] = field(default=None, compare=False, repr=False)
     _panels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
@@ -122,6 +126,7 @@ class RadialProfile:
         values = tuple(map(float, self.values))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "values", values)
+        object.__setattr__(self, "joins", tuple(map(float, self.joins)))
         if len(nodes) != len(values) or len(nodes) < 2:
             raise DomainError("profile needs matching 1-d grids with >= 2 nodes")
         if not all(map(math.isfinite, nodes + values)):
@@ -141,6 +146,8 @@ class RadialProfile:
             if values[-1] > 1e-9 * vmax:
                 raise DomainError(
                     "compact profile must reach zero at its last node")
+        if not all(0.0 < j < self.support_volume for j in self.joins):
+            raise DomainError("profile joins must lie inside the support")
         if (self.fn is None) != (self.dfn is None):
             raise DomainError("a closure fn needs its derivative dfn, and dfn needs fn")
         if self.fn is not None:
@@ -214,7 +221,7 @@ def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
             Piece(pc.a, pc.b, lambda r, g=pc.fn: c * g(r), lambda r, g=pc.dfn: c * g(r))
             for pc in source.pieces))
     return RadialProfile(v.nodes, [c * x for x in v.values], v.tail, fn=fn, dfn=dfn,
-                         label=v.label, source=source)
+                         label=v.label, joins=v.joins, source=source)
 
 
 # ---------------------------------------------------------------------
@@ -635,14 +642,30 @@ def grad_norm_hyperbolic(v: RadialProfile, n: int, p: float) -> Tuple[float, flo
 
 # panels one closure profile's table keeps at most, per n (RadialProfile)
 _GRID_PANELS = 128
+# the widest ratio of two kept node radii that are not neighbours (_breakpoints)
+_RHO = 4.0
 
 
 @functools.lru_cache(maxsize=128)
-def _node_radii(n: int, nodes: Tuple[float, ...]) -> Tuple[float, ...]:
-    """The radii phi_inv(n, s / sigma) of the grid nodes s > 0, the
-    breakpoints of the pass in geodesic radius, cached by value."""
+def _breakpoints(n: int, nodes: Tuple[float, ...], joins: Tuple[float, ...]
+                 ) -> Tuple[float, ...]:
+    """The breakpoints of the pass in geodesic radius, cached by value: the
+    radii t = phi_inv(n, s / sigma) of the grid nodes s > 0, thinned, and
+    of every join.  The first node radius, where the left-edge
+    substitution ends, and the last are kept; any other only when the
+    next would lie more than _RHO times beyond the last kept one.  So two
+    kept radii are at most _RHO apart unless they are neighbouring nodes,
+    and a grid graded more coarsely than _RHO keeps every node; the panel
+    tree refines between them (QUADPACK's qagp: breakpoints where the
+    integrand is not smooth, and adaptivity elsewhere)."""
     sigma = unit_ball_volume(n)
-    return tuple(geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0)
+    radii = [geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0]
+    kept = radii[:1]
+    for t, after in zip(radii[1:-1], radii[2:]):
+        if after > _RHO * kept[-1]:
+            kept.append(t)
+    kept += radii[-1:]
+    return tuple(sorted({*kept, *(geometry.phi_inv(n, j / sigma) for j in joins)}))
 
 
 _GRADIENTS = ("hyperbolic", "euclidean", "kernel")
@@ -658,16 +681,17 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     qs; the entropy integral of v^p p log v ds if entropy.  A grid-only
     profile takes the grid paths in s, a rearrangement _level_integrals.
     Any other closure takes one vector panel tree in geodesic radius t
-    over the radii of its grid nodes (_node_radii), where one phi, log
-    sinh, log |v'| (and log v) per node serve every integrand.  Each
-    integrand is one list over a panel's 15 nodes, built in log space
-    with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w),
-    exp(p(n-1)/n log phi + w) or their difference, exp(q log v + w),
-    p log v exp(p log v + w).  All four, which do not depend on p, come
-    from the profile's table at n: a pass computes phi and log sinh only
-    at panels no earlier pass of the profile at this n took, and calls
-    dfn only for gradients and fn only for masses or the entropy, only
-    where the table lacks them.
+    over its breakpoints (_breakpoints): the radii of its grid nodes,
+    thinned to at most _RHO apart unless neighbours, and of its joins.
+    One phi, log sinh, log |v'| (and log v) per node serve every
+    integrand.  Each integrand is one list over a panel's 15 nodes, built
+    in log space with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log
+    sinh t + w), exp(p(n-1)/n log phi + w) or their difference,
+    exp(q log v + w), p log v exp(p log v + w).  All four, which do not
+    depend on p, come from the profile's table at n: a pass computes phi
+    and log sinh only at panels no earlier pass of the profile at this n
+    took, and calls dfn only for gradients and fn only for masses or the
+    entropy, only where the table lacks them.
     """
     check_dimension(n)
     if not p >= 1.0:
@@ -710,9 +734,11 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             ent, err = quadrature.integrate(f, 0.0, v.support_volume, v.nodes)
             out.append((ent, err + abs(ent) * 1e-4))  # the gradients' grid proxy
         return out
-    radii = _node_radii(n, v.nodes)
+    breaks = _breakpoints(n, v.nodes, v.joins)
     top = v.support_volume
-    t_top = (math.inf if math.isinf(top) else radii[-1] if top == v.nodes[-1]
+    # joins lie below the top, so the last breakpoint is the last node's
+    # radius where the support ends there
+    t_top = (math.inf if math.isinf(top) else breaks[-1] if top == v.nodes[-1]
              else geometry.phi_inv(n, top / sigma))
     c_hyp, c_euc, c_gap = p * (n - 1) + n - 1, p * (n - 1) / n, p * (n - 1)
     need_v = bool(qs) or entropy
@@ -799,7 +825,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
                         for lv, w in zip(lvs, ws)])
         return out
 
-    vals, errs = quadrature.integrate_vector(g, 0.0, t_top, radii)
+    vals, errs = quadrature.integrate_vector(g, 0.0, t_top, breaks)
     scales = [pref * scale] * len(grads) + [scale] * (len(qs) + entropy)
     return [(c * x, c * e) for c, x, e in zip(scales, vals, errs)]
 

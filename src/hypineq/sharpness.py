@@ -104,7 +104,8 @@ def untruncated_bubble(n: int, p: float, lam: float) -> RadialProfile:
 
 def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
     """The concentrating test family: flat-Sobolev extremal profile times
-    a C^1 cutoff supported on [0, T]."""
+    a C^1 cutoff supported on [0, T], whose v'' jumps at T / 2 (its
+    join)."""
     if not (1.0 < p < n):
         raise DomainError(f"bubble needs 1 < p < n, got n={n}, p={p}")
     if not (lam > 0.0 and T > 0.0):
@@ -125,7 +126,7 @@ def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
     grid = [0.0] + geomspace(lo, T, 48)
     vals = [fn(s) for s in grid]
     return RadialProfile(grid, vals, Tail("compact", T), fn=fn, dfn=dfn,
-                         label=f"truncated-bubble-l{lam:g}-T{T:g}")
+                         label=f"truncated-bubble-l{lam:g}-T{T:g}", joins=(0.5 * T,))
 
 
 @dataclass(frozen=True)
@@ -199,14 +200,15 @@ def extrapolate(points: Sequence[Tuple[float, float, float]],
 
 
 def minimize_ratio(inequality_id: str, n: int, p: float, T0: float = 1.0,
-                   max_iter: int = 60) -> SharpnessResult:
+                   max_iter: int = 9) -> SharpnessResult:
     """Descend in scale alone at truncation T0: the ratio at lambda =
     0.1 * 10^-k for k = 0, ..., max_iter, stopping once the newest
     extrapolant's bar is no narrower than the one before.  Fully
     deterministic.
 
-    The scale stops at 1e-10: below it, roundoff in the ratio can fake an
-    undercut of the sharp constant.
+    The scale stops at 1e-10 (k = 9, so a max_iter above 9 acts as 9):
+    below it, roundoff in the ratio can fake an undercut of the sharp
+    constant.
     """
     ratio, target = ratio_function(inequality_id, n, p)
     rate = verifier.INEQUALITIES[inequality_id].rate(n, p)

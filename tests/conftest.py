@@ -11,6 +11,6 @@ def empty_node_geometry_cache():
     # took; every test starts without them, so what a test counts (root
     # finds, phi, phi_inv and closure calls) does not depend on which tests
     # ran before it
-    rearrangement._node_radii.cache_clear()
+    rearrangement._breakpoints.cache_clear()
     for v in corpus.standard_corpus():
         v._panels.clear()

@@ -428,6 +428,20 @@ def test_sharpness_optimizer(capsys, tmp_path):
     assert trace.startswith("iteration,lambda,T,ratio,gap")
 
 
+def test_sharpness_optimizer_default_is_its_last_step(capsys, tmp_path):
+    # the descent stops at lambda = 1e-10, its tenth step: the default
+    # --max-iter is 9, and a larger value acts as 9
+    traces = []
+    for extra in ((), ("--max-iter", "9"), ("--max-iter", "60")):
+        out = tmp_path / str(len(traces))
+        code, _, _ = run(capsys, "sharpness", "--n", "4", "--p", N4P,
+                         "--optimize", *extra, "--out", str(out))
+        assert code == 0
+        traces.append((out / "sharpness-trace.csv").read_text())
+    assert traces[0] == traces[1] == traces[2]
+    assert traces[0].splitlines()[-1].startswith("9,1e-10,")
+
+
 @pytest.mark.parametrize("lam,code", [("1e-76", 0), ("1e-77", 2)])
 def test_sharpness_at_the_smallest_normal_scale(capsys, lam, code):
     got, out, err = run(capsys, "sharpness", "--n", "4", "--p", N4P,

@@ -169,6 +169,15 @@ def test_gradient_decomposition_identity():
             assert ker >= 0.0
 
 
+def test_joins_lie_inside_the_support_and_are_carried():
+    v = truncated_bubble(4, 3.0, 0.2, 1.5)
+    assert v.joins == (0.75,)
+    assert dataclasses.replace(v).joins == scale_profile(v, 2.0).joins == v.joins
+    for joins in [(0.0,), (1.5,), (math.nan,)]:
+        with pytest.raises(DomainError):
+            dataclasses.replace(v, joins=joins)
+
+
 def test_lp_norm_is_root_of_integral():
     v = tent_profile(1.0, 2.0)
     val, _ = lp_integral(v, 3.0)
@@ -865,13 +874,7 @@ def test_radial_pass_matches_s_space_integrals(n, p):
 
 
 @pytest.mark.parametrize("n,p", [(4, 3.0), (6, 4.2)])
-@pytest.mark.parametrize("label", [
-    *_NINE[:-1],
-    pytest.param(_NINE[-1], marks=pytest.mark.xfail(
-        strict=True, reason="the absolute quadrature floor (abs_tol = 1e-12) "
-        "stops a lone Euclidean or kernel pass over the concentrated bubble "
-        "early: 4e-8 relative off at (4, 3), 1.2e-6 at (6, 4.2)")),
-])
+@pytest.mark.parametrize("label", _NINE)
 def test_standalone_routes_match_s_space_integrals(label, n, p):
     # each route of a closure is the same pass with one component
     v = _CORPUS[label]
@@ -958,10 +961,13 @@ def test_node_geometry_table_changes_no_bit():
 
 def test_second_pass_computes_no_stored_panel(monkeypatch):
     # a concentrated profile, whose segments bisect: the table keeps the
-    # bisected panels too, so a second pass computes no phi at all
+    # bisected panels too (the panels past the first breakpoint that are
+    # no segment's first), so a second pass computes no phi at all
     v = _CORPUS["truncated-bubble-l0.3-T2"]
     first = _all_components(v, 4)
-    assert len(v._panels[4]) > len(v.nodes)
+    breaks = rearrangement._breakpoints(4, v.nodes, v.joins)
+    firsts = {0.5 * (a + b) for a, b in zip(breaks, breaks[1:])}
+    assert any(c > breaks[0] and c not in firsts for c in v._panels[4])
     calls = []
     phi = geometry.phi
 
@@ -983,23 +989,47 @@ def test_second_pass_computes_no_stored_panel(monkeypatch):
 
 
 def test_node_geometry_keeps_the_first_panel_of_each_segment():
-    v = _CORPUS["bump-A1-b1"]
-    _all_components(v, 4)
-    radii, table = rearrangement._node_radii(4, v.nodes), v._panels[4]
-    assert all(0.5 * (a + b) in table for a, b in zip(radii, radii[1:]))
-    assert len(table) <= rearrangement._GRID_PANELS
+    for label in ("bump-A1-b1", "truncated-bubble-l0.05-T1"):
+        v = _CORPUS[label]
+        _all_components(v, 4)
+        breaks, table = rearrangement._breakpoints(4, v.nodes, v.joins), v._panels[4]
+        assert all(0.5 * (a + b) in table for a, b in zip(breaks, breaks[1:])), label
+        assert len(table) <= rearrangement._GRID_PANELS
 
 
 def test_node_geometry_table_is_bounded(monkeypatch):
     # each (profile, n) keeps at most _GRID_PANELS panels (the pass takes
-    # 65); a panel beyond the bound is computed again on every pass
+    # 12 at n = 4, 13 at n = 5); a panel beyond the bound is computed
+    # again on every pass
     v = _CORPUS["truncated-bubble-l0.3-T2"]
     full = _all_components(dataclasses.replace(v), 4)
-    monkeypatch.setattr(rearrangement, "_GRID_PANELS", 40)
+    monkeypatch.setattr(rearrangement, "_GRID_PANELS", 8)
     assert _all_components(v, 4) == full
     assert _all_components(v, 4) == full
     _all_components(v, 5)
-    assert len(v._panels[4]) == len(v._panels[5]) == 40
+    assert len(v._panels[4]) == len(v._panels[5]) == 8
+
+
+def test_breakpoints_keep_the_ends_every_join_and_a_bounded_ratio():
+    # the first and last node radii and every join's radius are
+    # breakpoints; two kept node radii more than _RHO apart are
+    # neighbouring nodes, so a grid graded more coarsely keeps every node
+    profiles = [*standard_corpus(), *bubble_corpus()]
+    assert sum(bool(v.joins) for v in profiles) == 4
+    for v in profiles:
+        for n in range(2, 7):
+            sigma = unit_ball_volume(n)
+            radii = [geometry.phi_inv(n, s / sigma) for s in v.nodes[1:]]
+            joins = [geometry.phi_inv(n, s / sigma) for s in v.joins]
+            breaks = rearrangement._breakpoints(n, v.nodes, v.joins)
+            assert {radii[0], radii[-1], *joins} <= set(breaks), (v.label, n)
+            kept = [radii.index(t) for t in breaks if t not in joins]
+            assert len(kept) + len(joins) == len(breaks)
+            for i, j in zip(kept, kept[1:]):
+                assert j == i + 1 or radii[j] <= rearrangement._RHO * radii[i], (v.label, n)
+    coarse = (0.0, 1e-9, 1e-6, 1e-3, 1.0, 1e3)
+    radii = tuple(geometry.phi_inv(2, s / unit_ball_volume(2)) for s in coarse[1:])
+    assert rearrangement._breakpoints(2, coarse, ()) == radii
 
 
 def _counted(v):
