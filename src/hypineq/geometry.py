@@ -9,13 +9,16 @@ geodesic radius, s a normalized ball volume.  The volume map
 has an exact exponential-sum closed form for every n (expand the binomial
 power of sinh).  At small radius, where the exponential sum cancels, it is
 summed instead as a power series in t with positive terms: below t = 0.5
-up to n = 6, and further out for larger n (_series_top).
+up to n = 6, and further out for larger n (_series_top).  Below t = 0.5
+phi_inv sums that series' Lagrange reversion (Henrici, Applied and
+Computational Complex Analysis I, 1974, sec. 1.9), above it finds a root.
 """
 
 from __future__ import annotations
 
 import math
 from functools import lru_cache
+from operator import mul
 from typing import List, Sequence, Tuple
 
 from .constants import boundary_exponent, check_dimension, unit_ball_volume
@@ -26,7 +29,6 @@ from .quadrature import QuadratureConfig, find_root_increasing
 __all__ = [
     "log_sinh",
     "phi",
-    "phi_quadrature",
     "phi_deriv",
     "phi_inv",
     "phi_inv_ordered",
@@ -34,15 +36,13 @@ __all__ = [
     "radial_margin",
     "radial_margin_scaled",
     "margin_slope_factor",
-    "radial_margin_asymptotic",
     "violation_onset",
     "isoperimetric_profile",
     "isoperimetric_tail_integral",
 ]
 
 _SMALL_T = 0.5
-# tolerances of the quadrature cross-check of phi and of the tail integral
-_PHI_QUADRATURE_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
+# tolerances of the tail integral
 _TAIL_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
 
 
@@ -139,17 +139,6 @@ def phi(n: int, t: float) -> float:
     return _phi_exp_sum(n, t)
 
 
-def phi_quadrature(n: int, t: float) -> float:
-    """Pure adaptive-quadrature evaluation of the volume map; cross-check
-    for the closed-form path."""
-    check_dimension(n)
-    if t < 0.0:
-        raise DomainError(f"radius must be >= 0, got {t!r}")
-    val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t,
-                                  cfg=_PHI_QUADRATURE_CFG)
-    return n * val
-
-
 def phi_deriv(n: int, t: float) -> float:
     return n * math.sinh(t) ** (n - 1)
 
@@ -188,9 +177,36 @@ def _log_phi(n: int, t: float) -> float:
     return _log_phi_excess(n, t) + (n - 1) * t
 
 
+@lru_cache(maxsize=None)
+def _inv_series(n: int) -> Tuple[float, Tuple[float, ...]]:
+    """(x_top, c), x_top = phi(n, _SMALL_T): below x_top the root of
+    phi(n, t) = x is t = w sum_k c_k w^(2k), w = x^(1/n), c highest first.
+
+    phi = t^n P(t^2), P of _phi_series with P(0) = 1, and Lagrange-Buermann
+    inversion gives c_k = [u^k] P(u)^(-(2k+1)/n) / (2k+1), each power by
+    J.C.P. Miller's recurrence in floating point.  At x_top the terms
+    alternate and fall by more than 3 times each up to n = 100; they stop
+    below 1e-17."""
+    bs = _phi_series(n)[1:]
+    ibs = [i * b for i, b in enumerate(bs, 1)]
+    x_top = _phi_small(n, _SMALL_T)
+    v_top, out = x_top ** (2.0 / n), []
+    while not out or abs(out[-1]) * v_top ** (len(out) - 1) >= 1e-17:
+        a = -(2 * len(out) + 1) / n
+        q = [1.0]  # P^a: q_j = sum_i ((a+1) i - j) b_i q_(j-i) / j
+        for j in range(1, len(out) + 1):
+            rq = q[::-1]
+            q.append(((a + 1.0) * sum(map(mul, ibs, rq))
+                      - j * sum(map(mul, bs, rq))) / j)
+        out.append(q[-1] / (2 * len(out) + 1))
+    return x_top, tuple(reversed(out))
+
+
 def phi_inv(n: int, s: float) -> float:
     """Inverse of the volume map: the geodesic radius enclosing normalized
-    volume s."""
+    volume s.  For n >= 3 below phi(n, _SMALL_T), where phi is a series,
+    it sums the reversed series (_inv_series): within 4 ulps, no phi call.
+    Above, a root find of about five phi, within its 1e-13 tolerance."""
     check_dimension(n)
     if s < 0.0:
         raise DomainError(f"volume must be >= 0, got {s!r}")
@@ -202,6 +218,17 @@ def phi_inv(n: int, s: float) -> float:
         if s > 1e150:
             return math.log(s)
         return math.log1p(0.5 * s + math.sqrt(s + 0.25 * s * s))
+    x_top, cs = _inv_series(n)
+    if s < x_top:
+        # s^(1/n) = (m 2^r)^(1/n) 2^q for s = m 2^(nq + r): the rounding of
+        # 1/n then moves it by under an ulp, not by |log s| ulps
+        m, e = math.frexp(s)
+        q, r = divmod(e, n)
+        w = math.ldexp(math.ldexp(m, r) ** (1.0 / n), q)
+        v, acc = w * w, 0.0
+        for c in cs:
+            acc = acc * v + c
+        return w * acc
     # t^n <= phi(t) <= n 2^(1-n) e^((n-1)t) / (n-1) puts the root between
     # t_large and s^(1/n); Newton starts from the bound that is sharp at
     # this end of the range.  The bracket stops at phi's overflow edge.
@@ -224,7 +251,8 @@ def phi_inv(n: int, s: float) -> float:
 
 
 # Newton from a neighbour's radius takes about log(x_above / x) steps before
-# it converges, phi_inv about five phi in all; past this ratio x takes phi_inv
+# it converges, phi_inv about five phi in all; past this ratio x takes phi_inv,
+# as does every x where phi_inv sums its series, which calls no phi
 _ORDERED_RATIO = 20.0
 
 
@@ -236,16 +264,17 @@ def phi_inv_ordered(n: int, xs: Sequence[float]) -> List[float]:
     bracket (0, t_above) whose end values 0 and x_above are known, so no
     phi is evaluated at either end.  phi is convex, so Newton from the
     right never leaves the bracket.  A volume equal to x_above takes
-    t_above, and one more than _ORDERED_RATIO below it takes phi_inv;
-    n = 2 is closed-form.
+    t_above; one more than _ORDERED_RATIO below it, or below
+    phi(n, _SMALL_T), takes phi_inv; n = 2 is closed-form.
     """
     if n == 2:
         return [phi_inv(n, x) for x in xs]
+    x_top = _inv_series(n)[0]
     out = [0.0] * len(xs)
     t_above = x_above = None
     for i in sorted(range(len(xs)), key=xs.__getitem__, reverse=True):
         x = xs[i]
-        if x_above is None or x * _ORDERED_RATIO < x_above:
+        if x_above is None or x < x_top or x * _ORDERED_RATIO < x_above:
             t = phi_inv(n, x)
         elif x == x_above:
             t = t_above
@@ -387,34 +416,6 @@ def margin_slope_factor(n: int, p: float, t: float,
         + math.log(0.5 + 0.5 * math.exp(-2.0 * t))
     return -math.expm1((q / n - 1.0) * lam - (q / n) * t - lead) \
         - math.exp(p * math.log((n - 1.0) / n) + (p - 1.0) * lam - lead)
-
-
-def radial_margin_asymptotic(n: int, p: float, t: float) -> float:
-    """Leading-order large-t prediction of radial_margin.
-
-    Unified middle coefficient (2n/(n-1))^(p(n-1)/n); for n >= 4 the
-    published expansion of the middle term is short by a factor
-    2^(p(n-1)), which this form restores (it then matches direct
-    evaluation to a few percent by t ~ 15).
-    """
-    if n < 3:
-        raise DomainError("asymptotic form needs n >= 3")
-    if t <= 0.0:
-        raise DomainError(f"need t > 0, got {t!r}")
-    q = p * (n - 1)
-    mid = (2.0 * n / (n - 1.0)) ** (q / n)
-    if n == 3:
-        log_pref = -p * math.log(4.0) + 2.0 * (p - 1.0) * t + math.log(t)
-        bracket = 4.0 * p - mid / t * math.exp((2.0 - 2.0 * p / 3.0) * t)
-    else:
-        log_pref = p * (1 - n) * math.log(2.0) + (q - 2.0) * t
-        bracket = 2.0 * q / (n - 3.0) - mid * math.exp((2.0 - q / n) * t)
-    if bracket == 0.0:
-        return 0.0
-    log_mag = log_pref + math.log(abs(bracket))
-    if log_mag > 700.0:
-        return math.copysign(math.inf, bracket)
-    return math.copysign(math.exp(log_mag), bracket)
 
 
 def violation_onset(n: int, p: float) -> float:

@@ -657,14 +657,20 @@ def _breakpoints(n: int, nodes: Tuple[float, ...], joins: Tuple[float, ...]
     kept radii are at most _RHO apart unless they are neighbouring nodes,
     and a grid graded more coarsely than _RHO keeps every node; the panel
     tree refines between them (QUADPACK's qagp: breakpoints where the
-    integrand is not smooth, and adaptivity elsewhere)."""
+    integrand is not smooth, and adaptivity elsewhere).  Only kept nodes
+    and joins are inverted: from the last kept node i, at radius t_k, a
+    bisection of the volumes x = s / sigma finds the first node j >= i + 2
+    beyond x_lim = phi(n, _RHO t_k) (infinite past phi's overflow edge);
+    node j - 1 is kept next, or the last node if there is no such j."""
     sigma = unit_ball_volume(n)
-    radii = [geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0]
-    kept = radii[:1]
-    for t, after in zip(radii[1:-1], radii[2:]):
-        if after > _RHO * kept[-1]:
-            kept.append(t)
-    kept += radii[-1:]
+    xs = [s / sigma for s in nodes if s > 0.0]
+    kept, i = [], 0
+    while i < len(xs) - 1:
+        kept.append(geometry.phi_inv(n, xs[i]))
+        reach = _RHO * kept[-1]
+        x_lim = math.inf if (n - 1) * reach > 700.0 else geometry.phi(n, reach)
+        i = bisect.bisect_right(xs, x_lim, i + 2) - 1
+    kept += [geometry.phi_inv(n, x) for x in xs[-1:]]
     return tuple(sorted({*kept, *(geometry.phi_inv(n, j / sigma) for j in joins)}))
 
 

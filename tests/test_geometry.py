@@ -10,6 +10,7 @@ from hypineq import quadrature
 from hypineq.constants import (boundary_exponent, isoperimetric_integral_closed_form,
                                unit_ball_volume)
 from hypineq.errors import DomainError
+from oracles import phi_quadrature, radial_margin_asymptotic
 
 
 def _phi_mp(n, t, dps=40):
@@ -63,7 +64,7 @@ def test_volume_map_matches_quadrature_general_n():
         for t in (0.01, 0.3, 1.0, 4.0, 12.0):
             ref = float(_phi_mp(n, t))
             assert G.phi(n, t) == pytest.approx(ref, rel=1e-12), (n, t)
-            qv = G.phi_quadrature(n, t)
+            qv = phi_quadrature(n, t)
             assert qv == pytest.approx(ref, rel=1e-10)
 
 
@@ -118,13 +119,67 @@ def test_inverse_volume_map_newton_start(monkeypatch):
 
 def test_inverse_volume_map_reuses_its_bracket_values(monkeypatch):
     # the root find takes phi at both bracket ends from the bracket search
-    # (phi(n, 0) = 0 and the last phi(n, hi)); recomputing them took 4,665
+    # (phi(n, 0) = 0 and the last phi(n, hi)); recomputing them took 4,665.
+    # The 270 volumes below phi(n, _SMALL_T) take the series and call no phi;
+    # root finds for them too took 3,385
     phi = _Counter(G.phi)
     monkeypatch.setattr(G, "phi", phi)
     for n in range(3, 7):
         for k in range(-80, 80):
             G.phi_inv(n, 10.0 ** (k / 10))
-    assert phi.calls == 3385
+    assert phi.calls == 2101
+
+
+def _phi_series_mp(n, terms=60):
+    # the coefficients of _phi_series, exact integers over factorials
+    m = n - 1
+    return [mp.mpf(n * sum((-1) ** j * math.comb(m, j) * (m - 2 * j) ** (m + 2 * k)
+                           for j in range(n))) / (2 ** m * mp.factorial(m + 2 * k + 1))
+            for k in range(terms)]
+
+
+def _phi_inv_mp(n, x, b):
+    # the root of t P(t^2)^(1/n) = x^(1/n), phi = t^n P(t^2), for t < 0.6
+    w = mp.mpf(x) ** (mp.mpf(1) / n)
+    return mp.findroot(lambda t: t * mp.polyval(b[::-1], t * t) ** (mp.mpf(1) / n) - w, w)
+
+
+def test_inverse_series_against_an_mpmath_root(monkeypatch):
+    # below x_top = phi(n, _SMALL_T) phi_inv sums the reversed series: within
+    # 4 ulps of the exact root from the smallest subnormal up, with no phi
+    # and no root find; just above x_top the root find holds its tolerance
+    phi = _Counter(G.phi)
+    monkeypatch.setattr(G, "phi", phi)
+    worst = 0.0
+    with mp.workdps(50):
+        for n in range(3, 13):
+            b = _phi_series_mp(n)
+            x_top = G._inv_series(n)[0]
+            below = [math.ulp(0.0), 1e-300,
+                     *(float(x) for x in np.geomspace(1e-250, x_top, 30)[:-1]),
+                     *(x_top * (1.0 - 0.5 ** k) for k in (4, 12, 30)),
+                     math.nextafter(x_top, 0.0)]
+            calls = phi.calls
+            for x in below:
+                ref = float(_phi_inv_mp(n, x, b))
+                miss = abs(G.phi_inv(n, x) - ref) / math.ulp(ref)
+                assert miss <= 4.0, (n, x, miss)
+                worst = max(worst, miss)
+            assert phi.calls == calls, n
+            for x in (x_top, x_top * (1.0 + 1e-9), x_top * 1.5):
+                ref = _phi_inv_mp(n, x, b)
+                assert abs(G.phi_inv(n, x) - ref) <= 3e-14 * ref, (n, x)
+    print(f"worst series miss {worst:.0f} ulps")
+
+
+def test_inverse_series_continuous_at_its_top():
+    # the series just below x_top meets the root find at x_top within the
+    # root find's tolerance
+    for n in range(3, 21):
+        x_top = G._inv_series(n)[0]
+        below = G.phi_inv(n, math.nextafter(x_top, 0.0))
+        assert below == pytest.approx(G.phi_inv(n, x_top), rel=1e-13), n
+        assert G.phi(n, below) == pytest.approx(x_top, rel=1e-13), n
 
 
 def test_inverse_volume_map_first_bracket_reaches_s():
@@ -149,7 +204,8 @@ def test_inverse_volume_map_first_bracket_reaches_s():
 def test_ordered_phi_inv_matches_phi_inv():
     # shuffled clusters of volumes, each within e^1.8 below its centre like
     # the volumes of one panel of the level pass, centres from 1e-300 to
-    # phi's overflow edge, each centre twice and once an ulp below.  Both
+    # phi's overflow edge, each centre twice and once an ulp below.  Below
+    # phi(n, _SMALL_T) both sum phi_inv's series; above, both
     # solves stop on find_root_increasing's test, which leaves each up to
     # 3e-14 relative off the exact radius (mpmath; phi_inv at the edge
     # stops on its bracket 2.8e-14 off), so they may differ by twice that
@@ -274,7 +330,7 @@ def test_asymptotic_form_matches_margin():
     for n, p, t in [(4, 2.5, 35.0), (5, 2.4, 30.0), (6, 2.2, 30.0)]:
         exact = G.radial_margin_scaled(n, p, t, precise=True)
         scale_log = p * G._log_phi(n, t)
-        asym = G.radial_margin_asymptotic(n, p, t)
+        asym = radial_margin_asymptotic(n, p, t)
         ratio = asym / (exact * math.exp(scale_log))
         assert ratio == pytest.approx(1.0, rel=5e-3), (n, p, ratio)
 
@@ -283,12 +339,12 @@ def test_asymptotic_form_matches_margin_at_n3():
     # n = 3 has its own leading term, with a 1/t in the bracket
     for p, t in [(2.5, 40.0), (2.78, 100.0)]:
         exact = G.radial_margin_scaled(3, p, t, precise=True)
-        asym = G.radial_margin_asymptotic(3, p, t)
+        asym = radial_margin_asymptotic(3, p, t)
         ratio = asym / (exact * math.exp(p * G._log_phi(3, t)))
         assert ratio == pytest.approx(1.0, rel=1e-5), (p, ratio)
     t0 = G.violation_onset(3, 2.78)
-    assert G.radial_margin_asymptotic(3, 2.78, 0.99 * t0) > 0.0
-    assert G.radial_margin_asymptotic(3, 2.78, 1.01 * t0) < 0.0
+    assert radial_margin_asymptotic(3, 2.78, 0.99 * t0) > 0.0
+    assert radial_margin_asymptotic(3, 2.78, 1.01 * t0) < 0.0
 
 
 def test_violation_onset_brackets_sign_change():

@@ -934,15 +934,18 @@ def test_radial_pass_reuses_breakpoints_of_a_grid(monkeypatch):
         return real(n, s)
 
     monkeypatch.setattr(geometry, "phi_inv", counted)
-    grad_norm_hyperbolic(tent_profile(1.0, 1.0), 4, 3.0)
-    assert len(calls) == 32  # every node but s = 0; the last is the top
+    v = tent_profile(1.0, 1.0)
+    grad_norm_hyperbolic(v, 4, 3.0)
+    # one per kept radius, the grid's first and last node (the last is the
+    # top); inverting every node but s = 0 took 32
+    assert len(calls) == len(rearrangement._breakpoints(4, v.nodes, v.joins)) == 2
     calls.clear()
     # another profile object on the same grid, with other values
     radial_integrals(tent_profile(2.5, 1.0), 4, 3.0, qs=(3.0,),
                      grads=("hyperbolic", "euclidean"))
     assert calls == []
     radial_integrals(tent_profile(2.5, 1.0), 5, 3.0)
-    assert len(calls) == 32  # a new dimension is a new key
+    assert len(calls) == 2  # a new dimension is a new key
 
 
 def _all_components(v, n):
@@ -1030,6 +1033,38 @@ def test_breakpoints_keep_the_ends_every_join_and_a_bounded_ratio():
     coarse = (0.0, 1e-9, 1e-6, 1e-3, 1.0, 1e3)
     radii = tuple(geometry.phi_inv(2, s / unit_ball_volume(2)) for s in coarse[1:])
     assert rearrangement._breakpoints(2, coarse, ()) == radii
+
+
+def _breakpoints_of_every_node_radius(n, nodes, joins):
+    # the thinning run on the radii of every node s > 0, each inverted
+    sigma = unit_ball_volume(n)
+    radii = [geometry.phi_inv(n, s / sigma) for s in nodes if s > 0.0]
+    kept = radii[:1]
+    for t, after in zip(radii[1:-1], radii[2:]):
+        if after > rearrangement._RHO * kept[-1]:
+            kept.append(t)
+    kept += radii[-1:]
+    return tuple(sorted({*kept, *(geometry.phi_inv(n, j / sigma) for j in joins)}))
+
+
+def test_breakpoints_thin_in_volume_as_in_radius():
+    # _breakpoints inverts only the nodes it keeps, found by bisecting the
+    # node volumes; it keeps the same nodes and joins as the thinning of
+    # every node's radius, whose radii are the same phi_inv bit for bit.
+    # The last three grids mix nodes more than _RHO apart with finer runs,
+    # and keep radii from which _RHO times on lies below and beyond phi's
+    # overflow edge
+    profiles = [*standard_corpus(), *bubble_corpus(),
+                *(truncated_bubble(4, 8.0 / 3.0, lam, 1.0) for lam in (1.0, 1e-2, 1e-4))]
+    grids = [(v.label, v.nodes, v.joins) for v in profiles]
+    mixed = (0.0, *(10.0 ** (e / 4) for e in range(-40, 9)), 1e3, 1e5, 1e6)
+    grids += [("mixed", mixed, (2e-6, 0.5)),
+              ("far", (0.0, *(math.exp(k) for k in (-5, 0, 20, 25, 30, 100, 120, 200))), ()),
+              ("to-1e300", (0.0, 1e-300, 1e-200, 1e-100, 1.0, 1e100, 1e200, 1e300), ())]
+    for label, nodes, joins in grids:
+        for n in range(2, 7):
+            assert rearrangement._breakpoints(n, nodes, joins) == \
+                _breakpoints_of_every_node_radius(n, nodes, joins), (label, n)
 
 
 def _counted(v):
