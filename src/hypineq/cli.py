@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import math
 import os
 import sys
 import tempfile
@@ -72,14 +71,11 @@ def _list_of(kind: type, what: str):
     return parse
 
 
-def _add_common(sub: argparse.ArgumentParser, fmt: bool = True,
-                rel_tol: bool = False) -> None:
+def _add_common(sub: argparse.ArgumentParser, fmt: bool = True) -> None:
     sub.add_argument("--out", default=None, help="artifact directory "
                      "(default: print to stdout)")
     if fmt:
         sub.add_argument("--format", choices=("json", "csv"), default="json")
-    if rel_tol:
-        sub.add_argument("--rel-tol", type=float, default=1e-8)
     sub.add_argument("--config", default=None,
                      help="flat key=value file; flags override it")
 
@@ -116,7 +112,7 @@ def build_parser():
                     help="directory of profile files (default: built-in corpus)")
     sp.add_argument("--constant-scale", type=float, default=1.0,
                     help="test hook: multiply the sharp constant")
-    _add_common(sp, rel_tol=True)
+    _add_common(sp)
 
     sp = subs.add_parser("sharpness", help="concentration trend / optimizer run")
     sp.add_argument("--inequality", default="poincare_sobolev",
@@ -145,7 +141,7 @@ def build_parser():
     sp.add_argument("--alpha", type=float, default=None)
     sp.add_argument("--corpus", default=None)
     sp.add_argument("--constant-scale", type=float, default=1.0)
-    _add_common(sp, rel_tol=True)
+    _add_common(sp)
 
     return parser, subs.choices
 
@@ -300,8 +296,6 @@ def _load_corpus(directory: Optional[str]):
 def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
     """Evaluate the inequality on every corpus profile at every (n, p),
     emit the reports, and exit 1 if any of them fails."""
-    if not 0.0 <= args.rel_tol < math.inf:
-        raise DomainError(f"--rel-tol must be finite and >= 0, got {args.rel_tol!r}")
     corpus = _load_corpus(args.corpus)
     reports = [verifier.evaluate(args.inequality, v, n, p, args.alpha,
                                  constant_scale=args.constant_scale)
@@ -309,7 +303,7 @@ def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
     text = (reports_to_csv(reports) if args.format == "csv"
             else reports_to_json(reports))
     _emit(args, text, f"{command}-{args.inequality}.{args.format}")
-    ok = all(r.passes(args.rel_tol) for r in reports)
+    ok = all(r.passes() for r in reports)
     return EXIT_PASS if ok else EXIT_VIOLATION
 
 

@@ -9,9 +9,9 @@ every integral one evaluation needs in one pass: of a rearrangement over
 the level tau through the layer-cake and coarea formulas, s = mu(tau) and
 |v'(s)| = 1 / |mu'(tau)| (Lieb-Loss, Analysis, Thm 1.13; Talenti 1976),
 of any other closure in geodesic radius t through s = sigma phi(t),
-ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile in s.  Only
-hardy_term_bound integrates a closure in s.  A closure profile keeps, per
-n, what the pass in t computes at each panel's nodes (RadialProfile).
+ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile in s.  A closure
+profile keeps, per n, what the pass in t computes at each panel's nodes
+(RadialProfile).
 
 The pass over the level solves the 15 levels of a panel together, each
 piece's crossings in level order, each bracketed and started from the
@@ -54,10 +54,7 @@ __all__ = [
     "grad_norm_euclidean",
     "grad_norm_hyperbolic",
     "radial_integrals",
-    "kernel_correction",
-    "hardy_term_bound",
     "key_comparison",
-    "scale_profile",
     "read_profile",
     "write_profile",
 ]
@@ -207,21 +204,6 @@ class RadialProfile:
             return -b * vlast / last * (s / last) ** (-b - 1.0)
         a = self.tail.param
         return -a * vlast * math.exp(-a * (s - last))
-
-
-def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
-    """c * v, wrapping closures and the pieces of a source when present."""
-    if c < 0.0:
-        raise DomainError("profiles are non-negative; scale factor must be >= 0")
-    fn = (lambda s, f=v.fn: c * f(s)) if v.fn is not None else None
-    dfn = (lambda s, f=v.dfn: c * f(s)) if v.dfn is not None else None
-    source = v.source
-    if source is not None:
-        source = RadialFunction(source.n, tuple(
-            Piece(pc.a, pc.b, lambda r, g=pc.fn: c * g(r), lambda r, g=pc.dfn: c * g(r))
-            for pc in source.pieces))
-    return RadialProfile(v.nodes, [c * x for x in v.values], v.tail, fn=fn, dfn=dfn,
-                         label=v.label, joins=v.joins, source=source)
 
 
 # ---------------------------------------------------------------------
@@ -899,56 +881,6 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
               *(x for x in v.values if x <= 0.5 * fmax)]
     vals, errs = quadrature.integrate_vector(panel, 0.0, fmax, breaks)
     return list(zip(vals, errs))
-
-
-def kernel_correction(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
-    """The excess of the hyperbolic over the Euclidean gradient integral,
-    computed directly against the weight gap (not as a difference of the
-    two norms); closes the decomposition identity."""
-    return radial_integrals(v, n, p, grads=("kernel",))[0]
-
-
-def hardy_term_bound(v: RadialProfile, p: float,
-                     window: Optional[Tuple[float, float]] = None
-                     ) -> Tuple[float, float, float]:
-    """Both sides of the weighted integration-by-parts bound, and the
-    quadrature error estimate of their difference.
-
-    lhs = integral of |v'|^p s^p; rhs = integral of |v/p + s v'|^p plus
-    p^-p times the integral of v^p, all over the window (default: the full
-    support); the error is the sum of the three integrals' estimates, the
-    last times p^-p, plus 4096 eps times the same sum of the integrals.
-    Contract: lhs >= rhs up to quadrature tolerance.  The
-    substituted function w(s) = v(s) s^(1/p) is constant exactly when
-    v = c s^(-1/p), in which case both sides coincide on any window.  A
-    grid-only profile enters through its piecewise-linear values and
-    their segment slopes, so at p = 2 both sides agree over the full
-    support up to quadrature error, as they do for a closure.
-    """
-    if not p >= 2.0:
-        raise DomainError(f"the bound needs p >= 2, got {p!r}")
-    if window is None:
-        window = (0.0, v.support_volume)
-    lo, hi = window
-    if not 0.0 <= lo < hi:
-        raise DomainError(f"bad window {window!r}")
-    if math.isinf(hi) and v.tail.kind == "power":
-        _tail_divergence_check(v, p * v.tail.param, "weighted gradient integral")
-
-    def f(s):
-        val, dv = v(s), v.derivative(s)
-        return abs(dv) ** p * s ** p, abs(val / p + s * dv) ** p, val ** p
-
-    (lhs, wterm, vterm), (e_lhs, e_w, e_v) = quadrature.integrate_vector(
-        lambda ss: zip(*map(f, ss)), lo, hi, v.nodes)
-    # the totals miss their exact values by more than the K15 - G7 gaps: by
-    # rounding (up to 25 eps times the sum on the smooth corpus files) and,
-    # where a first segment is far below abs_tol, by the part of the
-    # left-edge sweep beyond its last panel (118 eps on the read-back
-    # truncated-bubble-l0.05-T1, 3,400 on a read-back bubble at lambda = 0.01,
-    # n = 6, p = 4).  4096 eps, about 1e-12, is a hundredth of rel_tol.
-    rounding = 4096 * sys.float_info.epsilon * (lhs + wterm + p ** (-p) * vterm)
-    return lhs, wterm + p ** (-p) * vterm, e_lhs + e_w + p ** (-p) * e_v + rounding
 
 
 def _equality_distance(v: RadialProfile, p: float) -> float:

@@ -61,13 +61,10 @@ class DeficitReport:
     def relative_margin(self) -> float:
         return self.deficit / max(self.lhs, self.rhs, _EPS)
 
-    def passes(self, rel_tol: float = 1e-8) -> bool:
-        """Tolerance policy: fail only when the deficit is more negative
-        than both the relative floor and ten times the quadrature error."""
-        if math.isnan(self.deficit):
-            return False
-        scale = max(abs(self.lhs), abs(self.rhs), 1e-30)
-        return self.deficit >= -max(rel_tol * scale, 10.0 * self.quadrature_error)
+    def passes(self) -> bool:
+        """Tolerance policy: a negative deficit fails only past ten times
+        its error bar; a nan deficit or bar fails."""
+        return self.deficit >= -10.0 * self.quadrature_error
 
     def to_dict(self) -> dict:
         p = self.params

@@ -573,9 +573,14 @@ def test_ratio_at_the_rounding_floor_is_no_undercut(capsys):
      "--lambdas", "1,0.1"),
     ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
      "--gap-max", "0.1"),
+    # a verdict rests on its error bar alone: no command takes a tolerance
+    ("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3.0",
+     "--rel-tol", "1e-3"),
+    ("sweep", "--inequality", "key_comparison", "--n-list", "4", "--p-list", "3.0",
+     "--rel-tol", "1e-3"),
 ])
 def test_flags_a_command_ignores_are_rejected(capsys, argv):
-    # sharpness writes CSV only; only verify and sweep judge a tolerance
+    # sharpness writes CSV only
     with pytest.raises(SystemExit) as exc:
         cli.main(list(argv))
     assert exc.value.code == 2
@@ -618,6 +623,15 @@ def test_config_rejects_unknown_key(capsys, tmp_path):
                        "--config", str(cfgfile))
     assert code == 2
     assert "unknown key" in err
+
+
+def test_config_rel_tol_is_an_unknown_key(capsys, tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("rel-tol = 1e-3\n")
+    code, _, err = run(capsys, "verify", "--inequality", "key_comparison", "--n", "4",
+                       "--p", "3.0", "--config", str(cfgfile))
+    assert code == 2
+    assert "unknown key 'rel-tol'" in err
 
 
 def test_config_switch_runs_the_optimizer(capsys, tmp_path, monkeypatch):
@@ -697,8 +711,6 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
       "--constant-scale", "nan"), "--constant-scale must be finite and > 0"),
     (("verify", "--inequality", "poincare_sobolev", "--n", "4", "--p", "3",
       "--constant-scale", "inf"), "--constant-scale must be finite and > 0"),
-    (("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3",
-      "--rel-tol", "nan"), "--rel-tol must be finite and >= 0"),
 ])
 def test_domain_edges_exit_2(capsys, tmp_path, argv, message):
     # each used to crash (exit 1 or 4), pass on a NaN grid (violate) or,

@@ -65,7 +65,7 @@ def test_corpus_norms_finite():
 def test_corpus_key_comparison_all_positive():
     for v in standard_corpus():
         rep = key_comparison(v, 4, 8.0 / 3.0)
-        assert rep.passes(1e-9), v.label
+        assert rep.passes(), v.label
 
 
 def test_bubble_corpus_concentration():
