@@ -42,7 +42,6 @@ from .rearrangement import (
 from .report import DeficitReport, reports_to_csv, reports_to_json
 from .sharpness import (
     SharpnessResult,
-    lambda_sweep,
     minimize_ratio,
     truncated_bubble,
     untruncated_bubble,

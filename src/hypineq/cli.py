@@ -114,24 +114,22 @@ def build_parser():
                     help="test hook: multiply the sharp constant")
     _add_common(sp)
 
-    sp = subs.add_parser("sharpness", help="concentration trend / optimizer run")
+    # no abbreviations, so that --lambda is rejected rather than read as --lambdas
+    sp = subs.add_parser("sharpness", help="limit of a ratio along the bubble family",
+                         allow_abbrev=False)
     sp.add_argument("--inequality", default="poincare_sobolev",
                     choices=[key for key, row in verifier.INEQUALITIES.items()
                              if row.ratio is not None])
     sp.add_argument("--n", type=int, required=True)
     sp.add_argument("--p", type=float, required=True)
-    # the defaults of the flags of one mode are in _SHARPNESS_FLAGS
-    sp.add_argument("--lambdas", type=_list_of(float, "number"),
-                    default=argparse.SUPPRESS)
     sp.add_argument("--truncation", type=float, default=1.0)
-    mode = sp.add_mutually_exclusive_group()
-    mode.add_argument("--optimize", action="store_true",
-                      help="descend in lambda from 0.1 instead of a sweep")
-    mode.add_argument("--no-optimize", action="store_true",
-                      help="evaluate the ratio at a single --lambda and exit")
+    scales = sp.add_mutually_exclusive_group()
+    scales.add_argument("--lambdas", type=_list_of(float, "number"),
+                        default=argparse.SUPPRESS,
+                        help="evaluate these scales in order instead of the descent")
+    scales.add_argument("--optimize", action="store_true",
+                        help="write the descent as sharpness-trace.csv")
     sp.add_argument("--max-iter", type=int, default=argparse.SUPPRESS)
-    sp.add_argument("--lambda", dest="single_lambda", type=float,
-                    default=argparse.SUPPRESS)
     _add_common(sp, fmt=False)
 
     sp = subs.add_parser("sweep", help="deficit reports over an (n, p) grid")
@@ -309,25 +307,6 @@ def _verify_over(args, ns: List[int], ps: List[float], command: str) -> int:
 
 # -- sharpness ------------------------------------------------------
 
-# sharpness flags that only some modes use: dest, flag, default, the modes
-_SHARPNESS_FLAGS = (
-    ("single_lambda", "--lambda", None, ("--no-optimize",)),
-    ("max_iter", "--max-iter", 9, ("--optimize",)),
-    ("lambdas", "--lambdas", (1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5), ("sweep",)),
-    ("out", "--out", None, ("--optimize", "sweep")),
-)
-
-
-def _check_sharpness_flags(args, sub: argparse.ArgumentParser) -> None:
-    """Reject a flag the sharpness mode would ignore; default the others."""
-    mode = ("--optimize" if args.optimize else
-            "--no-optimize" if args.no_optimize else "sweep")
-    for dest, flag, default, modes in _SHARPNESS_FLAGS:
-        if getattr(args, dest, None) is not None and mode not in modes:
-            sub.error(f"unrecognized arguments: {flag} (not used in {mode} mode)")
-        vars(args).setdefault(dest, default)
-
-
 # the widest bar on a sharpness limit that settles a run, as a fraction
 # of the target
 BAR_MAX = 0.05
@@ -362,33 +341,23 @@ def _sharpness_verdict(points, target: float, rate: Optional[float],
 
 def cmd_sharpness(args) -> int:
     n, p = args.n, args.p
-    ratio, target = sharpness.ratio_function(args.inequality, n, p)
-
-    if args.no_optimize:
-        if args.single_lambda is None:
-            raise DomainError("--no-optimize needs --lambda")
-        value, _ = ratio(sharpness.truncated_bubble(
-            n, p, args.single_lambda, args.truncation))
-        sys.stdout.write(fmt17(value) + "\n")
-        return EXIT_PASS
-
-    rate = verifier.INEQUALITIES[args.inequality].rate(n, p)
+    given = {key: value for key, value in vars(args).items()
+             if key in ("lambdas", "max_iter")}
+    if len(given) == 2:
+        build_parser()[1]["sharpness"].error(
+            "unrecognized arguments: --max-iter (not used with --lambdas)")
+    res = sharpness.minimize_ratio(args.inequality, n, p, T0=args.truncation, **given)
     if args.optimize:
-        res = sharpness.minimize_ratio(
-            args.inequality, n, p, T0=args.truncation, max_iter=args.max_iter)
         _emit(args, res.trace_csv(), "sharpness-trace.csv")
-        return _sharpness_verdict(res.points, target, rate)
-
-    points = sharpness.lambda_sweep(args.inequality, n, p, args.lambdas,
-                                    T=args.truncation)
-    _emit(args, csv_table(("lambda", "T", "ratio", "gap"),
-                          [(lam, args.truncation, r, r - target)
-                           for lam, r, _ in points]),
-          "sharpness-sweep.csv")
-    ratios = [r for _, r, _ in points]
-    monotone = all(b < a for a, b in zip(ratios, ratios[1:]))
-    return _sharpness_verdict(points, target, rate, None if monotone else
-                              "the ratio does not fall at every step of --lambdas")
+    else:
+        _emit(args, csv_table(("lambda", "T", "ratio", "gap"),
+                              [row[1:] for row in res.trace]),
+              "sharpness-sweep.csv")
+    ratios = [r for _, r, _ in res.points]
+    monotone = "lambdas" not in given or all(b < a for a, b in zip(ratios, ratios[1:]))
+    return _sharpness_verdict(
+        res.points, res.target_constant, verifier.INEQUALITIES[args.inequality].rate(n, p),
+        None if monotone else "the ratio does not fall at every step of --lambdas")
 
 
 _DISPATCH = {
@@ -406,8 +375,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     try:
         argv = _apply_config(argv, subparsers)
         args = parser.parse_args(argv)
-        if args.command == "sharpness":
-            _check_sharpness_flags(args, subparsers["sharpness"])
         return _DISPATCH[args.command](args)
     except (DomainError, BracketError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")

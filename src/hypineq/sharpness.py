@@ -29,7 +29,6 @@ __all__ = [
     "untruncated_bubble",
     "ratio_function",
     "minimize_ratio",
-    "lambda_sweep",
     "extrapolate",
 ]
 
@@ -131,7 +130,7 @@ def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
 
 @dataclass(frozen=True)
 class SharpnessResult:
-    """A descent's (lambda, ratio, bar) points at truncation T, in order."""
+    """A run's (lambda, ratio, bar) points at truncation T, in order."""
 
     target_constant: float
     truncation: float
@@ -200,32 +199,27 @@ def extrapolate(points: Sequence[Tuple[float, float, float]],
 
 
 def minimize_ratio(inequality_id: str, n: int, p: float, T0: float = 1.0,
+                   lambdas: Optional[Sequence[float]] = None,
                    max_iter: int = 9) -> SharpnessResult:
-    """Descend in scale alone at truncation T0: the ratio at lambda =
-    0.1 * 10^-k for k = 0, ..., max_iter, stopping once the newest
-    extrapolant's bar is no narrower than the one before.  Fully
-    deterministic.
+    """The ratio along the bubble family at truncation T0, at the given
+    lambdas in order, or else descending in scale alone: lambda = 0.1 *
+    10^-k for k = 0, ..., max_iter, stopping once the newest extrapolant's
+    bar is no narrower than the one before.  Fully deterministic.
 
-    The scale stops at 1e-10 (k = 9, so a max_iter above 9 acts as 9):
+    The descent stops at 1e-10 (k = 9, so a max_iter above 9 acts as 9):
     below it, roundoff in the ratio can fake an undercut of the sharp
     constant.
     """
     ratio, target = ratio_function(inequality_id, n, p)
     rate = verifier.INEQUALITIES[inequality_id].rate(n, p)
+    descent = lambdas is None
+    if descent:
+        lambdas = [10.0 ** -(k + 1) for k in range(min(max_iter, 9) + 1)]
     points: List[Tuple[float, float, float]] = []
-    for k in range(min(max_iter, 9) + 1):
-        lam = 10.0 ** -(k + 1)
+    for lam in lambdas:
         points.append((lam, *ratio(truncated_bubble(n, p, lam, T0))))
-        bars = [bar for _, bar in extrapolate(points, rate)]
-        if len(bars) >= 2 and bars[-1] >= bars[-2]:
-            break
+        if descent:
+            bars = [bar for _, bar in extrapolate(points, rate)]
+            if len(bars) >= 2 and bars[-1] >= bars[-2]:
+                break
     return SharpnessResult(target, T0, tuple(points))
-
-
-def lambda_sweep(inequality_id: str, n: int, p: float, lambdas: Sequence[float],
-                 T: float = 1.0) -> List[Tuple[float, float, float]]:
-    """(lambda, ratio, bar) along a fixed-truncation concentration path;
-    the trend toward the target as the scale shrinks is the sharpness
-    evidence."""
-    ratio, _ = ratio_function(inequality_id, n, p)
-    return [(lam, *ratio(truncated_bubble(n, p, lam, T))) for lam in lambdas]

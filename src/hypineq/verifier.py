@@ -95,6 +95,9 @@ def gagliardo_nirenberg(v: RadialProfile, n: int, p: float, alpha: float,
     if not in_poincare_range(n, p):
         raise DomainError(
             f"gagliardo_nirenberg needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
+    if alpha * p < 1.0:  # the L^(alpha p) norm's exponent
+        raise DomainError(
+            f"gagliardo_nirenberg needs alpha*p >= 1, got alpha={alpha}, p={p}")
     theta = constants.gn_theta(params)
     gn = constant_scale * constants.gn_constant(params)
     q = alpha * (p - 1.0) + 1.0

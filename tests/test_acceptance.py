@@ -124,8 +124,8 @@ def test_criterion_07_equality_certification():
 def test_criterion_08_concentration_sharpness():
     n, p = 4, 8.0 / 3.0
     target = constants.sobolev_constant(Params(n, p)) ** p
-    pairs = sharpness.lambda_sweep("poincare_sobolev", n, p,
-                                   [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5])
+    pairs = sharpness.minimize_ratio("poincare_sobolev", n, p,
+                                     lambdas=[1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5]).points
     ratios = [r for _, r, _ in pairs]
     # monotone decrease over the stated grid, never undercutting
     ok = all(b < a for a, b in zip(ratios[:4], ratios[1:4]))

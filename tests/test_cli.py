@@ -403,21 +403,38 @@ def test_unsettled_sharpness_names_its_reason(capsys, argv, reason):
 
 
 def test_sharpness_single_evaluation(capsys):
-    code, out, _ = run(capsys, "sharpness", "--n", "4", "--p", N4P,
-                       "--no-optimize", "--lambda", "0.01")
-    assert code == 0
-    assert float(out) > 0.0
-    code, _, _ = run(capsys, "sharpness", "--n", "4", "--p", N4P,
-                     "--no-optimize")
-    assert code == 2
+    # one scale through --lambdas writes its ratio, and leaves no limit
+    code, out, err = run(capsys, "sharpness", "--n", "4", "--p", N4P,
+                         "--lambdas", "0.01")
+    assert code == 3
+    header, row = out.splitlines()
+    lam, T, ratio, _ = map(float, row.split(","))
+    assert header == "lambda,T,ratio,gap" and (lam, T) == (0.01, 1.0) and ratio > 0.0
+    assert err == "inconclusive: 1 ratio(s) give no extrapolated limit with a bar\n"
 
 
 def test_sharpness_modes_are_exclusive(capsys):
     with pytest.raises(SystemExit) as exc:
         cli.main(["sharpness", "--n", "4", "--p", N4P, "--optimize",
-                  "--no-optimize", "--lambda", "0.1"])
+                  "--lambdas", "1,0.1"])
     assert exc.value.code == 2
     assert "not allowed with argument --optimize" in capsys.readouterr().err
+
+
+def test_default_run_is_the_descent(capsys, tmp_path):
+    # --optimize only names the artifact: the default run writes the same
+    # points as sharpness-sweep.csv, without the iteration column
+    files = []
+    for extra in ((), ("--optimize",)):
+        out = tmp_path / str(len(files))
+        code, _, err = run(capsys, "sharpness", "--n", "5", "--p", "3.0", *extra,
+                           "--out", str(out))
+        assert (code, err) == (0, "")
+        files.extend(out.iterdir())
+    assert [f.name for f in files] == ["sharpness-sweep.csv", "sharpness-trace.csv"]
+    sweep, trace = (f.read_text().splitlines() for f in files)
+    assert sweep[1:] == [row.split(",", 1)[1] for row in trace[1:]]
+    assert float(sweep[1].split(",")[0]) == 0.1
 
 
 def test_sharpness_optimizer(capsys, tmp_path):
@@ -442,13 +459,14 @@ def test_sharpness_optimizer_default_is_its_last_step(capsys, tmp_path):
     assert traces[0].splitlines()[-1].startswith("9,1e-10,")
 
 
-@pytest.mark.parametrize("lam,code", [("1e-76", 0), ("1e-77", 2)])
+@pytest.mark.parametrize("lam,code", [("1e-76", 3), ("1e-77", 2)])
 def test_sharpness_at_the_smallest_normal_scale(capsys, lam, code):
+    # a lone ratio is finite down to 1e-76, and leaves no limit (exit 3)
     got, out, err = run(capsys, "sharpness", "--n", "4", "--p", N4P,
-                        "--no-optimize", "--lambda", lam)
+                        "--lambdas", lam)
     assert got == code
-    if code == 0:
-        assert math.isfinite(float(out))
+    if code == 3:
+        assert math.isfinite(float(out.splitlines()[1].split(",")[2]))
     else:
         assert "underflows" in err
 
@@ -467,7 +485,7 @@ def test_sharpness_inequality_choices_are_the_ratio_rows(capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ("--n", "3", "--p", "2.5", "--no-optimize", "--lambda", "0.1"),
+    ("--n", "3", "--p", "2.5", "--lambdas", "0.1"),
     ("--n", "5", "--p", "2.2"),
 ])
 def test_sharpness_outside_the_poincare_range_exits_2(capsys, argv):
@@ -505,18 +523,16 @@ def test_sharpness_verdict(capsys, gaps, settled, code):
                          and (unsettled or "limit") in err)
 
 
-def _default_sweep(n, p, inequality="poincare_sobolev"):
-    """(points, target, rate) of the default sharpness sweep at (n, p)."""
-    lambdas = dict((d, default) for d, _, default, _ in cli._SHARPNESS_FLAGS)["lambdas"]
-    points = cli.sharpness.lambda_sweep(inequality, n, p, lambdas)
-    target = cli.sharpness.ratio_function(inequality, n, p)[1]
-    return points, target, verifier.INEQUALITIES[inequality].rate(n, p)
+def _default_run(n, p, inequality="poincare_sobolev"):
+    """(points, target, rate) of the default sharpness run at (n, p)."""
+    res = cli.sharpness.minimize_ratio(inequality, n, p)
+    return res.points, res.target_constant, verifier.INEQUALITIES[inequality].rate(n, p)
 
 
 @pytest.mark.parametrize("n,p", [(4, 8.0 / 3.0), (5, 3.0), (6, 3.0)])
 def test_sharpness_verdict_refutes_a_target_three_percent_low(capsys, n, p):
     # the real ratios settle on the sharp target and refute one 3% below
-    points, target, rate = _default_sweep(n, p)
+    points, target, rate = _default_run(n, p)
     assert cli._sharpness_verdict(points, target, rate) == 0
     assert cli._sharpness_verdict(points, 0.97 * target, rate) == 1
     assert capsys.readouterr().err == ""
@@ -548,8 +564,8 @@ def test_sharpness_optimize_at_the_old_box_corner(capsys, tmp_path):
 def test_ratio_at_the_rounding_floor_is_no_undercut(capsys):
     # key_comparison at n = 6 reaches its target to rounding: the ratio at
     # lambda = 1e-8 is 3e-14 below 1, inside its bar of 6e-11
-    points = cli.sharpness.lambda_sweep("key_comparison", 6, 2.42,
-                                        [10.0 ** -k for k in range(1, 9)])
+    points = cli.sharpness.minimize_ratio("key_comparison", 6, 2.42,
+                                          lambdas=[10.0 ** -k for k in range(1, 9)]).points
     _, ratio, bar = points[-1]
     assert -bar < ratio - 1.0 < 0.0
     assert cli._sharpness_verdict(points, 1.0, None) == 0
@@ -563,16 +579,14 @@ def test_ratio_at_the_rounding_floor_is_no_undercut(capsys):
     ("constants", "--n", "4", "--p", N4P, "--rel-tol", "1e-3"),
     ("lemma", "verify", "--n", "4", "--p", "3", "--rel-tol", "1e-3"),
     ("sharpness", "--n", "4", "--p", N4P, "--rel-tol", "1e-3"),
-    # each sharpness mode takes only the flags it uses
+    # --max-iter bounds the descent, which explicit --lambdas replace
+    ("sharpness", "--n", "4", "--p", N4P, "--lambdas", "1,0.1", "--max-iter", "5"),
+    # deleted flags, and no prefix of a flag stands for one
     ("sharpness", "--n", "4", "--p", "2.7", "--lambdas", "1,0.1", "--lambda", "0.5"),
-    ("sharpness", "--n", "4", "--p", N4P, "--max-iter", "5"),
-    ("sharpness", "--n", "4", "--p", N4P, "--optimize", "--lambdas", "1,0.1"),
-    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
-     "--max-iter", "5"),
-    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
-     "--lambdas", "1,0.1"),
-    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
-     "--gap-max", "0.1"),
+    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize"),
+    ("sharpness", "--n", "4", "--p", N4P, "--lambda", "0.1"),
+    ("sharpness", "--n", "4", "--p", N4P, "--lamb", "0.1"),
+    ("sharpness", "--n", "4", "--p", N4P, "--gap-max", "0.1"),
     # a verdict rests on its error bar alone: no command takes a tolerance
     ("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3.0",
      "--rel-tol", "1e-3"),
@@ -637,8 +651,8 @@ def test_config_rel_tol_is_an_unknown_key(capsys, tmp_path):
 def test_config_switch_runs_the_optimizer(capsys, tmp_path, monkeypatch):
     calls = []
 
-    def fake_minimize(inequality, n, p, T0, max_iter):
-        calls.append((inequality, n, max_iter))
+    def fake_minimize(inequality, n, p, T0=1.0, lambdas=None, max_iter=9):
+        calls.append((inequality, n, lambdas, max_iter))
         target = cli.sharpness.ratio_function(inequality, n, p)[1]
         return cli.sharpness.SharpnessResult(target, T0, tuple(
             (lam, (1.0 + 0.1 * lam) * target, 0.01 * target)
@@ -650,7 +664,7 @@ def test_config_switch_runs_the_optimizer(capsys, tmp_path, monkeypatch):
     code, out, _ = run(capsys, "sharpness", "--n", "4", "--p", N4P,
                        "--config", str(cfgfile))
     assert code == 0
-    assert calls == [("poincare_sobolev", 4, 7)]
+    assert calls == [("poincare_sobolev", 4, None, 7)]
     assert out.startswith("iteration,lambda,T,ratio,gap")
 
 
@@ -702,7 +716,7 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
      "overflows double precision"),
     (("verify", "--inequality", "key_comparison", "--n", "4", "--p", "3",
       "--corpus", "{tmp}"), "key_comparison of big"),
-    (("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "1e300"),
+    (("sharpness", "--n", "4", "--p", N4P, "--lambdas", "1e300"),
      "bubble scale sigma*lambda^n overflows"),
     # flag values that crashed (exit 4) or faked a verdict (exit 0 or 1)
     (("verify", "--inequality", "poincare_sobolev", "--n", "4", "--p", "3",
@@ -711,6 +725,10 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
       "--constant-scale", "nan"), "--constant-scale must be finite and > 0"),
     (("verify", "--inequality", "poincare_sobolev", "--n", "4", "--p", "3",
       "--constant-scale", "inf"), "--constant-scale must be finite and > 0"),
+    # the L^(alpha p) norm needs alpha*p >= 1; the error named neither alpha
+    # nor the inequality
+    (("verify", "--inequality", "gagliardo_nirenberg", "--n", "6", "--p", "2.6",
+      "--alpha", "0.3"), "gagliardo_nirenberg needs alpha*p >= 1, got alpha=0.3, p=2.6"),
 ])
 def test_domain_edges_exit_2(capsys, tmp_path, argv, message):
     # each used to crash (exit 1 or 4), pass on a NaN grid (violate) or,
@@ -807,8 +825,7 @@ def _outputs(capsys, out_dir, requests):
 
 @pytest.mark.parametrize("bad_argv", [
     ("lemma", "verify", "--n", "four", "--p", "3.0"),
-    ("sharpness", "--n", "4", "--p", N4P, "--no-optimize", "--lambda", "0.1",
-     "--max-iter", "5"),
+    ("sharpness", "--n", "4", "--p", N4P, "--lambdas", "0.1", "--max-iter", "5"),
     ("verify", "--inequality", "no_such_inequality", "--n", "4", "--p", "3.0"),
 ])
 def test_request_after_usage_error_matches_a_cold_one(capsys, tmp_path, bad_argv):

@@ -11,7 +11,6 @@ from hypineq.errors import DomainError
 from hypineq.rearrangement import RadialProfile, Tail, lp_integral, radial_integrals
 from hypineq.sharpness import (
     extrapolate,
-    lambda_sweep,
     minimize_ratio,
     ratio_function,
     truncated_bubble,
@@ -128,8 +127,10 @@ def test_poincare_ratio_outside_the_poincare_range_is_rejected(n, p):
 
 def test_lambda_sweep_trends_to_target():
     ratio, target = ratio_function("poincare_sobolev", N, P)
-    pairs = lambda_sweep("poincare_sobolev", N, P,
-                         [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5])
+    # given scales are all evaluated, in order, with no stop rule
+    lambdas = [1.0, 0.1, 0.01, 1e-3, 1e-4, 1e-5]
+    pairs = minimize_ratio("poincare_sobolev", N, P, lambdas=lambdas).points
+    assert [lam for lam, _, _ in pairs] == lambdas
     ratios = [r for _, r, _ in pairs]
     assert all(b < a for a, b in zip(ratios, ratios[1:]))
     assert all(r > target * (1.0 - 1e-9) for r in ratios)
@@ -143,7 +144,7 @@ def test_lambda_sweep_trends_to_target():
 
 
 def test_key_comparison_sweep():
-    pairs = lambda_sweep("key_comparison", N, P, [0.3, 0.1, 0.03])
+    pairs = minimize_ratio("key_comparison", N, P, lambdas=[0.3, 0.1, 0.03]).points
     for _, r, _ in pairs:
         assert r > 1.0
 
