@@ -12,13 +12,16 @@ panel's 15 nodes, its centre first and then the pairs c - h x, c + h x
 from the outermost Kronrod node inwards, and returns one sequence of 15
 values per component, in that node order, so a caller may build each
 component in one pass over the panel and keep what depends only on the
-nodes of a panel that recurs.  One substitution, s = a + b e^y, serves
-both ends that bisection cannot reach: the first segment (0, x] when it
-starts at 0 (a = 0, b = x, swept leftward from y = 0), where it absorbs
-an integrable singularity of a profile closure, and an infinite tail
-[a, inf) (b = 1, swept right and then left from y = 0).  It maps a
-panel's node list before the call and scales each component's values.
-integrate takes a pointwise scalar integrand.
+nodes of a panel that recurs.  A first segment [0, x] takes a small
+panel tree, as every other segment takes a full one (QUADPACK's qagp:
+plain bisection where the integrand is regular).  Where that tree runs
+out of its head budget, the head is rough, and one substitution,
+s = a + b e^y, takes over: with a = 0, b = x, swept leftward from y = 0,
+it absorbs an integrable singularity of a profile closure at 0.  The
+same substitution reaches an infinite tail [a, inf) (b = 1, swept right
+and then left from y = 0).  It maps a panel's node list before the call
+and scales each component's values.  integrate takes a pointwise scalar
+integrand.
 
 Everything here is pure; integrand closures supplied by callers must be
 safe to call repeatedly.
@@ -45,6 +48,10 @@ __all__ = [
 # bisected, and how many panels the tree may hold.
 _MAX_DEPTH = 50
 _MAX_PANELS = 4096
+# Budgets of the plain tree on a first segment [0, x] (integrate_vector):
+# past either, the head is rough and the segment takes the log sweep.
+_HEAD_DEPTH = 8
+_HEAD_PANELS = 32
 # relative tolerance of find_root_increasing, on the residual and the
 # bracket, and its default iteration budget
 _ROOT_REL_TOL = 1e-13
@@ -133,7 +140,12 @@ def _gk15(f: PanelIntegrand, a: float, b: float
     return vals, errs
 
 
-def _integrate_finite(f, a, b, cfg: QuadratureConfig):
+def _integrate_finite(f, a, b, cfg: QuadratureConfig,
+                      max_panels=_MAX_PANELS, edge_depth=_MAX_DEPTH):
+    """(values, errors) of one panel tree on [a, b].  Raises
+    ConvergenceError rather than bisect once the tree holds max_panels
+    panels, or a panel _MAX_DEPTH bisections deep (edge_depth deep, for
+    the panel at a)."""
     val, err = _gk15(f, a, b)
     if not any(e > max(cfg.abs_tol, cfg.rel_tol * abs(x)) for x, e in zip(val, err)):
         return val, err
@@ -150,14 +162,14 @@ def _integrate_finite(f, a, b, cfg: QuadratureConfig):
     counter = 1
     while any(e > max(cfg.abs_tol, cfg.rel_tol * abs(t))
               for t, e in zip(total, total_err)):
-        if len(heap) >= _MAX_PANELS:
+        if len(heap) >= max_panels:
             raise ConvergenceError(
                 f"quadrature panel budget exhausted on [{a!r}, {b!r}]",
                 partial=total, error_estimate=total_err)
         _, _, pa, pb, pval, perr, depth = heapq.heappop(heap)
-        if depth >= _MAX_DEPTH:
+        if depth >= (edge_depth if pa == a else _MAX_DEPTH):
             raise ConvergenceError(
-                f"quadrature hit max depth {_MAX_DEPTH} near [{pa!r}, {pb!r}]",
+                f"quadrature hit max depth {depth} near [{pa!r}, {pb!r}]",
                 partial=total, error_estimate=total_err)
         pm = 0.5 * (pa + pb)
         lval, lerr = _gk15(f, pa, pm)
@@ -228,9 +240,12 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
     nodes of a panel to one sequence of 15 values per component (see the
     module docstring).  Interior breakpoints (e.g. the grid of a
     concentrated profile, which a global subdivision could step over)
-    split [a, b].  Raises DomainError on an empty interval,
-    ConvergenceError (carrying the partial values) when a budget runs out,
-    and EvaluationError on a non-finite value.
+    split [a, b].  A first segment [0, x] takes a panel tree of at most
+    _HEAD_PANELS panels that bisects its panel at 0 at most _HEAD_DEPTH
+    times; past either budget that tree's work is dropped, and the segment
+    takes the leftward sweep under s = x e^y.  Raises DomainError on an
+    empty interval, ConvergenceError (carrying the partial values) when a
+    budget runs out, and EvaluationError on a non-finite value.
     """
     cfg = cfg or DEFAULT_CONFIG
     if math.isinf(a) or not a < b:
@@ -240,9 +255,13 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
     lo = a
     for x in pts:
         if lo == 0.0:
-            # a profile closure may be singular (but integrable) at the origin
-            v, e = _sweep(_substituted(f, 0.0, x), -2.0, cfg,
-                          "left-edge substitution did not converge")
+            # a profile closure may be singular (but integrable) at the origin:
+            # a head the small tree cannot resolve takes the log sweep
+            try:
+                v, e = _integrate_finite(f, 0.0, x, cfg, _HEAD_PANELS, _HEAD_DEPTH)
+            except ConvergenceError:
+                v, e = _sweep(_substituted(f, 0.0, x), -2.0, cfg,
+                              "left-edge substitution did not converge")
         else:
             v, e = _integrate_finite(f, lo, x, cfg)
         total, total_err = _add(total, total_err, v, e)

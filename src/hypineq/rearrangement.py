@@ -30,7 +30,6 @@ import functools
 import itertools
 import math
 import os
-import statistics
 import sys
 from array import array
 from dataclasses import dataclass, field
@@ -100,12 +99,14 @@ class RadialProfile:
     nodes of each panel its passes in geodesic radius took
     (radial_integrals): 61 doubles, about 0.55 KiB, a panel, at most
     _GRID_PANELS panels per n.  The table is not compared, hashed or
-    copied by dataclasses.replace, and dies with the profile.  joins holds
-    the volumes inside the support where a closure is not smooth (a jump
-    in v'' or a kink in v), each a breakpoint of the pass in geodesic
-    radius; files do not keep them, and the grid paths ignore them.  A
-    rearrangement also keeps the radial function it rearranges as its
-    source, and its norms are integrated over the level (radial_integrals).
+    copied by dataclasses.replace, and dies with the profile; so do the
+    128 samples (s, v(s)) a profile keeps for its equality distance
+    (key_comparison).  joins holds the volumes inside the support where a
+    closure is not smooth (a jump in v'' or a kink in v), each a
+    breakpoint of the pass in geodesic radius; files do not keep them,
+    and the grid paths ignore them.  A rearrangement also keeps the
+    radial function it rearranges as its source, and its norms are
+    integrated over the level (radial_integrals).
     """
 
     nodes: Tuple[float, ...]
@@ -117,6 +118,7 @@ class RadialProfile:
     joins: Tuple[float, ...] = ()
     source: Optional[RadialFunction] = field(default=None, compare=False, repr=False)
     _panels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
+    _samples: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         nodes = tuple(map(float, self.nodes))
@@ -633,8 +635,9 @@ def _breakpoints(n: int, nodes: Tuple[float, ...], joins: Tuple[float, ...]
                  ) -> Tuple[float, ...]:
     """The breakpoints of the pass in geodesic radius, cached by value: the
     radii t = phi_inv(n, s / sigma) of the grid nodes s > 0, thinned, and
-    of every join.  The first node radius, where the left-edge
-    substitution ends, and the last are kept; any other only when the
+    of every join.  The first node radius, where the left-edge segment
+    [0, t] ends (integrate_vector: a small panel tree, or the log sweep
+    where the head is rough), and the last are kept; any other only when the
     next would lie more than _RHO times beyond the last kept one.  So two
     kept radii are at most _RHO apart unless they are neighbouring nodes,
     and a grid graded more coarsely than _RHO keeps every node; the panel
@@ -830,10 +833,11 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
     mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
     weight.  Breakpoints are the piece end values of f and the node values
-    of v up to fmax / 2: the lowest puts [0, it] on the left-edge
-    substitution, which absorbs the singularity of mu at 0, and the others
-    grade it; the upper node values of a grid geometric in s crowd toward
-    fmax, where each would cost a panel and buy no accuracy.
+    of v up to fmax / 2: the lowest makes [0, it] the left-edge segment,
+    whose log sweep absorbs the singularity of mu at 0 where the small
+    panel tree of integrate_vector cannot, and the others grade it; the
+    upper node values of a grid geometric in s crowd toward fmax, where
+    each would cost a panel and buy no accuracy.
     """
     f = v.source
     fmax = f.sup_value
@@ -886,13 +890,18 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
 def _equality_distance(v: RadialProfile, p: float) -> float:
     """Root-mean-square distance of w(s) = v(s) s^(1/p) from its mean over
     the interior of the grid; zero exactly on the rigidity profile
-    c s^(-1/p)."""
-    s_lo = v.nodes[1]
-    s_hi = v.nodes[-1]
-    if v.tail.kind == "compact":
-        s_hi = 0.5 * (s_lo + s_hi)  # w ends at 0; measure the inner half
-    xs = quadrature.geomspace(max(s_lo, 1e-12), s_hi, 128)
-    return statistics.pstdev(v(s) * s ** (1.0 / p) for s in xs)
+    c s^(-1/p).  The 128 samples (s, v(s)) do not depend on p, and the
+    profile keeps them."""
+    if not v._samples:
+        s_lo = v.nodes[1]
+        s_hi = v.nodes[-1]
+        if v.tail.kind == "compact":
+            s_hi = 0.5 * (s_lo + s_hi)  # w ends at 0; measure the inner half
+        v._samples.extend([(s, v(s)) for s in
+                           quadrature.geomspace(max(s_lo, 1e-12), s_hi, 128)])
+    ws = [val * s ** (1.0 / p) for s, val in v._samples]
+    mean = math.fsum(ws) / len(ws)
+    return math.sqrt(math.fsum((w - mean) ** 2 for w in ws) / len(ws))
 
 
 def key_comparison(v: RadialProfile, n: int, p: float) -> DeficitReport:

@@ -1,10 +1,12 @@
+import dataclasses
 import heapq
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hypineq import quadrature
+from hypineq import quadrature, verifier
+from hypineq.corpus import bump_profile
 from hypineq.errors import BracketError, ConvergenceError, DomainError, EvaluationError
 from hypineq.quadrature import (
     QuadratureConfig,
@@ -12,6 +14,7 @@ from hypineq.quadrature import (
     integrate,
     integrate_vector,
 )
+from hypineq.rearrangement import radial_integrals
 
 
 def test_polynomial_exact():
@@ -144,11 +147,17 @@ def _scalar_gk15(f, a, b):
     return resk * h, abs(resk - resg) * abs(h)
 
 
-def _scalar_finite(f, a, b, rel=1e-10, abs_tol=1e-12):
+def _scalar_finite(f, a, b, rel=1e-10, abs_tol=1e-12, panels=math.inf, depth=math.inf):
+    """The tree on [a, b]; None where it would bisect while holding panels
+    panels, or bisect the panel at a once it is depth bisections deep."""
     val, err = _scalar_gk15(f, a, b)
     heap, total, total_err, counter = [(-err, 0, a, b, val, err)], val, err, 1
     while total_err > max(abs_tol, rel * abs(total)):
+        if len(heap) >= panels:
+            return None
         _, _, pa, pb, pval, perr = heapq.heappop(heap)
+        if pa == a and pb - pa <= (b - a) / 2.0 ** depth:
+            return None
         pm = 0.5 * (pa + pb)
         (lval, lerr), (rval, rerr) = _scalar_gk15(f, pa, pm), _scalar_gk15(f, pm, pb)
         total += (lval + rval) - pval
@@ -174,8 +183,11 @@ def _scalar_with_breakpoints(f, a, b, points):
     total, total_err, lo = 0.0, 0.0, a
     for x in sorted(x for x in points if a < x < b):
         if lo == 0.0:
-            v, e = _scalar_sweep(lambda y, x=x: f(x * math.exp(y)) * (x * math.exp(y)),
-                                 -2.0)
+            # a head the tree cannot take within 32 panels and 8 bisections
+            # of its panel at 0 takes the log sweep
+            v, e = (_scalar_finite(f, 0.0, x, panels=32, depth=8)
+                    or _scalar_sweep(lambda y, x=x: f(x * math.exp(y)) * (x * math.exp(y)),
+                                     -2.0))
         else:
             v, e = _scalar_finite(f, lo, x)
         total, total_err, lo = total + v, total_err + e, x
@@ -193,9 +205,83 @@ def _scalar_with_breakpoints(f, a, b, points):
     (lambda x: math.exp(-x), 0.0, math.inf, [0.5, 2.0]),
 ])
 def test_one_component_is_the_scalar_tree(f, a, b, points):
-    # a spike, a 1/sqrt(x) edge and an exponential tail
+    # a spike, a 1/sqrt(x) edge (a rough head), and an exponential tail
+    # after a regular head
     got = integrate(f, a, b, points)
     assert got == _scalar_with_breakpoints(f, a, b, points)
+
+
+def _head_log(monkeypatch):
+    """The GK15 panels integrate_vector takes, in order, with "sweep" where
+    a log sweep starts."""
+    log = []
+    gk15, sweep = quadrature._gk15, quadrature._sweep
+
+    def counted(f, lo, hi):
+        log.append((lo, hi))
+        return gk15(f, lo, hi)
+
+    def counted_sweep(*args, **kwargs):
+        log.append("sweep")
+        return sweep(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    monkeypatch.setattr(quadrature, "_sweep", counted_sweep)
+    return log
+
+
+def test_regular_head_takes_the_plain_tree(monkeypatch):
+    # a corpus bump's integrands grow like a power of t from t = 0, so the
+    # tree on [0, first breakpoint] converges within its budget and no
+    # panel is substituted (the support is compact: no tail sweep either)
+    log = _head_log(monkeypatch)
+    v = dataclasses.replace(bump_profile(1.0, 1.0))  # an empty panel table
+    radial_integrals(v, 4, 3.0, qs=(3.0,), grads=("hyperbolic", "euclidean"))
+    assert log and "sweep" not in log
+
+
+def _inverse_sqrt():
+    return lambda: integrate(lambda x: 1.0 / math.sqrt(x), 0.0, 1.0, [0.5])
+
+
+def _extremal_linfty():
+    # gradients only: the profile's fn is itself an integral
+    v = verifier.extremal_linfty_profile(4, 6.0)
+    fresh = [dataclasses.replace(v) for _ in range(2)]  # empty panel tables
+    return lambda: radial_integrals(fresh.pop(), 4, 6.0, grads=("hyperbolic", "euclidean"))
+
+
+@pytest.mark.parametrize("make_run", [_inverse_sqrt, _extremal_linfty])
+def test_rough_heads_keep_the_log_sweep(monkeypatch, make_run):
+    # 1/sqrt(x), and the extremal L^inf profile at (4, 6), whose gradient
+    # integrand is t^(-(n-1)/(p-1)) near 0, hand the head over to the log
+    # sweep: their values are those of the sweep alone, which a head
+    # budget of one panel takes straight away
+    run = make_run()
+    log = _head_log(monkeypatch)
+    got = run()
+    assert log.index("sweep") > 1  # the head's tree, dropped
+    monkeypatch.setattr(quadrature, "_HEAD_PANELS", 1)
+    log.clear()
+    assert run() == got
+    assert log.index("sweep") == 1  # the head's one panel, then the sweep
+
+
+@pytest.mark.parametrize("f, x, budget", [
+    (lambda x: 1.0 / math.sqrt(x), 0.5, "depth"),
+    # about 40 periods on the head: many panels, none of them deep
+    (lambda x: math.cos(300.0 * x), 0.9, "panels"),
+])
+def test_head_handover_wastes_at_most_its_budget(monkeypatch, f, x, budget):
+    # the panels of a dropped head tree: 2k + 1 after k bisections of its
+    # panel at 0 (the others converge on their first panel), 2k - 1 for a
+    # tree of k panels
+    log = _head_log(monkeypatch)
+    integrate(f, 0.0, 1.0, [x])
+    wasted = log.index("sweep")
+    assert wasted == (2 * quadrature._HEAD_DEPTH + 1 if budget == "depth"
+                      else 2 * quadrature._HEAD_PANELS - 1)
+    assert all(0.0 <= lo < hi <= x for lo, hi in log[:wasted])
 
 
 def test_vector_components_match_separate_integrals():
