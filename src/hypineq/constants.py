@@ -22,7 +22,6 @@ __all__ = [
     "morrey_constant",
     "linfty_constant",
     "log_sobolev_constant",
-    "isoperimetric_integral_closed_form",
     "boundary_exponent",
     "in_poincare_range",
     "in_comparison_range",
@@ -169,20 +168,6 @@ def linfty_constant(params: Params) -> float:
     gratio = (gamma((p - n) / (2 * (p - 1))) * gamma((n - 1) / (p - 1))
               / gamma((p + n - 2) / (2 * (p - 1))))
     return (2.0 ** (n - 1) * n * sigma) ** (-1 / p) * gratio ** ((p - 1) / p)
-
-
-def isoperimetric_integral_closed_form(n: int, p: float) -> float:
-    """Closed form of the integral of the boundary-weight profile to the
-    power -p/(p-1) over the measure line, p > n.
-
-    Consistent with linfty_constant: C(n,p) = I^((p-1)/p) / (n sigma_n).
-    """
-    if not p > n:
-        raise DomainError(f"integral diverges unless p > n, got n={n}, p={p}")
-    sigma = unit_ball_volume(n)
-    return n * sigma * 2.0 ** (-(n - 1) / (p - 1)) \
-        * gamma((p - n) / (2 * (p - 1))) * gamma((n - 1) / (p - 1)) \
-        / gamma((p + n - 2) / (2 * (p - 1)))
 
 
 def log_sobolev_constant(params: Params) -> float:

@@ -33,7 +33,6 @@ __all__ = [
     "phi_inv",
     "phi_inv_ordered",
     "sinh_phi_inv",
-    "radial_margin",
     "radial_margin_scaled",
     "margin_slope_factor",
     "violation_onset",
@@ -263,9 +262,10 @@ def phi_inv_ordered(n: int, xs: Sequence[float]) -> List[float]:
     radius t_above of the volume x_above solved just before it, on the
     bracket (0, t_above) whose end values 0 and x_above are known, so no
     phi is evaluated at either end.  phi is convex, so Newton from the
-    right never leaves the bracket.  A volume equal to x_above takes
-    t_above; one more than _ORDERED_RATIO below it, or below
-    phi(n, _SMALL_T), takes phi_inv; n = 2 is closed-form.
+    right never leaves the bracket.  A volume whose Newton start is not
+    below t_above, one equal to x_above among them, takes t_above; one
+    more than _ORDERED_RATIO below it, or below phi(n, _SMALL_T), takes
+    phi_inv; n = 2 is closed-form.
     """
     if n == 2:
         return [phi_inv(n, x) for x in xs]
@@ -276,8 +276,6 @@ def phi_inv_ordered(n: int, xs: Sequence[float]) -> List[float]:
         x = xs[i]
         if x_above is None or x < x_top or x * _ORDERED_RATIO < x_above:
             t = phi_inv(n, x)
-        elif x == x_above:
-            t = t_above
         else:
             x0 = t_above - (x_above - x) / phi_deriv(n, t_above)
             # a step below half an ulp of t_above leaves t_above the root
@@ -299,26 +297,6 @@ def sinh_phi_inv(n: int, s: float) -> float:
         # sqrt(s + s^2/4), which is s/2 + 1 - O(1/s): s/2 past 1e150
         return 0.5 * s if s > 1e150 else math.sqrt(s * (1.0 + 0.25 * s))
     return math.sinh(phi_inv(n, s))
-
-
-def radial_margin(n: int, p: float, t: float) -> float:
-    """Margin of the weight-gap lower bound at geodesic radius t: the gap
-    sinh^q - phi^(q/n) of the gradient weights (q = p(n-1)) minus the
-    comparison term.
-
-    Overflows double precision once p(n-1)t is large; use
-    radial_margin_scaled for large radii.
-    """
-    check_dimension(n)
-    if t < 0.0:
-        raise DomainError(f"radius must be >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    q = p * (n - 1)
-    if q * t > 700.0:
-        raise DomainError("radial_margin overflows here; use radial_margin_scaled")
-    ph = phi(n, t)
-    return math.sinh(t) ** q - ph ** (q / n) - ((n - 1.0) / n) ** p * ph ** p
 
 
 def _precision(n: int, p: float, t: float):
@@ -348,12 +326,14 @@ def _margin_precise(n: int, p: float, t: float) -> float:
 
 def radial_margin_scaled(n: int, p: float, t: float,
                          precise: bool = False) -> float:
-    """radial_margin divided by the scale 1 + phi(n,t)^p, accurate for
-    any t: every term is divided by e^(p(n-1)t) analytically, and the
-    double-precision path is accurate to ~1e-14 absolute.  From t = 3 the
-    first and third terms, which share the limit 2^-(p(n-1)), are
-    subtracted with it taken out, so a margin far below that limit keeps
-    its sign and its relative accuracy.  Pass precise=True (mpmath) when
+    """The margin of the weight-gap lower bound at geodesic radius t, the
+    gap sinh^q - phi^(q/n) of the gradient weights (q = p(n-1)) minus the
+    comparison term ((n-1)/n)^p phi^p, divided by the scale
+    1 + phi(n,t)^p.  It is accurate for any t: every term is divided by
+    e^(p(n-1)t) analytically, and the double-precision path is accurate
+    to ~1e-14 absolute.  From t = 3 the first and third terms, which share
+    the limit 2^-(p(n-1)), are subtracted with it taken out, so a margin
+    far below that limit keeps its sign and its relative accuracy.  Pass precise=True (mpmath) when
     the sign of an exponentially small margin matters.
     """
     check_dimension(n)
@@ -389,9 +369,10 @@ def radial_margin_scaled(n: int, p: float, t: float,
 def margin_slope_factor(n: int, p: float, t: float,
                         precise: bool = False) -> float:
     """Inner factor sinh^(q-n) cosh - phi^(q/n-1) - ((n-1)/n)^p phi^(p-1)
-    of the derivative of radial_margin (q = p(n-1); the derivative is
-    p(n-1) sinh(t)^(n-1) times it), divided by its first term, which keeps
-    its sign and keeps it finite for any t; defined for n >= 3."""
+    of the derivative of the unscaled margin of radial_margin_scaled
+    (q = p(n-1); the derivative is p(n-1) sinh(t)^(n-1) times it), divided
+    by its first term, which keeps its sign and keeps it finite for any t;
+    defined for n >= 3."""
     if n < 3:
         raise DomainError("slope factor is defined for n >= 3 only")
     if t < 0.0:

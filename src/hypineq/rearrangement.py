@@ -17,10 +17,11 @@ The pass over the level solves the 15 levels of a panel together, each
 piece's crossings in level order, each bracketed and started from the
 radius its neighbour found: a continuation in the level (Allgower and
 Georg, Numerical Continuation Methods, 1990).  The same holds for the two
-other solves on this path: the grid's node solves run in lockstep, each
-round's levels in one level-ordered solve, and a panel's hyperbolic
-weights invert phi from its largest volume down, each radius by Newton
-from the one above it (geometry.phi_inv_ordered).
+other solves on this path: the rearrangement's solves of mu(tau) = s run
+in lockstep, each round's levels in one level-ordered solve (a pointwise
+v(s) is the one-target case), and a panel's hyperbolic weights invert phi
+from its largest volume down, each radius by Newton from the one above it
+(geometry.phi_inv_ordered).
 """
 
 from __future__ import annotations
@@ -104,9 +105,11 @@ class RadialProfile:
     (key_comparison).  joins holds the volumes inside the support where a
     closure is not smooth (a jump in v'' or a kink in v), each a
     breakpoint of the pass in geodesic radius; files do not keep them,
-    and the grid paths ignore them.  A rearrangement also keeps the
-    radial function it rearranges as its source, and its norms are
-    integrated over the level (radial_integrals).
+    and the grid paths ignore them.  A rearrangement's closure is one
+    solve of mu(tau) = s per volume, whose value and derivative share it
+    (decreasing_rearrangement); it also keeps the radial function it
+    rearranges as its source, and its norms are integrated over the level
+    (radial_integrals).
     """
 
     nodes: Tuple[float, ...]
@@ -365,56 +368,53 @@ def _level_sets(f: RadialFunction, taus: Sequence[float]) -> List[Tuple[float, f
     return [(sigma * total, n * sigma * area) for total, area in zip(totals, areas)]
 
 
-def _level_set(f: RadialFunction, t: float) -> Tuple[float, float]:
-    """(mu(t), -mu'(t)) at one level t: the one-level case of the
-    level-ordered panel solve _level_sets."""
-    return _level_sets(f, (t,))[0]
-
-
 def distribution_function(f: RadialFunction, t: float) -> float:
     """Hyperbolic volume of the superlevel set {|u| > t}."""
     if not t > 0.0:
         raise DomainError(f"level must be positive, got {t!r}")
-    return _level_set(f, t)[0]
+    return _level_sets(f, (t,))[0][0]
 
 
-def _node_levels(f: RadialFunction, grid: Sequence[float], bottom: Tuple[float, float],
-                 top: Tuple[float, float]) -> List[Tuple[float, float]]:
-    """(v(s), mu(v(s))) at each volume s of grid, bottom = (eps, mu(eps))
-    for an s at or past mu(eps) and top = (fmax, 0) for s = 0.
+def _node_levels(f: RadialFunction, targets: Sequence[tuple]
+                 ) -> List[Tuple[float, float, float]]:
+    """(v(s), mu(v(s)), -mu'(v(s))) for each target (s, low, high), whose
+    ends are (level, mu, -mu') triples, mu at most s at high.
 
-    Each node is the root of mu(tau) = s by find_root_increasing's
-    safeguarded Newton on the coarea slope -mu'(tau), on the whole bracket
-    (eps, fmax) from its regula falsi point; the nodes run in lockstep,
-    every round solving the levels of all unconverged nodes in one
-    level-ordered _level_sets call.  Raises ConvergenceError, carrying the
-    last iterate of the first node left, when the iterations run out.
+    A target at or past mu of its low end takes that end, one at mu of its
+    high end that end; any other is the root of mu(tau) = s by
+    find_root_increasing's safeguarded Newton on the coarea slope -mu'(tau),
+    from the regula falsi point of its own bracket.  The solves run in
+    lockstep, every round solving the levels of all unconverged targets in
+    one level-ordered _level_sets call.  Raises ConvergenceError, carrying
+    the last iterate of the first target left, when the iterations run out.
     """
-    (eps, m_eps), (fmax, _) = bottom, top
-    out = [bottom] * len(grid)
-    solves = {}  # node -> [iterate, bracket lo, bracket hi, residual tolerance]
-    for k, s in enumerate(grid):
-        if s < m_eps:
+    out = []
+    solves = {}  # target -> [iterate, bracket lo, bracket hi, residual tolerance]
+    for k, (s, low, high) in enumerate(targets):
+        (t_lo, m_lo, _), (t_hi, m_hi, _) = low, high
+        out.append(low)
+        if s < m_lo:
             t, f_tol = quadrature._newton_start(
-                -s, eps, fmax, -m_eps, -0.0, eps + (fmax - eps) * (m_eps - s) / m_eps)
+                -s, t_lo, t_hi, -m_lo, -m_hi,
+                t_lo + (t_hi - t_lo) * (m_lo - s) / (m_lo - m_hi))
             if f_tol is None:
-                out[k] = top
+                out[k] = high
             else:
-                solves[k] = [t, eps, fmax, f_tol]
+                solves[k] = [t, t_lo, t_hi, f_tol]
     for _ in range(quadrature._ROOT_MAX_ITER):
         if not solves:
             break
         for k, (mu, d) in zip(list(solves), _level_sets(f, [x[0] for x in solves.values()])):
             t, lo, hi, f_tol = solves[k]
-            step = quadrature._newton_step(t, grid[k] - mu, lo, hi, f_tol, lambda _: d)
+            step = quadrature._newton_step(t, targets[k][0] - mu, lo, hi, f_tol, lambda _: d)
             if step is None:
-                out[k] = t, mu
+                out[k] = t, mu, d
                 del solves[k]
             else:
                 solves[k][:3] = step
     if solves:
         k, (t, lo, hi, _) = next(iter(solves.items()))
-        raise quadrature._unconverged(-grid[k], quadrature._ROOT_MAX_ITER, lo, hi, t)
+        raise quadrature._unconverged(-targets[k][0], quadrature._ROOT_MAX_ITER, lo, hi, t)
     return out
 
 
@@ -425,13 +425,14 @@ def decreasing_rearrangement(f: RadialFunction,
     v(s) = sup of the levels whose superlevel volume exceeds s: the root
     of the non-increasing distribution function mu(tau) = s.  It is found
     by safeguarded Newton on the coarea slope -mu'(tau) (bisection
-    wherever the slope is 0 or infinite, so plateaus and jumps stay safe).
-    The grid's nodes are solved in lockstep on the whole level range
-    (_node_levels), and the (level, mu) each ends with brackets every later
-    solve: the solver, bracketed by the levels of the grid nodes around s,
-    and its coarea derivative are attached as the profile's analytic
-    closure for pointwise values, and f as its source: norms of the result
-    are integrals over the level (radial_integrals), which need no solve.
+    wherever the slope is 0 or infinite, so plateaus and jumps stay safe),
+    in one solver, _node_levels.  The grid's nodes are solved in lockstep
+    on the whole level range, and the (level, mu, -mu') each ends with
+    brackets every later solve: a pointwise v(s) is the one-target case,
+    bracketed by the levels of the grid nodes around s, and v'(s) reads
+    -mu' off that solve.  Both are attached as the profile's analytic
+    closure, and f as its source: norms of the result are integrals over
+    the level (radial_integrals), which need no solve.
 
     The tail is inferred: compact at the last node if the samples hit
     zero, otherwise a power law fitted on a wide log-log baseline (used
@@ -444,19 +445,19 @@ def decreasing_rearrangement(f: RadialFunction,
         return RadialProfile(grid, [0.0] * len(grid), Tail("compact", grid[-1]))
 
     eps = fmax * 1e-30
-    # the last level: a root find's f(t) and df(t), and v'(s) after v(s), share it
-    level = functools.lru_cache(maxsize=1)(lambda tau: _level_set(f, tau))
-    # no piece exceeds fmax, so mu(fmax) = 0
-    top, bottom = (fmax, 0.0), (eps, level(eps)[0])
-    # (level, mu) at every node; the running minimum kills root-tolerance jitter
-    ends = list(itertools.accumulate(_node_levels(f, grid, bottom, top), min))
-    vals = [0.0 if tau == eps else tau for tau, _ in ends]
+    # no piece exceeds fmax, so mu(fmax) = 0; no v' reads the slope there
+    top, bottom = (fmax, 0.0, 0.0), (eps, *_level_sets(f, (eps,))[0])
+    # (level, mu, -mu') at every node; the running minimum kills root-tolerance jitter
+    ends = list(itertools.accumulate(_node_levels(f, [(s, bottom, top) for s in grid]), min))
+    vals = [0.0 if tau == eps else tau for tau, _, _ in ends]
 
-    def v_of(s: float) -> float:
+    # an integrand asks for v'(s) and then v(s) at the same s: one solve
+    @functools.lru_cache(maxsize=1)
+    def solve(s: float) -> Tuple[float, float, float]:
         if s < 0.0:
             raise DomainError(f"volume must be >= 0, got {s!r}")
-        if bottom[1] <= s:
-            return 0.0
+        if bottom[1] <= s:  # past mu(eps), where v and v' are 0
+            return 0.0, s, 0.0
         # for s in [s_i, s_i+1) the level lies between the node levels;
         # those are exact only to the root tolerance, so widen outward
         # while an end does not straddle s, ending at fmax and eps
@@ -466,25 +467,16 @@ def decreasing_rearrangement(f: RadialFunction,
             hi -= 1
         while lo < len(ends) and ends[lo][1] < s:
             lo += 1
-        (t_lo, m_lo), (t_hi, m_hi) = (ends[lo] if lo < len(ends) else bottom,
-                                      ends[hi] if hi >= 0 else top)
-        x0 = t_lo + (t_hi - t_lo) * (m_lo - s) / (m_lo - m_hi) if m_lo > m_hi else None
-        return quadrature.find_root_increasing(  # Newton on -mu'(tau)
-            lambda tau: -level(tau)[0], -s, (t_lo, t_hi), df=lambda tau: level(tau)[1],
-            x0=x0, ends=(-m_lo, -m_hi))
-
-    # an integrand asks for v'(s) and then v(s) at the same s: one solve
-    solve = functools.lru_cache(maxsize=1)(v_of)
+        return _node_levels(f, [(s, ends[lo] if lo < len(ends) else bottom,
+                                 ends[hi] if hi >= 0 else top)])[0]
 
     def dv_of(s: float) -> float:
         # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat.  v
         # is flat where mu jumps across s: there mu of the solved level misses
         # s by more than its slope explains over the root tolerance
-        tau = solve(s)
-        if tau <= 0.0 or tau >= fmax:
-            return 0.0
-        mu, d = level(tau)
-        if abs(mu - s) > 100.0 * quadrature._ROOT_REL_TOL * (s + d * tau):
+        tau, mu, d = solve(s)
+        flat = abs(mu - s) > 100.0 * quadrature._ROOT_REL_TOL * (s + d * tau)
+        if tau <= 0.0 or tau >= fmax or flat:
             return 0.0
         return -1.0 / d if 0.0 < d < math.inf else 0.0
 
@@ -498,7 +490,7 @@ def decreasing_rearrangement(f: RadialFunction,
             raise DomainError("cannot infer a tail from the grid")
         beta = math.log(vals[j] / vals[-1]) / math.log(grid[-1] / grid[j])
         tail = Tail("power", beta)
-    return RadialProfile(grid, vals, tail, fn=solve, dfn=dv_of, source=f)
+    return RadialProfile(grid, vals, tail, fn=lambda s: solve(s)[0], dfn=dv_of, source=f)
 
 
 def _direct(f: RadialFunction, power: float, grad: bool) -> float:
@@ -659,40 +651,37 @@ def _breakpoints(n: int, nodes: Tuple[float, ...], joins: Tuple[float, ...]
     return tuple(sorted({*kept, *(geometry.phi_inv(n, j / sigma) for j in joins)}))
 
 
-_GRADIENTS = ("hyperbolic", "euclidean", "kernel")
+_GRADIENTS = ("hyperbolic", "euclidean")
 
 
 def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (),
                      grads: Sequence[str] = ("hyperbolic",), entropy: bool = False
                      ) -> List[Tuple[float, float]]:
     """(value, error) of, in order: the p-th power of each gradient norm
-    named in grads, a subsequence of ("hyperbolic", "euclidean", "kernel")
-    (the kernel is the excess of the first over the second, integrated
-    against the weight gap); the mass integral of v^q ds for each q in
-    qs; the entropy integral of v^p p log v ds if entropy.  A grid-only
-    profile takes the grid paths in s, a rearrangement _level_integrals.
-    Any other closure takes one vector panel tree in geodesic radius t
-    over its breakpoints (_breakpoints): the radii of its grid nodes,
-    thinned to at most _RHO apart unless neighbours, and of its joins.
-    One phi, log sinh, log |v'| (and log v) per node serve every
-    integrand.  Each integrand is one list over a panel's 15 nodes, built
-    in log space with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log
-    sinh t + w), exp(p(n-1)/n log phi + w) or their difference,
-    exp(q log v + w), p log v exp(p log v + w).  All four, which do not
-    depend on p, come from the profile's table at n: a pass computes phi
-    and log sinh only at panels no earlier pass of the profile at this n
-    took, and calls dfn only for gradients and fn only for masses or the
-    entropy, only where the table lacks them.
+    named in grads, a subsequence of ("hyperbolic", "euclidean"); the mass
+    integral of v^q ds for each q in qs; the entropy integral of
+    v^p p log v ds if entropy.  A grid-only profile takes the grid paths
+    in s, a rearrangement _level_integrals.  Any other closure takes one
+    vector panel tree in geodesic radius t over its breakpoints
+    (_breakpoints): the radii of its grid nodes, thinned to at most _RHO
+    apart unless neighbours, and of its joins.  One phi, log sinh, log |v'|
+    (and log v) per node serve every integrand.  Each integrand is one
+    list over a panel's 15 nodes, built in log space with
+    w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w) or
+    exp(p(n-1)/n log phi + w), exp(q log v + w), p log v exp(p log v + w).
+    All four, which do not depend on p, come from the profile's table at
+    n: a pass computes phi and log sinh only at panels no earlier pass of
+    the profile at this n took, and calls dfn only for gradients and fn
+    only for masses or the entropy, only where the table lacks them.
     """
     check_dimension(n)
     if not p >= 1.0:
         raise DomainError(f"need p >= 1, got {p!r}")
-    want_h, want_e, want_k = (c in grads for c in _GRADIENTS)
+    want_h, want_e = (c in grads for c in _GRADIENTS)
     if list(grads) != [c for c in _GRADIENTS if c in grads]:
         raise DomainError(
             f"grads must be a subsequence of {_GRADIENTS!r}, got {grads!r}")
-    need_h = want_h or want_k  # the kernel is the hyperbolic weight times a gap
-    if need_h and v.tail.kind == "power":
+    if want_h and v.tail.kind == "power":
         # |v'|^p decays like s^(-p*exponent - p) and the hyperbolic
         # weight grows like s^p, so the integrand decays like s^(-p*exponent)
         _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral")
@@ -711,7 +700,6 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
             "hyperbolic": lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)),
             "euclidean": lambda s: (s / sigma) ** (p * (n - 1) / n),
         }
-        weights["kernel"] = lambda s: weights["hyperbolic"](s) - weights["euclidean"](s)
         out = []
         for c in grads:
             val, err = _grid_weighted_gradient(v, p, weights[c])
@@ -731,9 +719,9 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     # radius where the support ends there
     t_top = (math.inf if math.isinf(top) else breaks[-1] if top == v.nodes[-1]
              else geometry.phi_inv(n, top / sigma))
-    c_hyp, c_euc, c_gap = p * (n - 1) + n - 1, p * (n - 1) / n, p * (n - 1)
+    c_hyp, c_euc = p * (n - 1) + n - 1, p * (n - 1) / n
     need_v = bool(qs) or entropy
-    log, exp, expm1, isnan = math.log, math.exp, math.expm1, math.isnan
+    log, exp, isnan = math.log, math.exp, math.isnan
     tiny, ninf = sys.float_info.min, -math.inf
     fn, dfn = v.fn, v.dfn
     table = v._panels.setdefault(n, {})
@@ -789,26 +777,18 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
 
     def g(ts):
         # one list of 15 values per component; exp(-inf) is 0.0, but the
-        # kernel and the entropy, whose -0.0 or nan would change a bit,
-        # take an explicit 0.0 where their log is -inf
+        # entropy, whose 0 * -inf would be nan, takes an explicit 0.0 where
+        # its log is -inf
         phs, lss, ldvs, lvs = panel(ts)
         ws = [(n - 1) * ls for ls in lss]
         out = []
-        if need_h:
-            hyps = [exp(lh) for lh in overflows(
-                [p * ldv + c_hyp * ls for ldv, ls in zip(ldvs, lss)])]
-            if want_h:
-                out.append(hyps)
-        if want_e or want_k:
-            lphs = [c_euc * log(ph) if ph > 0.0 else ninf for ph in phs]
+        if want_h:
+            out.append([exp(lh) for lh in overflows(
+                [p * ldv + c_hyp * ls for ldv, ls in zip(ldvs, lss)])])
         if want_e:
+            lphs = [c_euc * log(ph) if ph > 0.0 else ninf for ph in phs]
             out.append([exp(le) for le in overflows(
                 [p * ldv + lph + w for ldv, lph, w in zip(ldvs, lphs, ws)])])
-        if want_k:
-            # the weight gap is the hyperbolic weight sinh^(p(n-1)) times
-            # 1 - phi^(p(n-1)/n) / sinh^(p(n-1)), in (0, 1]
-            out.append([-hyp * expm1(lph - c_gap * ls) if ldv > ninf else 0.0
-                        for hyp, lph, ls, ldv in zip(hyps, lphs, lss, ldvs)])
         for q in qs:
             out.append([exp(q * lv + w) for lv, w in zip(lvs, ws)])
         if entropy:
@@ -828,8 +808,8 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     |mu'(tau)| at its 15 nodes in f's own dimension, solving each piece's
     crossings in level order; the weights are those of dimension n.  With
     x = mu / sigma, the gradients are (n sigma)^p |mu'|^(1-p) times
-    sinh(phi_inv(x))^(p(n-1)), x^(p(n-1)/n) or their difference, a panel's
-    radii phi_inv(x) inverted together (geometry.phi_inv_ordered); each mass
+    sinh(phi_inv(x))^(p(n-1)) or x^(p(n-1)/n), a panel's radii phi_inv(x)
+    inverted together (geometry.phi_inv_ordered); each mass
     is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
     mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
     weight.  Breakpoints are the piece end values of f and the node values
@@ -844,7 +824,7 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     zeros = [0.0] * (len(grads) + len(qs) + entropy)
     if fmax == 0.0:
         return [(0.0, 0.0)] * len(zeros)
-    need_h = "hyperbolic" in grads or "kernel" in grads
+    need_h = "hyperbolic" in grads
     sigma = unit_ball_volume(n)
     lpref = p * math.log(n * sigma)
     c_hyp, c_euc = p * (n - 1), p * (n - 1) / n
@@ -854,19 +834,15 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
         mu, d = level
         if not mu > 0.0:
             return zeros
-        out = []
-        if grads:
-            comps = dict.fromkeys(grads, 0.0)
-            if 0.0 < d < math.inf:
-                lg = lpref + (1.0 - p) * log(d)
-                le = lg + c_euc * log(mu / sigma)
-                # the Euclidean weight is the smaller one: le <= lh
-                lh = lg + c_hyp * geometry.log_sinh(t) if need_h else le
-                if lh > 700.0:
-                    raise DomainError("gradient integrand overflows; looks divergent")
-                comps.update(hyperbolic=exp(lh), euclidean=exp(le),
-                             kernel=-exp(lh) * math.expm1(le - lh))
-            out = [comps[c] for c in grads]
+        out = [0.0] * len(grads)
+        if grads and 0.0 < d < math.inf:
+            lg = lpref + (1.0 - p) * log(d)
+            le = lg + c_euc * log(mu / sigma)
+            # the Euclidean weight is the smaller one: le <= lh
+            lh = lg + c_hyp * geometry.log_sinh(t) if need_h else le
+            if lh > 700.0:
+                raise DomainError("gradient integrand overflows; looks divergent")
+            out = [exp(lh) if c == "hyperbolic" else exp(le) for c in grads]
         lt = log(tau)
         out += [q * exp((q - 1.0) * lt) * mu for q in qs]
         if entropy:

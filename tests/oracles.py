@@ -6,11 +6,12 @@ import sys
 from typing import Optional, Tuple
 
 from hypineq import quadrature
-from hypineq.constants import check_dimension
+from hypineq.constants import check_dimension, gamma, unit_ball_volume
 from hypineq.errors import DomainError
+from hypineq.geometry import phi
 from hypineq.quadrature import QuadratureConfig
 from hypineq.rearrangement import (Piece, RadialFunction, RadialProfile,
-                                   _tail_divergence_check, radial_integrals)
+                                   _tail_divergence_check)
 
 # tolerances of the quadrature cross-check of phi
 _PHI_QUADRATURE_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
@@ -25,6 +26,40 @@ def phi_quadrature(n: int, t: float) -> float:
     val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t,
                                   cfg=_PHI_QUADRATURE_CFG)
     return n * val
+
+
+def radial_margin(n: int, p: float, t: float) -> float:
+    """Margin of the weight-gap lower bound at geodesic radius t: the gap
+    sinh^q - phi^(q/n) of the gradient weights (q = p(n-1)) minus the
+    comparison term.
+
+    Overflows double precision once p(n-1)t is large; use
+    radial_margin_scaled for large radii.
+    """
+    check_dimension(n)
+    if t < 0.0:
+        raise DomainError(f"radius must be >= 0, got {t!r}")
+    if t == 0.0:
+        return 0.0
+    q = p * (n - 1)
+    if q * t > 700.0:
+        raise DomainError("radial_margin overflows here; use radial_margin_scaled")
+    ph = phi(n, t)
+    return math.sinh(t) ** q - ph ** (q / n) - ((n - 1.0) / n) ** p * ph ** p
+
+
+def isoperimetric_integral_closed_form(n: int, p: float) -> float:
+    """Closed form of the integral of the boundary-weight profile to the
+    power -p/(p-1) over the measure line, p > n.
+
+    Consistent with linfty_constant: C(n,p) = I^((p-1)/p) / (n sigma_n).
+    """
+    if not p > n:
+        raise DomainError(f"integral diverges unless p > n, got n={n}, p={p}")
+    sigma = unit_ball_volume(n)
+    return n * sigma * 2.0 ** (-(n - 1) / (p - 1)) \
+        * gamma((p - n) / (2 * (p - 1))) * gamma((n - 1) / (p - 1)) \
+        / gamma((p + n - 2) / (2 * (p - 1)))
 
 
 def radial_margin_asymptotic(n: int, p: float, t: float) -> float:
@@ -68,13 +103,6 @@ def scale_profile(v: RadialProfile, c: float) -> RadialProfile:
             for pc in source.pieces))
     return RadialProfile(v.nodes, [c * x for x in v.values], v.tail, fn=fn, dfn=dfn,
                          label=v.label, joins=v.joins, source=source)
-
-
-def kernel_correction(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
-    """The excess of the hyperbolic over the Euclidean gradient integral,
-    computed directly against the weight gap (not as a difference of the
-    two norms); closes the decomposition identity."""
-    return radial_integrals(v, n, p, grads=("kernel",))[0]
 
 
 def hardy_term_bound(v: RadialProfile, p: float,

@@ -16,7 +16,7 @@ from hypineq import cli, constants, geometry, lemma, sharpness, verifier
 from hypineq.constants import Params, boundary_exponent
 from hypineq.corpus import bubble_corpus, standard_corpus
 from hypineq.rearrangement import key_comparison, write_profile
-from oracles import phi_quadrature
+from oracles import isoperimetric_integral_closed_form, phi_quadrature
 
 
 def _verdict(num, name, ok):
@@ -68,7 +68,7 @@ def test_criterion_03_phase_boundary():
 def test_criterion_04_weight_integral_closed_form():
     ok = True
     for n, p in [(2, 4.0), (3, 5.0), (4, 6.0)]:
-        closed = constants.isoperimetric_integral_closed_form(n, p)
+        closed = isoperimetric_integral_closed_form(n, p)
         quad, _ = geometry.isoperimetric_tail_integral(n, p)
         ok = ok and abs(quad - closed) <= 1e-8 * closed
     _verdict(4, "weight integral matches gamma closed form", ok)

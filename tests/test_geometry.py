@@ -7,10 +7,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from hypineq import geometry as G
 from hypineq import quadrature
-from hypineq.constants import (boundary_exponent, isoperimetric_integral_closed_form,
-                               unit_ball_volume)
+from hypineq.constants import boundary_exponent, unit_ball_volume
 from hypineq.errors import DomainError
-from oracles import phi_quadrature, radial_margin_asymptotic
+from oracles import (isoperimetric_integral_closed_form, phi_quadrature, radial_margin,
+                     radial_margin_asymptotic)
 
 
 def _phi_mp(n, t, dps=40):
@@ -281,7 +281,7 @@ def test_margin_zero_at_n2_p2():
 def test_scaled_margin_consistent_with_raw():
     for n, p in [(4, 8.0 / 3.0), (3, 3.0), (5, 2.6)]:
         for t in (0.3, 1.0, 3.0, 8.0):
-            raw = G.radial_margin(n, p, t)
+            raw = radial_margin(n, p, t)
             scale = 1.0 + G.phi(n, t) ** p
             assert G.radial_margin_scaled(n, p, t) == pytest.approx(
                 raw / scale, rel=1e-10)

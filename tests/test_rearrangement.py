@@ -35,7 +35,7 @@ from hypineq.rearrangement import (
     write_profile,
 )
 from hypineq.sharpness import truncated_bubble, untruncated_bubble
-from oracles import hardy_term_bound, kernel_correction, scale_profile
+from oracles import hardy_term_bound, scale_profile
 
 
 def _bump_function(n=3):
@@ -155,16 +155,15 @@ def test_tent_euclidean_gradient_exact():
     assert val == pytest.approx(exact, rel=1e-10)
 
 
-def test_gradient_decomposition_identity():
-    # hyperbolic gradient integral = Euclidean part + kernel correction, on
-    # the tents and on closures with exponential, power and bubble tails
+def test_hyperbolic_gradient_dominates_euclidean():
+    # the hyperbolic weight sinh(phi_inv(x))^(p(n-1)) is at least the
+    # Euclidean x^(p(n-1)/n), on the tents and on closures with
+    # exponential, power and bubble tails
     for v in (tent_profile(1.0, 1.0), tent_profile(2.0, 3.0), *standard_corpus()):
         for n, p in [(4, 8.0 / 3.0), (2, 2.0)]:
             hyp, _ = grad_norm_hyperbolic(v, n, p)
             euc, _ = grad_norm_euclidean(v, n, p)
-            ker, _ = kernel_correction(v, n, p)
-            assert hyp == pytest.approx(euc + ker, rel=1e-9), (v.label, n, p)
-            assert ker >= 0.0
+            assert hyp >= euc, (v.label, n, p)
 
 
 def test_joins_lie_inside_the_support_and_are_carried():
@@ -288,15 +287,20 @@ def test_shell_rearrangement_at_n6():
 def _lone_node(f, s, max_iter=200):
     """v(s) solved alone, as each grid node was before the nodes ran in
     lockstep: find_root_increasing on mu(tau) = s over (eps, fmax) from
-    the regula falsi point, one _level_set per iteration."""
+    the regula falsi point, one single-level _level_sets call per
+    iteration."""
     fmax = f.sup_value
     eps = fmax * 1e-30
-    m_eps = rearrangement._level_set(f, eps)[0]
+
+    def level(tau):
+        return rearrangement._level_sets(f, (tau,))[0]
+
+    m_eps = level(eps)[0]
     if m_eps <= s:
         return 0.0
     return find_root_increasing(
-        lambda tau: -rearrangement._level_set(f, tau)[0], -s, (eps, fmax),
-        df=lambda tau: rearrangement._level_set(f, tau)[1], max_iter=max_iter,
+        lambda tau: -level(tau)[0], -s, (eps, fmax),
+        df=lambda tau: level(tau)[1], max_iter=max_iter,
         x0=eps + (fmax - eps) * (m_eps - s) / m_eps, ends=(-m_eps, -0.0))
 
 
@@ -423,8 +427,8 @@ def test_plateau_rearrangement():
         Piece(0.6, 1.2, lambda r: 0.5, lambda r: 0.0),
         Piece(1.2, math.inf, lambda r: 0.5 * math.exp(-2.0 * (r - 1.2)),
               lambda r: -math.exp(-2.0 * (r - 1.2)))))
-    assert rearrangement._level_set(steps, 0.7) == (
-        distribution_function(steps, 0.7), 0.0)
+    assert rearrangement._level_sets(steps, (0.7,)) == [
+        (distribution_function(steps, 0.7), 0.0)]
     w = _rearranged(steps, num=12)
     sigma = unit_ball_volume(3)
     v1, v2 = sigma * geometry.phi(3, 0.6), sigma * geometry.phi(3, 1.2)
@@ -439,7 +443,7 @@ def test_level_set_is_empty_at_the_maximum():
     # decreasing_rearrangement takes as its top end without a solve
     plateau = _plateau_function(4)
     for f in (_bump_function(3), _shell_function(6), plateau):
-        assert rearrangement._level_set(f, f.sup_value) == (0.0, 0.0)
+        assert rearrangement._level_sets(f, (f.sup_value,)) == [(0.0, 0.0)]
 
 
 def test_plateau_gradient_vanishes_on_the_flat_stretch():
@@ -470,17 +474,17 @@ def test_closure_level_set_passes(monkeypatch):
     # the rearrangement takes the closure path
     v = dataclasses.replace(_rearranged(_bump_function(3)), source=None)
     passes, calls = [0], [0]
-    level_set = rearrangement._level_set
+    level_sets = rearrangement._level_sets
 
-    def counted_level_set(f, t):
+    def counted_level_sets(f, taus):
         passes[0] += 1
-        return level_set(f, t)
+        return level_sets(f, taus)
 
     def counted_v(s):
         calls[0] += 1
         return v.fn(s)
 
-    monkeypatch.setattr(rearrangement, "_level_set", counted_level_set)
+    monkeypatch.setattr(rearrangement, "_level_sets", counted_level_sets)
     lp_norm(dataclasses.replace(v, fn=counted_v), 2.0)
     assert calls[0] > 100
     assert passes[0] <= 8 * calls[0]
@@ -493,12 +497,13 @@ def test_rearranged_closure_solves_each_node_once(monkeypatch):
     # its source the rearrangement takes the closure path
     v = dataclasses.replace(_rearranged(_bump_function(3), num=11), source=None)
     finds = [0]
+    level_sets = rearrangement._level_sets
 
-    def counted(*args, **kwargs):
+    def counted(f, taus):
         finds[0] += 1
-        return find_root_increasing(*args, **kwargs)
+        return level_sets(f, taus)
 
-    monkeypatch.setattr(quadrature, "find_root_increasing", counted)
+    monkeypatch.setattr(rearrangement, "_level_sets", counted)
     counts = []
     for kwargs in (dict(qs=(2.5,)), dict(), dict(qs=(2.5,), grads=())):
         # a fresh copy each time: a pass over v itself would read the
@@ -512,7 +517,7 @@ def test_rearranged_closure_solves_each_node_once(monkeypatch):
 
 
 def test_level_set_evaluates_no_piece_end_twice():
-    # a root find starts from the end values _level_set already holds (the
+    # a root find starts from the end values _level_sets already holds (the
     # piece's, or the last two of the march on the unbounded piece), so no
     # level evaluates a piece twice at one radius (199 evaluations over
     # these 19 levels)
@@ -530,7 +535,7 @@ def test_level_set_evaluates_no_piece_end_twice():
     total = 0
     for k in range(1, 20):
         calls.clear()
-        rearrangement._level_set(f, k / 20.0)
+        rearrangement._level_sets(f, (k / 20.0,))
         assert len(calls) == len(set(calls)), k
         total += len(calls)
     assert total <= 210
@@ -579,7 +584,7 @@ def test_panel_level_sets_match_lone_levels():
     for f, taus in panels:
         assert len(taus) == 15
         for t, got in zip(taus, rearrangement._level_sets(f, taus)):
-            want = rearrangement._level_set(f, t)
+            (want,) = rearrangement._level_sets(f, (t,))
             assert got == pytest.approx(want, rel=1e-12, abs=0.0), (f.n, t)
 
 
@@ -604,7 +609,7 @@ def test_level_pass_piece_evaluations():
 
 def test_level_pass_level_set_calls(monkeypatch):
     # one level per quadrature node in the level, the 15 of a panel in one
-    # _level_sets call (the closure path made 7,088 _level_set calls for
+    # _level_sets call (the closure path made 7,088 one-level calls for
     # the same norm)
     v = _rearranged(_bump_function(3))
     sizes = []
@@ -626,13 +631,11 @@ def test_level_pass_matches_closure_pass(make, n, p):
     # every component in the level against the closure pass in geodesic
     # radius, which the same profile without its source takes
     v = _rearranged(make(3))
-    kwargs = dict(qs=(p, 2.5), grads=("hyperbolic", "euclidean", "kernel"), entropy=True)
+    kwargs = dict(qs=(p, 2.5), grads=("hyperbolic", "euclidean"), entropy=True)
     level = radial_integrals(v, n, p, **kwargs)
     closure = radial_integrals(dataclasses.replace(v, source=None), n, p, **kwargs)
     for (got, _), (want, _) in zip(level, closure):
         assert got == pytest.approx(want, rel=1e-9)
-    (hyp, _), (euc, _), (ker, _) = level[:3]
-    assert hyp == pytest.approx(euc + ker, rel=1e-12)
 
 
 def test_level_pass_gradient_of_a_compact_shell():
@@ -807,11 +810,11 @@ def test_hardy_equality_on_power_profile():
 # -- the one-pass integrals in geodesic radius ------------------------
 
 # rel_tol 1e-13 as tight as double allows; abs_tol 1e-300 would not
-# converge where an integrand loses digits near s = 0 (the kernel's weight
-# gap sinh^q - s^(q/n), and log v where v(0) = 1), so the floor is 1e-15
+# converge where an integrand loses digits near s = 0 (log v where
+# v(0) = 1), so the floor is 1e-15
 # (every integral below is above 1e-6)
 _TIGHT = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-15)
-_COMPONENTS = ("hyperbolic", "euclidean", "kernel")
+_COMPONENTS = ("hyperbolic", "euclidean")
 
 
 def _s_space(v, n, p, qs):
@@ -832,19 +835,13 @@ def _s_space(v, n, p, qs):
             return math.exp(p * math.log(dv) + log_weight(s))
         return pref * integral(f)
 
-    def kernel(s):
-        q = p * (n - 1)
-        return abs(v.derivative(s)) ** p * (
-            geometry.sinh_phi_inv(n, s / sigma) ** q - (s / sigma) ** (q / n))
-
     def entropy(s):
         val = v(s)
         return val ** p * p * math.log(val) if val > 0.0 else 0.0
 
     return ([gradient(lambda s: p * (n - 1) * math.log(
                 geometry.sinh_phi_inv(n, s / sigma))),
-             gradient(lambda s: p * (n - 1) / n * math.log(s / sigma)),
-             pref * integral(kernel)]
+             gradient(lambda s: p * (n - 1) / n * math.log(s / sigma))]
             + [integral(lambda s, q=q: v(s) ** q) for q in qs]
             + [integral(entropy)])
 
@@ -876,15 +873,15 @@ def test_radial_pass_matches_s_space_integrals(n, p):
 def test_standalone_routes_match_s_space_integrals(label, n, p):
     # each route of a closure is the same pass with one component
     v = _CORPUS[label]
-    _hyp, euc, ker, mass, crit, _ent = _reference(label, n, p)
+    _hyp, euc, mass, crit, _ent = _reference(label, n, p)
     assert grad_norm_euclidean(v, n, p)[0] == pytest.approx(euc, rel=1e-8)
-    assert kernel_correction(v, n, p)[0] == pytest.approx(ker, rel=1e-8)
     assert lp_integral(v, p)[0] == pytest.approx(mass, rel=1e-8)
     assert lp_integral(v, n * p / (n - p))[0] == pytest.approx(crit, rel=1e-8)
 
 
 @pytest.mark.parametrize("grads", [("flat",), "euclidean",
-                                   ("euclidean", "hyperbolic"), ("kernel", "kernel")])
+                                   ("euclidean", "hyperbolic"), ("kernel", "kernel"),
+                                   ("kernel",)])
 def test_radial_integrals_rejects_misnamed_gradients(grads):
     # the gradient components are named in the order of the results
     with pytest.raises(DomainError):
@@ -897,7 +894,7 @@ def test_euclidean_pass_skips_hyperbolic_checks():
     v = untruncated_bubble(4, 3.0, 1.0)
     (euc, _), = radial_integrals(v, 4, 3.0, grads=("euclidean",))
     assert euc > 0.0
-    for grads in (("hyperbolic",), ("kernel",), ("euclidean", "kernel")):
+    for grads in (("hyperbolic",), ("hyperbolic", "euclidean")):
         with pytest.raises(DomainError):
             radial_integrals(v, 4, 3.0, grads=grads)
 
@@ -1182,7 +1179,7 @@ def test_radial_pass_matches_standalone_norms_on_grid_profile(tmp_path):
     v = read_profile(path)
     got = radial_integrals(v, 4, 3.0, qs=(2.0,), grads=_COMPONENTS)
     assert got == [grad_norm_hyperbolic(v, 4, 3.0), grad_norm_euclidean(v, 4, 3.0),
-                   kernel_correction(v, 4, 3.0), lp_integral(v, 2.0)]
+                   lp_integral(v, 2.0)]
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 3: a grid-only gradient "

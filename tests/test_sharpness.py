@@ -165,6 +165,24 @@ def test_minimizer_respects_lower_bound():
     assert res.trace_csv().startswith("iteration,lambda,T,ratio,gap")
 
 
+def test_descent_stops_once_the_bar_stops_shrinking():
+    # at (4, 10/3) each extrapolant's bar shrinks until lambda = 1e-7,
+    # where it grows from 0.00306 to 0.00364, so the descent stops there
+    # after 7 of its 10 decades; the same decades given as lambdas are
+    # all evaluated
+    n, p = 4, 10.0 / 3.0
+    decades = [10.0 ** -(k + 1) for k in range(10)]
+    res = minimize_ratio("poincare_sobolev", n, p)
+    assert [lam for lam, _, _ in res.points] == decades[:7]
+    rate = verifier.INEQUALITIES["poincare_sobolev"].rate(n, p)
+    bars = [bar for _, bar in extrapolate(res.points, rate)]
+    assert all(b < a for a, b in zip(bars, bars[1:-1]))
+    assert bars[-1] >= bars[-2]
+    given = minimize_ratio("poincare_sobolev", n, p, lambdas=decades)
+    assert len(given.points) == 10
+    assert given.points[:7] == res.points
+
+
 def test_non_attainment_scan_strict_on_corpus():
     out = non_attainment_scan("poincare_sobolev", N, P, standard_corpus())
     assert out["strictly_positive"]
