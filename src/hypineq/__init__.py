@@ -23,7 +23,7 @@ from .corpus import standard_corpus, write_corpus
 from .errors import BracketError, ConvergenceError, DomainError, EvaluationError
 from .geometry import phi, phi_inv, radial_margin_scaled
 from .lemma import MarginTable, find_violation, verify_lemma
-from .quadrature import QuadratureConfig, integrate
+from .quadrature import integrate
 from .rearrangement import (
     Piece,
     RadialFunction,

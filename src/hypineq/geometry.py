@@ -17,14 +17,14 @@ Computational Complex Analysis I, 1974, sec. 1.9), above it finds a root.
 from __future__ import annotations
 
 import math
+import sys
 from functools import lru_cache
 from operator import mul
 from typing import List, Sequence, Tuple
 
 from .constants import boundary_exponent, check_dimension, unit_ball_volume
 from .errors import DomainError
-from . import quadrature
-from .quadrature import QuadratureConfig, find_root_increasing
+from .quadrature import _ROOT_REL_TOL, find_root_increasing
 
 __all__ = [
     "log_sinh",
@@ -41,8 +41,7 @@ __all__ = [
 ]
 
 _SMALL_T = 0.5
-# tolerances of the tail integral
-_TAIL_CFG = QuadratureConfig(rel_tol=1e-12, abs_tol=1e-16)
+_EPS = sys.float_info.epsilon
 
 
 @lru_cache(maxsize=None)
@@ -429,13 +428,33 @@ def isoperimetric_profile(n: int, s: float) -> float:
     return sinh_phi_inv(n, s / unit_ball_volume(n)) ** (n - 1)
 
 
-def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0) -> Tuple[float, float]:
-    """Integral over [r, infinity) of isoperimetric_profile(n, .)^(-p/(p-1)).
+def _beta_series(x: float, alpha: float, beta: float) -> Tuple[float, int]:
+    """(sum, terms) of sum_k (1-beta)_k x^k / (k! (alpha+k)) = B(x; alpha,
+    beta) / x^alpha (DLMF 8.17.7), 0 <= x <= 1/2, 0 < beta < 1: positive
+    terms that fall by x or more each, summed to half an ulp.  A term
+    rounds 6 times per step and the sum once per term, so the sum is
+    within 8 eps times its number of terms of the series."""
+    total, c, k = 0.0, 1.0, 0
+    while True:
+        term = c / (alpha + k)
+        total += term
+        if term < 0.5 * _EPS * total:
+            return total, k + 1
+        c *= (k + 1.0 - beta) / (k + 1.0) * x
+        k += 1
 
-    Requires p > n for convergence.  Computed in geodesic-radius
-    coordinates, where the integrand decays exponentially; the integrable
-    power singularity at radius zero is removed by a power substitution.
-    Returns (value, error_estimate).
+
+def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0) -> Tuple[float, float]:
+    """Integral over [r, infinity) of isoperimetric_profile(n, .)^(-p/(p-1)),
+    p > n: n sigma times that of sinh(t)^(-a) over [tau, infinity),
+    a = (n-1)/(p-1), tau = phi_inv(n, r/sigma), which x = e^(-2t) turns
+    into n sigma 2^(a-1) B(e^(-2 tau); a/2, beta), beta = (p-n)/(p-1).
+    Up to x = 1/2 B is its series; above, the complete beta less the
+    series of B(1-x; beta, a/2).  Returns (value, error): the error bounds
+    the rounding, in eps per unit of what it multiplies (8 per series
+    term, 1 + a tau for e^(-a tau), 10 per math.gamma, 1 for the
+    subtraction, 16 for the scale), and tau's shift within phi_inv's root
+    tolerance times tau (phi/phi' <= tau).
     """
     if not p > n:
         raise DomainError(f"tail integral diverges unless p > n, got n={n}, p={p}")
@@ -443,31 +462,23 @@ def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0) -> Tuple[float
         raise DomainError(f"need r >= 0, got {r!r}")
     sigma = unit_ball_volume(n)
     a = (n - 1.0) / (p - 1.0)  # in (0, 1)
+    alpha, beta = 0.5 * a, (p - n) / (p - 1.0)
     tau = phi_inv(n, r / sigma)
-    t_end = max(tau, 1.0) + 60.0 / a
-
-    def integrand(t):
-        return math.sinh(t) ** (-a)
-
-    total, err = 0.0, 0.0
-    if tau < 1.0:
-        m = max(6, int(math.ceil(2.0 / (1.0 - a))) + 2)
-        u_lo = tau ** (1.0 / m) if tau > 0.0 else 0.0
-
-        def sub(u):
-            # sinh(x)^(-a) m u^(m-1), x = u^m, also where x underflows to 0
-            x = u ** m
-            return (m * u ** (m * (1.0 - a) - 1.0)
-                    * (math.sinh(x) / x if x else 1.0) ** (-a))
-
-        v, e = quadrature.integrate(sub, u_lo, 1.0, cfg=_TAIL_CFG)
-        total += v
-        err += e
-        v, e = quadrature.integrate(integrand, 1.0, t_end, cfg=_TAIL_CFG)
+    x = math.exp(-2.0 * tau)
+    if x <= 0.5:
+        total, k = _beta_series(x, alpha, beta)
+        # x^alpha as e^(-a tau), which stays normal where x underflows
+        val = math.exp(-a * tau) * total
+        ulps = (8 * k + 2 + a * tau) * val
     else:
-        v, e = quadrature.integrate(integrand, tau, t_end, cfg=_TAIL_CFG)
-    total += v
-    err += e
-    # remainder beyond t_end, bounded by the pure-exponential tail
-    err += 2.0 ** a * math.exp(-a * t_end) / a
-    return n * sigma * total, n * sigma * err
+        y = -math.expm1(-2.0 * tau)
+        complete = math.gamma(alpha) * math.gamma(beta) / math.gamma(alpha + beta)
+        total, k = _beta_series(y, beta, alpha)
+        part = y ** beta * total
+        val = complete - part
+        ulps = 33 * complete + (8 * k + 2) * part
+    scale = n * sigma * 2.0 ** (a - 1.0)
+    # the integral's slope in tau is -n sigma sinh(tau)^(-a)
+    shift = (n * sigma * math.exp(-a * log_sinh(tau)) * _ROOT_REL_TOL * tau
+             if tau > 0.0 else 0.0)
+    return scale * val, scale * (ulps + 16 * val) * _EPS + shift

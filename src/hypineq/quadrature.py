@@ -31,19 +31,21 @@ from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from .errors import BracketError, ConvergenceError, DomainError, EvaluationError
 
 __all__ = [
-    "QuadratureConfig",
     "integrate",
     "integrate_vector",
     "find_root_increasing",
 ]
 
 
+# A panel tree stops refining once the error estimate of every component
+# is below max(_ABS_TOL, _REL_TOL * |its value|).
+_REL_TOL = 1e-10
+_ABS_TOL = 1e-12
 # Budgets of one finite-interval panel tree: how often one panel may be
 # bisected, and how many panels the tree may hold.
 _MAX_DEPTH = 50
@@ -57,27 +59,6 @@ _HEAD_PANELS = 32
 _ROOT_REL_TOL = 1e-13
 _ROOT_MAX_ITER = 200
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    """Tolerances governing every adaptive integral.
-
-    A panel tree stops refining once the error estimate of every
-    component is below max(abs_tol, rel_tol * |its value|).  Semi-infinite
-    integrals map [a, inf) through s = a + e^y and add panels of width 2
-    in y outward from y = 0, on each side until two consecutive panels
-    fall below a quarter of that tolerance floor in every component.
-    """
-
-    rel_tol: float = 1e-10
-    abs_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.rel_tol <= 0 or self.abs_tol <= 0:
-            raise DomainError("tolerances must be positive")
-
-
-DEFAULT_CONFIG = QuadratureConfig()
 
 # Gauss-Kronrod 7-15 pair on [-1, 1] (QUADPACK's qk15).  Odd-index nodes
 # are the embedded Gauss-7 points.
@@ -140,18 +121,17 @@ def _gk15(f: PanelIntegrand, a: float, b: float
     return vals, errs
 
 
-def _integrate_finite(f, a, b, cfg: QuadratureConfig,
-                      max_panels=_MAX_PANELS, edge_depth=_MAX_DEPTH):
+def _integrate_finite(f, a, b, max_panels=_MAX_PANELS, edge_depth=_MAX_DEPTH):
     """(values, errors) of one panel tree on [a, b].  Raises
     ConvergenceError rather than bisect once the tree holds max_panels
     panels, or a panel _MAX_DEPTH bisections deep (edge_depth deep, for
     the panel at a)."""
     val, err = _gk15(f, a, b)
-    if not any(e > max(cfg.abs_tol, cfg.rel_tol * abs(x)) for x, e in zip(val, err)):
+    if not any(e > max(_ABS_TOL, _REL_TOL * abs(x)) for x, e in zip(val, err)):
         return val, err
     # a panel's priority: its worst error relative to the component's floor
     # at the first panel, in units of the first floor (one component: err)
-    floors = [max(cfg.abs_tol, cfg.rel_tol * abs(x)) for x in val]
+    floors = [max(_ABS_TOL, _REL_TOL * abs(x)) for x in val]
     weights = [floors[0] / fl for fl in floors]
 
     def worst(errs):
@@ -160,7 +140,7 @@ def _integrate_finite(f, a, b, cfg: QuadratureConfig,
     heap = [(-worst(err), 0, a, b, val, err, 0)]
     total, total_err = list(val), list(err)
     counter = 1
-    while any(e > max(cfg.abs_tol, cfg.rel_tol * abs(t))
+    while any(e > max(_ABS_TOL, _REL_TOL * abs(t))
               for t, e in zip(total, total_err)):
         if len(heap) >= max_panels:
             raise ConvergenceError(
@@ -189,8 +169,7 @@ def _add(total, total_err, val, err):
             [t + x for t, x in zip(total_err or zero, err)])
 
 
-def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
-           total=None, total_err=None):
+def _sweep(g, step: float, message: str, total=None, total_err=None):
     """Add panels of width |step| to (total, total_err), outward from y = 0
     in the direction of step, until two consecutive panels fall below a
     quarter of the tolerance floor in every component.
@@ -207,12 +186,12 @@ def _sweep(g, step: float, cfg: QuadratureConfig, message: str,
     for _ in range(400):
         if y + step > 709.78:  # past here e^y overflows
             break
-        v, e = _integrate_finite(g, min(y, y + step), max(y, y + step), cfg)
+        v, e = _integrate_finite(g, min(y, y + step), max(y, y + step))
         total, total_err = _add(total, total_err, v, e)
         y += step
         mags = [abs(x) for x in v]
         small = small + 1 if all(
-            mag < 0.25 * max(cfg.abs_tol, cfg.rel_tol * abs(t))
+            mag < 0.25 * max(_ABS_TOL, _REL_TOL * abs(t))
             and (step < 0.0 or mag <= last)
             for mag, t, last in zip(mags, total, prev or [math.inf] * len(v))) else 0
         prev = mags
@@ -232,8 +211,7 @@ def _substituted(f: PanelIntegrand, a: float, b: float) -> PanelIntegrand:
 
 
 def integrate_vector(f: PanelIntegrand, a: float, b: float,
-                     points: Sequence[float] = (),
-                     cfg: Optional[QuadratureConfig] = None
+                     points: Sequence[float] = ()
                      ) -> Tuple[List[float], List[float]]:
     """(values, errors) of the integral over [a, b] (b may be math.inf) of
     a vector integrand, one panel tree for all components.  f maps the 15
@@ -247,7 +225,6 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
     empty interval, ConvergenceError (carrying the partial values) when a
     budget runs out, and EvaluationError on a non-finite value.
     """
-    cfg = cfg or DEFAULT_CONFIG
     if math.isinf(a) or not a < b:
         raise DomainError(f"bad interval [{a!r}, {b!r}]")
     pts = sorted({float(x) for x in points if a < x < b})
@@ -258,32 +235,31 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
             # a profile closure may be singular (but integrable) at the origin:
             # a head the small tree cannot resolve takes the log sweep
             try:
-                v, e = _integrate_finite(f, 0.0, x, cfg, _HEAD_PANELS, _HEAD_DEPTH)
+                v, e = _integrate_finite(f, 0.0, x, _HEAD_PANELS, _HEAD_DEPTH)
             except ConvergenceError:
-                v, e = _sweep(_substituted(f, 0.0, x), -2.0, cfg,
+                v, e = _sweep(_substituted(f, 0.0, x), -2.0,
                               "left-edge substitution did not converge")
         else:
-            v, e = _integrate_finite(f, lo, x, cfg)
+            v, e = _integrate_finite(f, lo, x)
         total, total_err = _add(total, total_err, v, e)
         lo = x
     if math.isinf(b):
         g = _substituted(f, lo, 1.0)
-        v, e = _sweep(g, -2.0, cfg, "semi-infinite tail did not converge (left)",
-                      *_sweep(g, 2.0, cfg, "semi-infinite tail did not converge (right)"))
+        v, e = _sweep(g, -2.0, "semi-infinite tail did not converge (left)",
+                      *_sweep(g, 2.0, "semi-infinite tail did not converge (right)"))
     else:
-        v, e = _integrate_finite(f, lo, b, cfg)
+        v, e = _integrate_finite(f, lo, b)
     return _add(total, total_err, v, e)
 
 
 def integrate(f: Callable[[float], float], a: float, b: float,
-              points: Sequence[float] = (),
-              cfg: Optional[QuadratureConfig] = None) -> Tuple[float, float]:
+              points: Sequence[float] = ()) -> Tuple[float, float]:
     """integrate_vector of a scalar integrand over [a, b] (b may be
     math.inf): (value, error estimate), and (0.0, 0.0) when a == b."""
     if a == b:
         return 0.0, 0.0
     (val,), (err,) = integrate_vector(lambda xs: [[f(x) for x in xs]],
-                                      a, b, points, cfg)
+                                      a, b, points)
     return val, err
 
 

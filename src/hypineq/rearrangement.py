@@ -734,9 +734,10 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
         last value is ts[1], else computed and kept; only a new entry
         needs room in the table.  A log half no pass has needed holds nan,
         and only a missing half's closure is called.  phi is 0 where t <= 0
-        or (n-1) t > 690, where the integrand is zero whatever the profile
-        (beyond 690, for any profile passing the convergence prechecks, far
-        below double noise), and log sinh is 0 where phi is; a log is -inf
+        or (n-1) t > 690, so every integrand is zero there; the prechecks do
+        not make what that drops negligible (the sup-norm extremal's
+        sinh(t)^(-a) loses about 2^a e^(-690 a/(n-1)) / a, ROADMAP item 4).
+        log sinh is 0 where phi is; a log is -inf
         where v' = 0 (or nan), v <= 0, or s is below the smallest normal
         volume, where no closure is called (v' of a concentrated profile
         overflows)."""

@@ -109,6 +109,8 @@ def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
         raise DomainError(f"bubble needs 1 < p < n, got n={n}, p={p}")
     if not (lam > 0.0 and T > 0.0):
         raise DomainError("scale and truncation must be positive")
+    if T == math.inf:
+        raise DomainError("truncation must be finite, got inf")
     base_fn, base_dfn, scale, _ = _bubble(n, p, lam)
 
     def fn(s):
@@ -210,6 +212,8 @@ def minimize_ratio(inequality_id: str, n: int, p: float, T0: float = 1.0,
     below it, roundoff in the ratio can fake an undercut of the sharp
     constant.
     """
+    if max_iter < 0:
+        raise DomainError(f"max_iter must be >= 0, got {max_iter!r}")
     ratio, target = ratio_function(inequality_id, n, p)
     rate = verifier.INEQUALITIES[inequality_id].rate(n, p)
     descent = lambdas is None

@@ -1,6 +1,7 @@
 """Reference functions that only the tests use: independent routes to
 quantities the package computes another way."""
 
+import contextlib
 import math
 import sys
 from typing import Optional, Tuple
@@ -9,12 +10,20 @@ from hypineq import quadrature
 from hypineq.constants import check_dimension, gamma, unit_ball_volume
 from hypineq.errors import DomainError
 from hypineq.geometry import phi
-from hypineq.quadrature import QuadratureConfig
 from hypineq.rearrangement import (Piece, RadialFunction, RadialProfile,
                                    _tail_divergence_check)
 
-# tolerances of the quadrature cross-check of phi
-_PHI_QUADRATURE_CFG = QuadratureConfig(rel_tol=1e-13, abs_tol=1e-300)
+
+@contextlib.contextmanager
+def tolerances(rel_tol: float, abs_tol: float):
+    """Run every quadrature in the block at rel_tol and abs_tol in place of
+    the package's fixed tolerances: a tighter reference."""
+    saved = quadrature._REL_TOL, quadrature._ABS_TOL
+    quadrature._REL_TOL, quadrature._ABS_TOL = rel_tol, abs_tol
+    try:
+        yield
+    finally:
+        quadrature._REL_TOL, quadrature._ABS_TOL = saved
 
 
 def phi_quadrature(n: int, t: float) -> float:
@@ -23,8 +32,8 @@ def phi_quadrature(n: int, t: float) -> float:
     check_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
-    val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t,
-                                  cfg=_PHI_QUADRATURE_CFG)
+    with tolerances(1e-13, 1e-300):
+        val, _ = quadrature.integrate(lambda u: math.sinh(u) ** (n - 1), 0.0, t)
     return n * val
 
 

@@ -729,6 +729,11 @@ def test_atomic_write_leaves_no_temp_files(capsys, tmp_path):
     # nor the inequality
     (("verify", "--inequality", "gagliardo_nirenberg", "--n", "6", "--p", "2.6",
       "--alpha", "0.3"), "gagliardo_nirenberg needs alpha*p >= 1, got alpha=0.3, p=2.6"),
+    # a negative --max-iter evaluated no ratio and exited 3; an infinite
+    # --truncation was rejected as a tail parameter
+    (("sharpness", "--n", "4", "--p", N4P, "--max-iter", "-1"), "max_iter must be >= 0"),
+    (("sharpness", "--n", "4", "--p", N4P, "--truncation", "inf"),
+     "truncation must be finite"),
 ])
 def test_domain_edges_exit_2(capsys, tmp_path, argv, message):
     # each used to crash (exit 1 or 4), pass on a NaN grid (violate) or,

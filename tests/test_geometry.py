@@ -1,3 +1,4 @@
+import functools
 import math
 
 import mpmath as mp
@@ -459,6 +460,34 @@ def test_isoperimetric_tail_integral_oracle():
         closed = isoperimetric_integral_closed_form(n, p)
         assert val == pytest.approx(closed, rel=1e-12), (n, p)
         assert abs(val - closed) <= err, (n, p)
+
+
+@functools.lru_cache(maxsize=None)
+def _tail_tau_mp(n, r):
+    """The radius of volume r at 50 digits: mpmath's root of the
+    exponential sum, started from phi_inv."""
+    with mp.workdps(50):
+        s = mp.mpf(r) / (mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1))
+        t0 = mp.mpf(G.phi_inv(n, r / unit_ball_volume(n)))
+        return mp.findroot(lambda t: _phi_exp_sum_mp(n, t) - s, t0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 8, 12])
+def test_isoperimetric_tail_integral_matches_incomplete_beta(n):
+    # n sigma 2^(a-1) B(e^(-2 tau); a/2, 1-a) at 40 digits, tau the exact
+    # radius of volume r: each value within its own error and 1e-11
+    # relative, from p - n = 1e-3, where the complement of the complete
+    # beta cancels, to p = 10n, where sinh(t)^-a is nearly flat
+    for p in [n + d for d in (1e-3, 0.05, 0.3, 1.0, float(n), 9.0 * n)]:
+        for r in [0.0] + [10.0 ** (k / 2) for k in range(-10, 11)]:
+            val, err = G.isoperimetric_tail_integral(n, p, r)
+            with mp.workdps(40):
+                a = mp.mpf(n - 1) / (mp.mpf(p) - 1)
+                x = mp.exp(-2 * _tail_tau_mp(n, r)) if r else 1
+                sigma = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+                ref = float(n * sigma * 2 ** (a - 1) * mp.betainc(a / 2, 1 - a, 0, x))
+            assert abs(val - ref) <= err, (n, p, r)
+            assert val == pytest.approx(ref, rel=1e-11), (n, p, r)
 
 
 def test_isoperimetric_tail_integral_shifted():

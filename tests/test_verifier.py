@@ -115,6 +115,18 @@ def test_extremal_linfty_profile_near_p_equal_n_is_tight(n, p):
     assert rep.passes()
 
 
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="ROADMAP item 4: the closure pass sets phi, and so the "
+                   "integrand, to 0 where (n-1) t > 690, and drops the extremal's "
+                   "gradient integrand sinh(t)^-a there, about 2^a e^(-690 a/(n-1)) / a")
+@pytest.mark.parametrize("n,p", [(2, 100.0), (6, 60.0)])
+def test_extremal_linfty_profile_at_large_p_is_tight(n, p):
+    # the equality case: relative deficits of -9.4e-4 and -8.3e-6 against
+    # bars near 1e-11 are a false exit 1
+    rep = V.evaluate("linfty", V.extremal_linfty_profile(n, p), n, p)
+    assert rep.passes()
+
+
 def test_log_sobolev_passes_and_is_scale_invariant():
     n, p = 4, 8.0 / 3.0
     v = bump_profile(1.0, 1.0)
@@ -216,26 +228,36 @@ _COVERAGE = [("poincare_sobolev", 4, 3.0, None), ("poincare_sobolev", 6, 4.2, No
              ("morrey_sobolev", 4, 5.0, None), ("log_sobolev", 5, 3.1, None),
              ("mugelli_talenti_sum", 3, 2.0, None), ("linfty", 2, 3.5, None)]
 _COVERAGE_MISSES = 0
+# (n, p) of the sup-norm extremal profiles in the gate
+_EXTREMAL_COVERAGE = [(4, 6.0), (2, 13.0)]
+
+
+def _miss_ratio(ref, rep):
+    """|ref - rep.deficit| in units of the report's bar; an outside-range
+    report has an infinite deficit on both runs."""
+    miss = 0.0 if ref == rep.deficit else abs(ref - rep.deficit)
+    return miss / rep.quadrature_error if rep.quadrature_error else miss and math.inf
 
 
 def test_bars_cover_a_tight_reference(monkeypatch):
     # each report's deficit against the same report at rel_tol 1e-13 and
     # abs_tol 1e-20: a miss beyond the report's quadrature_error is a bar
     # that does not cover its error, and a reference that raises is a miss.
-    # An outside-range report has an infinite deficit on both runs
+    # The sup-norm extremal is the equality case, whose exact deficit is 0
     reports = [(case, v, V.evaluate(case[0], v, *case[1:]))
                for case in _COVERAGE for v in standard_corpus()]
-    monkeypatch.setattr(quadrature, "DEFAULT_CONFIG",
-                        quadrature.QuadratureConfig(rel_tol=1e-13, abs_tol=1e-20))
     ratios = {}
+    for n, p in _EXTREMAL_COVERAGE:
+        v = V.extremal_linfty_profile(n, p)
+        ratios["linfty", n, p, v.label] = _miss_ratio(0.0, V.evaluate("linfty", v, n, p))
+    monkeypatch.setattr(quadrature, "_REL_TOL", 1e-13)
+    monkeypatch.setattr(quadrature, "_ABS_TOL", 1e-20)
     for (ineq, n, p, alpha), v, rep in reports:
         try:
-            ref = V.evaluate(ineq, v, n, p, alpha).deficit
-            miss = 0.0 if ref == rep.deficit else abs(ref - rep.deficit)
+            ratios[ineq, n, p, v.label] = _miss_ratio(
+                V.evaluate(ineq, v, n, p, alpha).deficit, rep)
         except (ArithmeticError, RuntimeError, ValueError):  # the package's errors
-            miss = math.inf
-        ratios[ineq, n, p, v.label] = (miss / rep.quadrature_error
-                                       if rep.quadrature_error else miss and math.inf)
+            ratios[ineq, n, p, v.label] = math.inf
     worst = max(ratios, key=ratios.get)
     print(f"bar coverage: worst miss {ratios[worst]:.3g} times its bar, at {worst}")
     assert sum(r > 1.0 for r in ratios.values()) <= _COVERAGE_MISSES, worst
