@@ -177,5 +177,5 @@ def log_sobolev_constant(params: Params) -> float:
     if not in_poincare_range(n, p):
         raise DomainError(
             f"log_sobolev_constant needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
-    return (p / n) * ((p - 1) / math.e) ** (p - 1) * math.pi ** (p / 2) \
+    return (p / n) * ((p - 1) / math.e) ** (p - 1) * math.pi ** (-p / 2) \
         * (gamma(n / 2 + 1) / gamma(n * (p - 1) / p + 1)) ** (p / n)

@@ -20,7 +20,7 @@ import math
 import sys
 from functools import lru_cache
 from operator import mul
-from typing import List, Sequence, Tuple
+from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .constants import boundary_exponent, check_dimension, unit_ball_volume
 from .errors import DomainError
@@ -168,11 +168,6 @@ def _phi_excess_eps(n: int, t: float) -> float:
         else:
             acc += (n - 1) * coeff * (math.exp((m - (n - 1)) * t) - decay) / m
     return acc
-
-
-def _log_phi(n: int, t: float) -> float:
-    """log(phi(n, t)), stable for arbitrarily large t."""
-    return _log_phi_excess(n, t) + (n - 1) * t
 
 
 @lru_cache(maxsize=None)
@@ -323,6 +318,47 @@ def _margin_precise(n: int, p: float, t: float) -> float:
         return float(F / (1 + ph ** p))
 
 
+def _margin_rows(n: int, p: float, ts: Sequence[float], slope: bool = False
+                 ) -> Iterator[Tuple[float, float, Optional[float]]]:
+    """(m, log(1 + phi^p), f) at each radius of ts, from one lambda(t) =
+    log phi - (n-1) t each: the double paths of radial_margin_scaled (m) and,
+    with slope, of margin_slope_factor (f, else None).  t = 0 gives zeros."""
+    q = p * (n - 1)
+    qn = q / n
+    log_ratio = math.log((n - 1.0) / n)
+    log_limit = math.log(n * 2.0 ** (1 - n) / (n - 1))
+    for t in ts:
+        if t == 0.0:
+            yield 0.0, 0.0, 0.0
+            continue
+        lam = _log_phi_excess(n, t)
+        log_sh = math.log(-0.5 * math.expm1(-2.0 * t))  # log(sinh t) - t
+        eps = _phi_excess_eps(n, t) if t >= 3.0 else None
+        lam_m = lam if eps is None else log_limit + math.log1p(eps)
+        # phi^(q/n) and the scale, over e^(qt)
+        b = math.exp(qn * (lam_m - t))
+        scale = math.exp(-q * t) + math.exp(p * lam_m)
+        if scale == 0.0:
+            raise DomainError(f"radial_margin_scaled({n}, {p!r}, {t!r}) underflows")
+        if eps is not None:
+            # sinh^q and ((n-1)/n)^p phi^p over e^(qt) are 2^-q e^x and 2^-q e^y,
+            # which meet as t grows: subtract them with their limit taken out
+            x, y = q * math.log1p(-math.exp(-2.0 * t)), p * math.log1p(eps)
+            m = (2.0 ** -q * (math.expm1(x) - math.expm1(y)) - b) / scale
+        else:
+            m = (math.exp(q * log_sh) - b - math.exp(p * (log_ratio + lam))) / scale
+        x = p * (lam + (n - 1) * t)
+        log_scale = x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+        f = None
+        if slope:
+            # log of the slope factor's first term less its growth (q-n+1) t;
+            # the other two terms carry growth (q-n+1) t - (q/n) t and (q-n+1) t
+            lead = (q - n) * log_sh + math.log(0.5 + 0.5 * math.exp(-2.0 * t))
+            f = -math.expm1((qn - 1.0) * lam - qn * t - lead) \
+                - math.exp(p * log_ratio + (p - 1.0) * lam - lead)
+        yield m, log_scale, f
+
+
 def radial_margin_scaled(n: int, p: float, t: float,
                          precise: bool = False) -> float:
     """The margin of the weight-gap lower bound at geodesic radius t, the
@@ -338,31 +374,9 @@ def radial_margin_scaled(n: int, p: float, t: float,
     check_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    if precise:
+    if precise and t != 0.0:
         return _margin_precise(n, p, t)
-    q = p * (n - 1)
-    factored = t >= 3.0
-    if factored:
-        eps = _phi_excess_eps(n, t)
-        lam = math.log(n * 2.0 ** (1 - n) / (n - 1)) + math.log1p(eps)
-    else:
-        lam = _log_phi_excess(n, t)
-    # phi^(q/n) and the scale, over e^(qt)
-    b = math.exp((q / n) * (lam - t))
-    scale = math.exp(-q * t) + math.exp(p * lam)
-    if scale == 0.0:
-        raise DomainError(f"radial_margin_scaled({n}, {p!r}, {t!r}) underflows")
-    if factored:
-        # sinh^q and ((n-1)/n)^p phi^p over e^(qt) are 2^-q e^x and 2^-q e^y,
-        # which meet as t grows: subtract them with their limit taken out
-        x = q * math.log1p(-math.exp(-2.0 * t))
-        y = p * math.log1p(eps)
-        return (2.0 ** -q * (math.expm1(x) - math.expm1(y)) - b) / scale
-    a = math.exp(q * math.log(-0.5 * math.expm1(-2.0 * t)))
-    c = math.exp(p * (math.log((n - 1.0) / n) + lam))
-    return (a - b - c) / scale
+    return next(_margin_rows(n, p, (t,)))[0]
 
 
 def margin_slope_factor(n: int, p: float, t: float,
@@ -376,9 +390,7 @@ def margin_slope_factor(n: int, p: float, t: float,
         raise DomainError("slope factor is defined for n >= 3 only")
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0
-    if precise:
+    if precise and t != 0.0:
         import mpmath as mp
         with _precision(n, p, t):
             tt = mp.mpf(t)
@@ -388,14 +400,7 @@ def margin_slope_factor(n: int, p: float, t: float,
             lead = mp.sinh(tt) ** (qq - n) * mp.cosh(tt)
             return float(1 - (ph ** (qq / n - 1)
                               + (mp.mpf(n - 1) / n) ** pp * ph ** (pp - 1)) / lead)
-    q = p * (n - 1)
-    lam = _log_phi_excess(n, t)
-    # log of the first term less its growth (q-n+1) t; the other two
-    # terms carry growth (q-n+1) t - (q/n) t and (q-n+1) t
-    lead = (q - n) * math.log(-0.5 * math.expm1(-2.0 * t)) \
-        + math.log(0.5 + 0.5 * math.exp(-2.0 * t))
-    return -math.expm1((q / n - 1.0) * lam - (q / n) * t - lead) \
-        - math.exp(p * math.log((n - 1.0) / n) + (p - 1.0) * lam - lead)
+    return next(_margin_rows(n, p, (t,), slope=True))[2]
 
 
 def violation_onset(n: int, p: float) -> float:

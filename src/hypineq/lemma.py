@@ -100,21 +100,15 @@ def _check_args(p: float, t_max: float, t_first: float):
         raise DomainError(f"t_max must be finite and above {t_first:g}, got {t_max!r}")
 
 
-def _log_scale(n: int, p: float, t: float) -> float:
-    """log(1 + volume^p), overflow-safe."""
-    x = p * geometry._log_phi(n, t)
-    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
-
-
-def _columns(n: int, p: float, ts):
-    """The scaled margin m at each radius, log|F| of the raw margin
-    F = m (1 + volume^p) (-inf at m = 0), and F, +-inf past double range."""
-    margins = [geometry.radial_margin_scaled(n, p, t) for t in ts]
-    logf = [math.log(abs(m)) + _log_scale(n, p, t) if m else -math.inf
-            for t, m in zip(ts, margins)]
+def _columns(n: int, p: float, ts, slope: bool = False):
+    """The scaled margin m at each radius, log|F| of the raw margin F =
+    m (1 + volume^p) (-inf at m = 0), F (+-inf past double range), slopes."""
+    margins, log_scales, slopes = zip(*geometry._margin_rows(n, p, ts, slope))
+    logf = [math.log(abs(m)) + ls if m else -math.inf
+            for m, ls in zip(margins, log_scales)]
     f_values = tuple(math.copysign(math.exp(lf) if lf < 709.78 else math.inf, m)
                      for m, lf in zip(margins, logf))
-    return margins, logf, f_values
+    return margins, logf, f_values, slopes
 
 
 def verify_lemma(n: int, p: float, t_max: float = 25.0) -> MarginTable:
@@ -133,7 +127,7 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0) -> MarginTable:
         raise DomainError(
             f"lemma range needs p >= {bdry:g} for n={n}, got p={p!r}")
     ts = [0.0] + geomspace(1e-4, t_max, _VERIFY_POINTS)
-    margins, logf, f_values = _columns(n, p, ts)
+    margins, logf, f_values, slopes = _columns(n, p, ts, slope=n >= 3)
 
     min_i = min(range(len(ts)), key=margins.__getitem__)
     min_margin = margins[min_i]
@@ -146,9 +140,8 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0) -> MarginTable:
     monotone = all(b >= a - 1e-9 for a, b in zip(seen, seen[1:]))
 
     slope_positive = None if n < 3 else all(
-        geometry.margin_slope_factor(n, p, t) >= -1e-9
-        or not geometry.margin_slope_factor(n, p, t, precise=True) < 0.0
-        for t in ts[1:])
+        f >= -1e-9 or not geometry.margin_slope_factor(n, p, t, precise=True) < 0.0
+        for t, f in zip(ts[1:], slopes[1:]))
 
     return MarginTable(
         n=n, p=p, mode="verify", ts=tuple(ts), f_values=f_values,
@@ -178,7 +171,7 @@ def find_violation(n: int, p: float, t_max: float = 150.0) -> MarginTable:
 
     onset = geometry.violation_onset(n, p) if n >= 3 else None
     ts = geomspace(0.5, t_max, _VIOLATION_POINTS)
-    margins, _, f_values = _columns(n, p, ts)
+    margins, _, f_values, _ = _columns(n, p, ts)
 
     # the double margin is good to 1e-13 absolute: closer to zero its sign
     # is rounding, and the onset probes decide

@@ -10,7 +10,8 @@ from hypineq import quadrature
 from hypineq.constants import check_dimension, gamma, unit_ball_volume
 from hypineq.errors import DomainError
 from hypineq.geometry import phi
-from hypineq.rearrangement import (Piece, RadialFunction, RadialProfile,
+from hypineq.quadrature import geomspace, linspace
+from hypineq.rearrangement import (Piece, RadialFunction, RadialProfile, Tail,
                                    _tail_divergence_check)
 
 
@@ -69,6 +70,77 @@ def isoperimetric_integral_closed_form(n: int, p: float) -> float:
     return n * sigma * 2.0 ** (-(n - 1) / (p - 1)) \
         * gamma((p - n) / (2 * (p - 1))) * gamma((n - 1) / (p - 1)) \
         / gamma((p + n - 2) / (2 * (p - 1)))
+
+
+def _euclidean_extremal(n: int, p: float, shape, dshape, tail: Tail, grid,
+                        label: str) -> RadialProfile:
+    """The profile v(s) = shape(z) of the Euclidean radius r, z = r^(p/(p-1))
+    = (s/sigma)^k with k = p/((p-1)n), and dshape the derivative of shape;
+    grid is in units of sigma, the unit ball's volume."""
+    sigma = unit_ball_volume(n)
+    k = p / ((p - 1.0) * n)
+
+    def fn(s):
+        return shape((s / sigma) ** k)
+
+    def dfn(s):
+        if s <= 0.0:
+            return -math.inf
+        z = (s / sigma) ** k
+        return dshape(z) * k * z / s
+
+    nodes = [sigma * g for g in grid]
+    return RadialProfile(nodes, [fn(s) for s in nodes], tail, fn=fn, dfn=dfn,
+                         label=label)
+
+
+def gaussian_extremal(n: int, p: float) -> RadialProfile:
+    """exp(-r^(p/(p-1))): equality in the Euclidean L^p log-Sobolev
+    inequality (Del Pino and Dolbeault, J. Funct. Anal. 197, 2003)."""
+    return _euclidean_extremal(n, p, lambda z: math.exp(-z), lambda z: -math.exp(-z),
+                               Tail("exponential", 1.0 / unit_ball_volume(n)),
+                               [0.0] + geomspace(1e-6, 1e3, 40),
+                               f"gaussian-n{n}-p{p:g}")
+
+
+def gn_extremal(n: int, p: float, alpha: float) -> RadialProfile:
+    """Equality in the Euclidean Gagliardo-Nirenberg inequality, q =
+    alpha (p-1) + 1 (Del Pino and Dolbeault, J. Math. Pures Appl. 81,
+    2002): (1 + z)^(-(p-1)/(q-p)) for alpha > 1, and
+    (1 - z)_+^((p-1)/(p-q)), supported in the unit ball, for alpha < 1."""
+    q = alpha * (p - 1.0) + 1.0
+    label = f"gn-n{n}-p{p:g}-a{alpha:g}"
+    if alpha > 1.0:
+        e = (p - 1.0) / (q - p)
+        return _euclidean_extremal(n, p, lambda z: (1.0 + z) ** -e,
+                                   lambda z: -e * (1.0 + z) ** (-e - 1.0),
+                                   Tail("power", e * p / ((p - 1.0) * n)),
+                                   [0.0] + geomspace(1e-6, 1e4, 40), label)
+    e = (p - 1.0) / (p - q)
+    return _euclidean_extremal(n, p, lambda z: (1.0 - z) ** e if z < 1.0 else 0.0,
+                               lambda z: -e * (1.0 - z) ** (e - 1.0) if z < 1.0 else 0.0,
+                               Tail("compact", unit_ball_volume(n)),
+                               linspace(0.0, 1.0, 41), label)
+
+
+def morrey_extremal(n: int, p: float, support: float) -> RadialProfile:
+    """Equality in the Euclidean Morrey-Sobolev (sup-norm) inequality,
+    p > n: v'(s) = -(n sigma^(1/n) s^((n-1)/n))^(-p/(p-1)) on [0, support],
+    the profile built from the Euclidean isoperimetric function."""
+    c = (n * unit_ball_volume(n) ** (1.0 / n)) ** (-p / (p - 1.0))
+    e = (n - 1.0) * p / (n * (p - 1.0))
+
+    def fn(s):
+        return c * (support ** (1.0 - e) - s ** (1.0 - e)) / (1.0 - e) if s < support else 0.0
+
+    def dfn(s):
+        if s <= 0.0:
+            return -math.inf
+        return -c * s ** -e if s < support else 0.0
+
+    grid = linspace(0.0, support, 41)
+    return RadialProfile(grid, [fn(s) for s in grid], Tail("compact", support),
+                         fn=fn, dfn=dfn, label=f"morrey-n{n}-p{p:g}-S{support:g}")
 
 
 def radial_margin_asymptotic(n: int, p: float, t: float) -> float:

@@ -143,9 +143,16 @@ def test_lemma_violate(capsys):
 def test_lemma_verify_slope_check(capsys, monkeypatch, precise_factor, code):
     # a double slope factor below -1e-9 fails the table only when the
     # mpmath re-certification is negative too
-    def factor(n, p, t, precise=False):
-        return precise_factor if precise else -1e-8
+    rows = geometry._margin_rows
 
+    def negative_slopes(n, p, ts, slope=False):
+        return [(m, s, -1e-8) for m, s, _ in rows(n, p, ts, slope)]
+
+    def factor(n, p, t, precise=False):
+        assert precise
+        return precise_factor
+
+    monkeypatch.setattr(geometry, "_margin_rows", negative_slopes)
     monkeypatch.setattr(geometry, "margin_slope_factor", factor)
     got, out, _ = run(capsys, "lemma", "verify", "--n", "4", "--p", "3.0")
     assert got == code
@@ -156,6 +163,8 @@ def test_lemma_verify_slope_check(capsys, monkeypatch, precise_factor, code):
 
 def test_lemma_violate_inconclusive_exits_3(capsys, monkeypatch):
     # no radius of the grid or of the onset probes has a negative margin
+    monkeypatch.setattr(geometry, "_margin_rows",
+                        lambda n, p, ts, slope=False: [(1e-3, 0.0, None) for _ in ts])
     monkeypatch.setattr(geometry, "radial_margin_scaled",
                         lambda n, p, t, precise=False: 1e-3)
     code, out, err = run(capsys, "lemma", "violate", "--n", "3", "--p", "2.78")

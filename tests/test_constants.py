@@ -192,7 +192,7 @@ def test_log_sobolev_constant_range_and_oracle():
     with mp.workdps(40):
         n, p = 4, 8.0 / 3.0
         nn, pp = mp.mpf(n), mp.mpf(p)
-        ref = float((pp / nn) * ((pp - 1) / mp.e) ** (pp - 1) * mp.pi ** (pp / 2)
+        ref = float((pp / nn) * ((pp - 1) / mp.e) ** (pp - 1) * mp.pi ** (-pp / 2)
                     * (mp.gamma(nn / 2 + 1)
                        / mp.gamma(nn * (pp - 1) / pp + 1)) ** (pp / nn))
     assert C.log_sobolev_constant(Params(4, 8.0 / 3.0)) == pytest.approx(

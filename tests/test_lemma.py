@@ -92,9 +92,14 @@ def test_violation_table_reports_location():
 def test_violation_near_zero_is_recertified(monkeypatch, precise_margin):
     # a double margin in (-1e-12, -1e-13) is below the rounding floor but
     # not clear of it: it counts only when the mpmath margin is negative
-    def margin(n, p, t, precise=False):
-        return precise_margin if precise else -5e-13
+    def rows(n, p, ts, slope=False):
+        return [(-5e-13, 0.0, None) for _ in ts]
 
+    def margin(n, p, t, precise=False):
+        assert precise
+        return precise_margin
+
+    monkeypatch.setattr(geometry, "_margin_rows", rows)
     monkeypatch.setattr(geometry, "radial_margin_scaled", margin)
     table = find_violation(3, 2.78, t_max=60.0)
     if precise_margin < 0.0:
@@ -169,17 +174,37 @@ def test_f_column_is_infinite_past_double_range():
 
 def test_each_table_evaluates_one_margin_per_radius(monkeypatch):
     calls = []
-    scaled = geometry.radial_margin_scaled
+    rows, scaled = geometry._margin_rows, geometry.radial_margin_scaled
+
+    def counted_rows(n, p, ts, slope=False):
+        calls.extend(ts)
+        return rows(n, p, ts, slope)
 
     def counted(n, p, t, precise=False):
         if not precise:
             calls.append(t)
         return scaled(n, p, t, precise=precise)
 
+    monkeypatch.setattr(geometry, "_margin_rows", counted_rows)
     monkeypatch.setattr(geometry, "radial_margin_scaled", counted)
     for table in _tables():
         assert calls == list(table.ts)
         calls.clear()
+
+
+@pytest.mark.parametrize("table, evaluations", [
+    (lambda: verify_lemma(4, 3.0, 25.0), 200),
+    (lambda: find_violation(4, 2.5, 150.0), 240),
+])
+def test_each_radius_sums_lambda_once(monkeypatch, table, evaluations):
+    # the margin, the log scale of F and the slope factor share one
+    # lambda(t) = log phi - (n-1) t per positive radius
+    calls = []
+    excess = geometry._log_phi_excess
+    monkeypatch.setattr(geometry, "_log_phi_excess",
+                        lambda n, t: calls.append(t) or excess(n, t))
+    got = table()
+    assert len(calls) == evaluations == sum(t > 0.0 for t in got.ts)
 
 
 def test_grid_violations_clear_the_kernel_error():

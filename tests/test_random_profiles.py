@@ -54,9 +54,10 @@ KNOWN_DEFECTS = {
     11: "ROADMAP items 12 and 13: the gradient integral of a bubble of "
         "height 0.04 falls below the quadrature's absolute tolerance and "
         "misses its drop (a false violation; at height 1 the report passes)",
-    238: "ROADMAP item 12: the hyperbolic gradient integral near p = 1 under "
-         "a power tail with k = 1.007 exhausts the panel budget on one panel "
-         "of its sweep, where the integrand is rough (ConvergenceError)",
+    238: "ROADMAP item 18: near p = 1 under a power tail with k = 1.007, the "
+         "closure's |v'| underflows to 0 near t = 45 (s about 3e154), where "
+         "the hyperbolic gradient integrand is still about 11, so the sweep "
+         "past the last node exhausts its panel budget (ConvergenceError)",
 }
 # the exit code of verify --corpus on each of the first 24 draws, written to
 # a file (so read back grid-only: no closure, no joins)
