@@ -96,6 +96,8 @@ def _check_args(p: float, t_max: float, t_first: float):
     """t_first is the grid's first positive radius."""
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
+    if not p > 1.0:
+        raise DomainError(f"need p > 1, got {p!r}")
     if not t_first < t_max < math.inf:
         raise DomainError(f"t_max must be finite and above {t_first:g}, got {t_max!r}")
 

@@ -169,9 +169,9 @@ def _add(total, total_err, val, err):
             [t + x for t, x in zip(total_err or zero, err)])
 
 
-def _sweep(g, step: float, message: str, total=None, total_err=None):
-    """Add panels of width |step| to (total, total_err), outward from y = 0
-    in the direction of step, until two consecutive panels fall below a
+def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
+    """Add panels of width |step| to (total, total_err), outward from y in
+    the direction of step, until two consecutive panels fall below a
     quarter of the tolerance floor in every component.
 
     Rightward, a power-law tail first *rises* in y (until e^y ~ a), so a
@@ -182,7 +182,6 @@ def _sweep(g, step: float, message: str, total=None, total_err=None):
     """
     small = 0
     prev = None
-    y = 0.0
     for _ in range(400):
         if y + step > 709.78:  # past here e^y overflows
             break

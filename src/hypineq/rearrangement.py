@@ -8,10 +8,12 @@ integral of v (or v') against an explicit weight.  radial_integrals takes
 every integral one evaluation needs in one pass: of a rearrangement over
 the level tau through the layer-cake and coarea formulas, s = mu(tau) and
 |v'(s)| = 1 / |mu'(tau)| (Lieb-Loss, Analysis, Thm 1.13; Talenti 1976),
-of any other closure in geodesic radius t through s = sigma phi(t),
-ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile in s.  A closure
-profile keeps, per n, what the pass in t computes at each panel's nodes
-(RadialProfile).
+in the logit y = log(tau / (fmax - tau)), which grades both ends of the
+level range, with y = 0 and the logits of the piece end values as its
+breakpoints; of any other closure in geodesic radius t through
+s = sigma phi(t), ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile
+in s.  A closure profile keeps, per n, what the pass in t computes at
+each panel's nodes (RadialProfile).
 
 The pass over the level solves the 15 levels of a panel together, each
 piece's crossings in level order, each bracketed and started from the
@@ -39,7 +41,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import geometry, quadrature
 from .constants import (Params, boundary_exponent, check_dimension,
                         in_comparison_range, unit_ball_volume)
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .report import DeficitReport, fmt17
 
 __all__ = [
@@ -661,8 +663,9 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     named in grads, a subsequence of ("hyperbolic", "euclidean"); the mass
     integral of v^q ds for each q in qs; the entropy integral of
     v^p p log v ds if entropy.  A grid-only profile takes the grid paths
-    in s, a rearrangement _level_integrals.  Any other closure takes one
-    vector panel tree in geodesic radius t over its breakpoints
+    in s, a rearrangement _level_integrals, in the logit of the level with
+    breakpoints at 0 and at its source's piece end values.  Any other closure
+    takes one vector panel tree in geodesic radius t over its breakpoints
     (_breakpoints): the radii of its grid nodes, thinned to at most _RHO
     apart unless neighbours, and of its joins.  One phi, log sinh, log |v'|
     (and log v) per node serve every integrand.  Each integrand is one
@@ -813,12 +816,17 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     inverted together (geometry.phi_inv_ordered); each mass
     is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
     mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
-    weight.  Breakpoints are the piece end values of f and the node values
-    of v up to fmax / 2: the lowest makes [0, it] the left-edge segment,
-    whose log sweep absorbs the singularity of mu at 0 where the small
-    panel tree of integrate_vector cannot, and the others grade it; the
-    upper node values of a grid geometric in s crowd toward fmax, where
-    each would cost a panel and buy no accuracy.
+    weight.  The pass runs in y = log(tau / (fmax - tau)),
+    dtau = tau (fmax - tau) / fmax dy, tau and fmax - tau formed from
+    e^(-|y|) so that neither cancels: the power laws of mu at tau -> 0 and
+    of mu' and the weights at tau -> fmax decay exponentially in y (the
+    tanh rule, Schwartz 1969).  Breakpoints are y = 0 and the logits of
+    f's positive piece end values, up to a logit of 30 below fmax;
+    each segment between them takes a panel tree, and each end one sweep
+    in y outward from the outermost breakpoint, carrying the running
+    totals, so that its stop floor is relative to the whole integral.  A
+    node whose tau rounds to 0 or fmax raises ConvergenceError: the sweep
+    did not converge before the map ran out of double range.
     """
     f = v.source
     fmax = f.sup_value
@@ -850,17 +858,38 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
             out.append(p * exp((p - 1.0) * lt) * (p * lt + 1.0) * mu)
         return out
 
-    def panel(taus):
+    def panel(ys):
+        # tau and fmax - tau from e^(-|y|), so that neither cancels
+        es = [exp(-abs(y)) for y in ys]
+        taus = [fmax / (1.0 + e) if y >= 0.0 else fmax * e / (1.0 + e)
+                for y, e in zip(ys, es)]
+        if not all(0.0 < tau < fmax for tau in taus):
+            raise ConvergenceError("level sweep reached an end of the level range")
         levels = _level_sets(f, taus)
         # the radius phi_inv(mu / sigma) wherever a hyperbolic weight needs one
         radii = geometry.phi_inv_ordered(n, [
             mu / sigma if mu > 0.0 and 0.0 < d < math.inf else 0.0
             for mu, d in levels]) if need_h else itertools.repeat(None)
-        return zip(*map(g, taus, levels, radii))
+        jacs = [fmax * e / (1.0 + e) ** 2 for e in es]  # dtau/dy
+        return [[x * j for x, j in zip(row, jacs)]
+                for row in zip(*map(g, taus, levels, radii))]
 
-    breaks = [*itertools.chain.from_iterable(f.ends),
-              *(x for x in v.values if x <= 0.5 * fmax)]
-    vals, errs = quadrature.integrate_vector(panel, 0.0, fmax, breaks)
+    # tau rounds to fmax near y = 36.7 (e^-y ~ 2^-53): an end value with a
+    # logit past 30 would leave the high-end sweep no room for its closing
+    # panels.  Every positive end value below that is kept, so that a jump
+    # of mu, however low its level, sits on a breakpoint
+    top = fmax * (1.0 - exp(-30.0))
+    breaks = sorted({0.0, *(log(x) - log(fmax - x)
+                            for x in itertools.chain.from_iterable(f.ends)
+                            if 0.0 < x < top)})
+    total = total_err = None
+    for lo, hi in zip(breaks, breaks[1:]):
+        total, total_err = quadrature._add(
+            total, total_err, *quadrature._integrate_finite(panel, lo, hi))
+    vals, errs = quadrature._sweep(
+        panel, -2.0, "level sweep did not converge (low end)",
+        *quadrature._sweep(panel, 2.0, "level sweep did not converge (high end)",
+                           total, total_err, breaks[-1]), breaks[0])
     return list(zip(vals, errs))
 
 

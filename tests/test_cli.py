@@ -755,6 +755,17 @@ def test_domain_edges_exit_2(capsys, tmp_path, argv, message):
     assert err.count("\n") == 1
 
 
+@pytest.mark.parametrize("n,p", [("4", "0"), ("5", "-0.1"), ("3", "-100"),
+                                 ("3", "0.5"), ("3", "1.0")])
+def test_lemma_violate_rejects_p_up_to_1(capsys, n, p):
+    # p = 0 and p = -0.1 exited 4 on a math domain error, p = -100 on an
+    # overflow, and 0.5 and 1.0 ran and exited 0
+    code, _, err = run(capsys, "lemma", "violate", "--n", n, f"--p={p}")
+    assert code == 2
+    assert err.startswith("error:") and "need p > 1" in err
+    assert err.count("\n") == 1
+
+
 @pytest.mark.parametrize("argv", [
     ("sharpness", "--n", "4", "--p", N4P, "--lambdas", ","),
     ("sweep", "--inequality", "key_comparison", "--n-list", ",", "--p-list", "3"),
