@@ -1,8 +1,6 @@
 """Numerical kernels: adaptive Gauss-Kronrod quadrature on finite and
 semi-infinite intervals, root finding for monotone functions by Newton on
-a given derivative, and the grids profiles are sampled on.  The root
-finder's start and step are functions of their own (_newton_start,
-_newton_step), so that a caller may run many solves in lockstep.
+a given derivative, and the grids profiles are sampled on.
 
 Quadrature is vector-valued and panel-at-a-time (Shampine 2008,
 "Vectorized adaptive quadrature in MATLAB"): one panel tree serves every
@@ -275,68 +273,40 @@ def find_root_increasing(f: Callable[[float], float], target: float,
     the midpoint whenever the Newton step escapes or stalls.  The first
     iterate is x0 when it lies strictly inside the bracket, else the
     midpoint.  ends, when given, holds f at the two bracket ends, which
-    are then not evaluated.  Raises ConvergenceError (carrying the last
-    iterate) when max_iter iterations do not reach tolerance.  A caller
-    that evaluates many solves together runs _newton_start and
-    _newton_step itself.
+    are then not evaluated; an end where f is the target is the root.  An
+    iterate is the root once its residual is within _ROOT_REL_TOL of the
+    target (of 1 at target 0), or the bracket within _ROOT_REL_TOL of the
+    iterate; df is called only past that test.  Raises ConvergenceError
+    (carrying the last iterate) when max_iter iterations do not reach
+    tolerance.
     """
     lo, hi = bracket
     if not lo <= hi:
         raise BracketError(f"empty bracket ({lo!r}, {hi!r})")
     flo, fhi = ends if ends is not None else (f(lo), f(hi))
-    t, f_tol = _newton_start(target, lo, hi, flo, fhi, x0)
-    if f_tol is None:
-        return t
-    for _ in range(max_iter):
-        step = _newton_step(t, f(t) - target, lo, hi, f_tol, df)
-        if step is None:
-            return t
-        t, lo, hi = step
-    raise _unconverged(target, max_iter, lo, hi, t)
-
-
-def _newton_start(target: float, lo: float, hi: float, flo: float, fhi: float,
-                  x0: Optional[float]) -> Tuple[float, Optional[float]]:
-    """The start of find_root_increasing on the bracket (lo, hi), where f
-    is flo and fhi: (that end, None) when an end solves f = target, else
-    the first iterate and the residual tolerance."""
     flo -= target
     fhi -= target
     if flo == 0.0:
-        return lo, None
+        return lo
     if fhi == 0.0:
-        return hi, None
+        return hi
     if flo > 0.0 or fhi < 0.0:
         raise BracketError(
             f"bracket ({lo!r}, {hi!r}) does not straddle target {target!r}")
     t = x0 if x0 is not None and lo < x0 < hi else 0.5 * (lo + hi)
-    return t, _ROOT_REL_TOL * abs(target) if target != 0.0 else _ROOT_REL_TOL
-
-
-def _newton_step(t: float, ft: float, lo: float, hi: float, f_tol: float,
-                 df: Callable[[float], float]) -> Optional[Tuple[float, float, float]]:
-    """One iteration of find_root_increasing, given ft = f(t) - target at
-    its iterate t: None when t passes the stop test (residual within f_tol,
-    or bracket within the root tolerance), else the next iterate and the
-    bracket (lo, hi) narrowed to t.  df is called at t only past the stop
-    test; the next iterate is the Newton step on it, or the midpoint where
-    that step leaves the bracket or the slope is not positive and finite."""
-    if abs(ft) <= f_tol or hi - lo <= _ROOT_REL_TOL * max(abs(t), 1e-300):
-        return None
-    if ft > 0.0:
-        hi = t
-    else:
-        lo = t
-    d = df(t)
-    cand = t - ft / d if d > 0.0 and math.isfinite(d) else lo
-    return cand if lo < cand < hi else 0.5 * (lo + hi), lo, hi
-
-
-def _unconverged(target: float, max_iter: int, lo: float, hi: float,
-                 t: float) -> ConvergenceError:
-    """The ConvergenceError of a solve that used max_iter iterations,
-    carrying its last iterate t."""
-    return ConvergenceError(
+    f_tol = _ROOT_REL_TOL * abs(target) if target != 0.0 else _ROOT_REL_TOL
+    for _ in range(max_iter):
+        ft = f(t) - target
+        if abs(ft) <= f_tol or hi - lo <= _ROOT_REL_TOL * max(abs(t), 1e-300):
+            return t
+        if ft > 0.0:
+            hi = t
+        else:
+            lo = t
+        d = df(t)
+        cand = t - ft / d if d > 0.0 and math.isfinite(d) else lo
+        t = cand if lo < cand < hi else 0.5 * (lo + hi)
+    raise ConvergenceError(
         f"root find for target {target!r} did not converge in {max_iter} "
         f"iterations; bracket ({lo!r}, {hi!r})", partial=t)
 

@@ -19,8 +19,9 @@ The pass over the level solves the 15 levels of a panel together, each
 piece's crossings in level order, each bracketed and started from the
 radius its neighbour found: a continuation in the level (Allgower and
 Georg, Numerical Continuation Methods, 1990).  The same holds for the two
-other solves on this path: the rearrangement's solves of mu(tau) = s run
-in lockstep, each round's levels in one level-ordered solve (a pointwise
+other solves on this path: the rearrangement's solves of mu(tau) = s,
+Newton steps in the same logit on log mu from one tabulation, run in
+lockstep, each round's levels in one level-ordered solve (a pointwise
 v(s) is the one-target case), and a panel's hyperbolic weights invert phi
 from its largest volume down, each radius by Newton from the one above it
 (geometry.phi_inv_ordered).
@@ -377,47 +378,95 @@ def distribution_function(f: RadialFunction, t: float) -> float:
     return _level_sets(f, (t,))[0][0]
 
 
-def _node_levels(f: RadialFunction, targets: Sequence[tuple]
-                 ) -> List[Tuple[float, float, float]]:
-    """(v(s), mu(v(s)), -mu'(v(s))) for each target (s, low, high), whose
-    ends are (level, mu, -mu') triples, mu at most s at high.
+def _levels_at(fmax: float, ys: Sequence[float]) -> Tuple[List[float], List[float]]:
+    """The levels tau = fmax / (1 + e^(-y)) at the logits ys, and e^(-|y|):
+    tau and fmax - tau are formed from e^(-|y|), so that neither cancels."""
+    es = [math.exp(-abs(y)) for y in ys]
+    return [fmax / (1.0 + e) if y >= 0.0 else fmax * e / (1.0 + e)
+            for y, e in zip(ys, es)], es
 
-    A target at or past mu of its low end takes that end, one at mu of its
-    high end that end; any other is the root of mu(tau) = s by
-    find_root_increasing's safeguarded Newton on the coarea slope -mu'(tau),
-    from the regula falsi point of its own bracket.  The solves run in
-    lockstep, every round solving the levels of all unconverged targets in
-    one level-ordered _level_sets call.  Raises ConvergenceError, carrying
-    the last iterate of the first target left, when the iterations run out.
+
+# past this logit every level rounds to fmax (e^-y < 2^-53)
+_Y_TOP = 37.0
+# the logits of the table that brackets a grid's node solves
+# (decreasing_rearrangement), 3 apart from about 3e-30 fmax to within
+# 2e-15 of fmax
+_TABLE_YS = tuple(range(-68, 37, 3))
+
+
+def _node_levels(f: RadialFunction, targets: Sequence[float],
+                 known: Sequence[Tuple[float, float, float]]
+                 ) -> List[Tuple[float, float, float]]:
+    """(v(s), mu(v(s)), -mu'(v(s))) for each volume s of targets, given
+    known (level, mu, -mu') triples in increasing level.  A target at or
+    past mu of the first takes the first, one at or below mu of the last
+    the last.
+
+    Every other target is the root of mu(tau) = s, bracketed by the known
+    levels around s and then by every level any target evaluates.  It
+    starts from the bracket end nearest s in mu and steps by Newton in
+    y = log(tau / (fmax - tau)) on log mu, which the power laws of mu at
+    both ends of the level range make close to linear, with the coarea
+    slope d log mu / dy = -mu' tau (fmax - tau) / (fmax mu); or to the
+    bracket's midpoint in y where that step leaves it.  The solves run in
+    lockstep, every round's levels in one level-ordered _level_sets call.
+    A target takes its nearest bracket end once that end's residual is
+    within _ROOT_REL_TOL s, and its iterate once the bracket, or the
+    iterate's Newton correction |mu - s| / |mu'|, is within _ROOT_REL_TOL
+    of its level: near fmax, mu is a difference of volumes whose rounding
+    exceeds the residual test, while the slope keeps its digits.  Raises
+    ConvergenceError, naming the first target left and carrying its last
+    iterate, when quadrature._ROOT_MAX_ITER rounds do not converge every
+    target.
     """
-    out = []
-    solves = {}  # target -> [iterate, bracket lo, bracket hi, residual tolerance]
-    for k, (s, low, high) in enumerate(targets):
-        (t_lo, m_lo, _), (t_hi, m_hi, _) = low, high
-        out.append(low)
-        if s < m_lo:
-            t, f_tol = quadrature._newton_start(
-                -s, t_lo, t_hi, -m_lo, -m_hi,
-                t_lo + (t_hi - t_lo) * (m_lo - s) / (m_lo - m_hi))
-            if f_tol is None:
-                out[k] = high
+    fmax = f.sup_value
+    tol = quadrature._ROOT_REL_TOL
+    log = math.log
+
+    def logit(tau):
+        return log(tau) - log(fmax - tau) if tau < fmax else _Y_TOP
+
+    out = [known[0]] * len(targets)
+    solves = {}  # target -> [lo, hi, iterate], mu(lo) > s >= mu(hi)
+    for k, s in enumerate(targets):
+        if s <= known[-1][1]:
+            out[k] = known[-1]
+            continue
+        i = bisect.bisect_left(known, -s, key=lambda e: -e[1])
+        if i:
+            lo, hi = known[i - 1], known[i]
+            solves[k] = [lo, hi, min(lo, hi, key=lambda e: abs(e[1] - s))]
+    for rounds in itertools.count():
+        ys = {}
+        for k, (lo, hi, it) in list(solves.items()):
+            s, (tau, mu, d) = targets[k], it
+            end = min(lo, hi, key=lambda e: abs(e[1] - s))
+            if abs(end[1] - s) <= tol * s:
+                out[k] = end
+            elif hi[0] - lo[0] <= tol * tau or 0.0 < d < math.inf and abs(mu - s) <= tol * tau * d:
+                out[k] = it
+            elif rounds == quadrature._ROOT_MAX_ITER:
+                raise ConvergenceError(
+                    f"node solve for volume {s!r} did not converge in {rounds} "
+                    f"rounds; bracket ({lo[0]!r}, {hi[0]!r})", partial=tau)
             else:
-                solves[k] = [t, t_lo, t_hi, f_tol]
-    for _ in range(quadrature._ROOT_MAX_ITER):
-        if not solves:
-            break
-        for k, (mu, d) in zip(list(solves), _level_sets(f, [x[0] for x in solves.values()])):
-            t, lo, hi, f_tol = solves[k]
-            step = quadrature._newton_step(t, targets[k][0] - mu, lo, hi, f_tol, lambda _: d)
-            if step is None:
-                out[k] = t, mu, d
-                del solves[k]
-            else:
-                solves[k][:3] = step
-    if solves:
-        k, (t, lo, hi, _) = next(iter(solves.items()))
-        raise quadrature._unconverged(-targets[k][0], quadrature._ROOT_MAX_ITER, lo, hi, t)
-    return out
+                # the Newton step, nan where the slope gives none
+                m = -d * tau * (fmax - tau) / (fmax * mu) if mu > 0.0 and d < math.inf else 0.0
+                y = logit(tau) + log(s / mu) / m if m < 0.0 else math.nan
+                y_lo, y_hi = logit(lo[0]), logit(hi[0])
+                ys[k] = y if y_lo < y < y_hi else 0.5 * (y_lo + y_hi)
+                continue
+            del solves[k]
+        if not ys:
+            return out
+        taus = _levels_at(fmax, list(ys.values()))[0]
+        new = [(tau, *level) for tau, level in zip(taus, _level_sets(f, taus))]
+        for k, it in zip(ys, new):
+            lo, hi, _ = solves[k]
+            for e in new:
+                if lo[0] < e[0] < hi[0]:
+                    lo, hi = (e, hi) if e[1] > targets[k] else (lo, e)
+            solves[k] = [lo, hi, it]
 
 
 def decreasing_rearrangement(f: RadialFunction,
@@ -425,16 +474,17 @@ def decreasing_rearrangement(f: RadialFunction,
     """Sample the decreasing rearrangement of f on the given volume grid.
 
     v(s) = sup of the levels whose superlevel volume exceeds s: the root
-    of the non-increasing distribution function mu(tau) = s.  It is found
-    by safeguarded Newton on the coarea slope -mu'(tau) (bisection
-    wherever the slope is 0 or infinite, so plateaus and jumps stay safe),
-    in one solver, _node_levels.  The grid's nodes are solved in lockstep
-    on the whole level range, and the (level, mu, -mu') each ends with
-    brackets every later solve: a pointwise v(s) is the one-target case,
-    bracketed by the levels of the grid nodes around s, and v'(s) reads
-    -mu' off that solve.  Both are attached as the profile's analytic
-    closure, and f as its source: norms of the result are integrals over
-    the level (radial_integrals), which need no solve.
+    of the non-increasing distribution function mu(tau) = s, by one
+    solver, _node_levels: safeguarded Newton in the logit of the level on
+    log mu, with the coarea slope -mu'(tau) (bisection wherever the slope
+    is 0 or infinite, so plateaus and jumps stay safe).  One _level_sets
+    call tabulates (level, mu, -mu') at eps = 1e-30 fmax and at the logits
+    _TABLE_YS, which bracket the grid's nodes; the nodes are solved in
+    lockstep, and the triples they end with bracket every later solve: a
+    pointwise v(s) is the one-target case, and v'(s) reads -mu' off that
+    solve.  Both are attached as the profile's analytic closure, and f as
+    its source: norms of the result are integrals over the level
+    (radial_integrals), which need no solve.
 
     The tail is inferred: compact at the last node if the samples hit
     zero, otherwise a power law fitted on a wide log-log baseline (used
@@ -447,11 +497,15 @@ def decreasing_rearrangement(f: RadialFunction,
         return RadialProfile(grid, [0.0] * len(grid), Tail("compact", grid[-1]))
 
     eps = fmax * 1e-30
+    taus = [eps, *_levels_at(fmax, _TABLE_YS)[0]]
     # no piece exceeds fmax, so mu(fmax) = 0; no v' reads the slope there
-    top, bottom = (fmax, 0.0, 0.0), (eps, *_level_sets(f, (eps,))[0])
+    top = (fmax, 0.0, 0.0)
+    table = [(tau, *level) for tau, level in zip(taus, _level_sets(f, taus))] + [top]
+    bottom = table[0]
     # (level, mu, -mu') at every node; the running minimum kills root-tolerance jitter
-    ends = list(itertools.accumulate(_node_levels(f, [(s, bottom, top) for s in grid]), min))
+    ends = list(itertools.accumulate(_node_levels(f, grid, table), min))
     vals = [0.0 if tau == eps else tau for tau, _, _ in ends]
+    known = [bottom, *reversed(ends), top]
 
     # an integrand asks for v'(s) and then v(s) at the same s: one solve
     @functools.lru_cache(maxsize=1)
@@ -460,17 +514,7 @@ def decreasing_rearrangement(f: RadialFunction,
             raise DomainError(f"volume must be >= 0, got {s!r}")
         if bottom[1] <= s:  # past mu(eps), where v and v' are 0
             return 0.0, s, 0.0
-        # for s in [s_i, s_i+1) the level lies between the node levels;
-        # those are exact only to the root tolerance, so widen outward
-        # while an end does not straddle s, ending at fmax and eps
-        i = bisect.bisect_right(grid, s) - 1
-        hi, lo = i, i + 1
-        while hi >= 0 and ends[hi][1] > s:
-            hi -= 1
-        while lo < len(ends) and ends[lo][1] < s:
-            lo += 1
-        return _node_levels(f, [(s, ends[lo] if lo < len(ends) else bottom,
-                                 ends[hi] if hi >= 0 else top)])[0]
+        return _node_levels(f, [s], known)[0]
 
     def dv_of(s: float) -> float:
         # coarea: |v'(s)| = 1 / |mu'(v(s))|; 0 where v jumps or is flat.  v
@@ -859,10 +903,7 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
         return out
 
     def panel(ys):
-        # tau and fmax - tau from e^(-|y|), so that neither cancels
-        es = [exp(-abs(y)) for y in ys]
-        taus = [fmax / (1.0 + e) if y >= 0.0 else fmax * e / (1.0 + e)
-                for y, e in zip(ys, es)]
+        taus, es = _levels_at(fmax, ys)
         if not all(0.0 < tau < fmax for tau in taus):
             raise ConvergenceError("level sweep reached an end of the level range")
         levels = _level_sets(f, taus)

@@ -4,6 +4,7 @@ import itertools
 import math
 import os
 import random
+import re
 import weakref
 
 import mpmath as mp
@@ -77,7 +78,30 @@ def _rise_decay_function(n=4):
               lambda r: -4.6 * 1.1 * math.exp(-4.6 * (r - 0.9)))))
 
 
-# (a, A, r1, w) of _compact_shell_function
+def _rise_function(n):
+    """Radial function rising linearly to 1 at radius 1, then decaying at
+    the rate 1.2 (n - 1) + 1, so that its L^1.5 mass converges at n = 8:
+    the rearrange benchmark's rise shape at its centre."""
+    k = 1.2 * (n - 1) + 1.0
+    return RadialFunction(n, (
+        Piece(0.0, 1.0, lambda r: r, lambda r: 1.0),
+        Piece(1.0, math.inf, lambda r: math.exp(-k * (r - 1.0)),
+              lambda r: -k * math.exp(-k * (r - 1.0)))))
+
+
+def _low_plateau_function(n, h=1e-14):
+    """Radial function falling linearly from 1 to h at radius 1, flat at h
+    out to radius 30, then falling off sharply: mu jumps at the level h,
+    and is nearly flat in tau at low levels above it."""
+    return RadialFunction(n, (
+        Piece(0.0, 1.0, lambda r: 1.0 - (1.0 - h) * r, lambda r: h - 1.0),
+        Piece(1.0, 30.0, lambda r: h, lambda r: 0.0),
+        Piece(30.0, math.inf, lambda r: h * math.exp(-100.0 * (r - 30.0)),
+              lambda r: -100.0 * h * math.exp(-100.0 * (r - 30.0)))))
+
+
+# (a, A, r1, w) of _compact_shell_function; the rearrange benchmark's
+# shell shape at its centre
 _COMPACT_SHELL = (0.2, 1.0, 0.75, 0.7)
 
 
@@ -94,8 +118,8 @@ def _compact_shell_function(n=2):
         Piece(r1 + w, math.inf, lambda r: 0.0, lambda r: 0.0)))
 
 
-def _rearranged(f, num=80, level=1e-6):
-    top = distribution_function(f, level)
+def _rearranged(f, num=80):
+    top = distribution_function(f, 1e-6)
     grid = np.insert(np.geomspace(top * 1e-10, top, num), 0, 0.0)
     return decreasing_rearrangement(f, grid)
 
@@ -271,12 +295,11 @@ def test_closure_matches_reference_solve():
             assert v(s) == pytest.approx(_reference_level(f, s), rel=1e-12), s
 
 
-@pytest.mark.xfail(strict=True, raises=ConvergenceError,
-                   reason="the first node solve starts 6e-14 below the shell's "
-                   "maximum, where the level set has no digits, and each Newton "
-                   "step on its noise slope moves one ulp")
 def test_shell_rearrangement_at_n6():
-    # n = 3, 4 and 5 pass on the same grids
+    # the first node lies 6e-14 below the shell's maximum, where mu is a
+    # difference of volumes with no digits left and only the coarea slope
+    # tells a node solve when to stop; n = 3, 4 and 5 pass on the same
+    # grids
     f = _shell_function(6)
     for num in (40, 41, 60, 80):
         v = _rearranged(f, num)
@@ -384,24 +407,103 @@ def test_node_solve_piece_evaluations():
     assert 0 < total <= 14528
 
 
+def test_node_solve_rounds_and_levels(monkeypatch):
+    # a ratchet on the node solves' work over the rearrange benchmark's
+    # rise and shell shapes at n = 2..6, each on its 12-node geometric
+    # grid: the _level_sets rounds and levels decreasing_rearrangement
+    # evaluates, its table among them (350 rounds and 1,705 levels when
+    # each node started from the regula falsi point on the whole level
+    # range and stepped in tau).  Each node matches its lone solve within
+    # what the two solves' stop tests leave: 1e-13 s / |mu'| each from the
+    # residual test, 1e-13 tau each from the bracket or the Newton
+    # correction, and 4 ulps.  Where the compact shell's falling piece
+    # ends flat, mu itself moves the level by more
+    # (test_batched_nodes_match_lone_solves), and the node is checked
+    # against the closed-form radii instead
+    a, A, r1, w = _COMPACT_SHELL
+    tol = quadrature._ROOT_REL_TOL
+    rounds = levels = flat_nodes = 0
+    level_sets = rearrangement._level_sets
+
+    def counted(f, taus):
+        nonlocal rounds, levels
+        rounds += 1
+        levels += len(taus)
+        return level_sets(f, taus)
+
+    worst = 0.0
+    for make in (_rise_function, _compact_shell_function):
+        for n in range(2, 7):
+            f = make(n)
+            top = distribution_function(f, 1e-6)
+            grid = np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)
+            monkeypatch.setattr(rearrangement, "_level_sets", counted)
+            v = decreasing_rearrangement(f, grid)
+            monkeypatch.setattr(rearrangement, "_level_sets", level_sets)
+            lone = itertools.accumulate((_lone_node(f, s) for s in v.nodes), min)
+            for s, got, want in zip(v.nodes[1:], v.values[1:], itertools.islice(lone, 1, None)):
+                if make is _compact_shell_function:
+                    exact, c = _compact_shell_level(n, s)
+                    x = (c - r1) / w
+                    flat = tol * c * 4.0 * x / (w * (1.0 - x * x))
+                    if flat > 1e-12:
+                        flat_nodes += 1
+                        assert abs(got - exact) <= flat * exact, (n, s, got, exact)
+                        continue
+                (_, d), = level_sets(f, (got,))
+                bound = 2.0 * tol * (s / d + got) + 4.0 * math.ulp(got)
+                assert abs(got - want) <= bound, (make.__name__, n, s, got, want)
+                worst = max(worst, abs(got - want) / bound)
+    print(f"{rounds} rounds, {levels} levels; worst miss {worst:.2f} of its bound")
+    assert flat_nodes == 5, flat_nodes  # each shell's bottom node
+    assert rounds <= 50 and levels <= 622
+
+
+@pytest.mark.parametrize("n", [2, 6])
+def test_low_plateau_closure_agrees_with_its_nodes(n):
+    # at level 1e-6 the low plateau's mu is nearly flat in tau, so levels
+    # 3e-8 apart both meet the residual test: a pointwise v(s) at the last
+    # node, bracketed by the node's own (level, mu, -mu'), takes that
+    # level, since a fresh solve could end 3e-8 away and fail the
+    # profile's closure check.  At the other nodes, the two solves meet
+    # within their bracket tolerance
+    f = _low_plateau_function(n)
+    v = _rearranged(f, num=40)
+    assert v(v.nodes[-1]) == v.values[-1]
+    for s, val in zip(v.nodes, v.values):
+        assert v(s) == pytest.approx(val, rel=1e-12, abs=0.0), s
+
+
 def test_node_that_runs_out_of_iterations_raises(monkeypatch):
-    # the first node left unconverged when the iterations run out raises
-    # with its last iterate, the partial its lone solve reaches in as many
+    # a round budget that runs out raises ConvergenceError naming the first
+    # target left unconverged, with its last iterate: a level of the last
+    # round, inside the bracket the message reports, which straddles the
+    # target.  Two rounds leave the bump's fourth node first; without it,
+    # the fifth
     f = _bump_function(3)
     top = distribution_function(f, 1e-6)
-    grid = np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)
-    lone = []
-    for s in grid:
-        try:
-            _lone_node(f, s, max_iter=3)
-        except ConvergenceError as exc:
-            lone.append((s, exc.partial))
-    s, partial = float(lone[0][0]), lone[0][1]
-    monkeypatch.setattr(quadrature, "_ROOT_MAX_ITER", 3)
-    with pytest.raises(ConvergenceError, match="did not converge in 3 iterations") as batch:
-        decreasing_rearrangement(f, grid)
-    assert str(batch.value).startswith(f"root find for target {-s!r} ")
-    assert batch.value.partial == pytest.approx(partial, rel=1e-12)
+    grid = [float(s) for s in np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)]
+    rounds = []
+    level_sets = rearrangement._level_sets
+
+    def recorded(g, taus):
+        rounds.append(list(taus))
+        return level_sets(g, taus)
+
+    monkeypatch.setattr(rearrangement, "_level_sets", recorded)
+    monkeypatch.setattr(quadrature, "_ROOT_MAX_ITER", 2)
+    for first, nodes in ((3, grid), (4, grid[:3] + grid[4:])):
+        rounds.clear()
+        with pytest.raises(ConvergenceError, match="did not converge in 2 rounds") as exc:
+            decreasing_rearrangement(f, nodes)
+        s = grid[first]
+        assert str(exc.value).startswith(f"node solve for volume {s!r} ")
+        assert len(rounds) == 3  # the table, then two rounds
+        lo, hi = map(float, re.search(r"bracket \((\S+), (\S+)\)", str(exc.value)).groups())
+        assert exc.value.partial in rounds[-1]
+        assert lo <= exc.value.partial <= hi
+        (m_lo, _), (m_hi, _) = level_sets(f, (lo, hi))
+        assert m_lo > s >= m_hi
 
 
 def test_closure_is_pure():
@@ -512,7 +614,7 @@ def test_rearranged_closure_solves_each_node_once(monkeypatch):
         radial_integrals(dataclasses.replace(v), 3, 2.5, **kwargs)
         counts.append(finds[0])
     both, grad, mass = counts
-    assert min(grad, mass) > 1000
+    assert min(grad, mass) > 0
     assert both <= 1.1 * max(grad, mass)
 
 
@@ -690,25 +792,10 @@ def test_level_pass_holds_both_ends_of_the_level_range(shape, n):
     # meets its top with a vanishing slope on one side; the low plateau's
     # mu jumps at a level 1e-14 of fmax, far below where a sweep from the
     # top segment's end would stop, and carries most of the mass at q 1.5
-    # (its grid tops out at level 1e-3: at 1e-6, where mu is flat in tau,
-    # the node and pointwise solves of v disagree beyond the closure check
-    # at n = 2 and 6)
-    if shape == "rise":
-        k = 1.2 * (n - 1) + 1.0
-        f = RadialFunction(n, (
-            Piece(0.0, 1.0, lambda r: r, lambda r: 1.0),
-            Piece(1.0, math.inf, lambda r: math.exp(-k * (r - 1.0)),
-                  lambda r: -k * math.exp(-k * (r - 1.0)))))
-    elif shape == "shell":
-        f = _compact_shell_function(n)
-    else:
-        h = 1e-14
-        f = RadialFunction(n, (
-            Piece(0.0, 1.0, lambda r: 1.0 - (1.0 - h) * r, lambda r: h - 1.0),
-            Piece(1.0, 30.0, lambda r: h, lambda r: 0.0),
-            Piece(30.0, math.inf, lambda r: h * math.exp(-100.0 * (r - 30.0)),
-                  lambda r: -100.0 * h * math.exp(-100.0 * (r - 30.0)))))
-    v = _rearranged(f, level=1e-3)
+    makes = {"rise": _rise_function, "shell": _compact_shell_function,
+             "low plateau": _low_plateau_function}
+    f = makes[shape](n)
+    v = _rearranged(f)
     for q in (1.5, 4.0):
         direct = lq_norm_direct(f, q)
         assert abs(lp_norm(v, q) - direct) <= 1e-11 * direct, q
