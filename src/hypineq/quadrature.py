@@ -18,8 +18,9 @@ s = a + b e^y, takes over: with a = 0, b = x, swept leftward from y = 0,
 it absorbs an integrable singularity of a profile closure at 0.  The
 same substitution reaches an infinite tail [a, inf) (b = 1, swept right
 and then left from y = 0).  It maps a panel's node list before the call
-and scales each component's values.  integrate takes a pointwise scalar
-integrand.
+and scales each component's values.  A sweep's panels widen as the tail
+thins, each judged against the running total of the integral (_sweep).
+integrate takes a pointwise scalar integrand.
 
 Everything here is pure; integrand closures supplied by callers must be
 safe to call repeatedly.
@@ -48,6 +49,14 @@ _ABS_TOL = 1e-12
 # bisected, and how many panels the tree may hold.
 _MAX_DEPTH = 50
 _MAX_PANELS = 4096
+# Sweep panels (_sweep): the share of _REL_TOL times the running total a
+# panel's error may take, the exponent of the next width's factor, the
+# largest factor from one width to the next, and the widest panel in units
+# of |step|.
+_SWEEP_SHARE = 0.1
+_SWEEP_EXPONENT = -0.1
+_SWEEP_GROW = 4.0
+_SWEEP_WIDEST = 8.0
 # Budgets of the plain tree on a first segment [0, x] (integrate_vector):
 # past either, the head is rough and the segment takes the log sweep.
 _HEAD_DEPTH = 8
@@ -124,7 +133,11 @@ def _integrate_finite(f, a, b, max_panels=_MAX_PANELS, edge_depth=_MAX_DEPTH):
     ConvergenceError rather than bisect once the tree holds max_panels
     panels, or a panel _MAX_DEPTH bisections deep (edge_depth deep, for
     the panel at a)."""
-    val, err = _gk15(f, a, b)
+    return _tree(f, a, b, *_gk15(f, a, b), max_panels, edge_depth)
+
+
+def _tree(f, a, b, val, err, max_panels=_MAX_PANELS, edge_depth=_MAX_DEPTH):
+    """_integrate_finite on [a, b], given its first panel's (val, err)."""
     if not any(e > max(_ABS_TOL, _REL_TOL * abs(x)) for x, e in zip(val, err)):
         return val, err
     # a panel's priority: its worst error relative to the component's floor
@@ -168,24 +181,64 @@ def _add(total, total_err, val, err):
 
 
 def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
-    """Add panels of width |step| to (total, total_err), outward from y in
-    the direction of step, until two consecutive panels fall below a
-    quarter of the tolerance floor in every component.
+    """Add panels to (total, total_err), outward from y in the direction
+    of step, until two consecutive panels fall below a quarter of the
+    tolerance floor in every component.
+
+    Each panel takes one GK15 first, judged against the running total the
+    caller carries (Gander and Gautschi, BIT 40, 2000; QUADPACK's qagi): it
+    is accepted when every component's error is within the largest of
+    _ABS_TOL, _REL_TOL times the panel and _SWEEP_SHARE * _REL_TOL times
+    the running total.  The next width is the last times
+    0.9 (error / allowance)^_SWEEP_EXPONENT, at most _SWEEP_GROW times it,
+    and from |step| to _SWEEP_WIDEST |step|.  A panel wider than |step| that misses
+    its allowance, or whose integrand raises (a level past the end of the
+    level range, an overflow), is retried narrower; one of width |step|
+    that misses falls back to the panel tree, and what the tree or the
+    integrand raises propagates, unless the integrand raises right after a
+    wider panel: that panel is retried narrower, so that a wide panel does
+    not take the room the closing panels need.
 
     Rightward, a power-law tail first *rises* in y (until e^y ~ a), so a
     panel there only counts as negligible once the sequence is decaying;
     otherwise a small-magnitude tail would be cut off in its rising phase.
-    Raises ConvergenceError, carrying the partial sums, after 400 panels or
-    before a rightward panel whose nodes e^y would overflow.
+    Raises ConvergenceError, carrying the partial sums, after 400 panels
+    (retried ones included) or before a rightward panel of width |step|
+    whose nodes e^y would overflow; that edge caps a wider one.
     """
+    base = width = abs(step)
     small = 0
-    prev = None
+    prev = back = None
     for _ in range(400):
         if y + step > 709.78:  # past here e^y overflows
             break
-        v, e = _integrate_finite(g, min(y, y + step), max(y, y + step))
+        h = min(width, 709.78 - y) if step > 0.0 else width
+        dy = math.copysign(h, step)
+        lo, hi = min(y, y + dy), max(y, y + dy)
+        try:
+            v, e = _gk15(g, lo, hi)
+        except (ArithmeticError, ConvergenceError, DomainError, EvaluationError):
+            if h > base:
+                width = max(base, h / _SWEEP_GROW)
+            elif back is not None:  # a wider panel took the room: redo it narrower
+                (y, total, total_err, small, prev, width), back = back, None
+            else:
+                raise
+            continue
+        ratio = max(err / max(_ABS_TOL, _REL_TOL * abs(x),
+                              _SWEEP_SHARE * _REL_TOL * abs(x + t))
+                    for x, err, t in zip(v, e, total or [0.0] * len(v)))
+        if h == base and ratio > 1.0:
+            v, e = _tree(g, lo, hi, v, e)
+        factor = 0.9 * ratio ** _SWEEP_EXPONENT if ratio > 0.0 else _SWEEP_GROW
+        if h > base and ratio > 1.0:
+            width = max(base, h * max(factor, 1.0 / _SWEEP_GROW))
+            continue
+        if h > base:
+            back = y, total, total_err, small, prev, max(base, h / _SWEEP_GROW)
+        width = max(base, min(_SWEEP_WIDEST * base, h * min(factor, _SWEEP_GROW)))
         total, total_err = _add(total, total_err, v, e)
-        y += step
+        y += dy
         mags = [abs(x) for x in v]
         small = small + 1 if all(
             mag < 0.25 * max(_ABS_TOL, _REL_TOL * abs(t))

@@ -591,7 +591,11 @@ def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str):
 def _check_mass(v: RadialProfile, q: float):
     if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q!r}")
-    if v.tail.kind == "power":
+    # a rearrangement's tail is fitted to its grid's last decade, while its
+    # level pass integrates the source and raises where that mass diverges
+    # (phi overflows); its gradients keep the check, since a coarea slope
+    # past double range reads as a jump of mu and gathers no weight
+    if v.source is None:
         _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
 
 
@@ -728,13 +732,14 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     if list(grads) != [c for c in _GRADIENTS if c in grads]:
         raise DomainError(
             f"grads must be a subsequence of {_GRADIENTS!r}, got {grads!r}")
-    if want_h and v.tail.kind == "power":
-        # |v'|^p decays like s^(-p*exponent - p) and the hyperbolic
-        # weight grows like s^p, so the integrand decays like s^(-p*exponent)
+    if want_h:
+        # under a power tail |v'|^p decays like s^(-p*exponent - p) and the
+        # hyperbolic weight grows like s^p, so the integrand decays like
+        # s^(-p*exponent)
         _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral")
     for q in qs:
         _check_mass(v, q)
-    if want_e and v.tail.kind == "power":
+    if want_e:
         _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
                                "Euclidean gradient integral")
     if v.source is not None:
@@ -867,9 +872,13 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
     tanh rule, Schwartz 1969).  Breakpoints are y = 0 and the logits of
     f's positive piece end values, up to a logit of 30 below fmax;
     each segment between them takes a panel tree, and each end one sweep
-    in y outward from the outermost breakpoint, carrying the running
-    totals, so that its stop floor is relative to the whole integral.  A
-    node whose tau rounds to 0 or fmax raises ConvergenceError: the sweep
+    in y outward from the outermost breakpoint, the low end first, each
+    carrying the running totals: its panels widen as the integrand thins,
+    each judged against the whole integral so far (quadrature._sweep).  The
+    low end's panels start from width 1; the high end's from width 2, since
+    near fmax the piece solves leave mu noise relative to fmax - tau
+    (ROADMAP item 5), where a narrower panel tree can exhaust its budget.
+    A node whose tau rounds to 0 or fmax raises ConvergenceError: the sweep
     did not converge before the map ran out of double range.
     """
     f = v.source
@@ -928,9 +937,9 @@ def _level_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
         total, total_err = quadrature._add(
             total, total_err, *quadrature._integrate_finite(panel, lo, hi))
     vals, errs = quadrature._sweep(
-        panel, -2.0, "level sweep did not converge (low end)",
-        *quadrature._sweep(panel, 2.0, "level sweep did not converge (high end)",
-                           total, total_err, breaks[-1]), breaks[0])
+        panel, 2.0, "level sweep did not converge (high end)",
+        *quadrature._sweep(panel, -1.0, "level sweep did not converge (low end)",
+                           total, total_err, breaks[0]), breaks[-1])
     return list(zip(vals, errs))
 
 

@@ -67,17 +67,11 @@ def test_gagliardo_nirenberg_equality_on_its_extremal(n, p, alpha):
     assert abs(lhs - rhs) <= bar, (lhs - rhs, bar)
 
 
-_MORREY_MISS = ("ROADMAP items 2 and 4: the Euclidean gradient integrand of the "
-                "Morrey extremal is s^(-(n-1)p/(n(p-1))), singular at s = 0, and "
-                "its integral misses by more than its bar (about 90 bars at "
-                "(3, 5), 1.4e6 at (4, 6))")
-
-
 @pytest.mark.parametrize("n, p", [(2, 4.0), (3, 5.0), (4, 6.0), (5, 9.5)])
 def test_morrey_constant_meets_equality_in_closed_form(n, p):
     # the extremal's sup is c S^(1-e)/(1-e) and its Euclidean gradient
     # integral c^p A^p S^(1-e)/(1-e), A = n sigma^(1/n), c = A^(-p/(p-1)),
-    # e = (n-1)p/(n(p-1)): the xfails below miss in the integral, not here
+    # e = (n-1)p/(n(p-1))
     with mp.workdps(40):
         nn, pp, S = mp.mpf(n), mp.mpf(p), mp.mpf(7)
         A = nn * mp.mpf(unit_ball_volume(n)) ** (1 / nn)
@@ -89,13 +83,12 @@ def test_morrey_constant_meets_equality_in_closed_form(n, p):
     assert abs(gap) < 1e-14, gap
 
 
-@pytest.mark.parametrize("n, p", [
-    (2, 4.0),
-    pytest.param(3, 5.0, marks=pytest.mark.xfail(strict=True, reason=_MORREY_MISS)),
-    pytest.param(4, 6.0, marks=pytest.mark.xfail(strict=True, reason=_MORREY_MISS)),
-    (5, 9.5),
-])
+@pytest.mark.parametrize("n, p", [(2, 4.0), (3, 5.0), (4, 6.0), (5, 9.5)])
 def test_morrey_equality_on_its_extremal(n, p):
+    # the gradient integrand s^(-(n-1)p/(n(p-1))) is singular at s = 0: the
+    # left edge's log sweep widens its panels as they thin, so its two
+    # closing panels reach far enough that what lies beyond is below the bar
+    # (at (3, 5) and (4, 6) the fixed-width sweep missed by 90 and 1.4e6 bars)
     support = 7.0
     v = morrey_extremal(n, p, support)
     ((E, e_E),) = radial_integrals(v, n, p, grads=("euclidean",))

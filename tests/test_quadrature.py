@@ -73,6 +73,24 @@ def test_budget_exits_carry_partial_sums(f, b, message):
     assert 0.0 < partial < math.inf and 0.0 < error < math.inf
 
 
+def test_sweep_retries_a_wide_panel_that_raises():
+    # past y = 32 the integrand raises, as the level pass does past the end
+    # of the level range: each wide panel that reaches past it is retried
+    # narrower, and the sweep closes before it (a sweep of fixed width-2
+    # panels closes there too, and not with the end below 32)
+    raised = []
+
+    def g(ys):
+        if max(ys) > 32.0:
+            raised.append(max(ys))
+            raise DomainError("past the end")
+        return [[math.exp(-y) for y in ys], [y * math.exp(-y) for y in ys]]
+
+    (a, b), _ = quadrature._sweep(g, 2.0, "sweep did not converge")
+    assert raised
+    assert a == pytest.approx(1.0, rel=1e-11) and b == pytest.approx(1.0, rel=1e-11)
+
+
 def test_breakpoints_capture_narrow_spike():
     # a bump of width 1e-10 near 1e-9 inside [0, 1]: global adaptive
     # subdivision has no reason to sample there, forcing the node does
@@ -163,10 +181,28 @@ def _scalar_finite(f, a, b, rel=1e-10, abs_tol=1e-12, panels=math.inf, depth=mat
 
 
 def _scalar_sweep(g, step, total=0.0, total_err=0.0):
-    small, prev, y = 0, math.inf, 0.0
+    # every panel takes one GK15 first, accepted where its error is within
+    # max(1e-12, 1e-10 |panel|, 1e-11 |running total|); one of width |step|
+    # that misses falls back to the tree, a wider one is retried narrower.
+    # The next width is the last times 0.9 (error / allowance)^-0.1, at
+    # most 4 times it, from |step| to 8 |step|.  (These integrands raise
+    # nothing, so no panel is retried for raising.)
+    small, prev, y, base = 0, math.inf, 0.0, abs(step)
+    width = base
     while small < 2:
-        v, e = _scalar_finite(g, min(y, y + step), max(y, y + step))
-        total, total_err, y = total + v, total_err + e, y + step
+        h = width
+        lo, hi = (y, y + h) if step > 0.0 else (y - h, y)
+        v, e = _scalar_gk15(g, lo, hi)
+        ratio = e / max(1e-12, 1e-10 * abs(v), 0.1 * 1e-10 * abs(v + total))
+        if h == base and ratio > 1.0:
+            v, e = _scalar_finite(g, lo, hi)
+        factor = 0.9 * ratio ** -0.1 if ratio > 0.0 else 4.0
+        if h > base and ratio > 1.0:
+            width = max(base, h * max(factor, 0.25))
+            continue
+        width = max(base, min(8.0 * base, h * min(factor, 4.0)))
+        total, total_err = total + v, total_err + e
+        y += h if step > 0.0 else -h
         floor = 0.25 * max(1e-12, 1e-10 * abs(total))
         small = small + 1 if abs(v) < floor and (step < 0.0 or abs(v) <= prev) else 0
         prev = abs(v)
