@@ -23,14 +23,12 @@ from .corpus import standard_corpus, write_corpus
 from .errors import BracketError, ConvergenceError, DomainError, EvaluationError
 from .geometry import phi, phi_inv, radial_margin_scaled
 from .lemma import MarginTable, find_violation, verify_lemma
+from .levels import Piece, RadialFunction, distribution_function
 from .quadrature import integrate
 from .rearrangement import (
-    Piece,
-    RadialFunction,
     RadialProfile,
     Tail,
     decreasing_rearrangement,
-    distribution_function,
     grad_norm_euclidean,
     grad_norm_hyperbolic,
     key_comparison,

@@ -159,24 +159,19 @@ def morrey_sobolev(v: RadialProfile, n: int, p: float,
 
 
 def log_sobolev(v: RadialProfile, n: int, p: float,
-                variant: str = "p",
                 constant_scale: float = 1.0) -> DeficitReport:
     """Logarithmic inequality under unit L^p mass (the profile is
     renormalized internally and the factor recorded).
 
-    variant selects the coefficient of the subtracted zeroth-order term:
-    "p" uses ((n-1)/p)^p, matching every other deficit in the package;
-    "n" uses ((n-1)/n)^p as printed in the source display.  Both are
-    exposed because the printed display disagrees with the surrounding
-    results; "n" subtracts less, hence is the weaker (safer) inequality.
+    The subtracted zeroth-order term has the coefficient ((n-1)/p)^p of
+    every other deficit in the package; the paper's printed display has
+    ((n-1)/n)^p, which disagrees with the surrounding results.
     """
     params = Params(n, p)
     if not in_poincare_range(n, p):
         raise DomainError(
             f"log_sobolev needs n >= 4 and 2n/(n-1) <= p < n, got n={n}, p={p}")
-    if variant not in ("p", "n"):
-        raise DomainError(f"unknown variant {variant!r}")
-    coeff = ((n - 1.0) / p) ** p if variant == "p" else ((n - 1.0) / n) ** p
+    coeff = ((n - 1.0) / p) ** p
     grad, (mass, e_m), (ent, e_e) = rearrangement.radial_integrals(
         v, n, p, qs=(p,), entropy=True)
     if mass <= 0.0:
@@ -198,7 +193,7 @@ def log_sobolev(v: RadialProfile, n: int, p: float,
         "normalization_mass": mass,
         "variant_coefficient": coeff,
     }
-    return DeficitReport(f"log_sobolev[{variant}]", params, lhs, rhs,
+    return DeficitReport("log_sobolev[p]", params, lhs, rhs,
                          quadrature_error=err, label=v.label, extras=extras)
 
 

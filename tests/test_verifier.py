@@ -139,19 +139,6 @@ def test_log_sobolev_passes_and_is_scale_invariant():
     assert rep3.rhs == pytest.approx(rep.rhs, rel=1e-7, abs=1e-9)
 
 
-def test_log_sobolev_variants():
-    n, p = 4, 8.0 / 3.0
-    v = bump_profile(1.0, 1.0)
-    rp = V.log_sobolev(v, n, p, variant="p")
-    rn = V.log_sobolev(v, n, p, variant="n")
-    # the printed-display coefficient subtracts less, so its deficit term
-    # is larger and the lhs larger
-    assert rn.lhs > rp.lhs
-    assert rn.passes()
-    with pytest.raises(DomainError):
-        V.log_sobolev(v, n, p, variant="q")
-
-
 def test_mugelli_talenti_sum():
     for n, p in [(3, 2.0), (2, 1.5), (4, 2.5)]:
         rep = V.mugelli_talenti_sum(tent_profile(1.0, 1.0), n, p)
