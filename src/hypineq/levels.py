@@ -5,7 +5,7 @@ the layer-cake and coarea formulas, s = mu(tau) and |v'(s)| = 1 / |mu'(tau)|
 (Lieb-Loss, Analysis, Thm 1.13; Talenti 1976; Brothers and Ziemer 1988),
 in the logit y = log(tau / (fmax - tau)), which grades both ends of the
 level range, with y = 0 and the logits of the piece end values as its
-breakpoints.
+breakpoints, each segment's nodes clustered at its piece end values.
 
 The pass over the level solves the 15 levels of a panel together, each
 piece's crossings in level order, each bracketed and started from the
@@ -296,6 +296,27 @@ def node_levels(f: RadialFunction, targets: Sequence[float],
             solves[k] = [lo, hi, it]
 
 
+def _clustered(panel, lo: float, hi: float):
+    """panel's integrand over [lo, hi] in the logit as one over u in [0, 1],
+    its nodes clustered at each end other than y = 0 (a piece end value):
+    y = lo + d u^2, hi - d (1 - u)^2 or lo + d (3u^2 - 2u^3), d = hi - lo.
+    At the level a of a smooth extremum of f, mu' holds a half-integer
+    power of tau - a, which the map makes polynomial in u (Sidi, 1993)."""
+    d = hi - lo
+
+    def at(u):  # (y, dy/du)
+        if lo and hi:
+            return lo + d * u * u * (3.0 - 2.0 * u), 6.0 * d * u * (1.0 - u)
+        if lo:
+            return lo + d * u * u, 2.0 * d * u
+        return hi - d * (1.0 - u) ** 2, 2.0 * d * (1.0 - u)
+
+    def g(us):
+        ys, jacs = zip(*map(at, us))
+        return [[x * j for x, j in zip(row, jacs)] for row in panel(list(ys))]
+    return g
+
+
 def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
                     grads: Sequence[str], entropy: bool) -> List[Tuple[float, float]]:
     """rearrangement.radial_integrals of a rearrangement of f, over the
@@ -312,11 +333,13 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
     e^(-|y|) so that neither cancels: the power laws of mu at tau -> 0 and
     of mu' and the weights at tau -> fmax decay exponentially in y (the
     tanh rule, Schwartz 1969).  Breakpoints are y = 0 and the logits of
-    f's positive piece end values, up to a logit of 30 below fmax;
-    each segment between them takes a panel tree, and each end one sweep
-    in y outward from the outermost breakpoint, the low end first, each
-    carrying the running totals: its panels widen as the integrand thins,
-    each judged against the whole integral so far (quadrature._sweep).  The
+    f's piece end values above 2^-52 fmax or at a flat piece (mu jumps),
+    up to a logit of 30 below fmax; each segment between them takes a
+    panel tree clustered at its piece end values (_clustered), and each
+    end one sweep in y outward from the outermost breakpoint, the low end
+    first, each carrying the running totals: its panels widen as the
+    integrand thins, each judged against the whole integral so far, until
+    the geometric rest is settled (quadrature._sweep).  The
     low end's panels start from width 1; the high end's from width 2, since
     near fmax the piece solves leave mu noise relative to fmax - tau
     (ROADMAP item 5), where a narrower panel tree can exhaust its budget.
@@ -367,16 +390,16 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
 
     # tau rounds to fmax near y = 36.7 (e^-y ~ 2^-53): an end value with a
     # logit past 30 would leave the high-end sweep no room for its closing
-    # panels.  Every positive end value below that is kept, so that a jump
-    # of mu, however low its level, sits on a breakpoint
+    # panels.  An end value at or below 2^-52 fmax is rounding (a quartic
+    # ending at 0 may read 1e-31) unless a flat piece sits there, where mu
+    # jumps: then it is kept, however low its level
     top = fmax * (1.0 - exp(-30.0))
-    breaks = sorted({0.0, *(log(x) - log(fmax - x)
-                            for x in itertools.chain.from_iterable(f.ends)
-                            if 0.0 < x < top)})
+    breaks = sorted({0.0, *(log(x) - log(fmax - x) for va, vb in f.ends for x in (va, vb)
+                            if 0.0 < x < top and (x > 2.0 ** -52 * fmax or va == vb))})
     total = total_err = None
     for lo, hi in zip(breaks, breaks[1:]):
-        total, total_err = quadrature._add(
-            total, total_err, *quadrature._integrate_finite(panel, lo, hi))
+        total, total_err = quadrature._add(total, total_err, *quadrature._integrate_finite(
+            _clustered(panel, lo, hi), 0.0, 1.0))
     vals, errs = quadrature._sweep(
         panel, 2.0, "level sweep did not converge (high end)",
         *quadrature._sweep(panel, -1.0, "level sweep did not converge (low end)",

@@ -19,7 +19,8 @@ it absorbs an integrable singularity of a profile closure at 0.  The
 same substitution reaches an infinite tail [a, inf) (b = 1, swept right
 and then left from y = 0).  It maps a panel's node list before the call
 and scales each component's values.  A sweep's panels widen as the tail
-thins, each judged against the running total of the integral (_sweep).
+thins, each judged against the running total of the integral, until the
+geometric rest at their rate of decay is settled (_sweep).
 integrate takes a pointwise scalar integrand.
 
 Everything here is pure; integrand closures supplied by callers must be
@@ -50,10 +51,11 @@ _ABS_TOL = 1e-12
 _MAX_DEPTH = 50
 _MAX_PANELS = 4096
 # Sweep panels (_sweep): the share of _REL_TOL times the running total a
-# panel's error may take, the exponent of the next width's factor, the
-# largest factor from one width to the next, and the widest panel in units
-# of |step|.
+# panel's error may take, the share of the floor under which the rest
+# closes a sweep, the exponent of the next width's factor, the largest
+# factor from one width to the next, and the widest panel in units of |step|.
 _SWEEP_SHARE = 0.1
+_SWEEP_REST = 0.01
 _SWEEP_EXPONENT = -0.1
 _SWEEP_GROW = 4.0
 _SWEEP_WIDEST = 8.0
@@ -182,8 +184,7 @@ def _add(total, total_err, val, err):
 
 def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
     """Add panels to (total, total_err), outward from y in the direction
-    of step, until two consecutive panels fall below a quarter of the
-    tolerance floor in every component.
+    of step, until the rest of the integral is settled in every component.
 
     Each panel takes one GK15 first, judged against the running total the
     caller carries (Gander and Gautschi, BIT 40, 2000; QUADPACK's qagi): it
@@ -199,9 +200,15 @@ def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
     wider panel: that panel is retried narrower, so that a wide panel does
     not take the room the closing panels need.
 
-    Rightward, a power-law tail first *rises* in y (until e^y ~ a), so a
-    panel there only counts as negligible once the sequence is decaying;
-    otherwise a small-magnitude tail would be cut off in its rising phase.
+    The sweep closes on a geometric rest (QUADPACK's qagi): where two
+    consecutive accepted panels show a component's density |value| / width
+    falling, its rest is R = |last| q / (1 - q), q = e^(-c h), c the decay
+    rate between their centres and h the last width.  Once every R is below
+    _SWEEP_REST times its floor max(_ABS_TOL, _REL_TOL |total|), R is added,
+    signed, to the value and the error.  A slow tail, whose R stays large
+    (ROADMAP item 4), closes on two consecutive panels below a quarter of
+    the floor, with nothing added.  Rightward, a power-law tail first
+    *rises* in y (until e^y ~ a): no rule judges it before it decays.
     Raises ConvergenceError, carrying the partial sums, after 400 panels
     (retried ones included) or before a rightward panel of width |step|
     whose nodes e^y would overflow; that edge caps a wider one.
@@ -240,14 +247,28 @@ def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
         total, total_err = _add(total, total_err, v, e)
         y += dy
         mags = [abs(x) for x in v]
+        if prev is not None:
+            rest = [_rest(x, mag / h, last / prev[1], 2.0 * h / (h + prev[1]))
+                    for x, mag, last in zip(v, mags, prev[0])]
+            if all(abs(r) < _SWEEP_REST * max(_ABS_TOL, _REL_TOL * abs(t))
+                   for r, t in zip(rest, total)):
+                return _add(total, total_err, rest, [abs(r) for r in rest])
         small = small + 1 if all(
             mag < 0.25 * max(_ABS_TOL, _REL_TOL * abs(t))
             and (step < 0.0 or mag <= last)
-            for mag, t, last in zip(mags, total, prev or [math.inf] * len(v))) else 0
-        prev = mags
+            for mag, t, last in zip(mags, total, prev[0] if prev else [math.inf] * len(v))) else 0
+        prev = mags, h
         if small >= 2:
             return total, total_err
     raise ConvergenceError(message, partial=total, error_estimate=total_err)
+
+
+def _rest(x: float, d: float, pd: float, k: float) -> float:
+    """x q / (1 - q), q = (d / pd)^k: the geometric rest after a panel of
+    value x and density d, its predecessor's density pd (0 at d = 0, inf
+    where the density does not fall)."""
+    q = (d / pd) ** k if d < pd else 0.0 if not d else math.inf
+    return x * q / (1.0 - q) if q < 1.0 else math.inf
 
 
 def _substituted(f: PanelIntegrand, a: float, b: float) -> PanelIntegrand:

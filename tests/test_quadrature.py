@@ -91,6 +91,42 @@ def test_sweep_retries_a_wide_panel_that_raises():
     assert a == pytest.approx(1.0, rel=1e-11) and b == pytest.approx(1.0, rel=1e-11)
 
 
+@pytest.mark.parametrize("components,panels", [
+    ((lambda y: math.exp(-y), lambda y: y * math.exp(-y)), 6),
+    ((lambda y: math.exp(-y),), 7),
+    ((lambda y: y * math.exp(-y),), 6),
+])
+def test_sweep_closes_on_its_geometric_rest(monkeypatch, components, panels):
+    # e^-y and y e^-y swept right from 0: once the panels' densities fall,
+    # the rest at their rate is added and the sweep closes (8 panels each
+    # when it closed on two panels below a quarter of the floor)
+    calls = []
+    gk15 = quadrature._gk15
+
+    def counted(g, a, b):
+        calls.append((a, b))
+        return gk15(g, a, b)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    vals, errs = quadrature._sweep(
+        lambda ys: [[c(y) for y in ys] for c in components], 2.0, "sweep did not converge")
+    assert len(calls) == panels
+    for val, err in zip(vals, errs):
+        assert val == pytest.approx(1.0, rel=1e-13) and abs(val - 1.0) <= err
+
+
+def test_rising_tail_is_not_judged_before_it_decays():
+    # (1 + x)^-3 under x = e^y, swept right from y = -40: its panels rise
+    # from 8e-18, far below the tolerance floor, to their peak near
+    # y = -0.7, so neither the rest nor two small panels may close the
+    # sweep before that; the integral from e^-40 rounds to 0.5
+    def g(ys):
+        return [[math.exp(y) * (1.0 + math.exp(y)) ** -3 for y in ys]]
+
+    (val,), (err,) = quadrature._sweep(g, 2.0, "sweep did not converge", y=-40.0)
+    assert abs(val - 0.5) <= err
+
+
 def test_breakpoints_capture_narrow_spike():
     # a bump of width 1e-10 near 1e-9 inside [0, 1]: global adaptive
     # subdivision has no reason to sample there, forcing the node does
@@ -185,9 +221,14 @@ def _scalar_sweep(g, step, total=0.0, total_err=0.0):
     # max(1e-12, 1e-10 |panel|, 1e-11 |running total|); one of width |step|
     # that misses falls back to the tree, a wider one is retried narrower.
     # The next width is the last times 0.9 (error / allowance)^-0.1, at
-    # most 4 times it, from |step| to 8 |step|.  (These integrands raise
-    # nothing, so no panel is retried for raising.)
-    small, prev, y, base = 0, math.inf, 0.0, abs(step)
+    # most 4 times it, from |step| to 8 |step|.  Once the density
+    # |panel| / width falls from one accepted panel to the next, the rest
+    # |panel| q / (1 - q), q = (density ratio)^(2 h / (h + previous h)),
+    # closes the sweep when below 1% of max(1e-12, 1e-10 |total|), and is
+    # added to the value and the error; else two panels in a row below a
+    # quarter of that floor close it, with nothing added.  (These
+    # integrands raise nothing, so no panel is retried for raising.)
+    small, prev, y, base = 0, None, 0.0, abs(step)
     width = base
     while small < 2:
         h = width
@@ -203,9 +244,16 @@ def _scalar_sweep(g, step, total=0.0, total_err=0.0):
         width = max(base, min(8.0 * base, h * min(factor, 4.0)))
         total, total_err = total + v, total_err + e
         y += h if step > 0.0 else -h
+        if prev is not None:
+            d, pd = abs(v) / h, prev[0] / prev[1]
+            q = (d / pd) ** (2.0 * h / (h + prev[1])) if d < pd else 0.0 if not d else math.inf
+            rest = v * q / (1.0 - q) if q < 1.0 else math.inf
+            if abs(rest) < 0.01 * max(1e-12, 1e-10 * abs(total)):
+                return total + rest, total_err + abs(rest)
         floor = 0.25 * max(1e-12, 1e-10 * abs(total))
-        small = small + 1 if abs(v) < floor and (step < 0.0 or abs(v) <= prev) else 0
-        prev = abs(v)
+        small = small + 1 if abs(v) < floor and (
+            step < 0.0 or prev is None or abs(v) <= prev[0]) else 0
+        prev = abs(v), h
     return total, total_err
 
 

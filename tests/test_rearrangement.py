@@ -106,11 +106,11 @@ def _low_plateau_function(n, h=1e-14):
 _COMPACT_SHELL = (0.2, 1.0, 0.75, 0.7)
 
 
-def _compact_shell_function(n=2):
+def _compact_shell_function(n=2, shape=_COMPACT_SHELL):
     """Radial function rising from a at the centre to A at radius r1, then
     falling as A (1 - x^2)^2, x = (r - r1) / w, to 0 at r1 + w, where it
     ends flat; its crossing radii are closed-form."""
-    a, A, r1, w = _COMPACT_SHELL
+    a, A, r1, w = shape
     return RadialFunction(n, (
         Piece(0.0, r1, lambda r: a + (A - a) * (r / r1) ** 2,
               lambda r: 2.0 * (A - a) * r / r1 ** 2),
@@ -466,7 +466,10 @@ def test_level_pass_panels_by_role(monkeypatch):
     # geometric grid, one pass of both gradients and the mass at
     # p = q = 2.5: panels of the finite segments between breakpoints, of
     # the low-end sweep and of the high-end sweep, retried panels included
-    # (39, 118 and 148 when every sweep panel had the fixed width 2)
+    # (39, 83 and 120 when every sweep closed on two small panels, each
+    # segment took a plain tree and a rounding-level end value was a
+    # breakpoint; 39, 118 and 148 when every sweep panel had the fixed
+    # width 2)
     counts = collections.Counter()
     role = ["finite"]
     gk15, sweep = quadrature._gk15, quadrature._sweep
@@ -493,7 +496,87 @@ def test_level_pass_panels_by_role(monkeypatch):
             monkeypatch.setattr(quadrature, "_gk15", gk15)
             monkeypatch.setattr(quadrature, "_sweep", sweep)
     print(dict(counts))
-    assert counts["finite"] <= 39 and counts["low"] <= 83 and counts["high"] <= 120
+    assert counts["finite"] <= 15 and counts["low"] <= 65 and counts["high"] <= 90
+
+
+def _sweep_starts(monkeypatch):
+    """The (step, y) each quadrature._sweep starts from, in order."""
+    starts = []
+    sweep = quadrature._sweep
+
+    def recorded(g, step, message, total=None, total_err=None, y=0.0):
+        starts.append((step, y))
+        return sweep(g, step, message, total, total_err, y)
+
+    monkeypatch.setattr(quadrature, "_sweep", recorded)
+    return starts
+
+
+def test_shell_clusters_its_nodes_at_its_smooth_minimum(monkeypatch):
+    # at n = 3, mu' goes as (tau - a)^(1/2) just above the level a = 0.2 of
+    # the shell's smooth minimum at r = 0, which a plain tree on the segment
+    # [logit(0.2), 0] bisected 12 levels deep (43 level-pass panels);
+    # y = lo + (hi - lo) u^2 makes it a polynomial in u
+    f = _compact_shell_function(3)
+    v = _rearranged(f, num=12)
+    panels = []
+    gk15 = quadrature._gk15
+
+    def counted(g, a, b):
+        panels.append((a, b))
+        return gk15(g, a, b)
+
+    monkeypatch.setattr(quadrature, "_gk15", counted)
+    value, bar = grad_norm_hyperbolic(v, 3, 2.6)
+    print(len(panels), value, bar)
+    assert len(panels) <= 20
+    # the value and bar of the plain tree
+    before, before_bar = 47.476562816763845, 1.3332826929344391e-09
+    assert abs(value - before) <= bar + before_bar
+
+
+@pytest.mark.parametrize("q", [1.0, 1.5])
+def test_flat_piece_at_a_tiny_level_keeps_its_breakpoint(monkeypatch, q):
+    # a flat piece at 1e-20 fmax, below the 2^-52 fmax at which a piece end
+    # value counts as rounding: mu jumps there, so its logit stays a
+    # breakpoint and the low-end sweep starts from it.  Without it the
+    # sweep closes above the jump and misses its mass: all but 6.5e-7 of
+    # the L^1 norm at n = 3, and 1.7e-4 of the L^1.5 norm
+    f = _low_plateau_function(3, 1e-20)
+    v = _rearranged(f)
+    direct = lq_norm_direct(f, q)
+    starts = _sweep_starts(monkeypatch)
+    got = lp_norm(v, q)
+    assert starts[0] == (-1.0, pytest.approx(math.log(1e-20), rel=1e-15))
+    assert abs(got - direct) <= 1e-9 * direct
+
+
+@pytest.mark.parametrize("n,before", [
+    (2, [(10.707981717564968, 1.4793150123480916e-10),
+         (7.330250063986747, 8.151023028606705e-11),
+         (2.2228003057254058, 1.826696508431114e-11)]),
+    (3, [(45.46175199665346, 1.760880478145148e-09),
+         (24.316645276933233, 8.02213927461569e-10),
+         (4.16980478968605, 3.394135774269902e-11)]),
+    (5, [(248.61955567868154, 9.754753881887545e-09),
+         (101.73843250971605, 3.2694897060703877e-09),
+         (9.071165495465252, 6.656725795077324e-11)]),
+])
+def test_rounding_level_end_value_is_no_breakpoint(monkeypatch, n, before):
+    # r1 + w - r1 rounds below w at (r1, w) = (0.75, 0.65), so the quartic
+    # ends at 2.0e-31 rather than 0.  That continuous end value took a
+    # breakpoint at y = -70.7, far below where the low-end sweep from
+    # logit(0.2) closes (28, 54 and 36 level-pass panels at n = 2, 3, 5;
+    # 17 each without it).  before: both gradients and the L^2.5 mass
+    # with that breakpoint, with their bars
+    f = _compact_shell_function(n, (0.2, 1.0, 0.75, 0.65))
+    assert 0.0 < f.ends[1][1] < 1e-30
+    v = _rearranged(f, num=12)
+    starts = _sweep_starts(monkeypatch)
+    got = radial_integrals(v, n, 2.5, qs=(2.5,), grads=("hyperbolic", "euclidean"))
+    assert starts[0] == (-1.0, pytest.approx(math.log(0.2 / 0.8), rel=1e-15))
+    for (value, bar), (want, want_bar) in zip(got, before):
+        assert abs(value - want) <= bar + want_bar, (value, want)
 
 
 @pytest.mark.parametrize("n", [2, 6])
