@@ -4,17 +4,17 @@ takes every norm integral of a rearrangement over the level tau through
 the layer-cake and coarea formulas, s = mu(tau) and |v'(s)| = 1 / |mu'(tau)|
 (Lieb-Loss, Analysis, Thm 1.13; Talenti 1976; Brothers and Ziemer 1988),
 in the logit y = log(tau / (fmax - tau)), which grades both ends of the
-level range, with y = 0 and the logits of the piece end values as its
-breakpoints, each segment's nodes clustered at its piece end values.
+level range, by the double-exponential rule cut at the logits of the
+piece end values (quadrature._double_exponential).
 
-The pass over the level solves the 15 levels of a panel together, each
+The pass over the level solves all the levels of a step together, each
 piece's crossings in level order, each bracketed and started from the
 radius its neighbour found: a continuation in the level (Allgower and
 Georg, Numerical Continuation Methods, 1990).  The same holds for the two
 other solves on this path: the rearrangement's solves of mu(tau) = s,
 Newton steps in the same logit on log mu from one tabulation, run in
 lockstep, each round's levels in one level-ordered solve (a pointwise
-v(s) is the one-target case), and a panel's hyperbolic weights invert phi
+v(s) is the one-target case), and a step's hyperbolic weights invert phi
 from its largest volume down, each radius by Newton from the one above it
 (geometry.phi_inv_ordered).
 """
@@ -147,7 +147,7 @@ def _piece_roots(pc: Piece, va: float, vb: float,
 
 def _level_sets(f: RadialFunction, taus: Sequence[float]) -> List[Tuple[float, float]]:
     """(mu(t), -mu'(t)) at each level t of taus, for the distribution
-    function mu of f: the 15 levels of a panel of the level pass, or one.
+    function mu of f: the new levels of one step of the level pass, or one.
 
     mu(t) is the volume of {|u| > t}; by the coarea formula -mu'(t) is
     n sigma times the sum of sinh(r)^(n-1) / |f'(r)| over the radii r > 0
@@ -205,6 +205,9 @@ def _levels_at(fmax: float, ys: Sequence[float]) -> Tuple[List[float], List[floa
 
 # past this logit every level rounds to fmax (e^-y < 2^-53)
 _Y_TOP = 37.0
+# past this logit fmax - tau is within the root tolerance of fmax, and the
+# piece solves leave mu no digits (ROADMAP item 5): the level pass ends here
+_Y_EDGE = 30.0
 # the logits of the table that brackets a grid's node solves
 # (level_table), 3 apart from about 3e-30 fmax to within 2e-15 of fmax
 _TABLE_YS = tuple(range(-68, 37, 3))
@@ -296,55 +299,33 @@ def node_levels(f: RadialFunction, targets: Sequence[float],
             solves[k] = [lo, hi, it]
 
 
-def _clustered(panel, lo: float, hi: float):
-    """panel's integrand over [lo, hi] in the logit as one over u in [0, 1],
-    its nodes clustered at each end other than y = 0 (a piece end value):
-    y = lo + d u^2, hi - d (1 - u)^2 or lo + d (3u^2 - 2u^3), d = hi - lo.
-    At the level a of a smooth extremum of f, mu' holds a half-integer
-    power of tau - a, which the map makes polynomial in u (Sidi, 1993)."""
-    d = hi - lo
-
-    def at(u):  # (y, dy/du)
-        if lo and hi:
-            return lo + d * u * u * (3.0 - 2.0 * u), 6.0 * d * u * (1.0 - u)
-        if lo:
-            return lo + d * u * u, 2.0 * d * u
-        return hi - d * (1.0 - u) ** 2, 2.0 * d * (1.0 - u)
-
-    def g(us):
-        ys, jacs = zip(*map(at, us))
-        return [[x * j for x, j in zip(row, jacs)] for row in panel(list(ys))]
-    return g
-
-
 def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
                     grads: Sequence[str], entropy: bool) -> List[Tuple[float, float]]:
     """rearrangement.radial_integrals of a rearrangement of f, over the
-    level tau in (0, fmax).  One _level_sets per panel gives mu(tau) and
-    |mu'(tau)| at its 15 nodes in f's own dimension, solving each piece's
-    crossings in level order; the weights are those of dimension n.  With
-    x = mu / sigma, the gradients are (n sigma)^p |mu'|^(1-p) times
-    sinh(phi_inv(x))^(p(n-1)) or x^(p(n-1)/n), a panel's radii phi_inv(x)
-    inverted together (geometry.phi_inv_ordered); each mass
+    level tau in (0, fmax).  One _level_sets per step of the rule gives
+    mu(tau) and |mu'(tau)| at its levels in f's own dimension, solving each
+    piece's crossings in level order; the weights are those of dimension
+    n.  With x = mu / sigma, the gradients are (n sigma)^p |mu'|^(1-p)
+    times sinh(phi_inv(x))^(p(n-1)) or x^(p(n-1)/n), a step's radii
+    phi_inv(x) inverted together (geometry.phi_inv_ordered); each mass
     is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
     mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
     weight.  The pass runs in y = log(tau / (fmax - tau)),
     dtau = tau (fmax - tau) / fmax dy, tau and fmax - tau formed from
     e^(-|y|) so that neither cancels: the power laws of mu at tau -> 0 and
     of mu' and the weights at tau -> fmax decay exponentially in y (the
-    tanh rule, Schwartz 1969).  Breakpoints are y = 0 and the logits of
-    f's piece end values above 2^-52 fmax or at a flat piece (mu jumps),
-    up to a logit of 30 below fmax; each segment between them takes a
-    panel tree clustered at its piece end values (_clustered), and each
-    end one sweep in y outward from the outermost breakpoint, the low end
-    first, each carrying the running totals: its panels widen as the
-    integrand thins, each judged against the whole integral so far, until
-    the geometric rest is settled (quadrature._sweep).  The
-    low end's panels start from width 1; the high end's from width 2, since
-    near fmax the piece solves leave mu noise relative to fmax - tau
-    (ROADMAP item 5), where a narrower panel tree can exhaust its budget.
-    A node whose tau rounds to 0 or fmax raises ConvergenceError: the sweep
-    did not converge before the map ran out of double range.
+    tanh rule, Schwartz 1969), and the double-exponential rule
+    (quadrature._double_exponential) makes that decay, and the half-integer
+    powers of mu' at the level of a smooth extremum of f, double
+    exponential in its variable: a tail in the log of the level or of its
+    distance from fmax, tanh-sinh between breakpoints.  Its breakpoints
+    are the logits of f's piece end values above 2^-52 fmax or at a flat
+    piece (mu jumps), up to a logit of _Y_EDGE - 2; with none, sinh u maps
+    the whole line.  A level past the logit _Y_EDGE, where the piece solves
+    leave mu no digits, or rounding to 0, raises ConvergenceError ("end of
+    the level range"), and a radius past phi's overflow DomainError; a
+    tail closes at such an edge where the geometric rest past it is within
+    the floor, and the error propagates where it is not.
     """
     fmax = f.sup_value
     zeros = [0.0] * (len(grads) + len(qs) + entropy)
@@ -375,33 +356,24 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
             out.append(p * exp((p - 1.0) * lt) * (p * lt + 1.0) * mu)
         return out
 
-    def panel(ys):
+    def density(ys):
         taus, es = _levels_at(fmax, ys)
-        if not all(0.0 < tau < fmax for tau in taus):
-            raise ConvergenceError("level sweep reached an end of the level range")
+        if max(ys) > _Y_EDGE or not all(tau > 0.0 for tau in taus):
+            raise ConvergenceError("level pass reached an end of the level range")
         levels = _level_sets(f, taus)
         # the radius phi_inv(mu / sigma) wherever a hyperbolic weight needs one
         radii = geometry.phi_inv_ordered(n, [
             mu / sigma if mu > 0.0 and 0.0 < d < math.inf else 0.0
             for mu, d in levels]) if need_h else itertools.repeat(None)
-        jacs = [fmax * e / (1.0 + e) ** 2 for e in es]  # dtau/dy
-        return [[x * j for x, j in zip(row, jacs)]
-                for row in zip(*map(g, taus, levels, radii))]
+        return [[x * fmax * e / (1.0 + e) ** 2 for x in g(tau, level, t)]  # dtau/dy
+                for tau, e, level, t in zip(taus, es, levels, radii)]
 
-    # tau rounds to fmax near y = 36.7 (e^-y ~ 2^-53): an end value with a
-    # logit past 30 would leave the high-end sweep no room for its closing
-    # panels.  An end value at or below 2^-52 fmax is rounding (a quartic
-    # ending at 0 may read 1e-31) unless a flat piece sits there, where mu
-    # jumps: then it is kept, however low its level
-    top = fmax * (1.0 - exp(-30.0))
-    breaks = sorted({0.0, *(log(x) - log(fmax - x) for va, vb in f.ends for x in (va, vb)
-                            if 0.0 < x < top and (x > 2.0 ** -52 * fmax or va == vb))})
-    total = total_err = None
-    for lo, hi in zip(breaks, breaks[1:]):
-        total, total_err = quadrature._add(total, total_err, *quadrature._integrate_finite(
-            _clustered(panel, lo, hi), 0.0, 1.0))
-    vals, errs = quadrature._sweep(
-        panel, 2.0, "level sweep did not converge (high end)",
-        *quadrature._sweep(panel, -1.0, "level sweep did not converge (low end)",
-                           total, total_err, breaks[0]), breaks[-1])
+    # an end value with a logit past _Y_EDGE - 2 would leave the upper
+    # tail no room.  An end value at or below 2^-52 fmax is rounding (a
+    # quartic ending at 0 may read 1e-31) unless a flat piece sits there,
+    # where mu jumps: then it is kept, however low its level
+    top = fmax * (1.0 - exp(2.0 - _Y_EDGE))
+    breaks = sorted({log(x) - log(fmax - x) for va, vb in f.ends for x in (va, vb)
+                     if 0.0 < x < top and (x > 2.0 ** -52 * fmax or va == vb)})
+    vals, errs = quadrature._double_exponential(density, breaks, "level pass did not converge")
     return list(zip(vals, errs))

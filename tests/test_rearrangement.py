@@ -6,6 +6,7 @@ import math
 import os
 import random
 import re
+import time
 import weakref
 
 import mpmath as mp
@@ -460,76 +461,68 @@ def test_node_solve_rounds_and_levels(monkeypatch):
     assert 0 < rounds <= 50 and 0 < n_levels <= 622
 
 
-def test_level_pass_panels_by_role(monkeypatch):
-    # a ratchet on the level pass's GK15 panels over the rearrange
+def _level_pass_logits(monkeypatch):
+    """(breakpoints, logits) of each level pass from here on, in order: the
+    breakpoints the double-exponential rule receives, and the logits of the
+    levels its density evaluates."""
+    passes = []
+    rule = quadrature._double_exponential
+
+    def recorded(density, breaks, message):
+        ys = []
+        passes.append((list(breaks), ys))
+
+        def counted(points):
+            out = density(points)
+            ys.extend(points)
+            return out
+        return rule(counted, breaks, message)
+
+    monkeypatch.setattr(quadrature, "_double_exponential", recorded)
+    return passes
+
+
+def test_level_pass_levels_by_role(monkeypatch):
+    # a ratchet on the levels the level pass evaluates over the rearrange
     # benchmark's rise and shell shapes at n = 2..6, each on its 12-node
     # geometric grid, one pass of both gradients and the mass at
-    # p = q = 2.5: panels of the finite segments between breakpoints, of
-    # the low-end sweep and of the high-end sweep, retried panels included
-    # (39, 83 and 120 when every sweep closed on two small panels, each
-    # segment took a plain tree and a rounding-level end value was a
-    # breakpoint; 39, 118 and 148 when every sweep panel had the fixed
-    # width 2)
+    # p = q = 2.5: on the whole line (the rise has no breakpoint), below
+    # and above the shells' one breakpoint, and between breakpoints.
+    # 2,550 levels in all when GK15 panels took them: 15 finite-segment,
+    # 65 low-end and 90 high-end panels, 225, 975 and 1,350 levels
     counts = collections.Counter()
-    role = ["finite"]
-    gk15, sweep = quadrature._gk15, quadrature._sweep
-
-    def counted_gk15(f, a, b):
-        counts[role[0]] += 1
-        return gk15(f, a, b)
-
-    def counted_sweep(g, step, *args):
-        role[0] = "high" if step > 0.0 else "low"
-        try:
-            return sweep(g, step, *args)
-        finally:
-            role[0] = "finite"
-
+    passes = _level_pass_logits(monkeypatch)
     for make in (_rise_function, _compact_shell_function):
         for n in range(2, 7):
             f = make(n)
             top = distribution_function(f, 1e-6)
             v = decreasing_rearrangement(f, np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0))
-            monkeypatch.setattr(quadrature, "_gk15", counted_gk15)
-            monkeypatch.setattr(quadrature, "_sweep", counted_sweep)
             radial_integrals(v, n, 2.5, qs=(2.5,), grads=("hyperbolic", "euclidean"))
-            monkeypatch.setattr(quadrature, "_gk15", gk15)
-            monkeypatch.setattr(quadrature, "_sweep", sweep)
+    for breaks, ys in passes:
+        counts.update("whole" if not breaks else "low" if y < breaks[0]
+                      else "high" if y > breaks[-1] else "finite" if y not in breaks
+                      else "breakpoint" for y in ys)
     print(dict(counts))
-    assert counts["finite"] <= 15 and counts["low"] <= 65 and counts["high"] <= 90
-
-
-def _sweep_starts(monkeypatch):
-    """The (step, y) each quadrature._sweep starts from, in order."""
-    starts = []
-    sweep = quadrature._sweep
-
-    def recorded(g, step, message, total=None, total_err=None, y=0.0):
-        starts.append((step, y))
-        return sweep(g, step, message, total, total_err, y)
-
-    monkeypatch.setattr(quadrature, "_sweep", recorded)
-    return starts
+    assert len(passes) == 10 and counts["finite"] == 0
+    assert counts["whole"] <= 325 and counts["low"] <= 285
+    assert counts["high"] <= 265 and counts["breakpoint"] <= 40
 
 
 def test_shell_clusters_its_nodes_at_its_smooth_minimum(monkeypatch):
     # at n = 3, mu' goes as (tau - a)^(1/2) just above the level a = 0.2 of
     # the shell's smooth minimum at r = 0, which a plain tree on the segment
-    # [logit(0.2), 0] bisected 12 levels deep (43 level-pass panels);
-    # y = lo + (hi - lo) u^2 makes it a polynomial in u
+    # [logit(0.2), 0] bisected 12 levels deep (43 GK15 panels, 645 levels;
+    # 17 panels, 255 levels, clustered by y = lo + (hi - lo) u^2).  Both of
+    # the double-exponential rule's tails cluster their nodes at that
+    # breakpoint
     f = _compact_shell_function(3)
     v = _rearranged(f, num=12)
-    panels = []
-    gk15 = quadrature._gk15
-
-    def counted(g, a, b):
-        panels.append((a, b))
-        return gk15(g, a, b)
-
-    monkeypatch.setattr(quadrature, "_gk15", counted)
+    passes = _level_pass_logits(monkeypatch)
     value, bar = grad_norm_hyperbolic(v, 3, 2.6)
-    print(len(panels), value, bar)
-    assert len(panels) <= 20
+    (breaks, ys), = passes
+    print(len(ys), value, bar)
+    assert breaks == [pytest.approx(math.log(0.2 / 0.8), rel=1e-15)]
+    assert len(ys) <= 118
     # the value and bar of the plain tree
     before, before_bar = 47.476562816763845, 1.3332826929344391e-09
     assert abs(value - before) <= bar + before_bar
@@ -538,16 +531,16 @@ def test_shell_clusters_its_nodes_at_its_smooth_minimum(monkeypatch):
 @pytest.mark.parametrize("q", [1.0, 1.5])
 def test_flat_piece_at_a_tiny_level_keeps_its_breakpoint(monkeypatch, q):
     # a flat piece at 1e-20 fmax, below the 2^-52 fmax at which a piece end
-    # value counts as rounding: mu jumps there, so its logit stays a
-    # breakpoint and the low-end sweep starts from it.  Without it the
-    # sweep closes above the jump and misses its mass: all but 6.5e-7 of
+    # value counts as rounding: mu jumps there, so its logit stays the
+    # breakpoint the double-exponential rule receives.  Without it the GK15
+    # sweeps closed above the jump and missed its mass: all but 6.5e-7 of
     # the L^1 norm at n = 3, and 1.7e-4 of the L^1.5 norm
     f = _low_plateau_function(3, 1e-20)
     v = _rearranged(f)
     direct = lq_norm_direct(f, q)
-    starts = _sweep_starts(monkeypatch)
+    passes = _level_pass_logits(monkeypatch)
     got = lp_norm(v, q)
-    assert starts[0] == (-1.0, pytest.approx(math.log(1e-20), rel=1e-15))
+    assert passes[0][0] == [pytest.approx(math.log(1e-20), rel=1e-15)]
     assert abs(got - direct) <= 1e-9 * direct
 
 
@@ -565,16 +558,17 @@ def test_flat_piece_at_a_tiny_level_keeps_its_breakpoint(monkeypatch, q):
 def test_rounding_level_end_value_is_no_breakpoint(monkeypatch, n, before):
     # r1 + w - r1 rounds below w at (r1, w) = (0.75, 0.65), so the quartic
     # ends at 2.0e-31 rather than 0.  That continuous end value took a
-    # breakpoint at y = -70.7, far below where the low-end sweep from
-    # logit(0.2) closes (28, 54 and 36 level-pass panels at n = 2, 3, 5;
-    # 17 each without it).  before: both gradients and the L^2.5 mass
-    # with that breakpoint, with their bars
+    # breakpoint at y = -70.7, far below where the low-end GK15 sweep from
+    # logit(0.2) closed (28, 54 and 36 level-pass panels at n = 2, 3, 5;
+    # 17 each without it); the double-exponential rule receives logit(0.2)
+    # alone.  before: both gradients and the L^2.5 mass with that
+    # breakpoint, with their bars
     f = _compact_shell_function(n, (0.2, 1.0, 0.75, 0.65))
     assert 0.0 < f.ends[1][1] < 1e-30
     v = _rearranged(f, num=12)
-    starts = _sweep_starts(monkeypatch)
+    passes = _level_pass_logits(monkeypatch)
     got = radial_integrals(v, n, 2.5, qs=(2.5,), grads=("hyperbolic", "euclidean"))
-    assert starts[0] == (-1.0, pytest.approx(math.log(0.2 / 0.8), rel=1e-15))
+    assert passes[0][0] == [pytest.approx(math.log(0.2 / 0.8), rel=1e-15)]
     for (value, bar), (want, want_bar) in zip(got, before):
         assert abs(value - want) <= bar + want_bar, (value, want)
 
@@ -814,7 +808,7 @@ def test_level_pass_piece_evaluations():
     # a ratchet on the evaluations of f's pieces over one norm in the level
     # (10,221 when each level was solved alone, 2,002 in level order, 1,615
     # when the panel tree worked in the level itself, not its logit, 956
-    # when every sweep panel had the fixed width 2)
+    # when every sweep panel had the fixed width 2, 485 under GK15 panels)
     calls = [0]
 
     def counted(g):
@@ -828,14 +822,16 @@ def test_level_pass_piece_evaluations():
                                        for pc in bump.pieces]))
     calls[0] = 0
     lp_norm(v, 2.0)
-    assert 0 < calls[0] <= 625
+    assert 0 < calls[0] <= 243
 
 
 def test_level_pass_level_set_calls(monkeypatch):
-    # one level per quadrature node in the level, the 15 of a panel in one
-    # _level_sets call (the closure path made 7,088 one-level calls for
-    # the same norm, the panel tree in the level itself 720 levels, the
-    # sweeps in its logit 420 while every panel had the fixed width 2)
+    # one level per quadrature node in the level: the first step's walk
+    # takes one _level_sets call a round, for every end still open, and
+    # each halving of the step one call for all its new nodes (the closure
+    # path made 7,088 one-level calls for the same norm, the panel tree in
+    # the level itself 720 levels, GK15 sweeps in its logit 420 while every
+    # panel had the fixed width 2, and 210 in 14 calls of 15 levels)
     v = _rearranged(_bump_function(3))
     sizes = []
     level_sets = levels._level_sets
@@ -846,8 +842,11 @@ def test_level_pass_level_set_calls(monkeypatch):
 
     monkeypatch.setattr(levels, "_level_sets", counted_level_sets)
     lp_norm(v, 2.0)
-    assert set(sizes) == {15}
-    assert 0 < sum(sizes) <= 270
+    print(sizes)
+    # the centre, two walking ends, then halvings of 2^k times the first
+    # step's intervals
+    assert sizes[:2] == [1, 2] and sizes[-1] == 2 * sizes[-2]
+    assert len(sizes) <= 13 and 0 < sum(sizes) <= 73
 
 
 @pytest.mark.parametrize("n,p", [(3, 3.0), (4, 8.0 / 3.0), (2, 2.0)])
@@ -946,24 +945,77 @@ def test_mass_of_a_rearrangement_ignores_its_fitted_tail(n):
     assert abs(lp_integral(v, 1.5)[0] - direct) <= 1e-11 * direct
 
 
+def test_slow_tail_mass_lies_within_its_bar():
+    # at n = 4 the L^1.55 mass of the bump decays like e^(0.05 y) at the
+    # low end of the level range, until phi overflows near y = -466: the
+    # low tail closes at that edge with the geometric rest past it added
+    # to the value and the bar.  The GK15 sweep stopped at y = -461 on two
+    # small panels and added nothing: 491.765872569004 with a bar of
+    # 3.6e-9, 13.9 bars below the direct mass
+    f = _bump_function(4)
+    value, bar = lp_integral(_rearranged(f), 1.55)
+    direct = lq_norm_direct(f, 1.55) ** 1.55
+    assert abs(value - direct) <= bar, (value, bar, direct)
+
+
 def test_barely_convergent_mass_raises():
-    # the level sweep reaches phi's overflow edge before the tail is small
+    # the level pass reaches phi's overflow edge before the tail is small
     with pytest.raises(DomainError):
         lp_integral(_rearranged(_bump_function(5)), 2.05)
+
+
+@pytest.mark.parametrize("make,n,q", [
+    (_bump_function, 6, 2.0), (_plateau_function, 5, 1.0),
+    (_rise_decay_function, 6, 1.0), (_plateau_function, 8, 1.5)])
+def test_divergent_mass_raises(make, n, q):
+    # mu grows like tau^-(n-1)/k at level 0 for the decay rate k, so the
+    # L^q mass diverges for q <= (n-1)/k.  At (n, q) = (5, 1.0) and (6, 1.0)
+    # the low tail's first-step walk lands past where tau rounds to 0, and
+    # the bisection toward that edge meets phi's overflow first: what the
+    # edge raises, the DomainError, propagates
+    with pytest.raises(DomainError, match="overflows"):
+        lp_integral(_rearranged(make(n)), q)
+
+
+def _cusp_function(c, n):
+    """c (1 - sqrt r) out to radius 1, then 0: its rearrangement is
+    itself, and its hyperbolic gradient is finite for p < 2n, where the
+    level integrand decays like e^(-(2n - p) y) as tau -> fmax."""
+    return RadialFunction(n, (
+        Piece(0.0, 1.0, lambda r: c * (1.0 - math.sqrt(r)),
+              lambda r: -0.5 * c / math.sqrt(r) if r > 0.0 else -math.inf),
+        Piece(1.0, math.inf, lambda r: 0.0, lambda r: 0.0)))
 
 
 def test_level_sweep_raises_at_the_top_of_the_level_range():
     # the gradient of 0.1 (1 - sqrt r) at n = 3 converges for p < 6; at
     # p = 5.8 its integrand decays like e^(-0.2 y) as tau -> fmax, and the
-    # high-end sweep reaches y ~ 36.7, where tau rounds to fmax, with the
-    # panels still above the stop floor
-    c = 0.1
-    f = RadialFunction(3, (
-        Piece(0.0, 1.0, lambda r: c * (1.0 - math.sqrt(r)),
-              lambda r: -0.5 * c / math.sqrt(r) if r > 0.0 else -math.inf),
-        Piece(1.0, math.inf, lambda r: 0.0, lambda r: 0.0)))
+    # rest past the top edge of the level range is far above the floor
     with pytest.raises(ConvergenceError, match="end of the level range"):
-        grad_norm_hyperbolic(_rearranged(f), 3, 5.8)
+        grad_norm_hyperbolic(_rearranged(_cusp_function(0.1, 3)), 3, 5.8)
+
+
+@pytest.mark.parametrize("c,n,p", [(0.05, 2, 3.8), (0.5, 4, 7.6)])
+def test_level_pass_fails_fast_on_a_cusp_top(c, n, p):
+    # both gradients converge, but decay like e^(-0.2 y) and e^(-0.4 y) as
+    # tau -> fmax, where mu has no digits past y = 30 (ROADMAP item 5):
+    # the level pass raises at that edge.  GK15 sweeps spent 6.9 and 0.28 s
+    # of CPU on a shared 2-vCPU host bisecting mu's noise near fmax before
+    # they raised
+    v = _rearranged(_cusp_function(c, n))
+    start = time.process_time()
+    with pytest.raises(ConvergenceError, match="end of the level range"):
+        grad_norm_hyperbolic(v, n, p)
+    assert time.process_time() - start < 0.5
+
+
+@pytest.mark.parametrize("c,n,p,before,before_bar", [
+    (0.3, 4, 6.5, 0.0001341133099972997, 6.11112408757931e-13),
+    (0.05, 3, 5.0, 2.6307344714721506e-07, 1.8565703239822157e-14)])
+def test_converging_cusp_tops_keep_their_values(c, n, p, before, before_bar):
+    # before: the value and bar under GK15 panel trees and sweeps
+    value, bar = grad_norm_hyperbolic(_rearranged(_cusp_function(c, n)), n, p)
+    assert abs(value - before) <= bar + before_bar, (value, bar)
 
 
 def test_scale_profile_keeps_a_rearrangement_on_the_level_path():
