@@ -409,8 +409,7 @@ def _de_pass(density, cuts, rest, message):
 
     h = _DE_STEP
     first = at([(i, 0.0) for i in range(len(maps))])
-    total = [0.0] * len(first[0][2])
-    total = summed([f for _, _, f in first])
+    total = [sum(c) for c in zip(*(f for _, _, f in first))]
     # an end: its segment, direction, steps, |F| at its last node, small
     # terms in a row, and its last two (y, density)
     ends = [[i, s, 0, [abs(x) for x in f], 0, [(y, g)] * 2]
