@@ -204,13 +204,10 @@ def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
     _ABS_TOL, _REL_TOL times the panel and _SWEEP_SHARE * _REL_TOL times
     the running total.  The next width is the last times
     0.9 (error / allowance)^_SWEEP_EXPONENT, at most _SWEEP_GROW times it,
-    and from |step| to _SWEEP_WIDEST |step|.  A panel wider than |step| that misses
-    its allowance, or whose integrand raises (a level past the end of the
-    level range, an overflow), is retried narrower; one of width |step|
-    that misses falls back to the panel tree, and what the tree or the
-    integrand raises propagates, unless the integrand raises right after a
-    wider panel: that panel is retried narrower, so that a wide panel does
-    not take the room the closing panels need.
+    and from |step| to _SWEEP_WIDEST |step|.  A panel wider than |step|
+    that misses its allowance is retried narrower; one of width |step|
+    that misses falls back to the panel tree.  What the tree or the
+    integrand raises propagates.
 
     The sweep closes on a geometric rest (QUADPACK's qagi): where two
     consecutive accepted panels show a component's density |value| / width
@@ -227,23 +224,14 @@ def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
     """
     base = width = abs(step)
     small = 0
-    prev = back = None
+    prev = None
     for _ in range(400):
         if y + step > 709.78:  # past here e^y overflows
             break
         h = min(width, 709.78 - y) if step > 0.0 else width
         dy = math.copysign(h, step)
         lo, hi = min(y, y + dy), max(y, y + dy)
-        try:
-            v, e = _gk15(g, lo, hi)
-        except (ArithmeticError, ConvergenceError, DomainError, EvaluationError):
-            if h > base:
-                width = max(base, h / _SWEEP_GROW)
-            elif back is not None:  # a wider panel took the room: redo it narrower
-                (y, total, total_err, small, prev, width), back = back, None
-            else:
-                raise
-            continue
+        v, e = _gk15(g, lo, hi)
         ratio = max(err / max(_ABS_TOL, _REL_TOL * abs(x),
                               _SWEEP_SHARE * _REL_TOL * abs(x + t))
                     for x, err, t in zip(v, e, total or [0.0] * len(v)))
@@ -253,8 +241,6 @@ def _sweep(g, step: float, message: str, total=None, total_err=None, y=0.0):
         if h > base and ratio > 1.0:
             width = max(base, h * max(factor, 1.0 / _SWEEP_GROW))
             continue
-        if h > base:
-            back = y, total, total_err, small, prev, max(base, h / _SWEEP_GROW)
         width = max(base, min(_SWEEP_WIDEST * base, h * min(factor, _SWEEP_GROW)))
         total, total_err = _add(total, total_err, v, e)
         y += dy

@@ -444,11 +444,11 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     integral of v^q ds for each q in qs; the entropy integral of
     v^p p log v ds if entropy.  A grid-only profile takes the grid paths
     in s, a rearrangement levels.level_integrals of its source, in the
-    logit of the level with breakpoints at 0 and at the source's piece end
-    values.  Any other closure takes one vector panel tree in geodesic
-    radius t over its breakpoints (_breakpoints): the radii of its grid
-    nodes, thinned to at most _RHO apart unless neighbours, and of its
-    joins.  One phi, log sinh, log |v'| (and log v) per node serve every
+    logit of the level with breakpoints at the source's piece end values.
+    Any other closure takes one vector panel tree in geodesic radius t
+    over its breakpoints (_breakpoints): the radii of its grid nodes,
+    thinned to at most _RHO apart unless neighbours, and of its joins.
+    One phi, log sinh, log |v'| (and log v) per node serve every
     integrand.  Each integrand is one list over a panel's 15 nodes, built
     in log space with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w) or
     exp(p(n-1)/n log phi + w), exp(q log v + w), p log v exp(p log v + w).

@@ -62,9 +62,9 @@ class DeficitReport:
         return self.deficit / max(self.lhs, self.rhs, _EPS)
 
     def passes(self) -> bool:
-        """Tolerance policy: a negative deficit fails only past ten times
-        its error bar; a nan deficit or bar fails."""
-        return self.deficit >= -10.0 * self.quadrature_error
+        """Tolerance policy: a negative deficit fails only past its error
+        bar; a nan deficit or bar fails."""
+        return self.deficit >= -self.quadrature_error
 
     def to_dict(self) -> dict:
         p = self.params

@@ -73,21 +73,18 @@ def test_budget_exits_carry_partial_sums(f, b, message):
     assert 0.0 < partial < math.inf and 0.0 < error < math.inf
 
 
-def test_sweep_retries_a_wide_panel_that_raises():
-    # past y = 32 the integrand raises, as the level pass does past the end
-    # of the level range: each wide panel that reaches past it is retried
-    # narrower, and the sweep closes before it (a sweep of fixed width-2
-    # panels closes there too, and not with the end below 32)
-    raised = []
-
-    def g(ys):
-        if max(ys) > 32.0:
-            raised.append(max(ys))
+def test_sweep_propagates_what_a_panel_raises():
+    # past y = 32 the integrand raises: the sweep of e^-y and y e^-y
+    # reaches past it and does not retry the panel, so the error
+    # propagates; without the raise the same sweep meets rel 1e-11
+    def g(ys, raises):
+        if raises and max(ys) > 32.0:
             raise DomainError("past the end")
         return [[math.exp(-y) for y in ys], [y * math.exp(-y) for y in ys]]
 
-    (a, b), _ = quadrature._sweep(g, 2.0, "sweep did not converge")
-    assert raised
+    with pytest.raises(DomainError, match="past the end"):
+        quadrature._sweep(lambda ys: g(ys, True), 2.0, "sweep did not converge")
+    (a, b), _ = quadrature._sweep(lambda ys: g(ys, False), 2.0, "sweep did not converge")
     assert a == pytest.approx(1.0, rel=1e-11) and b == pytest.approx(1.0, rel=1e-11)
 
 
@@ -226,8 +223,7 @@ def _scalar_sweep(g, step, total=0.0, total_err=0.0):
     # |panel| q / (1 - q), q = (density ratio)^(2 h / (h + previous h)),
     # closes the sweep when below 1% of max(1e-12, 1e-10 |total|), and is
     # added to the value and the error; else two panels in a row below a
-    # quarter of that floor close it, with nothing added.  (These
-    # integrands raise nothing, so no panel is retried for raising.)
+    # quarter of that floor close it, with nothing added.
     small, prev, y, base = 0, None, 0.0, abs(step)
     width = base
     while small < 2:

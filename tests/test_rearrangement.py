@@ -770,7 +770,8 @@ def test_panel_level_sets_match_lone_levels():
     rise_decay = _rise_decay_function(4)
     panels = []
     for n in (3, 4, 5):
-        # an interior panel, and one of the low-end sweep near level 1e-77
+        # levels at a panel's nodes: an interior panel, and one of the low
+        # end of the level range near level 1e-77
         f = _bump_function(n)
         panels += [(f, _panel_levels(0.05, 0.95)),
                    (f, [math.exp(y) for y in _panel_levels(-178.0, -176.0)])]
@@ -911,8 +912,8 @@ def test_level_pass_holds_both_ends_of_the_level_range(shape, n):
     # the rise-then-decay function's mu grows like a power of 1/tau at
     # level 0 and its top is a kink; the quartic shell ends flat at 0 and
     # meets its top with a vanishing slope on one side; the low plateau's
-    # mu jumps at a level 1e-14 of fmax, far below where a sweep from the
-    # top segment's end would stop, and carries most of the mass at q 1.5
+    # mu jumps at a level 1e-14 of fmax and carries most of the mass at
+    # q 1.5
     makes = {"rise": _rise_function, "shell": _compact_shell_function,
              "low plateau": _low_plateau_function}
     f = makes[shape](n)

@@ -44,9 +44,10 @@ def test_constant_scale_falsifies():
     (4, 6.0, 1e-10), (3, 5.0, 1e-10), (5, 7.0, 1e-10), (2, 3.5, 1e-9)])
 def test_deflated_constant_fails_on_the_equality_case(n, p, deflation):
     # on the extremal profile the true deficit is at rounding level (the
-    # closest, at (5, 7), reads -3.5e-12 relative, six bars), so only the
-    # error bar stands between a sharp constant deflated by 1e-10 and a
-    # verdict; a relative floor of 1e-8 would pass every deflation below it
+    # closest in bars, at (5, 7), reads -8.3e-15 relative against a bar of
+    # 4.7e-12), so only the error bar stands between a sharp constant
+    # deflated by 1e-10 and a verdict (at (3, 5) that is -10.5 bars); a
+    # relative floor of 1e-8 would pass every deflation below it
     v = V.extremal_linfty_profile(n, p)
     assert V.linfty_inequality(v, n, p).passes()
     assert not V.linfty_inequality(v, n, p, constant_scale=1.0 - deflation).passes()
