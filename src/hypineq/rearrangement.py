@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import geometry, levels, quadrature
 from .constants import (Params, boundary_exponent, check_dimension,
                         in_comparison_range, unit_ball_volume)
-from .errors import DomainError
+from .errors import ConvergenceError, DomainError
 from .levels import Piece, RadialFunction, distribution_function
 from .report import DeficitReport, fmt17
 
@@ -98,8 +98,8 @@ class RadialProfile:
     and the grid paths ignore them.  A rearrangement's closure is one
     solve of mu(tau) = s per volume, whose value and derivative share it
     (decreasing_rearrangement); it also keeps the radial function it
-    rearranges as its source, and its norms are integrated over the level
-    (radial_integrals).
+    rearranges as its source, its norms are integrated over the level
+    (radial_integrals), and its values and tail are solved on first read.
     """
 
     nodes: Tuple[float, ...]
@@ -115,18 +115,24 @@ class RadialProfile:
 
     def __post_init__(self):
         nodes = tuple(map(float, self.nodes))
-        values = tuple(map(float, self.values))
         object.__setattr__(self, "nodes", nodes)
-        object.__setattr__(self, "values", values)
         object.__setattr__(self, "joins", tuple(map(float, self.joins)))
-        if len(nodes) != len(values) or len(nodes) < 2:
+        if len(nodes) < 2:
             raise DomainError("profile needs matching 1-d grids with >= 2 nodes")
-        if not all(map(math.isfinite, nodes + values)):
+        if not all(map(math.isfinite, nodes)):
             raise DomainError("profile nodes and values must be finite")
         if nodes[0] != 0.0:
             raise DomainError("profile grid must start at s = 0")
         if any(b <= a for a, b in zip(nodes, nodes[1:])):
             raise DomainError("profile grid must be strictly increasing")
+        if "values" not in self.__dict__:
+            return  # a rearrangement's values wait for their first read (__getattr__)
+        values = tuple(map(float, self.values))
+        object.__setattr__(self, "values", values)
+        if len(nodes) != len(values):
+            raise DomainError("profile needs matching 1-d grids with >= 2 nodes")
+        if not all(map(math.isfinite, values)):
+            raise DomainError("profile nodes and values must be finite")
         if min(values) < 0.0:
             raise DomainError("profile values must be non-negative")
         vmax = values[0] if values[0] > 0 else 1.0
@@ -148,6 +154,15 @@ class RadialProfile:
             if abs(got - want) > 1e-9 * max(abs(want), vmax * 1e-9, 1e-300):
                 raise DomainError(
                     f"closure disagrees with last grid value: {got!r} vs {want!r}")
+
+    def __getattr__(self, name):
+        # a rearrangement solves its values and tail on their first read
+        # (decreasing_rearrangement), then checks them as any profile's
+        if name not in ("values", "tail") or "_solve" not in self.__dict__:
+            raise AttributeError(name)
+        self.__dict__.update(self._solve())
+        self.__post_init__()
+        return self.__dict__[name]
 
     # -- evaluation ---------------------------------------------------
 
@@ -213,7 +228,8 @@ def decreasing_rearrangement(f: RadialFunction,
     of the non-increasing distribution function mu(tau) = s, by one
     solver, levels.node_levels: safeguarded Newton in the logit of the
     level on log mu, with the coarea slope -mu'(tau) (bisection wherever
-    the slope is 0 or infinite, so plateaus and jumps stay safe).
+    the slope is 0 or infinite, so plateaus and jumps stay safe), at the
+    first read of the values or tail or call of the closure, not here:
     levels.level_table tabulates (level, mu, -mu') from eps = 1e-30 fmax to
     fmax, which brackets the grid's nodes; the nodes are solved in
     lockstep, and the triples they end with bracket every later solve: a
@@ -224,27 +240,37 @@ def decreasing_rearrangement(f: RadialFunction,
 
     The tail is inferred: compact at the last node if the samples hit
     zero, otherwise a power law fitted on a wide log-log baseline (used
-    only for convergence prechecks; the closure is authoritative for
-    values).
+    only to name a gradient the level pass cannot close; the closure is
+    authoritative for values).
     """
     grid = [float(s) for s in grid]
     fmax = f.sup_value
     if fmax == 0.0:
         return RadialProfile(grid, [0.0] * len(grid), Tail("compact", grid[-1]))
+    known = []  # the grid's (level, mu, -mu') in increasing level, once solved
 
-    table = levels.level_table(f)
-    bottom, top = table[0], table[-1]
-    # (level, mu, -mu') at every node; the running minimum kills root-tolerance jitter
-    ends = list(itertools.accumulate(levels.node_levels(f, grid, table), min))
-    vals = [0.0 if tau == bottom[0] else tau for tau, _, _ in ends]
-    known = [bottom, *reversed(ends), top]
+    def solve_grid() -> dict:  # the profile's values and tail
+        table = levels.level_table(f)
+        # (level, mu, -mu') per node; the running minimum kills root-tolerance jitter
+        ends = list(itertools.accumulate(levels.node_levels(f, grid, table), min))
+        vals = [0.0 if tau == table[0][0] else tau for tau, _, _ in ends]
+        known[:] = [table[0], *reversed(ends), table[-1]]
+        if vals[-1] == 0.0:
+            return dict(values=vals, tail=Tail("compact", grid[-1]))
+        # log-log slope over the last decade of the grid
+        j = min(max(bisect.bisect_left(grid, grid[-1] / 10.0), 1), len(grid) - 2)
+        if vals[j] <= vals[-1] or grid[j] <= 0.0:
+            raise DomainError("cannot infer a tail from the grid")
+        beta = math.log(vals[j] / vals[-1]) / math.log(grid[-1] / grid[j])
+        return dict(values=vals, tail=Tail("power", beta))
 
     # an integrand asks for v'(s) and then v(s) at the same s: one solve
     @functools.lru_cache(maxsize=1)
     def solve(s: float) -> Tuple[float, float, float]:
         if s < 0.0:
             raise DomainError(f"volume must be >= 0, got {s!r}")
-        if bottom[1] <= s:  # past mu(eps), where v and v' are 0
+        v.values  # the first read solves the grid, which fills known
+        if known[0][1] <= s:  # past mu(eps), where v and v' are 0
             return 0.0, s, 0.0
         return levels.node_levels(f, [s], known)[0]
 
@@ -258,17 +284,11 @@ def decreasing_rearrangement(f: RadialFunction,
             return 0.0
         return -1.0 / d if 0.0 < d < math.inf else 0.0
 
-    if vals[-1] == 0.0:
-        tail = Tail("compact", grid[-1])
-    else:
-        # log-log slope over the last decade of the grid
-        j = bisect.bisect_left(grid, grid[-1] / 10.0)
-        j = min(max(j, 1), len(grid) - 2)
-        if vals[j] <= vals[-1] or grid[j] <= 0.0:
-            raise DomainError("cannot infer a tail from the grid")
-        beta = math.log(vals[j] / vals[-1]) / math.log(grid[-1] / grid[j])
-        tail = Tail("power", beta)
-    return RadialProfile(grid, vals, tail, fn=lambda s: solve(s)[0], dfn=dv_of, source=f)
+    v = object.__new__(RadialProfile)  # no values or tail until read (__getattr__)
+    v.__dict__.update(nodes=grid, fn=lambda s: solve(s)[0], dfn=dv_of, source=f,
+                      _panels={}, _samples=[], _solve=solve_grid)
+    v.__post_init__()
+    return v
 
 
 def _direct(f: RadialFunction, power: float, grad: bool) -> float:
@@ -309,24 +329,23 @@ def grad_norm_direct(f: RadialFunction, p: float) -> float:
 # norms of profiles
 # ---------------------------------------------------------------------
 
-def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str):
-    """Reject integrals whose tail metadata says they diverge.
+def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str,
+                           cause: Optional[Exception] = None):
+    """Reject integrals whose tail metadata says they diverge, raising from cause.
 
     decay_needed is the power of 1/s the integrand must beat; power tails
     supply exponent*multiplier through the caller."""
     if v.tail.kind == "power" and not decay_needed > 1.0:
         raise DomainError(
             f"{what} diverges: power tail with exponent {v.tail.param:g} "
-            f"decays like s^-{decay_needed:g}")
+            f"decays like s^-{decay_needed:g}") from cause
 
 
 def _check_mass(v: RadialProfile, q: float):
     if not q >= 1.0:
         raise DomainError(f"need q >= 1, got {q!r}")
-    # a rearrangement's tail is fitted to its grid's last decade, while its
-    # level pass integrates the source and raises where that mass diverges
-    # (phi overflows); its gradients keep the check, since a coarea slope
-    # past double range reads as a jump of mu and gathers no weight
+    # a rearrangement's level pass raises where its mass diverges (phi
+    # overflows), so its tail, fitted to the grid's last decade, is not read
     if v.source is None:
         _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
 
@@ -444,7 +463,8 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     integral of v^q ds for each q in qs; the entropy integral of
     v^p p log v ds if entropy.  A grid-only profile takes the grid paths
     in s, a rearrangement levels.level_integrals of its source, in the
-    logit of the level with breakpoints at the source's piece end values.
+    logit of the level with breakpoints at the source's piece end values
+    (a fitted power tail names a divergent gradient it cannot close).
     Any other closure takes one vector panel tree in geodesic radius t
     over its breakpoints (_breakpoints): the radii of its grid nodes,
     thinned to at most _RHO apart unless neighbours, and of its joins.
@@ -464,18 +484,26 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     if list(grads) != [c for c in _GRADIENTS if c in grads]:
         raise DomainError(
             f"grads must be a subsequence of {_GRADIENTS!r}, got {grads!r}")
+    err = None
+    if v.source is not None:
+        for q in qs:
+            _check_mass(v, q)
+        try:
+            return levels.level_integrals(v.source, n, p, qs, grads, entropy)
+        except ConvergenceError as exc:
+            err = exc  # as where a gradient diverges: the fitted tail names it below
     if want_h:
         # under a power tail |v'|^p decays like s^(-p*exponent - p) and the
         # hyperbolic weight grows like s^p, so the integrand decays like
         # s^(-p*exponent)
-        _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral")
+        _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral", err)
     for q in qs:
         _check_mass(v, q)
     if want_e:
         _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
-                               "Euclidean gradient integral")
-    if v.source is not None:
-        return levels.level_integrals(v.source, n, p, qs, grads, entropy)
+                               "Euclidean gradient integral", err)
+    if err is not None:
+        raise err
     sigma = unit_ball_volume(n)
     scale = n * sigma
     pref = scale ** p

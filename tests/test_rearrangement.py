@@ -388,8 +388,9 @@ def test_batched_nodes_match_lone_solves():
 
 def test_node_solve_piece_evaluations():
     # a ratchet on the evaluations of f's pieces over the grid's node
-    # solves, 14,528 in lockstep (34,100 when each node was solved alone,
-    # then once more for its level set)
+    # solves, which run at the first read of the values: 14,528 in
+    # lockstep (34,100 when each node was solved alone, then once more for
+    # its level set)
     calls = [0]
 
     def counted(g):
@@ -403,8 +404,9 @@ def test_node_solve_piece_evaluations():
         top = distribution_function(f, 1e-6)
         grid = np.insert(np.geomspace(top * 1e-10, top, 80), 0, 0.0)
         g = RadialFunction(3, [Piece(pc.a, pc.b, counted(pc.fn), pc.dfn) for pc in f.pieces])
+        v = decreasing_rearrangement(g, grid)
         calls[0] = 0
-        decreasing_rearrangement(g, grid)
+        v.values
         total += calls[0]
     assert 0 < total <= 14528
 
@@ -412,7 +414,7 @@ def test_node_solve_piece_evaluations():
 def test_node_solve_rounds_and_levels(monkeypatch):
     # a ratchet on the node solves' work over the rearrange benchmark's
     # rise and shell shapes at n = 2..6, each on its 12-node geometric
-    # grid: the _level_sets rounds and levels decreasing_rearrangement
+    # grid: the _level_sets rounds and levels the first read of its values
     # evaluates, its table among them (350 rounds and 1,705 levels when
     # each node started from the regula falsi point on the whole level
     # range and stepped in tau).  Each node matches its lone solve within
@@ -439,8 +441,9 @@ def test_node_solve_rounds_and_levels(monkeypatch):
             f = make(n)
             top = distribution_function(f, 1e-6)
             grid = np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)
-            monkeypatch.setattr(levels, "_level_sets", counted)
             v = decreasing_rearrangement(f, grid)
+            monkeypatch.setattr(levels, "_level_sets", counted)
+            v.values
             monkeypatch.setattr(levels, "_level_sets", level_sets)
             lone = itertools.accumulate((_lone_node(f, s) for s in v.nodes), min)
             for s, got, want in zip(v.nodes[1:], v.values[1:], itertools.islice(lone, 1, None)):
@@ -589,11 +592,11 @@ def test_low_plateau_closure_agrees_with_its_nodes(n):
 
 
 def test_node_that_runs_out_of_iterations_raises(monkeypatch):
-    # a round budget that runs out raises ConvergenceError naming the first
-    # target left unconverged, with its last iterate: a level of the last
-    # round, inside the bracket the message reports, which straddles the
-    # target.  Two rounds leave the bump's fourth node first; without it,
-    # the fifth
+    # a round budget that runs out raises ConvergenceError at the first
+    # read of the values, naming the first target left unconverged, with
+    # its last iterate: a level of the last round, inside the bracket the
+    # message reports, which straddles the target.  Two rounds leave the
+    # bump's fourth node first; without it, the fifth
     f = _bump_function(3)
     top = distribution_function(f, 1e-6)
     grid = [float(s) for s in np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)]
@@ -608,8 +611,10 @@ def test_node_that_runs_out_of_iterations_raises(monkeypatch):
     monkeypatch.setattr(quadrature, "_ROOT_MAX_ITER", 2)
     for first, nodes in ((3, grid), (4, grid[:3] + grid[4:])):
         rounds.clear()
+        v = decreasing_rearrangement(f, nodes)
+        assert not rounds  # construction solves nothing
         with pytest.raises(ConvergenceError, match="did not converge in 2 rounds") as exc:
-            decreasing_rearrangement(f, nodes)
+            v.values
         s = grid[first]
         assert str(exc.value).startswith(f"node solve for volume {s!r} ")
         assert len(rounds) == 3  # the table, then two rounds
@@ -618,6 +623,104 @@ def test_node_that_runs_out_of_iterations_raises(monkeypatch):
         assert lo <= exc.value.partial <= hi
         (m_lo, _), (m_hi, _) = level_sets(f, (lo, hi))
         assert m_lo > s >= m_hi
+
+
+def _counted_level_sets(monkeypatch):
+    """The levels of each _level_sets call from here on, in order."""
+    calls = []
+    level_sets = levels._level_sets
+
+    def counted(f, taus):
+        calls.append(list(taus))
+        return level_sets(f, taus)
+
+    monkeypatch.setattr(levels, "_level_sets", counted)
+    return calls
+
+
+def test_a_norm_of_a_rearrangement_solves_no_grid(monkeypatch):
+    # a rearrangement solves nothing until its grid is read, and each norm
+    # evaluates exactly the levels of the level pass over its source
+    f = _bump_function(3)
+    top = distribution_function(f, 1e-6)
+    grid = np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)
+    calls = _counted_level_sets(monkeypatch)
+    # each norm, and the level pass it takes: lp_integral's at n = 2
+    for norm, n, qs, grads in ((grad_norm_hyperbolic, 3, (), ("hyperbolic",)),
+                               (grad_norm_euclidean, 3, (), ("euclidean",)),
+                               (lambda v, n, p: lp_integral(v, p), 2, (2.5,), ())):
+        v = decreasing_rearrangement(f, grid)
+        assert not calls
+        got = norm(v, 3, 2.5)
+        taken = calls[:]
+        calls.clear()
+        assert got == levels.level_integrals(f, n, 2.5, qs, grads, False)[0]
+        assert calls == taken, grads
+        calls.clear()
+
+
+def test_rearrangement_grid_on_first_read():
+    # the values and tail a rearrangement solves on their first read are
+    # the lockstep node solve's from the level table, whatever reads them
+    # first: a norm, a pointwise value, or the grid itself
+    f = _bump_function(3)
+    top = distribution_function(f, 1e-6)
+    grid = [float(s) for s in np.insert(np.geomspace(top * 1e-10, top, 12), 0, 0.0)]
+    table = levels.level_table(f)
+    want = [0.0 if tau == table[0][0] else tau for tau, _, _ in
+            itertools.accumulate(levels.node_levels(f, grid, table), min)]
+    first = decreasing_rearrangement(f, grid)
+    assert list(first.values) == want and first.tail.kind == "power"
+    after_norm = decreasing_rearrangement(f, grid)
+    grad_norm_hyperbolic(after_norm, 3, 2.5)
+    after_point = decreasing_rearrangement(f, grid)
+    s = grid[5] * 1.5
+    assert after_point(s) == first(s) and after_point.derivative(s) == first.derivative(s)
+    for v in (after_norm, after_point):
+        assert v.values == first.values and v.tail == first.tail
+
+
+def test_rearrangement_compares_copies_and_writes(tmp_path):
+    # equality, dataclasses.replace, repr and the file round trip read a
+    # fresh rearrangement's grid as they read any profile's
+    f = _bump_function(3)
+    v = _rearranged(f, num=12)
+    assert dataclasses.replace(v) == v
+    w = _rearranged(f, num=12)
+    assert "values=(" in repr(w)
+    u = dataclasses.replace(w, label="bump")
+    assert (u.values, u.tail, u.source, u.label) == (v.values, v.tail, f, "bump")
+    path = str(tmp_path / "bump.txt")
+    write_profile(path, _rearranged(f, num=12))
+    back = read_profile(path)
+    assert (back.nodes, back.values, back.tail) == (v.nodes, v.values, v.tail)
+
+
+@pytest.mark.parametrize("grid, message", [
+    ([0.0], ">= 2 nodes"),
+    ([0.0, math.nan], "must be finite"),
+    ([1.0, 2.0], "start at s = 0"),
+    ([0.0, 2.0, 1.0], "strictly increasing"),
+])
+def test_malformed_rearrangement_grid_raises_at_construction(monkeypatch, grid, message):
+    calls = _counted_level_sets(monkeypatch)
+    with pytest.raises(DomainError, match=message):
+        decreasing_rearrangement(_bump_function(3), grid)
+    assert not calls
+
+
+@pytest.mark.parametrize("grad, n, p", [
+    ("hyperbolic", 6, 2.0), ("hyperbolic", 8, 2.0), ("hyperbolic", 8, 3.0),
+    ("hyperbolic", 5, 1.5), ("euclidean", 8, 2.0),
+])
+def test_divergent_gradient_of_a_rearrangement_is_named(grad, n, p):
+    # the level pass runs its halvings out on these divergent gradients
+    # (FOUND 96's among them) and raises ConvergenceError; the power tail
+    # fitted to the grid names the divergence, raised from that error
+    norm = grad_norm_hyperbolic if grad == "hyperbolic" else grad_norm_euclidean
+    with pytest.raises(DomainError, match=f"(?i){grad} gradient integral diverges") as exc:
+        norm(_rearranged(_bump_function(n)), n, p)
+    assert isinstance(exc.value.__cause__, ConvergenceError)
 
 
 def test_closure_is_pure():
