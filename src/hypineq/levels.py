@@ -146,28 +146,27 @@ def _piece_roots(pc: Piece, va: float, vb: float,
 
 
 def _level_sets(f: RadialFunction, taus: Sequence[float]) -> List[Tuple[float, float]]:
-    """(mu(t), -mu'(t)) at each level t of taus, for the distribution
+    """(mu(t), log -mu'(t)) at each level t of taus, for the distribution
     function mu of f: the new levels of one step of the level pass, or one.
 
     mu(t) is the volume of {|u| > t}; by the coarea formula -mu'(t) is
     n sigma times the sum of sinh(r)^(n-1) / |f'(r)| over the radii r > 0
-    where f crosses t (inf where f' vanishes at a crossing, 0 on a level f
-    never crosses).  A piece adds one phi(b) - phi(a) to each level below
-    it, and solves the levels it crosses in level order (_piece_roots)
-    with one phi at its fixed end; each level sums the pieces in order.
+    where f crosses t, summed in logs so that no tiny level overflows it
+    (inf where f' vanishes at a crossing, -inf on one f never crosses).
+    A piece adds one phi(b) - phi(a) to each level below it, and solves the
+    levels it crosses in level order (_piece_roots) with one phi at its
+    fixed end; each level sums the pieces in order.
     """
     n = f.n
     order = sorted(range(len(taus)), key=taus.__getitem__)
     levels = [taus[i] for i in order]
-    totals, areas = [0.0] * len(taus), [0.0] * len(taus)
+    totals, areas = [0.0] * len(taus), [-math.inf] * len(taus)
     for pc, (va, vb) in zip(f.pieces, f.ends):
         up = vb > va
         low, high = (va, vb) if up else (vb, va)
         i = bisect.bisect_left(levels, low)
         j = bisect.bisect_left(levels, high, i)
         if i:
-            if math.isinf(pc.b):
-                raise DomainError("superlevel set has infinite volume")
             whole = geometry.phi(n, pc.b) - geometry.phi(n, pc.a)
             for k in order[:i]:
                 totals[k] += whole
@@ -180,12 +179,20 @@ def _level_sets(f: RadialFunction, taus: Sequence[float]) -> List[Tuple[float, f
         fixed = geometry.phi(n, pc.b if up else pc.a)
         for k, c in zip(ks, roots):
             totals[k] += fixed - geometry.phi(n, c) if up else geometry.phi(n, c) - fixed
-            # after phi, which raises before sinh(c) ** (n - 1) could overflow
+            # after phi, which raises before sinh(c) could overflow
             if c > 0.0 and low < taus[k]:
                 slope = abs(float(pc.dfn(c)))
-                areas[k] += math.sinh(c) ** (n - 1) / slope if slope > 0.0 else math.inf
+                x = (n - 1) * math.log(math.sinh(c)) - math.log(slope) if slope > 0.0 else math.inf
+                hi, lo = max(areas[k], x), min(areas[k], x)  # log(e^hi + e^lo) next
+                areas[k] = hi + math.log1p(math.exp(lo - hi)) if math.isfinite(lo + hi) else hi
     sigma = unit_ball_volume(n)
-    return [(sigma * total, n * sigma * area) for total, area in zip(totals, areas)]
+    return [(sigma * total, area + math.log(n * sigma)) for total, area in zip(totals, areas)]
+
+
+def _slope(level: Tuple[float, float]) -> Tuple[float, float]:
+    """(mu, -mu') from (mu, log -mu'), inf past the float range."""
+    mu, ld = level
+    return mu, math.exp(ld) if ld < 709.0 else math.inf
 
 
 def distribution_function(f: RadialFunction, t: float) -> float:
@@ -220,7 +227,7 @@ def level_table(f: RadialFunction) -> List[Tuple[float, float, float]]:
     and no v' reads the slope there."""
     fmax = f.sup_value
     taus = [fmax * 1e-30, *_levels_at(fmax, _TABLE_YS)[0]]
-    table = [(tau, *level) for tau, level in zip(taus, _level_sets(f, taus))]
+    table = [(tau, *_slope(level)) for tau, level in zip(taus, _level_sets(f, taus))]
     return table + [(fmax, 0.0, 0.0)]
 
 
@@ -290,7 +297,7 @@ def node_levels(f: RadialFunction, targets: Sequence[float],
         if not ys:
             return out
         taus = _levels_at(fmax, list(ys.values()))[0]
-        new = [(tau, *level) for tau, level in zip(taus, _level_sets(f, taus))]
+        new = [(tau, *_slope(level)) for tau, level in zip(taus, _level_sets(f, taus))]
         for k, it in zip(ys, new):
             lo, hi, _ = solves[k]
             for e in new:
@@ -303,14 +310,14 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
                     grads: Sequence[str], entropy: bool) -> List[Tuple[float, float]]:
     """rearrangement.radial_integrals of a rearrangement of f, over the
     level tau in (0, fmax).  One _level_sets per step of the rule gives
-    mu(tau) and |mu'(tau)| at its levels in f's own dimension, solving each
-    piece's crossings in level order; the weights are those of dimension
-    n.  With x = mu / sigma, the gradients are (n sigma)^p |mu'|^(1-p)
-    times sinh(phi_inv(x))^(p(n-1)) or x^(p(n-1)/n), a step's radii
-    phi_inv(x) inverted together (geometry.phi_inv_ordered); each mass
-    is q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
-    mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
-    weight.  The pass runs in y = log(tau / (fmax - tau)),
+    mu(tau) and log |mu'(tau)| at its levels in f's own dimension; the
+    weights are those of dimension n.  With x = mu / sigma, the gradients
+    are (n sigma)^p |mu'|^(1-p) times sinh(phi_inv(x))^(p(n-1)) or
+    x^(p(n-1)/n), a step's radii phi_inv(x) inverted together
+    (geometry.phi_inv_ordered); each mass is q tau^(q-1) mu, the entropy
+    p tau^(p-1) (p log tau + 1) mu.  Where mu' is 0 or infinite, v is flat
+    or jumps, and no gradient gathers weight.  The pass runs in
+    y = log(tau / (fmax - tau)),
     dtau = tau (fmax - tau) / fmax dy, tau and fmax - tau formed from
     e^(-|y|) so that neither cancels: the power laws of mu at tau -> 0 and
     of mu' and the weights at tau -> fmax decay exponentially in y (the
@@ -325,7 +332,8 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
     leave mu no digits, or rounding to 0, raises ConvergenceError ("end of
     the level range"), and a radius past phi's overflow DomainError; a
     tail closes at such an edge where the geometric rest past it is within
-    the floor, and the error propagates where it is not.
+    the floor; where it is not, an integral whose density still rises
+    toward the edge diverges (DomainError), and any other error propagates.
     """
     fmax = f.sup_value
     zeros = [0.0] * (len(grads) + len(qs) + entropy)
@@ -338,12 +346,12 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
     log, exp = math.log, math.exp
 
     def g(tau, level, t):
-        mu, d = level
+        mu, ld = level
         if not mu > 0.0:
             return zeros
         out = [0.0] * len(grads)
-        if grads and 0.0 < d < math.inf:
-            lg = lpref + (1.0 - p) * log(d)
+        if grads and math.isfinite(ld):
+            lg = lpref + (1.0 - p) * ld
             le = lg + c_euc * log(mu / sigma)
             # the Euclidean weight is the smaller one: le <= lh
             lh = lg + c_hyp * geometry.log_sinh(t) if need_h else le
@@ -363,8 +371,8 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
         levels = _level_sets(f, taus)
         # the radius phi_inv(mu / sigma) wherever a hyperbolic weight needs one
         radii = geometry.phi_inv_ordered(n, [
-            mu / sigma if mu > 0.0 and 0.0 < d < math.inf else 0.0
-            for mu, d in levels]) if need_h else itertools.repeat(None)
+            mu / sigma if mu > 0.0 and math.isfinite(ld) else 0.0
+            for mu, ld in levels]) if need_h else itertools.repeat(None)
         return [[x * fmax * e / (1.0 + e) ** 2 for x in g(tau, level, t)]  # dtau/dy
                 for tau, e, level, t in zip(taus, es, levels, radii)]
 
@@ -375,5 +383,7 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
     top = fmax * (1.0 - exp(2.0 - _Y_EDGE))
     breaks = sorted({log(x) - log(fmax - x) for va, vb in f.ends for x in (va, vb)
                      if 0.0 < x < top and (x > 2.0 ** -52 * fmax or va == vb)})
-    vals, errs = quadrature._double_exponential(density, breaks, "level pass did not converge")
+    names = [f"{'Euclidean' if c == 'euclidean' else c} gradient integral" for c in grads]
+    names += [f"L^{q:g} integral" for q in qs] + ["entropy integral"] * entropy
+    vals, errs = quadrature._double_exponential(density, breaks, names)
     return list(zip(vals, errs))

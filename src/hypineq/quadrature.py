@@ -311,7 +311,7 @@ class _Edge(Exception):
     (its direction, the last y before the edge, the rest past that y)."""
 
 
-def _double_exponential(density, breaks: Sequence[float], message: str):
+def _double_exponential(density, breaks: Sequence[float], names: Sequence[str]):
     """(values, errors) of the integral over the real line of a vector
     density, a function from a list of points to one vector per point,
     by the double-exponential rule (Takahasi and Mori, 1974; Mori and
@@ -319,12 +319,13 @@ def _double_exponential(density, breaks: Sequence[float], message: str):
     mapped by _de_map and one nested trapezoid in u over all of them
     (_de_pass).  Where a tail meets an edge of the density's domain
     (_Edge), the rule runs again with the edge as that tail's finite end,
-    and y = 0 as a cut where there was none, the rest past it carried.
+    and y = 0 as a cut where there was none, the rest past it carried;
+    names holds each component's name, for the errors.
     """
     lo, hi, rest = -math.inf, math.inf, None
     while True:
         try:
-            return _de_pass(density, [lo, *breaks, hi], rest, message)
+            return _de_pass(density, [lo, *breaks, hi], rest, names)
         except _Edge as edge:
             side, y, r = edge.args
             lo, hi = (y, hi) if side < 0 else (lo, y)
@@ -332,7 +333,7 @@ def _double_exponential(density, breaks: Sequence[float], message: str):
             rest = _add(*(rest or (None, None)), r, [abs(x) for x in r])
 
 
-def _de_pass(density, cuts, rest, message):
+def _de_pass(density, cuts, rest, names):
     """The double-exponential rule over the segments between cuts, the
     outer two of which may be infinite, rest (or None) added to the value
     and the error.
@@ -354,10 +355,11 @@ def _de_pass(density, cuts, rest, message):
     (_rest_past), is within the floor, it is added to the value and the
     error, and the tail closes.  Else bisecting in y toward the edge, to
     within 1, finds the last point y_e that evaluates; where the rest past
-    y_e is within the floor, _Edge carries it, and where it is not, what
-    the edge raised propagates.  Raises ConvergenceError, carrying the
-    partial sums, after _DE_HALVINGS halvings, and EvaluationError on a
-    sum that is not finite.
+    y_e is within the floor, _Edge carries it; where a component's density
+    still rises toward the edge, DomainError names it as divergent (QUADPACK
+    qagi's ier = 5); else the edge's error propagates.  Raises
+    ConvergenceError, naming the components left, after _DE_HALVINGS
+    halvings, and EvaluationError on a sum that is not finite.
     """
     maps = [_de_map(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
 
@@ -389,9 +391,13 @@ def _de_pass(density, cuts, rest, message):
             else:
                 near, last = last, (mid, g)
         r = _rest_past(near, last)
-        if not settled(r):
-            raise exc
-        raise _Edge(end[1], last[0], r)
+        if settled(r):
+            raise _Edge(end[1], last[0], r)
+        for name, g0, g1 in zip(names, last[1], near[1]):
+            if abs(g0) > abs(g1):
+                side = "low" if end[1] < 0 else "high"
+                raise DomainError(f"{name} diverges at the {side} end of the level range") from exc
+        raise exc
 
     h = _DE_STEP
     first = at([(i, 0.0) for i in range(len(maps))])
@@ -442,10 +448,11 @@ def _de_pass(density, cuts, rest, message):
         if not all(map(math.isfinite, new)):
             raise EvaluationError("integrand returned a non-finite value")
         err = [abs(x - e) for x, e in zip(new, est)]
-        if all(e <= max(_ABS_TOL, _REL_TOL * abs(x)) for x, e in zip(new, err)):
+        left = [nm for nm, x, e in zip(names, new, err) if e > max(_ABS_TOL, _REL_TOL * abs(x))]
+        if not left:
             return _add(new, err, *rest) if rest else (new, err)
         est = new
-    raise ConvergenceError(message, partial=new, error_estimate=err)
+    raise ConvergenceError(f"{', '.join(left)} did not converge", partial=new, error_estimate=err)
 
 
 def _rest_past(near, last):

@@ -28,7 +28,7 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import geometry, levels, quadrature
 from .constants import (Params, boundary_exponent, check_dimension,
                         in_comparison_range, unit_ball_volume)
-from .errors import ConvergenceError, DomainError
+from .errors import DomainError
 from .levels import Piece, RadialFunction, distribution_function
 from .report import DeficitReport, fmt17
 
@@ -239,9 +239,9 @@ def decreasing_rearrangement(f: RadialFunction,
     (radial_integrals), which need no solve.
 
     The tail is inferred: compact at the last node if the samples hit
-    zero, otherwise a power law fitted on a wide log-log baseline (used
-    only to name a gradient the level pass cannot close; the closure is
-    authoritative for values).
+    zero, otherwise a power law fitted on a wide log-log baseline, for
+    readers of the grid; no norm reads it, and the closure is
+    authoritative for values.
     """
     grid = [float(s) for s in grid]
     fmax = f.sup_value
@@ -329,25 +329,13 @@ def grad_norm_direct(f: RadialFunction, p: float) -> float:
 # norms of profiles
 # ---------------------------------------------------------------------
 
-def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str,
-                           cause: Optional[Exception] = None):
-    """Reject integrals whose tail metadata says they diverge, raising from cause.
-
-    decay_needed is the power of 1/s the integrand must beat; power tails
-    supply exponent*multiplier through the caller."""
+def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str):
+    """Reject integrals whose tail metadata says they diverge: decay_needed
+    is the power of 1/s the integrand must beat, from a power tail's exponent."""
     if v.tail.kind == "power" and not decay_needed > 1.0:
         raise DomainError(
             f"{what} diverges: power tail with exponent {v.tail.param:g} "
-            f"decays like s^-{decay_needed:g}") from cause
-
-
-def _check_mass(v: RadialProfile, q: float):
-    if not q >= 1.0:
-        raise DomainError(f"need q >= 1, got {q!r}")
-    # a rearrangement's level pass raises where its mass diverges (phi
-    # overflows), so its tail, fitted to the grid's last decade, is not read
-    if v.source is None:
-        _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
+            f"decays like s^-{decay_needed:g}")
 
 
 def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
@@ -355,9 +343,11 @@ def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
     takes the pass in geodesic radius of radial_integrals at n = 2: the
     integral has no dimension, phi_inv is closed-form there, and s ~ e^t
     turns any power tail of v into geometric decay in t."""
-    _check_mass(v, q)
     if v.fn is not None:
         return radial_integrals(v, 2, q, qs=(q,), grads=())[0]
+    if not q >= 1.0:
+        raise DomainError(f"need q >= 1, got {q!r}")
+    _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
     # piecewise-linear segments integrate in closed form
     total = 0.0
     for ai, bi, x0, x1 in zip(v.values, v.values[1:], v.nodes, v.nodes[1:]):
@@ -462,9 +452,8 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     named in grads, a subsequence of ("hyperbolic", "euclidean"); the mass
     integral of v^q ds for each q in qs; the entropy integral of
     v^p p log v ds if entropy.  A grid-only profile takes the grid paths
-    in s, a rearrangement levels.level_integrals of its source, in the
-    logit of the level with breakpoints at the source's piece end values
-    (a fitted power tail names a divergent gradient it cannot close).
+    in s, a rearrangement levels.level_integrals of its source, which
+    alone names a divergent integral (its fitted tail is not read).
     Any other closure takes one vector panel tree in geodesic radius t
     over its breakpoints (_breakpoints): the radii of its grid nodes,
     thinned to at most _RHO apart unless neighbours, and of its joins.
@@ -478,32 +467,25 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     only for masses or the entropy, only where the table lacks them.
     """
     check_dimension(n)
-    if not p >= 1.0:
-        raise DomainError(f"need p >= 1, got {p!r}")
+    for name, x in (("p", p), *(("q", q) for q in qs)):
+        if not x >= 1.0:
+            raise DomainError(f"need {name} >= 1, got {x!r}")
     want_h, want_e = (c in grads for c in _GRADIENTS)
     if list(grads) != [c for c in _GRADIENTS if c in grads]:
         raise DomainError(
             f"grads must be a subsequence of {_GRADIENTS!r}, got {grads!r}")
-    err = None
     if v.source is not None:
-        for q in qs:
-            _check_mass(v, q)
-        try:
-            return levels.level_integrals(v.source, n, p, qs, grads, entropy)
-        except ConvergenceError as exc:
-            err = exc  # as where a gradient diverges: the fitted tail names it below
+        return levels.level_integrals(v.source, n, p, qs, grads, entropy)
     if want_h:
         # under a power tail |v'|^p decays like s^(-p*exponent - p) and the
         # hyperbolic weight grows like s^p, so the integrand decays like
         # s^(-p*exponent)
-        _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral", err)
+        _tail_divergence_check(v, p * v.tail.param, "hyperbolic gradient integral")
     for q in qs:
-        _check_mass(v, q)
+        _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
     if want_e:
         _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
-                               "Euclidean gradient integral", err)
-    if err is not None:
-        raise err
+                               "Euclidean gradient integral")
     sigma = unit_ball_volume(n)
     scale = n * sigma
     pref = scale ** p

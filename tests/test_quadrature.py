@@ -124,6 +124,43 @@ def test_rising_tail_is_not_judged_before_it_decays():
     assert abs(val - 0.5) <= err
 
 
+def _edged_density(tail, side):
+    """A two-component density over y for the double-exponential rule, cut
+    at y = 0: e^-|y|, whose integral is 2, and tail(|y|) on the side of
+    the line that ends in an edge at |y| = 60, past which every evaluation
+    raises (as phi's overflow ends the level pass's low tail); e^-|y|
+    elsewhere."""
+    def density(ys):
+        if any(side * y > 60.0 for y in ys):
+            raise DomainError("edge of the domain")
+        return [[math.exp(-abs(y)), tail(abs(y)) if side * y > 0.0 else math.exp(-abs(y))]
+                for y in ys]
+    return density
+
+
+@pytest.mark.parametrize("side,end", [(-1, "low"), (1, "high")])
+def test_rule_names_a_density_that_rises_at_an_edge(side, end):
+    # the second component still rises where its tail meets the edge: the
+    # rule names that component as divergent, raised from the edge's error
+    density = _edged_density(lambda x: math.exp(0.1 * x), side)
+    with pytest.raises(DomainError, match=f"^rising diverges at the {end} end of the level "
+                                          "range$") as exc:
+        quadrature._double_exponential(density, [0.0], ["settled", "rising"])
+    assert str(exc.value.__cause__) == "edge of the domain"
+
+
+def test_rule_propagates_an_unsettled_edge_of_a_falling_density():
+    # e^(-0.01 |y|) falls toward the edge, but its rest past y = -60 is
+    # about 55, far above the floor: what the edge raised propagates
+    density = _edged_density(lambda x: math.exp(-0.01 * x), -1)
+    with pytest.raises(DomainError, match="^edge of the domain$"):
+        quadrature._double_exponential(density, [0.0], ["settled", "slow"])
+    # with a fast fall the tail closes at the edge, its rest added
+    vals, errs = quadrature._double_exponential(
+        _edged_density(lambda x: math.exp(-x), -1), [0.0], ["a", "b"])
+    assert all(abs(v - 2.0) <= max(e, 1e-12) for v, e in zip(vals, errs))
+
+
 def test_breakpoints_capture_narrow_spike():
     # a bump of width 1e-10 near 1e-9 inside [0, 1]: global adaptive
     # subdivision has no reason to sample there, forcing the node does

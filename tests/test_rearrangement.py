@@ -325,7 +325,7 @@ def _lone_node(f, s, max_iter=200):
         return 0.0
     return find_root_increasing(
         lambda tau: -level(tau)[0], -s, (eps, fmax),
-        df=lambda tau: level(tau)[1], max_iter=max_iter,
+        df=lambda tau: math.exp(level(tau)[1]), max_iter=max_iter,
         x0=eps + (fmax - eps) * (m_eps - s) / m_eps, ends=(-m_eps, -0.0))
 
 
@@ -714,13 +714,18 @@ def test_malformed_rearrangement_grid_raises_at_construction(monkeypatch, grid, 
     ("hyperbolic", 5, 1.5), ("euclidean", 8, 2.0),
 ])
 def test_divergent_gradient_of_a_rearrangement_is_named(grad, n, p):
-    # the level pass runs its halvings out on these divergent gradients
-    # (FOUND 96's among them) and raises ConvergenceError; the power tail
-    # fitted to the grid names the divergence, raised from that error
+    # the density of these divergent gradients (FOUND 96's among them)
+    # still rises where the low tail meets phi's overflow edge, so the
+    # level pass names the divergence, raised from that edge's error.  No
+    # grid is solved, so no tail fitted to it takes part
     norm = grad_norm_hyperbolic if grad == "hyperbolic" else grad_norm_euclidean
-    with pytest.raises(DomainError, match=f"(?i){grad} gradient integral diverges") as exc:
-        norm(_rearranged(_bump_function(n)), n, p)
-    assert isinstance(exc.value.__cause__, ConvergenceError)
+    v = _rearranged(_bump_function(n))
+    with pytest.raises(DomainError, match=f"(?i){grad} gradient integral diverges at "
+                                          "the low end of the level range") as exc:
+        norm(v, n, p)
+    assert isinstance(exc.value.__cause__, DomainError)
+    assert "overflows" in str(exc.value.__cause__)
+    assert "values" not in vars(v) and "tail" not in vars(v)
 
 
 def test_closure_is_pure():
@@ -739,15 +744,16 @@ def test_plateau_rearrangement():
     v = _rearranged(plateau, num=12)
     assert math.isfinite(lp_norm(v, 2.5))
     assert math.isfinite(grad_norm_hyperbolic(v, 4, 2.5)[0])
-    # two plateaus: f crosses no level between them, so mu' = 0 there and
-    # Newton falls back to bisection; v jumps from 1 to 0.5 at V1
+    # two plateaus: f crosses no level between them, so mu' = 0 there (its
+    # log -inf) and Newton falls back to bisection; v jumps from 1 to 0.5
+    # at V1
     steps = RadialFunction(3, (
         Piece(0.0, 0.6, lambda r: 1.0, lambda r: 0.0),
         Piece(0.6, 1.2, lambda r: 0.5, lambda r: 0.0),
         Piece(1.2, math.inf, lambda r: 0.5 * math.exp(-2.0 * (r - 1.2)),
               lambda r: -math.exp(-2.0 * (r - 1.2)))))
     assert levels._level_sets(steps, (0.7,)) == [
-        (distribution_function(steps, 0.7), 0.0)]
+        (distribution_function(steps, 0.7), -math.inf)]
     w = _rearranged(steps, num=12)
     sigma = unit_ball_volume(3)
     v1, v2 = sigma * geometry.phi(3, 0.6), sigma * geometry.phi(3, 1.2)
@@ -757,12 +763,23 @@ def test_plateau_rearrangement():
         assert w(s) == pytest.approx(0.5, rel=1e-12)
 
 
+def test_tail_that_levels_off_above_zero_raises():
+    # an unbounded last piece must decay to 0; one that levels off at 0.5
+    # stays above the level 0.3 out to radius 1e6, where _piece_roots stops
+    # its march, so the superlevel set has no finite outer radius
+    f = RadialFunction(3, (Piece(0.0, math.inf, lambda r: 0.5 + 0.5 * math.exp(-r),
+                                 lambda r: -0.5 * math.exp(-r)),))
+    with pytest.raises(DomainError, match="superlevel set appears unbounded"):
+        distribution_function(f, 0.3)
+
+
 def test_level_set_is_empty_at_the_maximum():
     # no piece exceeds sup_value, so mu(sup_value) = 0, which
-    # decreasing_rearrangement takes as its top end without a solve
+    # decreasing_rearrangement takes as its top end without a solve; no
+    # piece crosses that level either, so -mu' is 0 and its log -inf
     plateau = _plateau_function(4)
     for f in (_bump_function(3), _shell_function(6), plateau):
-        assert levels._level_sets(f, (f.sup_value,)) == [(0.0, 0.0)]
+        assert levels._level_sets(f, (f.sup_value,)) == [(0.0, -math.inf)]
 
 
 def test_plateau_gradient_vanishes_on_the_flat_stretch():
@@ -992,6 +1009,48 @@ def test_level_pass_gradient_of_a_compact_shell():
     assert grad_norm_hyperbolic(v, n, p)[0] == pytest.approx(ref, rel=1e-12)
 
 
+def _phi_closed_form(n, t):
+    """phi(n, t) = n times the integral of sinh^(n-1) over [0, t], at 5 and 8."""
+    if n == 5:
+        return 5 * (mp.sinh(4 * t) / 32 - mp.sinh(2 * t) / 4 + 3 * t / 8)
+    c = mp.cosh(t)
+    return 8 * (c ** 7 / 7 - 3 * c ** 5 / 5 + c ** 3 - c + mp.mpf(16) / 35)
+
+
+@pytest.mark.parametrize("make,n,decay,rise,ref", [
+    (_bump_function, 5, 2, lambda tau: (tau, 1), "1062.43638985553885"),
+    (_plateau_function, 8, 4,
+     lambda tau: ((tau - mp.mpf(0.3)) / mp.mpf(1.4), mp.mpf(1.4)) if tau > 0.3 else None,
+     "4956.66820014958250")], ids=["bump-5", "plateau-8"])
+def test_euclidean_gradient_against_mpmath_coarea(make, n, decay, rise, ref):
+    # both crossing radii of these shapes are closed-form, the rise's
+    # (radius and |f'|) and 1 - log(tau) / decay on the exponential fall,
+    # so mpmath gives the Euclidean gradient at p = 1.5 over the level,
+    # n sigma |mu'/(n sigma)|^(1-p) (mu / sigma)^(p(n-1)/n) in tau = e^-u,
+    # independently.  While the coarea slope overflowed at tiny levels and
+    # read as a jump, the level pass dropped weight there:
+    # 1062.4363898337647 +- 1.9e-8 (1.15 bars off) and
+    # 4956.6681890998325 +- 4.9e-7 (22.8 bars off)
+    p = 1.5
+
+    def integrand(u):
+        tau, r_out = mp.exp(-u), 1 + u / decay
+        area = mp.sinh(r_out) ** (n - 1) / (decay * tau)
+        vol = _phi_closed_form(n, r_out)
+        inner = rise(tau)
+        if inner and inner[0] > 0:
+            area += mp.sinh(inner[0]) ** (n - 1) / inner[1]
+            vol -= _phi_closed_form(n, inner[0])
+        return n * sigma * area ** (1 - p) * vol ** (mp.mpf(p) * (n - 1) / n) * tau
+
+    with mp.workdps(30):
+        sigma = mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2 + 1)
+        got = float(mp.quad(integrand, [0, -mp.log(mp.mpf(0.3)), 10, 100, mp.inf]))
+    assert got == pytest.approx(float(ref), rel=1e-15)
+    value, bar = grad_norm_euclidean(_rearranged(make(n)), n, p)
+    assert abs(value - got) <= bar, (value, bar, got)
+
+
 def test_plateau_equimeasurability():
     # a plateau is a jump of mu, whose flat stretch the level pass weighs
     # exactly; the closure path missed the direct norm by 4.5e-9 here
@@ -1075,10 +1134,13 @@ def test_divergent_mass_raises(make, n, q):
     # mu grows like tau^-(n-1)/k at level 0 for the decay rate k, so the
     # L^q mass diverges for q <= (n-1)/k.  At (n, q) = (5, 1.0) and (6, 1.0)
     # the low tail's first-step walk lands past where tau rounds to 0, and
-    # the bisection toward that edge meets phi's overflow first: what the
-    # edge raises, the DomainError, propagates
-    with pytest.raises(DomainError, match="overflows"):
+    # the bisection toward that edge meets phi's overflow first.  The
+    # density still rises at the edge, so the level pass names the
+    # divergence, raised from phi's DomainError
+    with pytest.raises(DomainError, match=re.escape(f"L^{q:g} integral diverges at the low end")
+                       ) as exc:
         lp_integral(_rearranged(make(n)), q)
+    assert "overflows" in str(exc.value.__cause__)
 
 
 def _cusp_function(c, n):
