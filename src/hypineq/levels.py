@@ -63,13 +63,10 @@ class RadialFunction:
         if self.pieces[0].a != 0.0:
             raise DomainError("pieces must start at radius 0")
         prev = 0.0
-        for pc in self.pieces:
+        for pc in self.pieces:  # so only the last piece may be unbounded
             if pc.a != prev or not pc.b > pc.a:
                 raise DomainError("pieces must be contiguous with a < b")
             prev = pc.b
-        for pc in self.pieces[:-1]:
-            if math.isinf(pc.b):
-                raise DomainError("only the last piece may be unbounded")
         object.__setattr__(self, "ends", tuple(
             (float(pc.fn(pc.a)), 0.0 if math.isinf(pc.b) else float(pc.fn(pc.b)))
             for pc in self.pieces))

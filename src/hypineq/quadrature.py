@@ -142,16 +142,11 @@ def _gk15(f: PanelIntegrand, a: float, b: float
     return vals, errs
 
 
-def _integrate_finite(f, a, b, max_panels=_MAX_PANELS, edge_depth=_MAX_DEPTH):
-    """(values, errors) of one panel tree on [a, b].  Raises
-    ConvergenceError rather than bisect once the tree holds max_panels
-    panels, or a panel _MAX_DEPTH bisections deep (edge_depth deep, for
-    the panel at a)."""
-    return _tree(f, a, b, *_gk15(f, a, b), max_panels, edge_depth)
-
-
 def _tree(f, a, b, val, err, max_panels=_MAX_PANELS, edge_depth=_MAX_DEPTH):
-    """_integrate_finite on [a, b], given its first panel's (val, err)."""
+    """(values, errors) of one panel tree on [a, b], given its first
+    panel's (val, err), _gk15 on [a, b].  Raises ConvergenceError rather
+    than bisect once the tree holds max_panels panels, or a panel
+    _MAX_DEPTH bisections deep (edge_depth deep, for the panel at a)."""
     if not any(e > max(_ABS_TOL, _REL_TOL * abs(x)) for x, e in zip(val, err)):
         return val, err
     # a panel's priority: its worst error relative to the component's floor
@@ -465,12 +460,11 @@ def _rest_past(near, last):
 
 
 def _substituted(f: PanelIntegrand, a: float, b: float) -> PanelIntegrand:
-    """The panel integrand of f(s) ds under s = a + b e^y, ds = b e^y dy
-    (a = 0 skips the shift)."""
+    """The panel integrand of f(s) ds under s = a + b e^y, ds = b e^y dy."""
     def g(ys):
         es = [b * math.exp(y) for y in ys]
         return [[x * e for x, e in zip(row, es)]
-                for row in f([a + e for e in es] if a else es)]
+                for row in f([a + e for e in es])]
     return g
 
 
@@ -499,12 +493,12 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
             # a profile closure may be singular (but integrable) at the origin:
             # a head the small tree cannot resolve takes the log sweep
             try:
-                v, e = _integrate_finite(f, 0.0, x, _HEAD_PANELS, _HEAD_DEPTH)
+                v, e = _tree(f, 0.0, x, *_gk15(f, 0.0, x), _HEAD_PANELS, _HEAD_DEPTH)
             except ConvergenceError:
                 v, e = _sweep(_substituted(f, 0.0, x), -2.0,
                               "left-edge substitution did not converge")
         else:
-            v, e = _integrate_finite(f, lo, x)
+            v, e = _tree(f, lo, x, *_gk15(f, lo, x))
         total, total_err = _add(total, total_err, v, e)
         lo = x
     if math.isinf(b):
@@ -512,7 +506,7 @@ def integrate_vector(f: PanelIntegrand, a: float, b: float,
         v, e = _sweep(g, -2.0, "semi-infinite tail did not converge (left)",
                       *_sweep(g, 2.0, "semi-infinite tail did not converge (right)"))
     else:
-        v, e = _integrate_finite(f, lo, b)
+        v, e = _tree(f, lo, b, *_gk15(f, lo, b))
     return _add(total, total_err, v, e)
 
 

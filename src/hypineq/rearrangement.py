@@ -5,10 +5,11 @@ A radial function of geodesic radius (levels.RadialFunction) is
 rearranged into a non-increasing profile v of superlevel-set volume s.
 The hyperbolic and Euclidean symmetrizations are never materialized:
 every norm of either one is an integral of v (or v') against an explicit
-weight.  radial_integrals takes every integral one evaluation needs in
-one pass: of a rearrangement over the level (levels.level_integrals), of
-any other closure in geodesic radius t through s = sigma phi(t),
-ds = n sigma sinh(t)^(n-1) dt, of a grid-only profile in s.  A closure
+weight.  radial_integrals, the one door to every norm, takes every
+integral one evaluation needs in one of three passes: of a rearrangement
+over the level (levels.level_integrals), of a grid-only profile in s
+(_grid_integrals), of any other closure in geodesic radius t through
+s = sigma phi(t), ds = n sigma sinh(t)^(n-1) dt.  A closure
 profile keeps, per n, what the pass in t computes at each panel's nodes
 (RadialProfile).
 """
@@ -95,7 +96,7 @@ class RadialProfile:
     (key_comparison).  joins holds the volumes inside the support where a
     closure is not smooth (a jump in v'' or a kink in v), each a
     breakpoint of the pass in geodesic radius; files do not keep them,
-    and the grid paths ignore them.  A rearrangement's closure is one
+    and the grid pass ignores them.  A rearrangement's closure is one
     solve of mu(tau) = s per volume, whose value and derivative share it
     (decreasing_rearrangement); it also keeps the radial function it
     rearranges as its source, its norms are integrated over the level
@@ -339,59 +340,16 @@ def _tail_divergence_check(v: RadialProfile, decay_needed: float, what: str):
 
 
 def lp_integral(v: RadialProfile, q: float) -> Tuple[float, float]:
-    """(integral of v^q over the measure line, error estimate).  A closure
-    takes the pass in geodesic radius of radial_integrals at n = 2: the
-    integral has no dimension, phi_inv is closed-form there, and s ~ e^t
-    turns any power tail of v into geometric decay in t."""
-    if v.fn is not None:
-        return radial_integrals(v, 2, q, qs=(q,), grads=())[0]
-    if not q >= 1.0:
-        raise DomainError(f"need q >= 1, got {q!r}")
-    _tail_divergence_check(v, q * v.tail.param, f"L^{q:g} integral")
-    # piecewise-linear segments integrate in closed form
-    total = 0.0
-    for ai, bi, x0, x1 in zip(v.values, v.values[1:], v.nodes, v.nodes[1:]):
-        hi = x1 - x0
-        if ai == bi:
-            total += hi * ai ** q
-        else:
-            # (a^(q+1) - b^(q+1)) / (a - b) = c^q (1 - (1 - x)^(q+1)) / x, with
-            # c = max(a, b) and x = |a - b| / c, does not cancel as b -> a
-            c = max(ai, bi)
-            x = abs(ai - bi) / c
-            g = -math.expm1((q + 1) * math.log1p(-x)) if x < 1.0 else 1.0
-            total += hi * c ** q * g / (x * (q + 1))
-    vlast, slast = v.values[-1], v.nodes[-1]
-    if v.tail.kind == "power":
-        total += vlast ** q * slast / (q * v.tail.param - 1.0)
-    elif v.tail.kind == "exponential":
-        total += vlast ** q / (q * v.tail.param)
-    return total, 0.0
+    """(integral of v^q over the measure line, error estimate):
+    radial_integrals of the one mass at n = 2, where the integral has no
+    dimension, phi_inv is closed-form for a closure's pass in geodesic
+    radius, and s ~ e^t turns any power tail of v into geometric decay in t."""
+    return radial_integrals(v, 2, q, qs=(q,), grads=())[0]
 
 
 def lp_norm(v: RadialProfile, q: float) -> float:
     val, _ = lp_integral(v, q)
     return val ** (1.0 / q)
-
-
-def _grid_weighted_gradient(v: RadialProfile, p: float,
-                            weight: Callable[[float], float]) -> Tuple[float, float]:
-    """Integral of |v'|^p * weight for a grid-only profile: |slope|^p times
-    the trapezoid of the weight on each segment, one weight call per node,
-    plus the adaptive integral of the tail.  The error is a 1e-4 relative
-    grid-refinement proxy plus the tail integral's estimate."""
-    nodes, values = v.nodes, v.values
-    w = [weight(s) for s in nodes]
-    val = sum(abs((b - a) / (x1 - x0)) ** p * (x1 - x0) * (w0 + w1) / 2.0
-              for a, b, x0, x1, w0, w1
-              in zip(values, values[1:], nodes, nodes[1:], w, w[1:]))
-    tail_err = 0.0
-    if v.tail.kind != "compact":
-        tail, tail_err = quadrature.integrate(
-            lambda s: abs(v.derivative(s)) ** p * weight(s),
-            nodes[-1], v.support_volume)
-        val += tail
-    return val, abs(val) * 1e-4 + tail_err
 
 
 def grad_norm_euclidean(v: RadialProfile, n: int, p: float) -> Tuple[float, float]:
@@ -442,6 +400,61 @@ def _breakpoints(n: int, nodes: Tuple[float, ...], joins: Tuple[float, ...]
     return tuple(sorted({*kept, *(geometry.phi_inv(n, j / sigma) for j in joins)}))
 
 
+def _grid_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float],
+                    grads: Sequence[str], entropy: bool) -> List[Tuple[float, float]]:
+    """The grid pass in s of radial_integrals, which has checked v.  A
+    gradient is |slope|^p times the trapezoid of the weight on each segment
+    plus the adaptive tail, its error a 1e-4 relative grid proxy plus the
+    tail's; a mass is closed-form; the entropy is adaptive over the nodes."""
+    nodes, values = v.nodes, v.values
+    sigma = unit_ball_volume(n)
+    weights = {
+        "hyperbolic": lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)),
+        "euclidean": lambda s: (s / sigma) ** (p * (n - 1) / n),
+    }
+    out = []
+    for c in grads:
+        weight = weights[c]
+        w = [weight(s) for s in nodes]
+        val = sum(abs((b - a) / (x1 - x0)) ** p * (x1 - x0) * (w0 + w1) / 2.0
+                  for a, b, x0, x1, w0, w1
+                  in zip(values, values[1:], nodes, nodes[1:], w, w[1:]))
+        tail_err = 0.0
+        if v.tail.kind != "compact":
+            tail, tail_err = quadrature.integrate(
+                lambda s: abs(v.derivative(s)) ** p * weight(s),
+                nodes[-1], v.support_volume)
+            val += tail
+        pref = (n * sigma) ** p
+        out.append((pref * val, pref * (abs(val) * 1e-4 + tail_err)))
+    for q in qs:
+        total = 0.0
+        for ai, bi, x0, x1 in zip(values, values[1:], nodes, nodes[1:]):
+            hi = x1 - x0
+            if ai == bi:
+                total += hi * ai ** q
+            else:
+                # (a^(q+1) - b^(q+1)) / (a - b) = c^q (1 - (1 - x)^(q+1)) / x, with
+                # c = max(a, b) and x = |a - b| / c, does not cancel as b -> a
+                c = max(ai, bi)
+                x = abs(ai - bi) / c
+                g = -math.expm1((q + 1) * math.log1p(-x)) if x < 1.0 else 1.0
+                total += hi * c ** q * g / (x * (q + 1))
+        if v.tail.kind == "power":
+            total += values[-1] ** q * nodes[-1] / (q * v.tail.param - 1.0)
+        elif v.tail.kind == "exponential":
+            total += values[-1] ** q / (q * v.tail.param)
+        out.append((total, 0.0))
+    if entropy:
+        def f(s):
+            val = v(s)
+            return val ** p * p * math.log(val) if val > 0.0 else 0.0
+
+        ent, err = quadrature.integrate(f, 0.0, v.support_volume, nodes)
+        out.append((ent, err + abs(ent) * 1e-4))  # the gradients' grid proxy
+    return out
+
+
 _GRADIENTS = ("hyperbolic", "euclidean")
 
 
@@ -451,11 +464,16 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     """(value, error) of, in order: the p-th power of each gradient norm
     named in grads, a subsequence of ("hyperbolic", "euclidean"); the mass
     integral of v^q ds for each q in qs; the entropy integral of
-    v^p p log v ds if entropy.  A grid-only profile takes the grid paths
-    in s, a rearrangement levels.level_integrals of its source, which
-    alone names a divergent integral (its fitted tail is not read).
-    Any other closure takes one vector panel tree in geodesic radius t
-    over its breakpoints (_breakpoints): the radii of its grid nodes,
+    v^p p log v ds if entropy.  The one door to every norm: it checks each
+    q >= 1, p >= 1 only where a gradient or the entropy reads it, and the
+    power tail of any profile but a rearrangement, once, then hands v to
+    one pass.  A rearrangement takes levels.level_integrals of its source,
+    which alone names a divergent integral (its fitted tail is not read),
+    a grid-only profile the grid pass in s (_grid_integrals), and any
+    other closure the pass in geodesic radius below.
+
+    That pass is one vector panel tree in geodesic radius t over the
+    closure's breakpoints (_breakpoints): the radii of its grid nodes,
     thinned to at most _RHO apart unless neighbours, and of its joins.
     One phi, log sinh, log |v'| (and log v) per node serve every
     integrand.  Each integrand is one list over a panel's 15 nodes, built
@@ -467,7 +485,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     only for masses or the entropy, only where the table lacks them.
     """
     check_dimension(n)
-    for name, x in (("p", p), *(("q", q) for q in qs)):
+    for name, x in [("p", p)] * bool(grads or entropy) + [("q", q) for q in qs]:
         if not x >= 1.0:
             raise DomainError(f"need {name} >= 1, got {x!r}")
     want_h, want_e = (c in grads for c in _GRADIENTS)
@@ -486,27 +504,11 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     if want_e:
         _tail_divergence_check(v, p * (v.tail.param + 1.0) - p * (n - 1.0) / n,
                                "Euclidean gradient integral")
+    if v.dfn is None:
+        return _grid_integrals(v, n, p, qs, grads, entropy)
     sigma = unit_ball_volume(n)
     scale = n * sigma
     pref = scale ** p
-    if v.dfn is None:
-        weights = {
-            "hyperbolic": lambda s: geometry.sinh_phi_inv(n, s / sigma) ** (p * (n - 1)),
-            "euclidean": lambda s: (s / sigma) ** (p * (n - 1) / n),
-        }
-        out = []
-        for c in grads:
-            val, err = _grid_weighted_gradient(v, p, weights[c])
-            out.append((pref * val, pref * err))
-        out += [lp_integral(v, q) for q in qs]
-        if entropy:
-            def f(s):
-                val = v(s)
-                return val ** p * p * math.log(val) if val > 0.0 else 0.0
-
-            ent, err = quadrature.integrate(f, 0.0, v.support_volume, v.nodes)
-            out.append((ent, err + abs(ent) * 1e-4))  # the gradients' grid proxy
-        return out
     breaks = _breakpoints(n, v.nodes, v.joins)
     top = v.support_volume
     # joins lie below the top, so the last breakpoint is the last node's
@@ -519,15 +521,15 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     tiny, ninf = sys.float_info.min, -math.inf
     fn, dfn = v.fn, v.dfn
     table = v._panels.setdefault(n, {})
-    unknown, absent = [math.nan] * 15, [ninf] * 15
+    unknown = [math.nan] * 15
 
     def panel(ts):
-        """phi, log sinh, log |v'| and log v at the panel's 15 nodes ts
-        (a log all -inf where the pass needs no gradient, or no mass or
-        entropy): read from the table entry at the panel's centre whose
-        last value is ts[1], else computed and kept; only a new entry
-        needs room in the table.  A log half no pass has needed holds nan,
-        and only a missing half's closure is called.  phi is 0 where t <= 0
+        """phi, log sinh, log |v'| and log v at the panel's 15 nodes ts:
+        read from the table entry at the panel's centre whose last value
+        is ts[1], else computed and kept; only a new entry needs room in
+        the table.  A log half no pass has needed holds nan, and only a
+        missing half's closure is called; g reads log |v'| only for a
+        gradient and log v only for a mass or the entropy.  phi is 0 where t <= 0
         or (n-1) t > 690, so every integrand is zero there; the prechecks do
         not make what that drops negligible (the sup-norm extremal's
         sinh(t)^(-a) loses about 2^a e^(-690 a/(n-1)) / a, ROADMAP item 18).
@@ -563,7 +565,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
         if (fresh or get_dv or get_v) and (
                 kept is not None or len(table) < _GRID_PANELS):
             table[ts[0]] = array("d", [*phs, *lss, *ldvs, *lvs, ts[1]])
-        return phs, lss, ldvs if grads else absent, lvs if need_v else absent
+        return phs, lss, ldvs, lvs
 
     def overflows(logs):
         if max(logs) > 700.0:

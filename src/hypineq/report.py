@@ -29,7 +29,8 @@ def fmt17(x) -> str:
 
 def csv_table(header: Sequence[str], rows: Iterable[Sequence]) -> str:
     """CSV text of a header and rows: every field in fmt17, None as an
-    empty field.  Fields are not quoted, so none may hold a comma."""
+    empty field.  Fields are not quoted, so a caller quotes any field that
+    may hold a comma (reports_to_csv)."""
     return "".join(",".join("" if x is None else fmt17(x) for x in row) + "\n"
                    for row in (header, *rows))
 
@@ -101,5 +102,10 @@ _CSV_COLUMNS = ("inequality_id", "n", "p", "alpha", "label", "lhs", "rhs",
 
 
 def reports_to_csv(reports: Sequence[DeficitReport]) -> str:
+    """CSV text of reports under _CSV_COLUMNS, flags joined by ";"; a label
+    holding a comma, quote or line break is quoted, quotes doubled (RFC 4180)."""
     dicts = [dict(r.to_dict(), flags=";".join(sorted(r.flags))) for r in reports]
+    for d in dicts:
+        if any(c in d["label"] for c in ',"\r\n'):
+            d["label"] = '"' + d["label"].replace('"', '""') + '"'
     return csv_table(_CSV_COLUMNS, [[d[col] for col in _CSV_COLUMNS] for d in dicts])

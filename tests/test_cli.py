@@ -1,4 +1,6 @@
+import csv
 import importlib.util
+import io
 import json
 import math
 import os
@@ -211,6 +213,22 @@ def test_verify_json_is_strict(capsys):
     assert len(flagged) == 8
     assert all(r["lhs"] == "inf" for r in flagged)
     assert all(isinstance(r["rhs"], float) for r in rows)
+
+
+def test_verify_csv_quotes_a_label_with_a_comma(capsys, tmp_path):
+    # a profile's label is its file name, which may hold a comma or a quote
+    tent = standard_corpus()[0]
+    for name in ("tent,a", 'say "tent"', "plain"):
+        write_profile(str(tmp_path / f"{name}.txt"), tent)
+    code, out, err = run(capsys, "verify", "--inequality", "key_comparison",
+                         "--n", "4", "--p", "3.0", "--corpus", str(tmp_path),
+                         "--format", "csv")
+    assert code == 0, err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert all(len(row) == len(header) == 11 for row in rows)
+    assert sorted(row[header.index("label")] for row in rows) == [
+        "plain", 'say "tent"', "tent,a"]
+    assert '"tent,a"' in out and '"say ""tent"""' in out and ',plain,' in out
 
 
 def test_verify_scaled_constant_fails_on_bubbles(capsys, tmp_path):

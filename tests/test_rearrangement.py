@@ -1813,3 +1813,23 @@ def test_lp_integral_of_a_nearly_flat_grid_segment(width):
             + b_ ** q_ / (q_ + 1)
         assert abs(got - want) <= 1e-14 * want
     assert err == 0.0
+
+
+def test_the_door_checks_each_integral_once(monkeypatch):
+    # radial_integrals checks each exponent and the tail once, and reads p
+    # only for a gradient or the entropy; no pass checks again
+    checked = []
+    check = rearrangement._tail_divergence_check
+    monkeypatch.setattr(rearrangement, "_tail_divergence_check",
+                        lambda v, decay, what: checked.append(what) or check(v, decay, what))
+    v = RadialProfile([0.0, 1.0, 2.0], [1.0, 0.5, 0.25], Tail("power", 2.0))
+    assert lp_integral(v, 2.0) == (pytest.approx(37.0 / 48.0, rel=1e-15), 0.0)
+    assert checked == ["L^2 integral"]
+    checked.clear()
+    radial_integrals(v, 4, 3.0, qs=(3.0, 2.0), grads=("hyperbolic", "euclidean"))
+    assert sorted(checked) == ["Euclidean gradient integral", "L^2 integral",
+                               "L^3 integral", "hyperbolic gradient integral"]
+    mass = radial_integrals(v, 4, 0.5, qs=(2.0,), grads=())
+    assert mass == [lp_integral(v, 2.0)]
+    with pytest.raises(DomainError, match=r"^need p >= 1, got 0.5$"):
+        radial_integrals(v, 4, 0.5, qs=(2.0,))
