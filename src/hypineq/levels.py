@@ -75,6 +75,18 @@ class RadialFunction:
     def sup_value(self) -> float:
         return max(0.0, *itertools.chain.from_iterable(self.ends))
 
+    @property
+    def support_volume(self) -> float:
+        """The volume of {|u| > 0}: sigma times phi(b) - phi(a) summed over
+        the pieces where f is positive, inf if such a piece is unbounded."""
+        total = 0.0
+        for pc, ends in zip(self.pieces, self.ends):
+            if max(ends) > 0.0:
+                if math.isinf(pc.b):
+                    return math.inf
+                total += geometry.phi(self.n, pc.b) - geometry.phi(self.n, pc.a)
+        return unit_ball_volume(self.n) * total
+
 
 def _piece_roots(pc: Piece, va: float, vb: float,
                  levels: Sequence[float]) -> List[float]:

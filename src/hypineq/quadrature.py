@@ -341,7 +341,9 @@ def _de_pass(density, cuts, rest, names):
     first rises is not judged before it decays.  Each halving of the step
     then adds the midpoints of that range in one density call, keeping
     only the running sums, until every component's |T_h - T_2h| is within
-    the floor of T_h; that difference is the error.
+    the floor of T_h; that difference is the error.  A node whose y
+    rounds onto or past its segment's finite end, a breakpoint, takes a
+    zero density without a density call: its term is far below the floor.
 
     A round that raises is evaluated again, its inner ends' nodes together
     and each infinite tail's node alone.  A tail's node whose density
@@ -357,12 +359,16 @@ def _de_pass(density, cuts, rest, names):
     halvings, and EvaluationError on a sum that is not finite.
     """
     maps = [_de_map(lo, hi) for lo, hi in zip(cuts, cuts[1:])]
+    zero = [0.0] * len(names)
 
     def at(points):  # (segment, u) pairs -> (y, density, term F) per point
         if not points:
             return []
         ys, jacs = zip(*(maps[i](u) for i, u in points))
-        dens = density(list(ys))
+        inner = [k for k, ((i, _), y) in enumerate(zip(points, ys)) if cuts[i] < y < cuts[i + 1]]
+        dens = [zero] * len(ys)
+        for k, row in zip(inner, density([ys[k] for k in inner]) if inner else ()):
+            dens[k] = row
         return list(zip(ys, dens, ([x * j for x in row] for row, j in zip(dens, jacs))))
 
     def summed(rows):

@@ -87,7 +87,7 @@ class RadialProfile:
     When an analytic closure fn is attached, together with its derivative
     dfn (both or neither), the closure is authoritative everywhere and
     the grid is a consistency witness.  A closure profile keeps, per
-    dimension n, a table of phi, log sinh, log |v'| and log v at the 15
+    dimension n, a table of log phi, log sinh, log |v'| and log v at the 15
     nodes of each panel its passes in geodesic radius took
     (radial_integrals): 61 doubles, about 0.55 KiB, a panel, at most
     _GRID_PANELS panels per n.  The table is not compared, hashed or
@@ -99,7 +99,8 @@ class RadialProfile:
     and the grid pass ignores them.  A rearrangement's closure is one
     solve of mu(tau) = s per volume, whose value and derivative share it
     (decreasing_rearrangement); it also keeps the radial function it
-    rearranges as its source, its norms are integrated over the level
+    rearranges as its source, which gives its sup_value and
+    support_volume, its norms are integrated over the level
     (radial_integrals), and its values and tail are solved on first read.
     """
 
@@ -169,10 +170,14 @@ class RadialProfile:
 
     @property
     def support_volume(self) -> float:
+        if self.source is not None:
+            return self.source.support_volume
         return self.tail.param if self.tail.kind == "compact" else math.inf
 
     @property
     def sup_value(self) -> float:
+        if self.source is not None:
+            return self.source.sup_value
         return float(self.fn(0.0)) if self.fn is not None else self.values[0]
 
     def __call__(self, s: float) -> float:
@@ -241,8 +246,8 @@ def decreasing_rearrangement(f: RadialFunction,
 
     The tail is inferred: compact at the last node if the samples hit
     zero, otherwise a power law fitted on a wide log-log baseline, for
-    readers of the grid; no norm reads it, and the closure is
-    authoritative for values.
+    readers of the grid; no norm or support volume reads it, and the
+    closure is authoritative for values.
     """
     grid = [float(s) for s in grid]
     fmax = f.sup_value
@@ -475,14 +480,14 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     That pass is one vector panel tree in geodesic radius t over the
     closure's breakpoints (_breakpoints): the radii of its grid nodes,
     thinned to at most _RHO apart unless neighbours, and of its joins.
-    One phi, log sinh, log |v'| (and log v) per node serve every
+    One log phi, log sinh, log |v'| and log v per node serve every
     integrand.  Each integrand is one list over a panel's 15 nodes, built
     in log space with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w) or
     exp(p(n-1)/n log phi + w), exp(q log v + w), p log v exp(p log v + w).
     All four, which do not depend on p, come from the profile's table at
-    n: a pass computes phi and log sinh only at panels no earlier pass of
-    the profile at this n took, and calls dfn only for gradients and fn
-    only for masses or the entropy, only where the table lacks them.
+    n, one row a panel: a pass computes a row, calling dfn and fn once at
+    each node, only at a panel no earlier pass of the profile at this n
+    kept, whatever it integrates.
     """
     check_dimension(n)
     for name, x in [("p", p)] * bool(grads or entropy) + [("q", q) for q in qs]:
@@ -516,56 +521,42 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     t_top = (math.inf if math.isinf(top) else breaks[-1] if top == v.nodes[-1]
              else geometry.phi_inv(n, top / sigma))
     c_hyp, c_euc = p * (n - 1) + n - 1, p * (n - 1) / n
-    need_v = bool(qs) or entropy
-    log, exp, isnan = math.log, math.exp, math.isnan
+    log, exp = math.log, math.exp
     tiny, ninf = sys.float_info.min, -math.inf
     fn, dfn = v.fn, v.dfn
     table = v._panels.setdefault(n, {})
-    unknown = [math.nan] * 15
 
     def panel(ts):
-        """phi, log sinh, log |v'| and log v at the panel's 15 nodes ts:
-        read from the table entry at the panel's centre whose last value
-        is ts[1], else computed and kept; only a new entry needs room in
-        the table.  A log half no pass has needed holds nan, and only a
-        missing half's closure is called; g reads log |v'| only for a
-        gradient and log v only for a mass or the entropy.  phi is 0 where t <= 0
-        or (n-1) t > 690, so every integrand is zero there; the prechecks do
-        not make what that drops negligible (the sup-norm extremal's
-        sinh(t)^(-a) loses about 2^a e^(-690 a/(n-1)) / a, ROADMAP item 18).
-        log sinh is 0 where phi is; a log is -inf
-        where v' = 0 (or nan), v <= 0, or s is below the smallest normal
+        """log phi, log sinh, log |v'| and log v at the panel's 15 nodes ts:
+        read from the table row at the panel's centre whose last value is
+        ts[1], else computed whole and kept while the table has room or
+        over a colliding row.  v' and then v at each node: a
+        rearrangement's closure shares one solve between them.  phi is 0
+        where t <= 0 or (n-1) t > 690, so every integrand is zero there; the
+        prechecks do not make what that drops negligible (the sup-norm
+        extremal's sinh(t)^(-a) loses about 2^a e^(-690 a/(n-1)) / a,
+        ROADMAP item 18).  log sinh is 0 where phi is; a log is -inf where
+        phi = 0, v' = 0 (or nan), v <= 0, or s is below the smallest normal
         volume, where no closure is called (v' of a concentrated profile
         overflows)."""
         kept = table.get(ts[0])
-        fresh = kept is None or kept[-1] != ts[1]
-        if fresh:
-            phs = [geometry.phi(n, t) if 0.0 < t and (n - 1) * t <= 690.0 else 0.0
-                   for t in ts]
-            lss = [geometry.log_sinh(t) if ph > 0.0 else 0.0 for t, ph in zip(ts, phs)]
-            ldvs = lvs = unknown
-        else:
+        if kept is not None and kept[-1] == ts[1]:
             row = kept.tolist()
-            phs, lss, ldvs, lvs = row[:15], row[15:30], row[30:45], row[45:60]
-        get_dv, get_v = bool(grads) and isnan(ldvs[0]), need_v and isnan(lvs[0])
-        if get_dv or get_v:
-            # v' and then v at each node: a rearrangement's closure shares
-            # one solve between them
-            new_dvs, new_vs = [], []
-            for ph in phs:
-                s = sigma * ph
-                dv = abs(float(dfn(s))) if get_dv and s >= tiny else 0.0
-                val = float(fn(s)) if get_v and s >= tiny else 0.0
-                new_dvs.append(log(dv) if dv > 0.0 else ninf)
-                new_vs.append(log(val) if val > 0.0 else ninf)
-            if get_dv:
-                ldvs = new_dvs
-            if get_v:
-                lvs = new_vs
-        if (fresh or get_dv or get_v) and (
-                kept is not None or len(table) < _GRID_PANELS):
-            table[ts[0]] = array("d", [*phs, *lss, *ldvs, *lvs, ts[1]])
-        return phs, lss, ldvs, lvs
+            return row[:15], row[15:30], row[30:45], row[45:60]
+        phs = [geometry.phi(n, t) if 0.0 < t and (n - 1) * t <= 690.0 else 0.0
+               for t in ts]
+        lss = [geometry.log_sinh(t) if ph > 0.0 else 0.0 for t, ph in zip(ts, phs)]
+        ldvs, lvs = [], []
+        for ph in phs:
+            s = sigma * ph
+            dv = abs(float(dfn(s))) if s >= tiny else 0.0
+            val = float(fn(s)) if s >= tiny else 0.0
+            ldvs.append(log(dv) if dv > 0.0 else ninf)
+            lvs.append(log(val) if val > 0.0 else ninf)
+        lphs = [log(ph) if ph > 0.0 else ninf for ph in phs]
+        if kept is not None or len(table) < _GRID_PANELS:
+            table[ts[0]] = array("d", [*lphs, *lss, *ldvs, *lvs, ts[1]])
+        return lphs, lss, ldvs, lvs
 
     def overflows(logs):
         if max(logs) > 700.0:
@@ -576,16 +567,15 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
         # one list of 15 values per component; exp(-inf) is 0.0, but the
         # entropy, whose 0 * -inf would be nan, takes an explicit 0.0 where
         # its log is -inf
-        phs, lss, ldvs, lvs = panel(ts)
+        lphs, lss, ldvs, lvs = panel(ts)
         ws = [(n - 1) * ls for ls in lss]
         out = []
         if want_h:
             out.append([exp(lh) for lh in overflows(
                 [p * ldv + c_hyp * ls for ldv, ls in zip(ldvs, lss)])])
         if want_e:
-            lphs = [c_euc * log(ph) if ph > 0.0 else ninf for ph in phs]
             out.append([exp(le) for le in overflows(
-                [p * ldv + lph + w for ldv, lph, w in zip(ldvs, lphs, ws)])])
+                [p * ldv + c_euc * lph + w for ldv, lph, w in zip(ldvs, lphs, ws)])])
         for q in qs:
             out.append([exp(q * lv + w) for lv, w in zip(lvs, ws)])
         if entropy:

@@ -490,9 +490,11 @@ def test_level_pass_levels_by_role(monkeypatch):
     # benchmark's rise and shell shapes at n = 2..6, each on its 12-node
     # geometric grid, one pass of both gradients and the mass at
     # p = q = 2.5: on the whole line (the rise has no breakpoint), below
-    # and above the shells' one breakpoint, and between breakpoints.
-    # 2,550 levels in all when GK15 panels took them: 15 finite-segment,
-    # 65 low-end and 90 high-end panels, 225, 975 and 1,350 levels
+    # and above the shells' one breakpoint, and between breakpoints; none
+    # on a breakpoint, where a node takes 0 uncalled (40 while those
+    # nodes were evaluated).  2,550 levels in all when GK15 panels took
+    # them: 15 finite-segment, 65 low-end and 90 high-end panels, 225,
+    # 975 and 1,350 levels
     counts = collections.Counter()
     passes = _level_pass_logits(monkeypatch)
     for make in (_rise_function, _compact_shell_function):
@@ -508,7 +510,7 @@ def test_level_pass_levels_by_role(monkeypatch):
     print(dict(counts))
     assert len(passes) == 10 and counts["finite"] == 0
     assert counts["whole"] <= 325 and counts["low"] <= 285
-    assert counts["high"] <= 265 and counts["breakpoint"] <= 40
+    assert counts["high"] <= 265 and counts["breakpoint"] == 0
 
 
 def test_shell_clusters_its_nodes_at_its_smooth_minimum(monkeypatch):
@@ -726,6 +728,31 @@ def test_divergent_gradient_of_a_rearrangement_is_named(grad, n, p):
     assert isinstance(exc.value.__cause__, DomainError)
     assert "overflows" in str(exc.value.__cause__)
     assert "values" not in vars(v) and "tail" not in vars(v)
+
+
+def test_rearrangement_scalars_come_from_its_source(monkeypatch):
+    # sup_value and support_volume of a rearrangement are its source's,
+    # read with no grid solved.  For the bump (1 - r^2)^2 on [0, 1] at
+    # n = 3 the support volume is sigma phi(1); the grid topped at
+    # mu(1e-6) fits a power tail, whose infinite support made
+    # morrey_sobolev read outside-range
+    bump = Piece(0.0, 1.0, lambda r: (1.0 - r * r) ** 2, lambda r: -4.0 * r * (1.0 - r * r))
+    zero = Piece(1.0, math.inf, lambda r: 0.0, lambda r: 0.0)
+    f = RadialFunction(3, (bump,))
+    top = distribution_function(f, 1e-6)
+    v = decreasing_rearrangement(f, [0.0, *quadrature.geomspace(1e-6 * top, top, 40)])
+    calls = _counted_level_sets(monkeypatch)
+    support = unit_ball_volume(3) * geometry.phi(3, 1.0)
+    assert v.sup_value == 1.0 and v.support_volume == support == 5.110932705708288
+    assert not calls and "values" not in vars(v) and "tail" not in vars(v)
+    rep = verifier.morrey_sobolev(v, 3, 4.0)
+    assert not rep.flags and rep.extras["support_volume"] == support and rep.passes()
+    assert v.tail.kind == "power"
+    # a piece where f is 0 adds no volume, and a positive unbounded one
+    # makes the support infinite
+    assert RadialFunction(3, (bump, zero)).support_volume == support
+    assert math.isinf(_bump_function(3).support_volume)
+    assert math.isinf(_rearranged(_bump_function(3), num=12).support_volume)
 
 
 def test_closure_is_pure():
@@ -1595,53 +1622,59 @@ def test_warm_pass_calls_no_closure_and_changes_no_bit():
         assert calls == {"fn": 0, "dfn": 0}, v.label
 
 
-def test_pass_calls_only_the_closure_it_needs():
-    key_pass = dict(qs=(3.0,), grads=("hyperbolic", "euclidean"))
-    cold = radial_integrals(dataclasses.replace(_CORPUS["bump-A1-b1"]), 4, 3.0, **key_pass)
-    v, calls = _counted(_CORPUS["bump-A1-b1"])
-    lp_integral(v, 3.0)
-    assert calls["fn"] > 0 and calls["dfn"] == 0
-    calls.update(fn=0, dfn=0)
-    grad_norm_hyperbolic(v, 4, 3.0)
-    assert calls["fn"] == 0 and calls["dfn"] > 0
-    # the key comparison's pass takes v at every node of its panels, and
-    # v' only at the panels the gradient pass did not take
+_ONE_EACH = [dict(qs=(3.0,), grads=()), dict(), dict(grads=("euclidean",)),
+             dict(grads=(), entropy=True)]
+
+
+@pytest.mark.parametrize("first", _ONE_EACH, ids=["mass", "hyperbolic", "euclidean", "entropy"])
+def test_first_pass_computes_whole_rows(first):
+    # a panel's first visit computes its whole row, log phi, log sinh,
+    # log |v'| and log v, whatever the pass integrates: fn and dfn 15
+    # times each per row it adds; a pass of any other integral then calls
+    # them only at the panels its own tree adds, and gives the values of a
+    # fresh profile
+    bump = _CORPUS["bump-A1-b1"]
+    v, calls = _counted(bump)
+    radial_integrals(v, 4, 3.0, **first)
     table = v._panels[4]
-    kept = dict(table)
-    calls.update(fn=0, dfn=0)
-    assert radial_integrals(v, 4, 3.0, **key_pass) == cold
-    assert calls == {"fn": 15 * sum(not math.isnan(a[45]) for a in table.values()),
-                     "dfn": 15 * _added(kept, table)}
-    calls.update(fn=0, dfn=0)
-    assert radial_integrals(v, 4, 3.0, **key_pass) == cold
-    assert calls == {"fn": 0, "dfn": 0}
-    # the sup-norm extremal: a gradient pass calls no fn, and fn is finite
-    # at every radius a mass pass reaches
+    assert table and calls == {"fn": 15 * len(table), "dfn": 15 * len(table)}
+    for later in _ONE_EACH:
+        kept = dict(table)
+        calls.update(fn=0, dfn=0)
+        got = radial_integrals(v, 4, 3.0, **later)
+        added = _added(kept, table)
+        assert calls == {"fn": 15 * added, "dfn": 15 * added}, later
+        assert got == radial_integrals(dataclasses.replace(bump), 4, 3.0, **later), later
+    # the sup-norm extremal: its gradient pass keeps v where its mass pass
+    # reads it, finite at every radius either reaches
     cold = grad_norm_hyperbolic(verifier.extremal_linfty_profile(2, 4.0), 2, 4.0)
     ex, calls = _counted(verifier.extremal_linfty_profile(2, 4.0))
     assert grad_norm_hyperbolic(ex, 2, 4.0) == cold
-    assert calls["fn"] == 0
+    assert calls["fn"] == calls["dfn"] == 15 * len(ex._panels[2])
     assert abs(verifier.linfty_inequality(ex, 2, 4.0).relative_margin) < 1e-8
     assert 0.0 < lp_integral(ex, 4.0)[0] < math.inf
 
 
-def test_full_table_keeps_a_log_half_filled_into_a_kept_panel(monkeypatch):
-    # only a new panel needs room in a full table: a mass pass after a
-    # gradient pass fills log v into the kept panels once, and later mass
-    # passes call fn only at the panels the table has no room for
+def test_full_table_adds_no_row(monkeypatch):
+    # a full table keeps its rows as they are: a pass over it computes the
+    # panels it lacks on every visit, both closures at each of their
+    # nodes, adds and changes no row, and gives a fresh profile's values
     # (the gradient pass takes 8 panels, so a cap of 6 fills)
     monkeypatch.setattr(rearrangement, "_GRID_PANELS", 6)
+    key_pass = dict(qs=(3.0,), grads=("hyperbolic", "euclidean"))
+    cold = radial_integrals(dataclasses.replace(_CORPUS["bump-A1-b1"]), 4, 3.0, **key_pass)
     v, calls = _counted(_CORPUS["bump-A1-b1"])
     grad_norm_hyperbolic(v, 4, 3.0)
-    assert len(v._panels[4]) == 6
-    counts, results = [], []
+    rows = dict(v._panels[4])
+    assert len(rows) == 6
+    counts = []
     for _ in range(3):
         calls.update(fn=0, dfn=0)
-        results.append(radial_integrals(v, 4, 3.0, qs=(3.0,), grads=()))
+        assert radial_integrals(v, 4, 3.0, **key_pass) == cold
+        assert v._panels[4] == rows
+        assert calls["fn"] == calls["dfn"] > 0
         counts.append(calls["fn"])
-    assert counts[1] == counts[2] == counts[0] - 15 * 6
-    assert results[0] == results[1] == results[2]
-    assert calls["dfn"] == 0 and len(v._panels[4]) == 6
+    assert counts[0] == counts[1] == counts[2]
 
 
 def test_closure_logs_live_and_die_with_their_profile():
