@@ -63,8 +63,8 @@ class Params:
 
     def __post_init__(self):
         check_dimension(self.n)
-        if not 1.0 < self.p < math.inf:
-            raise DomainError(f"exponent p must be finite and exceed 1, got {self.p!r}")
+        if not 1.0 <= self.p < math.inf:
+            raise DomainError(f"exponent p must be finite and at least 1, got {self.p!r}")
         if self.alpha is not None:
             if not self.p < self.n:
                 raise DomainError("alpha only applies when p < n")
@@ -129,6 +129,8 @@ def gn_constant(params: Params) -> float:
     n, p, a = params.n, params.p, params.alpha
     if a is None:
         raise DomainError("gn_constant needs alpha")
+    if not p > 1.0:
+        raise DomainError(f"gn_constant needs 1 < p < n, got n={n}, p={p}")
     th = gn_theta(params)
     q = a * (p - 1) + 1
     delta = n * p - (n - p) * q

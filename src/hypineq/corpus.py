@@ -15,8 +15,10 @@ import math
 import os
 from typing import List, Tuple
 
+from .errors import DomainError
+from .geometry import softplus
 from .quadrature import geomspace, linspace
-from .rearrangement import RadialProfile, Tail, write_profile
+from .rearrangement import RadialProfile, Tail, closure_profile, write_profile
 
 __all__ = ["tent_profile", "bump_profile", "standard_corpus",
            "bubble_corpus", "write_corpus"]
@@ -25,17 +27,19 @@ __all__ = ["tent_profile", "bump_profile", "standard_corpus",
 def _spike(name: str, height: float, support: float, k: int) -> RadialProfile:
     """A (1 - s/b)^k on [0, b), zero beyond: height A at 0, support b."""
     A, b = float(height), float(support)
+    if not (A >= 0.0 and b > 0.0):
+        raise DomainError(f"need height >= 0 and support > 0, got {A!r}, {b!r}")
+    lb, la = math.log(b), math.log(A) if A else -math.inf  # A = 0: the zero profile
+    lka = la + math.log(k / b)
 
-    def fn(s):
-        return A * (1.0 - s / b) ** k if s < b else 0.0
+    def logs(x):
+        if x >= lb:
+            return -math.inf, -math.inf
+        l1 = math.log(-math.expm1(x - lb))  # log(1 - s/b)
+        return lka + (k - 1) * l1, la + k * l1
 
-    def dfn(s):
-        return -k * A * (1.0 - s / b) ** (k - 1) / b if 0.0 < s < b else 0.0
-
-    grid = linspace(0.0, b, 33)
-    vals = [fn(s) for s in grid]
-    return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
-                         label=f"{name}-A{A:g}-b{b:g}")
+    return closure_profile(linspace(0.0, b, 33), Tail("compact", b), logs,
+                           f"{name}-A{A:g}-b{b:g}")
 
 
 def tent_profile(height: float, support: float) -> RadialProfile:
@@ -46,71 +50,61 @@ def tent_profile(height: float, support: float) -> RadialProfile:
 def bump_profile(height: float, support: float) -> RadialProfile:
     """C^1 compact bump A*(1 - (s/b)^2)^2."""
     A, b = float(height), float(support)
+    if not (A >= 0.0 and b > 0.0):
+        raise DomainError(f"need height >= 0 and support > 0, got {A!r}, {b!r}")
+    lb, la = math.log(b), math.log(A) if A else -math.inf
+    l4a = la + math.log(4.0 / b)
 
-    def fn(s):
-        if s >= b:
-            return 0.0
-        z = s / b
-        return A * (1.0 - z * z) ** 2
+    def logs(x):
+        if x >= lb:
+            return -math.inf, -math.inf
+        l1 = math.log(-math.expm1(2.0 * (x - lb)))  # log(1 - (s/b)^2)
+        return l4a + l1 + x - lb, la + 2.0 * l1
 
-    def dfn(s):
-        if s <= 0.0 or s >= b:
-            return 0.0
-        z = s / b
-        return -4.0 * A * (1.0 - z * z) * z / b
-
-    grid = linspace(0.0, b, 41)
-    vals = [fn(s) for s in grid]
-    return RadialProfile(grid, vals, Tail("compact", b), fn=fn, dfn=dfn,
-                         label=f"bump-A{A:g}-b{b:g}")
+    return closure_profile(linspace(0.0, b, 41), Tail("compact", b), logs,
+                           f"bump-A{A:g}-b{b:g}")
 
 
 def _exponential_profile(height: float, rate: float) -> RadialProfile:
     A, a = float(height), float(rate)
+    la, laa = math.log(A), math.log(a * A)
 
-    def fn(s):
-        return A * math.exp(-a * s)
+    def logs(x):
+        # a s, inf past double range, which a sweep's last panel reaches
+        d = a * (math.exp(x) if x < 709.0 else math.inf)
+        return laa - d, la - d
 
-    def dfn(s):
-        return -a * A * math.exp(-a * s)
-
-    grid = [0.0] + geomspace(1e-3 / a, 30.0 / a, 40)
-    vals = [fn(s) for s in grid]
-    return RadialProfile(grid, vals, Tail("exponential", a), fn=fn, dfn=dfn,
-                         label=f"exp-A{A:g}-a{a:g}")
+    return closure_profile([0.0] + geomspace(1e-3 / a, 30.0 / a, 40),
+                           Tail("exponential", a), logs, f"exp-A{A:g}-a{a:g}")
 
 
 def _sech_profile(height: float, rate: float) -> RadialProfile:
+    """2A e / (1 + e^2), e = e^(-as), and |v'| = 2Aa e (1 - e^2) / (1 + e^2)^2."""
     A, a = float(height), float(rate)
+    l2a, l2aa = math.log(2.0 * A), math.log(2.0 * a * A)
 
-    def fn(s):
-        e = math.exp(-a * s)
-        return 2.0 * A * e / (1.0 + e * e)
-
-    def dfn(s):
-        e = math.exp(-a * s)
+    def logs(x):
+        d = a * (math.exp(x) if x < 709.0 else math.inf)  # a s
+        l1 = math.log1p(math.exp(-2.0 * d))  # log(1 + e^2)
         # 1 - e^2 as -expm1(-2as), which keeps its digits as s -> 0
-        return 2.0 * A * a * e * math.expm1(-2.0 * a * s) / (1.0 + e * e) ** 2
+        gap = -math.expm1(-2.0 * d)
+        return (l2aa - d + math.log(gap) - 2.0 * l1 if gap > 0.0 else -math.inf,
+                l2a - d - l1)
 
-    grid = [0.0] + geomspace(1e-3 / a, 30.0 / a, 40)
-    vals = [fn(s) for s in grid]
-    return RadialProfile(grid, vals, Tail("exponential", a), fn=fn, dfn=dfn,
-                         label=f"sech-A{A:g}-a{a:g}")
+    return closure_profile([0.0] + geomspace(1e-3 / a, 30.0 / a, 40),
+                           Tail("exponential", a), logs, f"sech-A{A:g}-a{a:g}")
 
 
 def _power_profile(decay: float) -> RadialProfile:
     k = float(decay)
+    lk = math.log(k)
 
-    def fn(s):
-        return (1.0 + s) ** (-k)
+    def logs(x):
+        l1 = softplus(x)  # log(1 + s)
+        return lk - (k + 1.0) * l1, -k * l1
 
-    def dfn(s):
-        return -k * (1.0 + s) ** (-k - 1.0)
-
-    grid = [0.0] + geomspace(1e-3, 1e4, 40)
-    vals = [fn(s) for s in grid]
-    return RadialProfile(grid, vals, Tail("power", k), fn=fn, dfn=dfn,
-                         label=f"power-k{k:g}")
+    return closure_profile([0.0] + geomspace(1e-3, 1e4, 40), Tail("power", k),
+                           logs, f"power-k{k:g}")
 
 
 def standard_corpus() -> List[RadialProfile]:

@@ -11,7 +11,7 @@ power of sinh).  At small radius, where the exponential sum cancels, it is
 summed instead as a power series in t with positive terms: below t = 0.5
 up to n = 6, and further out for larger n (_series_top).  Below t = 0.5
 phi_inv sums that series' Lagrange reversion (Henrici, Applied and
-Computational Complex Analysis I, 1974, sec. 1.9), above it finds a root.
+Computational Complex Analysis I, 1974, sec. 1.9), above Newton on log_phi.
 """
 
 from __future__ import annotations
@@ -23,20 +23,21 @@ from operator import mul
 from typing import Iterator, List, Optional, Sequence, Tuple
 
 from .constants import boundary_exponent, check_dimension, unit_ball_volume
-from .errors import DomainError
-from .quadrature import _ROOT_REL_TOL, find_root_increasing
+from .errors import ConvergenceError, DomainError
+from .quadrature import _ROOT_MAX_ITER, _ROOT_REL_TOL, find_root_increasing
 
 __all__ = [
     "log_sinh",
     "phi",
+    "log_phi",
     "phi_deriv",
     "phi_inv",
+    "phi_inv_log",
     "phi_inv_ordered",
     "sinh_phi_inv",
     "radial_margin_scaled",
     "margin_slope_factor",
     "violation_onset",
-    "isoperimetric_profile",
     "isoperimetric_tail_integral",
 ]
 
@@ -156,6 +157,21 @@ def _log_phi_excess(n: int, t: float) -> float:
     return math.log(n * 2.0 ** (1 - n)) + math.log(acc)
 
 
+def log_phi(n: int, t: float) -> float:
+    """log phi(n, t) for any t >= 0 (-inf at 0): log of phi while phi is a
+    normal double, n log t below (where phi is t^n to double precision),
+    and lambda(t) + (n-1) t past phi's overflow edge (_log_phi_excess)."""
+    if (n - 1) * t > 700.0:
+        check_dimension(n)
+        return _log_phi_excess(n, t) + (n - 1) * t
+    ph = phi(n, t)
+    return math.log(ph) if ph >= sys.float_info.min else n * math.log(t) if t else -math.inf
+
+
+def softplus(x: float) -> float:  # log(1 + e^x) for any x, without overflow
+    return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+
+
 def _phi_excess_eps(n: int, t: float) -> float:
     """epsilon in (n-1) phi(n, t) e^(-(n-1)t) 2^(n-1) / n = 1 + epsilon: the
     factored exponential sum of _log_phi_excess without its leading 1,
@@ -195,57 +211,57 @@ def _inv_series(n: int) -> Tuple[float, Tuple[float, ...]]:
     return x_top, tuple(reversed(out))
 
 
+def _inv_sum(cs: Tuple[float, ...], w: float) -> float:
+    v, acc = w * w, 0.0  # the reversed series of _inv_series at w = x^(1/n)
+    for c in cs:
+        acc = acc * v + c
+    return w * acc
+
+
 def phi_inv(n: int, s: float) -> float:
     """Inverse of the volume map: the geodesic radius enclosing normalized
-    volume s.  For n >= 3 below phi(n, _SMALL_T), where phi is a series,
+    volume s.  Below phi(n, _SMALL_T), where phi is a series,
     it sums the reversed series (_inv_series): within 4 ulps, no phi call.
-    Above, a root find of about five phi, within its 1e-13 tolerance."""
+    Above, phi_inv_log(n, log s)."""
     check_dimension(n)
     if s < 0.0:
         raise DomainError(f"volume must be >= 0, got {s!r}")
     if s == 0.0:
         return 0.0
-    if n == 2:
-        # acosh(1 + s/2) written to stay accurate for tiny s; past 1e150,
-        # where s * s overflows, it is log(s) + 2/s to double precision
-        if s > 1e150:
-            return math.log(s)
-        return math.log1p(0.5 * s + math.sqrt(s + 0.25 * s * s))
     x_top, cs = _inv_series(n)
     if s < x_top:
         # s^(1/n) = (m 2^r)^(1/n) 2^q for s = m 2^(nq + r): the rounding of
         # 1/n then moves it by under an ulp, not by |log s| ulps
         m, e = math.frexp(s)
         q, r = divmod(e, n)
-        w = math.ldexp(math.ldexp(m, r) ** (1.0 / n), q)
-        v, acc = w * w, 0.0
-        for c in cs:
-            acc = acc * v + c
-        return w * acc
-    # t^n <= phi(t) <= n 2^(1-n) e^((n-1)t) / (n-1) puts the root between
-    # t_large and s^(1/n); Newton starts from the bound that is sharp at
-    # this end of the range.  The bracket stops at phi's overflow edge.
-    t_large = (math.log(s * (n - 1) / n) + (n - 1) * math.log(2.0)) / (n - 1)
-    edge = 700.0 / (n - 1)
-    if (n - 1) * edge > 700.0:
-        edge = math.nextafter(edge, 0.0)
-    # sinh u >= e^u (1 - e^-2) / 2 on u >= 1 gives phi(t_large + 2) >= s,
-    # and phi(1) >= 1 covers s < 1; so only the edge can fall short of s
-    hi = min(max(1.0, t_large + 2.0), edge)
-    phi_hi = phi(n, hi)
-    if phi_hi < s:
-        raise DomainError(f"phi_inv({n}, {s!r}): phi overflows double "
-                          "precision before it reaches s")
-    x0 = s ** (1.0 / n) if t_large <= _SMALL_T else t_large
-    # phi(n, 0) = 0: the root find evaluates neither end of the bracket
-    return find_root_increasing(lambda t: phi(n, t), s, (0.0, hi),
-                                df=lambda t: phi_deriv(n, t), x0=x0,
-                                ends=(0.0, phi_hi))
+        return _inv_sum(cs, math.ldexp(math.ldexp(m, r) ** (1.0 / n), q))
+    return phi_inv_log(n, math.log(s))
+
+
+def phi_inv_log(n: int, x: float) -> float:
+    """The radius t where log_phi(n, t) = x, for any x (0 at -inf): the
+    reversed series at w = e^(x/n) below log phi(n, _SMALL_T), else Newton
+    on the concave log phi, slope n sinh(t)^(n-1) / phi, from the larger
+    of _SMALL_T and t_large (phi <= n 2^(1-n) e^((n-1)t) / (n-1)), both
+    below the root, so the iterates rise to it.  A step below 1e-9 t is
+    the last: Newton's error past it is below rounding."""
+    check_dimension(n)
+    x_top, cs = _inv_series(n)
+    if x < math.log(x_top):
+        return _inv_sum(cs, math.exp(x / n))
+    t = max(_SMALL_T, (x + math.log((n - 1) / n) + (n - 1) * math.log(2.0)) / (n - 1))
+    for _ in range(_ROOT_MAX_ITER):
+        lph = log_phi(n, t)
+        step = (x - lph) * math.exp(lph - math.log(n) - (n - 1) * log_sinh(t))
+        t += step
+        if abs(step) <= 1e-9 * t:
+            return t
+    raise ConvergenceError(f"phi_inv_log({n}, {x!r}) did not converge", partial=t)
 
 
 # Newton from a neighbour's radius takes about log(x_above / x) steps before
-# it converges, phi_inv about five phi in all; past this ratio x takes phi_inv,
-# as does every x where phi_inv sums its series, which calls no phi
+# it converges; past this ratio x takes phi_inv, as does every x where
+# phi_inv sums its series, which calls no phi
 _ORDERED_RATIO = 20.0
 
 
@@ -259,10 +275,8 @@ def phi_inv_ordered(n: int, xs: Sequence[float]) -> List[float]:
     right never leaves the bracket.  A volume whose Newton start is not
     below t_above, one equal to x_above among them, takes t_above; one
     more than _ORDERED_RATIO below it, or below phi(n, _SMALL_T), takes
-    phi_inv; n = 2 is closed-form.
+    phi_inv.
     """
-    if n == 2:
-        return [phi_inv(n, x) for x in xs]
     x_top = _inv_series(n)[0]
     out = [0.0] * len(xs)
     t_above = x_above = None
@@ -348,7 +362,7 @@ def _margin_rows(n: int, p: float, ts: Sequence[float], slope: bool = False
         else:
             m = (math.exp(q * log_sh) - b - math.exp(p * (log_ratio + lam))) / scale
         x = p * (lam + (n - 1) * t)
-        log_scale = x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
+        log_scale = softplus(x)
         f = None
         if slope:
             # log of the slope factor's first term less its growth (q-n+1) t;
@@ -425,14 +439,6 @@ def violation_onset(n: int, p: float) -> float:
     return t
 
 
-def isoperimetric_profile(n: int, s: float) -> float:
-    """Boundary-area weight of the superlevel ball of hyperbolic volume s
-    (in absolute volume units), up to the factor n sigma_n."""
-    if s < 0.0:
-        raise DomainError(f"volume must be >= 0, got {s!r}")
-    return sinh_phi_inv(n, s / unit_ball_volume(n)) ** (n - 1)
-
-
 def _beta_series(x: float, alpha: float, beta: float) -> Tuple[float, int]:
     """(sum, terms) of sum_k (1-beta)_k x^k / (k! (alpha+k)) = B(x; alpha,
     beta) / x^alpha (DLMF 8.17.7), 0 <= x <= 1/2, 0 < beta < 1: positive
@@ -450,25 +456,27 @@ def _beta_series(x: float, alpha: float, beta: float) -> Tuple[float, int]:
 
 
 def isoperimetric_tail_integral(n: int, p: float, r: float = 0.0) -> Tuple[float, float]:
-    """Integral over [r, infinity) of isoperimetric_profile(n, .)^(-p/(p-1)),
-    p > n: n sigma times that of sinh(t)^(-a) over [tau, infinity),
-    a = (n-1)/(p-1), tau = phi_inv(n, r/sigma), which x = e^(-2t) turns
-    into n sigma 2^(a-1) B(e^(-2 tau); a/2, beta), beta = (p-n)/(p-1).
-    Up to x = 1/2 B is its series; above, the complete beta less the
-    series of B(1-x; beta, a/2).  Returns (value, error): the error bounds
-    the rounding, in eps per unit of what it multiplies (8 per series
-    term, 1 + a tau for e^(-a tau), 10 per math.gamma, 1 for the
-    subtraction, 16 for the scale), and tau's shift within phi_inv's root
-    tolerance times tau (phi/phi' <= tau).
-    """
+    """(value, error) of the integral over the volumes [r, infinity) of
+    sinh(tau)^(-(n-1)p/(p-1)), tau = phi_inv(n, s/sigma), p > n (_tail_integral)."""
     if not p > n:
         raise DomainError(f"tail integral diverges unless p > n, got n={n}, p={p}")
     if r < 0.0:
         raise DomainError(f"need r >= 0, got {r!r}")
+    return _tail_integral(n, p, phi_inv(n, r / unit_ball_volume(n)))
+
+
+def _tail_integral(n: int, p: float, tau: float) -> Tuple[float, float]:
+    """isoperimetric_tail_integral from radius tau: n sigma times the
+    integral of sinh(t)^(-a) over [tau, infinity), a = (n-1)/(p-1), which
+    x = e^(-2t) turns into n sigma 2^(a-1) B(e^(-2 tau); a/2, beta), beta =
+    (p-n)/(p-1).  Up to x = 1/2 B is its series; above, the complete beta
+    less the series of B(1-x; beta, a/2).  The error bounds the rounding,
+    in eps per unit of what it multiplies (8 per series term, 1 + a tau
+    for e^(-a tau), 10 per math.gamma, 1 for the subtraction, 16 for the
+    scale), and a shift of tau by _ROOT_REL_TOL tau (phi/phi' <= tau)."""
     sigma = unit_ball_volume(n)
     a = (n - 1.0) / (p - 1.0)  # in (0, 1)
     alpha, beta = 0.5 * a, (p - n) / (p - 1.0)
-    tau = phi_inv(n, r / sigma)
     x = math.exp(-2.0 * tau)
     if x <= 0.5:
         total, k = _beta_series(x, alpha, beta)

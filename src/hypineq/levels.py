@@ -77,14 +77,19 @@ class RadialFunction:
 
     @property
     def support_volume(self) -> float:
-        """The volume of {|u| > 0}: sigma times phi(b) - phi(a) summed over
-        the pieces where f is positive, inf if such a piece is unbounded."""
+        """The volume of {|u| > 0}: sigma (phi(b) - phi(a)) over the pieces where f is positive,
+        cut where one reaches 0 (bisected to adjacent doubles), inf if one is unbounded."""
         total = 0.0
-        for pc, ends in zip(self.pieces, self.ends):
-            if max(ends) > 0.0:
+        for pc, (va, vb) in zip(self.pieces, self.ends):
+            if max(va, vb) > 0.0:
                 if math.isinf(pc.b):
                     return math.inf
-                total += geometry.phi(self.n, pc.b) - geometry.phi(self.n, pc.a)
+                ends, zero = [pc.a, pc.b], int(vb == 0.0)  # the end where f may be 0
+                pos, out = ends[1 - zero], ends[zero]
+                while min(va, vb) == 0.0 and (mid := 0.5 * (pos + out)) not in (pos, out):
+                    pos, out = (mid, out) if pc.fn(mid) > 0.0 else (pos, mid)
+                ends[zero] = out
+                total += geometry.phi(self.n, ends[1]) - geometry.phi(self.n, ends[0])
         return unit_ball_volume(self.n) * total
 
 

@@ -36,6 +36,7 @@ from .report import DeficitReport, fmt17
 __all__ = [
     "Tail",
     "RadialProfile",
+    "closure_profile",
     "Piece",
     "RadialFunction",
     "distribution_function",
@@ -86,10 +87,12 @@ class RadialProfile:
     derivative is the exact derivative of that function.
     When an analytic closure fn is attached, together with its derivative
     dfn (both or neither), the closure is authoritative everywhere and
-    the grid is a consistency witness.  A closure profile keeps, per
-    dimension n, a table of log phi, log sinh, log |v'| and log v at the 15
-    nodes of each panel its passes in geodesic radius took
-    (radial_integrals): 61 doubles, about 0.55 KiB, a panel, at most
+    the grid is a consistency witness; a built-in one is stated once, in
+    logs (closure_profile), as _logs, which survives dataclasses.replace
+    (of fn and dfn too) and is not compared, hashed or printed.  A closure
+    profile keeps, per dimension n, a table of log phi, log sinh, log |v'|
+    and log v at the 15 nodes of each panel its passes in geodesic radius
+    took (radial_integrals): 61 doubles, about 0.55 KiB, a panel, at most
     _GRID_PANELS panels per n.  The table is not compared, hashed or
     copied by dataclasses.replace, and dies with the profile; so do the
     128 samples (s, v(s)) a profile keeps for its equality distance
@@ -112,6 +115,7 @@ class RadialProfile:
     label: str = ""
     joins: Tuple[float, ...] = ()
     source: Optional[RadialFunction] = field(default=None, compare=False, repr=False)
+    _logs: Optional[Callable] = field(default=None, compare=False, repr=False)
     _panels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _samples: list = field(default_factory=list, init=False, compare=False, repr=False)
 
@@ -220,6 +224,35 @@ class RadialProfile:
             return -b * vlast / last * (s / last) ** (-b - 1.0)
         a = self.tail.param
         return -a * vlast * math.exp(-a * (s - last))
+
+
+def closure_profile(grid: Sequence[float], tail: Tail, logs: Callable, label: str = "",
+                    joins: Sequence[float] = ()) -> RadialProfile:
+    """A closure profile stated once, in logs (log |v'(s)|, log v(s)) = logs(x) at
+    s = e^x for any x (-inf at s = 0), -inf where a value is 0: fn and dfn are
+    their exponentials (v' <= 0), and the pass in geodesic radius reads logs."""
+    def at(s):
+        return logs(math.log(s) if s > 0.0 else -math.inf)
+
+    fn, dfn = (lambda s: math.exp(at(s)[1])), (lambda s: -math.exp(at(s)[0]))
+    return RadialProfile(grid, [fn(s) for s in grid], tail, fn=fn, dfn=dfn,
+                         label=label, joins=joins, _logs=logs)
+
+
+def _float_logs(fn: Callable[[float], float], dfn: Callable[[float], float]):
+    """The log closure (log |dfn(s)|, log fn(s)) at s = e^x of float closures,
+    -inf where a value is 0 or nan, and where s is no normal double, where
+    neither is called (v' of a concentrated profile overflows below)."""
+    lo, hi = math.log(sys.float_info.min), math.log(sys.float_info.max)
+
+    def logs(x):
+        if not lo <= x <= hi:
+            return -math.inf, -math.inf
+        s = math.exp(x)
+        dv, val = abs(float(dfn(s))), float(fn(s))
+        return (math.log(dv) if dv > 0.0 else -math.inf,
+                math.log(val) if val > 0.0 else -math.inf)
+    return logs
 
 
 # ---------------------------------------------------------------------
@@ -485,9 +518,9 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     in log space with w = (n-1) log sinh t: |v'|^p times exp(p(n-1) log sinh t + w) or
     exp(p(n-1)/n log phi + w), exp(q log v + w), p log v exp(p log v + w).
     All four, which do not depend on p, come from the profile's table at
-    n, one row a panel: a pass computes a row, calling dfn and fn once at
-    each node, only at a panel no earlier pass of the profile at this n
-    kept, whatever it integrates.
+    n, one row a panel: a pass computes a row, calling the log closure
+    (_logs, else _float_logs) once at each node, only at a panel no
+    earlier pass of the profile at this n kept, whatever it integrates.
     """
     check_dimension(n)
     for name, x in [("p", p)] * bool(grads or entropy) + [("q", q) for q in qs]:
@@ -521,47 +554,31 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     t_top = (math.inf if math.isinf(top) else breaks[-1] if top == v.nodes[-1]
              else geometry.phi_inv(n, top / sigma))
     c_hyp, c_euc = p * (n - 1) + n - 1, p * (n - 1) / n
-    log, exp = math.log, math.exp
-    tiny, ninf = sys.float_info.min, -math.inf
-    fn, dfn = v.fn, v.dfn
+    exp, ninf, log_sigma = math.exp, -math.inf, math.log(sigma)
+    logs = v._logs or _float_logs(v.fn, v.dfn)
     table = v._panels.setdefault(n, {})
 
     def panel(ts):
         """log phi, log sinh, log |v'| and log v at the panel's 15 nodes ts:
         read from the table row at the panel's centre whose last value is
         ts[1], else computed whole and kept while the table has room or
-        over a colliding row.  v' and then v at each node: a
-        rearrangement's closure shares one solve between them.  phi is 0
-        where t <= 0 or (n-1) t > 690, so every integrand is zero there; the
-        prechecks do not make what that drops negligible (the sup-norm
-        extremal's sinh(t)^(-a) loses about 2^a e^(-690 a/(n-1)) / a,
-        ROADMAP item 18).  log sinh is 0 where phi is; a log is -inf where
-        phi = 0, v' = 0 (or nan), v <= 0, or s is below the smallest normal
-        volume, where no closure is called (v' of a concentrated profile
-        overflows)."""
+        over a colliding row: log_phi and log_sinh at each node, and the
+        profile's log closure at x = log sigma + log phi."""
         kept = table.get(ts[0])
         if kept is not None and kept[-1] == ts[1]:
             row = kept.tolist()
             return row[:15], row[15:30], row[30:45], row[45:60]
-        phs = [geometry.phi(n, t) if 0.0 < t and (n - 1) * t <= 690.0 else 0.0
-               for t in ts]
-        lss = [geometry.log_sinh(t) if ph > 0.0 else 0.0 for t, ph in zip(ts, phs)]
-        ldvs, lvs = [], []
-        for ph in phs:
-            s = sigma * ph
-            dv = abs(float(dfn(s))) if s >= tiny else 0.0
-            val = float(fn(s)) if s >= tiny else 0.0
-            ldvs.append(log(dv) if dv > 0.0 else ninf)
-            lvs.append(log(val) if val > 0.0 else ninf)
-        lphs = [log(ph) if ph > 0.0 else ninf for ph in phs]
+        lphs = [geometry.log_phi(n, t) for t in ts]
+        lss = [geometry.log_sinh(t) for t in ts]
+        ldvs, lvs = zip(*[logs(log_sigma + lph) for lph in lphs])
         if kept is not None or len(table) < _GRID_PANELS:
             table[ts[0]] = array("d", [*lphs, *lss, *ldvs, *lvs, ts[1]])
         return lphs, lss, ldvs, lvs
 
-    def overflows(logs):
-        if max(logs) > 700.0:
+    def overflows(xs):
+        if max(xs) > 700.0:
             raise DomainError("gradient integrand overflows; looks divergent")
-        return logs
+        return xs
 
     def g(ts):
         # one list of 15 values per component; exp(-inf) is 0.0, but the

@@ -19,8 +19,9 @@ from typing import Callable, List, Optional, Sequence, Tuple
 from . import verifier
 from .constants import unit_ball_volume
 from .errors import DomainError, OverflowDomainError
+from .geometry import softplus
 from .quadrature import geomspace
-from .rearrangement import RadialProfile, Tail
+from .rearrangement import RadialProfile, Tail, closure_profile
 from .report import csv_table
 
 __all__ = [
@@ -33,26 +34,10 @@ __all__ = [
 ]
 
 
-def _cutoff(x: float) -> float:
-    """C^1 polynomial ramp: 1 on [0, 1/2], 0 at 1, smoothstep between."""
-    if x <= 0.5:
-        return 1.0
-    if x >= 1.0:
-        return 0.0
-    y = 2.0 * x - 1.0
-    return 1.0 - y * y * (3.0 - 2.0 * y)
-
-
-def _dcutoff(x: float) -> float:
-    if x <= 0.5 or x >= 1.0:
-        return 0.0
-    y = 2.0 * x - 1.0
-    return -(6.0 * y - 6.0 * y * y) * 2.0
-
-
 def _bubble(n: int, p: float, lam: float):
-    """(v, v', scale sigma lam^n, decay exponent of v in s) of the
-    flat-Sobolev extremal on the measure line."""
+    """(log closure, scale sigma lam^n, decay exponent of v in s) of the
+    flat-Sobolev extremal on the measure line, v = (1 + z)^(-ex) with
+    z = (s / scale)^e, and log(1 + z) = softplus(log z) at any s."""
     if not (1.0 < p < n):
         raise DomainError(f"bubble needs 1 < p < n, got n={n}, p={p}")
     if not lam > 0.0:
@@ -70,64 +55,56 @@ def _bubble(n: int, p: float, lam: float):
                           f"precision at lambda={lam!r}")
     e = p / ((p - 1.0) * n)
     ex = (n - p) / p
+    log_scale = math.log(scale)
+    # |v'| = ex e z (1 + z)^(-ex-1) / s, z / s = (s / scale)^(e-1) / scale (1 / scale if e = 1)
+    log_slope, e1 = math.log(ex * e) - log_scale, e - 1.0
 
-    # where z = (s / scale)^e overflows, 1 + z is z in double precision
-    # and the values are taken from log z
-    def fn(s):
-        try:
-            return (1.0 + (s / scale) ** e) ** (-ex)
-        except OverflowError:
-            return math.exp(-ex * e * math.log(s / scale))
+    def logs(x):
+        u = x - log_scale  # log(s / scale)
+        l1 = softplus(e * u)  # log(1 + z)
+        return log_slope + (e1 * u if e1 else 0.0) - (ex + 1.0) * l1, -ex * l1
 
-    def dfn(s):
-        if s <= 0.0:
-            return 0.0
-        try:
-            z = (s / scale) ** e
-        except OverflowError:
-            return -ex * e * fn(s) / s
-        return -ex * (1.0 + z) ** (-ex - 1.0) * e * z / s
-
-    return fn, dfn, scale, e * ex
+    return logs, scale, e * ex
 
 
 def untruncated_bubble(n: int, p: float, lam: float) -> RadialProfile:
     """Profile of the flat-Sobolev extremal, transplanted to the measure
     line; power tail, admissible for critical-norm quantities only."""
-    fn, dfn, scale, decay = _bubble(n, p, lam)
+    logs, scale, decay = _bubble(n, p, lam)
     # the top stays above the scale, so the grid increases for any lambda
     grid = [0.0] + geomspace(scale * 1e-4, max(1e6, scale * 10.0), 40)
-    return RadialProfile(grid, [fn(s) for s in grid], Tail("power", decay),
-                         fn=fn, dfn=dfn, label=f"bubble-l{lam:g}")
+    return closure_profile(grid, Tail("power", decay), logs, f"bubble-l{lam:g}")
 
 
 def truncated_bubble(n: int, p: float, lam: float, T: float) -> RadialProfile:
     """The concentrating test family: flat-Sobolev extremal profile times
     a C^1 cutoff supported on [0, T], whose v'' jumps at T / 2 (its
-    join)."""
-    if not (1.0 < p < n):
-        raise DomainError(f"bubble needs 1 < p < n, got n={n}, p={p}")
+    join).  The cutoff is 1 up to T / 2, then the smoothstep
+    c = (1 - y)^2 (1 + 2y), y = 2s/T - 1, whose slope is -12 y (1 - y) / T."""
     if not (lam > 0.0 and T > 0.0):
         raise DomainError("scale and truncation must be positive")
     if T == math.inf:
         raise DomainError("truncation must be finite, got inf")
-    base_fn, base_dfn, scale, _ = _bubble(n, p, lam)
+    base, scale, _ = _bubble(n, p, lam)
+    log_T, ln2 = math.log(T), math.log(2.0)
 
-    def fn(s):
-        if s >= T:
-            return 0.0
-        return base_fn(s) * _cutoff(s / T)
-
-    def dfn(s):
-        if s >= T:
-            return 0.0
-        return base_dfn(s) * _cutoff(s / T) + base_fn(s) * _dcutoff(s / T) / T
+    def logs(x):
+        w = x - log_T  # log(s / T)
+        if w >= 0.0:
+            return -math.inf, -math.inf
+        ldv, lv = base(x)
+        if w <= -ln2:
+            return ldv, lv
+        y = math.expm1(w + ln2)
+        ly1 = ln2 + math.log(-math.expm1(w))  # log(1 - y)
+        lc = 2.0 * ly1 + math.log1p(2.0 * y)
+        # |v'| = |base'| c + base |c'|, summed in logs
+        a, b = ldv + lc, lv + math.log(12.0 * y / T) + ly1
+        return max(a, b) + math.log1p(math.exp(-abs(a - b))), lv + lc
 
     lo = min(scale * 1e-4, T * 1e-5)
-    grid = [0.0] + geomspace(lo, T, 48)
-    vals = [fn(s) for s in grid]
-    return RadialProfile(grid, vals, Tail("compact", T), fn=fn, dfn=dfn,
-                         label=f"truncated-bubble-l{lam:g}-T{T:g}", joins=(0.5 * T,))
+    return closure_profile([0.0] + geomspace(lo, T, 48), Tail("compact", T), logs,
+                           f"truncated-bubble-l{lam:g}-T{T:g}", joins=(0.5 * T,))
 
 
 @dataclass(frozen=True)

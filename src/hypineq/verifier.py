@@ -18,7 +18,7 @@ from . import constants, geometry, rearrangement
 from .constants import Params, check_dimension, in_poincare_range
 from .errors import DomainError, EvaluationError, OverflowDomainError
 from .quadrature import geomspace
-from .rearrangement import RadialProfile, Tail
+from .rearrangement import RadialProfile, Tail, closure_profile
 from .report import DeficitReport
 
 __all__ = [
@@ -209,7 +209,7 @@ def mugelli_talenti_sum(v: RadialProfile, n: int, p: float,
     if p == 1.0 and v.dfn is None:
         raise DomainError("the p = 1 endpoint is restricted to profiles "
                           "with derivative closures (smooth representatives)")
-    params = Params(n, max(p, 1.0 + 1e-12)) if p == 1.0 else Params(n, p)
+    params = Params(n, p)
     pstar = n * p / (n - p)
     (grad, e1), (mass, e2), (crit, e3) = rearrangement.radial_integrals(
         v, n, p, qs=(p, pstar))
@@ -248,25 +248,22 @@ def linfty_inequality(v: RadialProfile, n: int, p: float,
 
 
 def extremal_linfty_profile(n: int, p: float) -> RadialProfile:
-    """The profile achieving equality in the sup-norm bound: the tail
-    integral of the boundary-area weight to the power -p/(p-1), with its
-    analytic derivative closure."""
+    """The profile achieving equality in the sup-norm bound, in logs: at
+    the radius tau = phi_inv(n, s/sigma) of volume s, |v'| is
+    sinh(tau)^(-p(n-1)/(p-1)) and v its tail integral
+    (geometry.isoperimetric_tail_integral)."""
     if not p > n:
         raise DomainError(f"extremal profile needs p > n, got n={n}, p={p}")
-    grid = [0.0] + geomspace(1e-4, 1e5, 46)
+    log_sigma, c = math.log(constants.unit_ball_volume(n)), p * (n - 1) / (p - 1.0)
 
-    def fn(s):
-        return geometry.isoperimetric_tail_integral(n, p, s)[0]
+    def logs(x):
+        tau = geometry.phi_inv_log(n, x - log_sigma)
+        val = geometry._tail_integral(n, p, tau)[0]
+        return (-c * geometry.log_sinh(tau) if tau > 0.0 else math.inf,
+                math.log(val) if val > 0.0 else -math.inf)
 
-    def dfn(s):
-        if s <= 0.0:
-            return -math.inf
-        return -geometry.isoperimetric_profile(n, s) ** (-p / (p - 1.0))
-
-    vals = [fn(float(s)) for s in grid]
-    return RadialProfile(grid, vals,
-                         Tail("power", 1.0 / (p - 1.0)), fn=fn, dfn=dfn,
-                         label=f"extremal-linfty-n{n}-p{p:g}")
+    return closure_profile([0.0] + geomspace(1e-4, 1e5, 46), Tail("power", 1.0 / (p - 1.0)),
+                           logs, f"extremal-linfty-n{n}-p{p:g}")
 
 
 def euclidean_rayleigh_ratio(v: RadialProfile, n: int, p: float) -> float:

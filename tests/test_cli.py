@@ -12,6 +12,7 @@ import pytest
 
 from hypineq import cli, geometry, rearrangement, verifier
 from hypineq.corpus import bubble_corpus, standard_corpus, write_corpus
+from hypineq.levels import Piece, RadialFunction
 from hypineq.rearrangement import write_profile
 
 N4P = "2.6666666666666665"
@@ -229,6 +230,16 @@ def test_verify_csv_quotes_a_label_with_a_comma(capsys, tmp_path):
     assert sorted(row[header.index("label")] for row in rows) == [
         "plain", 'say "tent"', "tent,a"]
     assert '"tent,a"' in out and '"say ""tent"""' in out and ',plain,' in out
+
+
+def test_verify_mugelli_talenti_at_p_1_reports_p_1(capsys):
+    # p = 1 is mugelli_talenti_sum's endpoint, evaluated there; its report
+    # recorded max(p, 1 + 1e-12), which the csv wrote as 1.0000000000010001
+    code, out, err = run(capsys, "verify", "--inequality", "mugelli_talenti_sum",
+                         "--n", "3", "--p", "1.0", "--format", "csv")
+    assert code == 0, err
+    header, *rows = csv.reader(io.StringIO(out))
+    assert len(rows) == 20 and {row[header.index("p")] for row in rows} == {"1"}
 
 
 def test_verify_scaled_constant_fails_on_bubbles(capsys, tmp_path):
@@ -909,14 +920,20 @@ def _load_tracer():
 
 def test_benchmark_tracer_counts_reports(capsys):
     # the benchmark tracer wraps package functions by name; a renamed
-    # function fails here
+    # function fails here.  The corpus's closure passes invert phi by
+    # Newton on log phi and find no root; a rearrangement's norm solves
+    # its level sets by root finds
     tracer_mod = _load_tracer()
     tracer = tracer_mod.Tracer()
+    f = RadialFunction(3, (Piece(0.0, 1.0, lambda r: 1.0 - r, lambda r: -1.0),))
     tracer.install()
     try:
         code = tracer.run_job(0, lambda: cli.main(
             ["verify", "--inequality", "poincare_sobolev", "--n", "4",
              "--p", N4P]))
+        roots = tracer_mod.layer_metrics(tracer, cli_jobs=True)["quadrature.root.calls"][0]
+        tracer.run_job(1, lambda: rearrangement.lp_norm(
+            rearrangement.decreasing_rearrangement(f, [0.0, 1.0, 2.0]), 2.0))
     finally:
         tracer.uninstall()
     capsys.readouterr()
@@ -924,6 +941,6 @@ def test_benchmark_tracer_counts_reports(capsys):
     metrics = tracer_mod.layer_metrics(tracer, cli_jobs=True)
     assert metrics["verifier.reports"][0] == 20
     assert metrics["quadrature.panels"][0] > 0
-    assert metrics["quadrature.root.calls"][0] > 0
+    assert roots == 0 and metrics["quadrature.root.calls"][0] > 0
     assert verifier.poincare_sobolev.__module__ == "hypineq.verifier"
     assert not hasattr(verifier.poincare_sobolev, "__wrapped__")

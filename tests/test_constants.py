@@ -14,7 +14,16 @@ def test_params_validation():
     with pytest.raises(DomainError):
         Params(1, 2.0)
     with pytest.raises(DomainError):
-        Params(4, 1.0)
+        Params(4, math.nextafter(1.0, 0.0))
+    # p = 1 is mugelli_talenti_sum's endpoint, which its report records;
+    # every constant checks its own range, which p = 1 lies outside
+    assert Params(4, 1.0).p == 1.0
+    for constant in (C.sobolev_constant, C.morrey_constant, C.linfty_constant,
+                     C.log_sobolev_constant):
+        with pytest.raises(DomainError):
+            constant(Params(4, 1.0))
+    with pytest.raises(DomainError, match="gn_constant needs 1 < p < n"):
+        C.gn_constant(Params(4, 1.0, alpha=1.2))
     with pytest.raises(DomainError):
         Params(4, 2.0, alpha=1.0)
     with pytest.raises(DomainError):

@@ -74,14 +74,12 @@ def test_constants_checks(call, want):
      DomainError("slope factor is defined for n >= 3 only")),
     ("slope-factor-negative-radius", lambda: geometry.margin_slope_factor(3, 3.0, -1.0),
      DomainError("radius must be >= 0, got -1.0")),
-    ("isoperimetric-negative-volume", lambda: geometry.isoperimetric_profile(3, -1.0),
-     DomainError("volume must be >= 0, got -1.0")),
     ("tail-integral-p-at-n", lambda: geometry.isoperimetric_tail_integral(3, 3.0),
      DomainError("tail integral diverges unless p > n, got n=3, p=3.0")),
     ("tail-integral-negative-r", lambda: geometry.isoperimetric_tail_integral(3, 4.0, -1.0),
      DomainError("need r >= 0, got -1.0")),
-    # at n = 78, (n - 1) * (700 / (n - 1)) rounds above 700, and phi_inv
-    # pulls its overflow edge in by one ulp
+    # at n = 78, (n - 1) * (700 / (n - 1)) rounds above 700: the overflow
+    # edge phi_inv's bracket once pulled in by one ulp
     ("phi-inv-edge-rounds-above-700",
      lambda: geometry.phi(78, geometry.phi_inv(78, 1e200)) == pytest.approx(1e200, rel=1e-12),
      True),
@@ -155,6 +153,12 @@ def test_quadrature_checks(call, want):
     ("support-ends-before-last-node",
      lambda: RadialProfile([0.0, 1.0], [1.0, 0.0], Tail("compact", 0.5)),
      DomainError("compact support ends before the last node")),
+    # the built-in shapes take the logs of their height and support
+    ("tent-negative-height", lambda: tent_profile(-1.0, 1.0),
+     DomainError("need height >= 0 and support > 0, got -1.0, 1.0")),
+    ("bump-zero-support", lambda: bump_profile(1.0, 0.0),
+     DomainError("need height >= 0 and support > 0, got 1.0, 0.0")),
+    ("zero-height-tent", lambda: max(tent_profile(0.0, 1.0).values), 0.0),
     ("unknown-attribute", lambda: hasattr(tent_profile(1.0, 1.0), "x"), False),
     ("negative-volume", lambda: tent_profile(1.0, 1.0)(-1.0),
      DomainError("volume must be >= 0, got -1.0")),
@@ -226,10 +230,19 @@ def test_verifier_checks(call, want):
     _check(call, want)
 
 
+def _at(v, s):
+    return v.fn(s), v.dfn(s)
+
+
 @pytest.mark.parametrize("call, want", _rows(
-    ("cutoff-at-1", lambda: sharpness._cutoff(1.0), 0.0),
-    ("cutoff-past-1", lambda: sharpness._cutoff(2.0), 0.0),
-    ("bubble-slope-at-0", lambda: sharpness.untruncated_bubble(4, 2.5, 1.0).dfn(0.0), 0.0),
+    # the cutoff of the truncated bubble: v and v' are 0 at s = T and past it
+    ("cutoff-at-1", lambda: _at(sharpness.truncated_bubble(4, 2.5, 1.0, 10.0), 10.0),
+     (0.0, 0.0)),
+    ("cutoff-past-1", lambda: _at(sharpness.truncated_bubble(4, 2.5, 1.0, 10.0), 20.0),
+     (0.0, 0.0)),
+    # v' ~ -C s^(e-1) with e = 5/12: singular at 0, as the sup-norm extremal's
+    ("bubble-slope-at-0", lambda: sharpness.untruncated_bubble(4, 2.5, 1.0).dfn(0.0),
+     -math.inf),
     ("truncated-bubble-p-at-n", lambda: sharpness.truncated_bubble(3, 3.0, 1.0, 10.0),
      DomainError("bubble needs 1 < p < n, got n=3, p=3.0")),
     ("truncated-bubble-slope-at-T",

@@ -755,6 +755,23 @@ def test_rearrangement_scalars_come_from_its_source(monkeypatch):
     assert math.isinf(_rearranged(_bump_function(3), num=12).support_volume)
 
 
+def test_support_volume_ends_at_a_piece_zero():
+    # a piece that reaches 0 inside its span counts only up to its zero,
+    # or from it: max(0, 1 - r) on [0, 2) at n = 3 has support sigma phi(1)
+    # (the whole span read 73.16743276921112), and a rise from 0 at r = 0.5
+    # then a fall to 0 at r = 2 inside [1, 3) has sigma (phi(2) - phi(0.5))
+    sigma = unit_ball_volume(3)
+    down = Piece(0.0, 2.0, lambda r: max(0.0, 1.0 - r), lambda r: -1.0 if r < 1.0 else 0.0)
+    assert RadialFunction(3, (down,)).support_volume == sigma * geometry.phi(3, 1.0) \
+        == 5.110932705708288
+    shell = RadialFunction(3, (
+        Piece(0.0, 1.0, lambda r: max(0.0, 2.0 * r - 1.0), lambda r: 2.0 if r > 0.5 else 0.0),
+        Piece(1.0, 3.0, lambda r: max(0.0, 2.0 - r), lambda r: -1.0 if r < 2.0 else 0.0)))
+    assert shell.support_volume == sigma * (geometry.phi(3, 2.0) - geometry.phi(3, 0.5))
+    rep = verifier.morrey_sobolev(_rearranged(shell), 3, 4.0)
+    assert rep.extras["support_volume"] == shell.support_volume and rep.passes()
+
+
 def test_closure_is_pure():
     # the value at s does not depend on which values were asked for before
     v = _rearranged(_bump_function(3))
@@ -1577,9 +1594,11 @@ def test_breakpoints_thin_in_volume_as_in_radius():
                 _breakpoints_of_every_node_radius(n, nodes, joins), (label, n)
 
 
-def _counted(v):
-    """A copy of v whose closures count their calls, and the counts."""
-    calls = {"fn": 0, "dfn": 0}
+def _counted(v, floats=False):
+    """A copy of v whose closures count their calls, and the counts: fn,
+    dfn and its log closure, or, with floats, fn and dfn alone, which the
+    pass then reads through _float_logs."""
+    calls = {"fn": 0, "dfn": 0, "logs": 0}
 
     def counted(name, f):
         def h(s):
@@ -1587,7 +1606,8 @@ def _counted(v):
             return f(s)
         return h
 
-    w = dataclasses.replace(v, fn=counted("fn", v.fn), dfn=counted("dfn", v.dfn))
+    logs = None if floats or v._logs is None else counted("logs", v._logs)
+    w = dataclasses.replace(v, fn=counted("fn", v.fn), dfn=counted("dfn", v.dfn), _logs=logs)
     calls.update(fn=0, dfn=0)  # the check of fn at the last grid node
     return w, calls
 
@@ -1603,23 +1623,23 @@ def _added(kept, table):
 
 def test_warm_pass_calls_no_closure_and_changes_no_bit():
     # a pass keeps log |v'| and log v at its panels' nodes on the profile,
-    # whatever p: a pass at another p calls the closures only at the
-    # panels its tree adds (2 x 15 calls each; the truncated bubbles refine
-    # a few panels at p = 3.3 that p = 3 did not), and a repeat calls none
+    # whatever p: a pass at another p calls the log closure only at the
+    # panels its tree adds (15 calls each; the truncated bubbles refine a
+    # few panels at p = 3.3 that p = 3 did not), and a repeat calls none
     profiles = [v for v in standard_corpus() if v.fn is not None]
     for v in profiles + [truncated_bubble(4, 3.0, 0.2, 1.5)]:
         w, calls = _counted(v)
         _every(w, 3.0)
         table = w._panels[4]
         kept = dict(table)
-        calls.update(fn=0, dfn=0)
+        calls.update(logs=0)
         warm = _every(w, 3.3)
         added = _added(kept, table)
-        assert calls == {"fn": 15 * added, "dfn": 15 * added}, v.label
+        assert calls == {"fn": 0, "dfn": 0, "logs": 15 * added}, v.label
         assert warm == _every(dataclasses.replace(v), 3.3), v.label
-        calls.update(fn=0, dfn=0)
+        calls.update(logs=0)
         assert _every(w, 3.3) == warm
-        assert calls == {"fn": 0, "dfn": 0}, v.label
+        assert calls["logs"] == 0, v.label
 
 
 _ONE_EACH = [dict(qs=(3.0,), grads=()), dict(), dict(grads=("euclidean",)),
@@ -1629,35 +1649,40 @@ _ONE_EACH = [dict(qs=(3.0,), grads=()), dict(), dict(grads=("euclidean",)),
 @pytest.mark.parametrize("first", _ONE_EACH, ids=["mass", "hyperbolic", "euclidean", "entropy"])
 def test_first_pass_computes_whole_rows(first):
     # a panel's first visit computes its whole row, log phi, log sinh,
-    # log |v'| and log v, whatever the pass integrates: fn and dfn 15
-    # times each per row it adds; a pass of any other integral then calls
-    # them only at the panels its own tree adds, and gives the values of a
-    # fresh profile
+    # log |v'| and log v, whatever the pass integrates: a built-in
+    # profile's log closure 15 times per row it adds and never its fn or
+    # dfn, a profile of float closures fn and dfn 15 times each; a pass of
+    # any other integral then calls them only at the panels its own tree
+    # adds, and gives the values of a fresh profile
     bump = _CORPUS["bump-A1-b1"]
-    v, calls = _counted(bump)
-    radial_integrals(v, 4, 3.0, **first)
-    table = v._panels[4]
-    assert table and calls == {"fn": 15 * len(table), "dfn": 15 * len(table)}
-    for later in _ONE_EACH:
-        kept = dict(table)
-        calls.update(fn=0, dfn=0)
-        got = radial_integrals(v, 4, 3.0, **later)
-        added = _added(kept, table)
-        assert calls == {"fn": 15 * added, "dfn": 15 * added}, later
-        assert got == radial_integrals(dataclasses.replace(bump), 4, 3.0, **later), later
+    for floats, fresh in ((False, bump), (True, dataclasses.replace(bump, _logs=None))):
+        v, calls = _counted(bump, floats)
+        radial_integrals(v, 4, 3.0, **first)
+        table = v._panels[4]
+        rows = 15 * len(table)
+        assert table and calls == ({"fn": rows, "dfn": rows, "logs": 0} if floats
+                                   else {"fn": 0, "dfn": 0, "logs": rows})
+        for later in _ONE_EACH:
+            kept = dict(table)
+            calls.update(fn=0, dfn=0, logs=0)
+            got = radial_integrals(v, 4, 3.0, **later)
+            added = 15 * _added(kept, table)
+            assert calls == ({"fn": added, "dfn": added, "logs": 0} if floats
+                             else {"fn": 0, "dfn": 0, "logs": added}), later
+            assert got == radial_integrals(dataclasses.replace(fresh), 4, 3.0, **later), later
     # the sup-norm extremal: its gradient pass keeps v where its mass pass
     # reads it, finite at every radius either reaches
     cold = grad_norm_hyperbolic(verifier.extremal_linfty_profile(2, 4.0), 2, 4.0)
     ex, calls = _counted(verifier.extremal_linfty_profile(2, 4.0))
     assert grad_norm_hyperbolic(ex, 2, 4.0) == cold
-    assert calls["fn"] == calls["dfn"] == 15 * len(ex._panels[2])
+    assert calls == {"fn": 0, "dfn": 0, "logs": 15 * len(ex._panels[2])}
     assert abs(verifier.linfty_inequality(ex, 2, 4.0).relative_margin) < 1e-8
     assert 0.0 < lp_integral(ex, 4.0)[0] < math.inf
 
 
 def test_full_table_adds_no_row(monkeypatch):
     # a full table keeps its rows as they are: a pass over it computes the
-    # panels it lacks on every visit, both closures at each of their
+    # panels it lacks on every visit, the log closure at each of their
     # nodes, adds and changes no row, and gives a fresh profile's values
     # (the gradient pass takes 8 panels, so a cap of 6 fills)
     monkeypatch.setattr(rearrangement, "_GRID_PANELS", 6)
@@ -1669,12 +1694,30 @@ def test_full_table_adds_no_row(monkeypatch):
     assert len(rows) == 6
     counts = []
     for _ in range(3):
-        calls.update(fn=0, dfn=0)
+        calls.update(logs=0)
         assert radial_integrals(v, 4, 3.0, **key_pass) == cold
         assert v._panels[4] == rows
-        assert calls["fn"] == calls["dfn"] > 0
-        counts.append(calls["fn"])
+        assert calls["fn"] == calls["dfn"] == 0 < calls["logs"]
+        counts.append(calls["logs"])
     assert counts[0] == counts[1] == counts[2]
+
+
+def test_replace_keeps_the_log_closure():
+    # dataclasses.replace of a built-in profile keeps its log closure,
+    # which is not compared, hashed or printed, and integrates bit for bit
+    # as the original; a profile built from its float closures alone
+    # integrates within rounding of it
+    for v in (_CORPUS["sech-A1-a1"], _CORPUS["truncated-bubble-l0.05-T1"],
+              _CORPUS["power-k2"]):
+        w = dataclasses.replace(v, label="copy")
+        assert w._logs is v._logs and "_logs" not in repr(v)
+        assert dataclasses.replace(v) == v and hash(dataclasses.replace(v)) == hash(v)
+        got = _all_components(w, 4)
+        assert got == _all_components(v, 4), v.label
+        floats = _all_components(RadialProfile(v.nodes, v.values, v.tail, fn=v.fn,
+                                               dfn=v.dfn, joins=v.joins), 4)
+        for (a, e), (b, _) in zip(got, floats):
+            assert abs(a - b) <= max(e, 1e-13 * abs(a)), v.label
 
 
 def test_closure_logs_live_and_die_with_their_profile():
