@@ -37,6 +37,7 @@ def check_dimension(n: int):
 def boundary_exponent(n: int) -> float:
     """Smallest exponent for which the pointwise weight-gap bound holds:
     2 for n = 2, 2n/(n-1) for n >= 3."""
+    check_dimension(n)
     return 2.0 if n == 2 else 2.0 * n / (n - 1.0)
 
 

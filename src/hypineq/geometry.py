@@ -20,20 +20,18 @@ import math
 import sys
 from functools import lru_cache
 from operator import mul
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, Optional, Sequence, Tuple
 
 from .constants import boundary_exponent, check_dimension, unit_ball_volume
 from .errors import ConvergenceError, DomainError
-from .quadrature import _ROOT_MAX_ITER, _ROOT_REL_TOL, find_root_increasing
+from .quadrature import _ROOT_MAX_ITER, _ROOT_REL_TOL
 
 __all__ = [
     "log_sinh",
     "phi",
     "log_phi",
-    "phi_deriv",
     "phi_inv",
     "phi_inv_log",
-    "phi_inv_ordered",
     "sinh_phi_inv",
     "radial_margin_scaled",
     "margin_slope_factor",
@@ -46,14 +44,11 @@ _EPS = sys.float_info.epsilon
 
 
 @lru_cache(maxsize=None)
-def _binom_terms(n: int) -> Tuple[Tuple[float, int], ...]:
+def _binom_terms(n: int) -> Tuple[Tuple[int, int], ...]:
     """Signed binomial coefficients and exponents of the expansion of
-    (e^u - e^-u)^(n-1)."""
-    out = []
-    for k in range(n):
-        coeff = (-1.0) ** k * math.comb(n - 1, k)
-        out.append((coeff, n - 1 - 2 * k))
-    return tuple(out)
+    (e^u - e^-u)^(n-1), the coefficients exact integers: a double path
+    rounds each once, and an mpmath one keeps C(n-1, k) past 2^53."""
+    return tuple(((-1) ** k * math.comb(n - 1, k), n - 1 - 2 * k) for k in range(n))
 
 
 def log_sinh(t: float) -> float:
@@ -100,7 +95,8 @@ def _phi_series(n: int) -> Tuple[float, ...]:
         k += 1
 
 
-def _phi_small(n: int, t: float) -> float:
+def _series_sum(n: int, t: float) -> float:
+    """P(t^2) = phi(n, t) / t^n, summed from _phi_series: at least 1."""
     x = t * t
     acc, xk = 0.0, 1.0
     for b in _phi_series(n):
@@ -109,7 +105,18 @@ def _phi_small(n: int, t: float) -> float:
         if term < 1e-17 * acc:
             break
         xk *= x
-    return acc * t ** n
+    return acc
+
+
+def _phi_small(n: int, t: float) -> float:
+    return _series_sum(n, t) * t ** n
+
+
+def _log_phi_small(n: int, t: float) -> float:
+    """log phi(n, t) on the series: the log of t^n P(t^2) while t^n is a
+    normal double, else n log t + log P(t^2)."""
+    acc, tn = _series_sum(n, t), t ** n
+    return math.log(acc * tn) if tn >= sys.float_info.min else n * math.log(t) + math.log(acc)
 
 
 def _phi_exp_sum(n: int, t, expm1=math.expm1):
@@ -138,16 +145,12 @@ def phi(n: int, t: float) -> float:
     return _phi_exp_sum(n, t)
 
 
-def phi_deriv(n: int, t: float) -> float:
-    return n * math.sinh(t) ** (n - 1)
-
-
 def _log_phi_excess(n: int, t: float) -> float:
     """lambda(t) = log(phi(n, t)) - (n-1) t, finite for any t > 0: above
     the series the exponential sum is summed with its leading growth
     e^((n-1)t) factored out."""
     if t < _SMALL_T or n > 6 and t < _series_top(n):
-        return math.log(_phi_small(n, t)) - (n - 1) * t
+        return _log_phi_small(n, t) - (n - 1) * t
     acc = 0.0
     for coeff, m in _binom_terms(n):
         if m == 0:
@@ -158,14 +161,15 @@ def _log_phi_excess(n: int, t: float) -> float:
 
 
 def log_phi(n: int, t: float) -> float:
-    """log phi(n, t) for any t >= 0 (-inf at 0): log of phi while phi is a
-    normal double, n log t below (where phi is t^n to double precision),
-    and lambda(t) + (n-1) t past phi's overflow edge (_log_phi_excess)."""
+    """log phi(n, t) for any t >= 0 (-inf at 0): on the series
+    _log_phi_small, past phi's overflow edge lambda(t) + (n-1) t
+    (_log_phi_excess), and the log of phi between."""
+    check_dimension(n)
     if (n - 1) * t > 700.0:
-        check_dimension(n)
         return _log_phi_excess(n, t) + (n - 1) * t
-    ph = phi(n, t)
-    return math.log(ph) if ph >= sys.float_info.min else n * math.log(t) if t else -math.inf
+    if 0.0 < t < _series_top(n):
+        return _log_phi_small(n, t)
+    return math.log(phi(n, t)) if t else -math.inf
 
 
 def softplus(x: float) -> float:  # log(1 + e^x) for any x, without overflow
@@ -257,42 +261,6 @@ def phi_inv_log(n: int, x: float) -> float:
         if abs(step) <= 1e-9 * t:
             return t
     raise ConvergenceError(f"phi_inv_log({n}, {x!r}) did not converge", partial=t)
-
-
-# Newton from a neighbour's radius takes about log(x_above / x) steps before
-# it converges; past this ratio x takes phi_inv, as does every x where
-# phi_inv sums its series, which calls no phi
-_ORDERED_RATIO = 20.0
-
-
-def phi_inv_ordered(n: int, xs: Sequence[float]) -> List[float]:
-    """[phi_inv(n, x) for x in xs], solved from the largest volume down.
-
-    The largest takes phi_inv.  Each other volume x takes Newton from the
-    radius t_above of the volume x_above solved just before it, on the
-    bracket (0, t_above) whose end values 0 and x_above are known, so no
-    phi is evaluated at either end.  phi is convex, so Newton from the
-    right never leaves the bracket.  A volume whose Newton start is not
-    below t_above, one equal to x_above among them, takes t_above; one
-    more than _ORDERED_RATIO below it, or below phi(n, _SMALL_T), takes
-    phi_inv.
-    """
-    x_top = _inv_series(n)[0]
-    out = [0.0] * len(xs)
-    t_above = x_above = None
-    for i in sorted(range(len(xs)), key=xs.__getitem__, reverse=True):
-        x = xs[i]
-        if x_above is None or x < x_top or x * _ORDERED_RATIO < x_above:
-            t = phi_inv(n, x)
-        else:
-            x0 = t_above - (x_above - x) / phi_deriv(n, t_above)
-            # a step below half an ulp of t_above leaves t_above the root
-            t = find_root_increasing(lambda u: phi(n, u), x, (0.0, t_above),
-                                     df=lambda u: phi_deriv(n, u), x0=x0,
-                                     ends=(0.0, x_above)) if x0 < t_above else t_above
-        out[i] = t
-        t_above, x_above = t, x
-    return out
 
 
 def sinh_phi_inv(n: int, s: float) -> float:

@@ -10,13 +10,10 @@ piece end values (quadrature._double_exponential).
 The pass over the level solves all the levels of a step together, each
 piece's crossings in level order, each bracketed and started from the
 radius its neighbour found: a continuation in the level (Allgower and
-Georg, Numerical Continuation Methods, 1990).  The same holds for the two
-other solves on this path: the rearrangement's solves of mu(tau) = s,
-Newton steps in the same logit on log mu from one tabulation, run in
-lockstep, each round's levels in one level-ordered solve (a pointwise
-v(s) is the one-target case), and a step's hyperbolic weights invert phi
-from its largest volume down, each radius by Newton from the one above it
-(geometry.phi_inv_ordered).
+Georg, Numerical Continuation Methods, 1990).  The same holds for the
+rearrangement's solves of mu(tau) = s, Newton steps in the same logit on
+log mu from one tabulation, run in lockstep, each round's levels in one
+level-ordered solve (a pointwise v(s) is the one-target case).
 """
 
 from __future__ import annotations
@@ -327,9 +324,9 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
     mu(tau) and log |mu'(tau)| at its levels in f's own dimension; the
     weights are those of dimension n.  With x = mu / sigma, the gradients
     are (n sigma)^p |mu'|^(1-p) times sinh(phi_inv(x))^(p(n-1)) or
-    x^(p(n-1)/n), a step's radii phi_inv(x) inverted together
-    (geometry.phi_inv_ordered); each mass is q tau^(q-1) mu, the entropy
-    p tau^(p-1) (p log tau + 1) mu.  Where mu' is 0 or infinite, v is flat
+    x^(p(n-1)/n), each radius geometry.phi_inv(n, x); each mass is
+    q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
+    mu' is 0 or infinite, v is flat
     or jumps, and no gradient gathers weight.  The pass runs in
     y = log(tau / (fmax - tau)),
     dtau = tau (fmax - tau) / fmax dy, tau and fmax - tau formed from
@@ -384,9 +381,8 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
             raise ConvergenceError("level pass reached an end of the level range")
         levels = _level_sets(f, taus)
         # the radius phi_inv(mu / sigma) wherever a hyperbolic weight needs one
-        radii = geometry.phi_inv_ordered(n, [
-            mu / sigma if mu > 0.0 and math.isfinite(ld) else 0.0
-            for mu, ld in levels]) if need_h else itertools.repeat(None)
+        radii = [geometry.phi_inv(n, mu / sigma) if mu > 0.0 and math.isfinite(ld) else 0.0
+                 for mu, ld in levels] if need_h else itertools.repeat(None)
         return [[x * fmax * e / (1.0 + e) ** 2 for x in g(tau, level, t)]  # dtau/dy
                 for tau, e, level, t in zip(taus, es, levels, radii)]
 

@@ -354,7 +354,9 @@ def _de_pass(density, cuts, rest, names):
     within 1, finds the last point y_e that evaluates; where the rest past
     y_e is within the floor, _Edge carries it; where a component's density
     still rises toward the edge, DomainError names it as divergent (QUADPACK
-    qagi's ier = 5); else the edge's error propagates.  Raises
+    qagi's ier = 5); else a low tail's DomainError edge names the first
+    unsettled component as divergent or too slowly convergent (ier = 5 as
+    well), and any other edge's error propagates.  Raises
     ConvergenceError, naming the components left, after _DE_HALVINGS
     halvings, and EvaluationError on a sum that is not finite.
     """
@@ -374,13 +376,14 @@ def _de_pass(density, cuts, rest, names):
     def summed(rows):
         return [t + sum(c) for t, c in zip(total, zip(*rows))] if rows else total
 
-    def settled(r):
-        return all(abs(x) <= max(_ABS_TOL, _REL_TOL * abs(h * t)) for x, t in zip(r, total))
+    def unsettled(r):  # the names of the components whose rest r is past the floor
+        return [nm for nm, x, t in zip(names, r, total)
+                if not abs(x) <= max(_ABS_TOL, _REL_TOL * abs(h * t))]
 
     def reach(end, point, exc):  # the rest past a tail that met an edge at point
         near, last = end[5]
         r = _rest_past(near, last)
-        if settled(r):
+        if not unsettled(r):
             return r
         bad = maps[point[0]](point[1])[0]
         while abs(bad - last[0]) > 1.0:
@@ -392,12 +395,15 @@ def _de_pass(density, cuts, rest, names):
             else:
                 near, last = last, (mid, g)
         r = _rest_past(near, last)
-        if settled(r):
+        if not unsettled(r):
             raise _Edge(end[1], last[0], r)
+        side = "low" if end[1] < 0 else "high"
         for name, g0, g1 in zip(names, last[1], near[1]):
             if abs(g0) > abs(g1):
-                side = "low" if end[1] < 0 else "high"
                 raise DomainError(f"{name} diverges at the {side} end of the level range") from exc
+        if side == "low" and isinstance(exc, DomainError):
+            raise DomainError(f"{unsettled(r)[0]} diverges or converges too slowly at the "
+                              "low end of the level range") from exc
         raise exc
 
     h = _DE_STEP

@@ -128,6 +128,16 @@ def test_lemma_verify_large_radii(capsys, n, p, t_max):
     assert payload["slope_positive"] is True
 
 
+@pytest.mark.parametrize("n", ["80", "100", "200"])
+def test_lemma_verify_at_large_dimension(capsys, n):
+    # at n = 80 the mpmath re-certification's binomial coefficients, once
+    # doubles, no longer cancelled to phi ~ t^n and faked a violation (exit
+    # 1); from n = 100 the log of a phi that underflowed to 0 exited 4
+    code, out, _ = run(capsys, "lemma", "verify", "--n", n, "--p", "3")
+    assert code == 0
+    assert json.loads(out)["passed"] is True
+
+
 def test_lemma_verify_out_of_range(capsys):
     code, _, err = run(capsys, "lemma", "verify", "--n", "4", "--p", "2.0")
     assert code == 2

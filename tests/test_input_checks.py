@@ -58,6 +58,9 @@ def _rows(*rows):
      DomainError("dimension must be an integer >= 1, got 2.0")),
     ("gn-constant-without-alpha", lambda: constants.gn_constant(Params(4, 3.0)),
      DomainError("gn_constant needs alpha")),
+    # checked before the division by n - 1
+    ("boundary-exponent-dimension-1", lambda: constants.boundary_exponent(1),
+     DomainError("dimension must be an integer >= 2, got 1")),
 ))
 def test_constants_checks(call, want):
     _check(call, want)
@@ -263,3 +266,16 @@ def test_cli_failure_paths(tmp_path, capsys):
         cli.main(["bogus", "--config", str(tmp_path / "absent.cfg")])
     assert info.value.code == 2
     assert "invalid choice: 'bogus'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "verify", "--n", "1", "--p", "3"],
+    ["lemma", "violate", "--n", "1", "--p", "3"],
+    ["lemma", "verify", "--n", "0", "--p", "3"],
+    ["verify", "--inequality", "key_comparison", "--n", "1", "--p", "3"],
+    ["sweep", "--inequality", "key_comparison", "--n-list", "1", "--p-list", "3"],
+], ids=" ".join)
+def test_cli_rejects_a_dimension_below_2(argv, capsys):
+    # each once divided by n - 1 in constants.boundary_exponent and exited 4
+    assert cli.main(argv) == 2
+    assert "dimension must be an integer >= 2" in capsys.readouterr().err

@@ -150,9 +150,17 @@ def test_rule_names_a_density_that_rises_at_an_edge(side, end):
 
 
 def test_rule_propagates_an_unsettled_edge_of_a_falling_density():
-    # e^(-0.01 |y|) falls toward the edge, but its rest past y = -60 is
-    # about 55, far above the floor: what the edge raised propagates
+    # e^(-0.01 |y|) falls toward the edge, but its rest past |y| = 60 is
+    # about 55, far above the floor.  At the low end, where phi's overflow
+    # ends the level pass, the rule names the component as divergent or
+    # too slowly convergent, raised from the edge's error; at the high end
+    # what the edge raised propagates
     density = _edged_density(lambda x: math.exp(-0.01 * x), -1)
+    with pytest.raises(DomainError, match="^slow diverges or converges too slowly at the low "
+                                          "end of the level range$") as exc:
+        quadrature._double_exponential(density, [0.0], ["settled", "slow"])
+    assert str(exc.value.__cause__) == "edge of the domain"
+    density = _edged_density(lambda x: math.exp(-0.01 * x), 1)
     with pytest.raises(DomainError, match="^edge of the domain$"):
         quadrature._double_exponential(density, [0.0], ["settled", "slow"])
     # with a fast fall the tail closes at the edge, its rest added
