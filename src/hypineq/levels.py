@@ -326,8 +326,8 @@ def level_integrals(f: RadialFunction, n: int, p: float, qs: Sequence[float],
     are (n sigma)^p |mu'|^(1-p) times sinh(phi_inv(x))^(p(n-1)) or
     x^(p(n-1)/n), each radius geometry.phi_inv(n, x); each mass is
     q tau^(q-1) mu, the entropy p tau^(p-1) (p log tau + 1) mu.  Where
-    mu' is 0 or infinite, v is flat
-    or jumps, and no gradient gathers weight.  The pass runs in
+    mu' is 0 or infinite, v is flat or jumps, and no gradient gathers
+    weight.  The pass runs in
     y = log(tau / (fmax - tau)),
     dtau = tau (fmax - tau) / fmax dy, tau and fmax - tau formed from
     e^(-|y|) so that neither cancels: the power laws of mu at tau -> 0 and
