@@ -92,7 +92,8 @@ def unit_ball_volume(n: int) -> float:
     """Volume of the Euclidean unit ball, pi^(n/2) / Gamma(n/2 + 1)."""
     if not (isinstance(n, int) and n >= 1):
         raise DomainError(f"dimension must be an integer >= 1, got {n!r}")
-    return math.pi ** (n / 2.0) / gamma(n / 2.0 + 1.0)
+    g = gamma(n / 2.0 + 1.0)  # overflows from n = 342, pi^(n/2) from n = 1241
+    return math.pi ** (n / 2.0) / g
 
 
 def sobolev_constant(params: Params) -> float:

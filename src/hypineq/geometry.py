@@ -41,6 +41,15 @@ __all__ = [
 
 _SMALL_T = 0.5
 _EPS = sys.float_info.epsilon
+MAX_DIMENSION = 276
+
+
+def check_volume_dimension(n: int):
+    """Raise DomainError unless n is an integer in [2, MAX_DIMENSION]: from
+    n = 277 _phi_series' powers of its top overflow before its terms end."""
+    if not (isinstance(n, int) and 2 <= n <= MAX_DIMENSION):
+        check_dimension(n)
+        raise DomainError(f"the volume map holds up to n = {MAX_DIMENSION}, got n={n}")
 
 
 @lru_cache(maxsize=None)
@@ -108,10 +117,6 @@ def _series_sum(n: int, t: float) -> float:
     return acc
 
 
-def _phi_small(n: int, t: float) -> float:
-    return _series_sum(n, t) * t ** n
-
-
 def _log_phi_small(n: int, t: float) -> float:
     """log phi(n, t) on the series: the log of t^n P(t^2) while t^n is a
     normal double, else n log t + log P(t^2)."""
@@ -133,40 +138,45 @@ def _phi_exp_sum(n: int, t, expm1=math.expm1):
 def phi(n: int, t: float) -> float:
     """Normalized volume of the geodesic ball of radius t (units of the
     Euclidean unit-ball volume)."""
-    check_dimension(n)
+    check_volume_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if t == 0.0:
         return 0.0
     if t < _SMALL_T or n > 6 and t < _series_top(n):
-        return _phi_small(n, t)
+        return _series_sum(n, t) * t ** n
     if (n - 1) * t > 700.0:
         raise DomainError(f"phi({n}, {t!r}) overflows double precision")
     return _phi_exp_sum(n, t)
 
 
-def _log_phi_excess(n: int, t: float) -> float:
-    """lambda(t) = log(phi(n, t)) - (n-1) t, finite for any t > 0: above
-    the series the exponential sum is summed with its leading growth
-    e^((n-1)t) factored out."""
+def _phi_excess(n: int, t: float) -> Tuple[float, Optional[float]]:
+    """(lambda(t) = log(phi(n, t)) - (n-1) t, epsilon) for t > 0: above the
+    series one pass over the binomial terms sums phi with its growth
+    e^((n-1)t) factored out and, from the same terms but the leading 1,
+    epsilon in (n-1) phi e^(-(n-1)t) 2^(n-1) / n = 1 + epsilon (None below)."""
     if t < _SMALL_T or n > 6 and t < _series_top(n):
-        return _log_phi_small(n, t) - (n - 1) * t
-    acc = 0.0
-    for coeff, m in _binom_terms(n):
+        return _log_phi_small(n, t) - (n - 1) * t, None
+    decay = math.exp(-(n - 1) * t)
+    acc, eps = (1.0 - decay) / (n - 1), -decay  # term k = 0; epsilon less its 1
+    for coeff, m in _binom_terms(n)[1:]:
         if m == 0:
-            acc += coeff * t * math.exp(-(n - 1) * t)
+            acc += coeff * t * decay
+            eps += (n - 1) * coeff * t * decay
         else:
-            acc += coeff * (math.exp((m - (n - 1)) * t) - math.exp(-(n - 1) * t)) / m
-    return math.log(n * 2.0 ** (1 - n)) + math.log(acc)
+            d = math.exp((m - (n - 1)) * t) - decay
+            acc += coeff * d / m
+            eps += (n - 1) * coeff * d / m
+    return math.log(n * 2.0 ** (1 - n)) + math.log(acc), eps
 
 
 def log_phi(n: int, t: float) -> float:
     """log phi(n, t) for any t >= 0 (-inf at 0): on the series
     _log_phi_small, past phi's overflow edge lambda(t) + (n-1) t
-    (_log_phi_excess), and the log of phi between."""
-    check_dimension(n)
+    (_phi_excess), and the log of phi between."""
+    check_volume_dimension(n)
     if (n - 1) * t > 700.0:
-        return _log_phi_excess(n, t) + (n - 1) * t
+        return _phi_excess(n, t)[0] + (n - 1) * t
     if 0.0 < t < _series_top(n):
         return _log_phi_small(n, t)
     return math.log(phi(n, t)) if t else -math.inf
@@ -174,20 +184,6 @@ def log_phi(n: int, t: float) -> float:
 
 def softplus(x: float) -> float:  # log(1 + e^x) for any x, without overflow
     return x + math.log1p(math.exp(-x)) if x > 0.0 else math.log1p(math.exp(x))
-
-
-def _phi_excess_eps(n: int, t: float) -> float:
-    """epsilon in (n-1) phi(n, t) e^(-(n-1)t) 2^(n-1) / n = 1 + epsilon: the
-    factored exponential sum of _log_phi_excess without its leading 1,
-    summed from the non-leading binomial terms, so nothing cancels."""
-    decay = math.exp(-(n - 1) * t)
-    acc = -decay
-    for coeff, m in _binom_terms(n)[1:]:
-        if m == 0:
-            acc += (n - 1) * coeff * t * decay
-        else:
-            acc += (n - 1) * coeff * (math.exp((m - (n - 1)) * t) - decay) / m
-    return acc
 
 
 @lru_cache(maxsize=None)
@@ -202,7 +198,7 @@ def _inv_series(n: int) -> Tuple[float, Tuple[float, ...]]:
     below 1e-17."""
     bs = _phi_series(n)[1:]
     ibs = [i * b for i, b in enumerate(bs, 1)]
-    x_top = _phi_small(n, _SMALL_T)
+    x_top = _series_sum(n, _SMALL_T) * _SMALL_T ** n
     v_top, out = x_top ** (2.0 / n), []
     while not out or abs(out[-1]) * v_top ** (len(out) - 1) >= 1e-17:
         a = -(2 * len(out) + 1) / n
@@ -227,7 +223,7 @@ def phi_inv(n: int, s: float) -> float:
     volume s.  Below phi(n, _SMALL_T), where phi is a series,
     it sums the reversed series (_inv_series): within 4 ulps, no phi call.
     Above, phi_inv_log(n, log s)."""
-    check_dimension(n)
+    check_volume_dimension(n)
     if s < 0.0:
         raise DomainError(f"volume must be >= 0, got {s!r}")
     if s == 0.0:
@@ -249,7 +245,7 @@ def phi_inv_log(n: int, x: float) -> float:
     of _SMALL_T and t_large (phi <= n 2^(1-n) e^((n-1)t) / (n-1)), both
     below the root, so the iterates rise to it.  A step below 1e-9 t is
     the last: Newton's error past it is below rounding."""
-    check_dimension(n)
+    check_volume_dimension(n)
     x_top, cs = _inv_series(n)
     if x < math.log(x_top):
         return _inv_sum(cs, math.exp(x / n))
@@ -266,7 +262,7 @@ def phi_inv_log(n: int, x: float) -> float:
 def sinh_phi_inv(n: int, s: float) -> float:
     """sinh of the inverse volume map; the n = 2 case collapses to a
     closed form."""
-    check_dimension(n)
+    check_volume_dimension(n)
     if s < 0.0:
         raise DomainError(f"volume must be >= 0, got {s!r}")
     if n == 2:
@@ -284,9 +280,9 @@ def _precision(n: int, p: float, t: float):
     return mp.workdps(40 + int(0.5 * (p * (n - 1) + n) * t + small))
 
 
-def _margin_precise(n: int, p: float, t: float) -> float:
-    """margin/scale via mpmath at a precision that covers the exponential
-    cancellation; scale = 1 + phi^p."""
+def _margin_precise(n: int, p: float, t: float, slope: bool = False) -> float:
+    """margin/scale, scale = 1 + phi^p, or with slope the slope factor, via
+    mpmath at a precision that covers the exponential cancellation."""
     import mpmath as mp
     with _precision(n, p, t):
         tt = mp.mpf(t)
@@ -295,15 +291,19 @@ def _margin_precise(n: int, p: float, t: float) -> float:
         # mismatch between the first and third exponents survives the
         # cancellation as a spurious margin ~ ulp(q) * t
         pp = mp.mpf(p)
-        F = mp.sinh(tt) ** (pp * (n - 1)) - ph ** (pp * (n - 1) / n) \
-            - (mp.mpf(n - 1) / n) ** pp * ph ** pp
+        qq = pp * (n - 1)
+        if slope:
+            lead = mp.sinh(tt) ** (qq - n) * mp.cosh(tt)
+            return float(1 - (ph ** (qq / n - 1)
+                              + (mp.mpf(n - 1) / n) ** pp * ph ** (pp - 1)) / lead)
+        F = mp.sinh(tt) ** qq - ph ** (qq / n) - (mp.mpf(n - 1) / n) ** pp * ph ** pp
         return float(F / (1 + ph ** p))
 
 
 def _margin_rows(n: int, p: float, ts: Sequence[float], slope: bool = False
                  ) -> Iterator[Tuple[float, float, Optional[float]]]:
-    """(m, log(1 + phi^p), f) at each radius of ts, from one lambda(t) =
-    log phi - (n-1) t each: the double paths of radial_margin_scaled (m) and,
+    """(m, log(1 + phi^p), f) at each radius of ts, from one pass of
+    _phi_excess each: the double paths of radial_margin_scaled (m) and,
     with slope, of margin_slope_factor (f, else None).  t = 0 gives zeros."""
     q = p * (n - 1)
     qn = q / n
@@ -313,9 +313,9 @@ def _margin_rows(n: int, p: float, ts: Sequence[float], slope: bool = False
         if t == 0.0:
             yield 0.0, 0.0, 0.0
             continue
-        lam = _log_phi_excess(n, t)
+        lam, eps = _phi_excess(n, t)
         log_sh = math.log(-0.5 * math.expm1(-2.0 * t))  # log(sinh t) - t
-        eps = _phi_excess_eps(n, t) if t >= 3.0 else None
+        eps = eps if t >= 3.0 else None
         lam_m = lam if eps is None else log_limit + math.log1p(eps)
         # phi^(q/n) and the scale, over e^(qt)
         b = math.exp(qn * (lam_m - t))
@@ -353,7 +353,7 @@ def radial_margin_scaled(n: int, p: float, t: float,
     far below that limit keeps its sign and its relative accuracy.  Pass precise=True (mpmath) when
     the sign of an exponentially small margin matters.
     """
-    check_dimension(n)
+    check_volume_dimension(n)
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if precise and t != 0.0:
@@ -368,20 +368,13 @@ def margin_slope_factor(n: int, p: float, t: float,
     (q = p(n-1); the derivative is p(n-1) sinh(t)^(n-1) times it), divided
     by its first term, which keeps its sign and keeps it finite for any t;
     defined for n >= 3."""
+    check_volume_dimension(n)
     if n < 3:
         raise DomainError("slope factor is defined for n >= 3 only")
     if t < 0.0:
         raise DomainError(f"radius must be >= 0, got {t!r}")
     if precise and t != 0.0:
-        import mpmath as mp
-        with _precision(n, p, t):
-            tt = mp.mpf(t)
-            ph = _phi_exp_sum(n, tt, mp.expm1)
-            pp = mp.mpf(p)
-            qq = pp * (n - 1)
-            lead = mp.sinh(tt) ** (qq - n) * mp.cosh(tt)
-            return float(1 - (ph ** (qq / n - 1)
-                              + (mp.mpf(n - 1) / n) ** pp * ph ** (pp - 1)) / lead)
+        return _margin_precise(n, p, t, slope=True)
     return next(_margin_rows(n, p, (t,), slope=True))[2]
 
 

@@ -92,8 +92,9 @@ class MarginTable:
         return json.dumps(self.summary(), indent=2, sort_keys=True) + "\n"
 
 
-def _check_args(p: float, t_max: float, t_first: float):
+def _check_args(n: int, p: float, t_max: float, t_first: float):
     """t_first is the grid's first positive radius."""
+    geometry.check_volume_dimension(n)
     if not math.isfinite(p):
         raise DomainError(f"p must be finite, got {p!r}")
     if not p > 1.0:
@@ -123,7 +124,7 @@ def verify_lemma(n: int, p: float, t_max: float = 25.0) -> MarginTable:
     radius runs in double precision; mpmath only re-certifies a slope
     factor that comes out below -1e-9.
     """
-    _check_args(p, t_max, 1e-4)
+    _check_args(n, p, t_max, 1e-4)
     bdry = boundary_exponent(n)
     if p < bdry * (1.0 - 1e-12):
         raise DomainError(
@@ -165,7 +166,7 @@ def find_violation(n: int, p: float, t_max: float = 150.0) -> MarginTable:
     An empty search is reported as inconclusive, not as a failure of the
     reversed estimate.
     """
-    _check_args(p, t_max, 0.5)
+    _check_args(n, p, t_max, 0.5)
     bdry = boundary_exponent(n)
     if p >= bdry:
         raise DomainError(

@@ -27,8 +27,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
 from . import geometry, levels, quadrature
-from .constants import (Params, boundary_exponent, check_dimension,
-                        in_comparison_range, unit_ball_volume)
+from .constants import Params, boundary_exponent, in_comparison_range, unit_ball_volume
 from .errors import DomainError
 from .levels import Piece, RadialFunction, distribution_function
 from .report import DeficitReport, fmt17
@@ -88,8 +87,9 @@ class RadialProfile:
     When an analytic closure fn is attached, together with its derivative
     dfn (both or neither), the closure is authoritative everywhere and
     the grid is a consistency witness; a built-in one is stated once, in
-    logs (closure_profile), as _logs, which survives dataclasses.replace
-    (of fn and dfn too) and is not compared, hashed or printed.  A closure
+    logs (closure_profile), as _logs with the fn and dfn made of it, which
+    dataclasses.replace keeps unless it passes another fn or dfn (read
+    through _float_logs) and is not compared, hashed or printed.  A closure
     profile keeps, per dimension n, a table of log phi, log sinh, log |v'|
     and log v at the 15 nodes of each panel its passes in geodesic radius
     took (radial_integrals): 61 doubles, about 0.55 KiB, a panel, at most
@@ -115,11 +115,13 @@ class RadialProfile:
     label: str = ""
     joins: Tuple[float, ...] = ()
     source: Optional[RadialFunction] = field(default=None, compare=False, repr=False)
-    _logs: Optional[Callable] = field(default=None, compare=False, repr=False)
+    _logs: Optional[tuple] = field(default=None, compare=False, repr=False)
     _panels: dict = field(default_factory=dict, init=False, compare=False, repr=False)
     _samples: list = field(default_factory=list, init=False, compare=False, repr=False)
 
     def __post_init__(self):
+        if self._logs is not None and self._logs[1:] != (self.fn, self.dfn):
+            object.__setattr__(self, "_logs", None)  # not the log closure of fn and dfn
         nodes = tuple(map(float, self.nodes))
         object.__setattr__(self, "nodes", nodes)
         object.__setattr__(self, "joins", tuple(map(float, self.joins)))
@@ -236,7 +238,7 @@ def closure_profile(grid: Sequence[float], tail: Tail, logs: Callable, label: st
 
     fn, dfn = (lambda s: math.exp(at(s)[1])), (lambda s: -math.exp(at(s)[0]))
     return RadialProfile(grid, [fn(s) for s in grid], tail, fn=fn, dfn=dfn,
-                         label=label, joins=joins, _logs=logs)
+                         label=label, joins=joins, _logs=(logs, fn, dfn))
 
 
 def _float_logs(fn: Callable[[float], float], dfn: Callable[[float], float]):
@@ -522,7 +524,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
     (_logs, else _float_logs) once at each node, only at a panel no
     earlier pass of the profile at this n kept, whatever it integrates.
     """
-    check_dimension(n)
+    geometry.check_volume_dimension(n)
     for name, x in [("p", p)] * bool(grads or entropy) + [("q", q) for q in qs]:
         if not x >= 1.0:
             raise DomainError(f"need {name} >= 1, got {x!r}")
@@ -555,7 +557,7 @@ def radial_integrals(v: RadialProfile, n: int, p: float, qs: Sequence[float] = (
              else geometry.phi_inv(n, top / sigma))
     c_hyp, c_euc = p * (n - 1) + n - 1, p * (n - 1) / n
     exp, ninf, log_sigma = math.exp, -math.inf, math.log(sigma)
-    logs = v._logs or _float_logs(v.fn, v.dfn)
+    logs = v._logs[0] if v._logs else _float_logs(v.fn, v.dfn)
     table = v._panels.setdefault(n, {})
 
     def panel(ts):

@@ -342,6 +342,7 @@ def evaluate(inequality_id: str, v: RadialProfile, n: int, p: float,
     row = INEQUALITIES.get(inequality_id)
     if row is None:
         raise DomainError(f"unknown inequality {inequality_id!r}")
+    geometry.check_volume_dimension(n)
     if not 0.0 < constant_scale < math.inf:
         raise DomainError(
             f"--constant-scale must be finite and > 0, got {constant_scale!r}")

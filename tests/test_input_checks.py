@@ -4,13 +4,17 @@ that message, or returns the given value."""
 
 import math
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from hypineq import cli, constants, geometry, quadrature, rearrangement, sharpness, verifier
 from hypineq.constants import Params
 from hypineq.corpus import bump_profile, tent_profile
-from hypineq.errors import BracketError, ConvergenceError, DomainError, EvaluationError
+from hypineq.errors import (BracketError, ConvergenceError, DomainError, EvaluationError,
+                            OverflowDomainError)
 from hypineq.levels import Piece, RadialFunction, distribution_function
 from hypineq.rearrangement import (RadialProfile, Tail, decreasing_rearrangement,
                                    grad_norm_hyperbolic, lp_integral)
@@ -61,6 +65,9 @@ def _rows(*rows):
     # checked before the division by n - 1
     ("boundary-exponent-dimension-1", lambda: constants.boundary_exponent(1),
      DomainError("dimension must be an integer >= 2, got 1")),
+    # gamma first: pi^(n/2) raised a bare OverflowError from n = 1241
+    ("unit-ball-past-double-range", lambda: constants.unit_ball_volume(5000),
+     OverflowDomainError("gamma(2501.0) overflows double precision")),
 ))
 def test_constants_checks(call, want):
     _check(call, want)
@@ -279,3 +286,48 @@ def test_cli_rejects_a_dimension_below_2(argv, capsys):
     # each once divided by n - 1 in constants.boundary_exponent and exited 4
     assert cli.main(argv) == 2
     assert "dimension must be an integer >= 2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["lemma", "verify", "--n", "300", "--p", "3"],
+    ["verify", "--inequality", "key_comparison", "--n", "300", "--p", "2.5"],
+    ["lemma", "verify", "--n", "1100", "--p", "3"],
+], ids=" ".join)
+def test_cli_settles_a_large_dimension_at_once(argv):
+    # the first two hung in the small-radius series, whose powers of its
+    # top overflowed from n = 277 before its terms fell away; the third
+    # exited 4 where 2^(1-n) underflows, from n = 1076.  The volume map's
+    # bound now rejects each before any work
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    code = ("import sys; sys.path.insert(0, sys.argv[1]); from hypineq.cli import main; "
+            "sys.exit(main(sys.argv[2:]))")
+    out = subprocess.run([sys.executable, "-c", code, src, *argv], capture_output=True,
+                         text=True, timeout=5)
+    assert out.returncode in (0, 2), out.stderr
+    n = argv[argv.index("--n") + 1]
+    if out.returncode == 2:
+        assert out.stderr == f"error: the volume map holds up to n = 276, got n={n}\n"
+
+
+def test_volume_map_entry_points_reject_a_dimension_past_its_bound():
+    n = geometry.MAX_DIMENSION + 1
+    v = tent_profile(1.0, 1.0)
+    calls = (lambda: geometry.phi(n, 1.0), lambda: geometry.log_phi(n, 10.0),
+             lambda: geometry.phi_inv(n, 1.0), lambda: geometry.phi_inv_log(n, 1.0),
+             lambda: geometry.sinh_phi_inv(n, 1.0),
+             lambda: geometry.radial_margin_scaled(n, 3.0, 1.0),
+             lambda: geometry.margin_slope_factor(n, 3.0, 1.0),
+             lambda: rearrangement.radial_integrals(v, n, 3.0),
+             lambda: verifier.evaluate("key_comparison", v, n, 3.0))
+    for call in calls:
+        with pytest.raises(DomainError, match=f"the volume map holds up to n = {n - 1}, got n={n}"):
+            call()
+    assert math.isfinite(geometry.log_phi(n - 1, 10.0))
+
+
+@pytest.mark.parametrize("n", ["300", "1100", "5000"])
+def test_constants_hold_at_any_dimension(n, capsys):
+    # no volume map behind them, so the bound does not apply; at n = 5000
+    # the unit ball's volume read pi^(n/2) first and exited 4
+    assert cli.main(["constants", "--n", n, "--p", "3"]) == 0
+    assert capsys.readouterr().out.startswith("unit_ball_volume")

@@ -197,14 +197,29 @@ def test_each_table_evaluates_one_margin_per_radius(monkeypatch):
     (lambda: find_violation(4, 2.5, 150.0), 240),
 ])
 def test_each_radius_sums_lambda_once(monkeypatch, table, evaluations):
-    # the margin, the log scale of F and the slope factor share one
-    # lambda(t) = log phi - (n-1) t per positive radius
-    calls = []
-    excess = geometry._log_phi_excess
-    monkeypatch.setattr(geometry, "_log_phi_excess",
+    # the margin, the log scale of F and the slope factor share one pass
+    # per positive radius, which gives lambda(t) = log phi - (n-1) t and,
+    # above the series, epsilon from one loop over the binomial terms
+    calls, loops = [], []
+    excess, terms = geometry._phi_excess, geometry._binom_terms
+    monkeypatch.setattr(geometry, "_phi_excess",
                         lambda n, t: calls.append(t) or excess(n, t))
+    monkeypatch.setattr(geometry, "_binom_terms", lambda n: loops.append(n) or terms(n))
     got = table()
     assert len(calls) == evaluations == sum(t > 0.0 for t in got.ts)
+    assert len(loops) == sum(t >= geometry._SMALL_T for t in got.ts) > 0
+
+
+def test_underflowed_margins_stay_positive_zero():
+    # past t = 400 at (3, 3.1) every term of epsilon underflows: summed
+    # from its non-leading binomial terms it stays -0.0, and the margin
+    # +0.0, which prints 0 (a leading +0.0 in epsilon printed -0)
+    table = verify_lemma(3, 3.1, t_max=700.0)
+    zeros = [t for t, m in zip(table.ts, table.margins) if t > 0.0 and m == 0.0]
+    assert len(zeros) == 8 and min(zeros) > 400.0
+    assert all(math.copysign(1.0, m) == 1.0 for m in table.margins if m == 0.0)
+    margins = [row.split(",")[2] for row in table.to_csv().splitlines()[1:]]
+    assert margins.count("0") == 9 and "-0" not in margins
 
 
 def test_grid_violations_clear_the_kernel_error():

@@ -1616,8 +1616,8 @@ def test_breakpoints_thin_in_volume_as_in_radius():
 
 def _counted(v, floats=False):
     """A copy of v whose closures count their calls, and the counts: fn,
-    dfn and its log closure, or, with floats, fn and dfn alone, which the
-    pass then reads through _float_logs."""
+    dfn and its log closure, given with them, or, with floats, fn and dfn
+    alone, which the pass then reads through _float_logs."""
     calls = {"fn": 0, "dfn": 0, "logs": 0}
 
     def counted(name, f):
@@ -1626,8 +1626,9 @@ def _counted(v, floats=False):
             return f(s)
         return h
 
-    logs = None if floats or v._logs is None else counted("logs", v._logs)
-    w = dataclasses.replace(v, fn=counted("fn", v.fn), dfn=counted("dfn", v.dfn), _logs=logs)
+    fn, dfn = counted("fn", v.fn), counted("dfn", v.dfn)
+    logs = None if floats or v._logs is None else (counted("logs", v._logs[0]), fn, dfn)
+    w = dataclasses.replace(v, fn=fn, dfn=dfn, _logs=logs)
     calls.update(fn=0, dfn=0)  # the check of fn at the last grid node
     return w, calls
 
@@ -1738,6 +1739,24 @@ def test_replace_keeps_the_log_closure():
                                                dfn=v.dfn, joins=v.joins), 4)
         for (a, e), (b, _) in zip(got, floats):
             assert abs(a - b) <= max(e, 1e-13 * abs(a)), v.label
+
+
+def test_replace_of_a_closure_integrates_the_new_one():
+    # a replace that passes another fn or dfn drops the log closure of the
+    # old ones, so the pass reads the new ones: twice the bump gives 2^p
+    # and 2^q times its integrals, where the kept log closure gave the
+    # bump's own
+    v = _CORPUS["bump-A1-b1"]
+    w = dataclasses.replace(v, fn=lambda s: 2.0 * v.fn(s), dfn=lambda s: 2.0 * v.dfn(s),
+                            values=[2.0 * x for x in v.values])
+    assert w(0.5) == 2.0 * v(0.5) and w._logs is None
+    assert dataclasses.replace(v, dfn=lambda s: v.dfn(s))._logs is None
+    thinned = dataclasses.replace(v, nodes=v.nodes[:1] + v.nodes[2:],
+                                  values=v.values[:1] + v.values[2:])
+    assert thinned._logs is v._logs
+    got, base = (radial_integrals(u, 4, 3.0, qs=(3.0,)) for u in (w, v))
+    for (a, _), (b, _) in zip(got, base):
+        assert a == pytest.approx(8.0 * b, rel=1e-12)
 
 
 def test_closure_logs_live_and_die_with_their_profile():
